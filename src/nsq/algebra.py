@@ -19,18 +19,25 @@ decomposition -- e.g. qhat(i,j) sym rhat(k) and qhat(i,k) sym rhat(j)
 expand to identical components -- but all derived quantities (brackets,
 structure-equation checks) are independent of the choice, so any faithful
 decomposition serves.
+
+A slice observable (see :mod:`nsq.subbundle`) is an Observable whose
+``slot`` is set.  It uses the same generator tags, restricted to the slot's
+basic set qhat(i,slot), pihat(k), rhat(slot); the only difference is that
+pihat(k) expands with the frozen coframe rows pi^A_j = delta^A_j
+substituted.  On the full bundle ``slot`` is None.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, IndexRangeError
 from .linalg import exact_det
 from .polynomials import Poly, pivar, qvar
-from .scalars import Scalar
+from .scalars import Scalar, signed_sum
 
 MultiIndex = tuple
 GenTag = tuple
@@ -133,16 +140,38 @@ def _check_tag(tag: GenTag, n: int) -> None:
         check_index(tag[1], n)
 
 
-def _generator_components(tag: GenTag, n: int) -> dict[MultiIndex, Poly]:
+def _generator_components(tag: GenTag, n: int, slot: int | None) -> dict[MultiIndex, Poly]:
     kind = tag[0]
     if kind == "q":
         i, j = tag[1], tag[2]
         return {(j,): Poly.var(qvar(i))}
     if kind == "pi":
         k = tag[1]
-        return {(l,): Poly.var(pivar(l, k)) for l in range(1, n + 1)}
+        if slot is None:
+            return {(l,): Poly.var(pivar(l, k)) for l in range(1, n + 1)}
+        # on the slice pi^l_k = delta^l_k for every row l != slot
+        comps = {(slot,): Poly.var(pivar(slot, k))}
+        if k != slot:
+            comps[(k,)] = Poly.constant(1)
+        return comps
     k = tag[1]
     return {(k,): Poly.constant(1)}
+
+
+def index_splits(K: MultiIndex, p: int) -> Iterable[tuple[MultiIndex, MultiIndex]]:
+    """All C(len(K), p) splits of the positions of a sorted multi-index.
+
+    Yields (I, J): I is K on a p-subset of its positions and J is K on the
+    complement, both sorted.  Repeated indices give repeated splits, so an
+    average over the splits is the normalized symmetrization over K.
+    """
+    positions = range(len(K))
+    for subset in itertools.combinations(positions, p):
+        chosen = set(subset)
+        yield (
+            tuple(K[t] for t in subset),
+            tuple(K[t] for t in positions if t not in chosen),
+        )
 
 
 def sym_components(
@@ -154,10 +183,7 @@ def sym_components(
     all splits of K's positions into a p-subset fed to f and the complement
     fed to g.
     """
-    rank = p + q
-    weight = Scalar.of(
-        Fraction(1, _binomial(rank, p))
-    )
+    weight = Scalar.of(Fraction(1, comb(p + q, p)))
     candidates = set()
     for I in f:
         for J in g:
@@ -165,13 +191,9 @@ def sym_components(
     out: dict[MultiIndex, Poly] = {}
     for K in candidates:
         acc = Poly.zero()
-        positions = range(rank)
-        for subset in itertools.combinations(positions, p):
-            sub = set(subset)
-            fi = tuple(sorted(K[t] for t in subset))
-            gj = tuple(sorted(K[t] for t in positions if t not in sub))
-            cf = f.get(fi)
-            cg = g.get(gj)
+        for I, J in index_splits(K, p):
+            cf = f.get(I)
+            cg = g.get(J)
             if cf is None or cg is None:
                 continue
             acc = acc + cf * cg
@@ -180,22 +202,17 @@ def sym_components(
     return out
 
 
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out
-
-
-def _monomial_components(mono: GenMonomial, n: int, cache: dict) -> dict[MultiIndex, Poly]:
+def _monomial_components(
+    mono: GenMonomial, n: int, slot: int | None, cache: dict
+) -> dict[MultiIndex, Poly]:
     """Expand one generator monomial into its symmetric-tensor components."""
     if mono in cache:
         return cache[mono]
     if len(mono) == 1:
-        comps = _generator_components(mono[0], n)
+        comps = _generator_components(mono[0], n, slot)
     else:
-        head = _monomial_components(mono[:-1], n, cache)
-        tail = _generator_components(mono[-1], n)
+        head = _monomial_components(mono[:-1], n, slot, cache)
+        tail = _generator_components(mono[-1], n, slot)
         comps = sym_components(head, len(mono) - 1, tail, 1)
     cache[mono] = comps
     return comps
@@ -207,8 +224,11 @@ class Observable:
     Assemble these from :func:`make_qhat`, :func:`make_pihat`,
     :func:`make_rhat` with ``+``, ``-``, :meth:`scale` and
     :func:`sym_mul`.  Equality is structural equality of the expanded
-    component maps.
+    component maps, within one algebra: ``slot`` is None on the full bundle
+    and the slice index for a slice observable.
     """
+
+    slot: int | None = None
 
     def __init__(self, n: int, genpoly: Mapping[GenMonomial, Scalar]):
         self.n = check_dimension(n)
@@ -242,7 +262,7 @@ class Observable:
             cache: dict = {}
             for mono, coeff in self.genpoly.items():
                 rank = len(mono)
-                comps = _monomial_components(mono, self.n, cache)
+                comps = _monomial_components(mono, self.n, self.slot, cache)
                 grade = by_rank.setdefault(rank, {})
                 for K, poly in comps.items():
                     prev = grade.get(K)
@@ -279,7 +299,7 @@ class Observable:
     def grade_part(self, rank: int) -> "Observable":
         """The homogeneous part of one rank, as an observable."""
         part = {m: c for m, c in self.genpoly.items() if len(m) == rank}
-        return Observable(self.n, part)
+        return self._like(part)
 
     def min_rank(self) -> int | None:
         """Smallest nonempty grade; None marks the zero observable."""
@@ -288,9 +308,15 @@ class Observable:
 
     # -- algebra -------------------------------------------------------------
 
+    def _like(self, genpoly: Mapping[GenMonomial, Scalar]) -> "Observable":
+        """An observable of the same algebra as self."""
+        return Observable(self.n, genpoly)
+
     def _require_same(self, other: "Observable") -> None:
         if self.n != other.n:
             raise DimensionMismatch(f"dimensions differ: {self.n} vs {other.n}")
+        if self.slot != other.slot:
+            raise DimensionMismatch(f"slices differ: slot {self.slot} vs {other.slot}")
 
     def __add__(self, other: "Observable") -> "Observable":
         self._require_same(other)
@@ -302,22 +328,26 @@ class Observable:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-        return Observable(self.n, out)
+        return self._like(out)
 
     def __neg__(self) -> "Observable":
-        return Observable(self.n, {m: -c for m, c in self.genpoly.items()})
+        return self._like({m: -c for m, c in self.genpoly.items()})
 
     def __sub__(self, other: "Observable") -> "Observable":
         return self + (-other)
 
     def scale(self, c) -> "Observable":
         c = c if isinstance(c, Scalar) else Scalar.of(c)
-        return Observable(self.n, {m: coeff * c for m, coeff in self.genpoly.items()})
+        return self._like({m: coeff * c for m, coeff in self.genpoly.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Observable):
             return NotImplemented
-        return self.n == other.n and self.components == other.components
+        return (
+            self.n == other.n
+            and self.slot == other.slot
+            and self.components == other.components
+        )
 
     __hash__ = None
 
@@ -334,7 +364,7 @@ class Observable:
         for mono in sorted(self.genpoly):
             c = self.genpoly[mono]
             cs = str(c)
-            body = monomial_str(mono)
+            body = self._monomial_str(mono)
             if cs == "1":
                 parts.append(body)
             elif cs == "-1":
@@ -342,10 +372,10 @@ class Observable:
             else:
                 cs = f"({cs})" if ("+" in cs or " - " in cs) else cs
                 parts.append(f"{cs} {body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
+
+    def _monomial_str(self, mono: GenMonomial) -> str:
+        return monomial_str(mono)
 
 
 def make_qhat(n: int, i: int, j: int) -> Observable:
@@ -385,7 +415,7 @@ def sym_mul(f: Observable, g: Observable) -> Observable:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-    return Observable(f.n, out)
+    return f._like(out)
 
 
 def sym_pow(f: Observable, k: int) -> Observable:

@@ -16,7 +16,8 @@ import argparse
 import os
 import sys
 
-from .errors import EngineError
+from .algebra import check_dimension
+from .errors import EngineError, IndexRangeError
 from .parsing import parse_observable, print_observable
 from .quantization import format_operator, make_q1, make_q2, quantize
 from .suites import DEFAULT_N, DEFAULT_SEED, SUITES, run_suite
@@ -25,18 +26,20 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+def dimension(text: str) -> int:
+    """argparse type for -n: a positive integer, else a usage error."""
+    try:
+        return check_dimension(int(text))
+    except IndexRangeError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="nsq", description=__doc__.strip().splitlines()[0])
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="nsq", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("-n", type=int, default=DEFAULT_N, help="dimension (default 2)")
+        p.add_argument("-n", type=dimension, default=DEFAULT_N, help="dimension (default 2)")
         p.add_argument("--seed", type=int, default=None, help="suite seed")
         p.add_argument(
             "--format", choices=["text", "json"], default="text", help="output encoding"

@@ -23,9 +23,8 @@ is exposed as :func:`structure_eq_check`.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping
 
 from .algebra import (
@@ -33,6 +32,7 @@ from .algebra import (
     MultiIndex,
     Observable,
     all_multi_indices,
+    index_splits,
     _monomial_components,
 )
 from .errors import GaugeConditionError, RankMismatch
@@ -378,7 +378,7 @@ def ham_vf(f: Observable) -> HamVF:
                 continue
             rest = mono[:m] + mono[m + 1 :]
             if rest:
-                rest_comps = _monomial_components(rest, f.n, cache)
+                rest_comps = _monomial_components(rest, f.n, f.slot, cache)
             else:
                 rest_comps = {(): Poly.constant(1)}
             for idx, poly in rest_comps.items():
@@ -565,14 +565,11 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     ranks = {(len(ix), len(iy)) for ix in x.grades for iy in y.grades}
     for gx, gy in ranks:
         rank = gx + gy
-        weight = Fraction(1, _binom(rank, gx))
+        weight = Fraction(1, comb(rank, gx))
         for K in all_multi_indices(x.n, rank):
             acc = VectorField.zero()
             hit = False
-            for subset in itertools.combinations(range(rank), gx):
-                sub = set(subset)
-                ix = tuple(sorted(K[t] for t in subset))
-                iy = tuple(sorted(K[t] for t in range(rank) if t not in sub))
+            for ix, iy in index_splits(K, gx):
                 fx = x.grades.get(ix)
                 fy = y.grades.get(iy)
                 if fx is None or fy is None:
@@ -584,13 +581,6 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
                 prev = out.get(K)
                 out[K] = scaled if prev is None else prev + scaled
     return HamVF(x.n, out)
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out
 
 
 def lie_preserves_form(

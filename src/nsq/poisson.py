@@ -23,13 +23,14 @@ also supplies the generator decomposition of the result, so brackets nest.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+
 from .algebra import (
     GenMonomial,
     Observable,
     all_multi_indices,
+    index_splits,
     monomial_str,
     rtag,
 )
@@ -39,13 +40,6 @@ from .polynomials import Poly
 from .scalars import Scalar
 
 
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out
-
-
 def _bracket_components(
     x: HamVF, p: int, g: Observable, q: int
 ) -> dict:
@@ -53,14 +47,11 @@ def _bracket_components(
     n = g.n
     rank = p + q - 1
     comps = g.components.get(q, {})
-    prefactor = Scalar.of(Fraction(-factorial(p), _binom(rank, p - 1)))
+    prefactor = Scalar.of(Fraction(-factorial(p), comb(rank, p - 1)))
     out = {}
     for K in all_multi_indices(n, rank):
         acc = Poly.zero()
-        for subset in itertools.combinations(range(rank), p - 1):
-            sub = set(subset)
-            ix = tuple(sorted(K[t] for t in subset))
-            jg = tuple(sorted(K[t] for t in range(rank) if t not in sub))
+        for ix, jg in index_splits(K, p - 1):
             xf = x.grades.get(ix)
             gc = comps.get(jg)
             if xf is None or gc is None:
@@ -102,7 +93,7 @@ def _generator_bracket(f: Observable, g: Observable) -> Observable:
                         out.pop(mono, None)
                     else:
                         out[mono] = acc
-    return Observable(f.n, out)
+    return f._like(out)
 
 
 def bracket(
@@ -115,7 +106,8 @@ def bracket(
     Extends bilinearly over grades; homogeneous ranks p and q land in rank
     p+q-1.  ``gauge_seed`` shifts the representative of f by a seeded
     random valid gauge term before applying it; the result must be (and is
-    verified to be) unchanged.
+    verified to be) unchanged.  Both arguments must live in one algebra:
+    the same dimension and the same slice (see :mod:`nsq.subbundle`).
     """
     f._require_same(g)
     result = _generator_bracket(f, g)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .scalars import Scalar
+from .scalars import Scalar, signed_sum
 
 Var = tuple
 Monomial = tuple
@@ -236,10 +236,7 @@ class Poly:
                 parts.append("-" + "*".join(factors))
             else:
                 parts.append("*".join([cs] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
 
 
 def default_var_name(v: Var) -> str:

@@ -37,7 +37,7 @@ from .errors import EngineError, NotInGeneratorAlgebra
 from .poisson import bracket, in_b1_algebra
 from .polynomials import Poly, Var, pivar, qvar
 from .reports import VerificationReport
-from .scalars import IHBAR, Scalar
+from .scalars import IHBAR, Scalar, signed_sum
 
 DerivDegree = tuple  # length-n tuple of natural numbers
 
@@ -437,10 +437,7 @@ def scalar_hbar_str(s: Scalar) -> str:
             parts.append("-" + "*".join(factors))
         else:
             parts.append("*".join([str(c)] + factors))
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return signed_sum(parts)
 
 
 def _coeff_var_name(v: Var) -> str:
@@ -472,10 +469,7 @@ def _poly_hbar_str(poly: Poly) -> str:
             parts.append("-" + "*".join(factors))
         else:
             parts.append("*".join([cs] + factors))
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return signed_sum(parts)
 
 
 def format_operator(op: DiffOperator) -> str:
@@ -503,7 +497,4 @@ def format_operator(op: DiffOperator) -> str:
                 parts.append(cs + " " + " ".join(dfactors))
         else:
             parts.append(cs)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return signed_sum(parts)

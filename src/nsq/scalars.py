@@ -182,10 +182,15 @@ class Scalar:
                 parts.append("-" + "*".join(factors))
             else:
                 parts.append("*".join([str(c)] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
+
+
+def signed_sum(parts: list[str]) -> str:
+    """Join printed terms as "a + b - c"; a term's leading "-" becomes " - "."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _coerce(x) -> Scalar:

@@ -13,6 +13,12 @@ polynomial algebra over {qhat(i,slot), pihat(k), rhat(slot)} descends to a
 reduced algebra on the slice; the reduction is verified to be a bracket
 homomorphism.
 
+A slice observable is an :class:`~nsq.algebra.Observable` whose ``slot``
+is set.  :class:`ReducedObservable` adds only that slot, the check that
+every generator lies in the slot's basic set, and the Qh/Pih/rh printer;
+Hamiltonian fields, both routes of the bracket and equality are the
+upstairs ones, applied with the frozen rows substituted.
+
 The default slot is 1, matching the parametrization by frames
 
     e_1 = alpha d/du^1,   e_A = d/du^A + mu_A d/du^1.
@@ -20,32 +26,16 @@ The default slot is 1, matching the parametrization by frames
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Mapping
 
-from .algebra import (
-    FramePoint,
-    MultiIndex,
-    Observable,
-    all_multi_indices,
-    check_dimension,
-    check_index,
-    sym_components,
-)
-from .errors import (
-    DimensionMismatch,
-    EngineError,
-    NotInGeneratorAlgebra,
-    RankMismatch,
-)
-from .forms import HamVF, TwoForm, VectorField, ham_vf, structure_eq_check
+from .algebra import FramePoint, MultiIndex, Observable, check_index
+from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
+from .forms import HamVF, TwoForm, ham_vf, structure_eq_check
 from .linalg import exact_det, exact_inverse, exact_rank
-from .poisson import in_b1_algebra
+from .poisson import bracket, in_b1_algebra
 from .polynomials import Poly, pivar, qvar
-from .scalars import Scalar
 
 # -- slice geometry -----------------------------------------------------------
 
@@ -242,10 +232,7 @@ def gauge_fix_for_B1(f: Observable, slot: int = 1) -> HamVF:
     its lower index; the gauge correction is therefore zero, and tangency
     is asserted rather than repaired.
     """
-    if not in_b1_algebra(f, slot):
-        raise NotInGeneratorAlgebra(
-            f"observable uses generators outside the slot-{slot} basic algebra"
-        )
+    _require_basic(f, slot)
     x = ham_vf(f)
     if not tangency_check(x, slot):
         raise EngineError("canonical representative unexpectedly not tangent")
@@ -255,136 +242,38 @@ def gauge_fix_for_B1(f: Observable, slot: int = 1) -> HamVF:
 # -- reduced observables ------------------------------------------------------
 
 
-def _reduced_generator_components(tag, n: int, slot: int) -> dict[MultiIndex, Poly]:
-    kind = tag[0]
-    if kind == "Q":
-        return {(slot,): Poly.var(qvar(tag[1]))}
-    if kind == "Pi":
-        k = tag[1]
-        comps = {(slot,): Poly.var(pivar(slot, k))}
-        if k != slot:
-            comps[(k,)] = Poly.constant(1)
-        return comps
-    return {(slot,): Poly.constant(1)}
+def _require_basic(f: Observable, slot: int) -> None:
+    if not in_b1_algebra(f, slot):
+        raise NotInGeneratorAlgebra(
+            f"observable uses generators outside the slot-{slot} basic algebra"
+        )
 
 
-class ReducedObservable:
-    """Observable on the slice, generated by Qhat(i), Pihat(k), rhat."""
+class ReducedObservable(Observable):
+    """Observable on the slice, generated by Qhat(i), Pihat(k), rhat.
+
+    The generators keep their upstairs tags qhat(i,slot), pihat(k),
+    rhat(slot); what makes this the slice algebra is ``slot``, which
+    substitutes the frozen coframe rows when pihat(k) is expanded.  Fields,
+    brackets and equality are those of :class:`Observable`.
+    """
 
     def __init__(self, n: int, genpoly: Mapping, slot: int = 1):
-        self.n = check_dimension(n)
+        super().__init__(n, genpoly)
         self.slot = check_index(slot, n)
-        self.genpoly: dict = {}
-        for mono, c in genpoly.items():
-            c = c if isinstance(c, Scalar) else Scalar.of(c)
-            if not c.is_zero():
-                self.genpoly[tuple(mono)] = c
-        self._components = None
+        _require_basic(self, slot)
 
-    @property
-    def components(self) -> dict[int, dict[MultiIndex, Poly]]:
-        if self._components is None:
-            by_rank: dict[int, dict[MultiIndex, Poly]] = {}
-            cache: dict = {}
-            for mono, coeff in self.genpoly.items():
-                comps = self._monomial_components(mono, cache)
-                grade = by_rank.setdefault(len(mono), {})
-                for K, poly in comps.items():
-                    prev = grade.get(K)
-                    acc = poly.scale(coeff)
-                    acc = acc if prev is None else prev + acc
-                    if acc.is_zero():
-                        grade.pop(K, None)
-                    else:
-                        grade[K] = acc
-            self._components = {r: g for r, g in by_rank.items() if g}
-        return self._components
+    def _like(self, genpoly: Mapping) -> "ReducedObservable":
+        return ReducedObservable(self.n, genpoly, self.slot)
 
-    def _monomial_components(self, mono, cache):
-        if mono in cache:
-            return cache[mono]
-        if len(mono) == 1:
-            comps = _reduced_generator_components(mono[0], self.n, self.slot)
-        else:
-            head = self._monomial_components(mono[:-1], cache)
-            tail = _reduced_generator_components(mono[-1], self.n, self.slot)
-            comps = sym_components(head, len(mono) - 1, tail, 1)
-        cache[mono] = comps
-        return comps
-
-    def ranks(self) -> list[int]:
-        return sorted(self.components)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def rank(self) -> int:
-        ranks = self.ranks()
-        if len(ranks) != 1:
-            raise ValueError(f"not homogeneous: ranks {ranks}")
-        return ranks[0]
-
-    def component(self, idx) -> Poly:
-        key = tuple(sorted(idx))
-        return self.components.get(len(key), {}).get(key, Poly.zero())
-
-    def grade_part(self, rank: int) -> "ReducedObservable":
-        part = {m: c for m, c in self.genpoly.items() if len(m) == rank}
-        return ReducedObservable(self.n, part, self.slot)
-
-    def __add__(self, other: "ReducedObservable") -> "ReducedObservable":
-        out = dict(self.genpoly)
-        for mono, c in other.genpoly.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return ReducedObservable(self.n, out, self.slot)
-
-    def __neg__(self):
-        return ReducedObservable(
-            self.n, {m: -c for m, c in self.genpoly.items()}, self.slot
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, ReducedObservable):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.slot == other.slot
-            and self.components == other.components
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.genpoly:
-            return "0"
-        parts = []
-        for mono in sorted(self.genpoly):
-            body = "*".join(_reduced_tag_str(t) for t in mono)
-            cs = str(self.genpoly[mono])
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append(f"{cs} {body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+    def _monomial_str(self, mono) -> str:
+        return "*".join(_reduced_tag_str(t) for t in mono)
 
 
 def _reduced_tag_str(tag) -> str:
-    if tag[0] == "Q":
+    if tag[0] == "q":
         return f"Qh({tag[1]})"
-    if tag[0] == "Pi":
+    if tag[0] == "pi":
         return f"Pih({tag[1]})"
     return "rh"
 
@@ -396,28 +285,7 @@ def reduce_observable(f: Observable, slot: int = 1) -> ReducedObservable:
     rhat(slot) -> rhat.  The resulting components agree with substituting
     the slice relations into the original components.
     """
-    if not in_b1_algebra(f, slot):
-        raise NotInGeneratorAlgebra(
-            f"observable uses generators outside the slot-{slot} basic algebra"
-        )
-    out: dict = {}
-    for mono, c in f.genpoly.items():
-        reduced = []
-        for tag in mono:
-            if tag[0] == "q":
-                reduced.append(("Q", tag[1]))
-            elif tag[0] == "pi":
-                reduced.append(("Pi", tag[1]))
-            else:
-                reduced.append(("R",))
-        key = tuple(sorted(reduced))
-        prev = out.get(key)
-        acc = c if prev is None else prev + c
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return ReducedObservable(f.n, out, slot)
+    return ReducedObservable(f.n, f.genpoly, slot)
 
 
 def substituted_components(f: Observable, slot: int = 1) -> dict:
@@ -438,36 +306,8 @@ def substituted_components(f: Observable, slot: int = 1) -> dict:
 # -- reduced Hamiltonian fields and bracket -----------------------------------
 
 
-def _reduced_generator_field(tag, slot: int) -> VectorField:
-    kind = tag[0]
-    if kind == "Q":
-        return VectorField(v={(slot, tag[1]): Poly.constant(-1)})
-    if kind == "Pi":
-        return VectorField(h={tag[1]: Poly.constant(1)})
-    return VectorField.zero()
-
-
-def reduced_ham_vf(f: ReducedObservable) -> HamVF:
-    """Canonical slice representative by the same factor rule as upstairs."""
-    out: dict[MultiIndex, VectorField] = {}
-    cache: dict = {}
-    for mono, coeff in f.genpoly.items():
-        r = len(mono)
-        weight = coeff * Scalar.of(Fraction(1, factorial(r)))
-        for m in range(r):
-            base = _reduced_generator_field(mono[m], f.slot)
-            if base.is_zero():
-                continue
-            rest = mono[:m] + mono[m + 1 :]
-            if rest:
-                rest_comps = f._monomial_components(rest, cache)
-            else:
-                rest_comps = {(): Poly.constant(1)}
-            for idx, poly in rest_comps.items():
-                contrib = base.mul_poly(poly.scale(weight))
-                prev = out.get(idx)
-                out[idx] = contrib if prev is None else prev + contrib
-    return HamVF(f.n, out)
+# The canonical slice representative is the upstairs factor rule.
+reduced_ham_vf = ham_vf
 
 
 def reduced_structure_eq_check(f: ReducedObservable, x: HamVF) -> bool:
@@ -475,94 +315,18 @@ def reduced_structure_eq_check(f: ReducedObservable, x: HamVF) -> bool:
     return structure_eq_check(f, x, dtheta=reduced_dtheta(f.n, f.slot))
 
 
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out
-
-
 def reduced_bracket(f: ReducedObservable, g: ReducedObservable) -> ReducedObservable:
     """Intrinsic Poisson bracket on the slice.
 
-    Computed from the defining formula with the intrinsic fields, and
-    cross-checked against the generator-level expansion with
-    {Qhat(i), Pihat(k)} = delta(i,k) rhat.
+    The upstairs bracket on the slice algebra: the defining formula with the
+    intrinsic fields, cross-checked against the generator-level expansion
+    with {Qhat(i), Pihat(k)} = delta(i,k) rhat.
     """
-    if f.n != g.n or f.slot != g.slot:
-        raise DimensionMismatch("reduced observables live on different slices")
-    expected = _reduced_generator_bracket(f, g)
-    computed: dict = {}
-    for p in f.ranks():
-        fp = f.grade_part(p)
-        x = reduced_ham_vf(fp)
-        for q in g.ranks():
-            rank = p + q - 1
-            prefactor = Scalar.of(Fraction(-factorial(p), _binom(rank, p - 1)))
-            comps = g.components.get(q, {})
-            grade = computed.setdefault(rank, {})
-            for K in all_multi_indices(f.n, rank):
-                acc = Poly.zero()
-                for subset in itertools.combinations(range(rank), p - 1):
-                    sub = set(subset)
-                    ix = tuple(sorted(K[t] for t in subset))
-                    jg = tuple(sorted(K[t] for t in range(rank) if t not in sub))
-                    xf = x.grades.get(ix)
-                    gc = comps.get(jg)
-                    if xf is None or gc is None:
-                        continue
-                    acc = acc + xf.apply(gc)
-                if acc.is_zero():
-                    continue
-                acc = acc.scale(prefactor)
-                prev = grade.get(K)
-                total = acc if prev is None else prev + acc
-                if total.is_zero():
-                    grade.pop(K, None)
-                else:
-                    grade[K] = total
-    computed = {r: grade for r, grade in computed.items() if grade}
-    if computed != expected.components:
-        raise EngineError("reduced bracket routes disagree")
-    return expected
-
-
-def _reduced_generator_bracket(
-    f: ReducedObservable, g: ReducedObservable
-) -> ReducedObservable:
-    out: dict = {}
-    for mf, cf in f.genpoly.items():
-        for mg, cg in g.genpoly.items():
-            base = cf * cg
-            for si, s in enumerate(mf):
-                for ti, t in enumerate(mg):
-                    if s[0] == "Q" and t[0] == "Pi":
-                        sign, ok = 1, s[1] == t[1]
-                    elif s[0] == "Pi" and t[0] == "Q":
-                        sign, ok = -1, s[1] == t[1]
-                    else:
-                        ok = False
-                    if not ok:
-                        continue
-                    mono = tuple(
-                        sorted(
-                            mf[:si] + mf[si + 1 :] + mg[:ti] + mg[ti + 1 :] + (("R",),)
-                        )
-                    )
-                    c = base * Scalar.of(sign)
-                    prev = out.get(mono)
-                    acc = c if prev is None else prev + c
-                    if acc.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = acc
-    return ReducedObservable(f.n, out, f.slot)
+    return bracket(f, g)
 
 
 def reduction_homomorphism_check(f: Observable, g: Observable, slot: int = 1) -> bool:
     """reduce({f, g}) = {reduce f, reduce g} on the slice."""
-    from .poisson import bracket
-
     lhs = reduce_observable(bracket(f, g), slot)
     rhs = reduced_bracket(reduce_observable(f, slot), reduce_observable(g, slot))
     return lhs == rhs
@@ -579,7 +343,7 @@ def reduced_field_rows(
     vals = point.coordinate_values()
     rows = []
     for g in generators:
-        x = reduced_ham_vf(reduce_observable(g, slot)).field(())
+        x = ham_vf(reduce_observable(g, slot)).field(())
         row = []
         for a in range(1, n + 1):
             poly = x.h.get(a)

@@ -1,0 +1,39 @@
+"""Smoke test: the narrative demos run to completion.
+
+Demo 04 is left out: it takes several seconds and exercises only the
+quantization layer, which the suite covers directly.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_observables_and_fields.py",
+        "02_poisson_brackets.py",
+        "03_subbundle_reduction.py",
+        "05_obstruction_contrast.py",
+    ],
+)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -100,6 +100,16 @@ def test_cli_reduce(capsys):
     assert code == 0
     assert captured.out.strip() == "Qh(1)"
 
+    code = main(["reduce", "-n", "3", "qh(1,1)*pih(2) - 1/2 rh(1)*pih(1)*pih(3)"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip() == "-1/2 Pih(1)*Pih(3)*rh + Pih(2)*Qh(1)"
+
+    code = main(["reduce", "-n", "3", "qh(2,1)*qh(3,1)*pih(3) + 3/2 pih(2)*pih(2)*rh(1)"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip() == "3/2 Pih(2)*Pih(2)*rh + Pih(3)*Qh(2)*Qh(3)"
+
 
 def test_cli_verify_json_schema(capsys):
     code = main(["verify", "-n", "2", "--suite", "table1", "--format", "json"])
@@ -140,6 +150,17 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_nonpositive_dimension(capsys):
+    assert main(["verify", "-n", "0", "--suite", "table1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension must be a positive integer, got 0" in captured.err
+    assert main(["reduce", "-n", "0", "qh(1,1)"]) == 2
+    captured = capsys.readouterr()
+    assert "dimension must be a positive integer, got 0" in captured.err
+    assert "out of range" not in captured.err
 
 
 def test_cli_verify_gauge_seed(capsys):

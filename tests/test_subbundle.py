@@ -5,12 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from nsq.algebra import FramePoint, make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
-from nsq.errors import NotInGeneratorAlgebra
+from nsq.algebra import (
+    FramePoint,
+    Observable,
+    make_pihat,
+    make_qhat,
+    make_rhat,
+    pitag,
+    qtag,
+    rtag,
+    sym_mul,
+    sym_pow,
+)
+from nsq.errors import DimensionMismatch, NotInGeneratorAlgebra
+from nsq.poisson import bracket
 from nsq.forms import TwoForm, ham_vf
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.subbundle import (
     G1Element,
+    ReducedObservable,
     SubbundlePoint,
     frame_from_params,
     g1_embed,
@@ -143,6 +156,11 @@ def test_reduce_observable():
 
     with pytest.raises(NotInGeneratorAlgebra):
         reduce_observable(make_qhat(n, 1, 2))
+    with pytest.raises(NotInGeneratorAlgebra):
+        ReducedObservable(n, {(("q", 1, 2),): 1}, slot=1)
+
+    # the slice rhat is not the upstairs rhat, though the tags agree
+    assert reduce_observable(make_rhat(n, 1)) != make_rhat(n, 1)
 
 
 def test_reduction_matches_substitution():
@@ -159,6 +177,17 @@ def test_reduction_homomorphism():
         for _ in range(20):
             f, g = random_b1_monomial(n, rng), random_b1_monomial(n, rng)
             assert reduction_homomorphism_check(f, g)
+
+    n = 3
+    for slot in (2, 3):
+        tags = [qtag(i, slot) for i in range(1, n + 1)]
+        tags += [pitag(k) for k in range(1, n + 1)] + [rtag(slot)]
+        for _ in range(20):
+            f, g = (
+                Observable(n, {tuple(sorted(rng.choices(tags, k=rng.randint(1, 3)))): 1})
+                for _ in range(2)
+            )
+            assert reduction_homomorphism_check(f, g, slot=slot)
 
 
 def test_reduced_structure_equation():
@@ -187,6 +216,14 @@ def test_other_slots():
     red = reduce_observable(f, slot=slot)
     assert red.component((1, 2)) == Poly.var(qvar(3)).scale(Fraction(1, 2))
     assert red.component((2, 2)) == Poly.var(qvar(3)) * Poly.var(pivar(2, 1))
+
+    # brackets never mix slices, nor a slice with the full bundle
+    with pytest.raises(DimensionMismatch):
+        reduced_bracket(red, reduce_observable(make_pihat(n, 1), slot=1))
+    with pytest.raises(DimensionMismatch):
+        reduced_bracket(red, make_pihat(n, 1))
+    with pytest.raises(DimensionMismatch):
+        bracket(make_pihat(n, 1), red)
 
     pulled = pullback_two_form(n, slot=slot)
     assert pulled[slot] == TwoForm(
