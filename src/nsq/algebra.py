@@ -25,12 +25,24 @@ A slice observable (see :mod:`nsq.subbundle`) is an Observable whose
 basic set qhat(i,slot), pihat(k), rhat(slot); the only difference is that
 pihat(k) expands with the frozen coframe rows pi^A_j = delta^A_j
 substituted.  On the full bundle ``slot`` is None.
+
+The symmetric product, route 1 of the bracket and the field bracket each
+average a pairwise product over the position splits of a sorted K.  They
+share one kernel: every pair (I, J) of the two supports is formed once and
+lands on K = sorted(I + J) with weight :func:`split_weight`, the share of
+K's splits that put I on the subset.
+
+Generator-monomial expansions are memoized process-wide by
+:func:`_monomial_components`, keyed on (mono, n, slot) and bounded at 1024
+entries.  The cached component maps and their polynomials are shared by
+every caller: read them, never mutate them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -158,20 +170,33 @@ def _generator_components(tag: GenTag, n: int, slot: int | None) -> dict[MultiIn
     return {(k,): Poly.constant(1)}
 
 
-def index_splits(K: MultiIndex, p: int) -> Iterable[tuple[MultiIndex, MultiIndex]]:
-    """All C(len(K), p) splits of the positions of a sorted multi-index.
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    prev = out.get(key)
+    value = value if prev is None else prev + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
 
-    Yields (I, J): I is K on a p-subset of its positions and J is K on the
-    complement, both sorted.  Repeated indices give repeated splits, so an
-    average over the splits is the normalized symmetrization over K.
+
+def split_count(K: MultiIndex, I: MultiIndex) -> int:
+    """How many position splits of the sorted multi-index K put I on the subset.
+
+    I must be a sub-multiset of K.  Each value v of I picks I.count(v) of
+    the K.count(v) positions that carry v, so an average over the
+    comb(len(K), len(I)) splits of K weighs the pair (I, K - I) by
+    split_count(K, I) / comb(len(K), len(I)).
     """
-    positions = range(len(K))
-    for subset in itertools.combinations(positions, p):
-        chosen = set(subset)
-        yield (
-            tuple(K[t] for t in subset),
-            tuple(K[t] for t in positions if t not in chosen),
-        )
+    out = 1
+    for v in set(I):
+        out *= comb(K.count(v), I.count(v))
+    return out
+
+
+def split_weight(K: MultiIndex, I: MultiIndex) -> Scalar:
+    """split_count(K, I) / comb(len(K), len(I)): the share of K's splits that give I."""
+    return Scalar.of(Fraction(split_count(K, I), comb(len(K), len(I))))
 
 
 def sym_components(
@@ -181,41 +206,33 @@ def sym_components(
 
     The component at a sorted multi-index K of rank p+q is the average over
     all splits of K's positions into a p-subset fed to f and the complement
-    fed to g.
+    fed to g.  Only pairs in the two supports contribute, so the sum runs
+    over them: each pair (I, J) lands on K = sorted(I + J) with weight
+    split_weight(K, I), and its product is formed once.
     """
-    weight = Scalar.of(Fraction(1, comb(p + q, p)))
-    candidates = set()
-    for I in f:
-        for J in g:
-            candidates.add(tuple(sorted(I + J)))
     out: dict[MultiIndex, Poly] = {}
-    for K in candidates:
-        acc = Poly.zero()
-        for I, J in index_splits(K, p):
-            cf = f.get(I)
-            cg = g.get(J)
-            if cf is None or cg is None:
-                continue
-            acc = acc + cf * cg
-        if not acc.is_zero():
-            out[K] = acc.scale(weight)
+    for I, cf in f.items():
+        for J, cg in g.items():
+            K = tuple(sorted(I + J))
+            accumulate(out, K, (cf * cg).scale(split_weight(K, I)))
     return out
 
 
+@lru_cache(maxsize=1024)
 def _monomial_components(
-    mono: GenMonomial, n: int, slot: int | None, cache: dict
+    mono: GenMonomial, n: int, slot: int | None
 ) -> dict[MultiIndex, Poly]:
-    """Expand one generator monomial into its symmetric-tensor components."""
-    if mono in cache:
-        return cache[mono]
+    """Expand one generator monomial into its symmetric-tensor components.
+
+    Memoized process-wide on (mono, n, slot), with a fixed bound so that
+    memory stays flat on long runs.  The returned map is shared between
+    callers: read it, never mutate it.
+    """
     if len(mono) == 1:
-        comps = _generator_components(mono[0], n, slot)
-    else:
-        head = _monomial_components(mono[:-1], n, slot, cache)
-        tail = _generator_components(mono[-1], n, slot)
-        comps = sym_components(head, len(mono) - 1, tail, 1)
-    cache[mono] = comps
-    return comps
+        return _generator_components(mono[0], n, slot)
+    head = _monomial_components(mono[:-1], n, slot)
+    tail = _generator_components(mono[-1], n, slot)
+    return sym_components(head, len(mono) - 1, tail, 1)
 
 
 class Observable:
@@ -259,19 +276,12 @@ class Observable:
         """Graded component maps: rank -> canonical multi-index -> polynomial."""
         if self._components is None:
             by_rank: dict[int, dict[MultiIndex, Poly]] = {}
-            cache: dict = {}
             for mono, coeff in self.genpoly.items():
                 rank = len(mono)
-                comps = _monomial_components(mono, self.n, self.slot, cache)
+                comps = _monomial_components(mono, self.n, self.slot)
                 grade = by_rank.setdefault(rank, {})
                 for K, poly in comps.items():
-                    prev = grade.get(K)
-                    acc = poly.scale(coeff)
-                    acc = acc if prev is None else prev + acc
-                    if acc.is_zero():
-                        grade.pop(K, None)
-                    else:
-                        grade[K] = acc
+                    accumulate(grade, K, poly.scale(coeff))
             self._components = {r: g for r, g in by_rank.items() if g}
         return self._components
 
@@ -322,12 +332,7 @@ class Observable:
         self._require_same(other)
         out = dict(self.genpoly)
         for mono, c in other.genpoly.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            accumulate(out, mono, c)
         return self._like(out)
 
     def __neg__(self) -> "Observable":
@@ -407,14 +412,7 @@ def sym_mul(f: Observable, g: Observable) -> Observable:
     out: dict[GenMonomial, Scalar] = {}
     for m1, c1 in f.genpoly.items():
         for m2, c2 in g.genpoly.items():
-            mono = tuple(sorted(m1 + m2))
-            c = c1 * c2
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
     return f._like(out)
 
 

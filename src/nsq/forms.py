@@ -24,15 +24,16 @@ is exposed as :func:`structure_eq_check`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Mapping
 
 from .algebra import (
     GenTag,
     MultiIndex,
     Observable,
+    accumulate,
     all_multi_indices,
-    index_splits,
+    split_weight,
     _monomial_components,
 )
 from .errors import GaugeConditionError, RankMismatch
@@ -368,7 +369,6 @@ def ham_vf(f: Observable) -> HamVF:
     (1/r!) * Sym(all factors but u_m)^I * X_{u_m} over the factor positions m.
     """
     out: dict[MultiIndex, VectorField] = {}
-    cache: dict = {}
     for mono, coeff in f.genpoly.items():
         r = len(mono)
         weight = coeff * Scalar.of(Fraction(1, factorial(r)))
@@ -378,13 +378,11 @@ def ham_vf(f: Observable) -> HamVF:
                 continue
             rest = mono[:m] + mono[m + 1 :]
             if rest:
-                rest_comps = _monomial_components(rest, f.n, f.slot, cache)
+                rest_comps = _monomial_components(rest, f.n, f.slot)
             else:
                 rest_comps = {(): Poly.constant(1)}
             for idx, poly in rest_comps.items():
-                contrib = base.mul_poly(poly.scale(weight))
-                prev = out.get(idx)
-                out[idx] = contrib if prev is None else prev + contrib
+                accumulate(out, idx, base.mul_poly(poly.scale(weight)))
     return HamVF(f.n, out)
 
 
@@ -403,39 +401,32 @@ def structure_eq_check(
         # x must represent the zero class: the symmetrized contraction with
         # dtheta vanishes gradewise (true of pure gauge terms).
         dtheta = dtheta if dtheta is not None else soldering_dtheta(x.n)
-        for g in x.grade_ranks():
-            for K in all_multi_indices(x.n, g + 1):
-                rhs = OneForm()
-                for t in range(g + 1):
-                    xf = x.grades.get(tuple(sorted(K[:t] + K[t + 1 :])))
-                    omega = dtheta.get(K[t])
-                    if xf is None or omega is None:
-                        continue
-                    rhs = rhs + contract(xf, omega)
-                if not rhs.is_zero():
-                    return False
-        return True
+        return all(
+            _contraction_sum(x, K, dtheta).is_zero()
+            for g in x.grade_ranks()
+            for K in all_multi_indices(x.n, g + 1)
+        )
     p = f.rank()
     ranks = x.grade_ranks()
     if ranks and ranks != [p - 1]:
         raise RankMismatch(f"field grades {ranks} do not match observable rank {p}")
     dtheta = dtheta if dtheta is not None else soldering_dtheta(f.n)
     prefactor = Scalar.of(-factorial(p - 1))
-    for K in all_multi_indices(f.n, p):
-        lhs = d_poly(f.component(K))
-        rhs = OneForm()
-        for t in range(p):
-            rest = K[:t] + K[t + 1 :]
-            xf = x.field(rest)
-            if xf.is_zero():
-                continue
-            omega = dtheta.get(K[t])
-            if omega is None:
-                continue
-            rhs = rhs + contract(xf, omega)
-        if lhs != rhs.scale(prefactor):
-            return False
-    return True
+    return all(
+        d_poly(f.component(K)) == _contraction_sum(x, K, dtheta).scale(prefactor)
+        for K in all_multi_indices(f.n, p)
+    )
+
+
+def _contraction_sum(x: HamVF, K: MultiIndex, dtheta: Mapping[int, TwoForm]) -> OneForm:
+    """Sum over the positions t of a sorted K of X^{K without K_t} _| dtheta^{K_t}."""
+    out = OneForm()
+    for t in range(len(K)):
+        xf = x.grades.get(K[:t] + K[t + 1 :])
+        omega = dtheta.get(K[t])
+        if xf is not None and omega is not None:
+            out = out + contract(xf, omega)
+    return out
 
 
 GaugeTerm = Mapping[MultiIndex, Mapping[tuple, Poly]]
@@ -448,22 +439,22 @@ def gauge_condition_holds(t: GaugeTerm, n: int) -> bool:
     canonical multi-index K of rank |I|+1 and every lower index b, the sum
     over positions of K of T_b^{K-minus-t, K_t} is identically zero.
     """
-    by_rank: dict[int, list[MultiIndex]] = {}
-    for idx in t:
-        by_rank.setdefault(len(idx), []).append(idx)
-    for g in by_rank:
-        for K in all_multi_indices(n, g + 1):
-            for b in range(1, n + 1):
-                acc = Poly.zero()
-                for pos in range(g + 1):
-                    rest = tuple(sorted(K[:pos] + K[pos + 1 :]))
-                    comp = t.get(rest, {})
-                    poly = comp.get((K[pos], b))
-                    if poly is not None:
-                        acc = acc + poly
-                if not acc.is_zero():
-                    return False
-    return True
+    return all(
+        _gauge_sum(t, K, b).is_zero()
+        for g in {len(idx) for idx in t}
+        for K in all_multi_indices(n, g + 1)
+        for b in range(1, n + 1)
+    )
+
+
+def _gauge_sum(t: GaugeTerm, K: MultiIndex, b: int) -> Poly:
+    """Sum over the positions t of a sorted K of T_b^{K without K_t, K_t}."""
+    acc = Poly.zero()
+    for pos in range(len(K)):
+        poly = t.get(K[:pos] + K[pos + 1 :], {}).get((K[pos], b))
+        if poly is not None:
+            acc = acc + poly
+    return acc
 
 
 def add_gauge(x: HamVF, t: GaugeTerm) -> HamVF:
@@ -477,12 +468,7 @@ def add_gauge(x: HamVF, t: GaugeTerm) -> HamVF:
         raise GaugeConditionError("gauge term has nonvanishing symmetrized part")
     grades = dict(x.grades)
     for idx, vcomps in t.items():
-        extra = VectorField(v=dict(vcomps))
-        if extra.is_zero():
-            continue
-        idx = tuple(sorted(idx))
-        prev = grades.get(idx)
-        grades[idx] = extra if prev is None else prev + extra
+        accumulate(grades, tuple(sorted(idx)), VectorField(v=dict(vcomps)))
     return HamVF(x.n, grades)
 
 
@@ -501,18 +487,13 @@ def make_valid_gauge(u: GaugeTerm, n: int) -> dict[MultiIndex, dict[tuple, Poly]
         sym: dict[tuple, Poly] = {}
         for K in all_multi_indices(n, p):
             for b in range(1, n + 1):
-                acc = Poly.zero()
-                for pos in range(p):
-                    rest = tuple(sorted(K[:pos] + K[pos + 1 :]))
-                    poly = part.get(rest, {}).get((K[pos], b))
-                    if poly is not None:
-                        acc = acc + poly
+                acc = _gauge_sum(part, K, b)
                 if not acc.is_zero():
                     sym[(K, b)] = acc.scale(Fraction(1, p))
         keys = set(part)
         for (K, b) in sym:
             for pos in range(p):
-                keys.add(tuple(sorted(K[:pos] + K[pos + 1 :])))
+                keys.add(K[:pos] + K[pos + 1 :])
         for idx in keys:
             comps: dict[tuple, Poly] = {}
             verts = set(part.get(idx, {}))
@@ -560,26 +541,16 @@ def random_valid_gauge(n: int, grade_rank: int, rng, max_terms: int = 3):
 
 def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     """Bracket of graded fields: componentwise Lie bracket, then normalized
-    symmetrization over the combined upper indices."""
+    symmetrization over the combined upper indices.
+
+    Each support pair (I, J) is bracketed once and lands on K = sorted(I + J)
+    with weight split_weight(K, I), as in :func:`nsq.algebra.sym_components`.
+    """
     out: dict[MultiIndex, VectorField] = {}
-    ranks = {(len(ix), len(iy)) for ix in x.grades for iy in y.grades}
-    for gx, gy in ranks:
-        rank = gx + gy
-        weight = Fraction(1, comb(rank, gx))
-        for K in all_multi_indices(x.n, rank):
-            acc = VectorField.zero()
-            hit = False
-            for ix, iy in index_splits(K, gx):
-                fx = x.grades.get(ix)
-                fy = y.grades.get(iy)
-                if fx is None or fy is None:
-                    continue
-                acc = acc + fx.lie_bracket(fy)
-                hit = True
-            if hit and not acc.is_zero():
-                scaled = acc.scale(weight)
-                prev = out.get(K)
-                out[K] = scaled if prev is None else prev + scaled
+    for ix, fx in x.grades.items():
+        for iy, fy in y.grades.items():
+            K = tuple(sorted(ix + iy))
+            accumulate(out, K, fx.lie_bracket(fy).scale(split_weight(K, ix)))
     return HamVF(x.n, out)
 
 
@@ -592,18 +563,8 @@ def lie_preserves_form(
     index combination; dtheta itself is closed.
     """
     dtheta = dtheta if dtheta is not None else soldering_dtheta(x.n)
-    for g in x.grade_ranks():
-        for K in all_multi_indices(x.n, g + 1):
-            omega = OneForm()
-            for t in range(g + 1):
-                rest = tuple(sorted(K[:t] + K[t + 1 :]))
-                xf = x.grades.get(rest)
-                if xf is None:
-                    continue
-                two = dtheta.get(K[t])
-                if two is None:
-                    continue
-                omega = omega + contract(xf, two)
-            if not d_oneform(omega).is_zero():
-                return False
-    return True
+    return all(
+        d_oneform(_contraction_sum(x, K, dtheta)).is_zero()
+        for g in x.grade_ranks()
+        for K in all_multi_indices(x.n, g + 1)
+    )

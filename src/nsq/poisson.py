@@ -17,22 +17,28 @@ Every bracket is computed twice, by independent routes:
    symmetric product with {qhat(i,j), pihat(k)} = delta(i,k) rhat(j) the
    only nonzero generator pair.
 
-The two expansions are compared exactly on every call; the second route
-also supplies the generator decomposition of the result, so brackets nest.
+The two expansions are compared exactly on every call, and a disagreement
+raises EngineError naming the first differing rank and multi-index with
+both routes' values there.  The second route also supplies the generator
+decomposition of the result, so brackets nest.
+
+Route 1 runs over the pairs of X's grades and g's components only, each
+weighted by its split count (:func:`nsq.algebra.split_weight`), and reads
+g's components from the shared, read-only expansion memo of
+:mod:`nsq.algebra`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .algebra import (
     GenMonomial,
     Observable,
-    all_multi_indices,
-    index_splits,
-    monomial_str,
+    accumulate,
     rtag,
+    split_weight,
 )
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import HamVF, add_gauge, ham_vf, random_valid_gauge, structure_eq_check, vf_bracket
@@ -43,23 +49,21 @@ from .scalars import Scalar
 def _bracket_components(
     x: HamVF, p: int, g: Observable, q: int
 ) -> dict:
-    """Route 1: -p! Sym[X(g)] on each rank-(p+q-1) multi-index."""
-    n = g.n
-    rank = p + q - 1
+    """Route 1: -p! Sym[X(g)] on each rank-(p+q-1) multi-index.
+
+    Sym averages over the splits of K into a (p-1)-subset fed to X and the
+    complement fed to g; as in :func:`nsq.algebra.sym_components`, each
+    support pair (I, J) is applied once and lands on K = sorted(I + J)
+    with weight split_weight(K, I).
+    """
     comps = g.components.get(q, {})
-    prefactor = Scalar.of(Fraction(-factorial(p), comb(rank, p - 1)))
+    prefactor = Scalar.of(-factorial(p))
     out = {}
-    for K in all_multi_indices(n, rank):
-        acc = Poly.zero()
-        for ix, jg in index_splits(K, p - 1):
-            xf = x.grades.get(ix)
-            gc = comps.get(jg)
-            if xf is None or gc is None:
-                continue
-            acc = acc + xf.apply(gc)
-        if not acc.is_zero():
-            out[K] = acc.scale(prefactor)
-    return out
+    for ix, xf in x.grades.items():
+        for jg, gc in comps.items():
+            K = tuple(sorted(ix + jg))
+            accumulate(out, K, xf.apply(gc).scale(split_weight(K, ix)))
+    return {K: poly.scale(prefactor) for K, poly in out.items()}
 
 
 def _pair_bracket_tag(s, t):
@@ -86,13 +90,7 @@ def _generator_bracket(f: Observable, g: Observable) -> Observable:
                     mono = tuple(
                         sorted(mf[:si] + mf[si + 1 :] + mg[:ti] + mg[ti + 1 :] + (tag,))
                     )
-                    c = base * Scalar.of(sign)
-                    prev = out.get(mono)
-                    acc = c if prev is None else prev + c
-                    if acc.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = acc
+                    accumulate(out, mono, base * Scalar.of(sign))
     return f._like(out)
 
 
@@ -127,19 +125,28 @@ def bracket(
             part = _bracket_components(x, p, g, q)
             grade = computed.setdefault(p + q - 1, {})
             for K, poly in part.items():
-                prev = grade.get(K)
-                acc = poly if prev is None else prev + poly
-                if acc.is_zero():
-                    grade.pop(K, None)
-                else:
-                    grade[K] = acc
+                accumulate(grade, K, poly)
     computed = {r: grade for r, grade in computed.items() if grade}
     if computed != expected:
+        rank, K = _first_difference(computed, expected)
+        route1 = computed.get(rank, {}).get(K, Poly.zero())
+        route2 = expected.get(rank, {}).get(K, Poly.zero())
         raise EngineError(
-            "bracket routes disagree: structure-equation representative vs "
-            f"generator expansion for {f!r} and {g!r}"
+            f"bracket routes disagree at rank {rank}, multi-index {K}: "
+            f"route 1 (structure equation) gives {route1}, "
+            f"route 2 (generator expansion) gives {route2}, for {f!r} and {g!r}"
         )
     return result
+
+
+def _first_difference(a: dict, b: dict) -> tuple:
+    """The first (rank, multi-index), in sorted order, where two graded maps differ."""
+    return min(
+        (rank, K)
+        for rank in set(a) | set(b)
+        for K in set(a.get(rank, {})) | set(b.get(rank, {}))
+        if a.get(rank, {}).get(K) != b.get(rank, {}).get(K)
+    )
 
 
 def jacobi_residual(f: Observable, g: Observable, h: Observable) -> Observable:

@@ -268,11 +268,27 @@ def dirac_check(
     gauge_seed: int | None = None,
 ) -> bool:
     """Bracket-to-commutator condition: [Q(f), Q(g)] = IHBAR * Q({f, g})."""
+    lhs, rhs = _dirac_sides(qmap, f, g, gauge_seed)
+    return lhs == rhs
+
+
+def _dirac_sides(qmap, f, g, gauge_seed) -> tuple[DiffOperator, DiffOperator]:
     lhs = commutator(quantize(qmap, f), quantize(qmap, g))
     rhs = quantize(qmap, bracket(f, g, gauge_seed=gauge_seed)).scale(
         Scalar.symbol(IHBAR)
     )
-    return lhs == rhs
+    return lhs, rhs
+
+
+def record_dirac(report, case, qmap, f, g, gauge_seed=None, expected="pass") -> None:
+    """Record one bracket-to-commutator case in a report.
+
+    A failure carries the residual [Q(f), Q(g)] - IHBAR * Q({f, g}) as its
+    actual value; passing cases never form it.
+    """
+    lhs, rhs = _dirac_sides(qmap, f, g, gauge_seed)
+    ok = lhs == rhs
+    report.record(case, ok, expected, "fail" if ok else format_operator(lhs - rhs))
 
 
 # -- axiom verification ---------------------------------------------------------
@@ -368,12 +384,13 @@ def axiom_report(
 
     # bracket-to-commutator on all ordered pairs
     for m1, m2 in itertools.product(monos, monos):
-        ok = dirac_check(qmap, obs(m1), obs(m2))
-        report.record(
+        record_dirac(
+            report,
             f"dirac ({monomial_str(m1)}, {monomial_str(m2)})",
-            ok,
+            qmap,
+            obs(m1),
+            obs(m2),
             expected="commutator matches bracket",
-            actual="mismatch",
         )
 
     # the constant element maps to a constant operator

@@ -54,7 +54,7 @@ from .poisson import (
     tensor_extension_identity_check,
 )
 from .polynomials import Poly, pivar, qvar
-from .quantization import b1_monomials, dirac_check, make_q1, make_q2, quantize
+from .quantization import b1_monomials, make_q1, make_q2, quantize, record_dirac
 from .reports import VerificationReport
 from .scalars import Scalar
 from .subbundle import (
@@ -561,8 +561,7 @@ def suite_dirac_q1(n, seed, gauge_seed):
     for m1, m2 in itertools.product(monos, monos):
         f = Observable(n, {m1: Scalar.one()})
         g = Observable(n, {m2: Scalar.one()})
-        ok = dirac_check(qmap, f, g, gauge_seed=gauge_seed)
-        report.record(f"dirac ({f!r}; {g!r})", ok)
+        record_dirac(report, f"dirac ({f!r}; {g!r})", qmap, f, g, gauge_seed)
     return report
 
 
@@ -576,13 +575,13 @@ def suite_dirac_q2(n, seed, gauge_seed):
     for m1, m2 in itertools.product(generators, generators):
         f = Observable(n, {m1: Scalar.one()})
         g = Observable(n, {m2: Scalar.one()})
-        report.record(f"dirac ({f!r}; {g!r})", dirac_check(qmap, f, g, gauge_seed=gauge_seed))
+        record_dirac(report, f"dirac ({f!r}; {g!r})", qmap, f, g, gauge_seed)
     all_monos = b1_monomials(n, 3)
     for _ in range(100):
         m1, m2 = rng.choice(all_monos), rng.choice(all_monos)
         f = Observable(n, {m1: Scalar.one()})
         g = Observable(n, {m2: Scalar.one()})
-        report.record(f"dirac ({f!r}; {g!r})", dirac_check(qmap, f, g, gauge_seed=gauge_seed))
+        record_dirac(report, f"dirac ({f!r}; {g!r})", qmap, f, g, gauge_seed)
     return report
 
 
@@ -610,10 +609,7 @@ def suite_groenewold(n, seed, gauge_seed):
         (sym_mul(sym_pow(q1h, 2), pi1h), sym_mul(q1h, sym_pow(pi1h, 2))),
     ]
     for f, g in cubic_pairs:
-        report.record(
-            f"frame-bundle consistency ({f!r}; {g!r})",
-            dirac_check(qmap, f, g, gauge_seed=gauge_seed),
-        )
+        record_dirac(report, f"frame-bundle consistency ({f!r}; {g!r})", qmap, f, g, gauge_seed)
         report.record(
             f"both sides vanish ({f!r}; {g!r})",
             quantize(qmap, bracket(f, g)).is_zero()

@@ -1,8 +1,4 @@
-"""Smoke test: the narrative demos run to completion.
-
-Demo 04 is left out: it takes several seconds and exercises only the
-quantization layer, which the suite covers directly.
-"""
+"""Smoke test: the narrative demos run to completion."""
 
 import os
 import subprocess
@@ -20,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         "01_observables_and_fields.py",
         "02_poisson_brackets.py",
         "03_subbundle_reduction.py",
+        "04_quantization_maps.py",
         "05_obstruction_contrast.py",
     ],
 )

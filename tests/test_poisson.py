@@ -209,3 +209,51 @@ def test_in_b1_algebra():
     assert not in_b1_algebra(make_qhat(n, 1, 2))
     assert not in_b1_algebra(make_rhat(n, 2))
     assert in_b1_algebra(make_qhat(n, 1, 2), slot=2)
+
+
+def _double_first_component(monkeypatch):
+    """Corrupt route 1: double the component at its first multi-index."""
+    from nsq import poisson
+
+    real = poisson._bracket_components
+
+    def corrupted(x, p, g, q):
+        out = real(x, p, g, q)
+        K = min(out)
+        out[K] = out[K].scale(2)
+        return out
+
+    monkeypatch.setattr(poisson, "_bracket_components", corrupted)
+
+
+def _assert_disagreement_named(monkeypatch, f, g, bracket_fn):
+    from nsq.errors import EngineError
+
+    good = bracket_fn(f, g)
+    rank = good.rank()
+    K = min(good.components[rank])
+    route2 = good.components[rank][K]
+    _double_first_component(monkeypatch)
+    with pytest.raises(EngineError) as err:
+        bracket_fn(f, g)
+    message = str(err.value)
+    assert f"rank {rank}, multi-index {K}:" in message
+    assert f"route 1 (structure equation) gives {route2.scale(2)}," in message
+    assert f"route 2 (generator expansion) gives {route2}," in message
+
+
+def test_route_disagreement_names_index_and_both_values(monkeypatch):
+    n = 2
+    f = sym_mul(sym_pow(make_qhat(n, 1, 1), 2), make_qhat(n, 2, 2))
+    g = sym_mul(make_pihat(n, 1), make_pihat(n, 2))
+    _assert_disagreement_named(monkeypatch, f, g, bracket)
+
+
+def test_slice_route_disagreement_names_index_and_both_values(monkeypatch):
+    from nsq.algebra import pitag, qtag
+    from nsq.subbundle import ReducedObservable, reduced_bracket
+
+    n = 3
+    f = ReducedObservable(n, {(qtag(1, 1), qtag(1, 1), qtag(2, 1)): 1})
+    g = ReducedObservable(n, {(pitag(1), pitag(2)): 1})
+    _assert_disagreement_named(monkeypatch, f, g, reduced_bracket)

@@ -168,3 +168,40 @@ def test_axiom_report_catches_corruption():
 def test_b1_monomial_count():
     # 5 generators at n=2: 5 + 15 + 35 monomials through degree 3
     assert len(b1_monomials(2, 3)) == 55
+
+
+def test_dirac_failures_carry_the_residual(monkeypatch):
+    from nsq import suites
+    from nsq.algebra import Observable, monomial_str, pitag, rtag
+    from nsq.poisson import bracket
+
+    n = 2
+    corruption = {(pitag(1), rtag(1)): DiffOperator.identity(n)}
+    bad = {
+        k: QuantizationMap(f"q{k}-corrupt", n, kill_rank=k + 1, overrides=corruption)
+        for k in (1, 2)
+    }
+    monkeypatch.setattr(suites, "make_q1", lambda n: bad[1])
+    monkeypatch.setattr(suites, "make_q2", lambda n: bad[2])
+    pairs = {}
+    monos = b1_monomials(n, 3)
+    for m1 in monos:
+        for m2 in monos:
+            f, g = Observable(n, {m1: 1}), Observable(n, {m2: 1})
+            pairs[f"dirac ({f!r}; {g!r})"] = (f, g)
+            pairs[f"dirac ({monomial_str(m1)}, {monomial_str(m2)})"] = (f, g)
+    reports = [
+        (suites.run_suite("dirac-q1", n), bad[1]),
+        (suites.run_suite("dirac-q2", n), bad[2]),
+        (axiom_report(bad[1], n, 2), bad[1]),
+    ]
+    for report, qmap in reports:
+        failures = [f for f in report.failures if f.case.startswith("dirac")]
+        assert failures, report.suite
+        for failure in failures:
+            f, g = pairs[failure.case]
+            residual = commutator(quantize(qmap, f), quantize(qmap, g)) - quantize(
+                qmap, bracket(f, g)
+            ).scale(Scalar.symbol(IHBAR))
+            assert not residual.is_zero()
+            assert failure.actual == format_operator(residual)
