@@ -34,8 +34,10 @@ K's splits that put I on the subset.
 
 Generator-monomial expansions are memoized process-wide by
 :func:`_monomial_components`, keyed on (mono, n, slot) and bounded at 1024
-entries.  The cached component maps and their polynomials are shared by
-every caller: read them, never mutate them.
+entries.  An observable that is one monomial with coefficient 1 takes the
+memoized map itself as its only grade, uncopied; any other observable
+builds its own scaled sum.  The cached component maps and their
+polynomials are shared by every caller: read them, never mutate them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Iterable, Mapping
 from .errors import DimensionMismatch, IndexRangeError
 from .linalg import exact_det
 from .polynomials import Poly, pivar, qvar
-from .scalars import Scalar, signed_sum
+from .scalars import ONE, Scalar, signed_sum
 
 MultiIndex = tuple
 GenTag = tuple
@@ -275,6 +277,11 @@ class Observable:
     def components(self) -> dict[int, dict[MultiIndex, Poly]]:
         """Graded component maps: rank -> canonical multi-index -> polynomial."""
         if self._components is None:
+            if len(self.genpoly) == 1 and ONE in self.genpoly.values():
+                # a unit monomial reads the shared memoized map, uncopied
+                (mono,) = self.genpoly
+                self._components = {len(mono): _monomial_components(mono, self.n, self.slot)}
+                return self._components
             by_rank: dict[int, dict[MultiIndex, Poly]] = {}
             for mono, coeff in self.genpoly.items():
                 rank = len(mono)

@@ -19,15 +19,24 @@ monomial u_1 sym ... sym u_r of rank-1 generators,
 with generator fields X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k),
 X_rhat(k) = 0.  The structure equation is the arbiter of correctness and
 is exposed as :func:`structure_eq_check`.
+
+The factor-rule grades of each generator monomial with coefficient 1 are
+memoized process-wide by :func:`_monomial_ham_vf`, keyed on (mono, n, slot)
+and bounded at 256 entries; :func:`ham_vf` sums them times the
+coefficients, and a coefficient of 1 reuses the memoized fields unscaled.
+Those fields are shared by every representative built from them: every
+operation here returns new fields, and no caller may mutate one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Mapping
 
 from .algebra import (
+    GenMonomial,
     GenTag,
     MultiIndex,
     Observable,
@@ -38,7 +47,7 @@ from .algebra import (
 )
 from .errors import GaugeConditionError, RankMismatch
 from .polynomials import Poly, Var, pivar, qvar
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 
 class VectorField:
@@ -362,27 +371,47 @@ class HamVF:
         return "; ".join(lines)
 
 
+@lru_cache(maxsize=256)
+def _monomial_ham_vf(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[MultiIndex, VectorField]:
+    """Factor-rule grades of one generator monomial with coefficient 1.
+
+    For u_1 ... u_r the grade-I field collects (1/r!) * Sym(all factors but
+    u_m)^I * X_{u_m} over the factor positions m.  Memoized process-wide on
+    (mono, n, slot) like :func:`nsq.algebra._monomial_components`, with a
+    small fixed bound (the 119 basic monomials of degree <= 3 at n=3 fit).
+    The returned map and its fields are shared: read them, never mutate them.
+    """
+    r = len(mono)
+    weight = Scalar.of(Fraction(1, factorial(r)))
+    out: dict[MultiIndex, VectorField] = {}
+    for m in range(r):
+        base = generator_field(mono[m])
+        if base.is_zero():
+            continue
+        rest = mono[:m] + mono[m + 1 :]
+        if rest:
+            rest_comps = _monomial_components(rest, n, slot)
+        else:
+            rest_comps = {(): Poly.constant(1)}
+        for idx, poly in rest_comps.items():
+            accumulate(out, idx, base.mul_poly(poly.scale(weight)))
+    return out
+
+
 def ham_vf(f: Observable) -> HamVF:
     """Canonical Hamiltonian representative of an observable, by the factor rule.
 
-    For each generator monomial u_1 ... u_r the grade-I component collects
-    (1/r!) * Sym(all factors but u_m)^I * X_{u_m} over the factor positions m.
+    Each generator monomial contributes its memoized unit grades
+    (:func:`_monomial_ham_vf`) times its coefficient; a coefficient of 1
+    contributes the shared fields themselves, unscaled.
     """
     out: dict[MultiIndex, VectorField] = {}
     for mono, coeff in f.genpoly.items():
-        r = len(mono)
-        weight = coeff * Scalar.of(Fraction(1, factorial(r)))
-        for m in range(r):
-            base = generator_field(mono[m])
-            if base.is_zero():
-                continue
-            rest = mono[:m] + mono[m + 1 :]
-            if rest:
-                rest_comps = _monomial_components(rest, f.n, f.slot)
-            else:
-                rest_comps = {(): Poly.constant(1)}
-            for idx, poly in rest_comps.items():
-                accumulate(out, idx, base.mul_poly(poly.scale(weight)))
+        unit = coeff == ONE
+        for idx, vf in _monomial_ham_vf(mono, f.n, f.slot).items():
+            accumulate(out, idx, vf if unit else vf.scale(coeff))
     return HamVF(f.n, out)
 
 

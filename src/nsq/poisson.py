@@ -23,9 +23,11 @@ both routes' values there.  The second route also supplies the generator
 decomposition of the result, so brackets nest.
 
 Route 1 runs over the pairs of X's grades and g's components only, each
-weighted by its split count (:func:`nsq.algebra.split_weight`), and reads
-g's components from the shared, read-only expansion memo of
-:mod:`nsq.algebra`.
+weighted by its split count (:func:`nsq.algebra.split_weight`) times -p!.
+It reads X from the shared field memo of :mod:`nsq.forms` and, for a unit
+monomial g, g's components straight from the shared expansion memo of
+:mod:`nsq.algebra`; both are read-only.  The memos save rebuilding the
+operands, not either route: both still run on every call.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _bracket_components(
     Sym averages over the splits of K into a (p-1)-subset fed to X and the
     complement fed to g; as in :func:`nsq.algebra.sym_components`, each
     support pair (I, J) is applied once and lands on K = sorted(I + J)
-    with weight split_weight(K, I).
+    with weight -p! * split_weight(K, I).
     """
     comps = g.components.get(q, {})
     prefactor = Scalar.of(-factorial(p))
@@ -62,8 +64,8 @@ def _bracket_components(
     for ix, xf in x.grades.items():
         for jg, gc in comps.items():
             K = tuple(sorted(ix + jg))
-            accumulate(out, K, xf.apply(gc).scale(split_weight(K, ix)))
-    return {K: poly.scale(prefactor) for K, poly in out.items()}
+            accumulate(out, K, xf.apply(gc).scale(split_weight(K, ix) * prefactor))
+    return out
 
 
 def _pair_bracket_tag(s, t):

@@ -119,6 +119,12 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
+        a, b = self.terms, other.terms
+        if len(a) == 1 == len(b) and _ONE_MONO in a and _ONE_MONO in b:
+            # rational times rational: two nonzero Fractions, a nonzero product
+            prod = Scalar.__new__(Scalar)
+            prod.terms = {_ONE_MONO: a[_ONE_MONO] * b[_ONE_MONO]}
+            return prod
         out: dict[SymMonomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -1,9 +1,10 @@
 """The sparse split-count kernels against brute-force split enumeration,
-and the process-wide expansion memo against fresh expansions.
+and the process-wide expansion and field memos against fresh builds.
 
 The reference visits every multi-index K of the target rank and every
 position split of it; the engine visits only the pairs of the two supports
-and weighs each by split_count.
+and weighs each by split_count.  The field reference applies the factor
+rule to fresh expansions, with no memo.
 """
 
 import itertools
@@ -15,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsq.algebra import (
+    FramePoint,
     Observable,
     _generator_components,
     _monomial_components,
     all_multi_indices,
+    evaluate,
     pitag,
     qtag,
     rtag,
@@ -26,10 +29,20 @@ from nsq.algebra import (
     sym_components,
     sym_mul,
 )
-from nsq.forms import HamVF, VectorField, add_gauge, ham_vf, random_valid_gauge, vf_bracket
+from nsq.forms import (
+    HamVF,
+    VectorField,
+    _monomial_ham_vf,
+    add_gauge,
+    generator_field,
+    ham_vf,
+    random_valid_gauge,
+    vf_bracket,
+)
 from nsq.poisson import _bracket_components, bracket
 from nsq.polynomials import Poly, pivar, qvar
-from nsq.subbundle import ReducedObservable
+from nsq.scalars import IHBAR, Scalar
+from nsq.subbundle import ReducedObservable, substituted_components
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -88,6 +101,20 @@ def fresh_expansion(mono, n, slot):
     for k, tag in enumerate(mono[1:], start=1):
         comps = ref_sym_components(n, comps, k, _generator_components(tag, n, slot), 1)
     return comps
+
+
+def ref_ham_vf(f):
+    """The factor rule on fresh expansions: (1/r!) Sym(rest)^I X_{u_m} per position m."""
+    out = {}
+    for mono, coeff in f.genpoly.items():
+        weight = coeff.as_fraction() / factorial(len(mono))
+        for m in range(len(mono)):
+            rest = mono[:m] + mono[m + 1 :]
+            comps = fresh_expansion(rest, f.n, f.slot) if rest else {(): Poly.constant(1)}
+            for idx, poly in comps.items():
+                vf = generator_field(mono[m]).mul_poly(poly.scale(weight))
+                out[idx] = vf if idx not in out else out[idx] + vf
+    return HamVF(f.n, out)
 
 
 # -- strategies -----------------------------------------------------------------
@@ -242,6 +269,10 @@ def _snapshot(comps):
     return {K: {m: dict(c.terms) for m, c in poly.terms.items()} for K, poly in comps.items()}
 
 
+def _field_snapshot(grades):
+    return {idx: (_snapshot(vf.h), _snapshot(vf.v)) for idx, vf in grades.items()}
+
+
 @SETTINGS
 @given(monomial_pair(max_rank=3), st.sampled_from([None, 3]))
 def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
@@ -250,13 +281,86 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     keys |= {mono[:m] + mono[m + 1 :] for mono in (mf, mg) for m in range(len(mono))} - {()}
     cached = {key: _monomial_components(key, n, None) for key in keys}
     before = {key: _snapshot(comps) for key, comps in cached.items()}
+    fields = {mono: _monomial_ham_vf(mono, n, None) for mono in (mf, mg, tuple(sorted(mf + mg)))}
+    fields_before = {mono: _field_snapshot(grades) for mono, grades in fields.items()}
     f, g = observable(n, mf), observable(n, mg)
     assert f.components and g.components
     bracket(f, g, gauge_seed=gauge_seed)
     sym_mul(f, g).components
     f.scale(Fraction(-2, 3)).components
     ham_vf(sym_mul(f, g))
+    bracket(sym_mul(f, g), f + g, gauge_seed=gauge_seed)
+    x = ham_vf(f)
+    if len(mf) >= 2:
+        add_gauge(x, random_valid_gauge(n, len(mf) - 1, random.Random(gauge_seed or 0)))
+    vf_bracket(x, ham_vf(g))
+    x.scale(Fraction(-2, 3))
+    ham_vf(f + g)
+    ham_vf(f.scale(Fraction(-2, 3)) + sym_mul(f, g))
     for key, comps in cached.items():
         assert _snapshot(comps) == before[key]
         again = _monomial_components(key, n, None)
         assert again is comps or _snapshot(again) == before[key]
+    for mono, grades in fields.items():
+        assert _field_snapshot(grades) == fields_before[mono]
+
+
+# -- the field memo -----------------------------------------------------------------
+
+
+coefficients = st.one_of(st.just(Fraction(1)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def observable_in_some_algebra(draw):
+    """A multi-term observable with rational coefficients, full or on a slice."""
+    n = draw(st.integers(1, 3))
+    slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
+    tags = full_tags(n) if slot is None else slice_tags(n, slot)
+    terms = draw(st.dictionaries(monomials(tags, 3), coefficients, min_size=1, max_size=3))
+    return Observable(n, terms) if slot is None else ReducedObservable(n, terms, slot)
+
+
+@SETTINGS
+@given(observable_in_some_algebra(), st.sampled_from([None, 4, 29]))
+def test_memoized_field_equals_factor_rule(f, gauge_seed):
+    expected = ref_ham_vf(f)
+    assert ham_vf(f) == expected  # grades left by earlier examples
+    _monomial_ham_vf.cache_clear()
+    assert ham_vf(f) == expected  # miss
+    assert ham_vf(f) == expected  # hit
+    if gauge_seed is not None and f.genpoly:
+        t = random_valid_gauge(f.n, max(map(len, f.genpoly)) - 1, random.Random(gauge_seed))
+        assert add_gauge(ham_vf(f), t) == add_gauge(expected, t)
+        assert ham_vf(f) == expected
+
+
+# -- the shared unit expansion ------------------------------------------------------
+
+
+def test_unit_monomial_shares_memoized_expansion():
+    n = 3
+    mono = (pitag(2), qtag(1, 1), rtag(1))
+    shared = _monomial_components(mono, n, None)
+    before = _snapshot(shared)
+    unit = Observable(n, {mono: 1})
+    assert unit.components == {3: shared} and unit.components[3] is shared
+    assert ReducedObservable(n, {mono: 1}).components[3] is _monomial_components(mono, n, 1)
+
+    doubled = Observable(n, {mono: 2})
+    symbolic = Observable(n, {mono: Scalar.symbol(IHBAR)})
+    multi_term = Observable(n, {mono: 1, (rtag(2),): 1})
+    for obs in (doubled, symbolic, multi_term):
+        assert obs.components[3] is not shared
+    assert doubled.components == {3: {K: poly.scale(2) for K, poly in shared.items()}}
+    assert symbolic.components == {3: {K: poly.scale(Scalar.symbol(IHBAR)) for K, poly in shared.items()}}
+    assert multi_term.components[3] == shared
+
+    g = Observable(n, {(pitag(1), qtag(2, 3)): 1})
+    assert unit != doubled and unit == Observable(n, {mono: 1})
+    evaluate(unit, FramePoint([1, 2, 3], [[2, 1, 0], [0, 1, 0], [1, 0, 1]]))
+    substituted_components(unit, 1)
+    bracket(unit, g)
+    bracket(g, unit, gauge_seed=5)
+    assert _snapshot(shared) == before
+    assert unit.components[3] is shared

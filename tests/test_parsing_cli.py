@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsq.algebra import make_pihat, make_qhat, make_rhat, sym_mul
 from nsq.cli import main
@@ -67,6 +69,14 @@ def test_roundtrip_bracket_outputs():
     f = parse_observable("qh(1,1)*qh(1,1)", n)
     g = parse_observable("pih(1)*pih(1)", n)
     out = bracket(f, g)
+    assert parse_observable(print_observable(out), n) == out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_roundtrip_bracket_outputs_n3(rng):
+    n = 3
+    out = bracket(random_full_monomial(n, rng), random_full_monomial(n, rng))
     assert parse_observable(print_observable(out), n) == out
 
 

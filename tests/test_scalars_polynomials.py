@@ -46,6 +46,31 @@ def test_scalar_ring_laws(a, b, c):
     assert (a - a).is_zero()
 
 
+def general_product(a, b):
+    """Term-by-term product of two Scalars' term maps, zero sums dropped."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            powers = dict(m1)
+            for sym, pw in m2:
+                powers[sym] = powers.get(sym, 0) + pw
+            mono = tuple(sorted(powers.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+operands = st.one_of(scalars(), rationals.map(Scalar.of), rationals, st.integers(-5, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scalars(), rationals.map(Scalar.of)), operands)
+def test_scalar_product_matches_general_path(a, b):
+    expected = general_product(a, b if isinstance(b, Scalar) else Scalar.of(b))
+    for prod in (a * b, b * a):
+        assert prod.terms == expected
+        assert all(type(c) is Fraction and c != 0 for c in prod.terms.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), polys())
 def test_poly_ring_laws(a, b, c):
