@@ -50,8 +50,8 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, IndexRangeError
 from .linalg import exact_det
-from .polynomials import Poly, pivar, qvar
-from .scalars import ONE, Scalar, signed_sum
+from .polynomials import Poly, accumulate, pivar, qvar
+from .scalars import ONE, Scalar, signed_sum, signed_term
 
 MultiIndex = tuple
 GenTag = tuple
@@ -134,6 +134,20 @@ def rtag(k: int) -> GenTag:
     return ("r", k)
 
 
+def full_tags(n: int) -> list[GenTag]:
+    """The full generator set: qh(i,j) for every slot j, then pih(k), then rh(k)."""
+    return (
+        [qtag(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        + [pitag(k) for k in range(1, n + 1)]
+        + [rtag(k) for k in range(1, n + 1)]
+    )
+
+
+def basic_tags(n: int, slot: int = 1) -> list[GenTag]:
+    """The basic set of one slot: qh(i,slot), then pih(k), then rh(slot)."""
+    return [qtag(i, slot) for i in range(1, n + 1)] + [pitag(k) for k in range(1, n + 1)] + [rtag(slot)]
+
+
 def tag_str(tag: GenTag) -> str:
     if tag[0] == "q":
         return f"qh({tag[1]},{tag[2]})"
@@ -170,16 +184,6 @@ def _generator_components(tag: GenTag, n: int, slot: int | None) -> dict[MultiIn
         return comps
     k = tag[1]
     return {(k,): Poly.constant(1)}
-
-
-def accumulate(out: dict, key, value) -> None:
-    """out[key] += value, dropping the key when the sum is zero."""
-    prev = out.get(key)
-    value = value if prev is None else prev + value
-    if value.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = value
 
 
 def split_count(K: MultiIndex, I: MultiIndex) -> int:
@@ -372,19 +376,10 @@ class Observable:
     def __repr__(self):
         if not self.genpoly:
             return "0"
-        parts = []
-        for mono in sorted(self.genpoly):
-            c = self.genpoly[mono]
-            cs = str(c)
-            body = self._monomial_str(mono)
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append("-" + body)
-            else:
-                cs = f"({cs})" if ("+" in cs or " - " in cs) else cs
-                parts.append(f"{cs} {body}")
-        return signed_sum(parts)
+        return signed_sum([
+            signed_term(str(self.genpoly[mono]), [self._monomial_str(mono)], " ")
+            for mono in sorted(self.genpoly)
+        ])
 
     def _monomial_str(self, mono: GenMonomial) -> str:
         return monomial_str(mono)

@@ -18,14 +18,18 @@ from typing import Iterable
 from .algebra import (
     FramePoint,
     Observable,
+    basic_tags,
+    full_tags,
     make_pihat,
     make_qhat,
     make_rhat,
+    tag_str,
 )
 from .errors import DimensionMismatch, EngineError
 from .forms import VectorField, contract, d_poly, ham_vf, soldering_dtheta
 from .linalg import exact_rank
 from .poisson import bracket
+from .polynomials import pivar, qvar
 from .reports import VerificationReport
 
 
@@ -144,32 +148,16 @@ class BasicSet:
 
 def make_bL(n: int) -> BasicSet:
     """Full basic set: all qhat(i,j), all pihat(k), all rhat(j)."""
-    gens, names = [], []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            gens.append(make_qhat(n, i, j))
-            names.append(f"qh({i},{j})")
-    for k in range(1, n + 1):
-        gens.append(make_pihat(n, k))
-        names.append(f"pih({k})")
-    for j in range(1, n + 1):
-        gens.append(make_rhat(n, j))
-        names.append(f"rh({j})")
-    return BasicSet("b_L", n, gens, names)
+    tags = full_tags(n)
+    return BasicSet("b_L", n, [Observable.from_tag(n, t) for t in tags], [tag_str(t) for t in tags])
 
 
 def make_b1(n: int, slot: int = 1) -> BasicSet:
     """Heisenberg basic set of one subbundle slot: qhat(i,slot), pihat(k), rhat(slot)."""
-    gens, names = [], []
-    for i in range(1, n + 1):
-        gens.append(make_qhat(n, i, slot))
-        names.append(f"qh({i},{slot})")
-    for k in range(1, n + 1):
-        gens.append(make_pihat(n, k))
-        names.append(f"pih({k})")
-    gens.append(make_rhat(n, slot))
-    names.append(f"rh({slot})")
-    return BasicSet(f"b_{slot}", n, gens, names)
+    tags = basic_tags(n, slot)
+    return BasicSet(
+        f"b_{slot}", n, [Observable.from_tag(n, t) for t in tags], [tag_str(t) for t in tags]
+    )
 
 
 def bracket_table(s: BasicSet) -> dict[tuple, Observable]:
@@ -185,15 +173,9 @@ def _field_row_full(vf: VectorField, point: FramePoint) -> list[Fraction]:
     """Coordinates of a field value in the (q, pi) tangent basis."""
     vals = point.coordinate_values()
     n = point.n
-    row = []
-    for a in range(1, n + 1):
-        poly = vf.h.get(a)
-        row.append(poly.evaluate(vals).as_fraction() if poly is not None else Fraction(0))
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            poly = vf.v.get((a, b))
-            row.append(poly.evaluate(vals).as_fraction() if poly is not None else Fraction(0))
-    return row
+    directions = [qvar(a) for a in range(1, n + 1)]
+    directions += [pivar(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    return [vf.coefficient(d).evaluate(vals).as_fraction() for d in directions]
 
 
 def verify_transitive(
@@ -255,9 +237,7 @@ def verify_complete(s: BasicSet) -> VerificationReport:
     for g, name in zip(s.generators, s.names):
         x = ham_vf(g)
         constant = all(
-            poly.is_constant()
-            for vf in x.grades.values()
-            for poly in list(vf.h.values()) + list(vf.v.values())
+            poly.is_constant() for vf in x.terms.values() for poly in vf.terms.values()
         )
         report.record(
             name,

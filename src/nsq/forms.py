@@ -1,5 +1,11 @@
 """Forms, vector fields, the soldering structure and Hamiltonian fields.
 
+Vector fields, one-forms and two-forms map coordinate variables (or pairs
+of them) to polynomial coefficients, and a graded Hamiltonian field maps
+multi-indices to vector fields; all four are
+:class:`~nsq.polynomials.LinComb` subclasses and share its linear
+structure and zero-free term maps.
+
 The vector-valued soldering one-form has components theta^i = pi^i_j dq^j,
 so its differential is d(theta^i) = d(pi^i_j) ^ dq^j.  A rank-p observable
 f determines an equivalence class of graded vector fields X through the
@@ -40,213 +46,114 @@ from .algebra import (
     GenTag,
     MultiIndex,
     Observable,
-    accumulate,
     all_multi_indices,
     split_weight,
     _monomial_components,
 )
 from .errors import GaugeConditionError, RankMismatch
-from .polynomials import Poly, Var, pivar, qvar
+from .polynomials import ZERO_POLY, LinComb, Poly, Var, accumulate, mul_into, pivar, qvar
 from .scalars import ONE, Scalar
 
 
-class VectorField:
+class VectorField(LinComb):
     """Polynomial-coefficient vector field on the frame bundle.
 
-    ``h[a]`` is the coefficient of d/dq^a and ``v[(a, b)]`` the coefficient
-    of d/dpi^a_b.  Zero coefficients are not stored.
+    ``terms`` maps a coordinate variable to the coefficient of d/d(var):
+    ``qvar(a)`` for d/dq^a and ``pivar(a, b)`` for d/dpi^a_b.  The
+    constructor takes the two families as ``h[a]`` and ``v[(a, b)]``.
     """
 
-    __slots__ = ("h", "v")
+    __slots__ = ()
 
     def __init__(
         self,
         h: Mapping[int, Poly] | None = None,
         v: Mapping[tuple, Poly] | None = None,
     ):
-        self.h: dict[int, Poly] = {a: p for a, p in (h or {}).items() if not p.is_zero()}
-        self.v: dict[tuple, Poly] = {ab: p for ab, p in (v or {}).items() if not p.is_zero()}
+        self.terms: dict[Var, Poly] = {
+            qvar(a): p for a, p in (h or {}).items() if not p.is_zero()
+        }
+        self.terms.update(
+            (pivar(a, b), p) for (a, b), p in (v or {}).items() if not p.is_zero()
+        )
 
     @staticmethod
     def zero() -> "VectorField":
         return VectorField()
 
-    def is_zero(self) -> bool:
-        return not self.h and not self.v
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        h = dict(self.h)
-        for a, p in other.h.items():
-            s = h.get(a)
-            h[a] = p if s is None else s + p
-        v = dict(self.v)
-        for ab, p in other.v.items():
-            s = v.get(ab)
-            v[ab] = p if s is None else s + p
-        return VectorField(h, v)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField({a: -p for a, p in self.h.items()}, {ab: -p for ab, p in self.v.items()})
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
-
-    def scale(self, c) -> "VectorField":
-        return VectorField(
-            {a: p.scale(c) for a, p in self.h.items()},
-            {ab: p.scale(c) for ab, p in self.v.items()},
-        )
-
     def mul_poly(self, poly: Poly) -> "VectorField":
-        return VectorField(
-            {a: p * poly for a, p in self.h.items()},
-            {ab: p * poly for ab, p in self.v.items()},
-        )
+        if poly.is_zero():
+            return VectorField()
+        return self._like({var: p * poly for var, p in self.terms.items()})
 
     def coefficient(self, var: Var) -> Poly:
         """Coefficient of the coordinate direction d/d(var)."""
-        if var[0] == "q":
-            return self.h.get(var[1], Poly.zero())
-        return self.v.get((var[1], var[2]), Poly.zero())
+        return self.terms.get(var, ZERO_POLY)
 
     def apply(self, poly: Poly) -> Poly:
         """Directional derivative of a polynomial along this field."""
-        out = Poly.zero()
-        for a, coeff in self.h.items():
-            out = out + coeff * poly.diff(qvar(a))
-        for (a, b), coeff in self.v.items():
-            out = out + coeff * poly.diff(pivar(a, b))
-        return out
+        out: dict = {}
+        for var, coeff in self.terms.items():
+            mul_into(out, coeff, poly.diff(var))
+        return poly._like(out)
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
         """Coordinate Lie bracket [self, other]."""
-        h: dict[int, Poly] = {}
-        v: dict[tuple, Poly] = {}
-        for a in set(self.h) | set(other.h):
-            p = self.apply(other.h.get(a, Poly.zero())) - other.apply(
-                self.h.get(a, Poly.zero())
-            )
+        out = {}
+        for var in self.terms.keys() | other.terms.keys():
+            p = self.apply(other.coefficient(var)) - other.apply(self.coefficient(var))
             if not p.is_zero():
-                h[a] = p
-        for ab in set(self.v) | set(other.v):
-            p = self.apply(other.v.get(ab, Poly.zero())) - other.apply(
-                self.v.get(ab, Poly.zero())
-            )
-            if not p.is_zero():
-                v[ab] = p
-        return VectorField(h, v)
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.h == other.h and self.v == other.v
-
-    __hash__ = None
+                out[var] = p
+        return self._like(out)
 
     def __repr__(self):
-        parts = []
-        for a in sorted(self.h):
-            parts.append(f"({self.h[a]}) d/dq{a}")
-        for (a, b) in sorted(self.v):
-            parts.append(f"({self.v[(a, b)]}) d/dpi({a},{b})")
-        return " + ".join(parts) if parts else "0"
+        if not self.terms:
+            return "0"
+        # d/dq terms first, then d/dpi terms
+        order = sorted(self.terms, key=lambda var: (var[0] != "q", var))
+        return " + ".join(f"({self.terms[var]}) d/d{_var_str(var)}" for var in order)
 
 
-class OneForm:
+class OneForm(LinComb):
     """Polynomial one-form; coefficients keyed by coordinate variable."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[Var, Poly] | None = None):
-        self.coeffs: dict[Var, Poly] = {
+        self.terms: dict[Var, Poly] = {
             v: p for v, p in (coeffs or {}).items() if not p.is_zero()
         }
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        out = dict(self.coeffs)
-        for v, p in other.coeffs.items():
-            s = out.get(v)
-            out[v] = p if s is None else s + p
-        return OneForm(out)
-
-    def __neg__(self) -> "OneForm":
-        return OneForm({v: -p for v, p in self.coeffs.items()})
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + (-other)
-
-    def scale(self, c) -> "OneForm":
-        return OneForm({v: p.scale(c) for v, p in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        return " + ".join(f"({p}) d{_var_str(v)}" for v, p in sorted(self.coeffs.items()))
+        return " + ".join(f"({p}) d{_var_str(v)}" for v, p in sorted(self.terms.items()))
 
 
-class TwoForm:
+class TwoForm(LinComb):
     """Polynomial two-form over the wedge basis of coordinate differentials.
 
     Keys are ordered pairs (v1, v2) with v1 < v2 in the canonical variable
     order (pi-differentials sort before q-differentials), standing for
-    d(v1) ^ d(v2).
+    d(v1) ^ d(v2).  The constructor reorients any other pair and drops
+    d(v) ^ d(v).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[tuple, Poly] | None = None):
-        self.coeffs: dict[tuple, Poly] = {}
+        self.terms: dict[tuple, Poly] = {}
         for (v1, v2), p in (coeffs or {}).items():
-            if p.is_zero():
-                continue
             if v2 < v1:
                 v1, v2, p = v2, v1, -p
             elif v1 == v2:
                 continue
-            s = self.coeffs.get((v1, v2))
-            s = p if s is None else s + p
-            if s.is_zero():
-                self.coeffs.pop((v1, v2), None)
-            else:
-                self.coeffs[(v1, v2)] = s
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        out = dict(self.coeffs)
-        for key, p in other.coeffs.items():
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        tf = TwoForm()
-        tf.coeffs = out
-        return tf
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
+            accumulate(self.terms, (v1, v2), p)
 
     def evaluate_on(self, x: VectorField, y: VectorField) -> Poly:
         """omega(X, Y) for polynomial fields."""
         out = Poly.zero()
-        for (v1, v2), c in self.coeffs.items():
+        for (v1, v2), c in self.terms.items():
             out = out + c * (
                 x.coefficient(v1) * y.coefficient(v2)
                 - x.coefficient(v2) * y.coefficient(v1)
@@ -254,11 +161,11 @@ class TwoForm:
         return out
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         return " + ".join(
             f"({p}) d{_var_str(v1)}^d{_var_str(v2)}"
-            for (v1, v2), p in sorted(self.coeffs.items())
+            for (v1, v2), p in sorted(self.terms.items())
         )
 
 
@@ -268,36 +175,25 @@ def _var_str(v: Var) -> str:
 
 def d_poly(poly: Poly) -> OneForm:
     """Exterior differential of a polynomial function."""
-    coeffs: dict[Var, Poly] = {}
-    for var in poly.variables():
-        dp = poly.diff(var)
-        if not dp.is_zero():
-            coeffs[var] = dp
-    return OneForm(coeffs)
+    return OneForm({var: poly.diff(var) for var in poly.variables()})
 
 
 def d_oneform(form: OneForm) -> TwoForm:
     """Exterior differential of a one-form."""
     out = TwoForm()
-    for var, coeff in form.coeffs.items():
+    for var, coeff in form.terms.items():
         dc = d_poly(coeff)
-        out = out + TwoForm({(w, var): p for w, p in dc.coeffs.items()})
+        out = out + TwoForm({(w, var): p for w, p in dc.terms.items()})
     return out
 
 
 def contract(x: VectorField, omega: TwoForm) -> OneForm:
     """Interior product X _| omega."""
-    coeffs: dict[Var, Poly] = {}
-    for (v1, v2), c in omega.coeffs.items():
-        a = c * x.coefficient(v1)
-        if not a.is_zero():
-            s = coeffs.get(v2)
-            coeffs[v2] = a if s is None else s + a
-        b = c * x.coefficient(v2)
-        if not b.is_zero():
-            s = coeffs.get(v1)
-            coeffs[v1] = (-b) if s is None else s - b
-    return OneForm(coeffs)
+    out: dict[Var, Poly] = {}
+    for (v1, v2), c in omega.terms.items():
+        accumulate(out, v2, c * x.coefficient(v1))
+        accumulate(out, v1, -(c * x.coefficient(v2)))
+    return OneForm(out)
 
 
 def soldering_dtheta(n: int) -> dict[int, TwoForm]:
@@ -319,15 +215,18 @@ def generator_field(tag: GenTag) -> VectorField:
     return VectorField.zero()
 
 
-class HamVF:
+class HamVF(LinComb):
     """Graded tensor-valued vector field: one representative of a class.
 
-    ``grades`` maps a canonical multi-index of rank p-1 to a VectorField.
+    ``terms`` maps a canonical multi-index of rank p-1 to a VectorField.
     """
+
+    __slots__ = ("n",)
+    _space = ("n",)
 
     def __init__(self, n: int, grades: Mapping[MultiIndex, VectorField] | None = None):
         self.n = n
-        self.grades: dict[MultiIndex, VectorField] = {
+        self.terms: dict[MultiIndex, VectorField] = {
             idx: vf for idx, vf in (grades or {}).items() if not vf.is_zero()
         }
 
@@ -336,38 +235,18 @@ class HamVF:
         return HamVF(n)
 
     def grade_ranks(self) -> list[int]:
-        return sorted({len(idx) for idx in self.grades})
+        return sorted({len(idx) for idx in self.terms})
 
     def field(self, idx: MultiIndex) -> VectorField:
-        return self.grades.get(tuple(sorted(idx)), VectorField.zero())
-
-    def __add__(self, other: "HamVF") -> "HamVF":
-        grades = dict(self.grades)
-        for idx, vf in other.grades.items():
-            s = grades.get(idx)
-            grades[idx] = vf if s is None else s + vf
-        return HamVF(self.n, grades)
-
-    def scale(self, c) -> "HamVF":
-        return HamVF(self.n, {idx: vf.scale(c) for idx, vf in self.grades.items()})
-
-    def is_zero(self) -> bool:
-        return not self.grades
-
-    def __eq__(self, other):
-        if not isinstance(other, HamVF):
-            return NotImplemented
-        return self.n == other.n and self.grades == other.grades
-
-    __hash__ = None
+        return self.terms.get(tuple(sorted(idx)), VectorField.zero())
 
     def __repr__(self):
-        if not self.grades:
+        if not self.terms:
             return "0"
         lines = []
-        for idx in sorted(self.grades):
+        for idx in sorted(self.terms):
             label = ",".join(map(str, idx)) if idx else "-"
-            lines.append(f"X[{label}] = {self.grades[idx]}")
+            lines.append(f"X[{label}] = {self.terms[idx]}")
         return "; ".join(lines)
 
 
@@ -451,7 +330,7 @@ def _contraction_sum(x: HamVF, K: MultiIndex, dtheta: Mapping[int, TwoForm]) -> 
     """Sum over the positions t of a sorted K of X^{K without K_t} _| dtheta^{K_t}."""
     out = OneForm()
     for t in range(len(K)):
-        xf = x.grades.get(K[:t] + K[t + 1 :])
+        xf = x.terms.get(K[:t] + K[t + 1 :])
         omega = dtheta.get(K[t])
         if xf is not None and omega is not None:
             out = out + contract(xf, omega)
@@ -495,10 +374,10 @@ def add_gauge(x: HamVF, t: GaugeTerm) -> HamVF:
     """
     if not gauge_condition_holds(t, x.n):
         raise GaugeConditionError("gauge term has nonvanishing symmetrized part")
-    grades = dict(x.grades)
+    grades = dict(x.terms)
     for idx, vcomps in t.items():
-        accumulate(grades, tuple(sorted(idx)), VectorField(v=dict(vcomps)))
-    return HamVF(x.n, grades)
+        accumulate(grades, tuple(sorted(idx)), VectorField(v=vcomps))
+    return x._like(grades)
 
 
 def make_valid_gauge(u: GaugeTerm, n: int) -> dict[MultiIndex, dict[tuple, Poly]]:
@@ -576,8 +455,8 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     with weight split_weight(K, I), as in :func:`nsq.algebra.sym_components`.
     """
     out: dict[MultiIndex, VectorField] = {}
-    for ix, fx in x.grades.items():
-        for iy, fy in y.grades.items():
+    for ix, fx in x.terms.items():
+        for iy, fy in y.terms.items():
             K = tuple(sorted(ix + iy))
             accumulate(out, K, fx.lie_bracket(fy).scale(split_weight(K, ix)))
     return HamVF(x.n, out)

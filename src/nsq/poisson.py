@@ -32,19 +32,14 @@ operands, not either route: both still run on every call.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import factorial
 
-from .algebra import (
-    GenMonomial,
-    Observable,
-    accumulate,
-    rtag,
-    split_weight,
-)
+from .algebra import GenMonomial, Observable, rtag, split_weight
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import HamVF, add_gauge, ham_vf, random_valid_gauge, structure_eq_check, vf_bracket
-from .polynomials import Poly
+from .polynomials import Poly, accumulate
 from .scalars import Scalar
 
 
@@ -61,7 +56,7 @@ def _bracket_components(
     comps = g.components.get(q, {})
     prefactor = Scalar.of(-factorial(p))
     out = {}
-    for ix, xf in x.grades.items():
+    for ix, xf in x.terms.items():
         for jg, gc in comps.items():
             K = tuple(sorted(ix + jg))
             accumulate(out, K, xf.apply(gc).scale(split_weight(K, ix) * prefactor))
@@ -113,11 +108,7 @@ def bracket(
     result = _generator_bracket(f, g)
     expected = result.components
     computed: dict = {}
-    rng = None
-    if gauge_seed is not None:
-        import random
-
-        rng = random.Random(gauge_seed)
+    rng = None if gauge_seed is None else random.Random(gauge_seed)
     for p in f.ranks():
         fp = f.grade_part(p)
         x = ham_vf(fp)
@@ -151,13 +142,18 @@ def _first_difference(a: dict, b: dict) -> tuple:
     )
 
 
-def jacobi_residual(f: Observable, g: Observable, h: Observable) -> Observable:
-    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}; identically zero."""
-    return (
-        bracket(f, bracket(g, h))
-        + bracket(g, bracket(h, f))
-        + bracket(h, bracket(f, g))
-    )
+def jacobi_residual(
+    f: Observable, g: Observable, h: Observable, gauge_seed: int | None = None
+) -> Observable:
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}; identically zero.
+
+    ``gauge_seed`` is passed to every bracket (see :func:`bracket`).
+    """
+
+    def br(a: Observable, b: Observable) -> Observable:
+        return bracket(a, b, gauge_seed=gauge_seed)
+
+    return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
 
 
 class GradedBracketResult:
@@ -187,7 +183,7 @@ def theorem1_constant(p: int, q: int) -> Fraction:
     return Fraction(factorial(p + q - 1), factorial(p) * factorial(q))
 
 
-def theorem1_check(f: Observable, g: Observable) -> bool:
+def theorem1_check(f: Observable, g: Observable, gauge_seed: int | None = None) -> bool:
     """Verify C * X_{f,g} = [X_f, X_g] as equivalence classes.
 
     C = (p+q-1)!/(p!q!).  With this engine's sign convention (the bracket
@@ -195,11 +191,21 @@ def theorem1_check(f: Observable, g: Observable) -> bool:
     [X_f, X_g] = -C X_{{f,g}}, so the check is that -(1/C) [X_f, X_g] is a
     representative for {f,g}: equality is tested through the structure
     equation, which is gauge-invariant.
+
+    ``gauge_seed`` shifts X_f and X_g (ranks >= 2) by seeded random valid
+    gauge terms and is passed to the bracket; the verdict must not change.
     """
     p, q = f.rank(), g.rank()
     c = theorem1_constant(p, q)
-    candidate = vf_bracket(ham_vf(f), ham_vf(g)).scale(Fraction(-1, 1) / c)
-    return structure_eq_check(bracket(f, g), candidate)
+    xf, xg = ham_vf(f), ham_vf(g)
+    if gauge_seed is not None:
+        rng = random.Random(gauge_seed)
+        if p >= 2:
+            xf = add_gauge(xf, random_valid_gauge(f.n, p - 1, rng))
+        if q >= 2:
+            xg = add_gauge(xg, random_valid_gauge(g.n, q - 1, rng))
+    candidate = vf_bracket(xf, xg).scale(Fraction(-1, 1) / c)
+    return structure_eq_check(bracket(f, g, gauge_seed=gauge_seed), candidate)
 
 
 def grade_of_bracket(f: Observable, g: Observable) -> bool:

@@ -1,5 +1,14 @@
-"""Sparse multivariate polynomials over Scalar coefficients.
+"""Sparse linear combinations with exact coefficients, and polynomials.
 
+Everything the engine computes with is a finite linear combination over
+exact coefficients: polynomials, vector fields, one- and two-forms, graded
+Hamiltonian fields and differential operators.  :class:`LinComb` is the one
+implementation of that rule: a term map in which a zero value is never
+stored, so structural equality of the term maps is semantic equality, with
+the linear structure (``+``, ``-``, :meth:`LinComb.scale`) and
+:func:`accumulate`, the one "add and drop a zero sum" step.
+
+:class:`Poly` is the combination of monomials with Scalar coefficients.
 One generic polynomial type serves every coordinate system in the engine:
 
 * frame-bundle coordinates  ``('q', i)`` and ``('pi', a, b)`` for pi^a_b,
@@ -7,9 +16,8 @@ One generic polynomial type serves every coordinate system in the engine:
 * operator coefficients in ``('q', i)`` and the multiplication variables
   P_k, which reuse the key ``('pi', 1, k)``.
 
-Monomials are sorted tuples of (variable key, positive power); zero
-coefficients are never stored, so structural equality of the term maps is
-semantic equality.  All arithmetic is exact.
+Monomials are sorted tuples of (variable key, positive power).  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .scalars import Scalar, signed_sum
+from .scalars import Scalar, signed_sum, signed_term
 
 Var = tuple
 Monomial = tuple
@@ -45,10 +53,85 @@ def _as_scalar(c) -> Scalar:
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
-class Poly:
-    """Exact sparse polynomial; immutable by convention after construction."""
+class LinComb:
+    """Finite linear combination with exact coefficients: key -> nonzero value.
+
+    ``terms`` never holds a value whose ``is_zero()`` is true, so equal term
+    maps mean equal combinations.  Values are Scalars (for :class:`Poly`) or
+    combinations themselves (polynomial coefficients of fields, forms and
+    operators).  Sums go through :func:`accumulate`; products and scalings
+    of nonzero values by nonzero factors are never zero, because every
+    coefficient ring here is an integral domain, so they skip the check.
+
+    Subclasses name in ``_space`` the attributes besides ``terms`` that fix
+    the space the combination lives in (e.g. the dimension ``n``); those are
+    copied by :meth:`_like` and compared by ``==``.
+    """
 
     __slots__ = ("terms",)
+    _space: tuple = ()
+
+    def _like(self, terms: dict):
+        """A combination in the same space as self over a zero-free term map (trusted)."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        for name in self._space:
+            setattr(out, name, getattr(self, name))
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            accumulate(out, key, value)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -value for key, value in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = _as_scalar(c)
+        if c.is_zero():
+            return self._like({})
+        return self._like({key: value.scale(c) for key, value in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and all(
+            getattr(self, name) == getattr(other, name) for name in self._space
+        )
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    prev = out.get(key)
+    value = value if prev is None else prev + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
+
+
+def mul_into(out: dict, a: "Poly", b: "Poly") -> None:
+    """Accumulate the product a * b into the term map out."""
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            accumulate(out, _mono_mul(m1, m2), c1 * c2)
+
+
+class Poly(LinComb):
+    """Exact sparse polynomial; immutable by convention after construction."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         self.terms: dict[Monomial, Scalar] = {}
@@ -66,8 +149,7 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        c = _as_scalar(c)
-        return Poly({_EMPTY: c}) if not c.is_zero() else Poly()
+        return Poly({_EMPTY: c})
 
     @staticmethod
     def var(v: Var, power: int = 1) -> "Poly":
@@ -78,9 +160,6 @@ class Poly:
         return Poly({((v, power),): Scalar.one()})
 
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(m == _EMPTY for m in self.terms)
@@ -103,42 +182,10 @@ class Poly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        c = _as_scalar(c)
-        if c.is_zero():
-            return Poly()
-        return Poly({m: coeff * c for m, coeff in self.terms.items()})
+        mul_into(out, self, other)
+        return self._like(out)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -148,18 +195,14 @@ class Poly:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
-
     # -- calculus -----------------------------------------------------------
 
     def diff(self, v: Var) -> "Poly":
-        """Exact partial derivative with respect to one variable."""
+        """Exact partial derivative with respect to one variable.
+
+        Lowering the power of v is one-to-one on the monomials that hold v,
+        so every derivative term lands on its own monomial.
+        """
         out: dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             powers = dict(mono)
@@ -170,15 +213,8 @@ class Poly:
                 del powers[v]
             else:
                 powers[v] = pw - 1
-            new = tuple(sorted(powers.items()))
-            coeff = c * pw
-            s = out.get(new)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                out.pop(new, None)
-            else:
-                out[new] = s
-        return Poly(out)
+            out[tuple(sorted(powers.items()))] = c * pw
+        return self._like(out)
 
     def substitute(self, mapping: Mapping[Var, "Poly"]) -> "Poly":
         """Replace variables by polynomials; unmapped variables survive."""
@@ -215,28 +251,21 @@ class Poly:
     def __str__(self):
         return self.format()
 
-    def format(self, namer: Callable[[Var], str] | None = None) -> str:
+    def format(
+        self,
+        namer: Callable[[Var], str] | None = None,
+        coeff_str: Callable[[Scalar], str] = str,
+    ) -> str:
         if not self.terms:
             return "0"
         namer = namer or default_var_name
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            factors = [
-                namer(v) if pw == 1 else f"{namer(v)}^{pw}" for v, pw in mono
-            ]
-            cs = str(c)
-            if "+" in cs or (cs.count("-") and not cs.startswith("-")):
-                cs = f"({cs})"
-            if not factors:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append("*".join(factors))
-            elif cs == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([cs] + factors))
-        return signed_sum(parts)
+        return signed_sum([
+            signed_term(
+                coeff_str(self.terms[mono]),
+                [namer(v) if pw == 1 else f"{namer(v)}^{pw}" for v, pw in mono],
+            )
+            for mono in sorted(self.terms)
+        ])
 
 
 def default_var_name(v: Var) -> str:

@@ -1,11 +1,14 @@
 """Polynomial-coefficient differential operators and the quantization maps.
 
-Operators act on functions of the position variables; coefficients are
-polynomials in q^i and in the multiplication variables P_k (which reuse
-the coordinate key of pi^slot_k and commute with everything).  The
-combination i*hbar is carried as the single formal symbol IHBAR so that
-all identities stay in exact rational arithmetic; its formal adjoint is
--IHBAR.
+An operator is a :class:`~nsq.polynomials.LinComb` from derivative
+multi-degrees to coefficient polynomials, so it shares the linear
+structure of polynomials and fields; composition normalizes products by
+the Leibniz rule.  Operators act on functions of the position variables;
+coefficients are polynomials in q^i and in the multiplication variables
+P_k (which reuse the coordinate key of pi^slot_k and commute with
+everything).  The combination i*hbar is carried as the single formal
+symbol IHBAR so that all identities stay in exact rational arithmetic; its
+formal adjoint is -IHBAR.
 
 Two quantization maps are provided on the polynomial algebra of the
 Heisenberg basic set:
@@ -32,24 +35,25 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .algebra import Observable, monomial_str, pitag, qtag, rtag
+from .algebra import Observable, basic_tags, monomial_str, rtag
 from .errors import EngineError, NotInGeneratorAlgebra
 from .poisson import bracket, in_b1_algebra
-from .polynomials import Poly, Var, pivar, qvar
+from .polynomials import LinComb, Poly, Var, accumulate, pivar, qvar
 from .reports import VerificationReport
-from .scalars import IHBAR, Scalar, signed_sum
+from .scalars import IHBAR, Scalar, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
 
 
-class DiffOperator:
+class DiffOperator(LinComb):
     """Differential operator in canonical form: coefficients left, derivatives right.
 
     ``terms`` maps a derivative multi-degree over q^1..q^n to its
     coefficient polynomial.  Equality is structural on this normal form.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _space = ("n",)
 
     def __init__(self, n: int, terms: Mapping[DerivDegree, Poly] | None = None):
         self.n = n
@@ -80,38 +84,6 @@ class DiffOperator:
         c = Poly.constant(coeff if coeff is not None else 1)
         return DiffOperator(n, {alpha: c})
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        out = dict(self.terms)
-        for alpha, poly in other.terms.items():
-            s = out.get(alpha)
-            s = poly if s is None else s + poly
-            if s.is_zero():
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return DiffOperator(self.n, out)
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator(self.n, {a: -p for a, p in self.terms.items()})
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + (-other)
-
-    def scale(self, c) -> "DiffOperator":
-        return DiffOperator(self.n, {a: p.scale(c) for a, p in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
     # -- symbol bookkeeping ----------------------------------------------------
 
     def divide_by_ihbar(self) -> "DiffOperator":
@@ -140,8 +112,6 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """
     if a.n != b.n:
         raise EngineError("operators over different dimensions")
-    n = a.n
-    out = DiffOperator.zero(n)
     acc: dict[DerivDegree, Poly] = {}
     for alpha, c1 in a.terms.items():
         for beta, c2 in b.terms.items():
@@ -158,14 +128,8 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
                 if dc2.is_zero():
                     continue
                 new_alpha = tuple(ai - gi + bi for ai, gi, bi in zip(alpha, gamma, beta))
-                term = (c1 * dc2).scale(Fraction(coeff))
-                prev = acc.get(new_alpha)
-                s = term if prev is None else prev + term
-                if s.is_zero():
-                    acc.pop(new_alpha, None)
-                else:
-                    acc[new_alpha] = s
-    return DiffOperator(n, acc)
+                accumulate(acc, new_alpha, (c1 * dc2).scale(coeff))
+    return a._like(acc)
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -321,12 +285,10 @@ def operators_linearly_independent(ops: list[DiffOperator]) -> bool:
 
 def b1_monomials(n: int, degree_cap: int) -> list[tuple]:
     """All generator monomials of the basic algebra up to a total degree."""
-    tags = [qtag(i, 1) for i in range(1, n + 1)]
-    tags += [pitag(k) for k in range(1, n + 1)]
-    tags.append(rtag(1))
+    tags = sorted(basic_tags(n))
     out = []
     for deg in range(1, degree_cap + 1):
-        out.extend(itertools.combinations_with_replacement(sorted(tags), deg))
+        out.extend(itertools.combinations_with_replacement(tags, deg))
     return out
 
 
@@ -401,10 +363,7 @@ def axiom_report(
     report.record("rhat(1) maps to a constant", constant)
 
     # faithfulness on the basic set
-    gens = [(qtag(i, 1),) for i in range(1, n + 1)]
-    gens += [(pitag(k),) for k in range(1, n + 1)]
-    gens.append((rtag(1),))
-    images = [quantize(qmap, obs(m)) for m in gens]
+    images = [quantize(qmap, obs((tag,))) for tag in basic_tags(n)]
     report.record("faithful on the basic set", operators_linearly_independent(images))
 
     # formal symmetry of all surviving generator-table images
@@ -446,14 +405,7 @@ def scalar_hbar_str(s: Scalar) -> str:
                 factors.append("hbar" if pw == 1 else f"hbar^{pw}")
             else:
                 factors.append(sym if pw == 1 else f"{sym}^{pw}")
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(factors))
-        elif c == -1:
-            parts.append("-" + "*".join(factors))
-        else:
-            parts.append("*".join([str(c)] + factors))
+        parts.append(signed_term(str(c), factors))
     return signed_sum(parts)
 
 
@@ -465,53 +417,18 @@ def _coeff_var_name(v: Var) -> str:
     return str(v)
 
 
-def _poly_hbar_str(poly: Poly) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for mono in sorted(poly.terms):
-        c = poly.terms[mono]
-        factors = [
-            _coeff_var_name(v) if pw == 1 else f"{_coeff_var_name(v)}^{pw}"
-            for v, pw in mono
-        ]
-        cs = scalar_hbar_str(c)
-        if "+" in cs or " - " in cs:
-            cs = f"({cs})"
-        if not factors:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("*".join(factors))
-        elif cs == "-1":
-            parts.append("-" + "*".join(factors))
-        else:
-            parts.append("*".join([cs] + factors))
-    return signed_sum(parts)
-
-
 def format_operator(op: DiffOperator) -> str:
     """Human-readable canonical form, e.g. ``-i*hbar d/dq2``."""
     if op.is_zero():
         return "0"
     parts = []
     for alpha in sorted(op.terms):
-        poly = op.terms[alpha]
-        dfactors = []
-        for i, deg in enumerate(alpha):
-            if deg == 1:
-                dfactors.append(f"d/dq{i + 1}")
-            elif deg > 1:
-                dfactors.append(f"d/dq{i + 1}^{deg}")
-        cs = _poly_hbar_str(poly)
-        if dfactors:
-            if " + " in cs or " - " in cs:
-                cs = f"({cs})"
-            if cs == "1":
-                parts.append(" ".join(dfactors))
-            elif cs == "-1":
-                parts.append("-" + " ".join(dfactors))
-            else:
-                parts.append(cs + " " + " ".join(dfactors))
-        else:
-            parts.append(cs)
+        cs = op.terms[alpha].format(_coeff_var_name, scalar_hbar_str)
+        dfactors = [
+            f"d/dq{i + 1}" if deg == 1 else f"d/dq{i + 1}^{deg}"
+            for i, deg in enumerate(alpha)
+            if deg
+        ]
+        # without derivatives the coefficient's own terms are the operator's
+        parts.append(signed_term(cs, dfactors, " ") if dfactors else cs)
     return signed_sum(parts)

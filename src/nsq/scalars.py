@@ -137,6 +137,8 @@ class Scalar:
         return Scalar(out)
 
     __rmul__ = __mul__
+    # scale(c) multiplies by a scalar in every exact combination type
+    scale = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -176,19 +178,13 @@ class Scalar:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            factors = [f"{sym}" if pw == 1 else f"{sym}^{pw}" for sym, pw in mono]
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return signed_sum(parts)
+        return signed_sum([
+            signed_term(
+                str(self.terms[mono]),
+                [sym if pw == 1 else f"{sym}^{pw}" for sym, pw in mono],
+            )
+            for mono in sorted(self.terms)
+        ])
 
 
 def signed_sum(parts: list[str]) -> str:
@@ -197,6 +193,24 @@ def signed_sum(parts: list[str]) -> str:
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
+
+
+def signed_term(coeff: str, factors: list[str], sep: str = "*") -> str:
+    """Print one term: a coefficient string times factors joined by sep.
+
+    A coefficient with several terms (" + " or " - " inside) is put in
+    parentheses; before factors, "1" is left out and "-1" leaves its sign.
+    """
+    if " + " in coeff or " - " in coeff:
+        coeff = f"({coeff})"
+    if not factors:
+        return coeff
+    body = sep.join(factors)
+    if coeff == "1":
+        return body
+    if coeff == "-1":
+        return "-" + body
+    return coeff + sep + body
 
 
 def _coerce(x) -> Scalar:

@@ -169,14 +169,11 @@ def pullback_two_form(n: int, slot: int = 1) -> dict[int, TwoForm]:
     frozen = set(sub)
     out: dict[int, TwoForm] = {}
     for i, omega in soldering_dtheta(n).items():
-        kept: dict[tuple, Poly] = {}
-        for (v1, v2), coeff in omega.coeffs.items():
-            if v1 in frozen or v2 in frozen:
-                continue
-            c = coeff.substitute(sub)
-            if not c.is_zero():
-                kept[(v1, v2)] = c
-        out[i] = TwoForm(kept)
+        out[i] = TwoForm({
+            (v1, v2): coeff.substitute(sub)
+            for (v1, v2), coeff in omega.terms.items()
+            if v1 not in frozen and v2 not in frozen
+        })
     return out
 
 
@@ -194,7 +191,7 @@ def two_form_rank(omega: TwoForm, n: int, slot: int = 1) -> int:
     basis = [qvar(j) for j in range(1, n + 1)] + [pivar(slot, j) for j in range(1, n + 1)]
     dim = len(basis)
     matrix = [[Fraction(0)] * dim for _ in range(dim)]
-    for (v1, v2), coeff in omega.coeffs.items():
+    for (v1, v2), coeff in omega.terms.items():
         if not coeff.is_constant():
             raise EngineError("rank check expects constant coefficients")
         c = coeff.constant_term().as_fraction()
@@ -214,9 +211,9 @@ def tangency_check(x: HamVF, slot: int = 1) -> bool:
     once the slice relations are substituted.
     """
     sub = slice_substitution(x.n, slot)
-    for vf in x.grades.values():
-        for (a, b), coeff in vf.v.items():
-            if a == slot:
+    for vf in x.terms.values():
+        for var, coeff in vf.terms.items():
+            if var[0] != "pi" or var[1] == slot:
                 continue
             if not coeff.substitute(sub).is_zero():
                 return False
@@ -325,9 +322,15 @@ def reduced_bracket(f: ReducedObservable, g: ReducedObservable) -> ReducedObserv
     return bracket(f, g)
 
 
-def reduction_homomorphism_check(f: Observable, g: Observable, slot: int = 1) -> bool:
-    """reduce({f, g}) = {reduce f, reduce g} on the slice."""
-    lhs = reduce_observable(bracket(f, g), slot)
+def reduction_homomorphism_check(
+    f: Observable, g: Observable, slot: int = 1, gauge_seed: int | None = None
+) -> bool:
+    """reduce({f, g}) = {reduce f, reduce g} on the slice.
+
+    ``gauge_seed`` is passed to the upstairs bracket (see
+    :func:`nsq.poisson.bracket`).
+    """
+    lhs = reduce_observable(bracket(f, g, gauge_seed=gauge_seed), slot)
     rhs = reduced_bracket(reduce_observable(f, slot), reduce_observable(g, slot))
     return lhs == rhs
 
@@ -344,12 +347,6 @@ def reduced_field_rows(
     rows = []
     for g in generators:
         x = ham_vf(reduce_observable(g, slot)).field(())
-        row = []
-        for a in range(1, n + 1):
-            poly = x.h.get(a)
-            row.append(poly.evaluate(vals).as_fraction() if poly is not None else Fraction(0))
-        for j in range(1, n + 1):
-            poly = x.v.get((slot, j))
-            row.append(poly.evaluate(vals).as_fraction() if poly is not None else Fraction(0))
-        rows.append(row)
+        directions = [qvar(a) for a in range(1, n + 1)] + [pivar(slot, j) for j in range(1, n + 1)]
+        rows.append([x.coefficient(d).evaluate(vals).as_fraction() for d in directions])
     return rows

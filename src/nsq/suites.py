@@ -16,6 +16,8 @@ from fractions import Fraction
 from .algebra import (
     FramePoint,
     Observable,
+    basic_tags,
+    full_tags,
     make_pihat,
     make_qhat,
     make_rhat,
@@ -36,16 +38,7 @@ from .basic_sets import (
     verify_separating,
     verify_transitive,
 )
-from .forms import (
-    HamVF,
-    VectorField,
-    add_gauge,
-    ham_vf,
-    lie_preserves_form,
-    random_valid_gauge,
-    structure_eq_check,
-    vf_bracket,
-)
+from .forms import HamVF, VectorField, ham_vf, lie_preserves_form, structure_eq_check
 from .poisson import (
     bracket,
     jacobi_residual,
@@ -53,7 +46,7 @@ from .poisson import (
     theorem1_constant,
     tensor_extension_identity_check,
 )
-from .polynomials import Poly, pivar, qvar
+from .polynomials import Poly, accumulate, pivar, qvar
 from .quantization import b1_monomials, make_q1, make_q2, quantize, record_dirac
 from .reports import VerificationReport
 from .scalars import Scalar
@@ -105,31 +98,28 @@ def _timed(fn):
     return wrapper
 
 
+def _case_seed(gauge_seed, case: int):
+    """The gauge seed of one case of a seeded suite: None stays None."""
+    return None if gauge_seed is None else gauge_seed + case
+
+
 # -- random sampling helpers -----------------------------------------------------
+
+
+def random_monomial(n: int, rng: random.Random, tags: list, degree: int) -> Observable:
+    """Random unit monomial of one degree over a list of generator tags."""
+    mono = tuple(sorted(rng.choice(tags) for _ in range(degree)))
+    return Observable(n, {mono: Scalar.one()})
 
 
 def random_full_monomial(n: int, rng: random.Random, max_degree: int = 3) -> Observable:
     """Random monomial over the full generator set qh(i,j), pih(k), rh(k)."""
-    tags = (
-        [qtag(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        + [pitag(k) for k in range(1, n + 1)]
-        + [rtag(k) for k in range(1, n + 1)]
-    )
-    degree = rng.randint(1, max_degree)
-    mono = tuple(sorted(rng.choice(tags) for _ in range(degree)))
-    return Observable(n, {mono: Scalar.one()})
+    return random_monomial(n, rng, full_tags(n), rng.randint(1, max_degree))
 
 
 def random_b1_monomial(n: int, rng: random.Random, max_degree: int = 3) -> Observable:
     """Random monomial in the basic polynomial algebra of slot 1."""
-    tags = (
-        [qtag(i, 1) for i in range(1, n + 1)]
-        + [pitag(k) for k in range(1, n + 1)]
-        + [rtag(1)]
-    )
-    degree = rng.randint(1, max_degree)
-    mono = tuple(sorted(rng.choice(tags) for _ in range(degree)))
-    return Observable(n, {mono: Scalar.one()})
+    return random_monomial(n, rng, basic_tags(n), rng.randint(1, max_degree))
 
 
 def random_frame_point(n: int, rng: random.Random) -> FramePoint:
@@ -224,8 +214,8 @@ def _table1_rows(n: int):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             v: dict[tuple, Poly] = {}
-            _vadd(v, (1, j), Poly.var(qvar(i)).scale(minus_half))
-            _vadd(v, (1, i), Poly.var(qvar(j)).scale(minus_half))
+            accumulate(v, (1, j), Poly.var(qvar(i)).scale(minus_half))
+            accumulate(v, (1, i), Poly.var(qvar(j)).scale(minus_half))
             rows.append(
                 (
                     f"row5 qh({i},1)*qh({j},1)",
@@ -238,8 +228,8 @@ def _table1_rows(n: int):
             grades = {}
             for a in range(1, n + 1):
                 h: dict[int, Poly] = {}
-                _hadd(h, k, Poly.var(pivar(a, j)).scale(half))
-                _hadd(h, j, Poly.var(pivar(a, k)).scale(half))
+                accumulate(h, k, Poly.var(pivar(a, j)).scale(half))
+                accumulate(h, j, Poly.var(pivar(a, k)).scale(half))
                 grades[(a,)] = VectorField(h=h)
             rows.append(
                 (f"row6 pih({j})*pih({k})", mono(pitag(j), pitag(k)), HamVF(n, grades))
@@ -259,9 +249,9 @@ def _table1_rows(n: int):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 v = {}
-                _vadd(v, (1, i), (Poly.var(qvar(j)) * Poly.var(qvar(k))).scale(-sixth))
-                _vadd(v, (1, j), (Poly.var(qvar(i)) * Poly.var(qvar(k))).scale(-sixth))
-                _vadd(v, (1, k), (Poly.var(qvar(i)) * Poly.var(qvar(j))).scale(-sixth))
+                accumulate(v, (1, i), (Poly.var(qvar(j)) * Poly.var(qvar(k))).scale(-sixth))
+                accumulate(v, (1, j), (Poly.var(qvar(i)) * Poly.var(qvar(k))).scale(-sixth))
+                accumulate(v, (1, k), (Poly.var(qvar(i)) * Poly.var(qvar(j))).scale(-sixth))
                 rows.append(
                     (
                         f"row8 qh({i},1)*qh({j},1)*qh({k},1)",
@@ -279,7 +269,7 @@ def _table1_rows(n: int):
                     for b in range(a, n + 1):
                         h = {}
                         if a == 1 and b == 1:
-                            _hadd(h, k, qq.scale(sixth))
+                            accumulate(h, k, qq.scale(sixth))
                         v = {}
                         sym = Poly.zero()
                         if a == 1:
@@ -287,8 +277,8 @@ def _table1_rows(n: int):
                         if b == 1:
                             sym = sym + Poly.var(pivar(a, k))
                         if not sym.is_zero():
-                            _vadd(v, (1, i), (sym * Poly.var(qvar(j))).scale(-twelfth))
-                            _vadd(v, (1, j), (sym * Poly.var(qvar(i))).scale(-twelfth))
+                            accumulate(v, (1, i), (sym * Poly.var(qvar(j))).scale(-twelfth))
+                            accumulate(v, (1, j), (sym * Poly.var(qvar(i))).scale(-twelfth))
                         vf = VectorField(h=h, v=v)
                         if not vf.is_zero():
                             grades[(a, b)] = vf
@@ -300,24 +290,6 @@ def _table1_rows(n: int):
                     )
                 )
     return rows
-
-
-def _vadd(v: dict, key: tuple, poly: Poly):
-    prev = v.get(key)
-    acc = poly if prev is None else prev + poly
-    if acc.is_zero():
-        v.pop(key, None)
-    else:
-        v[key] = acc
-
-
-def _hadd(h: dict, key: int, poly: Poly):
-    prev = h.get(key)
-    acc = poly if prev is None else prev + poly
-    if acc.is_zero():
-        h.pop(key, None)
-    else:
-        h[key] = acc
 
 
 @_timed
@@ -343,16 +315,7 @@ def suite_jacobi(n, seed, gauge_seed):
         f = random_full_monomial(n, rng)
         g = random_full_monomial(n, rng)
         h = random_full_monomial(n, rng)
-
-        if gauge_seed is None:
-            residual = jacobi_residual(f, g, h)
-        else:
-            gs = gauge_seed + case
-            residual = (
-                bracket(f, bracket(g, h, gauge_seed=gs), gauge_seed=gs)
-                + bracket(g, bracket(h, f, gauge_seed=gs), gauge_seed=gs)
-                + bracket(h, bracket(f, g, gauge_seed=gs), gauge_seed=gs)
-            )
+        residual = jacobi_residual(f, g, h, _case_seed(gauge_seed, case))
         report.record(
             f"jacobi({f!r}; {g!r}; {h!r})",
             residual.is_zero(),
@@ -371,41 +334,17 @@ def suite_thm1(n, seed, gauge_seed):
     cases = []
     for p, q in required:
         for _ in range(5):
-            f = _random_homogeneous(n, rng, p)
-            g = _random_homogeneous(n, rng, q)
+            f = random_monomial(n, rng, full_tags(n), p)
+            g = random_monomial(n, rng, full_tags(n), q)
             cases.append((f, g))
     while len(cases) < 50:
         f = random_full_monomial(n, rng)
         g = random_full_monomial(n, rng)
         cases.append((f, g))
     for f, g in cases:
-        ok = _theorem1_with_gauge(f, g, gauge_seed)
+        ok = theorem1_check(f, g, gauge_seed)
         report.record(f"thm1({f!r}; {g!r}) C={theorem1_constant(f.rank(), g.rank())}", ok)
     return report
-
-
-def _random_homogeneous(n: int, rng: random.Random, rank: int) -> Observable:
-    tags = (
-        [qtag(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        + [pitag(k) for k in range(1, n + 1)]
-        + [rtag(k) for k in range(1, n + 1)]
-    )
-    mono = tuple(sorted(rng.choice(tags) for _ in range(rank)))
-    return Observable(n, {mono: Scalar.one()})
-
-
-def _theorem1_with_gauge(f: Observable, g: Observable, gauge_seed) -> bool:
-    p, q = f.rank(), g.rank()
-    c = theorem1_constant(p, q)
-    xf, xg = ham_vf(f), ham_vf(g)
-    if gauge_seed is not None:
-        rng = random.Random(gauge_seed)
-        if p >= 2:
-            xf = add_gauge(xf, random_valid_gauge(f.n, p - 1, rng))
-        if q >= 2:
-            xg = add_gauge(xg, random_valid_gauge(g.n, q - 1, rng))
-    candidate = vf_bracket(xf, xg).scale(Fraction(-1, 1) / c)
-    return structure_eq_check(bracket(f, g, gauge_seed=gauge_seed), candidate)
 
 
 @_timed
@@ -530,14 +469,7 @@ def suite_reduction_homomorphism(n, seed, gauge_seed):
     for case in range(100):
         f = random_b1_monomial(n, rng)
         g = random_b1_monomial(n, rng)
-        if gauge_seed is None:
-            ok = reduction_homomorphism_check(f, g)
-        else:
-            lhs = reduce_observable(bracket(f, g, gauge_seed=gauge_seed + case))
-            from .subbundle import reduced_bracket
-
-            rhs = reduced_bracket(reduce_observable(f), reduce_observable(g))
-            ok = lhs == rhs
+        ok = reduction_homomorphism_check(f, g, gauge_seed=_case_seed(gauge_seed, case))
         report.record(f"reduce bracket ({f!r}; {g!r})", ok)
     for _ in range(20):
         f = random_b1_monomial(n, rng)

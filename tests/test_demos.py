@@ -1,6 +1,11 @@
-"""Smoke test: the narrative demos run to completion."""
+"""The narrative demos run to completion and print their golden output.
+
+Each demo's stdout must equal ``tests/golden/<demo>.txt`` byte for byte,
+once run times (``millis=<digits>``) are replaced by ``millis=N``.
+"""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -34,3 +40,6 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    stdout = re.sub(r"millis=\d+", "millis=N", proc.stdout)
+    golden = (GOLDEN / demo).with_suffix(".txt").read_text()
+    assert stdout == golden

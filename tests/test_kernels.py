@@ -81,15 +81,15 @@ def ref_sym_components(n, f, p, g, q):
 
 def ref_bracket_components(x, p, g, q):
     comps = g.components.get(q, {})
-    avg = split_average(g.n, p + q - 1, p - 1, x.grades, comps, lambda xf, gc: xf.apply(gc), Poly.zero())
+    avg = split_average(g.n, p + q - 1, p - 1, x.terms, comps, lambda xf, gc: xf.apply(gc), Poly.zero())
     return {K: poly.scale(-factorial(p)) for K, poly in avg.items()}
 
 
 def ref_vf_bracket(x, y):
     out = {}
-    for gx, gy in {(len(ix), len(iy)) for ix in x.grades for iy in y.grades}:
+    for gx, gy in {(len(ix), len(iy)) for ix in x.terms for iy in y.terms}:
         part = split_average(
-            x.n, gx + gy, gx, x.grades, y.grades, lambda a, b: a.lie_bracket(b), VectorField.zero()
+            x.n, gx + gy, gx, x.terms, y.terms, lambda a, b: a.lie_bracket(b), VectorField.zero()
         )
         for K, vf in part.items():
             out[K] = vf if K not in out else out[K] + vf
@@ -270,7 +270,7 @@ def _snapshot(comps):
 
 
 def _field_snapshot(grades):
-    return {idx: (_snapshot(vf.h), _snapshot(vf.v)) for idx, vf in grades.items()}
+    return {idx: _snapshot(vf.terms) for idx, vf in grades.items()}
 
 
 @SETTINGS

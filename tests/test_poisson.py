@@ -95,6 +95,7 @@ def test_jacobi_examples():
         sym_mul(q11, pi1), sym_mul(pi1, pi2), make_qhat(n, 2, 2)
     ).is_zero()
     assert jacobi_residual(sym_pow(q11, 2), sym_pow(pi1, 2), q11).is_zero()
+    assert jacobi_residual(sym_pow(q11, 2), sym_pow(pi1, 2), q11, gauge_seed=3).is_zero()
 
 
 def test_theorem1_examples():
@@ -106,6 +107,7 @@ def test_theorem1_examples():
     assert theorem1_check(q11, pi1)
     assert theorem1_check(sym_pow(q11, 2), pi1)
     assert theorem1_check(sym_pow(q11, 2), sym_pow(pi1, 2))
+    assert theorem1_check(sym_pow(q11, 2), sym_pow(pi1, 2), gauge_seed=5)
 
 
 def test_grade_of_bracket():

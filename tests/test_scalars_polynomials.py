@@ -1,11 +1,16 @@
-"""Ring laws and calculus of the exact coefficient and polynomial types."""
+"""Ring laws and calculus of the exact coefficient and polynomial types,
+the sparse-combination laws shared by polynomials, fields, forms and
+operators, and the printed form of a term."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsq.polynomials import Poly, pivar, pvar, qvar
+from nsq.forms import HamVF, OneForm, TwoForm, VectorField
+from nsq.polynomials import LinComb, Poly, pivar, pvar, qvar
+from nsq.quantization import DiffOperator, format_operator
 from nsq.scalars import IHBAR, Scalar
 
 rationals = st.fractions(
@@ -118,3 +123,69 @@ def test_poly_canonical_form_drops_zeros():
     p = Poly.var(qvar(1)) - Poly.var(qvar(1))
     assert p.is_zero()
     assert p.terms == {}
+
+
+def test_multi_term_coefficients_print_in_parentheses():
+    a1, a2 = Scalar.symbol("A1"), Scalar.symbol("A2")
+    q1 = ((qvar(1), 1),)
+    assert str(Poly({q1: -(a1 + a2)})) == "(-A1 - A2)*q1"
+    assert str(Poly({q1: a1 - a2})) == "(A1 - A2)*q1"
+    assert str(Poly({(): a1 + a2, q1: -a1})) == "(A1 + A2) - A1*q1"
+    assert format_operator(DiffOperator(1, {(1,): Poly({q1: -(a1 + a2)})})) == "((-A1 - A2)*q1) d/dq1"
+
+
+# -- the sparse-combination base ------------------------------------------------
+
+VARS = [qvar(1), qvar(2), pivar(1, 1), pivar(2, 1)]
+
+
+def term_maps(keys, values):
+    return st.dictionaries(st.sampled_from(keys), values, max_size=3)
+
+
+def vector_fields():
+    return st.builds(
+        VectorField,
+        term_maps([1, 2], polys()),
+        term_maps([(1, 1), (1, 2), (2, 1)], polys()),
+    )
+
+
+# One strategy per class; each draws term maps that may hold zero values,
+# and TwoForm keys that are reversed or on the diagonal.
+COMBINATIONS = {
+    "Poly": polys(),
+    "VectorField": vector_fields(),
+    "OneForm": st.builds(OneForm, term_maps(VARS, polys())),
+    "TwoForm": st.builds(TwoForm, term_maps(list(itertools.product(VARS, VARS)), polys())),
+    "HamVF": st.builds(HamVF, st.just(2), term_maps([(), (1,), (2,), (1, 2)], vector_fields())),
+    "DiffOperator": st.builds(DiffOperator, st.just(2), term_maps([(0, 0), (1, 0), (0, 2)], polys())),
+}
+
+
+@st.composite
+def combination_pairs(draw):
+    kind = draw(st.sampled_from(sorted(COMBINATIONS)))
+    return draw(COMBINATIONS[kind]), draw(COMBINATIONS[kind])
+
+
+def zero_free(x) -> bool:
+    """No stored value is zero, at any level of nesting."""
+    return all(
+        not v.is_zero() and (not isinstance(v, LinComb) or zero_free(v)) for v in x.terms.values()
+    )
+
+
+nonzero_rationals = rationals.filter(lambda c: c != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(combination_pairs(), nonzero_rationals)
+def test_sparse_combination_laws(pair, c):
+    a, b = pair
+    results = [a, b, -a, a + b, a - b, a.scale(c), a.scale(0), a + (-a)]
+    assert all(zero_free(x) for x in results)
+    assert (a + (-a)).terms == {}
+    assert (a + b) - b == a
+    assert a.scale(0).is_zero()
+    assert a.scale(c).scale(1 / c) == a

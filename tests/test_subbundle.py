@@ -177,6 +177,7 @@ def test_reduction_homomorphism():
         for _ in range(20):
             f, g = random_b1_monomial(n, rng), random_b1_monomial(n, rng)
             assert reduction_homomorphism_check(f, g)
+        assert reduction_homomorphism_check(sym_mul(f, g), g, gauge_seed=11)
 
     n = 3
     for slot in (2, 3):
