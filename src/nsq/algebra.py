@@ -28,9 +28,9 @@ substituted.  On the full bundle ``slot`` is None.
 
 The symmetric product, route 1 of the bracket and the field bracket each
 average a pairwise product over the position splits of a sorted K.  They
-share one kernel: every pair (I, J) of the two supports is formed once and
-lands on K = sorted(I + J) with weight :func:`split_weight`, the share of
-K's splits that put I on the subset.
+share one split-pair loop, :func:`split_pair_sum`: every pair (I, J) of the
+two supports is formed once and lands on K = sorted(I + J), weighted by
+the share of K's splits that put I on the subset (:func:`split_count`).
 
 Generator-monomial expansions are memoized process-wide by
 :func:`_monomial_components`, keyed on (mono, n, slot) and bounded at 1024
@@ -46,7 +46,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionMismatch, IndexRangeError
 from .linalg import exact_det
@@ -200,9 +200,26 @@ def split_count(K: MultiIndex, I: MultiIndex) -> int:
     return out
 
 
-def split_weight(K: MultiIndex, I: MultiIndex) -> Scalar:
-    """split_count(K, I) / comb(len(K), len(I)): the share of K's splits that give I."""
-    return Scalar.of(Fraction(split_count(K, I), comb(len(K), len(I))))
+def split_pair_sum(
+    f: Mapping[MultiIndex, object],
+    g: Mapping[MultiIndex, object],
+    product: Callable,
+    factor: int = 1,
+) -> dict:
+    """The one split-pair loop: average product(a, b) over index splits.
+
+    For every pair (I, a) of f and (J, b) of g, product(a, b) lands on
+    K = sorted(I + J) with weight factor * split_count(K, I) / comb(|K|, |I|),
+    the share of K's position splits that feed I to f.  Only the support
+    pairs are visited, and each product is formed once.
+    """
+    out: dict = {}
+    for I, a in f.items():
+        for J, b in g.items():
+            K = tuple(sorted(I + J))
+            weight = Fraction(factor * split_count(K, I), comb(len(K), len(I)))
+            accumulate(out, K, product(a, b).scale(weight))
+    return out
 
 
 def sym_components(
@@ -212,16 +229,9 @@ def sym_components(
 
     The component at a sorted multi-index K of rank p+q is the average over
     all splits of K's positions into a p-subset fed to f and the complement
-    fed to g.  Only pairs in the two supports contribute, so the sum runs
-    over them: each pair (I, J) lands on K = sorted(I + J) with weight
-    split_weight(K, I), and its product is formed once.
+    fed to g (:func:`split_pair_sum` of the products).
     """
-    out: dict[MultiIndex, Poly] = {}
-    for I, cf in f.items():
-        for J, cg in g.items():
-            K = tuple(sorted(I + J))
-            accumulate(out, K, (cf * cg).scale(split_weight(K, I)))
-    return out
+    return split_pair_sum(f, g, Poly.__mul__)
 
 
 @lru_cache(maxsize=1024)
@@ -301,9 +311,6 @@ class Observable:
 
     def is_zero(self) -> bool:
         return not self.components
-
-    def is_homogeneous(self) -> bool:
-        return len(self.components) == 1
 
     def rank(self) -> int:
         """The rank of a homogeneous observable."""

@@ -4,7 +4,7 @@
     nsq hamvf    [-n DIM] [--gauge-b1] "EXPR"    canonical Hamiltonian field
     nsq quantize [-n DIM] --map q1|q2 "EXPR"     operator image
     nsq reduce   [-n DIM] "EXPR"                 restriction to the slice
-    nsq verify   [-n DIM] [--seed N] [--format text|json] --suite NAME
+    nsq verify   [-n DIM] [--seed N] [--format text|json] [--gauge-seed N] --suite NAME
 
 Exit codes: 0 success / all cases passed, 1 verification failure, 2 usage
 or parse error.  NSQ_SEED serves as the seed fallback.
@@ -38,33 +38,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nsq", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("-n", type=dimension, default=DEFAULT_N, help="dimension (default 2)")
-        p.add_argument("--seed", type=int, default=None, help="suite seed")
-        p.add_argument(
-            "--format", choices=["text", "json"], default="text", help="output encoding"
-        )
+        return p
 
-    p = sub.add_parser("bracket", help="Poisson bracket of two expressions")
-    common(p)
+    p = command("bracket", "Poisson bracket of two expressions")
     p.add_argument("exprs", nargs=2, metavar="EXPR")
 
-    p = sub.add_parser("hamvf", help="canonical Hamiltonian vector field")
-    common(p)
+    p = command("hamvf", "canonical Hamiltonian vector field")
     p.add_argument("--gauge-b1", action="store_true", help="slice-tangent representative")
     p.add_argument("expr", metavar="EXPR")
 
-    p = sub.add_parser("quantize", help="operator image under a quantization map")
-    common(p)
+    p = command("quantize", "operator image under a quantization map")
     p.add_argument("--map", choices=["q1", "q2"], required=True)
     p.add_argument("expr", metavar="EXPR")
 
-    p = sub.add_parser("reduce", help="restriction to the 2n-dimensional slice")
-    common(p)
+    p = command("reduce", "restriction to the 2n-dimensional slice")
     p.add_argument("expr", metavar="EXPR")
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
+    p = command("verify", "run a named verification suite")
+    p.add_argument("--seed", type=int, default=None, help="suite seed")
+    p.add_argument("--format", choices=["text", "json"], default="text", help="output encoding")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}, all")
     p.add_argument("--gauge-seed", type=int, default=None, help="inject gauge terms")
 

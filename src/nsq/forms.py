@@ -17,6 +17,13 @@ with normalized symmetrization over all p upper indices.  Representatives
 differ by "gauge": vertical terms whose symmetrization over the upper
 indices vanishes.  Gauge terms never change any derived bracket.
 
+A gauge term is itself a :class:`HamVF` whose fields have only d/dpi legs:
+a vertical representative of the zero observable.  One sweep,
+:func:`_contraction_sums`, forms the contraction sum at every K one rank
+above a grade of a field; the zero branch of :func:`structure_eq_check`,
+:func:`lie_preserves_form`, :func:`gauge_condition_holds` and the
+projection :func:`make_valid_gauge` all read it.
+
 The canonical representative built here uses the factor rule: for a
 monomial u_1 sym ... sym u_r of rank-1 generators,
 
@@ -39,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .algebra import (
     GenMonomial,
@@ -47,7 +54,7 @@ from .algebra import (
     MultiIndex,
     Observable,
     all_multi_indices,
-    split_weight,
+    split_pair_sum,
     _monomial_components,
 )
 from .errors import GaugeConditionError, RankMismatch
@@ -306,14 +313,10 @@ def structure_eq_check(
     -(p-1)! times the sum over positions of the index fed to dtheta.
     """
     if f.is_zero():
-        # x must represent the zero class: the symmetrized contraction with
-        # dtheta vanishes gradewise (true of pure gauge terms).
+        # x must represent the zero class: every contraction sum vanishes
+        # (true of pure gauge terms).
         dtheta = dtheta if dtheta is not None else soldering_dtheta(x.n)
-        return all(
-            _contraction_sum(x, K, dtheta).is_zero()
-            for g in x.grade_ranks()
-            for K in all_multi_indices(x.n, g + 1)
-        )
+        return all(s.is_zero() for _, s in _contraction_sums(x, dtheta))
     p = f.rank()
     ranks = x.grade_ranks()
     if ranks and ranks != [p - 1]:
@@ -337,98 +340,66 @@ def _contraction_sum(x: HamVF, K: MultiIndex, dtheta: Mapping[int, TwoForm]) -> 
     return out
 
 
-GaugeTerm = Mapping[MultiIndex, Mapping[tuple, Poly]]
+def _contraction_sums(x: HamVF, dtheta: Mapping[int, TwoForm]) -> Iterator[tuple]:
+    """The zero-class sweep: (K, contraction sum at K) for every K one rank above a grade of x."""
+    for g in x.grade_ranks():
+        for K in all_multi_indices(x.n, g + 1):
+            yield K, _contraction_sum(x, K, dtheta)
 
 
-def gauge_condition_holds(t: GaugeTerm, n: int) -> bool:
-    """True iff the symmetrization of T over its upper indices vanishes.
+def gauge_condition_holds(t: HamVF) -> bool:
+    """True iff t is a valid gauge term: a vertical representative of zero.
 
-    For vertical terms T_b^{I a} d/dpi^a_b the condition is that for every
-    canonical multi-index K of rank |I|+1 and every lower index b, the sum
-    over positions of K of T_b^{K-minus-t, K_t} is identically zero.
+    Every contraction sum must vanish.  That forces t vertical: the
+    dpi^a_j leg of the sum at K is minus the multiplicity of a in K times
+    the d/dq^j coefficient of t's grade K minus one a.  The dq^b leg is
+    the sum over the positions of K of the d/dpi^{K_t}_b coefficient of
+    t's grade K without K_t.
     """
-    return all(
-        _gauge_sum(t, K, b).is_zero()
-        for g in {len(idx) for idx in t}
-        for K in all_multi_indices(n, g + 1)
-        for b in range(1, n + 1)
-    )
+    return all(s.is_zero() for _, s in _contraction_sums(t, soldering_dtheta(t.n)))
 
 
-def _gauge_sum(t: GaugeTerm, K: MultiIndex, b: int) -> Poly:
-    """Sum over the positions t of a sorted K of T_b^{K without K_t, K_t}."""
-    acc = Poly.zero()
-    for pos in range(len(K)):
-        poly = t.get(K[:pos] + K[pos + 1 :], {}).get((K[pos], b))
-        if poly is not None:
-            acc = acc + poly
-    return acc
+def add_gauge(x: HamVF, t: HamVF) -> HamVF:
+    """Shift a representative by a valid gauge term.
 
-
-def add_gauge(x: HamVF, t: GaugeTerm) -> HamVF:
-    """Shift a representative by a vertical gauge term.
-
-    The symmetrized part of T over its upper indices must vanish; then the
-    structure equation and every Poisson bracket computed from the
-    representative are unchanged.
+    t must pass :func:`gauge_condition_holds`; then the structure equation
+    and every Poisson bracket computed from the representative are
+    unchanged.
     """
-    if not gauge_condition_holds(t, x.n):
-        raise GaugeConditionError("gauge term has nonvanishing symmetrized part")
-    grades = dict(x.terms)
-    for idx, vcomps in t.items():
-        accumulate(grades, tuple(sorted(idx)), VectorField(v=vcomps))
-    return x._like(grades)
+    if not gauge_condition_holds(t):
+        raise GaugeConditionError("gauge term is not vertical with vanishing symmetrized part")
+    return x + t
 
 
-def make_valid_gauge(u: GaugeTerm, n: int) -> dict[MultiIndex, dict[tuple, Poly]]:
-    """Project an arbitrary vertical term onto the valid gauge directions.
+def make_valid_gauge(u: HamVF) -> HamVF:
+    """Project a vertical field onto the valid gauge directions: T = U - Sym(U).
 
-    Returns T = U - Sym(U); its symmetrization over upper indices vanishes
-    by construction.
+    Sym(U) on the leg d/dpi^a_b of grade I is 1/p times the dq^b coefficient
+    of U's contraction sum at K = sorted(I + (a,)), of rank p.  So at each K
+    every dq^b term s is subtracted, as s/p, from the d/dpi^a_b leg of
+    grade K minus one a, for each distinct a in K.
     """
-    by_rank: dict[int, dict[MultiIndex, dict[tuple, Poly]]] = {}
-    for idx, comps in u.items():
-        by_rank.setdefault(len(idx), {})[tuple(sorted(idx))] = dict(comps)
-    out: dict[MultiIndex, dict[tuple, Poly]] = {}
-    for g, part in by_rank.items():
-        p = g + 1
-        sym: dict[tuple, Poly] = {}
-        for K in all_multi_indices(n, p):
-            for b in range(1, n + 1):
-                acc = _gauge_sum(part, K, b)
-                if not acc.is_zero():
-                    sym[(K, b)] = acc.scale(Fraction(1, p))
-        keys = set(part)
-        for (K, b) in sym:
-            for pos in range(p):
-                keys.add(K[:pos] + K[pos + 1 :])
-        for idx in keys:
-            comps: dict[tuple, Poly] = {}
-            verts = set(part.get(idx, {}))
-            for (K, b) in sym:
-                for a in set(K):
-                    if tuple(sorted(idx + (a,))) == K:
-                        verts.add((a, b))
-            for (a, b) in verts:
-                K = tuple(sorted(idx + (a,)))
-                val = part.get(idx, {}).get((a, b), Poly.zero()) - sym.get(
-                    (K, b), Poly.zero()
-                )
-                if not val.is_zero():
-                    comps[(a, b)] = val
-            if comps:
-                out[idx] = comps
-    return out
+    if any(var[0] != "pi" for vf in u.terms.values() for var in vf.terms):
+        raise GaugeConditionError("gauge terms are vertical: a field has a d/dq leg")
+    out = dict(u.terms)
+    for K, s in _contraction_sums(u, soldering_dtheta(u.n)):
+        weight = Fraction(-1, len(K))
+        for (_, b), poly in s.terms.items():
+            for a in set(K):
+                t = K.index(a)
+                accumulate(out, K[:t] + K[t + 1 :], VectorField(v={(a, b): poly.scale(weight)}))
+    return u._like(out)
 
 
-def random_valid_gauge(n: int, grade_rank: int, rng, max_terms: int = 3):
+def random_valid_gauge(n: int, grade_rank: int, rng, max_terms: int = 3) -> HamVF:
     """Seeded random gauge term with vanishing symmetrized part.
 
-    Only grade ranks >= 1 admit gauge freedom; rank 0 returns empty.
+    Only grade ranks >= 1 admit gauge freedom; rank 0 returns the zero field
+    without drawing from rng.
     """
     if grade_rank < 1:
-        return {}
-    u: dict[MultiIndex, dict[tuple, Poly]] = {}
+        return HamVF(n)
+    grades: dict[MultiIndex, VectorField] = {}
     indices = list(all_multi_indices(n, grade_rank))
     for _ in range(max_terms):
         idx = rng.choice(indices)
@@ -442,24 +413,19 @@ def random_valid_gauge(n: int, grade_rank: int, rng, max_terms: int = 3):
             poly = Poly.var(qvar(rng.randint(1, n))).scale(coeff)
         else:
             poly = Poly.var(pivar(rng.randint(1, n), rng.randint(1, n))).scale(coeff)
-        slot = u.setdefault(idx, {})
-        slot[(a, b)] = slot.get((a, b), Poly.zero()) + poly
-    return make_valid_gauge(u, n)
+        accumulate(grades, idx, VectorField(v={(a, b): poly}))
+    return make_valid_gauge(HamVF(n, grades))
 
 
 def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     """Bracket of graded fields: componentwise Lie bracket, then normalized
     symmetrization over the combined upper indices.
 
-    Each support pair (I, J) is bracketed once and lands on K = sorted(I + J)
-    with weight split_weight(K, I), as in :func:`nsq.algebra.sym_components`.
+    The support pairs (I, J) go through the one split-pair loop,
+    :func:`nsq.algebra.split_pair_sum`, as in
+    :func:`nsq.algebra.sym_components`.
     """
-    out: dict[MultiIndex, VectorField] = {}
-    for ix, fx in x.terms.items():
-        for iy, fy in y.terms.items():
-            K = tuple(sorted(ix + iy))
-            accumulate(out, K, fx.lie_bracket(fy).scale(split_weight(K, ix)))
-    return HamVF(x.n, out)
+    return HamVF(x.n, split_pair_sum(x.terms, y.terms, VectorField.lie_bracket))
 
 
 def lie_preserves_form(
@@ -471,8 +437,4 @@ def lie_preserves_form(
     index combination; dtheta itself is closed.
     """
     dtheta = dtheta if dtheta is not None else soldering_dtheta(x.n)
-    return all(
-        d_oneform(_contraction_sum(x, K, dtheta)).is_zero()
-        for g in x.grade_ranks()
-        for K in all_multi_indices(x.n, g + 1)
-    )
+    return all(d_oneform(s).is_zero() for _, s in _contraction_sums(x, dtheta))

@@ -22,8 +22,8 @@ raises EngineError naming the first differing rank and multi-index with
 both routes' values there.  The second route also supplies the generator
 decomposition of the result, so brackets nest.
 
-Route 1 runs over the pairs of X's grades and g's components only, each
-weighted by its split count (:func:`nsq.algebra.split_weight`) times -p!.
+Route 1 runs over the pairs of X's grades and g's components only, through
+the one split-pair loop :func:`nsq.algebra.split_pair_sum` with factor -p!.
 It reads X from the shared field memo of :mod:`nsq.forms` and, for a unit
 monomial g, g's components straight from the shared expansion memo of
 :mod:`nsq.algebra`; both are read-only.  The memos save rebuilding the
@@ -36,9 +36,17 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GenMonomial, Observable, rtag, split_weight
+from .algebra import GenMonomial, Observable, rtag, split_pair_sum
 from .errors import EngineError, NotInGeneratorAlgebra
-from .forms import HamVF, add_gauge, ham_vf, random_valid_gauge, structure_eq_check, vf_bracket
+from .forms import (
+    HamVF,
+    VectorField,
+    add_gauge,
+    ham_vf,
+    random_valid_gauge,
+    structure_eq_check,
+    vf_bracket,
+)
 from .polynomials import Poly, accumulate
 from .scalars import Scalar
 
@@ -49,18 +57,10 @@ def _bracket_components(
     """Route 1: -p! Sym[X(g)] on each rank-(p+q-1) multi-index.
 
     Sym averages over the splits of K into a (p-1)-subset fed to X and the
-    complement fed to g; as in :func:`nsq.algebra.sym_components`, each
-    support pair (I, J) is applied once and lands on K = sorted(I + J)
-    with weight -p! * split_weight(K, I).
+    complement fed to g: :func:`nsq.algebra.split_pair_sum` of X's grades
+    applied to g's components, with factor -p!.
     """
-    comps = g.components.get(q, {})
-    prefactor = Scalar.of(-factorial(p))
-    out = {}
-    for ix, xf in x.terms.items():
-        for jg, gc in comps.items():
-            K = tuple(sorted(ix + jg))
-            accumulate(out, K, xf.apply(gc).scale(split_weight(K, ix) * prefactor))
-    return out
+    return split_pair_sum(x.terms, g.components.get(q, {}), VectorField.apply, -factorial(p))
 
 
 def _pair_bracket_tag(s, t):
@@ -112,7 +112,7 @@ def bracket(
     for p in f.ranks():
         fp = f.grade_part(p)
         x = ham_vf(fp)
-        if rng is not None and p >= 2:
+        if rng is not None:
             x = add_gauge(x, random_valid_gauge(f.n, p - 1, rng))
         for q in g.ranks():
             part = _bracket_components(x, p, g, q)
@@ -192,18 +192,16 @@ def theorem1_check(f: Observable, g: Observable, gauge_seed: int | None = None) 
     representative for {f,g}: equality is tested through the structure
     equation, which is gauge-invariant.
 
-    ``gauge_seed`` shifts X_f and X_g (ranks >= 2) by seeded random valid
-    gauge terms and is passed to the bracket; the verdict must not change.
+    ``gauge_seed`` shifts X_f and X_g by seeded random valid gauge terms
+    (zero at rank 1) and is passed to the bracket; the verdict must not change.
     """
     p, q = f.rank(), g.rank()
     c = theorem1_constant(p, q)
     xf, xg = ham_vf(f), ham_vf(g)
     if gauge_seed is not None:
         rng = random.Random(gauge_seed)
-        if p >= 2:
-            xf = add_gauge(xf, random_valid_gauge(f.n, p - 1, rng))
-        if q >= 2:
-            xg = add_gauge(xg, random_valid_gauge(g.n, q - 1, rng))
+        xf = add_gauge(xf, random_valid_gauge(f.n, p - 1, rng))
+        xg = add_gauge(xg, random_valid_gauge(g.n, q - 1, rng))
     candidate = vf_bracket(xf, xg).scale(Fraction(-1, 1) / c)
     return structure_eq_check(bracket(f, g, gauge_seed=gauge_seed), candidate)
 
@@ -231,9 +229,6 @@ def tensor_extension_identity_check(
     lhs = bracket(extend(f, k), extend(g, l))
     rhs = extend(bracket(f, g), k + l)
     return lhs == rhs
-
-
-_B1_KINDS = {"q", "pi", "r"}
 
 
 def in_b1_algebra(f: Observable, slot: int = 1) -> bool:

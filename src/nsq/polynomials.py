@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .scalars import Scalar, signed_sum, signed_term
+from .scalars import Scalar, _mono_mul, signed_sum, signed_term
 
 Var = tuple
 Monomial = tuple
@@ -279,18 +279,4 @@ def default_var_name(v: Var) -> str:
     return str(v)
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    powers: dict[Var, int] = {}
-    for v, pw in m1:
-        powers[v] = powers.get(v, 0) + pw
-    for v, pw in m2:
-        powers[v] = powers.get(v, 0) + pw
-    return tuple(sorted(powers.items()))
-
-
 ZERO_POLY = Poly.zero()
-ONE_POLY = Poly.constant(1)

@@ -221,16 +221,17 @@ def _coerce(x) -> Scalar:
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
-def _mono_mul(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """Product of two sorted (key, power) monomials, of symbols or of variables."""
     if not m1:
         return m2
     if not m2:
         return m1
-    powers: dict[str, int] = {}
-    for sym, pw in m1:
-        powers[sym] = powers.get(sym, 0) + pw
-    for sym, pw in m2:
-        powers[sym] = powers.get(sym, 0) + pw
+    powers: dict = {}
+    for v, pw in m1:
+        powers[v] = powers.get(v, 0) + pw
+    for v, pw in m2:
+        powers[v] = powers.get(v, 0) + pw
     return tuple(sorted(powers.items()))
 
 
@@ -244,5 +245,4 @@ def _mono_lower(mono: SymMonomial, name: str) -> SymMonomial | None:
     return tuple(sorted(powers.items()))
 
 
-ZERO = Scalar.zero()
 ONE = Scalar.one()

@@ -44,7 +44,6 @@ from .poisson import (
     jacobi_residual,
     theorem1_check,
     theorem1_constant,
-    tensor_extension_identity_check,
 )
 from .polynomials import Poly, accumulate, pivar, qvar
 from .quantization import b1_monomials, make_q1, make_q2, quantize, record_dirac
@@ -76,10 +75,6 @@ from .symplectic_ref import (
     groenewold_witness,
     symplectic_table,
     tables_correspond,
-    weyl_quantize,
-    weyl_quantize_brute,
-    sp_p,
-    sp_q,
 )
 
 DEFAULT_N = 2

@@ -24,8 +24,6 @@ from .polynomials import Poly, pvar, qvar
 from .quantization import DiffOperator, commutator, op_compose
 from .scalars import IHBAR, Scalar
 
-SymplecticPoly = Poly
-
 
 def sp_q(i: int) -> Poly:
     return Poly.var(qvar(i))

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsq.algebra import (
     Observable,
+    all_multi_indices,
     make_pihat,
     make_qhat,
     make_rhat,
@@ -31,7 +34,7 @@ from nsq.forms import (
     structure_eq_check,
     vf_bracket,
 )
-from nsq.polynomials import Poly, pivar, qvar
+from nsq.polynomials import Poly, accumulate, pivar, qvar
 from nsq.scalars import Scalar
 
 
@@ -154,17 +157,17 @@ def test_add_gauge():
     n = 2
     f = sym_mul(make_pihat(n, 1), make_pihat(n, 2))
     x = ham_vf(f)
-    assert add_gauge(x, {}) == x
+    assert add_gauge(x, HamVF(n)) == x
 
     rng = random.Random(5)
     t = random_valid_gauge(n, 1, rng)
-    assert gauge_condition_holds(t, n)
+    assert gauge_condition_holds(t)
     shifted = add_gauge(x, t)
     assert structure_eq_check(f, shifted)
 
     # a symmetric nonzero vertical term is rejected
-    bad = {(1,): {(1, 1): Poly.constant(1)}}
-    assert not gauge_condition_holds(bad, n)
+    bad = HamVF(n, {(1,): VectorField(v={(1, 1): Poly.constant(1)})})
+    assert not gauge_condition_holds(bad)
     with pytest.raises(GaugeConditionError):
         add_gauge(x, bad)
 
@@ -172,12 +175,15 @@ def test_add_gauge():
 def test_make_valid_gauge_projects():
     n = 2
     rng = random.Random(17)
-    raw = {
-        (1,): {(1, 2): Poly.var(qvar(1)), (2, 1): Poly.constant(3)},
-        (2,): {(1, 1): Poly.var(pivar(1, 1))},
-    }
-    t = make_valid_gauge(raw, n)
-    assert gauge_condition_holds(t, n)
+    raw = HamVF(
+        n,
+        {
+            (1,): VectorField(v={(1, 2): Poly.var(qvar(1)), (2, 1): Poly.constant(3)}),
+            (2,): VectorField(v={(1, 1): Poly.var(pivar(1, 1))}),
+        },
+    )
+    t = make_valid_gauge(raw)
+    assert gauge_condition_holds(t)
 
 
 def test_vf_bracket_examples():
@@ -216,3 +222,80 @@ def test_gauge_never_changes_structure_or_lie_check():
         if p >= 2:
             x2 = add_gauge(x, random_valid_gauge(n, p - 1, rng))
             assert structure_eq_check(f, x2)
+
+
+# -- the gauge projection against position sums ----------------------------------
+
+
+def gauge_position_sum(u, K, b):
+    """Sum over the positions t of a sorted K of U^{K without K_t} on the leg d/dpi^{K_t}_b."""
+    acc = Poly.zero()
+    for t in range(len(K)):
+        acc = acc + u.field(K[:t] + K[t + 1 :]).coefficient(pivar(K[t], b))
+    return acc
+
+
+def ref_make_valid_gauge(u):
+    """U - Sym(U) on every leg of every grade: Sym(U)^{I,a}_b is the position
+    sum at K = sorted(I + (a,)) divided by the rank of K."""
+    n = u.n
+    grades = {}
+    for g in set(map(len, u.terms)):
+        for I in all_multi_indices(n, g):
+            legs = {}
+            for a in range(1, n + 1):
+                K = tuple(sorted(I + (a,)))
+                for b in range(1, n + 1):
+                    sym = gauge_position_sum(u, K, b).scale(Fraction(1, g + 1))
+                    legs[(a, b)] = u.field(I).coefficient(pivar(a, b)) - sym
+            grades[I] = VectorField(v=legs)
+    return HamVF(n, grades)
+
+
+@st.composite
+def vertical_fields(draw):
+    """A vertical graded field: n 1..3, one or two grade ranks in 1..3, repeated indices."""
+    n = draw(st.integers(1, 3))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    index = st.integers(1, n)
+    grades = {}
+    for _ in range(draw(st.integers(1, 5))):
+        g = draw(st.sampled_from(ranks))
+        idx = tuple(sorted(draw(st.lists(index, min_size=g, max_size=g))))
+        a, b = draw(index), draw(index)
+        coeff = draw(st.sampled_from([Fraction(-2), Fraction(-1, 2), Fraction(1), Fraction(3, 2)]))
+        var = draw(st.sampled_from([None, qvar(draw(index)), pivar(draw(index), draw(index))]))
+        poly = Poly.constant(coeff) if var is None else Poly.var(var).scale(coeff)
+        accumulate(grades, idx, VectorField(v={(a, b): poly}))
+    return HamVF(n, grades)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertical_fields())
+def test_make_valid_gauge_equals_position_sum_projection(u):
+    t = make_valid_gauge(u)
+    assert t == ref_make_valid_gauge(u)
+    assert gauge_condition_holds(t)
+    assert make_valid_gauge(t) == t
+    n = u.n
+    x = ham_vf(sym_mul(make_qhat(n, 1, n), make_pihat(n, 1)))
+    assert add_gauge(x, t) - x == t
+    # a d/dq leg is never a gauge direction
+    horizontal = HamVF(n, {(1,): VectorField(h={1: Poly.constant(1)})})
+    assert not gauge_condition_holds(t + horizontal)
+    with pytest.raises(GaugeConditionError):
+        make_valid_gauge(u + horizontal)
+    with pytest.raises(GaugeConditionError):
+        add_gauge(x, t + horizontal)
+
+
+def test_random_valid_gauge_is_a_nonzero_vertical_field():
+    t = random_valid_gauge(2, 1, random.Random(5))
+    assert not t.is_zero()
+    assert gauge_condition_holds(t)
+    x = ham_vf(sym_mul(make_pihat(2, 1), make_pihat(2, 2)))
+    assert add_gauge(x, t) - x == t
+    assert add_gauge(x, t) != x
+    rng = random.Random(5)
+    assert random_valid_gauge(2, 0, rng) == HamVF(2)
+    assert rng.random() == random.Random(5).random()  # grade 0 draws nothing

@@ -173,6 +173,22 @@ def test_cli_rejects_nonpositive_dimension(capsys):
     assert "out of range" not in captured.err
 
 
+def test_cli_verify_only_flags_are_usage_errors_elsewhere(capsys):
+    calls = [
+        ["bracket", "--format", "json", "-n", "2", "qh(1,1)", "pih(1)"],
+        ["bracket", "--seed", "3", "-n", "2", "qh(1,1)", "pih(1)"],
+        ["hamvf", "--format", "json", "pih(1)"],
+        ["quantize", "--seed", "3", "--map", "q1", "pih(1)"],
+        ["reduce", "--format", "text", "qh(1,1)"],
+        ["reduce", "--gauge-seed", "5", "qh(1,1)"],
+    ]
+    for argv in calls:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
 def test_cli_verify_gauge_seed(capsys):
     assert main(["verify", "--suite", "eq14", "--gauge-seed", "5"]) == 0
     out = capsys.readouterr().out
