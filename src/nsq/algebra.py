@@ -13,12 +13,16 @@ multi-index of length p to a polynomial component.  Components are stored
 on canonical (sorted) multi-indices, so the required symmetry under index
 permutations holds by representation.
 
-Each Observable also remembers how it was assembled from the generators
-(its ``genpoly``).  The component data alone does not determine that
+An Observable is a :class:`~nsq.polynomials.LinComb` over generator
+monomials: its ``terms`` map each sorted tuple of generator tags to a
+nonzero Scalar, and ``+``, ``-`` and ``scale`` are the shared linear
+structure.  The terms record how the observable was assembled from the
+generators.  The component data alone does not determine that
 decomposition -- e.g. qhat(i,j) sym rhat(k) and qhat(i,k) sym rhat(j)
 expand to identical components -- but all derived quantities (brackets,
 structure-equation checks) are independent of the choice, so any faithful
-decomposition serves.
+decomposition serves.  Equality and ``is_zero`` therefore stay on the
+expanded components, not on the terms.
 
 A slice observable (see :mod:`nsq.subbundle`) is an Observable whose
 ``slot`` is set.  It uses the same generator tags, restricted to the slot's
@@ -48,10 +52,10 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Mapping
 
-from .errors import DimensionMismatch, IndexRangeError
+from .errors import DimensionMismatch, EngineError, IndexRangeError
 from .linalg import exact_det
-from .polynomials import Poly, accumulate, pivar, qvar
-from .scalars import ONE, Scalar, signed_sum, signed_term
+from .polynomials import LinComb, Poly, accumulate, pivar, qvar
+from .scalars import ONE, Scalar, _coerce, signed_sum, signed_term
 
 MultiIndex = tuple
 GenTag = tuple
@@ -160,12 +164,15 @@ def monomial_str(mono: GenMonomial) -> str:
     return "*".join(tag_str(t) for t in mono) if mono else "1"
 
 
+# generator kind -> number of indices: qh(i,j), pih(k), rh(k)
+_TAG_ARITY = {"q": 2, "pi": 1, "r": 1}
+
+
 def _check_tag(tag: GenTag, n: int) -> None:
-    if tag[0] == "q":
-        check_index(tag[1], n)
-        check_index(tag[2], n)
-    else:
-        check_index(tag[1], n)
+    if not (isinstance(tag, tuple) and tag and _TAG_ARITY.get(tag[0]) == len(tag) - 1):
+        raise EngineError(f"not a generator tag: {tag!r}")
+    for i in tag[1:]:
+        check_index(i, n)
 
 
 def _generator_components(tag: GenTag, n: int, slot: int | None) -> dict[MultiIndex, Poly]:
@@ -251,29 +258,41 @@ def _monomial_components(
     return sym_components(head, len(mono) - 1, tail, 1)
 
 
-class Observable:
+class Observable(LinComb):
     """Graded symmetric-tensor-valued polynomial observable.
 
     Assemble these from :func:`make_qhat`, :func:`make_pihat`,
     :func:`make_rhat` with ``+``, ``-``, :meth:`scale` and
-    :func:`sym_mul`.  Equality is structural equality of the expanded
-    component maps, within one algebra: ``slot`` is None on the full bundle
-    and the slice index for a slice observable.
+    :func:`sym_mul`.  ``terms`` maps sorted generator monomials to nonzero
+    Scalars; the constructor sorts each monomial, so monomials that differ
+    only in factor order sum.  Equality is structural equality of the
+    expanded component maps, within one algebra: ``slot`` is None on the
+    full bundle and the slice index for a slice observable.
     """
 
+    _space = ("n", "slot")
     slot: int | None = None
+    _components: dict[int, dict[MultiIndex, Poly]] | None = None
 
-    def __init__(self, n: int, genpoly: Mapping[GenMonomial, Scalar]):
+    def __init__(self, n: int, terms: Mapping[GenMonomial, Scalar]):
         self.n = check_dimension(n)
-        self.genpoly: dict[GenMonomial, Scalar] = {}
-        for mono, c in genpoly.items():
-            c = c if isinstance(c, Scalar) else Scalar.of(c)
-            if c.is_zero():
-                continue
+        self.terms: dict[GenMonomial, Scalar] = {}
+        for mono, c in terms.items():
+            if not mono:
+                raise EngineError("a generator monomial has at least one factor")
             for tag in mono:
                 _check_tag(tag, n)
-            self.genpoly[tuple(mono)] = c
-        self._components: dict[int, dict[MultiIndex, Poly]] | None = None
+            accumulate(self.terms, tuple(sorted(mono)), _coerce(c))
+
+    @property
+    def genpoly(self) -> dict[GenMonomial, Scalar]:
+        """Read-only alias of ``terms``.
+
+        Only the benchmark tracer (``bench/nsqtrace.py``) reads it; the
+        benchmark refresh (ROADMAP item 1) switches the tracer to ``terms``
+        and deletes this alias.
+        """
+        return self.terms
 
     # -- constructors ------------------------------------------------------
 
@@ -291,13 +310,13 @@ class Observable:
     def components(self) -> dict[int, dict[MultiIndex, Poly]]:
         """Graded component maps: rank -> canonical multi-index -> polynomial."""
         if self._components is None:
-            if len(self.genpoly) == 1 and ONE in self.genpoly.values():
+            if len(self.terms) == 1 and ONE in self.terms.values():
                 # a unit monomial reads the shared memoized map, uncopied
-                (mono,) = self.genpoly
+                (mono,) = self.terms
                 self._components = {len(mono): _monomial_components(mono, self.n, self.slot)}
                 return self._components
             by_rank: dict[int, dict[MultiIndex, Poly]] = {}
-            for mono, coeff in self.genpoly.items():
+            for mono, coeff in self.terms.items():
                 rank = len(mono)
                 comps = _monomial_components(mono, self.n, self.slot)
                 grade = by_rank.setdefault(rank, {})
@@ -326,7 +345,7 @@ class Observable:
 
     def grade_part(self, rank: int) -> "Observable":
         """The homogeneous part of one rank, as an observable."""
-        part = {m: c for m, c in self.genpoly.items() if len(m) == rank}
+        part = {m: c for m, c in self.terms.items() if len(m) == rank}
         return self._like(part)
 
     def min_rank(self) -> int | None:
@@ -335,33 +354,6 @@ class Observable:
         return ranks[0] if ranks else None
 
     # -- algebra -------------------------------------------------------------
-
-    def _like(self, genpoly: Mapping[GenMonomial, Scalar]) -> "Observable":
-        """An observable of the same algebra as self."""
-        return Observable(self.n, genpoly)
-
-    def _require_same(self, other: "Observable") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimensions differ: {self.n} vs {other.n}")
-        if self.slot != other.slot:
-            raise DimensionMismatch(f"slices differ: slot {self.slot} vs {other.slot}")
-
-    def __add__(self, other: "Observable") -> "Observable":
-        self._require_same(other)
-        out = dict(self.genpoly)
-        for mono, c in other.genpoly.items():
-            accumulate(out, mono, c)
-        return self._like(out)
-
-    def __neg__(self) -> "Observable":
-        return self._like({m: -c for m, c in self.genpoly.items()})
-
-    def __sub__(self, other: "Observable") -> "Observable":
-        return self + (-other)
-
-    def scale(self, c) -> "Observable":
-        c = c if isinstance(c, Scalar) else Scalar.of(c)
-        return self._like({m: coeff * c for m, coeff in self.genpoly.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Observable):
@@ -376,16 +368,16 @@ class Observable:
 
     def generator_tags(self) -> set:
         out = set()
-        for mono in self.genpoly:
+        for mono in self.terms:
             out.update(mono)
         return out
 
     def __repr__(self):
-        if not self.genpoly:
+        if not self.terms:
             return "0"
         return signed_sum([
-            signed_term(str(self.genpoly[mono]), [self._monomial_str(mono)], " ")
-            for mono in sorted(self.genpoly)
+            signed_term(str(self.terms[mono]), [self._monomial_str(mono)], " ")
+            for mono in sorted(self.terms)
         ])
 
     def _monomial_str(self, mono: GenMonomial) -> str:
@@ -394,20 +386,16 @@ class Observable:
 
 def make_qhat(n: int, i: int, j: int) -> Observable:
     """The rank-1 observable q^i placed in the j-th tensor slot."""
-    check_index(i, n)
-    check_index(j, n)
     return Observable.from_tag(n, qtag(i, j))
 
 
 def make_pihat(n: int, k: int) -> Observable:
     """The rank-1 momentum observable with components pi^l_k."""
-    check_index(k, n)
     return Observable.from_tag(n, pitag(k))
 
 
 def make_rhat(n: int, k: int) -> Observable:
     """The constant rank-1 basis observable."""
-    check_index(k, n)
     return Observable.from_tag(n, rtag(k))
 
 
@@ -419,8 +407,8 @@ def sym_mul(f: Observable, g: Observable) -> Observable:
     """
     f._require_same(g)
     out: dict[GenMonomial, Scalar] = {}
-    for m1, c1 in f.genpoly.items():
-        for m2, c2 in g.genpoly.items():
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
             accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
     return f._like(out)
 

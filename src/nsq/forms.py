@@ -294,7 +294,7 @@ def ham_vf(f: Observable) -> HamVF:
     contributes the shared fields themselves, unscaled.
     """
     out: dict[MultiIndex, VectorField] = {}
-    for mono, coeff in f.genpoly.items():
+    for mono, coeff in f.terms.items():
         unit = coeff == ONE
         for idx, vf in _monomial_ham_vf(mono, f.n, f.slot).items():
             accumulate(out, idx, vf if unit else vf.scale(coeff))
@@ -423,8 +423,9 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
 
     The support pairs (I, J) go through the one split-pair loop,
     :func:`nsq.algebra.split_pair_sum`, as in
-    :func:`nsq.algebra.sym_components`.
+    :func:`nsq.algebra.sym_components`.  Both fields must have the same n.
     """
+    x._require_same(y)
     return HamVF(x.n, split_pair_sum(x.terms, y.terms, VectorField.lie_bracket))
 
 

@@ -75,8 +75,8 @@ def _pair_bracket_tag(s, t):
 def _generator_bracket(f: Observable, g: Observable) -> Observable:
     """Route 2: biderivation expansion over generator monomials."""
     out: dict[GenMonomial, Scalar] = {}
-    for mf, cf in f.genpoly.items():
-        for mg, cg in g.genpoly.items():
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
             base = cf * cg
             for si, s in enumerate(mf):
                 for ti, t in enumerate(mg):

@@ -2,11 +2,14 @@
 
 Everything the engine computes with is a finite linear combination over
 exact coefficients: polynomials, vector fields, one- and two-forms, graded
-Hamiltonian fields and differential operators.  :class:`LinComb` is the one
-implementation of that rule: a term map in which a zero value is never
-stored, so structural equality of the term maps is semantic equality, with
-the linear structure (``+``, ``-``, :meth:`LinComb.scale`) and
-:func:`accumulate`, the one "add and drop a zero sum" step.
+Hamiltonian fields, differential operators and observables (combinations
+of generator monomials).  :class:`LinComb` is the one implementation of
+that rule: a term map in which a zero value is never stored, so
+structural equality of the term maps is semantic equality, with the
+linear structure (``+``, ``-``, :meth:`LinComb.scale`) and
+:func:`accumulate`, the one "add and drop a zero sum" step.  ``+`` and
+``-`` raise :class:`~nsq.errors.DimensionMismatch` when the operands live
+in different spaces (another dimension ``n``, another slice ``slot``).
 
 :class:`Poly` is the combination of monomials with Scalar coefficients.
 One generic polynomial type serves every coordinate system in the engine:
@@ -25,7 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .scalars import Scalar, _mono_mul, signed_sum, signed_term
+from .errors import DimensionMismatch
+from .scalars import Scalar, _coerce, _mono_mul, signed_sum, signed_term
 
 Var = tuple
 Monomial = tuple
@@ -45,14 +49,6 @@ def pvar(j: int) -> Var:
     return ("p", j)
 
 
-def _as_scalar(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return Scalar.of(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-
-
 class LinComb:
     """Finite linear combination with exact coefficients: key -> nonzero value.
 
@@ -65,7 +61,8 @@ class LinComb:
 
     Subclasses name in ``_space`` the attributes besides ``terms`` that fix
     the space the combination lives in (e.g. the dimension ``n``); those are
-    copied by :meth:`_like` and compared by ``==``.
+    copied by :meth:`_like`, compared by ``==`` and required equal by
+    :meth:`_require_same` before ``+`` and ``-``.
     """
 
     __slots__ = ("terms",)
@@ -79,10 +76,19 @@ class LinComb:
             setattr(out, name, getattr(self, name))
         return out
 
+    def _require_same(self, other) -> None:
+        """Raise DimensionMismatch unless other lives in the same space as self."""
+        for name in self._space:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise DimensionMismatch(f"{name} differs: {mine} vs {theirs}")
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other):
+        if self._space:
+            self._require_same(other)
         out = dict(self.terms)
         for key, value in other.terms.items():
             accumulate(out, key, value)
@@ -95,7 +101,7 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c):
-        c = _as_scalar(c)
+        c = _coerce(c)
         if c.is_zero():
             return self._like({})
         return self._like({key: value.scale(c) for key, value in self.terms.items()})
@@ -137,7 +143,7 @@ class Poly(LinComb):
         self.terms: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = _as_scalar(coeff)
+                c = _coerce(coeff)
                 if not c.is_zero():
                     self.terms[mono] = c
 

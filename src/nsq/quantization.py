@@ -110,8 +110,7 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     Derivatives act on the q-dependence of coefficients; the P variables
     are multiplication variables and commute through.
     """
-    if a.n != b.n:
-        raise EngineError("operators over different dimensions")
+    a._require_same(b)
     acc: dict[DerivDegree, Poly] = {}
     for alpha, c1 in a.terms.items():
         for beta, c2 in b.terms.items():
@@ -218,7 +217,7 @@ def quantize(qmap: QuantizationMap, f: Observable) -> DiffOperator:
             "quantization is defined on the polynomial algebra of the basic set"
         )
     out = DiffOperator.zero(qmap.n)
-    for mono, coeff in f.genpoly.items():
+    for mono, coeff in f.terms.items():
         img = qmap.image_of_monomial(mono)
         if not img.is_zero():
             out = out + img.scale(coeff)

@@ -214,6 +214,7 @@ def signed_term(coeff: str, factors: list[str], sep: str = "*") -> str:
 
 
 def _coerce(x) -> Scalar:
+    """The one coefficient rule: a Scalar as is, an int or Fraction as a Scalar."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):

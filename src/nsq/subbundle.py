@@ -255,13 +255,10 @@ class ReducedObservable(Observable):
     brackets and equality are those of :class:`Observable`.
     """
 
-    def __init__(self, n: int, genpoly: Mapping, slot: int = 1):
-        super().__init__(n, genpoly)
+    def __init__(self, n: int, terms: Mapping, slot: int = 1):
+        super().__init__(n, terms)
         self.slot = check_index(slot, n)
         _require_basic(self, slot)
-
-    def _like(self, genpoly: Mapping) -> "ReducedObservable":
-        return ReducedObservable(self.n, genpoly, self.slot)
 
     def _monomial_str(self, mono) -> str:
         return "*".join(_reduced_tag_str(t) for t in mono)
@@ -282,7 +279,7 @@ def reduce_observable(f: Observable, slot: int = 1) -> ReducedObservable:
     rhat(slot) -> rhat.  The resulting components agree with substituting
     the slice relations into the original components.
     """
-    return ReducedObservable(f.n, f.genpoly, slot)
+    return ReducedObservable(f.n, f.terms, slot)
 
 
 def substituted_components(f: Observable, slot: int = 1) -> dict:

@@ -19,7 +19,7 @@ from nsq.algebra import (
     sym_mul,
     sym_pow,
 )
-from nsq.errors import IndexRangeError
+from nsq.errors import EngineError, IndexRangeError
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.scalars import Scalar
 
@@ -104,8 +104,36 @@ def test_observable_equality_is_on_components():
     n = 2
     a = sym_mul(make_qhat(n, 1, 1), make_rhat(n, 2))
     b = sym_mul(make_qhat(n, 1, 2), make_rhat(n, 1))
-    assert a.genpoly != b.genpoly
+    assert a.terms != b.terms
     assert a == b
+
+
+def test_monomials_are_stored_sorted():
+    # factor order is not part of a monomial: keys that differ only in it sum
+    n = 2
+    built = sym_mul(make_qhat(n, 1, 1), make_pihat(n, 1))
+    given_order = Observable(n, {(qtag(1, 1), pitag(1)): 1})
+    assert repr(given_order - built) == "0"
+    assert repr(given_order + built) == "2 pih(1)*qh(1,1)"
+    assert given_order.terms == built.terms == {(pitag(1), qtag(1, 1)): Scalar.one()}
+    both = Observable(n, {(qtag(1, 1), pitag(1)): 1, (pitag(1), qtag(1, 1)): -1})
+    assert both.terms == {}
+
+
+@pytest.mark.parametrize(
+    "tag", [("x", 1), ("q", 1), ("pi", 1, 1), ("r",), ("r", 1, 2), ()]
+)
+def test_unknown_generator_tags_are_rejected(tag):
+    with pytest.raises(EngineError, match="not a generator tag"):
+        Observable(2, {(tag,): 1})
+    with pytest.raises(EngineError, match="not a generator tag"):
+        Observable(2, {(rtag(1), tag): 1})
+
+
+def test_empty_monomial_is_rejected():
+    # a monomial without factors has no rank and no expansion
+    with pytest.raises(EngineError, match="at least one factor"):
+        Observable(2, {(): 1})
 
 
 def test_component_lookup_is_permutation_invariant():

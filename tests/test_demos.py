@@ -1,7 +1,9 @@
 """The narrative demos run to completion and print their golden output.
 
-Each demo's stdout must equal ``tests/golden/<demo>.txt`` byte for byte,
-once run times (``millis=<digits>``) are replaced by ``millis=N``.
+Every ``demos/*.py`` is run.  Each demo's stdout must equal
+``tests/golden/<demo>.txt`` byte for byte, once run times
+(``millis=<digits>``) are replaced by ``millis=N``; a demo without a
+golden file fails.
 """
 
 import os
@@ -17,14 +19,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "demo",
-    [
-        "01_observables_and_fields.py",
-        "02_poisson_brackets.py",
-        "03_subbundle_reduction.py",
-        "04_quantization_maps.py",
-        "05_obstruction_contrast.py",
-    ],
+    "demo", [p.name for p in sorted((ROOT / "demos").glob("*.py"))]
 )
 def test_demo_runs(demo):
     env = dict(os.environ)

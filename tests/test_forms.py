@@ -19,7 +19,7 @@ from nsq.algebra import (
     sym_mul,
     sym_pow,
 )
-from nsq.errors import GaugeConditionError
+from nsq.errors import DimensionMismatch, GaugeConditionError
 from nsq.forms import (
     HamVF,
     TwoForm,
@@ -198,6 +198,16 @@ def test_vf_bracket_examples():
     g = sym_mul(make_qhat(n, 1, 1), make_pihat(n, 2))
     nonzero = vf_bracket(ham_vf(g), ham_vf(make_pihat(n, 1)))
     assert not nonzero.is_zero()
+
+
+def test_field_operations_refuse_other_dimensions():
+    x = ham_vf(sym_mul(make_pihat(2, 1), make_pihat(2, 2)))
+    with pytest.raises(DimensionMismatch):
+        add_gauge(x, random_valid_gauge(3, 1, random.Random(5)))
+    with pytest.raises(DimensionMismatch):
+        vf_bracket(x, ham_vf(make_pihat(3, 1)))
+    with pytest.raises(DimensionMismatch):
+        vf_bracket(ham_vf(make_pihat(3, 1)), x)
 
 
 def test_lie_preserves_form():

@@ -106,7 +106,7 @@ def fresh_expansion(mono, n, slot):
 def ref_ham_vf(f):
     """The factor rule on fresh expansions: (1/r!) Sym(rest)^I X_{u_m} per position m."""
     out = {}
-    for mono, coeff in f.genpoly.items():
+    for mono, coeff in f.terms.items():
         weight = coeff.as_fraction() / factorial(len(mono))
         for m in range(len(mono)):
             rest = mono[:m] + mono[m + 1 :]
@@ -329,8 +329,8 @@ def test_memoized_field_equals_factor_rule(f, gauge_seed):
     _monomial_ham_vf.cache_clear()
     assert ham_vf(f) == expected  # miss
     assert ham_vf(f) == expected  # hit
-    if gauge_seed is not None and f.genpoly:
-        t = random_valid_gauge(f.n, max(map(len, f.genpoly)) - 1, random.Random(gauge_seed))
+    if gauge_seed is not None and f.terms:
+        t = random_valid_gauge(f.n, max(map(len, f.terms)) - 1, random.Random(gauge_seed))
         assert add_gauge(ham_vf(f), t) == add_gauge(expected, t)
         assert ham_vf(f) == expected
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nsq.algebra import make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
-from nsq.errors import NotInGeneratorAlgebra
+from nsq.errors import DimensionMismatch, NotInGeneratorAlgebra
 from nsq.quantization import (
     AxiomReport,
     DiffOperator,
@@ -82,6 +82,15 @@ def test_op_compose_and_commutator():
         for b in ops:
             for c in ops:
                 assert op_compose(op_compose(a, b), c) == op_compose(a, op_compose(b, c))
+
+
+def test_operators_refuse_other_dimensions():
+    a, b = _pop(2, 1), _pop(3, 1)
+    for op in (op_compose, commutator):
+        with pytest.raises(DimensionMismatch):
+            op(a, b)
+    with pytest.raises(DimensionMismatch):
+        DiffOperator.identity(2) + DiffOperator.identity(3)
 
 
 def test_formal_adjoint():

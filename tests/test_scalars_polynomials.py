@@ -1,6 +1,6 @@
 """Ring laws and calculus of the exact coefficient and polynomial types,
-the sparse-combination laws shared by polynomials, fields, forms and
-operators, and the printed form of a term."""
+the sparse-combination laws shared by polynomials, fields, forms,
+operators and observables, and the printed form of a term."""
 
 import itertools
 from fractions import Fraction
@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nsq.algebra import Observable, full_tags
+from nsq.errors import DimensionMismatch
 from nsq.forms import HamVF, OneForm, TwoForm, VectorField
 from nsq.polynomials import LinComb, Poly, pivar, pvar, qvar
 from nsq.quantization import DiffOperator, format_operator
@@ -151,8 +153,15 @@ def vector_fields():
     )
 
 
+def observables():
+    """n=2 observables over generator monomials in any factor order."""
+    monomials = st.lists(st.sampled_from(full_tags(2)), min_size=1, max_size=3).map(tuple)
+    return st.builds(Observable, st.just(2), st.dictionaries(monomials, rationals, max_size=3))
+
+
 # One strategy per class; each draws term maps that may hold zero values,
-# and TwoForm keys that are reversed or on the diagonal.
+# TwoForm keys that are reversed or on the diagonal, and observable
+# monomials whose factors are not sorted.
 COMBINATIONS = {
     "Poly": polys(),
     "VectorField": vector_fields(),
@@ -160,6 +169,7 @@ COMBINATIONS = {
     "TwoForm": st.builds(TwoForm, term_maps(list(itertools.product(VARS, VARS)), polys())),
     "HamVF": st.builds(HamVF, st.just(2), term_maps([(), (1,), (2,), (1, 2)], vector_fields())),
     "DiffOperator": st.builds(DiffOperator, st.just(2), term_maps([(0, 0), (1, 0), (0, 2)], polys())),
+    "Observable": observables(),
 }
 
 
@@ -189,3 +199,29 @@ def test_sparse_combination_laws(pair, c):
     assert (a + b) - b == a
     assert a.scale(0).is_zero()
     assert a.scale(c).scale(1 / c) == a
+
+
+def lincomb_classes(cls=LinComb):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from lincomb_classes(sub)
+
+
+# the classes that declare the attributes fixing their space
+SPACED = sorted({c.__name__ for c in lincomb_classes() if c.__dict__.get("_space")})
+ELSEWHERE = {"n": 3, "slot": 1}
+
+
+@pytest.mark.parametrize("kind", SPACED)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sums_across_spaces_raise(kind, data):
+    a, b = data.draw(COMBINATIONS[kind]), data.draw(COMBINATIONS[kind])
+    for name in a._space:
+        moved = b._like(dict(b.terms))
+        setattr(moved, name, ELSEWHERE[name])
+        for left, right in ((a, moved), (moved, a)):
+            with pytest.raises(DimensionMismatch, match=f"^{name} differs"):
+                left + right
+            with pytest.raises(DimensionMismatch, match=f"^{name} differs"):
+                left - right

@@ -151,7 +151,7 @@ def test_reduce_observable():
 
     got = reduced_bracket(red_q, reduce_observable(make_pihat(n, 1)))
     assert got == reduce_observable(make_rhat(n, 1))
-    got0 = reduced_bracket(red_q, red_pi2.__class__(n, red_pi2.genpoly))
+    got0 = reduced_bracket(red_q, red_pi2.__class__(n, red_pi2.terms))
     assert got0.is_zero()
 
     with pytest.raises(NotInGeneratorAlgebra):
