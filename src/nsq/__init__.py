@@ -65,7 +65,6 @@ from .quantization import (
 from .reports import VerificationReport
 from .subbundle import (
     G1Element,
-    ReducedObservable,
     SubbundlePoint,
     frame_from_params,
     g1_inv,

@@ -24,11 +24,11 @@ structure-equation checks) are independent of the choice, so any faithful
 decomposition serves.  Equality and ``is_zero`` therefore stay on the
 expanded components, not on the terms.
 
-A slice observable (see :mod:`nsq.subbundle`) is an Observable whose
-``slot`` is set.  It uses the same generator tags, restricted to the slot's
-basic set qhat(i,slot), pihat(k), rhat(slot); the only difference is that
-pihat(k) expands with the frozen coframe rows pi^A_j = delta^A_j
-substituted.  On the full bundle ``slot`` is None.
+A slice observable (see :mod:`nsq.subbundle`) is ``Observable(n, terms,
+slot=s)``.  It uses the same generator tags, restricted to the slot's
+basic set qhat(i,s), pihat(k), rhat(s) (:func:`in_b1_algebra`), prints
+them as Qh(i), Pih(k), rh, and expands pihat(k) with the frozen coframe
+rows pi^A_j = delta^A_j substituted.  On the full bundle ``slot`` is None.
 
 The symmetric product, route 1 of the bracket and the field bracket each
 average a pairwise product over the position splits of a sorted K.  They
@@ -52,7 +52,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Mapping
 
-from .errors import DimensionMismatch, EngineError, IndexRangeError
+from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
 from .polynomials import LinComb, Poly, accumulate, pivar, qvar
 from .scalars import ONE, Scalar, _coerce, signed_sum, signed_term
@@ -152,16 +152,28 @@ def basic_tags(n: int, slot: int = 1) -> list[GenTag]:
     return [qtag(i, slot) for i in range(1, n + 1)] + [pitag(k) for k in range(1, n + 1)] + [rtag(slot)]
 
 
-def tag_str(tag: GenTag) -> str:
+def in_b1_algebra(f: Observable, slot: int = 1) -> bool:
+    """Membership in the polynomial algebra over the slot's basic set.
+
+    Every pihat(k) is in it; qhat(i,j) and rhat(j) are when j is the slot.
+    """
+    for tag in f.generator_tags():
+        if tag[0] != "pi" and tag[-1] != slot:
+            return False
+    return True
+
+
+def tag_str(tag: GenTag, slot: int | None = None) -> str:
+    """A generator's name; on a slice (``slot`` set) its name there: Qh(i), Pih(k), rh."""
     if tag[0] == "q":
-        return f"qh({tag[1]},{tag[2]})"
+        return f"qh({tag[1]},{tag[2]})" if slot is None else f"Qh({tag[1]})"
     if tag[0] == "pi":
-        return f"pih({tag[1]})"
-    return f"rh({tag[1]})"
+        return f"pih({tag[1]})" if slot is None else f"Pih({tag[1]})"
+    return f"rh({tag[1]})" if slot is None else "rh"
 
 
-def monomial_str(mono: GenMonomial) -> str:
-    return "*".join(tag_str(t) for t in mono) if mono else "1"
+def monomial_str(mono: GenMonomial, slot: int | None = None) -> str:
+    return "*".join(tag_str(t, slot) for t in mono) if mono else "1"
 
 
 # generator kind -> number of indices: qh(i,j), pih(k), rh(k)
@@ -267,14 +279,17 @@ class Observable(LinComb):
     Scalars; the constructor sorts each monomial, so monomials that differ
     only in factor order sum.  Equality is structural equality of the
     expanded component maps, within one algebra: ``slot`` is None on the
-    full bundle and the slice index for a slice observable.
+    full bundle and the slice index for a slice observable, whose
+    generators must lie in the slot's basic set.
     """
 
     _space = ("n", "slot")
     slot: int | None = None
     _components: dict[int, dict[MultiIndex, Poly]] | None = None
 
-    def __init__(self, n: int, terms: Mapping[GenMonomial, Scalar]):
+    def __init__(
+        self, n: int, terms: Mapping[GenMonomial, Scalar], slot: int | None = None
+    ):
         self.n = check_dimension(n)
         self.terms: dict[GenMonomial, Scalar] = {}
         for mono, c in terms.items():
@@ -283,6 +298,12 @@ class Observable(LinComb):
             for tag in mono:
                 _check_tag(tag, n)
             accumulate(self.terms, tuple(sorted(mono)), _coerce(c))
+        if slot is not None:
+            self.slot = check_index(slot, n)
+            if not in_b1_algebra(self, slot):
+                raise NotInGeneratorAlgebra(
+                    f"observable uses generators outside the slot-{slot} basic algebra"
+                )
 
     @property
     def genpoly(self) -> dict[GenMonomial, Scalar]:
@@ -376,12 +397,9 @@ class Observable(LinComb):
         if not self.terms:
             return "0"
         return signed_sum([
-            signed_term(str(self.terms[mono]), [self._monomial_str(mono)], " ")
+            signed_term(str(self.terms[mono]), [monomial_str(mono, self.slot)], " ")
             for mono in sorted(self.terms)
         ])
-
-    def _monomial_str(self, mono: GenMonomial) -> str:
-        return monomial_str(mono)
 
 
 def make_qhat(n: int, i: int, j: int) -> Observable:

@@ -26,11 +26,12 @@ from .algebra import (
     tag_str,
 )
 from .errors import DimensionMismatch, EngineError
-from .forms import VectorField, contract, d_poly, ham_vf, soldering_dtheta
+from .forms import VectorField, ham_vf, soldering_dtheta, structure_eq_check
 from .linalg import exact_rank
 from .poisson import bracket
 from .polynomials import pivar, qvar
 from .reports import VerificationReport
+from .subbundle import slice_check
 
 
 @dataclass
@@ -125,15 +126,11 @@ def momentum_map_condition_check(n: int) -> bool:
     The infinitesimal generators are the Hamiltonian fields of the
     components, so the condition is the rank-1 structure equation.
     """
-    dtheta = soldering_dtheta(n)
-    for group in momentum_components(n).values():
-        for obs in group:
-            xf = ham_vf(obs).field(())
-            for i in range(1, n + 1):
-                residual = d_poly(obs.component((i,))) + contract(xf, dtheta[i])
-                if not residual.is_zero():
-                    return False
-    return True
+    return all(
+        structure_eq_check(obs, ham_vf(obs))
+        for group in momentum_components(n).values()
+        for obs in group
+    )
 
 
 @dataclass
@@ -169,12 +166,17 @@ def bracket_table(s: BasicSet) -> dict[tuple, Observable]:
     return out
 
 
-def _field_row_full(vf: VectorField, point: FramePoint) -> list[Fraction]:
-    """Coordinates of a field value in the (q, pi) tangent basis."""
+def _field_row(vf: VectorField, point: FramePoint, slot: int | None) -> list[Fraction]:
+    """Coordinates of a field value in the tangent basis: d/dq^a, then d/dpi^a_b.
+
+    Row a runs over 1..n on the full bundle and is ``slot`` alone on a
+    slice, whose tangent basis is (d/dQ^1 .. d/dQ^n, d/dP_1 .. d/dP_n).
+    """
     vals = point.coordinate_values()
     n = point.n
+    rows = range(1, n + 1) if slot is None else (slot,)
     directions = [qvar(a) for a in range(1, n + 1)]
-    directions += [pivar(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    directions += [pivar(a, b) for a in rows for b in range(1, n + 1)]
     return [vf.coefficient(d).evaluate(vals).as_fraction() for d in directions]
 
 
@@ -188,20 +190,21 @@ def verify_transitive(
 
     On the full bundle the Hamiltonian fields must span all n + n^2
     tangent directions; restricted to a subbundle slice they must span its
-    2n directions (computed in the slice coordinates).
+    2n directions (computed in the slice coordinates, from the fields of
+    the generators reduced to the slice, so each must lie in the slot's
+    basic set).
     """
     report = VerificationReport(suite="transitive", n=s.n, seed=0)
     n = s.n
     target = 2 * n if on_B1 else n + n * n
+    space = slot if on_B1 else None
     for pt in points:
-        if on_B1:
-            from .subbundle import reduced_field_rows, slice_check
-
-            if not slice_check(pt, slot):
-                raise EngineError("point does not lie on the subbundle slice")
-            rows = reduced_field_rows(s.generators, pt, slot)
-        else:
-            rows = [_field_row_full(ham_vf(g).field(()), pt) for g in s.generators]
+        if on_B1 and not slice_check(pt, slot):
+            raise EngineError("point does not lie on the subbundle slice")
+        rows = [
+            _field_row(ham_vf(Observable(g.n, g.terms, slot=space)).field(()), pt, space)
+            for g in s.generators
+        ]
         rank = exact_rank(rows)
         report.record(
             f"span at q={pt.q}",

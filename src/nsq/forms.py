@@ -4,7 +4,8 @@ Vector fields, one-forms and two-forms map coordinate variables (or pairs
 of them) to polynomial coefficients, and a graded Hamiltonian field maps
 multi-indices to vector fields; all four are
 :class:`~nsq.polynomials.LinComb` subclasses and share its linear
-structure and zero-free term maps.
+structure and zero-free term maps.  Coordinates print through
+:func:`~nsq.polynomials.default_var_name`, as in polynomials.
 
 The vector-valued soldering one-form has components theta^i = pi^i_j dq^j,
 so its differential is d(theta^i) = d(pi^i_j) ^ dq^j.  A rank-p observable
@@ -31,7 +32,9 @@ monomial u_1 sym ... sym u_r of rank-1 generators,
 
 with generator fields X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k),
 X_rhat(k) = 0.  The structure equation is the arbiter of correctness and
-is exposed as :func:`structure_eq_check`.
+is exposed as :func:`structure_eq_check`.  It reads dtheta from the
+observable's space: on a slice observable (``slot`` set) that is the
+slice's two-form, :func:`soldering_dtheta` with only the slot component.
 
 The factor-rule grades of each generator monomial with coefficient 1 are
 memoized process-wide by :func:`_monomial_ham_vf`, keyed on (mono, n, slot)
@@ -58,7 +61,17 @@ from .algebra import (
     _monomial_components,
 )
 from .errors import GaugeConditionError, RankMismatch
-from .polynomials import ZERO_POLY, LinComb, Poly, Var, accumulate, mul_into, pivar, qvar
+from .polynomials import (
+    ZERO_POLY,
+    LinComb,
+    Poly,
+    Var,
+    accumulate,
+    default_var_name,
+    mul_into,
+    pivar,
+    qvar,
+)
 from .scalars import ONE, Scalar
 
 
@@ -118,7 +131,7 @@ class VectorField(LinComb):
             return "0"
         # d/dq terms first, then d/dpi terms
         order = sorted(self.terms, key=lambda var: (var[0] != "q", var))
-        return " + ".join(f"({self.terms[var]}) d/d{_var_str(var)}" for var in order)
+        return " + ".join(f"({self.terms[var]}) d/d{default_var_name(var)}" for var in order)
 
 
 class OneForm(LinComb):
@@ -134,7 +147,7 @@ class OneForm(LinComb):
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({p}) d{_var_str(v)}" for v, p in sorted(self.terms.items()))
+        return " + ".join(f"({p}) d{default_var_name(v)}" for v, p in sorted(self.terms.items()))
 
 
 class TwoForm(LinComb):
@@ -171,13 +184,9 @@ class TwoForm(LinComb):
         if not self.terms:
             return "0"
         return " + ".join(
-            f"({p}) d{_var_str(v1)}^d{_var_str(v2)}"
+            f"({p}) d{default_var_name(v1)}^d{default_var_name(v2)}"
             for (v1, v2), p in sorted(self.terms.items())
         )
-
-
-def _var_str(v: Var) -> str:
-    return f"q{v[1]}" if v[0] == "q" else f"pi({v[1]},{v[2]})"
 
 
 def d_poly(poly: Poly) -> OneForm:
@@ -203,10 +212,18 @@ def contract(x: VectorField, omega: TwoForm) -> OneForm:
     return OneForm(out)
 
 
-def soldering_dtheta(n: int) -> dict[int, TwoForm]:
-    """Differential of the soldering form: component i is dpi^i_j ^ dq^j."""
+def soldering_dtheta(n: int, slot: int | None = None) -> dict[int, TwoForm]:
+    """Differential of the soldering form: component i is dpi^i_j ^ dq^j.
+
+    On the slice of ``slot`` (see :mod:`nsq.subbundle`) the frozen coframe
+    rows are constant, so only component ``slot`` is nonzero.
+    """
     return {
-        i: TwoForm({(pivar(i, j), qvar(j)): Poly.constant(1) for j in range(1, n + 1)})
+        i: TwoForm(
+            {(pivar(i, j), qvar(j)): Poly.constant(1) for j in range(1, n + 1)}
+            if slot in (None, i)
+            else {}
+        )
         for i in range(1, n + 1)
     }
 
@@ -301,27 +318,24 @@ def ham_vf(f: Observable) -> HamVF:
     return HamVF(f.n, out)
 
 
-def structure_eq_check(
-    f: Observable,
-    x: HamVF,
-    dtheta: Mapping[int, TwoForm] | None = None,
-) -> bool:
+def structure_eq_check(f: Observable, x: HamVF) -> bool:
     """Verify d f^{I_p} = -p! Sym[X _| dtheta] for every rank-p multi-index.
 
-    f must be homogeneous of rank p and x graded of rank p-1.  With x
-    symmetric in its grade indices the symmetrized right side collapses to
-    -(p-1)! times the sum over positions of the index fed to dtheta.
+    dtheta is the two-form of f's space: :func:`soldering_dtheta` of
+    ``f.slot``.  f must be homogeneous of rank p and x graded of rank p-1.
+    With x symmetric in its grade indices the symmetrized right side
+    collapses to -(p-1)! times the sum over positions of the index fed to
+    dtheta.
     """
     if f.is_zero():
         # x must represent the zero class: every contraction sum vanishes
         # (true of pure gauge terms).
-        dtheta = dtheta if dtheta is not None else soldering_dtheta(x.n)
-        return all(s.is_zero() for _, s in _contraction_sums(x, dtheta))
+        return all(s.is_zero() for _, s in _contraction_sums(x, soldering_dtheta(x.n, f.slot)))
     p = f.rank()
     ranks = x.grade_ranks()
     if ranks and ranks != [p - 1]:
         raise RankMismatch(f"field grades {ranks} do not match observable rank {p}")
-    dtheta = dtheta if dtheta is not None else soldering_dtheta(f.n)
+    dtheta = soldering_dtheta(f.n, f.slot)
     prefactor = Scalar.of(-factorial(p - 1))
     return all(
         d_poly(f.component(K)) == _contraction_sum(x, K, dtheta).scale(prefactor)
@@ -429,13 +443,10 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     return HamVF(x.n, split_pair_sum(x.terms, y.terms, VectorField.lie_bracket))
 
 
-def lie_preserves_form(
-    x: HamVF, dtheta: Mapping[int, TwoForm] | None = None
-) -> bool:
+def lie_preserves_form(x: HamVF) -> bool:
     """Check the symmetrized Lie derivative of dtheta along x vanishes.
 
     Via Cartan's identity this reduces to d(Sym[X _| dtheta]) = 0 for every
     index combination; dtheta itself is closed.
     """
-    dtheta = dtheta if dtheta is not None else soldering_dtheta(x.n)
-    return all(d_oneform(s).is_zero() for _, s in _contraction_sums(x, dtheta))
+    return all(d_oneform(s).is_zero() for _, s in _contraction_sums(x, soldering_dtheta(x.n)))

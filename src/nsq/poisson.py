@@ -36,7 +36,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GenMonomial, Observable, rtag, split_pair_sum
+from .algebra import GenMonomial, Observable, in_b1_algebra, rtag, split_pair_sum
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
     HamVF,
@@ -208,9 +208,7 @@ def theorem1_check(f: Observable, g: Observable, gauge_seed: int | None = None) 
 
 def grade_of_bracket(f: Observable, g: Observable) -> bool:
     """The rank law: the bracket is zero or homogeneous of rank p+q-1."""
-    p, q = f.rank(), g.rank()
-    result = bracket(f, g)
-    return result.is_zero() or result.ranks() == [p + q - 1]
+    return GradedBracketResult(f, g).holds
 
 
 def tensor_extension_identity_check(
@@ -229,16 +227,6 @@ def tensor_extension_identity_check(
     lhs = bracket(extend(f, k), extend(g, l))
     rhs = extend(bracket(f, g), k + l)
     return lhs == rhs
-
-
-def in_b1_algebra(f: Observable, slot: int = 1) -> bool:
-    """Membership in the polynomial algebra over {qhat(i,slot), pihat(k), rhat(slot)}."""
-    for tag in f.generator_tags():
-        if tag[0] == "q" and tag[2] != slot:
-            return False
-        if tag[0] == "r" and tag[1] != slot:
-            return False
-    return True
 
 
 def min_rank(f: Observable) -> int | None:

@@ -35,9 +35,9 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .algebra import Observable, basic_tags, monomial_str, rtag
-from .errors import EngineError, NotInGeneratorAlgebra
-from .poisson import bracket, in_b1_algebra
+from .algebra import Observable, basic_tags, in_b1_algebra, monomial_str, rtag
+from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
+from .poisson import bracket
 from .polynomials import LinComb, Poly, Var, accumulate, pivar, qvar
 from .reports import VerificationReport
 from .scalars import IHBAR, Scalar, signed_sum, signed_term
@@ -211,7 +211,7 @@ def make_q2(n: int) -> QuantizationMap:
 def quantize(qmap: QuantizationMap, f: Observable) -> DiffOperator:
     """Apply a quantization map to an element of the basic polynomial algebra."""
     if f.n != qmap.n:
-        raise EngineError("dimension mismatch between map and observable")
+        raise DimensionMismatch(f"n differs: {qmap.n} vs {f.n}")
     if not in_b1_algebra(f):
         raise NotInGeneratorAlgebra(
             "quantization is defined on the polynomial algebra of the basic set"

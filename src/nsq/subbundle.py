@@ -13,11 +13,11 @@ polynomial algebra over {qhat(i,slot), pihat(k), rhat(slot)} descends to a
 reduced algebra on the slice; the reduction is verified to be a bracket
 homomorphism.
 
-A slice observable is an :class:`~nsq.algebra.Observable` whose ``slot``
-is set.  :class:`ReducedObservable` adds only that slot, the check that
-every generator lies in the slot's basic set, and the Qh/Pih/rh printer;
-Hamiltonian fields, both routes of the bracket and equality are the
-upstairs ones, applied with the frozen rows substituted.
+A slice observable is ``Observable(n, terms, slot=s)``: its generators
+must lie in the slot's basic set, and it prints them as Qh(i), Pih(k),
+rh.  Hamiltonian fields, both routes of the bracket and equality are the
+upstairs ones, applied with the frozen rows substituted, and the
+structure equation reads the slice two-form from ``slot``.
 
 The default slot is 1, matching the parametrization by frames
 
@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
-from .algebra import FramePoint, MultiIndex, Observable, check_index
+from .algebra import FramePoint, MultiIndex, Observable, check_index, in_b1_algebra
 from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
-from .forms import HamVF, TwoForm, ham_vf, structure_eq_check
+from .forms import HamVF, TwoForm, ham_vf, soldering_dtheta
 from .linalg import exact_det, exact_inverse, exact_rank
-from .poisson import bracket, in_b1_algebra
+from .poisson import bracket
 from .polynomials import Poly, pivar, qvar
 
 # -- slice geometry -----------------------------------------------------------
@@ -162,8 +161,6 @@ def pullback_two_form(n: int, slot: int = 1) -> dict[int, TwoForm]:
     Differentials of frozen variables vanish, so only the slot component
     survives: sum_j dP_j ^ dQ^j with P_j = pi^slot_j.
     """
-    from .forms import soldering_dtheta
-
     check_index(slot, n)
     sub = slice_substitution(n, slot)
     frozen = set(sub)
@@ -174,15 +171,6 @@ def pullback_two_form(n: int, slot: int = 1) -> dict[int, TwoForm]:
             for (v1, v2), coeff in omega.terms.items()
             if v1 not in frozen and v2 not in frozen
         })
-    return out
-
-
-def reduced_dtheta(n: int, slot: int = 1) -> dict[int, TwoForm]:
-    """The intrinsic two-form of the slice, built directly in (Q, P)."""
-    out = {i: TwoForm() for i in range(1, n + 1)}
-    out[slot] = TwoForm(
-        {(pivar(slot, j), qvar(j)): Poly.constant(1) for j in range(1, n + 1)}
-    )
     return out
 
 
@@ -229,7 +217,10 @@ def gauge_fix_for_B1(f: Observable, slot: int = 1) -> HamVF:
     its lower index; the gauge correction is therefore zero, and tangency
     is asserted rather than repaired.
     """
-    _require_basic(f, slot)
+    if not in_b1_algebra(f, slot):
+        raise NotInGeneratorAlgebra(
+            f"observable uses generators outside the slot-{slot} basic algebra"
+        )
     x = ham_vf(f)
     if not tangency_check(x, slot):
         raise EngineError("canonical representative unexpectedly not tangent")
@@ -239,47 +230,16 @@ def gauge_fix_for_B1(f: Observable, slot: int = 1) -> HamVF:
 # -- reduced observables ------------------------------------------------------
 
 
-def _require_basic(f: Observable, slot: int) -> None:
-    if not in_b1_algebra(f, slot):
-        raise NotInGeneratorAlgebra(
-            f"observable uses generators outside the slot-{slot} basic algebra"
-        )
-
-
-class ReducedObservable(Observable):
-    """Observable on the slice, generated by Qhat(i), Pihat(k), rhat.
-
-    The generators keep their upstairs tags qhat(i,slot), pihat(k),
-    rhat(slot); what makes this the slice algebra is ``slot``, which
-    substitutes the frozen coframe rows when pihat(k) is expanded.  Fields,
-    brackets and equality are those of :class:`Observable`.
-    """
-
-    def __init__(self, n: int, terms: Mapping, slot: int = 1):
-        super().__init__(n, terms)
-        self.slot = check_index(slot, n)
-        _require_basic(self, slot)
-
-    def _monomial_str(self, mono) -> str:
-        return "*".join(_reduced_tag_str(t) for t in mono)
-
-
-def _reduced_tag_str(tag) -> str:
-    if tag[0] == "q":
-        return f"Qh({tag[1]})"
-    if tag[0] == "pi":
-        return f"Pih({tag[1]})"
-    return "rh"
-
-
-def reduce_observable(f: Observable, slot: int = 1) -> ReducedObservable:
+def reduce_observable(f: Observable, slot: int = 1) -> Observable:
     """Restrict an observable of the basic algebra to the slice.
 
     Generator-wise: qhat(i,slot) -> Qhat(i), pihat(k) -> Pihat(k),
     rhat(slot) -> rhat.  The resulting components agree with substituting
-    the slice relations into the original components.
+    the slice relations into the original components.  Generators outside
+    the slot's basic set raise NotInGeneratorAlgebra.  The benchmark tracer
+    (``bench/nsqtrace.py``) binds this name.
     """
-    return ReducedObservable(f.n, f.terms, slot)
+    return Observable(f.n, f.terms, slot=slot)
 
 
 def substituted_components(f: Observable, slot: int = 1) -> dict:
@@ -297,24 +257,17 @@ def substituted_components(f: Observable, slot: int = 1) -> dict:
     return out
 
 
-# -- reduced Hamiltonian fields and bracket -----------------------------------
+# -- the slice bracket ---------------------------------------------------------
 
 
-# The canonical slice representative is the upstairs factor rule.
-reduced_ham_vf = ham_vf
-
-
-def reduced_structure_eq_check(f: ReducedObservable, x: HamVF) -> bool:
-    """Structure equation on the slice, against the intrinsic two-form."""
-    return structure_eq_check(f, x, dtheta=reduced_dtheta(f.n, f.slot))
-
-
-def reduced_bracket(f: ReducedObservable, g: ReducedObservable) -> ReducedObservable:
+def reduced_bracket(f: Observable, g: Observable) -> Observable:
     """Intrinsic Poisson bracket on the slice.
 
     The upstairs bracket on the slice algebra: the defining formula with the
     intrinsic fields, cross-checked against the generator-level expansion
-    with {Qhat(i), Pihat(k)} = delta(i,k) rhat.
+    with {Qhat(i), Pihat(k)} = delta(i,k) rhat.  It is :func:`bracket`
+    itself, kept under this name because the benchmark tracer
+    (``bench/nsqtrace.py``) times the slice bracket through it.
     """
     return bracket(f, g)
 
@@ -331,19 +284,3 @@ def reduction_homomorphism_check(
     rhs = reduced_bracket(reduce_observable(f, slot), reduce_observable(g, slot))
     return lhs == rhs
 
-
-def reduced_field_rows(
-    generators: Iterable[Observable], point: FramePoint, slot: int = 1
-) -> list[list[Fraction]]:
-    """Slice-tangent coordinates of the reduced fields at a slice point.
-
-    Columns are (d/dQ^1 .. d/dQ^n, d/dP_1 .. d/dP_n).
-    """
-    n = point.n
-    vals = point.coordinate_values()
-    rows = []
-    for g in generators:
-        x = ham_vf(reduce_observable(g, slot)).field(())
-        directions = [qvar(a) for a in range(1, n + 1)] + [pivar(slot, j) for j in range(1, n + 1)]
-        rows.append([x.coefficient(d).evaluate(vals).as_fraction() for d in directions])
-    return rows

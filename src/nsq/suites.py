@@ -26,6 +26,7 @@ from .algebra import (
     rtag,
     sym_mul,
     sym_pow,
+    tag_str,
 )
 from .basic_sets import (
     bracket_table,
@@ -38,7 +39,14 @@ from .basic_sets import (
     verify_separating,
     verify_transitive,
 )
-from .forms import HamVF, VectorField, ham_vf, lie_preserves_form, structure_eq_check
+from .forms import (
+    HamVF,
+    VectorField,
+    ham_vf,
+    lie_preserves_form,
+    soldering_dtheta,
+    structure_eq_check,
+)
 from .poisson import (
     bracket,
     jacobi_residual,
@@ -54,9 +62,6 @@ from .subbundle import (
     frame_from_params,
     gauge_fix_for_B1,
     pullback_two_form,
-    reduced_dtheta,
-    reduced_ham_vf,
-    reduced_structure_eq_check,
     reduce_observable,
     reduction_homomorphism_check,
     tangency_check,
@@ -405,14 +410,10 @@ def suite_basic_sets(n, seed, gauge_seed):
     # the bracket table of b_1 is the Heisenberg table
     ok = True
     table = bracket_table(b1)
-    for (na, nb), value in table.items():
-        if na.startswith("qh") and nb.startswith("pih"):
-            i = int(na.split("(")[1].split(",")[0])
-            k = int(nb.split("(")[1].split(")")[0])
-            expected = make_rhat(n, 1) if i == k else Observable.zero(n)
-        else:
-            expected = Observable.zero(n)
-        if value != expected:
+    for s, t in itertools.combinations(basic_tags(n), 2):
+        heisenberg = s[0] == "q" and t[0] == "pi" and s[1] == t[1]
+        expected = make_rhat(n, 1) if heisenberg else Observable.zero(n)
+        if table[(tag_str(s), tag_str(t))] != expected:
             ok = False
     report.record("b_1 bracket table is the Heisenberg table", ok)
 
@@ -437,7 +438,7 @@ def suite_pullback_eq12(n, seed, gauge_seed):
     report = VerificationReport("pullback-eq12", n, seed)
     rng = random.Random(seed)
     pulled = pullback_two_form(n)
-    intrinsic = reduced_dtheta(n)
+    intrinsic = soldering_dtheta(n, 1)
     report.record("pullback equals dP_j ^ dQ^j in the surviving slot", pulled == intrinsic)
     report.record("other slots vanish", all(pulled[i].is_zero() for i in range(2, n + 1)))
     report.record("nondegenerate on the slice", two_form_rank(pulled[1], n) == 2 * n)
@@ -471,7 +472,7 @@ def suite_reduction_homomorphism(n, seed, gauge_seed):
         red = reduce_observable(f)
         report.record(
             f"slice structure equation ({f!r})",
-            reduced_structure_eq_check(red, reduced_ham_vf(red)),
+            structure_eq_check(red, ham_vf(red)),
         )
     return report
 

@@ -20,7 +20,7 @@ from nsq.basic_sets import (
     verify_separating,
     verify_transitive,
 )
-from nsq.errors import EngineError
+from nsq.errors import EngineError, NotInGeneratorAlgebra
 from nsq.suites import random_frame_point, random_slice_point
 
 
@@ -124,6 +124,10 @@ def test_transitivity():
 
     # the small set does not span the full bundle
     assert not verify_transitive(b1, points).all_passed
+
+    # on the slice each generator is reduced, so one outside b_1 is refused
+    with pytest.raises(NotInGeneratorAlgebra):
+        verify_transitive(bL, slice_points, on_B1=True)
 
 
 def test_separating():

@@ -42,7 +42,7 @@ from nsq.forms import (
 from nsq.poisson import _bracket_components, bracket
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.scalars import IHBAR, Scalar
-from nsq.subbundle import ReducedObservable, substituted_components
+from nsq.subbundle import substituted_components
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -262,7 +262,7 @@ def test_memo_key_separates_slice_and_full():
             got = {slot: _monomial_components(mono, n, slot) for slot in order}
             assert got[None] == full and got[1] == on_slice
         assert Observable(n, {mono: 1}).components == {1: full}
-        assert ReducedObservable(n, {mono: 1}).components == {1: on_slice}
+        assert Observable(n, {mono: 1}, slot=1).components == {1: on_slice}
 
 
 def _snapshot(comps):
@@ -318,7 +318,7 @@ def observable_in_some_algebra(draw):
     slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
     tags = full_tags(n) if slot is None else slice_tags(n, slot)
     terms = draw(st.dictionaries(monomials(tags, 3), coefficients, min_size=1, max_size=3))
-    return Observable(n, terms) if slot is None else ReducedObservable(n, terms, slot)
+    return Observable(n, terms, slot=slot)
 
 
 @SETTINGS
@@ -345,7 +345,7 @@ def test_unit_monomial_shares_memoized_expansion():
     before = _snapshot(shared)
     unit = Observable(n, {mono: 1})
     assert unit.components == {3: shared} and unit.components[3] is shared
-    assert ReducedObservable(n, {mono: 1}).components[3] is _monomial_components(mono, n, 1)
+    assert Observable(n, {mono: 1}, slot=1).components[3] is _monomial_components(mono, n, 1)
 
     doubled = Observable(n, {mono: 2})
     symbolic = Observable(n, {mono: Scalar.symbol(IHBAR)})

@@ -253,9 +253,9 @@ def test_route_disagreement_names_index_and_both_values(monkeypatch):
 
 def test_slice_route_disagreement_names_index_and_both_values(monkeypatch):
     from nsq.algebra import pitag, qtag
-    from nsq.subbundle import ReducedObservable, reduced_bracket
+    from nsq.subbundle import reduced_bracket
 
     n = 3
-    f = ReducedObservable(n, {(qtag(1, 1), qtag(1, 1), qtag(2, 1)): 1})
-    g = ReducedObservable(n, {(pitag(1), pitag(2)): 1})
+    f = Observable(n, {(qtag(1, 1), qtag(1, 1), qtag(2, 1)): 1}, slot=1)
+    g = Observable(n, {(pitag(1), pitag(2)): 1}, slot=1)
     _assert_disagreement_named(monkeypatch, f, g, reduced_bracket)

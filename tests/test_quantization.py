@@ -91,6 +91,8 @@ def test_operators_refuse_other_dimensions():
             op(a, b)
     with pytest.raises(DimensionMismatch):
         DiffOperator.identity(2) + DiffOperator.identity(3)
+    with pytest.raises(DimensionMismatch, match="n differs: 2 vs 3"):
+        quantize(make_q1(2), make_qhat(3, 1, 1))
 
 
 def test_formal_adjoint():

@@ -19,11 +19,10 @@ from nsq.algebra import (
 )
 from nsq.errors import DimensionMismatch, NotInGeneratorAlgebra
 from nsq.poisson import bracket
-from nsq.forms import TwoForm, ham_vf
+from nsq.forms import TwoForm, ham_vf, soldering_dtheta, structure_eq_check
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.subbundle import (
     G1Element,
-    ReducedObservable,
     SubbundlePoint,
     frame_from_params,
     g1_embed,
@@ -34,9 +33,6 @@ from nsq.subbundle import (
     pullback_two_form,
     reduce_observable,
     reduced_bracket,
-    reduced_dtheta,
-    reduced_ham_vf,
-    reduced_structure_eq_check,
     reduction_homomorphism_check,
     right_action,
     slice_check,
@@ -108,13 +104,15 @@ def test_right_action():
 def test_pullback_two_form():
     for n in (1, 2, 3):
         pulled = pullback_two_form(n)
-        assert pulled == reduced_dtheta(n)
+        assert pulled == soldering_dtheta(n, 1)
         assert pulled[1] == TwoForm(
             {(pivar(1, j), qvar(j)): Poly.constant(1) for j in range(1, n + 1)}
         )
         for i in range(2, n + 1):
             assert pulled[i].is_zero()
         assert two_form_rank(pulled[1], n) == 2 * n
+        for slot in range(1, n + 1):
+            assert soldering_dtheta(n, slot) == pullback_two_form(n, slot)
 
 
 def test_tangency_and_gauge_fix():
@@ -151,13 +149,18 @@ def test_reduce_observable():
 
     got = reduced_bracket(red_q, reduce_observable(make_pihat(n, 1)))
     assert got == reduce_observable(make_rhat(n, 1))
-    got0 = reduced_bracket(red_q, red_pi2.__class__(n, red_pi2.terms))
+    got0 = reduced_bracket(red_q, Observable(n, red_pi2.terms, slot=1))
     assert got0.is_zero()
 
     with pytest.raises(NotInGeneratorAlgebra):
         reduce_observable(make_qhat(n, 1, 2))
-    with pytest.raises(NotInGeneratorAlgebra):
-        ReducedObservable(n, {(("q", 1, 2),): 1}, slot=1)
+    with pytest.raises(NotInGeneratorAlgebra, match="outside the slot-1 basic algebra"):
+        Observable(n, {(("q", 1, 2),): 1}, slot=1)
+
+    # a slice observable prints its generators by their slice names
+    f = Observable(n, {(pitag(2), qtag(1, 1)): 1, (rtag(1),): Fraction(-1, 2)}, slot=1)
+    assert repr(f) == "Pih(2)*Qh(1) - 1/2 rh"
+    assert f == reduce_observable(Observable(n, f.terms))
 
     # the slice rhat is not the upstairs rhat, though the tags agree
     assert reduce_observable(make_rhat(n, 1)) != make_rhat(n, 1)
@@ -196,10 +199,31 @@ def test_reduced_structure_equation():
     n = 2
     for _ in range(20):
         f = reduce_observable(random_b1_monomial(n, rng))
-        assert reduced_structure_eq_check(f, reduced_ham_vf(f))
+        assert structure_eq_check(f, ham_vf(f))
     # degree-3 sanity: the p!-normalization is the one that closes
     f3 = reduce_observable(sym_pow(make_qhat(n, 1, 1), 3))
-    assert reduced_structure_eq_check(f3, reduced_ham_vf(f3))
+    assert structure_eq_check(f3, ham_vf(f3))
+
+
+def test_slice_structure_equation_every_slot():
+    # the two-form comes from the observable's slot
+    n = 2
+    q1, pi1, pi2 = make_qhat(n, 1, 1), make_pihat(n, 1), make_pihat(n, 2)
+    for f in (pi1, pi2, sym_mul(pi2, q1)):
+        red = reduce_observable(f)
+        assert structure_eq_check(red, ham_vf(red)), red
+    rng = random.Random(89)
+    for n in (2, 3):
+        for slot in range(1, n + 1):
+            for _ in range(10):
+                f = Observable(n, {random_slice_monomial(n, slot, rng): 1}, slot=slot)
+                assert structure_eq_check(f, ham_vf(f)), f
+
+
+def random_slice_monomial(n, slot, rng):
+    tags = [qtag(i, slot) for i in range(1, n + 1)]
+    tags += [pitag(k) for k in range(1, n + 1)] + [rtag(slot)]
+    return tuple(rng.choices(tags, k=rng.randint(1, 3)))
 
 
 def test_other_slots():
