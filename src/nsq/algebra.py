@@ -30,11 +30,13 @@ basic set qhat(i,s), pihat(k), rhat(s) (:func:`in_b1_algebra`), prints
 them as Qh(i), Pih(k), rh, and expands pihat(k) with the frozen coframe
 rows pi^A_j = delta^A_j substituted.  On the full bundle ``slot`` is None.
 
-The symmetric product, route 1 of the bracket and the field bracket each
-average a pairwise product over the position splits of a sorted K.  They
-share one split-pair loop, :func:`split_pair_sum`: every pair (I, J) of the
-two supports is formed once and lands on K = sorted(I + J), weighted by
-the share of K's splits that put I on the subset (:func:`split_count`).
+The symmetric product and the field bracket each average a pairwise
+product over the position splits of a sorted K.  They share one split-pair
+loop, :func:`split_pair_sum`: every pair (I, J) of the two supports is
+formed once and lands on K = sorted(I + J), weighted by the share of K's
+splits that put I on the subset (:func:`split_count`).  Route 1 of the
+bracket visits the pairs the same way in integer arithmetic, with weight
+split_count alone (see :mod:`nsq.poisson`).
 
 Generator-monomial expansions are memoized process-wide by
 :func:`_monomial_components`, keyed on (mono, n, slot) and bounded at 1024
@@ -42,6 +44,13 @@ entries.  An observable that is one monomial with coefficient 1 takes the
 memoized map itself as its only grade, uncopied; any other observable
 builds its own scaled sum.  The cached component maps and their
 polynomials are shared by every caller: read them, never mutate them.
+
+Next to it, on the same key, sits the integer form the checked bracket
+computes with.  A unit monomial of degree r has components that are
+integer polynomials over r!: :func:`_monomial_numerators` is r! times the
+memoized expansion, with a check that every coefficient is an integer, so
+there is still one expansion algorithm.  It is bounded at 512 entries and
+shared like the expansion memo.
 """
 
 from __future__ import annotations
@@ -49,12 +58,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
-from .polynomials import LinComb, Poly, accumulate, pivar, qvar
+from .polynomials import LinComb, Monomial, Poly, accumulate, pivar, qvar
 from .scalars import ONE, Scalar, _coerce, signed_sum, signed_term
 
 MultiIndex = tuple
@@ -223,12 +232,11 @@ def split_pair_sum(
     f: Mapping[MultiIndex, object],
     g: Mapping[MultiIndex, object],
     product: Callable,
-    factor: int = 1,
 ) -> dict:
     """The one split-pair loop: average product(a, b) over index splits.
 
     For every pair (I, a) of f and (J, b) of g, product(a, b) lands on
-    K = sorted(I + J) with weight factor * split_count(K, I) / comb(|K|, |I|),
+    K = sorted(I + J) with weight split_count(K, I) / comb(|K|, |I|),
     the share of K's position splits that feed I to f.  Only the support
     pairs are visited, and each product is formed once.
     """
@@ -236,7 +244,7 @@ def split_pair_sum(
     for I, a in f.items():
         for J, b in g.items():
             K = tuple(sorted(I + J))
-            weight = Fraction(factor * split_count(K, I), comb(len(K), len(I)))
+            weight = Fraction(split_count(K, I), comb(len(K), len(I)))
             accumulate(out, K, product(a, b).scale(weight))
     return out
 
@@ -268,6 +276,19 @@ def _monomial_components(
     head = _monomial_components(mono[:-1], n, slot)
     tail = _generator_components(mono[-1], n, slot)
     return sym_components(head, len(mono) - 1, tail, 1)
+
+
+@lru_cache(maxsize=512)
+def _monomial_numerators(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[MultiIndex, dict[Monomial, int]]:
+    """r! times :func:`_monomial_components` of a degree-r monomial, as integer polynomials.
+
+    Raises EngineError if a coefficient is not an integer.  Memoized on
+    (mono, n, slot) and shared: read it, never mutate it.
+    """
+    scale = factorial(len(mono))
+    return {K: poly.numerators(scale) for K, poly in _monomial_components(mono, n, slot).items()}
 
 
 class Observable(LinComb):

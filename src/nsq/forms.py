@@ -42,6 +42,13 @@ and bounded at 256 entries; :func:`ham_vf` sums them times the
 coefficients, and a coefficient of 1 reuses the memoized fields unscaled.
 Those fields are shared by every representative built from them: every
 operation here returns new fields, and no caller may mutate one.
+
+The checked bracket reads the same grades as integer fields: a degree-r
+unit monomial's factor-rule field is an integer field over r!(r-1)!, and
+:func:`_monomial_field_numerators` holds r!(r-1)! times it, derived from
+:func:`_monomial_ham_vf` through :func:`field_numerators` (which raises
+EngineError on a non-integer coefficient) on the same key, bounded at 256
+entries and shared in the same way.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .errors import GaugeConditionError, RankMismatch
 from .polynomials import (
     ZERO_POLY,
     LinComb,
+    Monomial,
     Poly,
     Var,
     accumulate,
@@ -303,6 +311,32 @@ def _monomial_ham_vf(
     return out
 
 
+def field_numerators(
+    grades: Mapping[MultiIndex, VectorField], scale: int
+) -> dict[MultiIndex, dict[Var, dict[Monomial, int]]]:
+    """scale times graded fields, as integer polynomial coefficients.
+
+    Raises EngineError unless every coefficient times scale is an integer
+    (see :meth:`nsq.polynomials.Poly.numerators`).
+    """
+    return {
+        idx: {var: poly.numerators(scale) for var, poly in vf.terms.items()}
+        for idx, vf in grades.items()
+    }
+
+
+@lru_cache(maxsize=256)
+def _monomial_field_numerators(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[MultiIndex, dict[Var, dict[Monomial, int]]]:
+    """r!(r-1)! times :func:`_monomial_ham_vf` of a degree-r monomial, as integer fields.
+
+    Memoized on (mono, n, slot) and shared: read it, never mutate it.
+    """
+    r = len(mono)
+    return field_numerators(_monomial_ham_vf(mono, n, slot), factorial(r) * factorial(r - 1))
+
+
 def ham_vf(f: Observable) -> HamVF:
     """Canonical Hamiltonian representative of an observable, by the factor rule.
 
@@ -373,6 +407,13 @@ def gauge_condition_holds(t: HamVF) -> bool:
     return all(s.is_zero() for _, s in _contraction_sums(t, soldering_dtheta(t.n)))
 
 
+def require_gauge(t: HamVF) -> HamVF:
+    """t itself, after raising GaugeConditionError unless :func:`gauge_condition_holds`."""
+    if not gauge_condition_holds(t):
+        raise GaugeConditionError("gauge term is not vertical with vanishing symmetrized part")
+    return t
+
+
 def add_gauge(x: HamVF, t: HamVF) -> HamVF:
     """Shift a representative by a valid gauge term.
 
@@ -380,9 +421,7 @@ def add_gauge(x: HamVF, t: HamVF) -> HamVF:
     and every Poisson bracket computed from the representative are
     unchanged.
     """
-    if not gauge_condition_holds(t):
-        raise GaugeConditionError("gauge term is not vertical with vanishing symmetrized part")
-    return x + t
+    return x + require_gauge(t)
 
 
 def make_valid_gauge(u: HamVF) -> HamVF:

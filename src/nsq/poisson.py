@@ -10,57 +10,117 @@ the choice) and X(g) is the directional derivative of each component.  The
 sign convention is fixed so that {qhat(i,j), pihat(k)} = delta(i,k) rhat(j),
 mirroring the cotangent-bundle convention {q, p} = +1.
 
-Every bracket is computed twice, by independent routes:
+The bracket is bilinear, so it is computed, and checked, one unit pair at
+a time: for every generator monomial mf of f and mg of g, each with
+coefficient 1, by two independent routes:
 
-1. the defining formula above, from the canonical representative, and
+1. the defining formula above, from the factor-rule representative of mf;
 2. a generator-level expansion: the bracket is a biderivation of the
    symmetric product with {qhat(i,j), pihat(k)} = delta(i,k) rhat(j) the
    only nonzero generator pair.
 
-The two expansions are compared exactly on every call, and a disagreement
-raises EngineError naming the first differing rank and multi-index with
-both routes' values there.  The second route also supplies the generator
-decomposition of the result, so brackets nest.
+Both routes run in integer arithmetic over one shared denominator.  A unit
+monomial of degree r has integer components over r!, and its factor-rule
+field is an integer field over r!(r-1)! (the integer memos of
+:mod:`nsq.algebra` and :mod:`nsq.forms`).  For a (p, q) pair, route 1 is
 
-Route 1 runs over the pairs of X's grades and g's components only, through
-the one split-pair loop :func:`nsq.algebra.split_pair_sum` with factor -p!.
-It reads X from the shared field memo of :mod:`nsq.forms` and, for a unit
-monomial g, g's components straight from the shared expansion memo of
-:mod:`nsq.algebra`; both are read-only.  The memos save rebuilding the
-operands, not either route: both still run on every call.
+    -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
+
+and route 2 is sum c * num(mono) over the generator monomials of the
+expansion, with integer c; both are numerators over (p+q-1)!.  The two
+numerator maps, K -> {monomial: int}, are compared exactly on every pair of
+every call, and a disagreement raises EngineError naming the unit pair, the
+first differing rank and multi-index and both routes' values there (as
+polynomials, numerator / (p+q-1)!).  The result is the sum over the pairs
+of cf * cg times route 2's generator monomials, so symbolic coefficients
+never enter the integer kernel, brackets nest, and the result's components
+are expanded only when a caller reads them.
+
+With ``gauge_seed`` each grade p of f draws a seeded random valid gauge
+term t_p; its route 1 against every unit monomial of g must be zero, so
+the shifted representative gives the same bracket.  The memos save
+rebuilding the operands, not either route: both run on every call.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .algebra import GenMonomial, Observable, in_b1_algebra, rtag, split_pair_sum
+from .algebra import (
+    GenMonomial,
+    Observable,
+    _monomial_numerators,
+    in_b1_algebra,
+    rtag,
+    split_count,
+)
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
-    HamVF,
-    VectorField,
+    _monomial_field_numerators,
     add_gauge,
+    field_numerators,
     ham_vf,
     random_valid_gauge,
+    require_gauge,
     structure_eq_check,
     vf_bracket,
 )
 from .polynomials import Poly, accumulate
-from .scalars import Scalar
+from .scalars import Scalar, _mono_mul
 
 
-def _bracket_components(
-    x: HamVF, p: int, g: Observable, q: int
-) -> dict:
-    """Route 1: -p! Sym[X(g)] on each rank-(p+q-1) multi-index.
+def _route1_numerators(x: dict, g: dict) -> dict:
+    """Route 1 on integer operands: K -> -sum split_count(K, I) * X^I(g^J).
 
-    Sym averages over the splits of K into a (p-1)-subset fed to X and the
-    complement fed to g: :func:`nsq.algebra.split_pair_sum` of X's grades
-    applied to g's components, with factor -p!.
+    x maps each grade I to an integer field (var -> integer polynomial) and
+    g each component J to an integer polynomial.  X^I(g^J) is formed term
+    by term: each variable of a term of g^J that X^I moves along is lowered
+    once, as in :meth:`nsq.polynomials.Poly.diff`.  Only the support pairs
+    are visited; zero sums are dropped.
     """
-    return split_pair_sum(x.terms, g.components.get(q, {}), VectorField.apply, -factorial(p))
+    out: dict = {}
+    for I, field in x.items():
+        for J, num in g.items():
+            acc = None
+            for m2, c2 in num.items():
+                for t, (var, pw) in enumerate(m2):
+                    coeff = field.get(var)
+                    if coeff is None:
+                        continue
+                    if acc is None:
+                        K = tuple(sorted(I + J))
+                        weight = -split_count(K, I)
+                        acc = out.setdefault(K, {})
+                    lowered = m2[:t] + ((var, pw - 1),) + m2[t + 1 :] if pw > 1 else m2[:t] + m2[t + 1 :]
+                    c2w = c2 * pw * weight
+                    for m1, c1 in coeff.items():
+                        m = _mono_mul(m1, lowered)
+                        acc[m] = acc.get(m, 0) + c1 * c2w
+    return _nonzero(out)
+
+
+def _route2_numerators(hits: dict, n: int, slot: int | None) -> dict:
+    """Route 2 on integer operands: K -> sum c * num(mono) over hits {mono: c}."""
+    out: dict = {}
+    for mono, c in hits.items():
+        if c:
+            for K, num in _monomial_numerators(mono, n, slot).items():
+                acc = out.setdefault(K, {})
+                for m, v in num.items():
+                    acc[m] = acc.get(m, 0) + c * v
+    return _nonzero(out)
+
+
+def _nonzero(graded: dict) -> dict:
+    """Drop zero coefficients, then empty components, from K -> {monomial: int}."""
+    out = {}
+    for K, acc in graded.items():
+        kept = {m: c for m, c in acc.items() if c}
+        if kept:
+            out[K] = kept
+    return out
 
 
 def _pair_bracket_tag(s, t):
@@ -72,23 +132,47 @@ def _pair_bracket_tag(s, t):
     return None
 
 
-def _generator_bracket(f: Observable, g: Observable) -> Observable:
-    """Route 2: biderivation expansion over generator monomials."""
-    out: dict[GenMonomial, Scalar] = {}
-    for mf, cf in f.terms.items():
-        for mg, cg in g.terms.items():
-            base = cf * cg
-            for si, s in enumerate(mf):
-                for ti, t in enumerate(mg):
-                    hit = _pair_bracket_tag(s, t)
-                    if hit is None:
-                        continue
-                    sign, tag = hit
-                    mono = tuple(
-                        sorted(mf[:si] + mf[si + 1 :] + mg[:ti] + mg[ti + 1 :] + (tag,))
-                    )
-                    accumulate(out, mono, base * Scalar.of(sign))
-    return f._like(out)
+def _generator_hits(mf: GenMonomial, mg: GenMonomial):
+    """The biderivation expansion of a unit pair: (sign, generator monomial) per nonzero pair."""
+    for si, s in enumerate(mf):
+        for ti, t in enumerate(mg):
+            hit = _pair_bracket_tag(s, t)
+            if hit is not None:
+                sign, tag = hit
+                yield sign, tuple(sorted(mf[:si] + mf[si + 1 :] + mg[:ti] + mg[ti + 1 :] + (tag,)))
+
+
+def _gauge_numerators(f: Observable, gauge_seed: int) -> dict:
+    """p -> (t_p scaled to integers, the scale) for the grades p of f.
+
+    The grades draw their seeded random valid gauge terms from one RNG in
+    increasing rank order; the zero term of rank 1 draws nothing and is
+    left out.
+    """
+    rng = random.Random(gauge_seed)
+    out = {}
+    for p in f.ranks():
+        t = require_gauge(random_valid_gauge(f.n, p - 1, rng))
+        if t.is_zero():
+            continue
+        scale = lcm(*(
+            c.as_fraction().denominator
+            for vf in t.terms.values()
+            for poly in vf.terms.values()
+            for c in poly.terms.values()
+        ))
+        out[p] = (field_numerators(t.terms, scale), scale)
+    return out
+
+
+def _disagreement(n, slot, mf, mg, K, route1: Poly, route2: Poly) -> EngineError:
+    unit_f = Observable(n, {mf: 1}, slot=slot)
+    unit_g = Observable(n, {mg: 1}, slot=slot)
+    return EngineError(
+        f"bracket routes disagree at rank {len(K)}, multi-index {K}: "
+        f"route 1 (structure equation) gives {route1}, "
+        f"route 2 (generator expansion) gives {route2}, for {unit_f!r} and {unit_g!r}"
+    )
 
 
 def bracket(
@@ -99,47 +183,52 @@ def bracket(
     """Graded Poisson bracket of two observables.
 
     Extends bilinearly over grades; homogeneous ranks p and q land in rank
-    p+q-1.  ``gauge_seed`` shifts the representative of f by a seeded
-    random valid gauge term before applying it; the result must be (and is
+    p+q-1.  Both routes run and are compared on every unit pair (see the
+    module docstring).  ``gauge_seed`` shifts the representative of f by a
+    seeded random valid gauge term per grade; the result must be (and is
     verified to be) unchanged.  Both arguments must live in one algebra:
     the same dimension and the same slice (see :mod:`nsq.subbundle`).
     """
     f._require_same(g)
-    result = _generator_bracket(f, g)
-    expected = result.components
-    computed: dict = {}
-    rng = None if gauge_seed is None else random.Random(gauge_seed)
-    for p in f.ranks():
-        fp = f.grade_part(p)
-        x = ham_vf(fp)
-        if rng is not None:
-            x = add_gauge(x, random_valid_gauge(f.n, p - 1, rng))
-        for q in g.ranks():
-            part = _bracket_components(x, p, g, q)
-            grade = computed.setdefault(p + q - 1, {})
-            for K, poly in part.items():
-                accumulate(grade, K, poly)
-    computed = {r: grade for r, grade in computed.items() if grade}
-    if computed != expected:
-        rank, K = _first_difference(computed, expected)
-        route1 = computed.get(rank, {}).get(K, Poly.zero())
-        route2 = expected.get(rank, {}).get(K, Poly.zero())
-        raise EngineError(
-            f"bracket routes disagree at rank {rank}, multi-index {K}: "
-            f"route 1 (structure equation) gives {route1}, "
-            f"route 2 (generator expansion) gives {route2}, for {f!r} and {g!r}"
-        )
-    return result
-
-
-def _first_difference(a: dict, b: dict) -> tuple:
-    """The first (rank, multi-index), in sorted order, where two graded maps differ."""
-    return min(
-        (rank, K)
-        for rank in set(a) | set(b)
-        for K in set(a.get(rank, {})) | set(b.get(rank, {}))
-        if a.get(rank, {}).get(K) != b.get(rank, {}).get(K)
-    )
+    n, slot = f.n, f.slot
+    gauges = {} if gauge_seed is None else _gauge_numerators(f, gauge_seed)
+    gauge_checked: set = set()
+    out: dict[GenMonomial, Scalar] = {}
+    for mf, cf in f.terms.items():
+        p = len(mf)
+        x = _monomial_field_numerators(mf, n, slot)
+        for mg, cg in g.terms.items():
+            base = cf * cg
+            hits: dict[GenMonomial, int] = {}
+            for sign, mono in _generator_hits(mf, mg):
+                accumulate(out, mono, base if sign > 0 else -base)
+                hits[mono] = hits.get(mono, 0) + sign
+            g_num = _monomial_numerators(mg, n, slot)
+            route1 = _route1_numerators(x, g_num)
+            route2 = _route2_numerators(hits, n, slot)
+            denominator = factorial(p + len(mg) - 1)
+            if route1 != route2:
+                K = min(K for K in route1.keys() | route2.keys() if route1.get(K) != route2.get(K))
+                raise _disagreement(
+                    n, slot, mf, mg, K,
+                    Poly.from_numerators(route1.get(K, {}), denominator),
+                    Poly.from_numerators(route2.get(K, {}), denominator),
+                )
+            if p in gauges and (p, mg) not in gauge_checked:
+                gauge_checked.add((p, mg))
+                t, scale = gauges[p]
+                shift = _route1_numerators(t, g_num)
+                if shift:
+                    # route 1 puts X over p!(p-1)! and t is over scale instead
+                    shift_denominator = Fraction(scale * denominator, factorial(p) * factorial(p - 1))
+                    K = min(shift)
+                    route2_K = Poly.from_numerators(route2.get(K, {}), denominator)
+                    raise _disagreement(
+                        n, slot, mf, mg, K,
+                        route2_K + Poly.from_numerators(shift[K], shift_denominator),
+                        route2_K,
+                    )
+    return f._like(out)
 
 
 def jacobi_residual(

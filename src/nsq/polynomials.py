@@ -21,6 +21,12 @@ One generic polynomial type serves every coordinate system in the engine:
 
 Monomials are sorted tuples of (variable key, positive power).  All
 arithmetic is exact.
+
+An integer polynomial is a plain map monomial -> nonzero int, the numerator
+of a rational polynomial over one known denominator (the layout of FLINT's
+``fmpq_poly``).  :meth:`Poly.numerators` and :meth:`Poly.from_numerators`
+convert; the checked bracket (:mod:`nsq.poisson`) computes on them with
+plain int arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EngineError
 from .scalars import Scalar, _coerce, _mono_mul, signed_sum, signed_term
 
 Var = tuple
@@ -158,6 +164,11 @@ class Poly(LinComb):
         return Poly({_EMPTY: c})
 
     @staticmethod
+    def from_numerators(num: Mapping[Monomial, int], denominator) -> "Poly":
+        """The polynomial num / denominator, from an integer polynomial."""
+        return Poly({mono: Fraction(c) / denominator for mono, c in num.items()})
+
+    @staticmethod
     def var(v: Var, power: int = 1) -> "Poly":
         if power < 0:
             raise ValueError("negative power")
@@ -185,6 +196,20 @@ class Poly(LinComb):
         for mono in self.terms:
             deg = max(deg, sum(pw for _, pw in mono))
         return deg
+
+    def numerators(self, scale: int) -> dict[Monomial, int]:
+        """scale * self as an integer polynomial.
+
+        Raises EngineError unless every coefficient of scale * self is an
+        integer: a formal symbol or a denominator that does not divide scale.
+        """
+        out: dict[Monomial, int] = {}
+        for mono, c in self.terms.items():
+            value = c.as_fraction() * scale if c.is_rational() else None
+            if value is None or value.denominator != 1:
+                raise EngineError(f"{scale} * ({self}) is not an integer polynomial")
+            out[mono] = value.numerator
+        return out
 
     # -- ring operations ----------------------------------------------------
 

@@ -10,13 +10,10 @@ import itertools
 import random
 import time
 
-import pytest
-
 from nsq.algebra import Observable
 from nsq.forms import ham_vf, structure_eq_check
 from nsq.scalars import Scalar
 from nsq.suites import (
-    SUITES,
     random_full_monomial,
     run_suite,
     suite_basic_sets,

@@ -17,7 +17,6 @@ from nsq.algebra import (
     qtag,
     rtag,
     sym_mul,
-    sym_pow,
 )
 from nsq.errors import EngineError, IndexRangeError
 from nsq.polynomials import Poly, pivar, qvar

@@ -1,11 +1,12 @@
 """Heisenberg-like algebra, momentum components and basic-set axioms."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nsq.algebra import FramePoint, Observable, make_qhat, make_rhat, sym_pow
+from nsq.algebra import FramePoint, Observable, full_tags, make_qhat, make_rhat, sym_pow, tag_str
 from nsq.basic_sets import (
     BasicSet,
     HLElement,
@@ -102,10 +103,10 @@ def test_basic_set_sizes_and_table():
 
     # b_L: the only nonzero brackets are {qh(i,j), pih(k)} = delta(i,k) rh(j)
     tL = bracket_table(bL)
-    for (na, nb), val in tL.items():
-        if na.startswith("qh") and nb.startswith("pih"):
-            i, j = map(int, na[3:-1].split(","))
-            k = int(nb[4:-1])
+    for s, t in itertools.combinations(full_tags(n), 2):
+        val = tL[(tag_str(s), tag_str(t))]
+        if s[0] == "q" and t[0] == "pi":
+            (_, i, j), (_, k) = s, t
             expected = make_rhat(n, j) if i == k else Observable.zero(n)
             assert val == expected
         else:

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from nsq.algebra import Observable, make_pihat, make_qhat, pitag, qtag, rtag, sym_mul
+from nsq.algebra import Observable, make_pihat, make_qhat, pitag, qtag, rtag
 from nsq.basic_sets import HLElement, adjoint_generator
 from nsq.forms import ham_vf, lie_preserves_form, structure_eq_check
 from nsq.poisson import bracket

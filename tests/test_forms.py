@@ -17,7 +17,6 @@ from nsq.algebra import (
     qtag,
     rtag,
     sym_mul,
-    sym_pow,
 )
 from nsq.errors import DimensionMismatch, GaugeConditionError
 from nsq.forms import (

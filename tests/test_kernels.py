@@ -1,25 +1,32 @@
 """The sparse split-count kernels against brute-force split enumeration,
-and the process-wide expansion and field memos against fresh builds.
+the process-wide expansion and field memos against fresh builds, and the
+integer bracket kernel against both.
 
 The reference visits every multi-index K of the target rank and every
 position split of it; the engine visits only the pairs of the two supports
 and weighs each by split_count.  The field reference applies the factor
-rule to fresh expansions, with no memo.
+rule to fresh expansions, with no memo.  The integer memos must equal the
+Poly memos times their denominators, and the checked bracket must be the
+sum over unit pairs and name the unit pair whose routes disagree.
 """
 
+import copy
 import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsq import poisson
 from nsq.algebra import (
     FramePoint,
     Observable,
     _generator_components,
     _monomial_components,
+    _monomial_numerators,
     all_multi_indices,
     evaluate,
     pitag,
@@ -29,9 +36,11 @@ from nsq.algebra import (
     sym_components,
     sym_mul,
 )
+from nsq.errors import EngineError
 from nsq.forms import (
     HamVF,
     VectorField,
+    _monomial_field_numerators,
     _monomial_ham_vf,
     add_gauge,
     generator_field,
@@ -39,7 +48,7 @@ from nsq.forms import (
     random_valid_gauge,
     vf_bracket,
 )
-from nsq.poisson import _bracket_components, bracket
+from nsq.poisson import _gauge_numerators, _route1_numerators, bracket
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.scalars import IHBAR, Scalar
 from nsq.subbundle import substituted_components
@@ -175,8 +184,16 @@ def monomial_pair(draw, max_rank=4):
     return n, draw(monomials(tags, max_rank)), draw(monomials(tags, max_rank))
 
 
-def observable(n, mono):
-    return Observable(n, {mono: 1})
+@st.composite
+def monomial_pair_in_some_algebra(draw, max_rank=4):
+    n = draw(st.integers(1, 3))
+    slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
+    tags = full_tags(n) if slot is None else slice_tags(n, slot)
+    return n, slot, draw(monomials(tags, max_rank)), draw(monomials(tags, max_rank))
+
+
+def observable(n, mono, slot=None):
+    return Observable(n, {mono: 1}, slot=slot)
 
 
 def representative(f, gauge_seed):
@@ -207,14 +224,31 @@ def test_sym_components_matches_split_enumeration(args):
     assert sym_components(f, p, g, q) == ref_sym_components(n, f, p, g, q)
 
 
+def as_polys(numerators, denominator):
+    return {K: Poly.from_numerators(num, denominator) for K, num in numerators.items()}
+
+
 @SETTINGS
-@given(monomial_pair(), st.sampled_from([None, 5, 91]))
+@given(monomial_pair_in_some_algebra(), st.sampled_from([None, 5, 91]))
 def test_route1_matches_split_enumeration(pair, gauge_seed):
-    n, mf, mg = pair
-    f, g = observable(n, mf), observable(n, mg)
-    x = representative(f, gauge_seed)
+    # integer route 1 over (p+q-1)!, plus the gauge term's over its own
+    # denominator, is -p! Sym[X(g)] by brute force
+    n, slot, mf, mg = pair
+    f, g = observable(n, mf, slot), observable(n, mg, slot)
     p, q = len(mf), len(mg)
-    assert _bracket_components(x, p, g, q) == ref_bracket_components(x, p, g, q)
+    denominator = factorial(p + q - 1)
+    g_num = _monomial_numerators(mg, n, slot)
+    got = as_polys(_route1_numerators(_monomial_field_numerators(mf, n, slot), g_num), denominator)
+    gauge = {} if gauge_seed is None else _gauge_numerators(f, gauge_seed)
+    if p in gauge:
+        t, scale = gauge[p]
+        shift = as_polys(
+            _route1_numerators(t, g_num), Fraction(scale * denominator, factorial(p) * factorial(p - 1))
+        )
+        for K, poly in shift.items():
+            got[K] = got[K] + poly if K in got else poly
+        got = {K: poly for K, poly in got.items() if not poly.is_zero()}
+    assert got == ref_bracket_components(representative(f, gauge_seed), p, g, q)
 
 
 @SETTINGS
@@ -283,6 +317,9 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     before = {key: _snapshot(comps) for key, comps in cached.items()}
     fields = {mono: _monomial_ham_vf(mono, n, None) for mono in (mf, mg, tuple(sorted(mf + mg)))}
     fields_before = {mono: _field_snapshot(grades) for mono, grades in fields.items()}
+    integer_memos = (_monomial_numerators, _monomial_field_numerators)
+    integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in (mf, mg)}
+    integer_before = copy.deepcopy(integer)
     f, g = observable(n, mf), observable(n, mg)
     assert f.components and g.components
     bracket(f, g, gauge_seed=gauge_seed)
@@ -303,6 +340,7 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
         assert again is comps or _snapshot(again) == before[key]
     for mono, grades in fields.items():
         assert _field_snapshot(grades) == fields_before[mono]
+    assert integer == integer_before
 
 
 # -- the field memo -----------------------------------------------------------------
@@ -364,3 +402,132 @@ def test_unit_monomial_shares_memoized_expansion():
     bracket(g, unit, gauge_seed=5)
     assert _snapshot(shared) == before
     assert unit.components[3] is shared
+
+
+# -- the integer memos --------------------------------------------------------------
+
+
+def clear_memos():
+    for memo in (
+        _monomial_components,
+        _monomial_numerators,
+        _monomial_ham_vf,
+        _monomial_field_numerators,
+    ):
+        memo.cache_clear()
+
+
+def assert_integer_memos_match(mono, n, slot):
+    r = len(mono)
+    comps = _monomial_components(mono, n, slot)
+    assert as_polys(_monomial_numerators(mono, n, slot), factorial(r)) == comps
+    fields = _monomial_field_numerators(mono, n, slot)
+    scale = factorial(r) * factorial(r - 1)
+    assert {I: as_polys(vf, scale) for I, vf in fields.items()} == {
+        I: vf.terms for I, vf in _monomial_ham_vf(mono, n, slot).items()
+    }
+
+
+@SETTINGS
+@given(st.lists(monomial_in_some_algebra(), min_size=1, max_size=4), st.booleans())
+def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
+    # each monomial is looked up on its slice and on the full bundle, in
+    # either order from empty memos, so a key without the slot would show
+    for clear in (False, True):
+        if clear:
+            clear_memos()
+        for n, slot, mono in cases:
+            slots = [slot, None] if slice_first else [None, slot]
+            for s in slots:
+                assert_integer_memos_match(mono, n, s)
+
+
+def test_numerators_reject_non_integer_coefficients():
+    half = Poly.var(qvar(1)).scale(Fraction(1, 2)) + Poly.constant(3)
+    assert half.numerators(2) == {((qvar(1), 1),): 1, (): 6}
+    for poly, scale in ((half, 1), (half, 3), (Poly.constant(Scalar.symbol(IHBAR)), 1)):
+        with pytest.raises(EngineError, match="not an integer polynomial"):
+            poly.numerators(scale)
+
+
+# -- the checked bracket over unit pairs ---------------------------------------------
+
+
+symbolic_coefficients = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.sampled_from([
+        Scalar.symbol(IHBAR),
+        Scalar.symbol("A1"),
+        Scalar.symbol("A1") - Scalar.symbol(IHBAR).scale(Fraction(1, 2)),
+    ]),
+)
+
+
+@st.composite
+def observable_pair(draw, min_terms=1):
+    """Two multi-term observables of one algebra, with rational and symbolic coefficients."""
+    n = draw(st.integers(1, 3))
+    slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
+    tags = full_tags(n) if slot is None else slice_tags(n, slot)
+    terms = st.dictionaries(monomials(tags, 3), symbolic_coefficients, min_size=min_terms, max_size=3)
+    return Observable(n, draw(terms), slot=slot), Observable(n, draw(terms), slot=slot)
+
+
+@SETTINGS
+@given(observable_pair(), st.sampled_from([None, 6]))
+def test_bracket_is_the_sum_over_unit_pairs(pair, gauge_seed):
+    f, g = pair
+    expected = Observable(f.n, {}, slot=f.slot)
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
+            unit = bracket(observable(f.n, mf, f.slot), observable(f.n, mg, f.slot))
+            expected = expected + unit.scale(cf * cg)
+    # the seeded gauge terms are drawn on the full bundle, where they are valid
+    got = bracket(f, g, gauge_seed=gauge_seed if f.slot is None else None)
+    assert got == expected and got.terms == expected.terms
+
+
+@SETTINGS
+@given(observable_pair(min_terms=2), st.data())
+def test_route_disagreement_names_the_unit_pair(pair, data):
+    # route 1 gains a constant at the first multi-index on one unit pair
+    f, g = pair
+    pairs = [(mf, mg) for mf in f.terms for mg in g.terms]
+    bad = data.draw(st.integers(0, len(pairs) - 1))
+    mf, mg = pairs[bad]
+    K = (1,) * (len(mf) + len(mg) - 1)
+    real = poisson._route1_numerators
+    calls = []
+
+    def corrupted(x, g_num):
+        out = real(x, g_num)
+        if len(calls) == bad:
+            out[K] = dict(out.get(K, {}))
+            out[K][()] = out[K].get((), 0) + 1
+        calls.append(None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson, "_route1_numerators", corrupted)
+        with pytest.raises(EngineError) as err:
+            bracket(f, g)
+    message = str(err.value)
+    assert f"rank {len(K)}, multi-index {K}:" in message
+    assert message.endswith(f"for {observable(f.n, mf, f.slot)!r} and {observable(f.n, mg, f.slot)!r}")
+
+
+def test_gauge_term_with_nonzero_route1_is_refused(monkeypatch):
+    # a horizontal field passed off as a gauge term changes route 1; the
+    # message names the first multi-index it changes and route 1 there,
+    # as brute force computes it
+    n = 2
+    f = observable(n, (pitag(1), pitag(2)))
+    g = observable(n, (qtag(1, 1), qtag(2, 1)))
+    fake = HamVF(n, {(1,): VectorField(h={1: Poly.constant(Fraction(1, 3))})})
+    monkeypatch.setattr(poisson, "require_gauge", lambda t: t)
+    monkeypatch.setattr(poisson, "random_valid_gauge", lambda n, rank, rng: fake)
+    with pytest.raises(EngineError) as err:
+        bracket(f, g, gauge_seed=1)
+    K = min(ref_bracket_components(fake, 2, g, 2))
+    route1 = ref_bracket_components(ham_vf(f) + fake, 2, g, 2)[K]
+    assert f"multi-index {K}: route 1 (structure equation) gives {route1}," in str(err.value)

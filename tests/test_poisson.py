@@ -217,15 +217,15 @@ def _double_first_component(monkeypatch):
     """Corrupt route 1: double the component at its first multi-index."""
     from nsq import poisson
 
-    real = poisson._bracket_components
+    real = poisson._route1_numerators
 
-    def corrupted(x, p, g, q):
-        out = real(x, p, g, q)
+    def corrupted(x, g):
+        out = real(x, g)
         K = min(out)
-        out[K] = out[K].scale(2)
+        out[K] = {m: 2 * c for m, c in out[K].items()}
         return out
 
-    monkeypatch.setattr(poisson, "_bracket_components", corrupted)
+    monkeypatch.setattr(poisson, "_route1_numerators", corrupted)
 
 
 def _assert_disagreement_named(monkeypatch, f, g, bracket_fn):

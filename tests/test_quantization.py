@@ -8,7 +8,6 @@ import pytest
 from nsq.algebra import make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
 from nsq.errors import DimensionMismatch, NotInGeneratorAlgebra
 from nsq.quantization import (
-    AxiomReport,
     DiffOperator,
     QuantizationMap,
     axiom_report,
