@@ -38,7 +38,11 @@ are expanded only when a caller reads them.
 
 With ``gauge_seed`` each grade p of f draws a seeded random valid gauge
 term t_p; its route 1 against every unit monomial of g must be zero, so
-the shifted representative gives the same bracket.  The memos save
+the shifted representative gives the same bracket.  A slice has no gauge
+freedom: its two-form dpi^slot_j ^ dq^j is nondegenerate on the fields
+tangent to the slice (legs d/dq^j and d/dpi^slot_b), so the structure
+equation at K = I + (slot,) fixes every grade X^I, and ``gauge_seed`` on a
+slice observable raises EngineError naming the slot.  The memos save
 rebuilding the operands, not either route: both run on every call.
 """
 
@@ -186,11 +190,17 @@ def bracket(
     p+q-1.  Both routes run and are compared on every unit pair (see the
     module docstring).  ``gauge_seed`` shifts the representative of f by a
     seeded random valid gauge term per grade; the result must be (and is
-    verified to be) unchanged.  Both arguments must live in one algebra:
+    verified to be) unchanged.  It is refused on a slice, which has no
+    gauge freedom.  Both arguments must live in one algebra:
     the same dimension and the same slice (see :mod:`nsq.subbundle`).
     """
     f._require_same(g)
     n, slot = f.n, f.slot
+    if gauge_seed is not None and slot is not None:
+        raise EngineError(
+            f"gauge_seed is refused on the slice of slot {slot}: "
+            "the slice two-form leaves no gauge freedom"
+        )
     gauges = {} if gauge_seed is None else _gauge_numerators(f, gauge_seed)
     gauge_checked: set = set()
     out: dict[GenMonomial, Scalar] = {}

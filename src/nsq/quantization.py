@@ -10,6 +10,23 @@ everything).  The combination i*hbar is carried as the single formal
 symbol IHBAR so that all identities stay in exact rational arithmetic; its
 formal adjoint is -IHBAR.
 
+:func:`op_compose` and :func:`commutator` run on integer numerators, in
+the layout of FLINT's ``fmpq_poly`` (one integer numerator map over one
+denominator).  Each operand is flattened once into
+(derivative degree, coefficient monomial in q and P, symbol monomial in
+IHBAR and A_i) -> int over the lcm of its denominators.  A term
+c1 d^alpha o c2 d^beta expands by the Leibniz rule into
+sum_gamma w * c1 (d^gamma c2) d^(alpha-gamma+beta), where the integer weight
+w is prod_i comb(alpha_i, gamma_i) times the falling factorial of the
+lowered q^i power; symbol monomials multiply as in
+:func:`nsq.scalars._mono_mul`.  Every product accumulates into one integer
+map over den(a)*den(b), and each output coefficient becomes one reduced
+Fraction at the end.  The commutator accumulates a o b and -(b o a) into
+the same map, so cancelling terms are never built as polynomials.  The
+Leibniz terms of d^alpha o monomial, weights included, come from one
+bounded memo, :func:`_leibniz`, keyed on (alpha, monomial); its values are
+shared between callers: read them, never mutate them.
+
 Two quantization maps are provided on the polynomial algebra of the
 Heisenberg basic set:
 
@@ -32,15 +49,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm, perm
+from operator import add
 from typing import Mapping
 
-from .algebra import Observable, basic_tags, in_b1_algebra, monomial_str, rtag
+from .algebra import Observable, basic_tags, check_index, in_b1_algebra, monomial_str, rtag
 from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
 from .poisson import bracket
-from .polynomials import LinComb, Poly, Var, accumulate, pivar, qvar
+from .polynomials import LinComb, Monomial, Poly, Var, pivar, qvar
 from .reports import VerificationReport
-from .scalars import IHBAR, Scalar, signed_sum, signed_term
+from .scalars import IHBAR, Scalar, _mono_mul, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
 
@@ -61,6 +80,8 @@ class DiffOperator(LinComb):
         for alpha, poly in (terms or {}).items():
             if len(alpha) != n:
                 raise EngineError("derivative degree length must equal the dimension")
+            if not all(isinstance(d, int) and d >= 0 for d in alpha):
+                raise EngineError(f"derivative degree {alpha!r} must hold natural numbers")
             if not poly.is_zero():
                 self.terms[tuple(alpha)] = poly
 
@@ -80,6 +101,7 @@ class DiffOperator(LinComb):
 
     @staticmethod
     def derivative(n: int, k: int, coeff=None) -> "DiffOperator":
+        check_index(k, n)
         alpha = tuple(1 if i == k - 1 else 0 for i in range(n))
         c = Poly.constant(coeff if coeff is not None else 1)
         return DiffOperator(n, {alpha: c})
@@ -108,31 +130,104 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """Operator composition, normalized by the Leibniz rule.
 
     Derivatives act on the q-dependence of coefficients; the P variables
-    are multiplication variables and commute through.
+    are multiplication variables and commute through.  Computed on integer
+    numerators (see the module docstring).
     """
     a._require_same(b)
-    acc: dict[DerivDegree, Poly] = {}
-    for alpha, c1 in a.terms.items():
-        for beta, c2 in b.terms.items():
-            for gamma in itertools.product(*(range(d + 1) for d in alpha)):
-                coeff = 1
-                for ai, gi in zip(alpha, gamma):
-                    coeff *= comb(ai, gi)
-                dc2 = c2
-                for i, gi in enumerate(gamma):
-                    for _ in range(gi):
-                        dc2 = dc2.diff(qvar(i + 1))
-                    if dc2.is_zero():
-                        break
-                if dc2.is_zero():
-                    continue
-                new_alpha = tuple(ai - gi + bi for ai, gi, bi in zip(alpha, gamma, beta))
-                accumulate(acc, new_alpha, (c1 * dc2).scale(coeff))
-    return a._like(acc)
+    (fa, den_a), (fb, den_b) = _flatten(a), _flatten(b)
+    acc: dict = {}
+    _compose_into(acc, fa, fb, 1)
+    return _from_numerators(a, acc, den_a * den_b)
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    return op_compose(a, b) - op_compose(b, a)
+    """[a, b] = a o b - b o a, both compositions summed into one numerator map."""
+    a._require_same(b)
+    (fa, den_a), (fb, den_b) = _flatten(a), _flatten(b)
+    acc: dict = {}
+    _compose_into(acc, fa, fb, 1)
+    _compose_into(acc, fb, fa, -1)
+    return _from_numerators(a, acc, den_a * den_b)
+
+
+def _flatten(op: DiffOperator) -> tuple[list, int]:
+    """op as integer numerators over one denominator.
+
+    Returns ([(alpha, mono, [(symbol monomial, numerator), ...]), ...], den)
+    with den the lcm of every coefficient's denominator, so that op is the
+    sum of numerator/den * symbol monomial * mono d^alpha.
+    """
+    den = 1
+    for poly in op.terms.values():
+        for s in poly.terms.values():
+            for c in s.terms.values():
+                den = lcm(den, c.denominator)
+    return [
+        (alpha, mono, [(sym, c.numerator * (den // c.denominator)) for sym, c in s.terms.items()])
+        for alpha, poly in op.terms.items()
+        for mono, s in poly.terms.items()
+    ], den
+
+
+@lru_cache(maxsize=4096)
+def _leibniz(alpha: DerivDegree, mono: Monomial) -> tuple:
+    """d^alpha o mono, the monomial as a multiplication operator, by the Leibniz rule.
+
+    One (alpha - gamma, weight, d^gamma-lowered mono) per gamma <= alpha
+    whose derivative of mono is nonzero, with the integer weight
+    prod_i comb(alpha_i, gamma_i) * q_i-power falling factorial of
+    length gamma_i.  Memoized on (alpha, mono) and shared: read it, never
+    mutate it.
+    """
+    qpow = [0] * len(alpha)
+    for var, pw in mono:
+        if var[0] == "q" and var[1] <= len(alpha):
+            qpow[var[1] - 1] = pw
+    out = []
+    for gamma in itertools.product(*(range(min(d, pw) + 1) for d, pw in zip(alpha, qpow))):
+        weight = 1
+        for d, pw, g in zip(alpha, qpow, gamma):
+            weight *= comb(d, g) * perm(pw, g)
+        powers = dict(mono)
+        for i, g in enumerate(gamma):
+            if g:
+                var = qvar(i + 1)
+                if powers[var] == g:
+                    del powers[var]
+                else:
+                    powers[var] -= g
+        rest = tuple(d - g for d, g in zip(alpha, gamma))
+        out.append((rest, weight, tuple(sorted(powers.items()))))
+    return tuple(out)
+
+
+def _compose_into(acc: dict, a: list, b: list, sign: int) -> None:
+    """acc += sign * (a o b) on flattened operands, keyed (degree, monomial, symbol monomial)."""
+    for alpha, mono_a, a_coeffs in a:
+        for beta, mono_b, b_coeffs in b:
+            for rest, weight, lowered in _leibniz(alpha, mono_b):
+                degree = tuple(map(add, rest, beta))
+                mono = _mono_mul(mono_a, lowered)
+                weight *= sign
+                for sym_a, num_a in a_coeffs:
+                    w = weight * num_a
+                    for sym_b, num_b in b_coeffs:
+                        key = (degree, mono, _mono_mul(sym_a, sym_b))
+                        acc[key] = acc.get(key, 0) + w * num_b
+
+
+def _from_numerators(like: DiffOperator, acc: dict, den: int) -> DiffOperator:
+    """The operator sum of num/den over acc's (degree, monomial, symbol monomial) keys."""
+    terms: dict = {}
+    for (degree, mono, sym), num in acc.items():
+        if num:
+            terms.setdefault(degree, {}).setdefault(mono, {})[sym] = Fraction(num, den)
+    return like._like(
+        {
+            degree: Poly({mono: Scalar(coeffs) for mono, coeffs in poly.items()})
+            for degree, poly in terms.items()
+        }
+    )
 
 
 def formal_adjoint(a: DiffOperator) -> DiffOperator:

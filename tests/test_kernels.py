@@ -40,12 +40,14 @@ from nsq.errors import EngineError
 from nsq.forms import (
     HamVF,
     VectorField,
+    _contraction_sums,
     _monomial_field_numerators,
     _monomial_ham_vf,
     add_gauge,
     generator_field,
     ham_vf,
     random_valid_gauge,
+    soldering_dtheta,
     vf_bracket,
 )
 from nsq.poisson import _gauge_numerators, _route1_numerators, bracket
@@ -482,9 +484,46 @@ def test_bracket_is_the_sum_over_unit_pairs(pair, gauge_seed):
         for mg, cg in g.terms.items():
             unit = bracket(observable(f.n, mf, f.slot), observable(f.n, mg, f.slot))
             expected = expected + unit.scale(cf * cg)
-    # the seeded gauge terms are drawn on the full bundle, where they are valid
-    got = bracket(f, g, gauge_seed=gauge_seed if f.slot is None else None)
+    if gauge_seed is not None and f.slot is not None:
+        # a slice has no gauge freedom, so a gauge seed is refused up front
+        with pytest.raises(EngineError, match=f"slice of slot {f.slot}:"):
+            bracket(f, g, gauge_seed=gauge_seed)
+        gauge_seed = None
+    got = bracket(f, g, gauge_seed=gauge_seed)
     assert got == expected and got.terms == expected.terms
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_slice_bracket_refuses_gauge_seed(slot):
+    # a full-bundle gauge term is no gauge on the slice: it used to raise a
+    # spurious route disagreement here
+    f = Observable(2, {(qtag(1, slot), qtag(1, slot)): 1}, slot=slot)
+    g = Observable(2, {(pitag(1),): 1}, slot=slot)
+    with pytest.raises(EngineError, match=f"refused on the slice of slot {slot}:"):
+        bracket(f, g, gauge_seed=6)
+    assert bracket(f, g) == Observable(2, {(qtag(1, slot), rtag(slot)): 2}, slot=slot)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_slice_has_no_nonzero_gauge_term(n):
+    # a field tangent to the slice has legs d/dq^j and d/dpi^slot_b; each
+    # leg of each grade I shows in the slice contraction sums at a
+    # (K, form leg) that no other leg reaches, so the contraction is
+    # injective and only the zero field satisfies the gauge condition there
+    for slot in range(1, n + 1):
+        dtheta = soldering_dtheta(n, slot)
+        reached = set()
+        for rank in (0, 1, 2):
+            for I in all_multi_indices(n, rank):
+                for j in range(1, n + 1):
+                    for leg in (VectorField(h={j: Poly.constant(1)}), VectorField(v={(slot, j): Poly.constant(1)})):
+                        hits = {
+                            (K, var)
+                            for K, form in _contraction_sums(HamVF(n, {I: leg}), dtheta)
+                            for var in form.terms
+                        }
+                        assert hits and not hits & reached
+                        reached |= hits
 
 
 @SETTINGS

@@ -1,15 +1,20 @@
 """Operator algebra, the two quantization maps, and the axiom machinery."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsq.algebra import make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
-from nsq.errors import DimensionMismatch, NotInGeneratorAlgebra
+from nsq.errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from nsq.quantization import (
     DiffOperator,
     QuantizationMap,
+    _leibniz,
     axiom_report,
     b1_monomials,
     commutator,
@@ -22,7 +27,7 @@ from nsq.quantization import (
     operators_linearly_independent,
     quantize,
 )
-from nsq.polynomials import Poly, pivar, qvar
+from nsq.polynomials import Poly, accumulate, pivar, qvar
 from nsq.scalars import IHBAR, Scalar
 from nsq.suites import random_b1_monomial
 
@@ -215,3 +220,152 @@ def test_dirac_failures_carry_the_residual(monkeypatch):
             ).scale(Scalar.symbol(IHBAR))
             assert not residual.is_zero()
             assert failure.actual == format_operator(residual)
+
+
+# -- the integer composition kernel ----------------------------------------------
+
+
+def ref_op_compose(a, b):
+    """The Leibniz rule on Poly coefficients: one Poly.diff per lowered power."""
+    acc = {}
+    for alpha, c1 in a.terms.items():
+        for beta, c2 in b.terms.items():
+            for gamma in itertools.product(*(range(d + 1) for d in alpha)):
+                weight = 1
+                for d, g in zip(alpha, gamma):
+                    weight *= comb(d, g)
+                dc2 = c2
+                for i, g in enumerate(gamma):
+                    for _ in range(g):
+                        dc2 = dc2.diff(qvar(i + 1))
+                if dc2.is_zero():
+                    continue
+                degree = tuple(d - g + e for d, g, e in zip(alpha, gamma, beta))
+                accumulate(acc, degree, (c1 * dc2).scale(weight))
+    return DiffOperator(a.n, acc)
+
+
+COEFFICIENTS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.sampled_from([
+        Scalar.symbol(IHBAR),
+        -Scalar.symbol(IHBAR, 2),
+        Scalar.symbol("A1"),
+        Scalar.symbol("A1") * Scalar.symbol(IHBAR) - Scalar.of(Fraction(1, 2)),
+    ]),
+)
+
+
+@st.composite
+def coefficient_polys(draw, n):
+    """Polynomials in q^1..q^n and P_1..P_n with rational and symbolic coefficients."""
+    variables = [qvar(i) for i in range(1, n + 1)] + [pivar(1, k) for k in range(1, n + 1)]
+    out = Poly.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = Poly.constant(draw(COEFFICIENTS))
+        for v in draw(st.lists(st.sampled_from(variables), max_size=4)):
+            term = term * Poly.var(v)
+        out = out + term
+    return out
+
+
+@st.composite
+def operator_tuples(draw, count):
+    """count operators of one dimension n in 1..3, with derivative degrees 0..3; zero allowed."""
+    n = draw(st.integers(1, 3))
+    degrees = st.tuples(*[st.integers(0, 3)] * n)
+    return tuple(
+        DiffOperator(n, draw(st.dictionaries(degrees, coefficient_polys(n), max_size=3)))
+        for _ in range(count)
+    )
+
+
+def zero_free_operator(op):
+    return all(
+        poly.terms and all(s.terms and all(c != 0 for c in s.terms.values()) for s in poly.terms.values())
+        for poly in op.terms.values()
+    )
+
+
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@KERNEL_SETTINGS
+@given(operator_tuples(2))
+def test_op_compose_matches_leibniz_reference(ops):
+    a, b = ops
+    got = op_compose(a, b)
+    assert got == ref_op_compose(a, b)
+    assert zero_free_operator(got)
+
+
+@KERNEL_SETTINGS
+@given(operator_tuples(2))
+def test_commutator_matches_leibniz_reference(ops):
+    a, b = ops
+    got = commutator(a, b)
+    assert got == ref_op_compose(a, b) - ref_op_compose(b, a)
+    assert zero_free_operator(got)
+    assert commutator(b, a) == -got
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_tuples(3))
+def test_op_compose_is_associative(ops):
+    a, b, c = ops
+    assert op_compose(op_compose(a, b), c) == op_compose(a, op_compose(b, c))
+
+
+def ref_leibniz(alpha, mono):
+    """d^alpha o mono as {(alpha - gamma, lowered monomial): weight}, through Poly.diff."""
+    out = {}
+    for gamma in itertools.product(*(range(d + 1) for d in alpha)):
+        poly = Poly({mono: 1})
+        for i, g in enumerate(gamma):
+            for _ in range(g):
+                poly = poly.diff(qvar(i + 1))
+        weight = 1
+        for d, g in zip(alpha, gamma):
+            weight *= comb(d, g)
+        for lowered, c in poly.terms.items():
+            out[(tuple(d - g for d, g in zip(alpha, gamma)), lowered)] = weight * c.as_fraction()
+    return out
+
+
+def test_leibniz_memo_matches_poly_diff():
+    # every degree up to (3, 3) against every monomial q1^a q2^b P1^c, from
+    # an empty memo in both loop orders, so a key missing either part shows
+    n = 2
+    degrees = list(itertools.product(range(4), repeat=n))
+    monos = [
+        tuple(sorted(
+            (v, pw) for v, pw in ((qvar(1), a), (qvar(2), b), (pivar(1, 1), c)) if pw
+        ))
+        for a in range(4) for b in range(3) for c in range(2)
+    ]
+    for outer, inner in ((degrees, monos), (monos, degrees)):
+        _leibniz.cache_clear()
+        for x in outer:
+            for y in inner:
+                alpha, mono = (x, y) if outer is degrees else (y, x)
+                got = {(rest, lowered): w for rest, w, lowered in _leibniz(alpha, mono)}
+                assert got == ref_leibniz(alpha, mono)
+
+
+# -- constructor validation --------------------------------------------------------
+
+
+def test_derivative_index_is_checked():
+    assert DiffOperator.derivative(2, 2) == DiffOperator(2, {(0, 1): Poly.constant(1)})
+    for k in (0, 3, -1, 1.0):
+        with pytest.raises(IndexRangeError):
+            DiffOperator.derivative(2, k)
+
+
+def test_negative_or_non_integer_degree_is_refused():
+    q1 = Poly.var(qvar(1))
+    for degree in ((-1, 0), (0, -2), (1.0, 0), (Fraction(1, 2), 0), ("1", 0)):
+        with pytest.raises(EngineError, match="derivative degree"):
+            DiffOperator(2, {degree: q1})
+    with pytest.raises(EngineError, match="length"):
+        DiffOperator(2, {(1,): q1})

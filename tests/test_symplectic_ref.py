@@ -1,5 +1,6 @@
 """Cotangent-bundle reference algebra and the ordering obstruction witness."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -91,14 +92,23 @@ def test_weyl_examples():
 
 
 def test_weyl_matches_brute_force():
-    n = 1
-    rng = random.Random(3)
-    for _ in range(12):
-        m, k = rng.randint(0, 3), rng.randint(0, 3)
-        poly = sp_q(1) ** m * sp_p(1) ** k
-        assert weyl_quantize(poly, n) == weyl_quantize_brute(poly, n)
-    # a two-mode case
-    poly = sp_q(1) * sp_p(1) * sp_q(2) ** 2
+    # every one-mode monomial q^m p^k of total degree <= 6
+    for m, k in itertools.product(range(7), repeat=2):
+        if m + k <= 6:
+            poly = sp_q(1) ** m * sp_p(1) ** k
+            assert weyl_quantize(poly, 1) == weyl_quantize_brute(poly, 1), (m, k)
+    # every monomial q1^a q2^b p1^c p2^d of total degree <= 4 at n=2
+    n = 2
+    letters = [sp_q(1), sp_q(2), sp_p(1), sp_p(2)]
+    powers = [e for e in itertools.product(range(5), repeat=4) if sum(e) <= 4]
+    assert len(powers) == 70
+    for exponents in powers:
+        poly = Poly.constant(1)
+        for letter, e in zip(letters, exponents):
+            poly = poly * letter**e
+        assert weyl_quantize(poly, n) == weyl_quantize_brute(poly, n), exponents
+    # a two-mode case of degree 5, beyond the sweep
+    poly = sp_q(1) * sp_p(1) ** 2 * sp_q(2) ** 2
     assert weyl_quantize(poly, 2) == weyl_quantize_brute(poly, 2)
 
 
@@ -107,8 +117,11 @@ def test_groenewold_witness_golden():
     assert not w.is_zero()
     assert w.ihbar_degree() == 2
     assert w == DiffOperator.multiplication(1, Poly.constant(WITNESS_COEFF))
-    # the brute-force oracle agrees with the McCoy route
+    # the brute-force oracle agrees with the McCoy route, also in two modes
     assert groenewold_witness(brute=True) == w
+    w2 = groenewold_witness(2)
+    assert w2 == DiffOperator.multiplication(2, Poly.constant(WITNESS_COEFF))
+    assert groenewold_witness(2, brute=True) == w2
 
 
 def test_weyl_is_bracket_compatible_at_low_degree():

@@ -1,0 +1,221 @@
+"""Mutation check: every mutant of the engine must be killed by its named tests.
+
+    python3 tools/mutants.py
+
+A mutant is a list of exact source replacements under ``src/nsq``, each
+of whose anchors must occur exactly once, and the tests that must kill it.
+For each mutant the script copies ``src`` and ``tests`` into a temporary
+directory, applies the replacements there and runs pytest on the named
+tests; the mutant is killed when pytest reports a test failure (exit code
+1).  The named tests are first run once on an unmutated copy, where they
+must pass.  A surviving mutant, an anchor that is missing or not unique,
+and any other pytest outcome (a collection error, no tests collected) are
+errors, and the script then exits with code 1.  The repository itself is
+never edited.  Needs only the standard library, pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KILLED = 1  # pytest: tests were collected and run, and some failed
+
+QUANT = "tests/test_quantization.py"
+KERNELS = "tests/test_kernels.py"
+
+
+@dataclass
+class Mutant:
+    name: str
+    edits: list  # (path under src/nsq, anchor, replacement)
+    tests: list  # pytest node ids
+
+
+def keyed_without(decorator: str, name: str, params: str, key: str) -> tuple[str, str]:
+    """(anchor, replacement) that memoizes function ``name`` on ``key`` only.
+
+    The memo keeps the first value computed for each key, so callers that
+    differ only in the dropped arguments share it, and it keeps
+    ``cache_clear`` so tests that empty the memos still run.
+    """
+    memo = f"_MUTANT_{name.upper()}"
+    replacement = (
+        f"{memo} = {{}}\n\n\n"
+        f"def {name}({params}):\n"
+        f"    if {key} not in {memo}:\n"
+        f"        {memo}[{key}] = {name}_fresh({params})\n"
+        f"    return {memo}[{key}]\n\n\n"
+        f"{name}.cache_clear = {memo}.clear\n\n\n"
+        f"def {name}_fresh("
+    )
+    return f"{decorator}\ndef {name}(", replacement
+
+
+MUTANTS = [
+    # -- the integer operator kernel (quantization) --
+    Mutant(
+        "leibniz weight without comb",
+        [("quantization.py", "weight *= comb(d, g) * perm(pw, g)", "weight *= perm(pw, g)")],
+        [f"{QUANT}::test_leibniz_memo_matches_poly_diff", f"{QUANT}::test_op_compose_matches_leibniz_reference"],
+    ),
+    Mutant(
+        "leibniz falling factorial set to 1",
+        [("quantization.py", "weight *= comb(d, g) * perm(pw, g)", "weight *= comb(d, g)")],
+        [f"{QUANT}::test_leibniz_memo_matches_poly_diff", f"{QUANT}::test_op_compose_matches_leibniz_reference"],
+    ),
+    Mutant(
+        "leibniz memo keyed on the monomial without the degree",
+        [("quantization.py", *keyed_without("@lru_cache(maxsize=4096)", "_leibniz", "alpha, mono", "mono"))],
+        [f"{QUANT}::test_leibniz_memo_matches_poly_diff", f"{QUANT}::test_op_compose_matches_leibniz_reference"],
+    ),
+    Mutant(
+        "leibniz memo keyed on the degree without the monomial",
+        [("quantization.py", *keyed_without("@lru_cache(maxsize=4096)", "_leibniz", "alpha, mono", "alpha"))],
+        [f"{QUANT}::test_leibniz_memo_matches_poly_diff", f"{QUANT}::test_op_compose_matches_leibniz_reference"],
+    ),
+    Mutant(
+        "composition drops the right operand's denominator",
+        [(
+            "quantization.py",
+            "    _compose_into(acc, fa, fb, 1)\n    return _from_numerators(a, acc, den_a * den_b)",
+            "    _compose_into(acc, fa, fb, 1)\n    return _from_numerators(a, acc, den_a)",
+        )],
+        [f"{QUANT}::test_op_compose_matches_leibniz_reference"],
+    ),
+    Mutant(
+        "commutator adds b o a instead of subtracting it",
+        [("quantization.py", "_compose_into(acc, fb, fa, -1)", "_compose_into(acc, fb, fa, 1)")],
+        [f"{QUANT}::test_commutator_matches_leibniz_reference"],
+    ),
+    # -- the integer bracket kernel (poisson, algebra, forms, polynomials) --
+    Mutant(
+        "component numerator memo keyed without the slot",
+        [(
+            "algebra.py",
+            *keyed_without("@lru_cache(maxsize=512)", "_monomial_numerators", "mono, n, slot", "(mono, n)"),
+        )],
+        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
+    ),
+    Mutant(
+        "field numerator memo keyed without the slot",
+        [(
+            "forms.py",
+            *keyed_without("@lru_cache(maxsize=256)", "_monomial_field_numerators", "mono, n, slot", "(mono, n)"),
+        )],
+        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
+    ),
+    Mutant(
+        "route 1 weight -1 instead of -split_count",
+        [("poisson.py", "weight = -split_count(K, I)", "weight = -1")],
+        [f"{KERNELS}::test_route1_matches_split_enumeration"],
+    ),
+    Mutant(
+        "gauge term's route 1 not checked",
+        [("poisson.py", "                if shift:\n", "                if False:\n")],
+        [f"{KERNELS}::test_gauge_term_with_nonzero_route1_is_refused"],
+    ),
+    Mutant(
+        "routes compared on the first unit pair only",
+        [(
+            "poisson.py",
+            "            if route1 != route2:\n",
+            "            if route1 != route2 and (mf, mg) == (next(iter(f.terms)), next(iter(g.terms))):\n",
+        )],
+        [f"{KERNELS}::test_route_disagreement_names_the_unit_pair"],
+    ),
+    Mutant(
+        "Poly.numerators truncates with int() and no check",
+        [(
+            "polynomials.py",
+            "            value = c.as_fraction() * scale if c.is_rational() else None\n"
+            "            if value is None or value.denominator != 1:\n"
+            '                raise EngineError(f"{scale} * ({self}) is not an integer polynomial")\n'
+            "            out[mono] = value.numerator\n",
+            "            out[mono] = int(c.as_fraction() * scale)\n",
+        )],
+        [f"{KERNELS}::test_numerators_reject_non_integer_coefficients"],
+    ),
+    Mutant(
+        "gauge seed accepted on a slice",
+        [("poisson.py", "    if gauge_seed is not None and slot is not None:\n", "    if False:\n")],
+        [f"{KERNELS}::test_slice_bracket_refuses_gauge_seed"],
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+
+
+def apply(dest: Path, edits: list) -> list[str]:
+    """Apply the replacements in dest; the errors for anchors not found exactly once."""
+    errors = []
+    for path, anchor, replacement in edits:
+        target = dest / "src" / "nsq" / path
+        text = target.read_text()
+        count = text.count(anchor)
+        if count != 1:
+            errors.append(f"anchor found {count} times in {path}: {anchor.splitlines()[0].strip()!r}")
+            continue
+        target.write_text(text.replace(anchor, replacement))
+    return errors
+
+
+def run_tests(dest: Path, tests: list) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=dest, env=env, capture_output=True, text=True)
+
+
+def tail(proc: subprocess.CompletedProcess, lines: int = 15) -> str:
+    return "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-lines:])
+
+
+def judge(work: Path, m: Mutant) -> tuple[str, str]:
+    """(verdict, detail) of one mutant applied in the copy at work."""
+    errors = apply(work, m.edits)
+    if errors:
+        return "ERROR", "\n".join(errors)
+    proc = run_tests(work, m.tests)
+    if proc.returncode == KILLED:
+        return "killed", ""
+    if proc.returncode == 0:
+        return "SURVIVED", ""
+    return "ERROR", f"pytest exit code {proc.returncode}\n{tail(proc)}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="nsq-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        proc = run_tests(clean, tests)
+        if proc.returncode != 0:
+            print(f"the named tests fail on the unmutated tree:\n{tail(proc)}")
+            return 1
+        failed = []
+        for i, m in enumerate(MUTANTS):
+            work = Path(tmp) / f"mutant{i}"
+            copy_tree(work)
+            verdict, detail = judge(work, m)
+            shutil.rmtree(work)
+            print(f"{verdict:<9} {m.name}")
+            if verdict != "killed":
+                failed.append(m.name)
+                if detail:
+                    print(detail)
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
