@@ -13,7 +13,7 @@ multi-index of length p to a polynomial component.  Components are stored
 on canonical (sorted) multi-indices, so the required symmetry under index
 permutations holds by representation.
 
-An Observable is a :class:`~nsq.polynomials.LinComb` over generator
+An Observable is a :class:`~nsq.scalars.LinComb` over generator
 monomials: its ``terms`` map each sorted tuple of generator tags to a
 nonzero Scalar, and ``+``, ``-`` and ``scale`` are the shared linear
 structure.  The terms record how the observable was assembled from the
@@ -63,8 +63,8 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
-from .polynomials import LinComb, Monomial, Poly, accumulate, pivar, qvar
-from .scalars import ONE, Scalar, _coerce, signed_sum, signed_term
+from .polynomials import Monomial, Poly, pivar, qvar
+from .scalars import ONE, LinComb, Scalar, _coerce, accumulate, signed_sum, signed_term
 
 MultiIndex = tuple
 GenTag = tuple
@@ -372,6 +372,9 @@ class Observable(LinComb):
 
     def is_zero(self) -> bool:
         return not self.components
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def rank(self) -> int:
         """The rank of a homogeneous observable."""

@@ -3,7 +3,7 @@
 Vector fields, one-forms and two-forms map coordinate variables (or pairs
 of them) to polynomial coefficients, and a graded Hamiltonian field maps
 multi-indices to vector fields; all four are
-:class:`~nsq.polynomials.LinComb` subclasses and share its linear
+:class:`~nsq.scalars.LinComb` subclasses and share its linear
 structure and zero-free term maps.  Coordinates print through
 :func:`~nsq.polynomials.default_var_name`, as in polynomials.
 
@@ -68,19 +68,8 @@ from .algebra import (
     _monomial_components,
 )
 from .errors import GaugeConditionError, RankMismatch
-from .polynomials import (
-    ZERO_POLY,
-    LinComb,
-    Monomial,
-    Poly,
-    Var,
-    accumulate,
-    default_var_name,
-    mul_into,
-    pivar,
-    qvar,
-)
-from .scalars import ONE, Scalar
+from .polynomials import ZERO_POLY, Monomial, Poly, Var, default_var_name, pivar, qvar
+from .scalars import ONE, LinComb, Scalar, accumulate, mul_into
 
 
 class VectorField(LinComb):
@@ -98,12 +87,9 @@ class VectorField(LinComb):
         h: Mapping[int, Poly] | None = None,
         v: Mapping[tuple, Poly] | None = None,
     ):
-        self.terms: dict[Var, Poly] = {
-            qvar(a): p for a, p in (h or {}).items() if not p.is_zero()
-        }
-        self.terms.update(
-            (pivar(a, b), p) for (a, b), p in (v or {}).items() if not p.is_zero()
-        )
+        terms = {qvar(a): p for a, p in (h or {}).items()}
+        terms.update((pivar(a, b), p) for (a, b), p in (v or {}).items())
+        LinComb.__init__(self, terms)
 
     @staticmethod
     def zero() -> "VectorField":
@@ -146,11 +132,6 @@ class OneForm(LinComb):
     """Polynomial one-form; coefficients keyed by coordinate variable."""
 
     __slots__ = ()
-
-    def __init__(self, coeffs: Mapping[Var, Poly] | None = None):
-        self.terms: dict[Var, Poly] = {
-            v: p for v, p in (coeffs or {}).items() if not p.is_zero()
-        }
 
     def __repr__(self):
         if not self.terms:
@@ -258,9 +239,7 @@ class HamVF(LinComb):
 
     def __init__(self, n: int, grades: Mapping[MultiIndex, VectorField] | None = None):
         self.n = n
-        self.terms: dict[MultiIndex, VectorField] = {
-            idx: vf for idx, vf in (grades or {}).items() if not vf.is_zero()
-        }
+        LinComb.__init__(self, grades)
 
     @staticmethod
     def zero(n: int) -> "HamVF":

@@ -1,63 +1,53 @@
-"""Small exact linear-algebra helpers over Fraction entries."""
+"""Small exact linear-algebra helpers over Fraction entries.
+
+All three run one Gauss-Jordan elimination, :func:`_eliminate`, over
+Fractions.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix by fraction-free Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
+def _eliminate(m: list[list[Fraction]], ncols: int) -> tuple[int, Fraction]:
+    """Gauss-Jordan elimination of m in place, with pivots in the first ncols columns.
+
+    Each pivot row is divided by its pivot, and the pivot column is cleared
+    in every other row.  Returns the rank and the product of the pivots,
+    negated once per row swap: the determinant of a square m of full rank.
+    """
+    rank, det = 0, Fraction(1)
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
         pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                for c in range(col, ncols):
-                    m[r][c] -= factor * m[rank][c]
+        det *= pv
+        m[rank] = [x / pv for x in m[rank]]
+        for r in range(len(m)):
+            factor = m[r][col]
+            if r != rank and factor:
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
         rank += 1
         if rank == len(m):
             break
-    return rank
+    return rank, det
+
+
+def exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a rational matrix."""
+    m = [list(map(Fraction, row)) for row in rows]
+    return _eliminate(m, len(m[0]))[0] if m else 0
 
 
 def exact_det(matrix: list[list[Fraction]]) -> Fraction:
     """Determinant of a square rational matrix."""
     n = len(matrix)
-    m = [list(map(Fraction, row)) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+    rank, det = _eliminate([list(map(Fraction, row)) for row in matrix], n)
+    return det if rank == n else Fraction(0)
 
 
 def exact_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -65,19 +55,6 @@ def exact_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(matrix)
     m = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    if _eliminate(m, n)[0] < n:
+        raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in m]

@@ -71,8 +71,8 @@ from .forms import (
     structure_eq_check,
     vf_bracket,
 )
-from .polynomials import Poly, accumulate
-from .scalars import Scalar, _mono_mul
+from .polynomials import Poly
+from .scalars import Scalar, _mono_mul, accumulate
 
 
 def _route1_numerators(x: dict, g: dict) -> dict:

@@ -1,18 +1,9 @@
-"""Sparse linear combinations with exact coefficients, and polynomials.
+"""Polynomials: sparse combinations of monomials with Scalar coefficients.
 
-Everything the engine computes with is a finite linear combination over
-exact coefficients: polynomials, vector fields, one- and two-forms, graded
-Hamiltonian fields, differential operators and observables (combinations
-of generator monomials).  :class:`LinComb` is the one implementation of
-that rule: a term map in which a zero value is never stored, so
-structural equality of the term maps is semantic equality, with the
-linear structure (``+``, ``-``, :meth:`LinComb.scale`) and
-:func:`accumulate`, the one "add and drop a zero sum" step.  ``+`` and
-``-`` raise :class:`~nsq.errors.DimensionMismatch` when the operands live
-in different spaces (another dimension ``n``, another slice ``slot``).
-
-:class:`Poly` is the combination of monomials with Scalar coefficients.
-One generic polynomial type serves every coordinate system in the engine:
+:class:`Poly` is a :class:`~nsq.scalars.LinComb` from monomials to nonzero
+Scalars, so it shares the linear structure and the zero-free term map of
+every exact combination in the engine.  One generic polynomial type serves
+every coordinate system in the engine:
 
 * frame-bundle coordinates  ``('q', i)`` and ``('pi', a, b)`` for pi^a_b,
 * cotangent-bundle coordinates ``('q', i)`` and ``('p', j)``,
@@ -34,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import DimensionMismatch, EngineError
-from .scalars import Scalar, _coerce, _mono_mul, signed_sum, signed_term
+from .errors import EngineError
+from .scalars import LinComb, Scalar, _coerce, mul_into, signed_sum, signed_term
 
 Var = tuple
 Monomial = tuple
@@ -55,91 +46,6 @@ def pvar(j: int) -> Var:
     return ("p", j)
 
 
-class LinComb:
-    """Finite linear combination with exact coefficients: key -> nonzero value.
-
-    ``terms`` never holds a value whose ``is_zero()`` is true, so equal term
-    maps mean equal combinations.  Values are Scalars (for :class:`Poly`) or
-    combinations themselves (polynomial coefficients of fields, forms and
-    operators).  Sums go through :func:`accumulate`; products and scalings
-    of nonzero values by nonzero factors are never zero, because every
-    coefficient ring here is an integral domain, so they skip the check.
-
-    Subclasses name in ``_space`` the attributes besides ``terms`` that fix
-    the space the combination lives in (e.g. the dimension ``n``); those are
-    copied by :meth:`_like`, compared by ``==`` and required equal by
-    :meth:`_require_same` before ``+`` and ``-``.
-    """
-
-    __slots__ = ("terms",)
-    _space: tuple = ()
-
-    def _like(self, terms: dict):
-        """A combination in the same space as self over a zero-free term map (trusted)."""
-        out = object.__new__(type(self))
-        out.terms = terms
-        for name in self._space:
-            setattr(out, name, getattr(self, name))
-        return out
-
-    def _require_same(self, other) -> None:
-        """Raise DimensionMismatch unless other lives in the same space as self."""
-        for name in self._space:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if mine != theirs:
-                raise DimensionMismatch(f"{name} differs: {mine} vs {theirs}")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if self._space:
-            self._require_same(other)
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            accumulate(out, key, value)
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({key: -value for key, value in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coerce(c)
-        if c.is_zero():
-            return self._like({})
-        return self._like({key: value.scale(c) for key, value in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms and all(
-            getattr(self, name) == getattr(other, name) for name in self._space
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-
-def accumulate(out: dict, key, value) -> None:
-    """out[key] += value, dropping the key when the sum is zero."""
-    prev = out.get(key)
-    value = value if prev is None else prev + value
-    if value.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = value
-
-
-def mul_into(out: dict, a: "Poly", b: "Poly") -> None:
-    """Accumulate the product a * b into the term map out."""
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            accumulate(out, _mono_mul(m1, m2), c1 * c2)
-
-
 class Poly(LinComb):
     """Exact sparse polynomial; immutable by convention after construction."""
 
@@ -150,7 +56,7 @@ class Poly(LinComb):
         if terms:
             for mono, coeff in terms.items():
                 c = _coerce(coeff)
-                if not c.is_zero():
+                if c:
                     self.terms[mono] = c
 
     # -- constructors ------------------------------------------------------

@@ -1,6 +1,6 @@
 """Polynomial-coefficient differential operators and the quantization maps.
 
-An operator is a :class:`~nsq.polynomials.LinComb` from derivative
+An operator is a :class:`~nsq.scalars.LinComb` from derivative
 multi-degrees to coefficient polynomials, so it shares the linear
 structure of polynomials and fields; composition normalizes products by
 the Leibniz rule.  Operators act on functions of the position variables;
@@ -57,9 +57,9 @@ from typing import Mapping
 from .algebra import Observable, basic_tags, check_index, in_b1_algebra, monomial_str, rtag
 from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
 from .poisson import bracket
-from .polynomials import LinComb, Monomial, Poly, Var, pivar, qvar
+from .polynomials import Monomial, Poly, Var, pivar, qvar
 from .reports import VerificationReport
-from .scalars import IHBAR, Scalar, _mono_mul, signed_sum, signed_term
+from .scalars import IHBAR, LinComb, Scalar, _mono_mul, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
 
@@ -76,14 +76,12 @@ class DiffOperator(LinComb):
 
     def __init__(self, n: int, terms: Mapping[DerivDegree, Poly] | None = None):
         self.n = n
-        self.terms: dict[DerivDegree, Poly] = {}
-        for alpha, poly in (terms or {}).items():
+        for alpha in terms or {}:
             if len(alpha) != n:
                 raise EngineError("derivative degree length must equal the dimension")
             if not all(isinstance(d, int) and d >= 0 for d in alpha):
                 raise EngineError(f"derivative degree {alpha!r} must hold natural numbers")
-            if not poly.is_zero():
-                self.terms[tuple(alpha)] = poly
+        LinComb.__init__(self, terms)
 
     # -- constructors ------------------------------------------------------
 

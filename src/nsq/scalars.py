@@ -1,7 +1,21 @@
-"""Exact scalar coefficients: rationals extended by formal commuting symbols.
+"""Exact coefficients, and the sparse linear combination every layer shares.
 
-Every coefficient in the engine is a Scalar, a sparse polynomial in formal
-symbols with Fraction coefficients.  Two symbols occur in practice:
+Everything the engine computes with is a finite linear combination over
+exact coefficients: the coefficients themselves, polynomials, vector
+fields, one- and two-forms, graded Hamiltonian fields, differential
+operators and observables (combinations of generator monomials).
+:class:`LinComb` is the one implementation of that rule: a term map in
+which a zero value is never stored, so structural equality of the term
+maps is semantic equality, with the linear structure (``+``, ``-``,
+:meth:`LinComb.scale`) and :func:`accumulate`, the one "add and drop a
+zero sum" step.  A combination is false exactly when it is zero, so that
+step tests a Fraction value and a combination value alike.  ``+`` and
+``-`` raise :class:`~nsq.errors.DimensionMismatch` when the operands live
+in different spaces (another dimension ``n``, another slice ``slot``).
+
+Every coefficient in the engine is a :class:`Scalar`, the combination of
+formal symbol monomials with nonzero Fraction values.  Two symbols occur
+in practice:
 
 * ``IHBAR`` -- the combination i*hbar, tracked as a single real symbol so
   that all operator identities stay inside rational arithmetic.  Its formal
@@ -16,6 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Union
+
+from .errors import DimensionMismatch
 
 IHBAR = "ih"
 
@@ -35,25 +51,124 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Scalar:
-    """Polynomial in formal commuting symbols with exact rational coefficients."""
+class LinComb:
+    """Finite linear combination with exact coefficients: key -> nonzero value.
+
+    ``terms`` never holds a false (zero) value, so equal term maps mean
+    equal combinations.  Values are Fractions (for :class:`Scalar`),
+    Scalars (for :class:`~nsq.polynomials.Poly`) or combinations themselves
+    (polynomial coefficients of fields, forms and operators).  Sums go
+    through :func:`accumulate`; products and scalings of nonzero values by
+    nonzero factors are never zero, because every coefficient ring here is
+    an integral domain, so they skip the check.
+
+    Subclasses name in ``_space`` the attributes besides ``terms`` that fix
+    the space the combination lives in (e.g. the dimension ``n``); those are
+    copied by :meth:`_like`, compared by ``==`` and required equal by
+    :meth:`_require_same` before ``+`` and ``-``.
+    """
 
     __slots__ = ("terms",)
+    _space: tuple = ()
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {}
+        if terms:
+            for key, value in terms.items():
+                if value:
+                    self.terms[key] = value
+
+    def _like(self, terms: dict):
+        """A combination in the same space as self over a zero-free term map (trusted)."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        for name in self._space:
+            setattr(out, name, getattr(self, name))
+        return out
+
+    def _require_same(self, other) -> None:
+        """Raise DimensionMismatch unless other lives in the same space as self."""
+        for name in self._space:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise DimensionMismatch(f"{name} differs: {mine} vs {theirs}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if self._space:
+            self._require_same(other)
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            accumulate(out, key, value)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -value for key, value in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = _coerce(c)
+        if not c:
+            return self._like({})
+        return self._like({key: value.scale(c) for key, value in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and all(
+            getattr(self, name) == getattr(other, name) for name in self._space
+        )
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum is zero (false)."""
+    prev = out.get(key)
+    value = value if prev is None else prev + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
+
+
+def mul_into(out: dict, a: LinComb, b: LinComb) -> None:
+    """Accumulate the product a * b of two combinations over monomials into out."""
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            accumulate(out, _mono_mul(m1, m2), c1 * c2)
+
+
+class Scalar(LinComb):
+    """Polynomial in formal commuting symbols with exact rational coefficients.
+
+    ``terms`` maps symbol monomials to nonzero Fractions.  ``+`` and ``*``
+    also take an int or a Fraction, and ``==`` compares with one.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[SymMonomial, Fraction] | None = None):
         self.terms: dict[SymMonomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = _as_fraction(coeff)
-                if c != 0:
+                if c:
                     self.terms[mono] = c
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(value: RationalLike) -> "Scalar":
-        c = _as_fraction(value)
-        return Scalar({_ONE_MONO: c}) if c != 0 else Scalar()
+        return Scalar({_ONE_MONO: value})
 
     @staticmethod
     def symbol(name: str, power: int = 1) -> "Scalar":
@@ -72,9 +187,6 @@ class Scalar:
         return Scalar.of(1)
 
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_rational(self) -> bool:
         return all(m == _ONE_MONO for m in self.terms)
@@ -98,24 +210,10 @@ class Scalar:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Scalar(out)
+    def __add__(self, other) -> "Scalar":
+        return LinComb.__add__(self, _coerce(other))
 
     __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return Scalar({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-_coerce(other))
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -126,15 +224,8 @@ class Scalar:
             prod.terms = {_ONE_MONO: a[_ONE_MONO] * b[_ONE_MONO]}
             return prod
         out: dict[SymMonomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Scalar(out)
+        mul_into(out, self, other)
+        return self._like(out)
 
     __rmul__ = __mul__
     # scale(c) multiplies by a scalar in every exact combination type
@@ -147,8 +238,7 @@ class Scalar:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __hash__ = LinComb.__hash__
 
     # -- symbol manipulation -------------------------------------------------
 
@@ -238,11 +328,11 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
 
 def _mono_lower(mono: SymMonomial, name: str) -> SymMonomial | None:
     powers = dict(mono)
-    if powers.get(name, 0) < 1:
+    pw = powers.pop(name, 0)
+    if pw < 1:
         return None
-    powers[name] -= 1
-    if powers[name] == 0:
-        del powers[name]
+    if pw > 1:
+        powers[name] = pw - 1
     return tuple(sorted(powers.items()))
 
 

@@ -53,10 +53,10 @@ from .poisson import (
     theorem1_check,
     theorem1_constant,
 )
-from .polynomials import Poly, accumulate, pivar, qvar
+from .polynomials import Poly, pivar, qvar
 from .quantization import b1_monomials, make_q1, make_q2, quantize, record_dirac
 from .reports import VerificationReport
-from .scalars import Scalar
+from .scalars import Scalar, accumulate
 from .subbundle import (
     SubbundlePoint,
     frame_from_params,

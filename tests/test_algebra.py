@@ -71,6 +71,16 @@ def test_sym_mul_components():
     assert square.component((2, 2)).is_zero()
 
 
+def test_truth_value_is_on_the_components():
+    # qh(1,1) rh(2) and qh(1,2) rh(1) expand to the same components, so the
+    # difference keeps two terms but is the zero observable
+    n = 2
+    diff = sym_mul(make_qhat(n, 1, 1), make_rhat(n, 2)) - sym_mul(make_qhat(n, 1, 2), make_rhat(n, 1))
+    assert len(diff.terms) == 2 and diff.is_zero()
+    for obs in (diff, make_qhat(n, 1, 1)):
+        assert bool(obs) == (not obs.is_zero())
+
+
 def test_sym_mul_commutative_associative():
     n = 3
     rng = random.Random(3)

@@ -33,8 +33,8 @@ from nsq.forms import (
     structure_eq_check,
     vf_bracket,
 )
-from nsq.polynomials import Poly, accumulate, pivar, qvar
-from nsq.scalars import Scalar
+from nsq.polynomials import Poly, pivar, qvar
+from nsq.scalars import Scalar, accumulate
 
 
 def test_soldering_dtheta():

@@ -27,8 +27,8 @@ from nsq.quantization import (
     operators_linearly_independent,
     quantize,
 )
-from nsq.polynomials import Poly, accumulate, pivar, qvar
-from nsq.scalars import IHBAR, Scalar
+from nsq.polynomials import Poly, pivar, qvar
+from nsq.scalars import IHBAR, Scalar, accumulate
 from nsq.suites import random_b1_monomial
 
 

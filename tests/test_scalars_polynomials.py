@@ -1,5 +1,5 @@
 """Ring laws and calculus of the exact coefficient and polynomial types,
-the sparse-combination laws shared by polynomials, fields, forms,
+the sparse-combination laws shared by scalars, polynomials, fields, forms,
 operators and observables, and the printed form of a term."""
 
 import itertools
@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from nsq.algebra import Observable, full_tags
 from nsq.errors import DimensionMismatch
 from nsq.forms import HamVF, OneForm, TwoForm, VectorField
-from nsq.polynomials import LinComb, Poly, pivar, pvar, qvar
+from nsq.polynomials import Poly, pivar, pvar, qvar
 from nsq.quantization import DiffOperator, format_operator
-from nsq.scalars import IHBAR, Scalar
+from nsq.scalars import IHBAR, LinComb, Scalar
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -163,6 +163,7 @@ def observables():
 # TwoForm keys that are reversed or on the diagonal, and observable
 # monomials whose factors are not sorted.
 COMBINATIONS = {
+    "Scalar": scalars(),
     "Poly": polys(),
     "VectorField": vector_fields(),
     "OneForm": st.builds(OneForm, term_maps(VARS, polys())),
@@ -181,9 +182,7 @@ def combination_pairs(draw):
 
 def zero_free(x) -> bool:
     """No stored value is zero, at any level of nesting."""
-    return all(
-        not v.is_zero() and (not isinstance(v, LinComb) or zero_free(v)) for v in x.terms.values()
-    )
+    return all(bool(v) and (not isinstance(v, LinComb) or zero_free(v)) for v in x.terms.values())
 
 
 nonzero_rationals = rationals.filter(lambda c: c != 0)

@@ -29,6 +29,7 @@ KILLED = 1  # pytest: tests were collected and run, and some failed
 
 QUANT = "tests/test_quantization.py"
 KERNELS = "tests/test_kernels.py"
+LAWS = "tests/test_scalars_polynomials.py"
 
 
 @dataclass
@@ -146,6 +147,21 @@ MUTANTS = [
         "gauge seed accepted on a slice",
         [("poisson.py", "    if gauge_seed is not None and slot is not None:\n", "    if False:\n")],
         [f"{KERNELS}::test_slice_bracket_refuses_gauge_seed"],
+    ),
+    # -- the sparse-combination base (scalars) --
+    Mutant(
+        "accumulate keeps a zero sum",
+        [("scalars.py", "    if value:\n        out[key] = value\n    else:\n        out.pop(key, None)\n", "    out[key] = value\n")],
+        [
+            f"{LAWS}::test_poly_canonical_form_drops_zeros",
+            f"{LAWS}::test_scalar_product_matches_general_path",
+            f"{LAWS}::test_sparse_combination_laws",
+        ],
+    ),
+    Mutant(
+        "LinComb.__bool__ always true",
+        [("scalars.py", "        return bool(self.terms)\n", "        return True\n")],
+        [f"{LAWS}::test_poly_canonical_form_drops_zeros", f"{LAWS}::test_sparse_combination_laws"],
     ),
 ]
 
