@@ -8,21 +8,33 @@ correspond line by line under q^i <-> qhat(i,1), p_j <-> pihat(j),
 Weyl (totally symmetrized) operator ordering exhibits the classical
 inconsistency: the two classically equal cubic-bracket expressions for
 q^2 p^2 quantize to operators that differ by a multiple of hbar^2.  The
-ordering is computed twice: through the per-mode McCoy formula and through
-a brute-force average over all operator words; the witness value is frozen
-against the brute-force oracle in the tests.
+ordering is computed twice, by two independent routes:
+
+* :func:`weyl_quantize` writes the q-left standard-order terms down by
+  their closed form, per mode
+  W(q^m p^k) = sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
+  (McCoy, PNAS 18 (1932) 674; Agarwal and Wolf, Phys. Rev. D 2 (1970)
+  2161), and composes no operators;
+* :func:`weyl_quantize_brute` averages over every distinct operator word,
+  composing letters over the trie of the sorted words, so that each
+  shared prefix is composed once.
+
+The witness value is frozen against the brute-force oracle in the tests.
+Both routes accept only the cotangent variables ("q", i) and ("p", i) with
+1 <= i <= n.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
-from .algebra import Observable, make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
+from math import comb, factorial
+
+from .algebra import Observable, check_index, make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
 from .errors import EngineError
 from .polynomials import Poly, pvar, qvar
 from .quantization import DiffOperator, commutator, op_compose
-from .scalars import IHBAR, Scalar
+from .scalars import IHBAR, Scalar, accumulate
 
 
 def sp_q(i: int) -> Poly:
@@ -42,14 +54,23 @@ def classical_bracket(f: Poly, g: Poly, n: int) -> Poly:
     return out
 
 
-def _mode_powers(mono) -> dict[int, list[int]]:
-    """Per-mode (q-power, p-power) split of one monomial."""
+def _mode_powers(mono, n: int) -> list[tuple[int, int, int]]:
+    """Sorted (mode, q-power, p-power) of one monomial over the modes 1..n.
+
+    Refuses a variable other than ("q", i) or ("p", i): EngineError for a
+    foreign variable, IndexRangeError for a mode outside 1..n.
+    """
     modes: dict[int, list[int]] = {}
     for v, pw in mono:
-        mode = v[1]
-        slot = 0 if v[0] == "q" else 1
-        modes.setdefault(mode, [0, 0])[slot] += pw
-    return modes
+        if len(v) != 2 or v[0] not in ("q", "p"):
+            raise EngineError(f"{v!r} is not a cotangent variable")
+        modes.setdefault(check_index(v[1], n), [0, 0])[v[0] == "p"] += pw
+    return [(mode, m, k) for mode, (m, k) in sorted(modes.items())]
+
+
+def _monomial_modes(f: Poly, n: int) -> list[tuple[list, Scalar]]:
+    """(mode powers, coefficient) per monomial of f, every variable checked first."""
+    return [(_mode_powers(mono, n), coeff) for mono, coeff in f.terms.items()]
 
 
 def _q_op(n: int, mode: int) -> DiffOperator:
@@ -60,47 +81,74 @@ def _p_op(n: int, mode: int) -> DiffOperator:
     return DiffOperator.derivative(n, mode, -Scalar.symbol(IHBAR))
 
 
-def weyl_quantize(f: Poly, n: int) -> DiffOperator:
-    """Weyl ordering by the per-mode McCoy formula, extended linearly.
+def _mode_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
+    """W(q^m p^k) of one mode as (j, factor): the terms factor * IHBAR^k q^(m-j) d^(k-j).
 
-    For one mode, S(q^m p^k) = 2^-k sum_r C(k, r) p^r q^m p^(k-r) with the
-    momentum operator -i*hbar d/dq; different modes commute.
+    The closed form sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
+    with p = -i*hbar d/dq, so every term carries (-1)^k IHBAR^k / 2^j.
     """
-    out = DiffOperator.zero(n)
-    for mono, coeff in f.terms.items():
-        term = DiffOperator.identity(n)
-        for mode, (m, k) in sorted(_mode_powers(mono).items()):
-            qop, pop = _q_op(n, mode), _p_op(n, mode)
-            mode_sum = DiffOperator.zero(n)
-            for r in range(k + 1):
-                piece = DiffOperator.identity(n)
-                for _ in range(r):
-                    piece = op_compose(piece, pop)
-                for _ in range(m):
-                    piece = op_compose(piece, qop)
-                for _ in range(k - r):
-                    piece = op_compose(piece, pop)
-                mode_sum = mode_sum + piece.scale(Fraction(comb(k, r), 2**k))
-            term = op_compose(term, mode_sum)
-        out = out + term.scale(coeff)
-    return out
+    return [
+        (j, Fraction((-1) ** k * factorial(j) * comb(m, j) * comb(k, j), 2**j))
+        for j in range(min(m, k) + 1)
+    ]
+
+
+def weyl_quantize(f: Poly, n: int) -> DiffOperator:
+    """Weyl ordering by its closed form in q-left standard order, extended linearly.
+
+    For one mode, W(q^m p^k) = sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
+    (McCoy, PNAS 18 (1932) 674; Agarwal and Wolf, Phys. Rev. D 2 (1970)
+    2161); different modes commute, so a monomial's image is the product
+    of its modes' terms.  Built term by term; nothing is composed.
+    """
+    terms: dict = {}
+    for modes, coeff in _monomial_modes(f, n):
+        prefactor = coeff * Scalar.symbol(IHBAR, sum(k for _, _, k in modes))
+        for choice in itertools.product(*(_mode_terms(m, k) for _, m, k in modes)):
+            alpha = [0] * n
+            mono = []
+            factor = Fraction(1)
+            for (mode, m, k), (j, w) in zip(modes, choice):
+                alpha[mode - 1] = k - j
+                if m > j:
+                    mono.append((qvar(mode), m - j))
+                factor *= w
+            accumulate(terms.setdefault(tuple(alpha), {}), tuple(mono), prefactor * factor)
+    return DiffOperator(n, {alpha: Poly(poly) for alpha, poly in terms.items()})
 
 
 def weyl_quantize_brute(f: Poly, n: int) -> DiffOperator:
-    """Independent oracle: average over every ordering of the operator word."""
+    """Independent oracle: average over every distinct ordering of the operator word.
+
+    The sorted words are the leaves of a trie of letters q^i, p^i.  A stack
+    holds the products of the current word's prefixes; each word keeps the
+    prefix it shares with the previous word and composes only its new
+    letters, so every trie node is composed once.
+    """
     out = DiffOperator.zero(n)
-    for mono, coeff in f.terms.items():
+    for modes, coeff in _monomial_modes(f, n):
         letters: list[tuple[int, int]] = []
-        for mode, (m, k) in sorted(_mode_powers(mono).items()):
+        ops = {}
+        for mode, m, k in modes:
             letters += [(mode, 0)] * m + [(mode, 1)] * k
-        words = set(itertools.permutations(letters))
+            ops[mode, 0], ops[mode, 1] = _q_op(n, mode), _p_op(n, mode)
+        if not letters:
+            out = out + DiffOperator.multiplication(n, Poly.constant(coeff))
+            continue
+        words = sorted(set(itertools.permutations(letters)))
         acc = DiffOperator.zero(n)
-        for word in sorted(words):
-            piece = DiffOperator.identity(n)
-            for mode, which in word:
-                op = _q_op(n, mode) if which == 0 else _p_op(n, mode)
-                piece = op_compose(piece, op)
-            acc = acc + piece
+        stack: list[DiffOperator] = []  # stack[i] is the product of word[:i + 1]
+        prev: tuple = ()
+        for word in words:
+            common = 0
+            while common < len(stack) and word[common] == prev[common]:
+                common += 1
+            del stack[common:]
+            for letter in word[len(stack):]:
+                op = ops[letter]
+                stack.append(op_compose(stack[-1], op) if stack else op)
+            acc = acc + stack[-1]
+            prev = word
         out = out + acc.scale(coeff * Fraction(1, len(words)))
     return out
 

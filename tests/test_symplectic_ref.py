@@ -4,8 +4,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from nsq.polynomials import Poly, pvar, qvar
-from nsq.quantization import DiffOperator, commutator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nsq import quantization, symplectic_ref
+from nsq.errors import EngineError, IndexRangeError
+from nsq.polynomials import Poly, pivar, pvar, qvar
+from nsq.quantization import DiffOperator, commutator, op_compose
 from nsq.scalars import IHBAR, Scalar
 from nsq.symplectic_ref import (
     classical_bracket,
@@ -117,11 +123,111 @@ def test_groenewold_witness_golden():
     assert not w.is_zero()
     assert w.ihbar_degree() == 2
     assert w == DiffOperator.multiplication(1, Poly.constant(WITNESS_COEFF))
-    # the brute-force oracle agrees with the McCoy route, also in two modes
+    # the brute-force oracle agrees with the closed form, also in two modes
     assert groenewold_witness(brute=True) == w
     w2 = groenewold_witness(2)
     assert w2 == DiffOperator.multiplication(2, Poly.constant(WITNESS_COEFF))
     assert groenewold_witness(2, brute=True) == w2
+
+
+# -- the closed form against the prefix-shared oracle ---------------------------
+
+
+def ref_weyl_brute(f, n):
+    """The word average, every distinct word composed from the identity."""
+    out = DiffOperator.zero(n)
+    for mono, coeff in f.terms.items():
+        letters = []
+        for v, pw in mono:
+            letters += [v] * pw
+        words = set(itertools.permutations(letters))
+        acc = DiffOperator.zero(n)
+        for word in sorted(words):
+            piece = DiffOperator.identity(n)
+            for v in word:
+                if v[0] == "q":
+                    op = DiffOperator.multiplication(n, Poly.var(v))
+                else:
+                    op = DiffOperator.derivative(n, v[1], -Scalar.symbol(IHBAR))
+                piece = op_compose(piece, op)
+            acc = acc + piece
+        out = out + acc.scale(coeff * Fraction(1, len(words)))
+    return out
+
+
+COEFFICIENTS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.sampled_from([Scalar.symbol(IHBAR), Scalar.symbol("A1") - Scalar.of(Fraction(1, 2))]),
+)
+
+
+@st.composite
+def cotangent_polys(draw):
+    """(f, n): n in 1..3 and one or two monomials in q^i, p^i of degree <= 6."""
+    n = draw(st.integers(1, 3))
+    variables = [qvar(i) for i in range(1, n + 1)] + [pvar(i) for i in range(1, n + 1)]
+    f = Poly.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        term = Poly.constant(draw(COEFFICIENTS))
+        for v in draw(st.lists(st.sampled_from(variables), max_size=6)):
+            term = term * Poly.var(v)
+        f = f + term
+    return f, n
+
+
+WEYL_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@WEYL_SETTINGS
+@given(cotangent_polys())
+def test_weyl_closed_form_matches_prefix_oracle(draw):
+    f, n = draw
+    assert weyl_quantize(f, n) == weyl_quantize_brute(f, n)
+
+
+@WEYL_SETTINGS
+@given(cotangent_polys())
+def test_prefix_oracle_matches_word_average(draw):
+    f, n = draw
+    assert weyl_quantize_brute(f, n) == ref_weyl_brute(f, n)
+
+
+def test_prefix_oracle_matches_word_average_at_n2():
+    letters = [sp_q(1), sp_q(2), sp_p(1), sp_p(2)]
+    powers = [e for e in itertools.product(range(5), repeat=4) if sum(e) <= 4]
+    assert len(powers) == 70
+    for exponents in powers:
+        poly = Poly.constant(1)
+        for letter, e in zip(letters, exponents):
+            poly = poly * letter**e
+        assert weyl_quantize_brute(poly, 2) == ref_weyl_brute(poly, 2), exponents
+
+
+def test_weyl_quantize_composes_nothing(monkeypatch):
+    poly = sp_q(1) ** 2 * sp_p(1) * sp_q(2) * sp_p(2) ** 2
+    expected = weyl_quantize_brute(poly, 2)
+
+    def refuse(a, b):
+        raise AssertionError("op_compose called")
+
+    monkeypatch.setattr(quantization, "op_compose", refuse)
+    monkeypatch.setattr(symplectic_ref, "op_compose", refuse)
+    with pytest.raises(AssertionError, match="op_compose called"):
+        weyl_quantize_brute(poly, 2)
+    assert weyl_quantize(poly, 2) == expected
+
+
+@pytest.mark.parametrize("route", [weyl_quantize, weyl_quantize_brute])
+def test_weyl_refuses_non_cotangent_variables(route):
+    n = 2
+    # a frame-bundle variable is not a momentum
+    for f in (Poly.var(pivar(1, 1)), sp_q(1) * Poly.var(pivar(1, 2))):
+        with pytest.raises(EngineError, match="not a cotangent variable"):
+            route(f, n)
+    # a mode outside 1..n, whether it stands alone or beside a valid one
+    for f in (sp_q(3), sp_p(3), sp_p(1) * sp_q(3)):
+        with pytest.raises(IndexRangeError, match="out of range 1..2"):
+            route(f, n)
 
 
 def test_weyl_is_bracket_compatible_at_low_degree():

@@ -30,6 +30,7 @@ KILLED = 1  # pytest: tests were collected and run, and some failed
 QUANT = "tests/test_quantization.py"
 KERNELS = "tests/test_kernels.py"
 LAWS = "tests/test_scalars_polynomials.py"
+WEYL = "tests/test_symplectic_ref.py"
 
 
 @dataclass
@@ -94,6 +95,22 @@ MUTANTS = [
         "commutator adds b o a instead of subtracting it",
         [("quantization.py", "_compose_into(acc, fb, fa, -1)", "_compose_into(acc, fb, fa, 1)")],
         [f"{QUANT}::test_commutator_matches_leibniz_reference"],
+    ),
+    # -- Weyl ordering: the closed form and the prefix-shared oracle (symplectic_ref) --
+    Mutant(
+        "closed form with +i*hbar/2 in place of -i*hbar/2",
+        [("symplectic_ref.py", "Fraction((-1) ** k * factorial(j)", "Fraction((-1) ** (k - j) * factorial(j)")],
+        [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_weyl_closed_form_matches_prefix_oracle"],
+    ),
+    Mutant(
+        "closed form without j!",
+        [("symplectic_ref.py", "(-1) ** k * factorial(j) * comb(m, j)", "(-1) ** k * comb(m, j)")],
+        [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_weyl_closed_form_matches_prefix_oracle"],
+    ),
+    Mutant(
+        "prefix stack keeps a stale letter past the common prefix",
+        [("symplectic_ref.py", "del stack[common:]", "del stack[common + 1 :]")],
+        [f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2", f"{WEYL}::test_prefix_oracle_matches_word_average"],
     ),
     # -- the integer bracket kernel (poisson, algebra, forms, polynomials) --
     Mutant(
