@@ -53,7 +53,6 @@ from .poisson import (
 from .quantization import (
     DiffOperator,
     QuantizationMap,
-    axiom_report,
     commutator,
     dirac_check,
     formal_adjoint,
@@ -84,3 +83,12 @@ from .symplectic_ref import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``nsq.axiom_report`` from :mod:`nsq.suites`, imported on first use, not with the package."""
+    if name != "axiom_report":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .suites import axiom_report
+
+    return axiom_report

@@ -87,9 +87,8 @@ class VectorField(LinComb):
         h: Mapping[int, Poly] | None = None,
         v: Mapping[tuple, Poly] | None = None,
     ):
-        terms = {qvar(a): p for a, p in (h or {}).items()}
-        terms.update((pivar(a, b), p) for (a, b), p in (v or {}).items())
-        LinComb.__init__(self, terms)
+        self.terms: dict = {qvar(a): p for a, p in (h or {}).items() if p}
+        self.terms.update((pivar(a, b), p) for (a, b), p in (v or {}).items() if p)
 
     @staticmethod
     def zero() -> "VectorField":

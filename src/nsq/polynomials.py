@@ -127,8 +127,8 @@ class Poly(LinComb):
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        out = Poly.constant(1)
-        for _ in range(k):
+        out = self if k else Poly.constant(1)
+        for _ in range(k - 1):
             out = out * self
         return out
 

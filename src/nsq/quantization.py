@@ -41,7 +41,8 @@ The bracket-to-commutator condition, with this engine's bracket sign, is
 
     [Q(f), Q(g)] = IHBAR * Q({f, g})
 
-and is checked exactly by :func:`dirac_check`.
+and is checked exactly by :func:`dirac_check`.  This module builds no
+reports: :mod:`nsq.suites` records the condition and runs the axiom sweep.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from math import comb, lcm, perm
 from operator import add
 from typing import Mapping
 
-from .algebra import Observable, basic_tags, check_index, in_b1_algebra, monomial_str, rtag
+from .algebra import Observable, basic_tags, check_index, in_b1_algebra
 from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
+from .linalg import exact_rank
 from .poisson import bracket
 from .polynomials import Monomial, Poly, Var, pivar, qvar
-from .reports import VerificationReport
 from .scalars import IHBAR, LinComb, Scalar, _mono_mul, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
@@ -76,12 +77,14 @@ class DiffOperator(LinComb):
 
     def __init__(self, n: int, terms: Mapping[DerivDegree, Poly] | None = None):
         self.n = n
-        for alpha in terms or {}:
+        self.terms: dict = {}
+        for alpha, poly in (terms or {}).items():
             if len(alpha) != n:
                 raise EngineError("derivative degree length must equal the dimension")
             if not all(isinstance(d, int) and d >= 0 for d in alpha):
                 raise EngineError(f"derivative degree {alpha!r} must hold natural numbers")
-        LinComb.__init__(self, terms)
+            if poly:
+                self.terms[alpha] = poly
 
     # -- constructors ------------------------------------------------------
 
@@ -336,43 +339,21 @@ def _dirac_sides(qmap, f, g, gauge_seed) -> tuple[DiffOperator, DiffOperator]:
     return lhs, rhs
 
 
-def record_dirac(report, case, qmap, f, g, gauge_seed=None, expected="pass") -> None:
-    """Record one bracket-to-commutator case in a report.
-
-    A failure carries the residual [Q(f), Q(g)] - IHBAR * Q({f, g}) as its
-    actual value; passing cases never form it.
-    """
-    lhs, rhs = _dirac_sides(qmap, f, g, gauge_seed)
-    ok = lhs == rhs
-    report.record(case, ok, expected, "fail" if ok else format_operator(lhs - rhs))
-
-
 # -- axiom verification ---------------------------------------------------------
 
 
 def operators_linearly_independent(ops: list[DiffOperator]) -> bool:
-    """Exact linear independence over the rationals in the term basis."""
-    from .linalg import exact_rank
+    """Exact linear independence over the rationals in the term basis.
 
-    axes: dict = {}
-    rows = []
-    entries = []
-    for op in ops:
-        row_entries = {}
-        for alpha, poly in op.terms.items():
-            for mono, scalar in poly.terms.items():
-                for symmono, frac in scalar.terms.items():
-                    key = (alpha, mono, symmono)
-                    axes.setdefault(key, len(axes))
-                    row_entries[key] = frac
-        entries.append(row_entries)
-    dim = len(axes)
-    for row_entries in entries:
-        row = [Fraction(0)] * dim
-        for key, frac in row_entries.items():
-            row[axes[key]] = frac
-        rows.append(row)
-    return exact_rank(rows) == len(ops)
+    Each operator is one row of its integer numerators (:func:`_flatten`):
+    scaling a row by its positive denominator leaves the rank unchanged.
+    """
+    rows = [
+        {(alpha, mono, sym): num for alpha, mono, coeffs in _flatten(op)[0] for sym, num in coeffs}
+        for op in ops
+    ]
+    axes = {key for row in rows for key in row}
+    return exact_rank([[row.get(key, 0) for key in axes] for row in rows]) == len(ops)
 
 
 def b1_monomials(n: int, degree_cap: int) -> list[tuple]:
@@ -382,98 +363,6 @@ def b1_monomials(n: int, degree_cap: int) -> list[tuple]:
     for deg in range(1, degree_cap + 1):
         out.extend(itertools.combinations_with_replacement(tags, deg))
     return out
-
-
-@dataclass
-class AxiomReport(VerificationReport):
-    """Verification report extended with the axioms outside computation."""
-
-    out_of_scope: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d["out_of_scope"] = list(self.out_of_scope)
-        return d
-
-    def summary(self) -> str:
-        lines = [super().summary()]
-        for item in self.out_of_scope:
-            lines.append(f"  out of computational scope: {item}")
-        return "\n".join(lines)
-
-
-def axiom_report(
-    qmap: QuantizationMap, n: int, degree_cap: int, seed: int = 0
-) -> AxiomReport:
-    """Machine-checkable quantization axioms for one map.
-
-    Covers linearity, the bracket-to-commutator condition on all monomial
-    pairs up to the degree cap, the constant image of rhat(1), faithfulness
-    and formal symmetry on the basic set.  Essential self-adjointness,
-    irreducibility and analytic-vector density are proof obligations cited
-    from the Schroedinger representation, not computed; they are listed as
-    out of scope.
-    """
-    import random
-    import time
-
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    report = AxiomReport(suite=f"axioms-{qmap.label}", n=n, seed=seed)
-    monos = b1_monomials(n, degree_cap)
-
-    def obs(mono) -> Observable:
-        return Observable(n, {mono: Scalar.one()})
-
-    # linearity on random combinations
-    for trial in range(10):
-        m1, m2 = rng.choice(monos), rng.choice(monos)
-        c1 = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-        c2 = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-        combo = obs(m1).scale(c1) + obs(m2).scale(c2)
-        ok = quantize(qmap, combo) == quantize(qmap, obs(m1)).scale(c1) + quantize(
-            qmap, obs(m2)
-        ).scale(c2)
-        report.record(f"linearity trial {trial}", ok)
-
-    # bracket-to-commutator on all ordered pairs
-    for m1, m2 in itertools.product(monos, monos):
-        record_dirac(
-            report,
-            f"dirac ({monomial_str(m1)}, {monomial_str(m2)})",
-            qmap,
-            obs(m1),
-            obs(m2),
-            expected="commutator matches bracket",
-        )
-
-    # the constant element maps to a constant operator
-    img = quantize(qmap, obs((rtag(1),)))
-    constant = list(img.terms) in ([], [(0,) * n]) and all(
-        p.is_constant() for p in img.terms.values()
-    )
-    report.record("rhat(1) maps to a constant", constant)
-
-    # faithfulness on the basic set
-    images = [quantize(qmap, obs((tag,))) for tag in basic_tags(n)]
-    report.record("faithful on the basic set", operators_linearly_independent(images))
-
-    # formal symmetry of all surviving generator-table images
-    symmetric = True
-    for mono in b1_monomials(n, qmap.kill_rank - 1):
-        image = qmap.image_of_monomial(mono)
-        if formal_adjoint(image) != image:
-            symmetric = False
-            break
-    report.record("generator images formally symmetric", symmetric)
-
-    report.out_of_scope = [
-        "essential self-adjointness on the dense domain",
-        "irreducibility of the represented basic set",
-        "density of separately analytic vectors",
-    ]
-    report.millis = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 # -- printing -------------------------------------------------------------------

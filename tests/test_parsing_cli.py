@@ -12,7 +12,7 @@ from nsq.cli import main
 from nsq.errors import IndexRangeError, ParseError
 from nsq.parsing import parse, parse_observable, print_observable
 from nsq.poisson import bracket
-from nsq.suites import random_full_monomial
+from nsq.suites import SUITES, random_full_monomial, run_suite
 
 
 def test_parse_examples():
@@ -208,6 +208,14 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     assert main(["verify", "--suite", "stub-fail"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "forced failure" in out
+
+
+def test_suites_register_under_their_cli_names():
+    assert len(SUITES) == 13
+    for name in SUITES:
+        assert run_suite(name, n=1).suite == name
+    with pytest.raises(KeyError):
+        run_suite("nope")
 
 
 def test_cli_env_seed(capsys, monkeypatch):

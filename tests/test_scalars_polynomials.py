@@ -100,6 +100,17 @@ def test_poly_diff_is_derivation(a, b):
     assert lhs == rhs
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(Poly.zero()), polys()), st.integers(0, 4))
+def test_poly_power_is_the_repeated_product(p, k):
+    product = Poly.constant(1)
+    for _ in range(k):
+        product = product * p
+    assert p**k == product
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_scalar_symbol_bookkeeping():
     ih = Scalar.symbol(IHBAR)
     assert (ih * ih).degree_in(IHBAR) == 2

@@ -31,6 +31,8 @@ QUANT = "tests/test_quantization.py"
 KERNELS = "tests/test_kernels.py"
 LAWS = "tests/test_scalars_polynomials.py"
 WEYL = "tests/test_symplectic_ref.py"
+CLI = "tests/test_parsing_cli.py"
+GOLDEN = "tests/test_verify_golden.py"
 
 
 @dataclass
@@ -164,6 +166,17 @@ MUTANTS = [
         "gauge seed accepted on a slice",
         [("poisson.py", "    if gauge_seed is not None and slot is not None:\n", "    if False:\n")],
         [f"{KERNELS}::test_slice_bracket_refuses_gauge_seed"],
+    ),
+    # -- the suite driver (suites) --
+    Mutant(
+        "dirac pair loop builds g from m1",
+        [("suites.py", "f, g = units[m1], units[m2]", "f, g = units[m1], units[m1]")],
+        [f"{QUANT}::test_dirac_failures_carry_the_residual"],
+    ),
+    Mutant(
+        "suite decorator stamps one fixed suite name",
+        [("suites.py", "_fill_timed(VerificationReport(name,", '_fill_timed(VerificationReport("eq13",')],
+        [f"{CLI}::test_suites_register_under_their_cli_names", f"{GOLDEN}::test_verify_report_matches_golden"],
     ),
     # -- the sparse-combination base (scalars) --
     Mutant(
