@@ -21,96 +21,114 @@ coefficient 1, by two independent routes:
 
 Both routes run in integer arithmetic over one shared denominator.  A unit
 monomial of degree r has integer components over r!, and its factor-rule
-field is an integer field over r!(r-1)! (the integer memos of
+field is an integer field over r!(r-1)! (the packed integer memos of
 :mod:`nsq.algebra` and :mod:`nsq.forms`).  For a (p, q) pair, route 1 is
 
     -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
 
 and route 2 is sum c * num(mono) over the generator monomials of the
-expansion, with integer c; both are numerators over (p+q-1)!.  The two
-numerator maps, K -> {monomial: int}, are compared exactly on every pair of
-every call, and a disagreement raises EngineError naming the unit pair, the
-first differing rank and multi-index and both routes' values there (as
-polynomials, numerator / (p+q-1)!).  The result is the sum over the pairs
-of cf * cg times route 2's generator monomials, so symbolic coefficients
-never enter the integer kernel, brackets nest, and the result's components
-are expanded only when a caller reads them.
+expansion, with integer c; both are numerators over (p+q-1)!.
+
+Route 1 is a join on the variable that X^I moves along.  The field of mf
+is read indexed by variable, var -> [(I, d/d(var) coefficient)], and g by
+its partial derivatives, var -> [(J, lowered monomial, integer
+coefficient)], one entry per term of g^J that holds var; only the
+variables on both sides are visited, and each (I, J) lands on K =
+sorted(I + J) with weight -split_count(K, I), memoized on (I, J).  Both
+routes run on packed monomials (see :mod:`nsq.polynomials`), so a product
+of monomials is one integer add.  The powers in a (p, q) pair are at most
+p+q-2, and a bracket whose ranks could pass ``POWER_BOUND`` is refused
+with EngineError before any work, so that a field never carries.
+
+The two numerator maps, K -> {packed monomial: int}, are compared exactly
+on every pair of every call, and a disagreement raises EngineError naming
+the unit pair, the first differing rank and multi-index and both routes'
+values there (unpacked, as polynomials numerator / (p+q-1)!).  The result
+is the sum over the pairs of cf * cg times route 2's generator monomials,
+so symbolic coefficients never enter the integer kernel, brackets nest,
+and the result's components are expanded only when a caller reads them.
 
 With ``gauge_seed`` each grade p of f draws a seeded random valid gauge
-term t_p; its route 1 against every unit monomial of g must be zero, so
-the shifted representative gives the same bracket.  A slice has no gauge
-freedom: its two-form dpi^slot_j ^ dq^j is nondegenerate on the fields
-tangent to the slice (legs d/dq^j and d/dpi^slot_b), so the structure
-equation at K = I + (slot,) fixes every grade X^I, and ``gauge_seed`` on a
-slice observable raises EngineError naming the slot.  The memos save
-rebuilding the operands, not either route: both run on every call.
+term t_p, indexed by variable and packed for the same join; its route 1
+against every unit monomial of g must be zero, so the shifted
+representative gives the same bracket.  A slice has no gauge freedom: its
+two-form dpi^slot_j ^ dq^j is nondegenerate on the fields tangent to the
+slice (legs d/dq^j and d/dpi^slot_b), so the structure equation at K = I +
+(slot,) fixes every grade X^I, and ``gauge_seed`` on a slice observable
+raises EngineError naming the slot.  The memos save rebuilding the
+operands, not either route: both run on every call.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 from .algebra import (
     GenMonomial,
+    MultiIndex,
     Observable,
-    _monomial_numerators,
+    _monomial_partials,
+    _packed_numerators,
     in_b1_algebra,
     rtag,
     split_count,
 )
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
-    _monomial_field_numerators,
+    _monomial_field_table,
     add_gauge,
-    field_numerators,
+    field_table,
     ham_vf,
     random_valid_gauge,
     require_gauge,
     structure_eq_check,
     vf_bracket,
 )
-from .polynomials import Poly
-from .scalars import Scalar, _mono_mul, accumulate
+from .polynomials import POWER_BOUND, Poly, unpack_numerators
+from .scalars import Scalar, accumulate
 
 
-def _route1_numerators(x: dict, g: dict) -> dict:
-    """Route 1 on integer operands: K -> -sum split_count(K, I) * X^I(g^J).
+@lru_cache(maxsize=4096)
+def _joined_index(I: MultiIndex, J: MultiIndex) -> tuple[MultiIndex, int]:
+    """(K, -split_count(K, I)) for K = sorted(I + J): where route 1 puts X^I(g^J), and its weight."""
+    K = tuple(sorted(I + J))
+    return K, -split_count(K, I)
 
-    x maps each grade I to an integer field (var -> integer polynomial) and
-    g each component J to an integer polynomial.  X^I(g^J) is formed term
-    by term: each variable of a term of g^J that X^I moves along is lowered
-    once, as in :meth:`nsq.polynomials.Poly.diff`.  Only the support pairs
-    are visited; zero sums are dropped.
+
+def _route1_numerators(x: dict, dg: dict) -> dict:
+    """Route 1 on packed integer operands: K -> -sum split_count(K, I) * X^I(g^J).
+
+    x is a field table (:func:`nsq.forms.field_table`) and dg a partials
+    table (:func:`nsq.algebra._monomial_partials`), both keyed by variable;
+    the join visits only the variables in both.  Zero sums are dropped.
     """
     out: dict = {}
-    for I, field in x.items():
-        for J, num in g.items():
-            acc = None
-            for m2, c2 in num.items():
-                for t, (var, pw) in enumerate(m2):
-                    coeff = field.get(var)
-                    if coeff is None:
-                        continue
-                    if acc is None:
-                        K = tuple(sorted(I + J))
-                        weight = -split_count(K, I)
-                        acc = out.setdefault(K, {})
-                    lowered = m2[:t] + ((var, pw - 1),) + m2[t + 1 :] if pw > 1 else m2[:t] + m2[t + 1 :]
-                    c2w = c2 * pw * weight
-                    for m1, c1 in coeff.items():
-                        m = _mono_mul(m1, lowered)
-                        acc[m] = acc.get(m, 0) + c1 * c2w
+    for var, grades in x.items():
+        partials = dg.get(var)
+        if partials is None:
+            continue
+        for I, coeff in grades:
+            for J, lowered, c in partials:
+                K, weight = _joined_index(I, J)
+                acc = out.get(K)
+                if acc is None:
+                    acc = out[K] = {}
+                cw = c * weight
+                for m1, c1 in coeff:
+                    m = m1 + lowered
+                    acc[m] = acc.get(m, 0) + c1 * cw
     return _nonzero(out)
 
 
 def _route2_numerators(hits: dict, n: int, slot: int | None) -> dict:
-    """Route 2 on integer operands: K -> sum c * num(mono) over hits {mono: c}."""
+    """Route 2 on packed integer operands: K -> sum c * num(mono) over hits {mono: c}."""
     out: dict = {}
     for mono, c in hits.items():
         if c:
-            for K, num in _monomial_numerators(mono, n, slot).items():
+            for K, num in _packed_numerators(mono, n, slot).items():
                 acc = out.setdefault(K, {})
                 for m, v in num.items():
                     acc[m] = acc.get(m, 0) + c * v
@@ -118,12 +136,16 @@ def _route2_numerators(hits: dict, n: int, slot: int | None) -> dict:
 
 
 def _nonzero(graded: dict) -> dict:
-    """Drop zero coefficients, then empty components, from K -> {monomial: int}."""
+    """Drop zero coefficients, then empty components, from K -> {monomial: int}.
+
+    Most components have no zero sum, so only those that do are rebuilt.
+    """
     out = {}
     for K, acc in graded.items():
-        kept = {m: c for m, c in acc.items() if c}
-        if kept:
-            out[K] = kept
+        if 0 in acc.values():
+            acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            out[K] = acc
     return out
 
 
@@ -147,7 +169,7 @@ def _generator_hits(mf: GenMonomial, mg: GenMonomial):
 
 
 def _gauge_numerators(f: Observable, gauge_seed: int) -> dict:
-    """p -> (t_p scaled to integers, the scale) for the grades p of f.
+    """p -> (t_p scaled to integers as a field table, the scale) for the grades p of f.
 
     The grades draw their seeded random valid gauge terms from one RNG in
     increasing rank order; the zero term of rank 1 draws nothing and is
@@ -165,7 +187,7 @@ def _gauge_numerators(f: Observable, gauge_seed: int) -> dict:
             for poly in vf.terms.values()
             for c in poly.terms.values()
         ))
-        out[p] = (field_numerators(t.terms, scale), scale)
+        out[p] = (field_table(t.terms, scale, f.n), scale)
     return out
 
 
@@ -193,6 +215,7 @@ def bracket(
     verified to be) unchanged.  It is refused on a slice, which has no
     gauge freedom.  Both arguments must live in one algebra:
     the same dimension and the same slice (see :mod:`nsq.subbundle`).
+    Ranks p and q with p+q-2 past ``POWER_BOUND`` are refused up front.
     """
     f._require_same(g)
     n, slot = f.n, f.slot
@@ -201,41 +224,49 @@ def bracket(
             f"gauge_seed is refused on the slice of slot {slot}: "
             "the slice two-form leaves no gauge freedom"
         )
+    if f.terms and g.terms:
+        top_f, top_g = max(map(len, f.terms)), max(map(len, g.terms))
+        if top_f + top_g - 2 > POWER_BOUND:
+            raise EngineError(
+                f"a bracket of ranks {top_f} and {top_g} is refused: its powers reach "
+                f"{top_f + top_g - 2}, past the {POWER_BOUND} that a packed monomial holds"
+            )
     gauges = {} if gauge_seed is None else _gauge_numerators(f, gauge_seed)
     gauge_checked: set = set()
     out: dict[GenMonomial, Scalar] = {}
     for mf, cf in f.terms.items():
         p = len(mf)
-        x = _monomial_field_numerators(mf, n, slot)
+        x = _monomial_field_table(mf, n, slot)
         for mg, cg in g.terms.items():
             base = cf * cg
             hits: dict[GenMonomial, int] = {}
             for sign, mono in _generator_hits(mf, mg):
                 accumulate(out, mono, base if sign > 0 else -base)
                 hits[mono] = hits.get(mono, 0) + sign
-            g_num = _monomial_numerators(mg, n, slot)
-            route1 = _route1_numerators(x, g_num)
+            dg = _monomial_partials(mg, n, slot)
+            route1 = _route1_numerators(x, dg)
             route2 = _route2_numerators(hits, n, slot)
-            denominator = factorial(p + len(mg) - 1)
             if route1 != route2:
+                denominator = factorial(p + len(mg) - 1)
                 K = min(K for K in route1.keys() | route2.keys() if route1.get(K) != route2.get(K))
                 raise _disagreement(
                     n, slot, mf, mg, K,
-                    Poly.from_numerators(route1.get(K, {}), denominator),
-                    Poly.from_numerators(route2.get(K, {}), denominator),
+                    Poly.from_numerators(unpack_numerators(route1.get(K, {}), n), denominator),
+                    Poly.from_numerators(unpack_numerators(route2.get(K, {}), n), denominator),
                 )
             if p in gauges and (p, mg) not in gauge_checked:
                 gauge_checked.add((p, mg))
                 t, scale = gauges[p]
-                shift = _route1_numerators(t, g_num)
+                shift = _route1_numerators(t, dg)
                 if shift:
                     # route 1 puts X over p!(p-1)! and t is over scale instead
+                    denominator = factorial(p + len(mg) - 1)
                     shift_denominator = Fraction(scale * denominator, factorial(p) * factorial(p - 1))
                     K = min(shift)
-                    route2_K = Poly.from_numerators(route2.get(K, {}), denominator)
+                    route2_K = Poly.from_numerators(unpack_numerators(route2.get(K, {}), n), denominator)
                     raise _disagreement(
                         n, slot, mf, mg, K,
-                        route2_K + Poly.from_numerators(shift[K], shift_denominator),
+                        route2_K + Poly.from_numerators(unpack_numerators(shift[K], n), shift_denominator),
                         route2_K,
                     )
     return f._like(out)

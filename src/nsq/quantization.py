@@ -60,7 +60,7 @@ from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
 from .linalg import exact_rank
 from .poisson import bracket
 from .polynomials import Monomial, Poly, Var, pivar, qvar
-from .scalars import IHBAR, LinComb, Scalar, _mono_mul, signed_sum, signed_term
+from .scalars import IHBAR, LinComb, Scalar, _mono_mul, accumulate, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
 
@@ -266,11 +266,15 @@ class QuantizationMap:
     kill_rank: int
     overrides: dict = field(default_factory=dict)
 
+    def kills(self, mono: tuple) -> bool:
+        """True when mono maps to zero by rank: at or above kill_rank, with no override."""
+        return len(mono) >= self.kill_rank and mono not in self.overrides
+
     def image_of_monomial(self, mono: tuple) -> DiffOperator:
         n = self.n
         if mono in self.overrides:
             return self.overrides[mono]
-        if len(mono) >= self.kill_rank:
+        if self.kills(mono):
             return DiffOperator.zero(n)
         if len(mono) == 1:
             tag = mono[0]
@@ -312,12 +316,12 @@ def quantize(qmap: QuantizationMap, f: Observable) -> DiffOperator:
         raise NotInGeneratorAlgebra(
             "quantization is defined on the polynomial algebra of the basic set"
         )
-    out = DiffOperator.zero(qmap.n)
+    terms: dict[DerivDegree, Poly] = {}
     for mono, coeff in f.terms.items():
-        img = qmap.image_of_monomial(mono)
-        if not img.is_zero():
-            out = out + img.scale(coeff)
-    return out
+        if not qmap.kills(mono):
+            for alpha, poly in qmap.image_of_monomial(mono).terms.items():
+                accumulate(terms, alpha, poly.scale(coeff))
+    return DiffOperator(qmap.n, terms)
 
 
 def dirac_check(

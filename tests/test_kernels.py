@@ -5,9 +5,11 @@ integer bracket kernel against both.
 The reference visits every multi-index K of the target rank and every
 position split of it; the engine visits only the pairs of the two supports
 and weighs each by split_count.  The field reference applies the factor
-rule to fresh expansions, with no memo.  The integer memos must equal the
-Poly memos times their denominators, and the checked bracket must be the
-sum over unit pairs and name the unit pair whose routes disagree.
+rule to fresh expansions, with no memo.  The integer forms must equal the
+Poly memos times their denominators, the packed memos must unpack to the
+integer forms (the partials table to their term-by-term derivatives), and
+the checked bracket must be the sum over unit pairs and name the unit pair
+whose routes disagree.
 """
 
 import copy
@@ -27,6 +29,8 @@ from nsq.algebra import (
     _generator_components,
     _monomial_components,
     _monomial_numerators,
+    _monomial_partials,
+    _packed_numerators,
     all_multi_indices,
     evaluate,
     pitag,
@@ -42,6 +46,7 @@ from nsq.forms import (
     VectorField,
     _contraction_sums,
     _monomial_field_numerators,
+    _monomial_field_table,
     _monomial_ham_vf,
     add_gauge,
     generator_field,
@@ -51,7 +56,16 @@ from nsq.forms import (
     vf_bracket,
 )
 from nsq.poisson import _gauge_numerators, _route1_numerators, bracket
-from nsq.polynomials import Poly, pivar, qvar
+from nsq.polynomials import (
+    POWER_BOUND,
+    Poly,
+    pack_monomial,
+    packed_units,
+    pivar,
+    qvar,
+    unpack_monomial,
+    unpack_numerators,
+)
 from nsq.scalars import IHBAR, Scalar
 from nsq.subbundle import substituted_components
 
@@ -230,6 +244,10 @@ def as_polys(numerators, denominator):
     return {K: Poly.from_numerators(num, denominator) for K, num in numerators.items()}
 
 
+def unpacked(graded, n):
+    return {K: unpack_numerators(num, n) for K, num in graded.items()}
+
+
 @st.composite
 def pair_and_gauge_seed(draw):
     """A monomial pair and a gauge seed; a slice has no gauge freedom, so its seed is None."""
@@ -247,14 +265,13 @@ def test_route1_matches_split_enumeration(case):
     f, g = observable(n, mf, slot), observable(n, mg, slot)
     p, q = len(mf), len(mg)
     denominator = factorial(p + q - 1)
-    g_num = _monomial_numerators(mg, n, slot)
-    got = as_polys(_route1_numerators(_monomial_field_numerators(mf, n, slot), g_num), denominator)
+    dg = _monomial_partials(mg, n, slot)
+    got = as_polys(unpacked(_route1_numerators(_monomial_field_table(mf, n, slot), dg), n), denominator)
     gauge = {} if gauge_seed is None else _gauge_numerators(f, gauge_seed)
     if p in gauge:
         t, scale = gauge[p]
-        shift = as_polys(
-            _route1_numerators(t, g_num), Fraction(scale * denominator, factorial(p) * factorial(p - 1))
-        )
+        shift_denominator = Fraction(scale * denominator, factorial(p) * factorial(p - 1))
+        shift = as_polys(unpacked(_route1_numerators(t, dg), n), shift_denominator)
         for K, poly in shift.items():
             got[K] = got[K] + poly if K in got else poly
         got = {K: poly for K, poly in got.items() if not poly.is_zero()}
@@ -274,8 +291,8 @@ def test_vf_bracket_matches_split_enumeration(pair, gauge_seed):
 
 
 @st.composite
-def monomial_in_some_algebra(draw):
-    n = draw(st.integers(1, 3))
+def monomial_in_some_algebra(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
     slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
     tags = full_tags(n) if slot is None else slice_tags(n, slot)
     return n, slot, draw(monomials(tags))
@@ -327,7 +344,7 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     before = {key: _snapshot(comps) for key, comps in cached.items()}
     fields = {mono: _monomial_ham_vf(mono, n, None) for mono in (mf, mg, tuple(sorted(mf + mg)))}
     fields_before = {mono: _field_snapshot(grades) for mono, grades in fields.items()}
-    integer_memos = (_monomial_numerators, _monomial_field_numerators)
+    integer_memos = (_packed_numerators, _monomial_partials, _monomial_field_table)
     integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in (mf, mg)}
     integer_before = copy.deepcopy(integer)
     f, g = observable(n, mf), observable(n, mg)
@@ -420,9 +437,10 @@ def test_unit_monomial_shares_memoized_expansion():
 def clear_memos():
     for memo in (
         _monomial_components,
-        _monomial_numerators,
         _monomial_ham_vf,
-        _monomial_field_numerators,
+        _packed_numerators,
+        _monomial_partials,
+        _monomial_field_table,
     ):
         memo.cache_clear()
 
@@ -450,6 +468,88 @@ def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
             slots = [slot, None] if slice_first else [None, slot]
             for s in slots:
                 assert_integer_memos_match(mono, n, s)
+
+
+def term_partials(num):
+    """var -> [(lowered monomial, coefficient)] of each term's derivative, by Poly.diff."""
+    out = {}
+    for m, c in num.items():
+        for var, _ in m:
+            ((lowered, dc),) = Poly({m: c}).diff(var).terms.items()
+            out.setdefault(var, []).append((lowered, dc.as_fraction()))
+    return out
+
+
+def assert_packed_tables_match(mono, n, slot):
+    numerators = _monomial_numerators(mono, n, slot)
+    assert unpacked(_packed_numerators(mono, n, slot), n) == numerators
+    expected = {}
+    for J, num in numerators.items():
+        for var, terms in term_partials(num).items():
+            expected.setdefault(var, []).extend((J, lowered, c) for lowered, c in terms)
+    partials = _monomial_partials(mono, n, slot)
+    assert {
+        var: [(J, unpack_monomial(lowered, n), c) for J, lowered, c in entries]
+        for var, entries in partials.items()
+    } == expected
+    by_var = {}
+    for I, field in _monomial_field_numerators(mono, n, slot).items():
+        for var, num in field.items():
+            by_var.setdefault(var, []).append((I, num))
+    table = _monomial_field_table(mono, n, slot)
+    assert {
+        var: [(I, unpack_numerators(dict(coeff), n)) for I, coeff in grades]
+        for var, grades in table.items()
+    } == by_var
+
+
+@SETTINGS
+@given(st.lists(monomial_in_some_algebra(max_n=4), min_size=1, max_size=4), st.booleans())
+def test_packed_tables_unpack_to_tuple_numerators(cases, slice_first):
+    # each monomial is looked up on its slice and on the full bundle, in
+    # either order from empty memos, so a key without the slot would show
+    for clear in (False, True):
+        if clear:
+            clear_memos()
+        for n, slot, mono in cases:
+            slots = [slot, None] if slice_first else [None, slot]
+            for s in slots:
+                assert_packed_tables_match(mono, n, s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_monomials_round_trip_at_the_power_bound(n):
+    units = packed_units(n)
+    variables = sorted(units)
+    assert len(variables) == n + n * n
+    top = tuple((v, POWER_BOUND) for v in variables)
+    assert POWER_BOUND == 255 and unpack_monomial(pack_monomial(top, units), n) == top
+    for v in variables:
+        for other in variables:
+            if other != v:
+                mono = tuple(sorted([(v, POWER_BOUND), (other, 1)]))
+                assert unpack_monomial(pack_monomial(mono, units), n) == mono
+    # a product is the sum of the packed monomials, up to the bound
+    low = tuple((v, 1 + k % 7) for k, v in enumerate(variables))
+    high = tuple((v, POWER_BOUND - 1 - k % 7) for k, v in enumerate(variables))
+    assert pack_monomial(low, units) + pack_monomial(high, units) == pack_monomial(top, units)
+    assert unpack_monomial(0, n) == ()
+
+
+def test_bracket_at_the_power_bound_and_one_past_it():
+    # powers in a (p, q) pair reach p+q-2: pihat(1) against qhat(1,1)^q
+    n = 1
+    f = Observable(n, {(pitag(1),): 1})
+    at_bound = Observable(n, {(qtag(1, 1),) * (POWER_BOUND + 1): 1})
+    got = bracket(f, at_bound)
+    assert got.terms == {(qtag(1, 1),) * POWER_BOUND + (rtag(1),): -(POWER_BOUND + 1)}
+    past = Observable(n, {(qtag(1, 1),) * (POWER_BOUND + 2): 1})
+    misses = _monomial_partials.cache_info().misses
+    with pytest.raises(EngineError, match="ranks 1 and 257 is refused: its powers reach 256"):
+        bracket(f, past)
+    with pytest.raises(EngineError, match="ranks 257 and 1 is refused"):
+        bracket(past, f)
+    assert _monomial_partials.cache_info().misses == misses  # refused before any table is built
 
 
 def test_numerators_reject_non_integer_coefficients():
@@ -546,11 +646,12 @@ def test_route_disagreement_names_the_unit_pair(pair, data):
     real = poisson._route1_numerators
     calls = []
 
-    def corrupted(x, g_num):
-        out = real(x, g_num)
+    def corrupted(x, dg):
+        out = real(x, dg)
         if len(calls) == bad:
+            # the constant monomial packs to 0
             out[K] = dict(out.get(K, {}))
-            out[K][()] = out[K].get((), 0) + 1
+            out[K][0] = out[K].get(0, 0) + 1
         calls.append(None)
         return out
 

@@ -219,8 +219,8 @@ def _double_first_component(monkeypatch):
 
     real = poisson._route1_numerators
 
-    def corrupted(x, g):
-        out = real(x, g)
+    def corrupted(x, dg):
+        out = real(x, dg)
         K = min(out)
         out[K] = {m: 2 * c for m, c in out[K].items()}
         return out

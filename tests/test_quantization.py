@@ -184,6 +184,39 @@ def test_axiom_report_catches_corruption():
     assert named, "the sweep must name the failing pair"
 
 
+def test_override_at_or_above_kill_rank_takes_precedence():
+    # an override is the image at every rank, the killed ranks included
+    from nsq.algebra import Observable, pitag, qtag, rtag
+
+    n = 2
+    overrides = {
+        (pitag(1), rtag(1)): DiffOperator.identity(n),
+        (pitag(1), pitag(2), qtag(1, 1)): DiffOperator.derivative(n, 2),
+    }
+    bad = QuantizationMap("q1-corrupt", n, kill_rank=2, overrides=overrides)
+    assert not bad.kills((pitag(1), rtag(1))) and bad.kills((pitag(2), rtag(1)))
+    f = Observable(
+        n,
+        {
+            (pitag(1), rtag(1)): 3,
+            (pitag(1), pitag(2), qtag(1, 1)): Scalar.symbol(IHBAR),
+            (pitag(2), rtag(1)): 5,
+            (qtag(1, 1),): 1,
+        },
+    )
+    expected = (
+        DiffOperator.identity(n).scale(3)
+        + DiffOperator.derivative(n, 2).scale(Scalar.symbol(IHBAR))
+        + quantize(make_q1(n), make_qhat(n, 1, 1))
+    )
+    assert quantize(bad, f) == expected
+    assert quantize(bad, Observable(n, {(pitag(2), rtag(1)): 5})).is_zero()
+    # {qhat(1,1), pihat(1)^2} = 2 pihat(1) rhat(1): the override breaks the Dirac condition
+    g = sym_pow(make_pihat(n, 1), 2)
+    assert dirac_check(make_q1(n), make_qhat(n, 1, 1), g)
+    assert not dirac_check(bad, make_qhat(n, 1, 1), g)
+
+
 def test_b1_monomial_count():
     # 5 generators at n=2: 5 + 15 + 35 monomials through degree 3
     assert len(b1_monomials(2, 3)) == 55

@@ -119,21 +119,21 @@ MUTANTS = [
         "component numerator memo keyed without the slot",
         [(
             "algebra.py",
-            *keyed_without("@lru_cache(maxsize=512)", "_monomial_numerators", "mono, n, slot", "(mono, n)"),
+            *keyed_without("@lru_cache(maxsize=512)", "_packed_numerators", "mono, n, slot", "(mono, n)"),
         )],
-        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
+        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
     ),
     Mutant(
         "field numerator memo keyed without the slot",
         [(
             "forms.py",
-            *keyed_without("@lru_cache(maxsize=256)", "_monomial_field_numerators", "mono, n, slot", "(mono, n)"),
+            *keyed_without("@lru_cache(maxsize=256)", "_monomial_field_table", "mono, n, slot", "(mono, n)"),
         )],
-        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
+        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
     ),
     Mutant(
         "route 1 weight -1 instead of -split_count",
-        [("poisson.py", "weight = -split_count(K, I)", "weight = -1")],
+        [("poisson.py", "return K, -split_count(K, I)", "return K, -1")],
         [f"{KERNELS}::test_route1_matches_split_enumeration"],
     ),
     Mutant(
@@ -157,10 +157,28 @@ MUTANTS = [
             "            value = c.as_fraction() * scale if c.is_rational() else None\n"
             "            if value is None or value.denominator != 1:\n"
             '                raise EngineError(f"{scale} * ({self}) is not an integer polynomial")\n'
-            "            out[mono] = value.numerator\n",
-            "            out[mono] = int(c.as_fraction() * scale)\n",
+            "            out[mono if units is None else pack_monomial(mono, units)] = value.numerator\n",
+            "            out[mono if units is None else pack_monomial(mono, units)] = int(c.as_fraction() * scale)\n",
         )],
         [f"{KERNELS}::test_numerators_reject_non_integer_coefficients"],
+    ),
+    Mutant(
+        "packed field width one bit too small",
+        [("polynomials.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
+        [f"{KERNELS}::test_packed_monomials_round_trip_at_the_power_bound"],
+    ),
+    Mutant(
+        "partials table keyed without the slot",
+        [(
+            "algebra.py",
+            *keyed_without("@lru_cache(maxsize=512)", "_monomial_partials", "mono, n, slot", "(mono, n)"),
+        )],
+        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
+    ),
+    Mutant(
+        "partials table skips the last factor of a term",
+        [("algebra.py", "            for var, pw in m:\n", "            for var, pw in m[:-1]:\n")],
+        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators", f"{KERNELS}::test_route1_matches_split_enumeration"],
     ),
     Mutant(
         "gauge seed accepted on a slice",
