@@ -44,19 +44,6 @@ entries.  An observable that is one monomial with coefficient 1 takes the
 memoized map itself as its only grade, uncopied; any other observable
 builds its own scaled sum.  The cached component maps and their
 polynomials are shared by every caller: read them, never mutate them.
-
-Next to it, on the same key, sit the integer forms the checked bracket
-computes with.  A unit monomial of degree r has components that are
-integer polynomials over r!: :func:`_monomial_numerators` is r! times the
-memoized expansion, with a check that every coefficient is an integer, so
-there is still one expansion algorithm.  The bracket reads it in two
-packed forms (see :mod:`nsq.polynomials`), each memoized on the same key,
-bounded at 512 entries and shared like the expansion memo:
-:func:`_packed_numerators` is the same map over packed monomials, and
-:func:`_monomial_partials` holds its partial derivatives term by term,
-indexed by the variable they lower.  :func:`_monomial_numerators` is not
-memoized itself: each monomial's integer components are computed once,
-for :func:`_packed_numerators`, and the partials read them from there.
 """
 
 from __future__ import annotations
@@ -64,12 +51,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
-from .polynomials import Poly, Var, packed_units, pivar, qvar
+from .polynomials import Poly, pivar, qvar
 from .scalars import ONE, LinComb, Scalar, _coerce, accumulate, signed_sum, signed_term
 
 MultiIndex = tuple
@@ -255,10 +242,8 @@ def split_pair_sum(
     return out
 
 
-def sym_components(
-    f: Mapping[MultiIndex, Poly], p: int, g: Mapping[MultiIndex, Poly], q: int
-) -> dict[MultiIndex, Poly]:
-    """Components of the normalized symmetric product of two homogeneous maps.
+def sym_components(f: Mapping[MultiIndex, Poly], g: Mapping[MultiIndex, Poly]) -> dict[MultiIndex, Poly]:
+    """Components of the normalized symmetric product of homogeneous maps of ranks p and q.
 
     The component at a sorted multi-index K of rank p+q is the average over
     all splits of K's positions into a p-subset fed to f and the complement
@@ -281,56 +266,7 @@ def _monomial_components(
         return _generator_components(mono[0], n, slot)
     head = _monomial_components(mono[:-1], n, slot)
     tail = _generator_components(mono[-1], n, slot)
-    return sym_components(head, len(mono) - 1, tail, 1)
-
-
-def _monomial_numerators(
-    mono: GenMonomial, n: int, slot: int | None, units: Mapping[Var, int] | None = None
-) -> dict[MultiIndex, dict]:
-    """r! times :func:`_monomial_components` of a degree-r monomial, as integer polynomials.
-
-    Keyed by packed monomial over ``units`` when it is given (see
-    :meth:`nsq.polynomials.Poly.numerators`).  Raises EngineError if a
-    coefficient is not an integer.
-    """
-    scale = factorial(len(mono))
-    return {K: poly.numerators(scale, units) for K, poly in _monomial_components(mono, n, slot).items()}
-
-
-@lru_cache(maxsize=512)
-def _packed_numerators(
-    mono: GenMonomial, n: int, slot: int | None
-) -> dict[MultiIndex, dict[int, int]]:
-    """:func:`_monomial_numerators` over packed monomials; shared: read it, never mutate it."""
-    return _monomial_numerators(mono, n, slot, packed_units(n))
-
-
-@lru_cache(maxsize=512)
-def _monomial_partials(
-    mono: GenMonomial, n: int, slot: int | None
-) -> dict[Var, tuple[tuple[MultiIndex, int, int], ...]]:
-    """The partial derivatives of :func:`_packed_numerators`, term by term.
-
-    var -> ((J, packed m lowered once in var, pw * c), ...) for every term c * m
-    of every component J in which var has power pw >= 1, in the order of
-    the components and their terms.  The variables of each term are read
-    from the memoized expansion, so no coefficient is computed twice.
-    Memoized on (mono, n, slot) and shared: read it, never mutate it.
-    """
-    units = packed_units(n)
-    numerators = _packed_numerators(mono, n, slot)
-    out: dict[Var, list] = {}
-    for J, poly in _monomial_components(mono, n, slot).items():
-        # Poly.numerators keeps the order of the terms, one key each
-        for m, (packed, c) in zip(poly.terms, numerators[J].items()):
-            for var, pw in m:
-                out.setdefault(var, []).append((J, packed - units[var], pw * c))
-    return _frozen(out)
-
-
-def _frozen(table: dict[Var, list]) -> dict[Var, tuple]:
-    """The lists of a memoized table as tuples, which the garbage collector stops tracking."""
-    return {var: tuple(entries) for var, entries in table.items()}
+    return sym_components(head, tail)
 
 
 class Observable(LinComb):

@@ -42,17 +42,6 @@ and bounded at 256 entries; :func:`ham_vf` sums them times the
 coefficients, and a coefficient of 1 reuses the memoized fields unscaled.
 Those fields are shared by every representative built from them: every
 operation here returns new fields, and no caller may mutate one.
-
-The checked bracket reads the same grades as integer fields: a degree-r
-unit monomial's factor-rule field is an integer field over r!(r-1)!, and
-:func:`_monomial_field_numerators` holds r!(r-1)! times it, derived from
-:func:`_monomial_ham_vf` through :func:`field_numerators` (which raises
-EngineError on a non-integer coefficient).  Route 1 of the bracket joins
-on the variable a field moves along, so it reads the fields indexed by
-variable over packed monomials (see :mod:`nsq.polynomials`):
-:func:`field_table` is :func:`field_numerators` in that form, and
-:func:`_monomial_field_table` memoizes it for a unit monomial on (mono,
-n, slot), bounded at 256 entries and shared in the same way.
 """
 
 from __future__ import annotations
@@ -69,11 +58,10 @@ from .algebra import (
     Observable,
     all_multi_indices,
     split_pair_sum,
-    _frozen,
     _monomial_components,
 )
 from .errors import GaugeConditionError, RankMismatch
-from .polynomials import ZERO_POLY, Monomial, Poly, Var, default_var_name, packed_units, pivar, qvar
+from .polynomials import ZERO_POLY, Poly, Var, default_var_name, pivar, qvar
 from .scalars import ONE, LinComb, Scalar, accumulate, mul_into
 
 
@@ -292,57 +280,6 @@ def _monomial_ham_vf(
         for idx, poly in rest_comps.items():
             accumulate(out, idx, base.mul_poly(poly.scale(weight)))
     return out
-
-
-def field_numerators(
-    grades: Mapping[MultiIndex, VectorField], scale: int
-) -> dict[MultiIndex, dict[Var, dict[Monomial, int]]]:
-    """scale times graded fields, as integer polynomial coefficients.
-
-    Raises EngineError unless every coefficient times scale is an integer
-    (see :meth:`nsq.polynomials.Poly.numerators`).
-    """
-    return {
-        idx: {var: poly.numerators(scale) for var, poly in vf.terms.items()}
-        for idx, vf in grades.items()
-    }
-
-
-def _monomial_field_numerators(
-    mono: GenMonomial, n: int, slot: int | None
-) -> dict[MultiIndex, dict[Var, dict[Monomial, int]]]:
-    """r!(r-1)! times :func:`_monomial_ham_vf` of a degree-r monomial, as integer fields."""
-    r = len(mono)
-    return field_numerators(_monomial_ham_vf(mono, n, slot), factorial(r) * factorial(r - 1))
-
-
-def field_table(
-    grades: Mapping[MultiIndex, VectorField], scale: int, n: int
-) -> dict[Var, tuple[tuple[MultiIndex, tuple], ...]]:
-    """:func:`field_numerators` over packed monomials, indexed by variable.
-
-    var -> ((I, ((packed m, c), ...)), ...): each grade I whose field moves
-    along var contributes its d/d(var) coefficient, in the order of the
-    grades.  Raises EngineError as :func:`field_numerators` does.
-    """
-    units = packed_units(n)
-    out: dict[Var, list] = {}
-    for I, vf in grades.items():
-        for var, poly in vf.terms.items():
-            out.setdefault(var, []).append((I, tuple(poly.numerators(scale, units).items())))
-    return _frozen(out)
-
-
-@lru_cache(maxsize=256)
-def _monomial_field_table(
-    mono: GenMonomial, n: int, slot: int | None
-) -> dict[Var, tuple[tuple[MultiIndex, tuple], ...]]:
-    """:func:`_monomial_field_numerators` as a :func:`field_table`, memoized on (mono, n, slot).
-
-    Shared: read it, never mutate it.
-    """
-    r = len(mono)
-    return field_table(_monomial_ham_vf(mono, n, slot), factorial(r) * factorial(r - 1), n)
 
 
 def ham_vf(f: Observable) -> HamVF:

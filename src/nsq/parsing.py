@@ -8,8 +8,9 @@ Grammar (whitespace separates the optional rational prefix from factors):
     rational := integer ['/' positive-integer]
 
 '*' is the symmetric product.  Parsing validates indices against the bound
-dimension; syntax errors carry the byte offset.  Printing an observable's
-canonical form and reparsing it is the identity.
+dimension; syntax errors carry the byte offset.  Parentheses nest at most
+``MAX_DEPTH`` deep; a deeper '(' is a syntax error.  Printing an
+observable's canonical form and reparsing it is the identity.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import Union
 
 from .algebra import Observable, make_pihat, make_qhat, make_rhat, sym_mul
 from .errors import IndexRangeError, ParseError
+
+MAX_DEPTH = 100  # the deepest parenthesis nesting the recursive parser accepts
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>qh|pih|rh)|(?P<int>\d+)|(?P<punct>[()+\-*/,]))"
@@ -84,6 +87,7 @@ class _Parser:
         self.src = src
         self.n = n
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -148,8 +152,12 @@ class _Parser:
     def parse_factor(self):
         tok = self.next()
         if tok.text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", tok.offset)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind != "name":
             raise ParseError(f"expected a generator or '(', found {tok.text!r}", tok.offset)

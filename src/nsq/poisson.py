@@ -19,10 +19,28 @@ coefficient 1, by two independent routes:
    symmetric product with {qhat(i,j), pihat(k)} = delta(i,k) rhat(j) the
    only nonzero generator pair.
 
-Both routes run in integer arithmetic over one shared denominator.  A unit
-monomial of degree r has integer components over r!, and its factor-rule
-field is an integer field over r!(r-1)! (the packed integer memos of
-:mod:`nsq.algebra` and :mod:`nsq.forms`).  For a (p, q) pair, route 1 is
+Both routes run in integer arithmetic over one shared denominator, on
+packed monomials.  At dimension n a frame-bundle monomial is one int with
+a fixed field of ``FIELD_BITS`` bits per variable of the full (q, pi)
+space, q^1..q^n and then pi^a_b row by row (:func:`packed_units`; the
+packed exponent vectors of Monagan and Pearce, and of FLINT's
+``fmpz_mpoly``), so one layout serves the full bundle and every slice.
+The product of two monomials is the sum of their ints and lowering a
+variable subtracts its unit, so long as no power exceeds ``POWER_BOUND``,
+the largest a field holds.  The powers in a (p, q) pair are at most
+p+q-2, and a bracket whose ranks could pass ``POWER_BOUND`` is refused
+with EngineError before any work, so that a field never carries.
+
+The integer tables are built here from the exact memos of
+:mod:`nsq.algebra` and :mod:`nsq.forms`, each memoized on (mono, n, slot)
+and shared: read them, never mutate them.  A unit monomial of degree r
+has components that are integer polynomials over r!
+(:func:`_packed_numerators`, bounded at 512 entries; their partial
+derivatives term by term are :func:`_monomial_partials`, 512), and its
+factor-rule field is an integer field over r!(r-1)!
+(:func:`_monomial_field_table`, 256).  A coefficient that is not an
+integer over its denominator raises EngineError.  For a (p, q) pair,
+route 1 is
 
     -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
 
@@ -34,11 +52,7 @@ is read indexed by variable, var -> [(I, d/d(var) coefficient)], and g by
 its partial derivatives, var -> [(J, lowered monomial, integer
 coefficient)], one entry per term of g^J that holds var; only the
 variables on both sides are visited, and each (I, J) lands on K =
-sorted(I + J) with weight -split_count(K, I), memoized on (I, J).  Both
-routes run on packed monomials (see :mod:`nsq.polynomials`), so a product
-of monomials is one integer add.  The powers in a (p, q) pair are at most
-p+q-2, and a bracket whose ranks could pass ``POWER_BOUND`` is refused
-with EngineError before any work, so that a field never carries.
+sorted(I + J) with weight -split_count(K, I), memoized on (I, J).
 
 The two numerator maps, K -> {packed monomial: int}, are compared exactly
 on every pair of every call, and a disagreement raises EngineError naming
@@ -65,30 +79,150 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from typing import Mapping
 
 from .algebra import (
     GenMonomial,
     MultiIndex,
     Observable,
-    _monomial_partials,
-    _packed_numerators,
+    _monomial_components,
     in_b1_algebra,
     rtag,
     split_count,
 )
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
-    _monomial_field_table,
+    VectorField,
+    _monomial_ham_vf,
     add_gauge,
-    field_table,
     ham_vf,
     random_valid_gauge,
     require_gauge,
     structure_eq_check,
     vf_bracket,
 )
-from .polynomials import POWER_BOUND, Poly, unpack_numerators
+from .polynomials import Monomial, Poly, Var, pivar, qvar
 from .scalars import Scalar, accumulate
+
+POWER_BOUND = 255  # the largest power a packed field holds
+FIELD_BITS = POWER_BOUND.bit_length()
+
+
+# -- the packed layout -----------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def packed_units(n: int) -> dict[Var, int]:
+    """var -> the packed monomial of var^1, over the frame-bundle variables at dimension n.
+
+    Memoized and shared: read it, never mutate it.
+    """
+    variables = [qvar(i) for i in range(1, n + 1)]
+    variables += [pivar(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    return {v: 1 << (FIELD_BITS * k) for k, v in enumerate(variables)}
+
+
+def pack_monomial(mono: Monomial, units: Mapping[Var, int]) -> int:
+    """The packed form, over ``packed_units(n)``, of a monomial whose powers are at most POWER_BOUND."""
+    key = 0
+    for v, pw in mono:
+        key += pw * units[v]
+    return key
+
+
+def unpack_monomial(key: int, n: int) -> Monomial:
+    """The sorted (variable, power) monomial of a packed one."""
+    mask = (1 << FIELD_BITS) - 1
+    powers = ((v, (key // unit) & mask) for v, unit in packed_units(n).items())
+    return tuple(sorted((v, pw) for v, pw in powers if pw))
+
+
+def unpack_numerators(num: Mapping[int, int], n: int) -> dict[Monomial, int]:
+    return {unpack_monomial(key, n): c for key, c in num.items()}
+
+
+def _packed_poly(poly: Poly, scale: int, units: Mapping[Var, int]) -> dict[int, int]:
+    """scale * poly as an integer polynomial over packed monomials, one key per term in order.
+
+    Raises EngineError unless every coefficient of scale * poly is an
+    integer: a formal symbol or a denominator that does not divide scale.
+    """
+    out: dict = {}
+    for mono, c in poly.terms.items():
+        value = c.as_fraction() * scale if c.is_rational() else None
+        if value is None or value.denominator != 1:
+            raise EngineError(f"{scale} * ({poly}) is not an integer polynomial")
+        out[pack_monomial(mono, units)] = value.numerator
+    return out
+
+
+# -- the integer tables ----------------------------------------------------------
+
+
+@lru_cache(maxsize=512)
+def _packed_numerators(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[MultiIndex, dict[int, int]]:
+    """r! times :func:`nsq.algebra._monomial_components` of a degree-r monomial, packed."""
+    units = packed_units(n)
+    scale = factorial(len(mono))
+    return {K: _packed_poly(poly, scale, units) for K, poly in _monomial_components(mono, n, slot).items()}
+
+
+@lru_cache(maxsize=512)
+def _monomial_partials(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[Var, tuple[tuple[MultiIndex, int, int], ...]]:
+    """The partial derivatives of :func:`_packed_numerators`, term by term.
+
+    var -> ((J, packed m lowered once in var, pw * c), ...) for every term c * m
+    of every component J in which var has power pw >= 1, in the order of
+    the components and their terms.  The variables of each term are read
+    from the memoized expansion, so no coefficient is computed twice.
+    """
+    units = packed_units(n)
+    numerators = _packed_numerators(mono, n, slot)
+    out: dict[Var, list] = {}
+    for J, poly in _monomial_components(mono, n, slot).items():
+        # _packed_poly keeps the order of the terms, one key each
+        for m, (packed, c) in zip(poly.terms, numerators[J].items()):
+            for var, pw in m:
+                out.setdefault(var, []).append((J, packed - units[var], pw * c))
+    return _frozen(out)
+
+
+def _frozen(table: dict[Var, list]) -> dict[Var, tuple]:
+    """The lists of a memoized table as tuples, which the garbage collector stops tracking."""
+    return {var: tuple(entries) for var, entries in table.items()}
+
+
+def field_table(
+    grades: Mapping[MultiIndex, VectorField], scale: int, n: int
+) -> dict[Var, tuple[tuple[MultiIndex, tuple], ...]]:
+    """scale times graded fields as packed integer coefficients, indexed by variable.
+
+    var -> ((I, ((packed m, c), ...)), ...): each grade I whose field moves
+    along var contributes its d/d(var) coefficient, in the order of the
+    grades.  Raises EngineError on a coefficient that is not an integer.
+    """
+    units = packed_units(n)
+    out: dict[Var, list] = {}
+    for I, vf in grades.items():
+        for var, poly in vf.terms.items():
+            out.setdefault(var, []).append((I, tuple(_packed_poly(poly, scale, units).items())))
+    return _frozen(out)
+
+
+@lru_cache(maxsize=256)
+def _monomial_field_table(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[Var, tuple[tuple[MultiIndex, tuple], ...]]:
+    """r!(r-1)! times :func:`nsq.forms._monomial_ham_vf` of a degree-r monomial, as a :func:`field_table`."""
+    r = len(mono)
+    return field_table(_monomial_ham_vf(mono, n, slot), factorial(r) * factorial(r - 1), n)
+
+
+# -- the two routes --------------------------------------------------------------
 
 
 @lru_cache(maxsize=4096)
@@ -101,9 +235,9 @@ def _joined_index(I: MultiIndex, J: MultiIndex) -> tuple[MultiIndex, int]:
 def _route1_numerators(x: dict, dg: dict) -> dict:
     """Route 1 on packed integer operands: K -> -sum split_count(K, I) * X^I(g^J).
 
-    x is a field table (:func:`nsq.forms.field_table`) and dg a partials
-    table (:func:`nsq.algebra._monomial_partials`), both keyed by variable;
-    the join visits only the variables in both.  Zero sums are dropped.
+    x is a field table (:func:`field_table`) and dg a partials table
+    (:func:`_monomial_partials`), both keyed by variable; the join visits
+    only the variables in both.  Zero sums are dropped.
     """
     out: dict = {}
     for var, grades in x.items():

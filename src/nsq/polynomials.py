@@ -12,30 +12,13 @@ every coordinate system in the engine:
 
 Monomials are sorted tuples of (variable key, positive power).  All
 arithmetic is exact.
-
-An integer polynomial is a plain map monomial -> nonzero int, the numerator
-of a rational polynomial over one known denominator (the layout of FLINT's
-``fmpq_poly``).  :meth:`Poly.numerators` and :meth:`Poly.from_numerators`
-convert.  The checked bracket (:mod:`nsq.poisson`) computes on them with
-plain int arithmetic, over packed monomials: a frame-bundle monomial at
-dimension n is one int, with a fixed field of ``FIELD_BITS`` bits per
-variable of the full (q, pi) space, q^1..q^n and then pi^a_b row by row
-(:func:`packed_units`; the packed exponent vectors of Monagan and Pearce,
-and of FLINT's ``fmpz_mpoly``).  The product of two monomials is the sum
-of their ints and lowering a variable subtracts its unit, so long as no
-power exceeds ``POWER_BOUND``, the largest a field holds: past it a field
-would carry into its neighbour, and callers refuse such inputs up front.
-:meth:`Poly.numerators` packs the keys when given the layout, and
-:func:`unpack_numerators` converts back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
-from .errors import EngineError
 from .scalars import LinComb, Scalar, _coerce, mul_into, signed_sum, signed_term
 
 Var = tuple
@@ -112,22 +95,6 @@ class Poly(LinComb):
         for mono in self.terms:
             deg = max(deg, sum(pw for _, pw in mono))
         return deg
-
-    def numerators(self, scale: int, units: Mapping[Var, int] | None = None) -> dict:
-        """scale * self as an integer polynomial.
-
-        Keyed by monomial, or by packed monomial when ``units`` is the
-        :func:`packed_units` map of a dimension.  Raises EngineError unless
-        every coefficient of scale * self is an integer: a formal symbol or
-        a denominator that does not divide scale.
-        """
-        out: dict = {}
-        for mono, c in self.terms.items():
-            value = c.as_fraction() * scale if c.is_rational() else None
-            if value is None or value.denominator != 1:
-                raise EngineError(f"{scale} * ({self}) is not an integer polynomial")
-            out[mono if units is None else pack_monomial(mono, units)] = value.numerator
-        return out
 
     # -- ring operations ----------------------------------------------------
 
@@ -215,40 +182,6 @@ class Poly(LinComb):
             )
             for mono in sorted(self.terms)
         ])
-
-
-POWER_BOUND = 255  # the largest power a packed field holds
-FIELD_BITS = POWER_BOUND.bit_length()
-
-
-@lru_cache(maxsize=16)
-def packed_units(n: int) -> dict[Var, int]:
-    """var -> the packed monomial of var^1, over the frame-bundle variables at dimension n.
-
-    Memoized and shared: read it, never mutate it.
-    """
-    variables = [qvar(i) for i in range(1, n + 1)]
-    variables += [pivar(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    return {v: 1 << (FIELD_BITS * k) for k, v in enumerate(variables)}
-
-
-def pack_monomial(mono: Monomial, units: Mapping[Var, int]) -> int:
-    """The packed form, over ``packed_units(n)``, of a monomial whose powers are at most POWER_BOUND."""
-    key = 0
-    for v, pw in mono:
-        key += pw * units[v]
-    return key
-
-
-def unpack_monomial(key: int, n: int) -> Monomial:
-    """The sorted (variable, power) monomial of a packed one."""
-    mask = (1 << FIELD_BITS) - 1
-    powers = ((v, (key // unit) & mask) for v, unit in packed_units(n).items())
-    return tuple(sorted((v, pw) for v, pw in powers if pw))
-
-
-def unpack_numerators(num: Mapping[int, int], n: int) -> dict[Monomial, int]:
-    return {unpack_monomial(key, n): c for key, c in num.items()}
 
 
 def default_var_name(v: Var) -> str:

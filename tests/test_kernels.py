@@ -5,11 +5,10 @@ integer bracket kernel against both.
 The reference visits every multi-index K of the target rank and every
 position split of it; the engine visits only the pairs of the two supports
 and weighs each by split_count.  The field reference applies the factor
-rule to fresh expansions, with no memo.  The integer forms must equal the
-Poly memos times their denominators, the packed memos must unpack to the
-integer forms (the partials table to their term-by-term derivatives), and
-the checked bracket must be the sum over unit pairs and name the unit pair
-whose routes disagree.
+rule to fresh expansions, with no memo.  The packed integer tables must
+unpack to the Poly memos times their denominators (the partials table to
+their term-by-term derivatives), and the checked bracket must be the sum
+over unit pairs and name the unit pair whose routes disagree.
 """
 
 import copy
@@ -28,9 +27,6 @@ from nsq.algebra import (
     Observable,
     _generator_components,
     _monomial_components,
-    _monomial_numerators,
-    _monomial_partials,
-    _packed_numerators,
     all_multi_indices,
     evaluate,
     pitag,
@@ -45,8 +41,6 @@ from nsq.forms import (
     HamVF,
     VectorField,
     _contraction_sums,
-    _monomial_field_numerators,
-    _monomial_field_table,
     _monomial_ham_vf,
     add_gauge,
     generator_field,
@@ -55,17 +49,21 @@ from nsq.forms import (
     soldering_dtheta,
     vf_bracket,
 )
-from nsq.poisson import _gauge_numerators, _route1_numerators, bracket
-from nsq.polynomials import (
+from nsq.poisson import (
     POWER_BOUND,
-    Poly,
+    _gauge_numerators,
+    _monomial_field_table,
+    _monomial_partials,
+    _packed_numerators,
+    _packed_poly,
+    _route1_numerators,
+    bracket,
     pack_monomial,
     packed_units,
-    pivar,
-    qvar,
     unpack_monomial,
     unpack_numerators,
 )
+from nsq.polynomials import Poly, pivar, qvar
 from nsq.scalars import IHBAR, Scalar
 from nsq.subbundle import substituted_components
 
@@ -237,7 +235,7 @@ def test_split_count_counts_position_splits():
 @given(sym_inputs())
 def test_sym_components_matches_split_enumeration(args):
     n, f, p, g, q = args
-    assert sym_components(f, p, g, q) == ref_sym_components(n, f, p, g, q)
+    assert sym_components(f, g) == ref_sym_components(n, f, p, g, q)
 
 
 def as_polys(numerators, denominator):
@@ -324,6 +322,14 @@ def test_memo_key_separates_slice_and_full():
             assert got[None] == full and got[1] == on_slice
         assert Observable(n, {mono: 1}).components == {1: full}
         assert Observable(n, {mono: 1}, slot=1).components == {1: on_slice}
+        # the field of pihat(k)^2 reads pihat(k)'s expansion, so it differs too
+        square = mono * 2
+        expected = {slot: ref_ham_vf(Observable(n, {square: 1}, slot=slot)) for slot in (None, 1)}
+        assert expected[None] != expected[1]
+        for first in (None, 1):
+            _monomial_ham_vf.cache_clear()
+            for slot in (first, 1 if first is None else None):
+                assert HamVF(n, _monomial_ham_vf(square, n, slot)) == expected[slot]
 
 
 def _snapshot(comps):
@@ -445,22 +451,49 @@ def clear_memos():
         memo.cache_clear()
 
 
+def term_partials(poly):
+    """var -> [(lowered monomial, coefficient)] of each term's derivative, by Poly.diff."""
+    out = {}
+    for m, c in poly.terms.items():
+        for var, _ in m:
+            ((lowered, dc),) = Poly({m: c}).diff(var).terms.items()
+            out.setdefault(var, []).append((lowered, dc.as_fraction()))
+    return out
+
+
 def assert_integer_memos_match(mono, n, slot):
     r = len(mono)
     comps = _monomial_components(mono, n, slot)
-    assert as_polys(_monomial_numerators(mono, n, slot), factorial(r)) == comps
-    fields = _monomial_field_numerators(mono, n, slot)
+    assert as_polys(unpacked(_packed_numerators(mono, n, slot), n), factorial(r)) == comps
+    expected = {}
+    for J, poly in comps.items():
+        for var, terms in term_partials(poly).items():
+            expected.setdefault(var, []).extend((J, lowered, c * factorial(r)) for lowered, c in terms)
+    partials = _monomial_partials(mono, n, slot)
+    assert {
+        var: [(J, unpack_monomial(lowered, n), c) for J, lowered, c in entries]
+        for var, entries in partials.items()
+    } == expected
     scale = factorial(r) * factorial(r - 1)
-    assert {I: as_polys(vf, scale) for I, vf in fields.items()} == {
-        I: vf.terms for I, vf in _monomial_ham_vf(mono, n, slot).items()
-    }
+    by_var = {}
+    for I, vf in _monomial_ham_vf(mono, n, slot).items():
+        for var, poly in vf.terms.items():
+            by_var.setdefault(var, []).append((I, poly))
+    table = _monomial_field_table(mono, n, slot)
+    assert {
+        var: [(I, Poly.from_numerators(unpack_numerators(dict(coeff), n), scale)) for I, coeff in grades]
+        for var, grades in table.items()
+    } == by_var
 
 
 @SETTINGS
-@given(st.lists(monomial_in_some_algebra(), min_size=1, max_size=4), st.booleans())
+@given(st.lists(monomial_in_some_algebra(max_n=4), min_size=1, max_size=4), st.booleans())
 def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
-    # each monomial is looked up on its slice and on the full bundle, in
-    # either order from empty memos, so a key without the slot would show
+    # the packed components unpack to r! times the expansion memo, the
+    # partials to their term-by-term Poly.diff and the field table to
+    # r!(r-1)! times the field memo; each monomial is looked up on its slice
+    # and on the full bundle, in either order from empty memos, so a key
+    # without the slot would show
     for clear in (False, True):
         if clear:
             clear_memos()
@@ -468,53 +501,6 @@ def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
             slots = [slot, None] if slice_first else [None, slot]
             for s in slots:
                 assert_integer_memos_match(mono, n, s)
-
-
-def term_partials(num):
-    """var -> [(lowered monomial, coefficient)] of each term's derivative, by Poly.diff."""
-    out = {}
-    for m, c in num.items():
-        for var, _ in m:
-            ((lowered, dc),) = Poly({m: c}).diff(var).terms.items()
-            out.setdefault(var, []).append((lowered, dc.as_fraction()))
-    return out
-
-
-def assert_packed_tables_match(mono, n, slot):
-    numerators = _monomial_numerators(mono, n, slot)
-    assert unpacked(_packed_numerators(mono, n, slot), n) == numerators
-    expected = {}
-    for J, num in numerators.items():
-        for var, terms in term_partials(num).items():
-            expected.setdefault(var, []).extend((J, lowered, c) for lowered, c in terms)
-    partials = _monomial_partials(mono, n, slot)
-    assert {
-        var: [(J, unpack_monomial(lowered, n), c) for J, lowered, c in entries]
-        for var, entries in partials.items()
-    } == expected
-    by_var = {}
-    for I, field in _monomial_field_numerators(mono, n, slot).items():
-        for var, num in field.items():
-            by_var.setdefault(var, []).append((I, num))
-    table = _monomial_field_table(mono, n, slot)
-    assert {
-        var: [(I, unpack_numerators(dict(coeff), n)) for I, coeff in grades]
-        for var, grades in table.items()
-    } == by_var
-
-
-@SETTINGS
-@given(st.lists(monomial_in_some_algebra(max_n=4), min_size=1, max_size=4), st.booleans())
-def test_packed_tables_unpack_to_tuple_numerators(cases, slice_first):
-    # each monomial is looked up on its slice and on the full bundle, in
-    # either order from empty memos, so a key without the slot would show
-    for clear in (False, True):
-        if clear:
-            clear_memos()
-        for n, slot, mono in cases:
-            slots = [slot, None] if slice_first else [None, slot]
-            for s in slots:
-                assert_packed_tables_match(mono, n, s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -553,11 +539,12 @@ def test_bracket_at_the_power_bound_and_one_past_it():
 
 
 def test_numerators_reject_non_integer_coefficients():
+    units = packed_units(1)
     half = Poly.var(qvar(1)).scale(Fraction(1, 2)) + Poly.constant(3)
-    assert half.numerators(2) == {((qvar(1), 1),): 1, (): 6}
+    assert unpack_numerators(_packed_poly(half, 2, units), 1) == {((qvar(1), 1),): 1, (): 6}
     for poly, scale in ((half, 1), (half, 3), (Poly.constant(Scalar.symbol(IHBAR)), 1)):
         with pytest.raises(EngineError, match="not an integer polynomial"):
-            poly.numerators(scale)
+            _packed_poly(poly, scale, units)
 
 
 # -- the checked bracket over unit pairs ---------------------------------------------

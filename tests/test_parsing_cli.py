@@ -1,5 +1,7 @@
 """Expression grammar, printing round-trips, and the command-line surface."""
 
+import contextlib
+import io
 import json
 import random
 
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsq.algebra import make_pihat, make_qhat, make_rhat, sym_mul
+from nsq.algebra import Observable, make_pihat, make_qhat, make_rhat, sym_mul
 from nsq.cli import main
-from nsq.errors import IndexRangeError, ParseError
-from nsq.parsing import parse, parse_observable, print_observable
+from nsq.errors import EngineError, IndexRangeError, ParseError
+from nsq.parsing import MAX_DEPTH, parse, parse_observable, print_observable
 from nsq.poisson import bracket
 from nsq.suites import SUITES, random_full_monomial, run_suite
 
@@ -225,3 +227,61 @@ def test_cli_env_seed(capsys, monkeypatch):
     assert with_env["seed"] == 5
     monkeypatch.setenv("NSQ_SEED", "not-a-number")
     assert main(["verify", "--suite", "jacobi"]) == 2
+
+
+def test_parenthesis_depth_is_bounded(capsys):
+    def nested(depth):
+        return "(" * depth + "qh(1,1)" + ")" * depth
+
+    assert parse_observable(nested(MAX_DEPTH), 2) == make_qhat(2, 1, 1)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} \\(at offset {MAX_DEPTH}\\)"):
+        parse(nested(MAX_DEPTH + 1), 2)
+    assert main(["bracket", nested(2000), "pih(1)"]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
+# the grammar's alphabet in single characters and whole tokens, long digit
+# runs and characters outside ASCII (some of them Unicode digits and spaces)
+front_end_chunks = st.one_of(
+    st.sampled_from(list("qhpir()+-*/,0123456789 ") + ["qh(", "pih(", "rh(", "1,", "1)", "2)", "1/2 "]),
+    st.text("0123456789", min_size=10, max_size=60),
+    st.characters(min_codepoint=128, max_codepoint=0x10FFFF),
+    st.sampled_from(["\u0663", "\uff11", "\u00a0", "\u2003", "\u00e9"]),
+)
+
+
+def _sums(inner):
+    term = st.tuples(st.sampled_from(["", "2 ", "-1/3 ", "0 "]), st.lists(inner, min_size=1, max_size=3))
+    terms = st.lists(term.map(lambda t: t[0] + "*".join(t[1])), min_size=1, max_size=3)
+    return terms.map(lambda parts: "(" + " + ".join(parts) + ")")
+
+
+# well-formed expressions, so that the fuzz also reaches the evaluator
+expressions = st.recursive(
+    st.sampled_from(["qh(1,1)", "qh(2,1)", "qh(1,2)", "pih(1)", "pih(2)", "rh(1)", "rh(2)"]), _sums, max_leaves=8
+)
+
+
+@st.composite
+def front_end_inputs(draw):
+    """A chunk soup, or a well-formed expression with a few chunks spliced in."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(front_end_chunks, max_size=60)))
+    src = draw(expressions)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(src)))
+        src = src[:at] + draw(front_end_chunks) + src[at:]
+    return src
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_inputs().filter(lambda s: len(s) <= 300))
+def test_front_end_fuzz(src):
+    try:
+        obs = parse_observable(src, 2)
+    except EngineError:
+        pass
+    else:
+        assert isinstance(obs, Observable)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["reduce", src]) in (0, 2)

@@ -114,22 +114,22 @@ MUTANTS = [
         [("symplectic_ref.py", "del stack[common:]", "del stack[common + 1 :]")],
         [f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2", f"{WEYL}::test_prefix_oracle_matches_word_average"],
     ),
-    # -- the integer bracket kernel (poisson, algebra, forms, polynomials) --
+    # -- the integer bracket kernel (poisson) --
     Mutant(
         "component numerator memo keyed without the slot",
         [(
-            "algebra.py",
+            "poisson.py",
             *keyed_without("@lru_cache(maxsize=512)", "_packed_numerators", "mono, n, slot", "(mono, n)"),
         )],
-        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
+        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
     Mutant(
         "field numerator memo keyed without the slot",
         [(
-            "forms.py",
+            "poisson.py",
             *keyed_without("@lru_cache(maxsize=256)", "_monomial_field_table", "mono, n, slot", "(mono, n)"),
         )],
-        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
+        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
     Mutant(
         "route 1 weight -1 instead of -split_count",
@@ -151,44 +151,80 @@ MUTANTS = [
         [f"{KERNELS}::test_route_disagreement_names_the_unit_pair"],
     ),
     Mutant(
-        "Poly.numerators truncates with int() and no check",
+        "_packed_poly truncates with int() and no check",
         [(
-            "polynomials.py",
-            "            value = c.as_fraction() * scale if c.is_rational() else None\n"
-            "            if value is None or value.denominator != 1:\n"
-            '                raise EngineError(f"{scale} * ({self}) is not an integer polynomial")\n'
-            "            out[mono if units is None else pack_monomial(mono, units)] = value.numerator\n",
-            "            out[mono if units is None else pack_monomial(mono, units)] = int(c.as_fraction() * scale)\n",
+            "poisson.py",
+            "        value = c.as_fraction() * scale if c.is_rational() else None\n"
+            "        if value is None or value.denominator != 1:\n"
+            '            raise EngineError(f"{scale} * ({poly}) is not an integer polynomial")\n'
+            "        out[pack_monomial(mono, units)] = value.numerator\n",
+            "        out[pack_monomial(mono, units)] = int(c.as_fraction() * scale)\n",
         )],
         [f"{KERNELS}::test_numerators_reject_non_integer_coefficients"],
     ),
     Mutant(
         "packed field width one bit too small",
-        [("polynomials.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
+        [("poisson.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
         [f"{KERNELS}::test_packed_monomials_round_trip_at_the_power_bound"],
     ),
     Mutant(
         "partials table keyed without the slot",
         [(
-            "algebra.py",
+            "poisson.py",
             *keyed_without("@lru_cache(maxsize=512)", "_monomial_partials", "mono, n, slot", "(mono, n)"),
         )],
-        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
+        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
     Mutant(
         "partials table skips the last factor of a term",
-        [("algebra.py", "            for var, pw in m:\n", "            for var, pw in m[:-1]:\n")],
-        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators", f"{KERNELS}::test_route1_matches_split_enumeration"],
+        [("poisson.py", "            for var, pw in m:\n", "            for var, pw in m[:-1]:\n")],
+        [
+            f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators",
+            f"{KERNELS}::test_route1_matches_split_enumeration",
+        ],
     ),
     Mutant(
         "gauge seed accepted on a slice",
         [("poisson.py", "    if gauge_seed is not None and slot is not None:\n", "    if False:\n")],
         [f"{KERNELS}::test_slice_bracket_refuses_gauge_seed"],
     ),
+    # -- the expansion and field memos and the split-pair loop (algebra, forms) --
+    Mutant(
+        "expansion memo keyed without the slot",
+        [(
+            "algebra.py",
+            *keyed_without("@lru_cache(maxsize=1024)", "_monomial_components", "mono, n, slot", "(mono, n)"),
+        )],
+        [f"{KERNELS}::test_memo_key_separates_slice_and_full"],
+    ),
+    Mutant(
+        "field memo keyed without the slot",
+        [("forms.py", *keyed_without("@lru_cache(maxsize=256)", "_monomial_ham_vf", "mono, n, slot", "(mono, n)"))],
+        [f"{KERNELS}::test_memo_key_separates_slice_and_full"],
+    ),
+    Mutant(
+        "ham_vf treats every coefficient as 1",
+        [("forms.py", "        unit = coeff == ONE\n", "        unit = True\n")],
+        [f"{KERNELS}::test_memoized_field_equals_factor_rule"],
+    ),
+    Mutant(
+        "split_pair_sum weighs by 1/comb without split_count",
+        [(
+            "algebra.py",
+            "weight = Fraction(split_count(K, I), comb(len(K), len(I)))",
+            "weight = Fraction(1, comb(len(K), len(I)))",
+        )],
+        [f"{KERNELS}::test_sym_components_matches_split_enumeration", f"{KERNELS}::test_vf_bracket_matches_split_enumeration"],
+    ),
     # -- the suite driver (suites) --
     Mutant(
         "dirac pair loop builds g from m1",
         [("suites.py", "f, g = units[m1], units[m2]", "f, g = units[m1], units[m1]")],
+        [f"{QUANT}::test_dirac_failures_carry_the_residual"],
+    ),
+    Mutant(
+        "record_dirac records \"fail\" instead of the residual",
+        [("suites.py", 'actual="fail" if ok else format_operator(lhs - rhs)', 'actual="fail"')],
         [f"{QUANT}::test_dirac_failures_carry_the_residual"],
     ),
     Mutant(
@@ -205,6 +241,11 @@ MUTANTS = [
             f"{LAWS}::test_scalar_product_matches_general_path",
             f"{LAWS}::test_sparse_combination_laws",
         ],
+    ),
+    Mutant(
+        "LinComb._like drops the space (n, slot)",
+        [("scalars.py", "        for name in self._space:\n            setattr(out, name, getattr(self, name))\n        return out\n", "        return out\n")],
+        [f"{LAWS}::test_sparse_combination_laws"],
     ),
     Mutant(
         "LinComb.__bool__ always true",
