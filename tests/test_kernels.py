@@ -5,10 +5,11 @@ integer bracket kernel against both.
 The reference visits every multi-index K of the target rank and every
 position split of it; the engine visits only the pairs of the two supports
 and weighs each by split_count.  The field reference applies the factor
-rule to fresh expansions, with no memo.  The packed integer tables must
-unpack to the Poly memos times their denominators (the partials table to
-their term-by-term derivatives), and the checked bracket must be the sum
-over unit pairs and name the unit pair whose routes disagree.
+rule to fresh expansions, with no memo.  The integer forms must equal the
+Poly memos times their denominators, the packed memos must unpack to the
+integer forms (the partials table to their term-by-term derivatives), and
+the checked bracket must be the sum over unit pairs and name the unit pair
+whose routes disagree.
 """
 
 import copy
@@ -451,49 +452,44 @@ def clear_memos():
         memo.cache_clear()
 
 
-def term_partials(poly):
-    """var -> [(lowered monomial, coefficient)] of each term's derivative, by Poly.diff."""
-    out = {}
-    for m, c in poly.terms.items():
-        for var, _ in m:
-            ((lowered, dc),) = Poly({m: c}).diff(var).terms.items()
-            out.setdefault(var, []).append((lowered, dc.as_fraction()))
-    return out
+def tuple_numerators(mono, n, slot):
+    """K -> tuple-keyed integer numerators: the expansion memo times r!."""
+    scale = factorial(len(mono))
+    return {
+        K: {m: c.as_fraction() * scale for m, c in poly.terms.items()}
+        for K, poly in _monomial_components(mono, n, slot).items()
+    }
+
+
+def tuple_field_numerators(mono, n, slot):
+    """I -> var -> tuple-keyed integer numerators: the field memo times r!(r-1)!."""
+    r = len(mono)
+    scale = factorial(r) * factorial(r - 1)
+    return {
+        I: {var: {m: c.as_fraction() * scale for m, c in poly.terms.items()} for var, poly in vf.terms.items()}
+        for I, vf in _monomial_ham_vf(mono, n, slot).items()
+    }
 
 
 def assert_integer_memos_match(mono, n, slot):
     r = len(mono)
     comps = _monomial_components(mono, n, slot)
     assert as_polys(unpacked(_packed_numerators(mono, n, slot), n), factorial(r)) == comps
-    expected = {}
-    for J, poly in comps.items():
-        for var, terms in term_partials(poly).items():
-            expected.setdefault(var, []).extend((J, lowered, c * factorial(r)) for lowered, c in terms)
-    partials = _monomial_partials(mono, n, slot)
-    assert {
-        var: [(J, unpack_monomial(lowered, n), c) for J, lowered, c in entries]
-        for var, entries in partials.items()
-    } == expected
     scale = factorial(r) * factorial(r - 1)
-    by_var = {}
-    for I, vf in _monomial_ham_vf(mono, n, slot).items():
-        for var, poly in vf.terms.items():
-            by_var.setdefault(var, []).append((I, poly))
-    table = _monomial_field_table(mono, n, slot)
-    assert {
-        var: [(I, Poly.from_numerators(unpack_numerators(dict(coeff), n), scale)) for I, coeff in grades]
-        for var, grades in table.items()
-    } == by_var
+    fields = {}
+    for var, grades in _monomial_field_table(mono, n, slot).items():
+        for I, coeff in grades:
+            fields.setdefault(I, {})[var] = Poly.from_numerators(unpack_numerators(dict(coeff), n), scale)
+    assert fields == {I: vf.terms for I, vf in _monomial_ham_vf(mono, n, slot).items()}
 
 
 @SETTINGS
-@given(st.lists(monomial_in_some_algebra(max_n=4), min_size=1, max_size=4), st.booleans())
+@given(st.lists(monomial_in_some_algebra(), min_size=1, max_size=4), st.booleans())
 def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
-    # the packed components unpack to r! times the expansion memo, the
-    # partials to their term-by-term Poly.diff and the field table to
-    # r!(r-1)! times the field memo; each monomial is looked up on its slice
-    # and on the full bundle, in either order from empty memos, so a key
-    # without the slot would show
+    # the packed components are r! times the expansion memo and the field
+    # table r!(r-1)! times the field memo; each monomial is looked up on its
+    # slice and on the full bundle, in either order from empty memos, so a
+    # key without the slot would show
     for clear in (False, True):
         if clear:
             clear_memos()
@@ -501,6 +497,55 @@ def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
             slots = [slot, None] if slice_first else [None, slot]
             for s in slots:
                 assert_integer_memos_match(mono, n, s)
+
+
+def term_partials(num):
+    """var -> [(lowered monomial, coefficient)] of each term's derivative, by Poly.diff."""
+    out = {}
+    for m, c in num.items():
+        for var, _ in m:
+            ((lowered, dc),) = Poly({m: c}).diff(var).terms.items()
+            out.setdefault(var, []).append((lowered, dc.as_fraction()))
+    return out
+
+
+def assert_packed_tables_match(mono, n, slot):
+    numerators = tuple_numerators(mono, n, slot)
+    assert unpacked(_packed_numerators(mono, n, slot), n) == numerators
+    expected = {}
+    for J, num in numerators.items():
+        for var, terms in term_partials(num).items():
+            expected.setdefault(var, []).extend((J, lowered, c) for lowered, c in terms)
+    partials = _monomial_partials(mono, n, slot)
+    assert {
+        var: [(J, unpack_monomial(lowered, n), c) for J, lowered, c in entries]
+        for var, entries in partials.items()
+    } == expected
+    by_var = {}
+    for I, field in tuple_field_numerators(mono, n, slot).items():
+        for var, num in field.items():
+            by_var.setdefault(var, []).append((I, num))
+    table = _monomial_field_table(mono, n, slot)
+    assert {
+        var: [(I, unpack_numerators(dict(coeff), n)) for I, coeff in grades]
+        for var, grades in table.items()
+    } == by_var
+
+
+@SETTINGS
+@given(st.lists(monomial_in_some_algebra(max_n=4), min_size=1, max_size=4), st.booleans())
+def test_packed_tables_unpack_to_tuple_numerators(cases, slice_first):
+    # the packed components, partials and field table unpack to the integer
+    # numerators (the partials to their term-by-term derivatives); each
+    # monomial is looked up on its slice and on the full bundle, in either
+    # order from empty memos, so a key without the slot would show
+    for clear in (False, True):
+        if clear:
+            clear_memos()
+        for n, slot, mono in cases:
+            slots = [slot, None] if slice_first else [None, slot]
+            for s in slots:
+                assert_packed_tables_match(mono, n, s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
