@@ -44,6 +44,8 @@ entries.  An observable that is one monomial with coefficient 1 takes the
 memoized map itself as its only grade, uncopied; any other observable
 builds its own scaled sum.  The cached component maps and their
 polynomials are shared by every caller: read them, never mutate them.
+The checked bracket does not read this memo: it builds its integer
+tables straight from the generators (see :mod:`nsq.poisson`).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
-from .polynomials import Poly, pivar, qvar
+from .polynomials import Poly, Var, pivar, qvar
 from .scalars import ONE, LinComb, Scalar, _coerce, accumulate, signed_sum, signed_term
 
 MultiIndex = tuple
@@ -189,22 +191,25 @@ def _check_tag(tag: GenTag, n: int) -> None:
         check_index(i, n)
 
 
-def _generator_components(tag: GenTag, n: int, slot: int | None) -> dict[MultiIndex, Poly]:
+def _generator_variables(tag: GenTag, n: int, slot: int | None) -> tuple[tuple[int, Var | None], ...]:
+    """The components of one generator, in order: (index, its variable), None for the constant 1."""
     kind = tag[0]
     if kind == "q":
-        i, j = tag[1], tag[2]
-        return {(j,): Poly.var(qvar(i))}
+        return ((tag[2], qvar(tag[1])),)
     if kind == "pi":
         k = tag[1]
         if slot is None:
-            return {(l,): Poly.var(pivar(l, k)) for l in range(1, n + 1)}
+            return tuple((l, pivar(l, k)) for l in range(1, n + 1))
         # on the slice pi^l_k = delta^l_k for every row l != slot
-        comps = {(slot,): Poly.var(pivar(slot, k))}
-        if k != slot:
-            comps[(k,)] = Poly.constant(1)
-        return comps
-    k = tag[1]
-    return {(k,): Poly.constant(1)}
+        return ((slot, pivar(slot, k)),) + (((k, None),) if k != slot else ())
+    return ((tag[1], None),)
+
+
+def _generator_components(tag: GenTag, n: int, slot: int | None) -> dict[MultiIndex, Poly]:
+    return {
+        (j,): Poly.constant(1) if var is None else Poly.var(var)
+        for j, var in _generator_variables(tag, n, slot)
+    }
 
 
 def split_count(K: MultiIndex, I: MultiIndex) -> int:

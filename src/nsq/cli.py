@@ -34,8 +34,19 @@ def dimension(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a word starting with '-' as a positional
+    unless its first two characters name an option, so that an EXPR such as
+    "-qh(1,1)" needs no '--' before it; subcommand parsers are built with it too."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string[:2] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nsq", description=__doc__.strip().splitlines()[0])
+    parser = _Parser(prog="nsq", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str) -> argparse.ArgumentParser:

@@ -41,7 +41,9 @@ memoized process-wide by :func:`_monomial_ham_vf`, keyed on (mono, n, slot)
 and bounded at 256 entries; :func:`ham_vf` sums them times the
 coefficients, and a coefficient of 1 reuses the memoized fields unscaled.
 Those fields are shared by every representative built from them: every
-operation here returns new fields, and no caller may mutate one.
+operation here returns new fields, and no caller may mutate one.  The
+checked bracket reads neither this memo nor the expansion memo: it applies
+the same factor rule to integer tables (see :mod:`nsq.poisson`).
 """
 
 from __future__ import annotations
@@ -209,15 +211,22 @@ def soldering_dtheta(n: int, slot: int | None = None) -> dict[int, TwoForm]:
     }
 
 
+def _generator_direction(tag: GenTag) -> tuple[Var, int] | None:
+    """(var, sign) of a generator's field sign * d/d(var); None for the zero field of rhat."""
+    if tag[0] == "q":
+        return pivar(tag[2], tag[1]), -1
+    if tag[0] == "pi":
+        return qvar(tag[1]), 1
+    return None
+
+
 def generator_field(tag: GenTag) -> VectorField:
     """Hamiltonian field of a single generator."""
-    kind = tag[0]
-    if kind == "q":
-        i, j = tag[1], tag[2]
-        return VectorField(v={(j, i): Poly.constant(-1)})
-    if kind == "pi":
-        return VectorField(h={tag[1]: Poly.constant(1)})
-    return VectorField.zero()
+    direction = _generator_direction(tag)
+    if direction is None:
+        return VectorField.zero()
+    var, sign = direction
+    return VectorField()._like({var: Poly.constant(sign)})
 
 
 class HamVF(LinComb):

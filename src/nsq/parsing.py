@@ -26,7 +26,7 @@ from .errors import IndexRangeError, ParseError
 MAX_DEPTH = 100  # the deepest parenthesis nesting the recursive parser accepts
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<name>qh|pih|rh)|(?P<int>\d+)|(?P<punct>[()+\-*/,]))"
+    r"\s*(?:(?P<name>qh|pih|rh)|(?P<int>[0-9]+)|(?P<punct>[()+\-*/,]))"
 )
 
 

@@ -29,18 +29,32 @@ The product of two monomials is the sum of their ints and lowering a
 variable subtracts its unit, so long as no power exceeds ``POWER_BOUND``,
 the largest a field holds.  The powers in a (p, q) pair are at most
 p+q-2, and a bracket whose ranks could pass ``POWER_BOUND`` is refused
-with EngineError before any work, so that a field never carries.
+with EngineError before any work, so that no result's field carries.  Only
+an operand g of degree POWER_BOUND + 1 (against p = 1) can hold a power one
+past the bound: its packed keys are still the exact sums of their units,
+and :func:`_monomial_partials` reads its terms' variables from the exact
+expansion instead of from the fields.
 
-The integer tables are built here from the exact memos of
-:mod:`nsq.algebra` and :mod:`nsq.forms`, each memoized on (mono, n, slot)
-and shared: read them, never mutate them.  A unit monomial of degree r
-has components that are integer polynomials over r!
-(:func:`_packed_numerators`, bounded at 512 entries; their partial
-derivatives term by term are :func:`_monomial_partials`, 512), and its
-factor-rule field is an integer field over r!(r-1)!
-(:func:`_monomial_field_table`, 256).  A coefficient that is not an
-integer over its denominator raises EngineError.  For a (p, q) pair,
-route 1 is
+The integer tables are built here straight from the generators, in int
+arithmetic on packed monomials, with no Poly, Scalar or Fraction; each is
+memoized on (mono, n, slot) and shared: read them, never mutate them.  A
+unit monomial of degree r has components that are integer polynomials
+over r!, N_r (:func:`_packed_numerators`, bounded at 512 entries).  Each
+component of a generator is one variable, or the constant 1 (rhat, and
+pihat on a slice), so N_r(mono) is N_{r-1}(mono[:-1]) joined with the
+components {(j,): x_j} of the last generator: every I and j land on K =
+sorted(I + (j,)) with the weight K.count(j), which is split_count(K, I),
+times x_j.  Their partial derivatives term by term are
+:func:`_monomial_partials` (512), each power read from its field of the
+packed monomial.  The factor-rule field of the monomial is an integer
+field over r!(r-1)! (:func:`_monomial_field_table`, 256): the sum over the
+factors u_m of N_{r-1}(rest_m)^I X_{u_m}, with X_qhat(i,j) = -d/dpi(j,i),
+X_pihat(k) = d/dq(k), X_rhat(k) = 0, and N_0 = 1 at the empty index.  The
+exact Poly expansions of :mod:`nsq.algebra` and :mod:`nsq.forms` equal
+these tables over their denominators; the tests hold the two paths to
+that.  A gauge term, whose coefficients are rational, is packed by
+:func:`field_table`, which raises EngineError on a coefficient that is
+not an integer over its scale.  For a (p, q) pair, route 1 is
 
     -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
 
@@ -62,9 +76,9 @@ is the sum over the pairs of cf * cg times route 2's generator monomials,
 so symbolic coefficients never enter the integer kernel, brackets nest,
 and the result's components are expanded only when a caller reads them.
 
-With ``gauge_seed`` each grade p of f draws a seeded random valid gauge
-term t_p, indexed by variable and packed for the same join; its route 1
-against every unit monomial of g must be zero, so the shifted
+With ``gauge_seed`` each degree p of f's monomials draws a seeded random
+valid gauge term t_p, indexed by variable and packed for the same join;
+its route 1 against every unit monomial of g must be zero, so the shifted
 representative gives the same bracket.  A slice has no gauge freedom: its
 two-form dpi^slot_j ^ dq^j is nondegenerate on the fields tangent to the
 slice (legs d/dq^j and d/dpi^slot_b), so the structure equation at K = I +
@@ -85,6 +99,7 @@ from .algebra import (
     GenMonomial,
     MultiIndex,
     Observable,
+    _generator_variables,
     _monomial_components,
     in_b1_algebra,
     rtag,
@@ -93,7 +108,7 @@ from .algebra import (
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
     VectorField,
-    _monomial_ham_vf,
+    _generator_direction,
     add_gauge,
     ham_vf,
     random_valid_gauge,
@@ -102,7 +117,7 @@ from .forms import (
     vf_bracket,
 )
 from .polynomials import Monomial, Poly, Var, pivar, qvar
-from .scalars import Scalar, accumulate
+from .scalars import ONE, Scalar, accumulate
 
 POWER_BOUND = 255  # the largest power a packed field holds
 FIELD_BITS = POWER_BOUND.bit_length()
@@ -159,14 +174,35 @@ def _packed_poly(poly: Poly, scale: int, units: Mapping[Var, int]) -> dict[int, 
 # -- the integer tables ----------------------------------------------------------
 
 
+_EMPTY_REST = {(): {0: 1}}  # the components of the empty product, over 0! = 1
+
+
 @lru_cache(maxsize=512)
 def _packed_numerators(
     mono: GenMonomial, n: int, slot: int | None
 ) -> dict[MultiIndex, dict[int, int]]:
-    """r! times :func:`nsq.algebra._monomial_components` of a degree-r monomial, packed."""
+    """r! times :func:`nsq.algebra._monomial_components` of a degree-r monomial, packed.
+
+    The numerators of mono[:-1] joined with the last generator's components:
+    each I and each component j of the generator land on K = sorted(I +
+    (j,)) with weight K.count(j), times the generator's packed unit (0 for
+    a constant).
+    """
     units = packed_units(n)
-    scale = factorial(len(mono))
-    return {K: _packed_poly(poly, scale, units) for K, poly in _monomial_components(mono, n, slot).items()}
+    head = _packed_numerators(mono[:-1], n, slot) if len(mono) > 1 else _EMPTY_REST
+    tail = [(j, 0 if var is None else units[var]) for j, var in _generator_variables(mono[-1], n, slot)]
+    out: dict = {}
+    for I, num in head.items():
+        for j, unit in tail:
+            K = tuple(sorted(I + (j,)))
+            weight = K.count(j)
+            acc = out.get(K)
+            if acc is None:
+                acc = out[K] = {}
+            for m, c in num.items():
+                m += unit
+                acc[m] = acc.get(m, 0) + weight * c
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -177,17 +213,31 @@ def _monomial_partials(
 
     var -> ((J, packed m lowered once in var, pw * c), ...) for every term c * m
     of every component J in which var has power pw >= 1, in the order of
-    the components and their terms.  The variables of each term are read
-    from the memoized expansion, so no coefficient is computed twice.
+    the components and their terms.  Each power is read from its field of
+    the packed monomial, over the variables of mono's generators.
     """
     units = packed_units(n)
     numerators = _packed_numerators(mono, n, slot)
     out: dict[Var, list] = {}
-    for J, poly in _monomial_components(mono, n, slot).items():
-        # _packed_poly keeps the order of the terms, one key each
-        for m, (packed, c) in zip(poly.terms, numerators[J].items()):
-            for var, pw in m:
-                out.setdefault(var, []).append((J, packed - units[var], pw * c))
+    if len(mono) > POWER_BOUND:
+        # a power may fill more than its field and carry into the next one, so
+        # read each term's variables from the exact expansion, in the same order
+        for J, poly in _monomial_components(mono, n, slot).items():
+            for m, (packed, c) in zip(poly.terms, numerators[J].items()):
+                for var, pw in m:
+                    out.setdefault(var, []).append((J, packed - units[var], pw * c))
+        return _frozen(out)
+    mask = (1 << FIELD_BITS) - 1
+    variables = dict.fromkeys(
+        var for tag in dict.fromkeys(mono) for _, var in _generator_variables(tag, n, slot) if var is not None
+    )
+    fields = [(var, units[var], units[var].bit_length() - 1) for var in variables]
+    for J, num in numerators.items():
+        for packed, c in num.items():
+            for var, unit, shift in fields:
+                pw = packed >> shift & mask
+                if pw:
+                    out.setdefault(var, []).append((J, packed - unit, pw * c))
     return _frozen(out)
 
 
@@ -217,9 +267,31 @@ def field_table(
 def _monomial_field_table(
     mono: GenMonomial, n: int, slot: int | None
 ) -> dict[Var, tuple[tuple[MultiIndex, tuple], ...]]:
-    """r!(r-1)! times :func:`nsq.forms._monomial_ham_vf` of a degree-r monomial, as a :func:`field_table`."""
-    r = len(mono)
-    return field_table(_monomial_ham_vf(mono, n, slot), factorial(r) * factorial(r - 1), n)
+    """r!(r-1)! times :func:`nsq.forms._monomial_ham_vf` of a degree-r monomial, as a :func:`field_table`.
+
+    By the factor rule that is the sum over the factors u_m of the
+    numerators of the rest, :func:`_packed_numerators` over (r-1)!, times
+    the field of u_m; a factor that occurs c times is visited once, with
+    weight c.
+    """
+    grades: dict[MultiIndex, dict[Var, dict[int, int]]] = {}
+    for tag in dict.fromkeys(mono):
+        direction = _generator_direction(tag)
+        if direction is None:
+            continue
+        var, sign = direction
+        i = mono.index(tag)
+        rest = mono[:i] + mono[i + 1 :]
+        weight = sign * mono.count(tag)
+        for I, num in (_packed_numerators(rest, n, slot) if rest else _EMPTY_REST).items():
+            acc = grades.setdefault(I, {}).setdefault(var, {})
+            for m, c in num.items():
+                acc[m] = acc.get(m, 0) + weight * c
+    out: dict[Var, list] = {}
+    for I, fields in grades.items():
+        for var, num in fields.items():
+            out.setdefault(var, []).append((I, tuple(num.items())))
+    return _frozen(out)
 
 
 # -- the two routes --------------------------------------------------------------
@@ -303,15 +375,15 @@ def _generator_hits(mf: GenMonomial, mg: GenMonomial):
 
 
 def _gauge_numerators(f: Observable, gauge_seed: int) -> dict:
-    """p -> (t_p scaled to integers as a field table, the scale) for the grades p of f.
+    """p -> (t_p scaled to integers as a field table, the scale) for the degrees p of f's monomials.
 
-    The grades draw their seeded random valid gauge terms from one RNG in
-    increasing rank order; the zero term of rank 1 draws nothing and is
-    left out.
+    The degrees draw their seeded random valid gauge terms from one RNG in
+    increasing order; the zero term of degree 1 draws nothing and is left
+    out.  The degrees are read from f's terms, so f is never expanded.
     """
     rng = random.Random(gauge_seed)
     out = {}
-    for p in f.ranks():
+    for p in sorted({len(mono) for mono in f.terms}):
         t = require_gauge(random_valid_gauge(f.n, p - 1, rng))
         if t.is_zero():
             continue
@@ -371,12 +443,16 @@ def bracket(
     for mf, cf in f.terms.items():
         p = len(mf)
         x = _monomial_field_table(mf, n, slot)
+        unit_f = cf == ONE
         for mg, cg in g.terms.items():
-            base = cf * cg
             hits: dict[GenMonomial, int] = {}
             for sign, mono in _generator_hits(mf, mg):
-                accumulate(out, mono, base if sign > 0 else -base)
                 hits[mono] = hits.get(mono, 0) + sign
+            if hits:
+                base = cg if unit_f else cf * cg
+                for mono, count in hits.items():
+                    if count:
+                        accumulate(out, mono, base if count == 1 else base * count)
             dg = _monomial_partials(mg, n, slot)
             route1 = _route1_numerators(x, dg)
             route2 = _route2_numerators(hits, n, slot)

@@ -484,7 +484,7 @@ def assert_integer_memos_match(mono, n, slot):
 
 
 @SETTINGS
-@given(st.lists(monomial_in_some_algebra(), min_size=1, max_size=4), st.booleans())
+@given(st.lists(monomial_in_some_algebra(max_n=4), min_size=1, max_size=4), st.booleans())
 def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
     # the packed components are r! times the expansion memo and the field
     # table r!(r-1)! times the field memo; each monomial is looked up on its
@@ -546,6 +546,35 @@ def test_packed_tables_unpack_to_tuple_numerators(cases, slice_first):
             slots = [slot, None] if slice_first else [None, slot]
             for s in slots:
                 assert_packed_tables_match(mono, n, s)
+
+
+def test_integer_builders_equal_poly_path_on_every_small_monomial():
+    # every monomial of degree <= 3 at n 1..3, on the full bundle and on
+    # every slice: the integer builders, which never form a Poly, against
+    # the Poly memos times r! and r!(r-1)!
+    clear_memos()
+    for n in (1, 2, 3):
+        for slot in [None, *range(1, n + 1)]:
+            tags = full_tags(n) if slot is None else slice_tags(n, slot)
+            for r in (1, 2, 3):
+                for mono in itertools.combinations_with_replacement(sorted(tags), r):
+                    assert_packed_tables_match(mono, n, slot)
+
+
+def test_bracket_leaves_the_poly_memos_empty():
+    # the checked bracket reads only the integer tables, so it expands no
+    # monomial into Polys, with or without gauge terms, on a slice or not
+    clear_memos()
+    n = 3
+    f = Observable(n, {(qtag(1, 2), pitag(1), pitag(3)): 2, (qtag(2, 1),): 1, (rtag(3), pitag(2)): -1})
+    g = Observable(n, {(pitag(1), pitag(2)): 1, (qtag(3, 3), qtag(1, 1)): Scalar.symbol(IHBAR)})
+    bracket(f, g)
+    bracket(g, f, gauge_seed=4)
+    on_slice = Observable(n, {(qtag(1, 1), pitag(2)): 1, (pitag(1), rtag(1)): 3}, slot=1)
+    bracket(on_slice, on_slice)
+    assert _monomial_field_table.cache_info().currsize > 0
+    assert _monomial_components.cache_info().currsize == 0
+    assert _monomial_ham_vf.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

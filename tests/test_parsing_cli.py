@@ -240,6 +240,30 @@ def test_parenthesis_depth_is_bounded(capsys):
     assert "nested deeper than" in capsys.readouterr().err
 
 
+def test_only_ascii_digits_are_digits(capsys):
+    # \d would take any Unicode decimal digit, and the printer writes only ASCII ones
+    for src in ("qh(\u0661,\u0661)", "\uff12 pih(1)", "pih(1\u0663)"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_observable(src, 2)
+        assert main(["reduce", src]) == 2
+        assert "unexpected character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, after_dashes", [
+    (["reduce", "-qh(1,1)"], ["reduce", "--", "-qh(1,1)"]),
+    (["reduce", "-qh(1,1) + pih(1)", "-n", "3"], ["reduce", "-n", "3", "--", "-qh(1,1) + pih(1)"]),
+    (["hamvf", "-pih(2)"], ["hamvf", "--", "-pih(2)"]),
+    (["quantize", "--map", "q1", "-pih(1)"], ["quantize", "--map", "q1", "--", "-pih(1)"]),
+    (["quantize", "-pih(1)*pih(2)", "--map", "q2"], ["quantize", "--map", "q2", "--", "-pih(1)*pih(2)"]),
+    (["bracket", "-qh(1,1)", "-pih(1)*qh(2,1)"], ["bracket", "--", "-qh(1,1)", "-pih(1)*qh(2,1)"]),
+])
+def test_cli_reads_an_expr_that_starts_with_minus(argv, after_dashes, capsys):
+    assert main(after_dashes) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected != ""
+
+
 # the grammar's alphabet in single characters and whole tokens, long digit
 # runs and characters outside ASCII (some of them Unicode digits and spaces)
 front_end_chunks = st.one_of(
@@ -284,4 +308,7 @@ def test_front_end_fuzz(src):
     else:
         assert isinstance(obs, Observable)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["reduce", src]) in (0, 2)
+        code = main(["reduce", src])
+    assert code in (0, 2)
+    if any(c.isdigit() and not c.isascii() for c in src):
+        assert code == 2

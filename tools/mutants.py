@@ -176,12 +176,27 @@ MUTANTS = [
         [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
     ),
     Mutant(
-        "partials table skips the last factor of a term",
-        [("poisson.py", "            for var, pw in m:\n", "            for var, pw in m[:-1]:\n")],
+        "partials table skips the last variable of the monomial",
+        [("poisson.py", "            for var, unit, shift in fields:\n", "            for var, unit, shift in fields[:-1]:\n")],
         [
             f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators",
             f"{KERNELS}::test_route1_matches_split_enumeration",
         ],
+    ),
+    Mutant(
+        "integer component builder weighs by 1 instead of K.count(j)",
+        [("poisson.py", "            weight = K.count(j)\n", "            weight = 1\n")],
+        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
+    ),
+    Mutant(
+        "field table drops the -1 sign of a qhat generator",
+        [("poisson.py", "weight = sign * mono.count(tag)", "weight = abs(sign) * mono.count(tag)")],
+        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
+    ),
+    Mutant(
+        "bracket drops the cf * cg coefficient product",
+        [("poisson.py", "base = cg if unit_f else cf * cg", "base = cg")],
+        [f"{KERNELS}::test_bracket_is_the_sum_over_unit_pairs"],
     ),
     Mutant(
         "gauge seed accepted on a slice",
