@@ -20,7 +20,7 @@ from .algebra import check_dimension
 from .errors import EngineError, IndexRangeError
 from .parsing import parse_observable, print_observable
 from .quantization import format_operator, make_q1, make_q2, quantize
-from .suites import DEFAULT_N, DEFAULT_SEED, SUITES, run_suite
+from .reports import DEFAULT_N, DEFAULT_SEED
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -45,12 +45,24 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+class _SuiteHelp(argparse.HelpFormatter):
+    """Names the registered suites in the help of --suite, importing
+    nsq.suites only when that help is shown."""
+
+    def _get_help_string(self, action):
+        if action.dest != "suite":
+            return super()._get_help_string(action)
+        from .suites import SUITES
+
+        return f"one of: {', '.join(sorted(SUITES))}, all"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nsq", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
+    def command(name: str, summary: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, **kwargs)
         p.add_argument("-n", type=dimension, default=DEFAULT_N, help="dimension (default 2)")
         return p
 
@@ -68,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("reduce", "restriction to the 2n-dimensional slice")
     p.add_argument("expr", metavar="EXPR")
 
-    p = command("verify", "run a named verification suite")
+    p = command("verify", "run a named verification suite", formatter_class=_SuiteHelp)
     p.add_argument("--seed", type=int, default=None, help="suite seed")
     p.add_argument("--format", choices=["text", "json"], default="text", help="output encoding")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}, all")
+    p.add_argument("--suite", required=True, help="the suite to run")
     p.add_argument("--gauge-seed", type=int, default=None, help="inject gauge terms")
 
     return parser
@@ -129,6 +141,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
+            from .suites import SUITES, run_suite
+
             seed = _seed_of(args)
             names = sorted(SUITES) if args.suite == "all" else [args.suite]
             if any(name not in SUITES for name in names):

@@ -34,7 +34,8 @@ with generator fields X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k),
 X_rhat(k) = 0.  The structure equation is the arbiter of correctness and
 is exposed as :func:`structure_eq_check`.  It reads dtheta from the
 observable's space: on a slice observable (``slot`` set) that is the
-slice's two-form, :func:`soldering_dtheta` with only the slot component.
+slice's two-form, :func:`soldering_dtheta` with only the slot component,
+built once per (n, slot) and shared read-only.
 
 The factor-rule grades of each generator monomial with coefficient 1 are
 memoized process-wide by :func:`_monomial_ham_vf`, keyed on (mono, n, slot)
@@ -51,6 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .algebra import (
@@ -195,20 +197,23 @@ def contract(x: VectorField, omega: TwoForm) -> OneForm:
     return OneForm(out)
 
 
-def soldering_dtheta(n: int, slot: int | None = None) -> dict[int, TwoForm]:
+@lru_cache(maxsize=32)
+def soldering_dtheta(n: int, slot: int | None = None) -> Mapping[int, TwoForm]:
     """Differential of the soldering form: component i is dpi^i_j ^ dq^j.
 
     On the slice of ``slot`` (see :mod:`nsq.subbundle`) the frozen coframe
-    rows are constant, so only component ``slot`` is nonzero.
+    rows are constant, so only component ``slot`` is nonzero.  Memoized on
+    (n, slot) as a read-only mapping, shared with every caller, its forms
+    included: read them, never mutate them.
     """
-    return {
+    return MappingProxyType({
         i: TwoForm(
             {(pivar(i, j), qvar(j)): Poly.constant(1) for j in range(1, n + 1)}
             if slot in (None, i)
             else {}
         )
         for i in range(1, n + 1)
-    }
+    })
 
 
 def _generator_direction(tag: GenTag) -> tuple[Var, int] | None:

@@ -1,31 +1,52 @@
 """Polynomial-coefficient differential operators and the quantization maps.
 
-An operator is a :class:`~nsq.scalars.LinComb` from derivative
-multi-degrees to coefficient polynomials, so it shares the linear
-structure of polynomials and fields; composition normalizes products by
-the Leibniz rule.  Operators act on functions of the position variables;
-coefficients are polynomials in q^i and in the multiplication variables
-P_k (which reuse the coordinate key of pi^slot_k and commute with
-everything).  The combination i*hbar is carried as the single formal
-symbol IHBAR so that all identities stay in exact rational arithmetic; its
-formal adjoint is -IHBAR.
+An operator is a finite sum of terms c d^alpha, coefficients left and
+derivatives right, where d^alpha is a derivative multi-degree over
+q^1..q^n and c a coefficient polynomial.  Operators act on functions of
+the position variables; coefficients are polynomials in q^i and in the
+multiplication variables P_k (which reuse the coordinate key of pi^slot_k
+and commute with everything).  The combination i*hbar is carried as the
+single formal symbol IHBAR so that all identities stay in exact rational
+arithmetic; its formal adjoint is -IHBAR.
 
-:func:`op_compose` and :func:`commutator` run on integer numerators, in
-the layout of FLINT's ``fmpq_poly`` (one integer numerator map over one
-denominator).  Each operand is flattened once into
-(derivative degree, coefficient monomial in q and P, symbol monomial in
-IHBAR and A_i) -> int over the lcm of its denominators.  A term
-c1 d^alpha o c2 d^beta expands by the Leibniz rule into
-sum_gamma w * c1 (d^gamma c2) d^(alpha-gamma+beta), where the integer weight
-w is prod_i comb(alpha_i, gamma_i) times the falling factorial of the
-lowered q^i power; symbol monomials multiply as in
-:func:`nsq.scalars._mono_mul`.  Every product accumulates into one integer
-map over den(a)*den(b), and each output coefficient becomes one reduced
-Fraction at the end.  The commutator accumulates a o b and -(b o a) into
-the same map, so cancelling terms are never built as polynomials.  The
-Leibniz terms of d^alpha o monomial, weights included, come from one
-bounded memo, :func:`_leibniz`, keyed on (alpha, monomial); its values are
-shared between callers: read them, never mutate them.
+*The canonical form.*  A :class:`DiffOperator` holds integer numerators
+over one positive denominator, in the layout of FLINT's ``fmpq_poly``:
+a map from packed keys to nonzero ints, over a denominator that shares no
+factor with all the numerators at once, so that equal operators have
+equal forms.  A packed key is one int holding a field of ``FIELD_BITS``
+bits per variable (the packed exponent vectors of Monagan and Pearce,
+CASC 2007, and of FLINT's ``fmpz_mpoly``, as in :mod:`nsq.poisson`): the
+derivative degree along each q^i, the power of each coefficient variable
+(q^i, P_k or any other) and the power of each symbol (IHBAR, A_i or any
+other).  Fields are handed out by one append-only, process-wide registry
+the first time a variable or symbol is met, so every input is accepted and
+a key is the same int in every operator of the process.  The product of
+two coefficient or symbol monomials, and the shift of a derivative
+degree, is then one int add.  Each form also records the largest power
+any field could hold, and a composition, sum or scaling whose result
+could pass ``POWER_BOUND`` is refused with EngineError before any work,
+so that no field carries.
+
+*The view.*  ``terms`` maps each derivative multi-degree to its
+coefficient :class:`~nsq.polynomials.Poly` of Scalars, as the rest of the
+engine reads operators.  An operator built from such a map (the
+constructor) packs it once; an operator built by the kernel holds only its
+integer form and unpacks the view the first time ``terms`` is read.
+``+``, ``-``, :meth:`DiffOperator.scale`, ``==`` and ``is_zero`` work on
+the integer forms.  Both are shared once built: read them, never mutate
+them.
+
+*Composition.*  A term c1 d^alpha o c2 d^beta expands by the Leibniz rule
+into sum_gamma w * c1 (d^gamma c2) d^(alpha-gamma+beta), where the integer
+weight w is prod_i comb(alpha_i, gamma_i) times the falling factorial of
+the lowered q^i power.  On keys that is key_a + key_b - delta, with delta
+holding gamma in both the derivative and the q fields.  The (delta, w)
+list depends only on alpha and the q powers of c2, and comes from one
+bounded memo, :func:`_leibniz`, keyed on (n, alpha bits, q bits) and
+shared: read it, never mutate it.  :func:`op_compose` accumulates every
+product into one integer map over den(a)*den(b) and reduces it by the gcd;
+:func:`commutator` accumulates a o b and -(b o a) into the same map, so
+cancelling terms are never built.
 
 Two quantization maps are provided on the polynomial algebra of the
 Heisenberg basic set:
@@ -37,12 +58,19 @@ Heisenberg basic set:
   pihat*pihat -> P_j P_k, and anything containing rhat(1) to zero,
   with A^1..A^n free real symbols.
 
-The bracket-to-commutator condition, with this engine's bracket sign, is
+A map memoizes the image of each generator monomial on itself, not
+process-wide, since tests build corrupted maps through ``overrides``; the
+overrides are copied into a read-only mapping when the map is built, so
+that the memo cannot go stale.  The bracket-to-commutator condition, with
+this engine's bracket sign, is
 
     [Q(f), Q(g)] = IHBAR * Q({f, g})
 
-and is checked exactly by :func:`dirac_check`.  This module builds no
-reports: :mod:`nsq.suites` records the condition and runs the axiom sweep.
+and is checked exactly by :func:`dirac_check`, as an equality of integer
+forms: Q({f, g}) with one added to every key's IHBAR field against the
+commutator.  An operator for the residual is built only when they differ.
+This module builds no reports: :mod:`nsq.suites` records the condition and
+runs the axiom sweep.
 """
 
 from __future__ import annotations
@@ -51,8 +79,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
-from operator import add
+from math import comb, gcd, lcm, perm
+from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import Observable, basic_tags, check_index, in_b1_algebra
@@ -60,41 +88,152 @@ from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
 from .linalg import exact_rank
 from .poisson import bracket
 from .polynomials import Monomial, Poly, Var, pivar, qvar
-from .scalars import IHBAR, LinComb, Scalar, _mono_mul, accumulate, signed_sum, signed_term
+from .scalars import IHBAR, LinComb, Scalar, _coerce, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
+
+POWER_BOUND = 255  # the largest power a packed field holds
+FIELD_BITS = POWER_BOUND.bit_length()
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# -- the packed layout -----------------------------------------------------------
+
+_FIELDS: list = []  # field index -> (kind, name); kind "d" (name i), "var" or "sym"
+_UNITS: dict = {}  # (kind, name) -> the packed key of that field's power 1
+_ONE_TERMS = {(): 1}  # the terms of the Scalar 1
+
+
+def _field_unit(kind: str, name) -> int:
+    """The key of power 1 in the field of (kind, name), handing out the next field on first use."""
+    key = (kind, name)
+    unit = _UNITS.get(key)
+    if unit is None:
+        unit = _UNITS[key] = 1 << (FIELD_BITS * len(_FIELDS))
+        _FIELDS.append(key)
+    return unit
+
+
+IHBAR_UNIT = _field_unit("sym", IHBAR)
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[tuple, int, int]:
+    """((d/dq^i unit, q^i unit) for i = 1..n, the derivative fields' mask, the q fields' mask)."""
+    units = tuple((_field_unit("d", i), _field_unit("var", qvar(i))) for i in range(1, n + 1))
+    return (
+        units,
+        sum(du * _FIELD_MASK for du, _ in units),
+        sum(qu * _FIELD_MASK for _, qu in units),
+    )
+
+
+def _pack(kind: str, mono: tuple) -> tuple[int, int]:
+    """(key, largest power) of a sorted (name, power) monomial of variables or symbols."""
+    key = top = 0
+    for name, pw in mono:
+        key += _field_unit(kind, name) * pw
+        top = max(top, pw)
+    return key, top
+
+
+def _unpack(key: int, n: int) -> tuple[DerivDegree, Monomial, tuple]:
+    """(derivative degree, coefficient monomial, symbol monomial) of a packed key."""
+    alpha = [0] * n
+    mono, sym = [], []
+    for kind, name in _FIELDS:
+        if not key:
+            break
+        pw = key & _FIELD_MASK
+        if pw:
+            if kind == "d":
+                alpha[name - 1] = pw
+            elif kind == "var":
+                mono.append((name, pw))
+            else:
+                sym.append((name, pw))
+        key >>= FIELD_BITS
+    return tuple(alpha), tuple(sorted(mono)), tuple(sorted(sym))
+
+
+def _checked(top: int) -> int:
+    """top, when a packed field holds it; else EngineError."""
+    if top > POWER_BOUND:
+        raise EngineError(
+            f"an operator power could reach {top}, past the {POWER_BOUND} that a packed field holds"
+        )
+    return top
+
+
+def _scalar_numerators(c: Scalar) -> tuple[dict, int, int]:
+    """(packed symbol monomial -> numerator, denominator, largest symbol power) of a nonzero Scalar."""
+    den = 1
+    for v in c.terms.values():
+        den = lcm(den, v.denominator)
+    nums, top = {}, 0
+    for sym, v in c.terms.items():
+        key, pw = _pack("sym", sym)
+        nums[key] = v.numerator * (den // v.denominator)
+        top = max(top, pw)
+    return nums, den, top
+
+
+# -- operators ---------------------------------------------------------------------
 
 
 class DiffOperator(LinComb):
     """Differential operator in canonical form: coefficients left, derivatives right.
 
-    ``terms`` maps a derivative multi-degree over q^1..q^n to its
-    coefficient polynomial.  Equality is structural on this normal form.
+    The form is packed key -> nonzero int numerator over one denominator
+    (see the module docstring); ``terms`` is the view that maps a
+    derivative multi-degree over q^1..q^n to its coefficient polynomial.
+    Equality is structural on the integer form.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_nums", "_den", "_top", "_view")
     _space = ("n",)
 
     def __init__(self, n: int, terms: Mapping[DerivDegree, Poly] | None = None):
-        self.n = n
-        self.terms: dict = {}
+        view: dict = {}
         for alpha, poly in (terms or {}).items():
             if len(alpha) != n:
                 raise EngineError("derivative degree length must equal the dimension")
             if not all(isinstance(d, int) and d >= 0 for d in alpha):
                 raise EngineError(f"derivative degree {alpha!r} must hold natural numbers")
             if poly:
-                self.terms[alpha] = poly
+                view[alpha] = poly
+        self._set(n, *_flatten(n, view))
+        self._view = view
+
+    def _set(self, n: int, nums: dict, den: int, top: int) -> None:
+        self.n, self._nums, self._den, self._top = n, nums, den, top
+        self._view = None
+
+    @staticmethod
+    def _of(n: int, nums: dict, den: int, top: int) -> "DiffOperator":
+        """The operator of a canonical integer form (trusted)."""
+        out = object.__new__(DiffOperator)
+        out._set(n, nums, den, top)
+        return out
+
+    def _like(self, terms: dict) -> "DiffOperator":
+        """The operator of a view in the same space as self."""
+        return DiffOperator(self.n, terms)
+
+    @property
+    def terms(self) -> dict:
+        if self._view is None:
+            self._view = _view_of(self.n, self._nums, self._den)
+        return self._view
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(n: int) -> "DiffOperator":
-        return DiffOperator(n)
+        return DiffOperator._of(n, {}, 1, 0)
 
     @staticmethod
     def identity(n: int) -> "DiffOperator":
-        return DiffOperator(n, {(0,) * n: Poly.constant(1)})
+        return DiffOperator._of(n, {0: 1}, 1, 0)
 
     @staticmethod
     def multiplication(n: int, poly: Poly) -> "DiffOperator":
@@ -107,24 +246,118 @@ class DiffOperator(LinComb):
         c = Poly.constant(coeff if coeff is not None else 1)
         return DiffOperator(n, {alpha: c})
 
+    # -- the linear structure, on the integer form ----------------------------
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not DiffOperator:
+            return NotImplemented
+        return self.n == other.n and self._den == other._den and self._nums == other._nums
+
+    def __hash__(self):
+        return hash((self.n, self._den, frozenset(self._nums.items())))
+
+    def __add__(self, other: "DiffOperator") -> "DiffOperator":
+        """self + other over the lcm of the denominators."""
+        self._require_same(other)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        nums = {k: v * fa for k, v in self._nums.items()}
+        for k, v in other._nums.items():
+            nums[k] = nums.get(k, 0) + v * fb
+        return _from_numerators(self.n, nums, den, max(self._top, other._top))
+
+    def __neg__(self) -> "DiffOperator":
+        return DiffOperator._of(self.n, {k: -v for k, v in self._nums.items()}, self._den, self._top)
+
+    def scale(self, c) -> "DiffOperator":
+        """c * self for a Scalar, int or Fraction c."""
+        c = _coerce(c)
+        if not c or not self._nums:
+            return DiffOperator.zero(self.n)
+        if c.terms == _ONE_TERMS:
+            return self
+        cnums, cden, ctop = _scalar_numerators(c)
+        top = _checked(self._top + ctop)
+        nums: dict = {}
+        for shift, factor in cnums.items():
+            for k, v in self._nums.items():
+                nums[k + shift] = nums.get(k + shift, 0) + v * factor
+        return _from_numerators(self.n, nums, self._den * cden, top)
+
     # -- symbol bookkeeping ----------------------------------------------------
 
     def divide_by_ihbar(self) -> "DiffOperator":
         """Exact division by the IHBAR symbol; raises if not divisible."""
-        return DiffOperator(
-            self.n,
-            {a: p.map_coefficients(lambda s: s.divide_by_symbol(IHBAR)) for a, p in self.terms.items()},
-        )
+        field_mask = IHBAR_UNIT * _FIELD_MASK
+        if not all(k & field_mask for k in self._nums):
+            raise ValueError(f"operator {self} is not divisible by {IHBAR}")
+        return DiffOperator._of(self.n, {k - IHBAR_UNIT: v for k, v in self._nums.items()}, self._den, self._top)
 
     def ihbar_degree(self) -> int:
-        deg = 0
-        for poly in self.terms.values():
-            for c in poly.terms.values():
-                deg = max(deg, c.degree_in(IHBAR))
-        return deg
+        return max(((k // IHBAR_UNIT) & _FIELD_MASK for k in self._nums), default=0)
 
     def __repr__(self):
         return format_operator(self)
+
+
+def _flatten(n: int, view: Mapping[DerivDegree, Poly]) -> tuple[dict, int, int]:
+    """The canonical integer form (numerators, denominator, largest power) of a view.
+
+    The denominator is the lcm of every coefficient's denominator, so no
+    prime divides it and every numerator.
+    """
+    den = 1
+    for poly in view.values():
+        for s in poly.terms.values():
+            for c in s.terms.values():
+                den = lcm(den, c.denominator)
+    units = _layout(n)[0]
+    nums, top = {}, 0
+    for alpha, poly in view.items():
+        key_alpha = 0
+        for (du, _), d in zip(units, alpha):
+            key_alpha += du * d
+            top = max(top, d)
+        for mono, s in poly.terms.items():
+            key_mono, pw = _pack("var", mono)
+            top = max(top, pw)
+            for sym, c in s.terms.items():
+                key_sym, pw = _pack("sym", sym)
+                top = max(top, pw)
+                nums[key_alpha + key_mono + key_sym] = c.numerator * (den // c.denominator)
+    return nums, den, _checked(top)
+
+
+def _view_of(n: int, nums: Mapping[int, int], den: int) -> dict:
+    """The derivative degree -> coefficient Poly map of an integer form."""
+    terms: dict = {}
+    for key, num in nums.items():
+        alpha, mono, sym = _unpack(key, n)
+        terms.setdefault(alpha, {}).setdefault(mono, {})[sym] = Fraction(num, den)
+    return {alpha: Poly({mono: Scalar(c) for mono, c in poly.items()}) for alpha, poly in terms.items()}
+
+
+def _from_numerators(n: int, acc: dict, den: int, top: int) -> DiffOperator:
+    """The operator sum of num/den over acc's packed keys, zeros dropped and reduced by the gcd."""
+    nums = {k: v for k, v in acc.items() if v}
+    if not nums:
+        return DiffOperator.zero(n)
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    return DiffOperator._of(n, nums, den, _checked(top))
 
 
 def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -135,100 +368,59 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     numerators (see the module docstring).
     """
     a._require_same(b)
-    (fa, den_a), (fb, den_b) = _flatten(a), _flatten(b)
+    if not a._nums or not b._nums:
+        return DiffOperator.zero(a.n)
+    top = _checked(a._top + b._top)
     acc: dict = {}
-    _compose_into(acc, fa, fb, 1)
-    return _from_numerators(a, acc, den_a * den_b)
+    _compose_into(acc, a, b, 1)
+    return _from_numerators(a.n, acc, a._den * b._den, top)
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """[a, b] = a o b - b o a, both compositions summed into one numerator map."""
     a._require_same(b)
-    (fa, den_a), (fb, den_b) = _flatten(a), _flatten(b)
+    if not a._nums or not b._nums:
+        return DiffOperator.zero(a.n)
+    top = _checked(a._top + b._top)
     acc: dict = {}
-    _compose_into(acc, fa, fb, 1)
-    _compose_into(acc, fb, fa, -1)
-    return _from_numerators(a, acc, den_a * den_b)
-
-
-def _flatten(op: DiffOperator) -> tuple[list, int]:
-    """op as integer numerators over one denominator.
-
-    Returns ([(alpha, mono, [(symbol monomial, numerator), ...]), ...], den)
-    with den the lcm of every coefficient's denominator, so that op is the
-    sum of numerator/den * symbol monomial * mono d^alpha.
-    """
-    den = 1
-    for poly in op.terms.values():
-        for s in poly.terms.values():
-            for c in s.terms.values():
-                den = lcm(den, c.denominator)
-    return [
-        (alpha, mono, [(sym, c.numerator * (den // c.denominator)) for sym, c in s.terms.items()])
-        for alpha, poly in op.terms.items()
-        for mono, s in poly.terms.items()
-    ], den
+    _compose_into(acc, a, b, 1)
+    _compose_into(acc, b, a, -1)
+    return _from_numerators(a.n, acc, a._den * b._den, top)
 
 
 @lru_cache(maxsize=4096)
-def _leibniz(alpha: DerivDegree, mono: Monomial) -> tuple:
-    """d^alpha o mono, the monomial as a multiplication operator, by the Leibniz rule.
+def _leibniz(n: int, alpha: int, qpow: int) -> tuple:
+    """d^alpha o a monomial, as a multiplication operator, by the Leibniz rule.
 
-    One (alpha - gamma, weight, d^gamma-lowered mono) per gamma <= alpha
-    whose derivative of mono is nonzero, with the integer weight
-    prod_i comb(alpha_i, gamma_i) * q_i-power falling factorial of
-    length gamma_i.  Memoized on (alpha, mono) and shared: read it, never
-    mutate it.
+    alpha is a key's derivative fields and qpow the monomial's q fields
+    (keys masked by ``_layout(n)``).  One (delta, weight) per gamma <= alpha
+    whose derivative of the monomial is nonzero: delta holds gamma in both
+    the derivative and the q fields, so the term lands on the key sum minus
+    delta, with the integer weight prod_i comb(alpha_i, gamma_i) * q_i-power
+    falling factorial of length gamma_i.  gamma = 0 comes first, as (0, 1).
+    Memoized on (n, alpha, qpow) and shared: read it, never mutate it.
     """
-    qpow = [0] * len(alpha)
-    for var, pw in mono:
-        if var[0] == "q" and var[1] <= len(alpha):
-            qpow[var[1] - 1] = pw
+    fields = [((alpha // du) & _FIELD_MASK, (qpow // qu) & _FIELD_MASK, du + qu) for du, qu in _layout(n)[0]]
     out = []
-    for gamma in itertools.product(*(range(min(d, pw) + 1) for d, pw in zip(alpha, qpow))):
-        weight = 1
-        for d, pw, g in zip(alpha, qpow, gamma):
+    for gamma in itertools.product(*(range(min(d, pw) + 1) for d, pw, _ in fields)):
+        weight, delta = 1, 0
+        for (d, pw, unit), g in zip(fields, gamma):
             weight *= comb(d, g) * perm(pw, g)
-        powers = dict(mono)
-        for i, g in enumerate(gamma):
-            if g:
-                var = qvar(i + 1)
-                if powers[var] == g:
-                    del powers[var]
-                else:
-                    powers[var] -= g
-        rest = tuple(d - g for d, g in zip(alpha, gamma))
-        out.append((rest, weight, tuple(sorted(powers.items()))))
+            delta += g * unit
+        out.append((delta, weight))
     return tuple(out)
 
 
-def _compose_into(acc: dict, a: list, b: list, sign: int) -> None:
-    """acc += sign * (a o b) on flattened operands, keyed (degree, monomial, symbol monomial)."""
-    for alpha, mono_a, a_coeffs in a:
-        for beta, mono_b, b_coeffs in b:
-            for rest, weight, lowered in _leibniz(alpha, mono_b):
-                degree = tuple(map(add, rest, beta))
-                mono = _mono_mul(mono_a, lowered)
-                weight *= sign
-                for sym_a, num_a in a_coeffs:
-                    w = weight * num_a
-                    for sym_b, num_b in b_coeffs:
-                        key = (degree, mono, _mono_mul(sym_a, sym_b))
-                        acc[key] = acc.get(key, 0) + w * num_b
-
-
-def _from_numerators(like: DiffOperator, acc: dict, den: int) -> DiffOperator:
-    """The operator sum of num/den over acc's (degree, monomial, symbol monomial) keys."""
-    terms: dict = {}
-    for (degree, mono, sym), num in acc.items():
-        if num:
-            terms.setdefault(degree, {}).setdefault(mono, {})[sym] = Fraction(num, den)
-    return like._like(
-        {
-            degree: Poly({mono: Scalar(coeffs) for mono, coeffs in poly.items()})
-            for degree, poly in terms.items()
-        }
-    )
+def _compose_into(acc: dict, a: DiffOperator, b: DiffOperator, sign: int) -> None:
+    """acc += sign * (a o b) on the numerators, by packed key."""
+    n = a.n
+    _, alpha_mask, q_mask = _layout(n)
+    for ka, na in a._nums.items():
+        alpha, na = ka & alpha_mask, sign * na
+        for kb, nb in b._nums.items():
+            key, w = ka + kb, na * nb
+            for delta, weight in _leibniz(n, alpha, kb & q_mask):
+                acc[key - delta] = acc.get(key - delta, 0) + w * weight
 
 
 def formal_adjoint(a: DiffOperator) -> DiffOperator:
@@ -251,6 +443,8 @@ def formal_adjoint(a: DiffOperator) -> DiffOperator:
 
 # -- quantization maps ---------------------------------------------------------
 
+IMAGE_MEMO_BOUND = 1024  # images memoized per map
+
 
 @dataclass
 class QuantizationMap:
@@ -258,19 +452,37 @@ class QuantizationMap:
 
     ``kill_rank`` is the minimum rank from which everything maps to zero;
     the table covers the surviving generator monomials.  ``overrides``
-    allows tests to inject deliberate corruptions.
+    allows tests to inject deliberate corruptions; it is copied into a
+    read-only mapping when the map is built.  :meth:`image_of_monomial`
+    memoizes on the map, at most ``IMAGE_MEMO_BOUND`` images, dropping the
+    oldest first.
     """
 
     label: str
     n: int
     kill_rank: int
-    overrides: dict = field(default_factory=dict)
+    overrides: Mapping = field(default_factory=dict)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.overrides = MappingProxyType(dict(self.overrides))
 
     def kills(self, mono: tuple) -> bool:
         """True when mono maps to zero by rank: at or above kill_rank, with no override."""
         return len(mono) >= self.kill_rank and mono not in self.overrides
 
     def image_of_monomial(self, mono: tuple) -> DiffOperator:
+        """The image of one generator monomial, memoized on this map; shared: never mutate it."""
+        memo = self._images
+        image = memo.get(mono)
+        if image is None:
+            if len(memo) >= IMAGE_MEMO_BOUND:
+                del memo[next(iter(memo))]
+            image = memo[mono] = self.build_image(mono)
+        return image
+
+    def build_image(self, mono: tuple) -> DiffOperator:
+        """The image of one generator monomial, from the table and the overrides."""
         n = self.n
         if mono in self.overrides:
             return self.overrides[mono]
@@ -316,12 +528,11 @@ def quantize(qmap: QuantizationMap, f: Observable) -> DiffOperator:
         raise NotInGeneratorAlgebra(
             "quantization is defined on the polynomial algebra of the basic set"
         )
-    terms: dict[DerivDegree, Poly] = {}
+    out = DiffOperator.zero(qmap.n)
     for mono, coeff in f.terms.items():
         if not qmap.kills(mono):
-            for alpha, poly in qmap.image_of_monomial(mono).terms.items():
-                accumulate(terms, alpha, poly.scale(coeff))
-    return DiffOperator(qmap.n, terms)
+            out = out + qmap.image_of_monomial(mono).scale(coeff)
+    return out
 
 
 def dirac_check(
@@ -331,16 +542,22 @@ def dirac_check(
     gauge_seed: int | None = None,
 ) -> bool:
     """Bracket-to-commutator condition: [Q(f), Q(g)] = IHBAR * Q({f, g})."""
-    lhs, rhs = _dirac_sides(qmap, f, g, gauge_seed)
-    return lhs == rhs
+    return _dirac_residual(qmap, f, g, gauge_seed) is None
 
 
-def _dirac_sides(qmap, f, g, gauge_seed) -> tuple[DiffOperator, DiffOperator]:
+def _dirac_residual(qmap, f, g, gauge_seed) -> DiffOperator | None:
+    """None when [Q(f), Q(g)] = IHBAR * Q({f, g}); else their difference.
+
+    The sides are compared as integer forms: IHBAR * Q({f, g}) is Q({f, g})
+    with one more in every key's IHBAR field, over the same denominator.
+    """
     lhs = commutator(quantize(qmap, f), quantize(qmap, g))
-    rhs = quantize(qmap, bracket(f, g, gauge_seed=gauge_seed)).scale(
-        Scalar.symbol(IHBAR)
-    )
-    return lhs, rhs
+    image = quantize(qmap, bracket(f, g, gauge_seed=gauge_seed))
+    top = _checked(image._top + 1)
+    rhs = {k + IHBAR_UNIT: v for k, v in image._nums.items()}
+    if lhs._den == image._den and lhs._nums == rhs:
+        return None
+    return lhs - DiffOperator._of(qmap.n, rhs, image._den, top)
 
 
 # -- axiom verification ---------------------------------------------------------
@@ -349,13 +566,10 @@ def _dirac_sides(qmap, f, g, gauge_seed) -> tuple[DiffOperator, DiffOperator]:
 def operators_linearly_independent(ops: list[DiffOperator]) -> bool:
     """Exact linear independence over the rationals in the term basis.
 
-    Each operator is one row of its integer numerators (:func:`_flatten`):
+    Each operator is one row of its integer numerators by packed key:
     scaling a row by its positive denominator leaves the rank unchanged.
     """
-    rows = [
-        {(alpha, mono, sym): num for alpha, mono, coeffs in _flatten(op)[0] for sym, num in coeffs}
-        for op in ops
-    ]
+    rows = [op._nums for op in ops]
     axes = {key for row in rows for key in row}
     return exact_rank([[row.get(key, 0) for key in axes] for row in rows]) == len(ops)
 

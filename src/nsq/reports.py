@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+DEFAULT_N = 2  # the dimension of a suite run when none is given
+DEFAULT_SEED = 7  # the seed of a suite run when none is given
+
 
 @dataclass
 class Failure:
@@ -30,13 +33,16 @@ class VerificationReport:
     failures: list[Failure] = field(default_factory=list)
     millis: int = 0
 
-    def record(self, case: str, ok: bool, expected: str = "pass", actual: str = "fail"):
+    def record(self, case, ok: bool, expected: str = "pass", actual: str = "fail"):
+        """Count one case.  ``case`` is its name, or a function of no
+        arguments that forms it: only a failure keeps the name, so a
+        function is called only then."""
         self.cases += 1
         if ok:
             self.passed += 1
         else:
             self.failed += 1
-            self.failures.append(Failure(case, expected, actual))
+            self.failures.append(Failure(case() if callable(case) else case, expected, actual))
 
     @property
     def all_passed(self) -> bool:

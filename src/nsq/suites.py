@@ -59,7 +59,7 @@ from .poisson import (
 from .polynomials import Poly, pivar, qvar
 from .quantization import (
     QuantizationMap,
-    _dirac_sides,
+    _dirac_residual,
     b1_monomials,
     formal_adjoint,
     format_operator,
@@ -68,7 +68,7 @@ from .quantization import (
     operators_linearly_independent,
     quantize,
 )
-from .reports import VerificationReport
+from .reports import DEFAULT_N, DEFAULT_SEED, VerificationReport
 from .scalars import Scalar, accumulate
 from .subbundle import (
     SubbundlePoint,
@@ -95,8 +95,6 @@ from .symplectic_ref import (
     tables_correspond,
 )
 
-DEFAULT_N = 2
-DEFAULT_SEED = 7
 SUITES: dict = {}  # CLI name -> suite, filled by @_suite
 
 
@@ -488,19 +486,23 @@ def suite_reduction_homomorphism(report, n, seed, gauge_seed):
 def record_dirac(report, case, qmap, f, g, gauge_seed=None) -> None:
     """Record one bracket-to-commutator case in a report.
 
-    A failure carries the residual [Q(f), Q(g)] - IHBAR * Q({f, g}) as its
-    actual value; passing cases never form it.
+    ``case`` is the case's name, or a function that forms it (see
+    :meth:`~nsq.reports.VerificationReport.record`).  A failure carries the
+    residual [Q(f), Q(g)] - IHBAR * Q({f, g}) as its actual value; passing
+    cases never form it.
     """
-    lhs, rhs = _dirac_sides(qmap, f, g, gauge_seed)
-    ok = lhs == rhs
-    report.record(case, ok, actual="fail" if ok else format_operator(lhs - rhs))
+    residual = _dirac_residual(qmap, f, g, gauge_seed)
+    if residual is None:
+        report.record(case, True)
+    else:
+        report.record(case, False, actual=format_operator(residual))
 
 
 def _dirac_pairs(report, qmap: QuantizationMap, pairs, gauge_seed) -> None:
     """record_dirac on each (m1, m2) pair of generator monomials, as unit observables.
 
     Each distinct monomial's observable is built once; the case is labelled
-    ``dirac (f; g)``.
+    ``dirac (f; g)``, a label formed only for a failure.
     """
     units: dict = {}
     for m1, m2 in pairs:
@@ -508,7 +510,7 @@ def _dirac_pairs(report, qmap: QuantizationMap, pairs, gauge_seed) -> None:
             if mono not in units:
                 units[mono] = _unit(qmap.n, mono)
         f, g = units[m1], units[m2]
-        record_dirac(report, f"dirac ({f!r}; {g!r})", qmap, f, g, gauge_seed)
+        record_dirac(report, lambda: f"dirac ({f!r}; {g!r})", qmap, f, g, gauge_seed)
 
 
 @_suite("dirac-q1")

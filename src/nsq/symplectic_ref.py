@@ -14,10 +14,14 @@ ordering is computed twice, by two independent routes:
   their closed form, per mode
   W(q^m p^k) = sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
   (McCoy, PNAS 18 (1932) 674; Agarwal and Wolf, Phys. Rev. D 2 (1970)
-  2161), and composes no operators;
+  2161), and composes no operators.  It writes each term straight into
+  the operators' integer form (see :mod:`nsq.quantization`): one integer
+  numerator on the packed key of IHBAR^k q^(m-j) d^(k-j), over 2 to the
+  sum of the modes' min(m, k), with no Poly, Scalar or Fraction;
 * :func:`weyl_quantize_brute` averages over every distinct operator word,
-  composing letters over the trie of the sorted words, so that each
-  shared prefix is composed once.
+  composing the letters q^i and -i*hbar d/dq^i with
+  :func:`~nsq.quantization.op_compose` over the trie of the sorted words,
+  so that each shared prefix is composed once.
 
 The witness value is frozen against the brute-force oracle in the tests.
 Both routes accept only the cotangent variables ("q", i) and ("p", i) with
@@ -28,13 +32,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import Observable, check_index, make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
 from .errors import EngineError
 from .polynomials import Poly, pvar, qvar
-from .quantization import DiffOperator, commutator, op_compose
-from .scalars import IHBAR, Scalar, accumulate
+from .quantization import IHBAR_UNIT, DiffOperator, _from_numerators, _layout, commutator, op_compose
+from .scalars import IHBAR, Scalar
 
 
 def sp_q(i: int) -> Poly:
@@ -73,24 +78,24 @@ def _monomial_modes(f: Poly, n: int) -> list[tuple[list, Scalar]]:
     return [(_mode_powers(mono, n), coeff) for mono, coeff in f.terms.items()]
 
 
+@lru_cache(maxsize=64)
 def _q_op(n: int, mode: int) -> DiffOperator:
     return DiffOperator.multiplication(n, Poly.var(qvar(mode)))
 
 
+@lru_cache(maxsize=64)
 def _p_op(n: int, mode: int) -> DiffOperator:
     return DiffOperator.derivative(n, mode, -Scalar.symbol(IHBAR))
 
 
-def _mode_terms(m: int, k: int) -> list[tuple[int, Fraction]]:
-    """W(q^m p^k) of one mode as (j, factor): the terms factor * IHBAR^k q^(m-j) d^(k-j).
+def _mode_terms(m: int, k: int) -> list[int]:
+    """W(q^m p^k) of one mode: entry j is the numerator over 2^min(m,k) of IHBAR^k q^(m-j) d^(k-j).
 
     The closed form sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
     with p = -i*hbar d/dq, so every term carries (-1)^k IHBAR^k / 2^j.
     """
-    return [
-        (j, Fraction((-1) ** k * factorial(j) * comb(m, j) * comb(k, j), 2**j))
-        for j in range(min(m, k) + 1)
-    ]
+    top = min(m, k)
+    return [((-1) ** k * factorial(j) * comb(m, j) * comb(k, j)) << (top - j) for j in range(top + 1)]
 
 
 def weyl_quantize(f: Poly, n: int) -> DiffOperator:
@@ -99,22 +104,26 @@ def weyl_quantize(f: Poly, n: int) -> DiffOperator:
     For one mode, W(q^m p^k) = sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
     (McCoy, PNAS 18 (1932) 674; Agarwal and Wolf, Phys. Rev. D 2 (1970)
     2161); different modes commute, so a monomial's image is the product
-    of its modes' terms.  Built term by term; nothing is composed.
+    of its modes' terms.  Each term is written as one integer numerator on
+    its packed key, over 2 to the sum of the modes' min(m, k), and the
+    monomial's operator is scaled by its coefficient; nothing is composed.
     """
-    terms: dict = {}
+    units = _layout(n)[0]
+    out = DiffOperator.zero(n)
     for modes, coeff in _monomial_modes(f, n):
-        prefactor = coeff * Scalar.symbol(IHBAR, sum(k for _, _, k in modes))
-        for choice in itertools.product(*(_mode_terms(m, k) for _, m, k in modes)):
-            alpha = [0] * n
-            mono = []
-            factor = Fraction(1)
+        momenta = sum(k for _, _, k in modes)
+        nums = {}
+        for choice in itertools.product(*(enumerate(_mode_terms(m, k)) for _, m, k in modes)):
+            key, num = momenta * IHBAR_UNIT, 1
             for (mode, m, k), (j, w) in zip(modes, choice):
-                alpha[mode - 1] = k - j
-                if m > j:
-                    mono.append((qvar(mode), m - j))
-                factor *= w
-            accumulate(terms.setdefault(tuple(alpha), {}), tuple(mono), prefactor * factor)
-    return DiffOperator(n, {alpha: Poly(poly) for alpha, poly in terms.items()})
+                du, qu = units[mode - 1]
+                key += (k - j) * du + (m - j) * qu
+                num *= w
+            nums[key] = num
+        den = 1 << sum(min(m, k) for _, m, k in modes)
+        top = max([momenta] + [m for _, m, _ in modes])
+        out = out + _from_numerators(n, nums, den, top).scale(coeff)
+    return out
 
 
 def weyl_quantize_brute(f: Poly, n: int) -> DiffOperator:

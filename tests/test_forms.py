@@ -53,6 +53,11 @@ def test_soldering_dtheta():
             (pivar(2, 2), qvar(2)): Poly.constant(1),
         }
     )
+    # built once per (n, slot) and shared read-only
+    assert soldering_dtheta(2) is two
+    assert soldering_dtheta(2, 1) is soldering_dtheta(2, 1) != two
+    with pytest.raises(TypeError):
+        two[1] = TwoForm()
 
 
 def test_generator_fields():

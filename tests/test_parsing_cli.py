@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -312,3 +315,23 @@ def test_front_end_fuzz(src):
     assert code in (0, 2)
     if any(c.isdigit() and not c.isascii() for c in src):
         assert code == 2
+
+
+def test_cli_imports_the_suites_only_to_verify():
+    # nsq.suites and nsq.basic_sets load with the verify branch, not with nsq.cli
+    code = (
+        "import sys, contextlib, io\n"
+        "from nsq.cli import main\n"
+        "loaded = lambda: sorted({'nsq.suites', 'nsq.basic_sets'} & set(sys.modules))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    for argv in (['bracket', 'qh(1,1)', 'pih(1)'], ['hamvf', 'pih(1)'], ['quantize', '--map', 'q2', 'pih(1)*qh(1,1)'], ['reduce', 'qh(1,1)']):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert main(['verify', '--suite', 'eq13']) == 0\n"
+        "print(loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["[]", "['nsq.basic_sets', 'nsq.suites']"]

@@ -9,12 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsq.algebra import make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
+from nsq.algebra import Observable, make_pihat, make_qhat, make_rhat, pitag, qtag, rtag, sym_mul, sym_pow
 from nsq.errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from nsq.quantization import (
+    POWER_BOUND,
     DiffOperator,
     QuantizationMap,
+    _dirac_residual,
+    _layout,
     _leibniz,
+    _pack,
+    _unpack,
     b1_monomials,
     commutator,
     dirac_check,
@@ -26,8 +31,9 @@ from nsq.quantization import (
     operators_linearly_independent,
     quantize,
 )
+from nsq.poisson import bracket
 from nsq.polynomials import Poly, pivar, qvar
-from nsq.scalars import IHBAR, Scalar, accumulate
+from nsq.scalars import IHBAR, LinComb, Scalar, accumulate
 from nsq.suites import axiom_report, random_b1_monomial
 
 
@@ -372,6 +378,7 @@ def test_leibniz_memo_matches_poly_diff():
     # every degree up to (3, 3) against every monomial q1^a q2^b P1^c, from
     # an empty memo in both loop orders, so a key missing either part shows
     n = 2
+    units, _, q_mask = _layout(n)
     degrees = list(itertools.product(range(4), repeat=n))
     monos = [
         tuple(sorted(
@@ -384,8 +391,161 @@ def test_leibniz_memo_matches_poly_diff():
         for x in outer:
             for y in inner:
                 alpha, mono = (x, y) if outer is degrees else (y, x)
-                got = {(rest, lowered): w for rest, w, lowered in _leibniz(alpha, mono)}
+                alpha_key = sum(du * d for (du, _), d in zip(units, alpha))
+                mono_key = _pack("var", mono)[0]
+                got = {}
+                for delta, weight in _leibniz(n, alpha_key, mono_key & q_mask):
+                    rest, lowered, sym = _unpack(alpha_key + mono_key - delta, n)
+                    assert sym == ()
+                    got[(rest, lowered)] = weight
                 assert got == ref_leibniz(alpha, mono)
+
+
+# -- the integer form against the Poly view ------------------------------------------
+
+
+@KERNEL_SETTINGS
+@given(operator_tuples(2))
+def test_lazy_views_equal_eager_operators(ops):
+    # a kernel result holds only its integer form; its view, unpacked on
+    # first read, equals the operator built eagerly from Polys
+    a, b = ops
+    ab, ba = ref_op_compose(a, b), ref_op_compose(b, a)
+    for got, ref in (
+        (op_compose(a, b), ab),
+        (commutator(a, b), DiffOperator(a.n, (LinComb(ab.terms) - LinComb(ba.terms)).terms)),
+    ):
+        assert got._view is None
+        assert got.terms == ref.terms
+        assert DiffOperator(a.n, got.terms) == got
+
+
+@KERNEL_SETTINGS
+@given(operator_tuples(2), COEFFICIENTS)
+def test_integer_linear_structure_matches_the_views(ops, c):
+    # +, -, scale, == and is_zero on integer forms against LinComb on the views
+    a, b = ops
+    va, vb = LinComb(a.terms), LinComb(b.terms)
+    assert (a + b).terms == (va + vb).terms
+    assert (a - b).terms == (va - vb).terms
+    assert (-a).terms == (-va).terms
+    assert a.scale(c).terms == va.scale(c).terms
+    assert a.scale(0).is_zero() and a.scale(1) == a
+    assert (a == b) == (va == vb)
+    assert a == DiffOperator(a.n, dict(a.terms)) and (a - a).is_zero()
+    assert a.is_zero() == va.is_zero() == (not a)
+    assert zero_free_operator(a + b) and zero_free_operator(a.scale(c))
+
+
+def test_operator_powers_at_the_field_bound():
+    n = 2
+
+    def q1(power):
+        return DiffOperator.multiplication(n, Poly.var(qvar(1), power))
+
+    # every field holds POWER_BOUND: a power there survives the round trip
+    assert POWER_BOUND == 255
+    at = op_compose(q1(200), q1(55))
+    assert at.terms == {(0, 0): Poly.var(qvar(1), 255)}
+    d = DiffOperator(n, {(255, 0): Poly.var(pivar(1, 2), 255).scale(Scalar.symbol("A2", 255))})
+    assert op_compose(d, DiffOperator.identity(n)).terms == d.terms
+    # one step past it is refused, before any field can carry
+    past = [
+        lambda: op_compose(q1(200), q1(56)),
+        lambda: commutator(q1(56), q1(200)),
+        lambda: q1(200).scale(Scalar.symbol(IHBAR, 56)),
+        lambda: q1(256),
+        lambda: DiffOperator(n, {(256, 0): Poly.constant(1)}),
+        lambda: DiffOperator.multiplication(n, Poly.constant(Scalar.symbol(IHBAR, 256))),
+    ]
+    for build in past:
+        with pytest.raises(EngineError, match="past the 255"):
+            build()
+
+
+def _dirac_q2_pairs(n):
+    """The pairs of the dirac-q2 suite at its default seed."""
+    rng = random.Random(7)
+    generators, monos = b1_monomials(n, 2), b1_monomials(n, 3)
+    pairs = list(itertools.product(generators, generators))
+    return pairs + [(rng.choice(monos), rng.choice(monos)) for _ in range(100)]
+
+
+def _corrupted_maps(n):
+    corruption = {(pitag(1), rtag(1)): DiffOperator.identity(n)}
+    return [
+        QuantizationMap("q1-corrupt", n, kill_rank=2, overrides=corruption),
+        QuantizationMap("q2-corrupt", n, kill_rank=3, overrides=corruption),
+        QuantizationMap(
+            "q1-corrupt-cubic",
+            n,
+            kill_rank=2,
+            overrides={**corruption, (pitag(1), pitag(n), qtag(1, 1)): DiffOperator.derivative(n, n)},
+        ),
+    ]
+
+
+def test_integer_dirac_comparison_matches_operator_equality():
+    n = 2
+    for qmap in [make_q2(n)] + _corrupted_maps(n):
+        failed = 0
+        for m1, m2 in _dirac_q2_pairs(n):
+            f, g = Observable(n, {m1: 1}), Observable(n, {m2: 1})
+            lhs = commutator(quantize(qmap, f), quantize(qmap, g))
+            rhs = quantize(qmap, bracket(f, g)).scale(Scalar.symbol(IHBAR))
+            residual = _dirac_residual(qmap, f, g, None)
+            assert (residual is None) == (lhs == rhs) == (lhs.terms == rhs.terms)
+            assert dirac_check(qmap, f, g) == (residual is None)
+            if residual is not None:
+                failed += 1
+                assert residual == lhs - rhs and residual.terms == (lhs - rhs).terms
+        assert (failed == 0) == (qmap.label == "q2"), qmap.label
+
+
+def test_memoized_images_equal_fresh_ones():
+    for n in (1, 2, 3):
+        maps = [make_q1(n), make_q2(n), _corrupted_maps(n)[0]]
+        for mono in b1_monomials(n, 3):
+            for qmap in maps:
+                image = qmap.image_of_monomial(mono)
+                assert image == qmap.build_image(mono)
+                assert image.terms == qmap.build_image(mono).terms
+                assert qmap.image_of_monomial(mono) is image
+
+
+def test_a_corrupted_map_never_sees_a_clean_maps_images():
+    n = 2
+    mono = (pitag(1), rtag(1))
+    clean = make_q1(n)
+    for m in b1_monomials(n, 3):
+        clean.image_of_monomial(m)
+    overrides = {mono: DiffOperator.identity(n)}
+    bad = QuantizationMap("q1-corrupt", n, kill_rank=2, overrides=overrides)
+    assert bad.image_of_monomial(mono) == DiffOperator.identity(n)
+    assert quantize(bad, Observable(n, {mono: 1})) == DiffOperator.identity(n)
+    assert not dirac_check(bad, make_qhat(n, 1, 1), sym_pow(make_pihat(n, 1), 2))
+    # and the clean map never sees the corrupted map's images
+    assert clean.image_of_monomial(mono).is_zero()
+    assert dirac_check(clean, make_qhat(n, 1, 1), sym_pow(make_pihat(n, 1), 2))
+    # the overrides are copied and read-only, so the memo cannot go stale
+    overrides[mono] = DiffOperator.zero(n)
+    assert bad.image_of_monomial(mono) == bad.build_image(mono) == DiffOperator.identity(n)
+    with pytest.raises(TypeError):
+        bad.overrides[mono] = DiffOperator.zero(n)
+
+
+def test_passing_dirac_cases_form_no_label(monkeypatch):
+    # a case label prints both observables; only a failure keeps it
+    from nsq import suites
+    from nsq.algebra import Observable as Obs
+
+    def refuse(self):
+        raise AssertionError("label formed for a passing case")
+
+    report = suites.run_suite("dirac-q1", 2)
+    monkeypatch.setattr(Obs, "__repr__", refuse)
+    again = suites.run_suite("dirac-q1", 2)
+    assert again.all_passed and again.cases == report.cases == 55 * 55
 
 
 # -- constructor validation --------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from nsq import quantization, symplectic_ref
 from nsq.errors import EngineError, IndexRangeError
 from nsq.polynomials import Poly, pivar, pvar, qvar
 from nsq.quantization import DiffOperator, commutator, op_compose
-from nsq.scalars import IHBAR, Scalar
+from nsq.scalars import IHBAR, Scalar, accumulate
 from nsq.symplectic_ref import (
     classical_bracket,
     groenewold_witness,
@@ -183,6 +184,45 @@ WEYL_SETTINGS = settings(max_examples=60, deadline=None)
 def test_weyl_closed_form_matches_prefix_oracle(draw):
     f, n = draw
     assert weyl_quantize(f, n) == weyl_quantize_brute(f, n)
+
+
+def ref_weyl_closed_form(f, n):
+    """The closed form built term by term on Poly coefficients of Scalars."""
+    terms = {}
+    for mono, coeff in f.terms.items():
+        modes = {}
+        for v, pw in mono:
+            modes.setdefault(v[1], [0, 0])[v[0] == "p"] += pw
+        modes = sorted((mode, m, k) for mode, (m, k) in modes.items())
+        prefactor = coeff * Scalar.symbol(IHBAR, sum(k for _, _, k in modes))
+        per_mode = [
+            [(j, Fraction((-1) ** k * factorial(j) * comb(m, j) * comb(k, j), 2**j)) for j in range(min(m, k) + 1)]
+            for _, m, k in modes
+        ]
+        for choice in itertools.product(*per_mode):
+            alpha = [0] * n
+            term = []
+            factor = Fraction(1)
+            for (mode, m, k), (j, w) in zip(modes, choice):
+                alpha[mode - 1] = k - j
+                if m > j:
+                    term.append((qvar(mode), m - j))
+                factor *= w
+            accumulate(terms.setdefault(tuple(alpha), {}), tuple(term), prefactor * factor)
+    return DiffOperator(n, {alpha: Poly(poly) for alpha, poly in terms.items()})
+
+
+@WEYL_SETTINGS
+@given(cotangent_polys())
+def test_weyl_numerators_match_the_poly_closed_form(draw):
+    # weyl_quantize writes integer numerators; its view equals the closed
+    # form built on Polys, and so does its integer form
+    f, n = draw
+    got = weyl_quantize(f, n)
+    ref = ref_weyl_closed_form(f, n)
+    assert got._view is None
+    assert got == ref
+    assert got.terms == ref.terms
 
 
 @WEYL_SETTINGS

@@ -63,7 +63,7 @@ def keyed_without(decorator: str, name: str, params: str, key: str) -> tuple[str
 
 
 MUTANTS = [
-    # -- the integer operator kernel (quantization) --
+    # -- the packed operator kernel and the image memo (quantization) --
     Mutant(
         "leibniz weight without comb",
         [("quantization.py", "weight *= comb(d, g) * perm(pw, g)", "weight *= perm(pw, g)")],
@@ -75,33 +75,48 @@ MUTANTS = [
         [f"{QUANT}::test_leibniz_memo_matches_poly_diff", f"{QUANT}::test_op_compose_matches_leibniz_reference"],
     ),
     Mutant(
-        "leibniz memo keyed on the monomial without the degree",
-        [("quantization.py", *keyed_without("@lru_cache(maxsize=4096)", "_leibniz", "alpha, mono", "mono"))],
+        "leibniz memo keyed on the q powers without the degree",
+        [("quantization.py", *keyed_without("@lru_cache(maxsize=4096)", "_leibniz", "n, alpha, qpow", "(n, qpow)"))],
         [f"{QUANT}::test_leibniz_memo_matches_poly_diff", f"{QUANT}::test_op_compose_matches_leibniz_reference"],
     ),
     Mutant(
-        "leibniz memo keyed on the degree without the monomial",
-        [("quantization.py", *keyed_without("@lru_cache(maxsize=4096)", "_leibniz", "alpha, mono", "alpha"))],
+        "leibniz memo keyed on the degree without the q powers",
+        [("quantization.py", *keyed_without("@lru_cache(maxsize=4096)", "_leibniz", "n, alpha, qpow", "(n, alpha)"))],
         [f"{QUANT}::test_leibniz_memo_matches_poly_diff", f"{QUANT}::test_op_compose_matches_leibniz_reference"],
     ),
     Mutant(
         "composition drops the right operand's denominator",
         [(
             "quantization.py",
-            "    _compose_into(acc, fa, fb, 1)\n    return _from_numerators(a, acc, den_a * den_b)",
-            "    _compose_into(acc, fa, fb, 1)\n    return _from_numerators(a, acc, den_a)",
+            "    _compose_into(acc, a, b, 1)\n    return _from_numerators(a.n, acc, a._den * b._den, top)",
+            "    _compose_into(acc, a, b, 1)\n    return _from_numerators(a.n, acc, a._den, top)",
         )],
         [f"{QUANT}::test_op_compose_matches_leibniz_reference"],
     ),
     Mutant(
         "commutator adds b o a instead of subtracting it",
-        [("quantization.py", "_compose_into(acc, fb, fa, -1)", "_compose_into(acc, fb, fa, 1)")],
+        [("quantization.py", "_compose_into(acc, b, a, -1)", "_compose_into(acc, b, a, 1)")],
         [f"{QUANT}::test_commutator_matches_leibniz_reference"],
+    ),
+    Mutant(
+        "packed operator field one bit narrower than the bound",
+        [("quantization.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
+        [f"{QUANT}::test_operator_powers_at_the_field_bound"],
+    ),
+    Mutant(
+        "IHBAR field dropped from the packed key",
+        [("quantization.py", "    unit = _UNITS.get(key)\n", "    unit = 0 if name == IHBAR else _UNITS.get(key)\n")],
+        [f"{QUANT}::test_lazy_views_equal_eager_operators", f"{WEYL}::test_weyl_numerators_match_the_poly_closed_form"],
+    ),
+    Mutant(
+        "image memo keyed without the map instance (module-level)",
+        [("quantization.py", "        memo = self._images\n", '        memo = globals().setdefault("_SHARED_IMAGES", {})\n')],
+        [f"{QUANT}::test_memoized_images_equal_fresh_ones", f"{QUANT}::test_a_corrupted_map_never_sees_a_clean_maps_images"],
     ),
     # -- Weyl ordering: the closed form and the prefix-shared oracle (symplectic_ref) --
     Mutant(
         "closed form with +i*hbar/2 in place of -i*hbar/2",
-        [("symplectic_ref.py", "Fraction((-1) ** k * factorial(j)", "Fraction((-1) ** (k - j) * factorial(j)")],
+        [("symplectic_ref.py", "((-1) ** k * factorial(j)", "((-1) ** (k - j) * factorial(j)")],
         [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_weyl_closed_form_matches_prefix_oracle"],
     ),
     Mutant(
@@ -239,7 +254,7 @@ MUTANTS = [
     ),
     Mutant(
         "record_dirac records \"fail\" instead of the residual",
-        [("suites.py", 'actual="fail" if ok else format_operator(lhs - rhs)', 'actual="fail"')],
+        [("suites.py", "actual=format_operator(residual)", 'actual="fail"')],
         [f"{QUANT}::test_dirac_failures_carry_the_residual"],
     ),
     Mutant(
