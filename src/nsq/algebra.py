@@ -46,6 +46,11 @@ builds its own scaled sum.  The cached component maps and their
 polynomials are shared by every caller: read them, never mutate them.
 The checked bracket does not read this memo: it builds its integer
 tables straight from the generators (see :mod:`nsq.poisson`).
+
+The Observable constructor checks and sorts each generator monomial once
+per (mono, n) through :func:`_sorted_monomial`, bounded at 1024 entries,
+for monomials whose indices are exact ints; any other input is checked
+every time, so every refusal stands whatever the memo holds.
 """
 
 from __future__ import annotations
@@ -191,6 +196,41 @@ def _check_tag(tag: GenTag, n: int) -> None:
         check_index(i, n)
 
 
+def _check_and_sort(mono: GenMonomial, n: int) -> GenMonomial:
+    """Check that mono is a generator monomial at dimension n; its factors sorted."""
+    if not mono:
+        raise EngineError("a generator monomial has at least one factor")
+    for tag in mono:
+        _check_tag(tag, n)
+    return tuple(sorted(mono))
+
+
+@lru_cache(maxsize=1024)
+def _sorted_monomial(mono: GenMonomial, n: int) -> GenMonomial:
+    """:func:`_check_and_sort`, memoized on (mono, n) for :func:`_int_indices` input.
+
+    A refusal raises and is not stored.  A hit trusts that the stored key
+    was checked, and a key equal to it is the same input only if both
+    hold the same types: ``("q", 1.0, 1) == ("q", 1, 1)``, with equal
+    hashes, but only the second is a generator.  So only monomials whose
+    tags are plain tuples of exact ints after the kind come here.
+    """
+    return _check_and_sort(mono, n)
+
+
+def _int_indices(mono) -> bool:
+    """Whether mono is a tuple of plain tuples whose entries after the first are exact ints."""
+    if type(mono) is not tuple:
+        return False
+    for tag in mono:
+        if type(tag) is not tuple:
+            return False
+        for i in tag[1:]:
+            if type(i) is not int:
+                return False
+    return True
+
+
 def _generator_variables(tag: GenTag, n: int, slot: int | None) -> tuple[tuple[int, Var | None], ...]:
     """The components of one generator, in order: (index, its variable), None for the constant 1."""
     kind = tag[0]
@@ -297,11 +337,8 @@ class Observable(LinComb):
         self.n = check_dimension(n)
         self.terms: dict[GenMonomial, Scalar] = {}
         for mono, c in terms.items():
-            if not mono:
-                raise EngineError("a generator monomial has at least one factor")
-            for tag in mono:
-                _check_tag(tag, n)
-            accumulate(self.terms, tuple(sorted(mono)), _coerce(c))
+            key = _sorted_monomial(mono, n) if _int_indices(mono) else _check_and_sort(mono, n)
+            accumulate(self.terms, key, _coerce(c))
         if slot is not None:
             self.slot = check_index(slot, n)
             if not in_b1_algebra(self, slot):

@@ -12,6 +12,13 @@ every coordinate system in the engine:
 
 Monomials are sorted tuples of (variable key, positive power).  All
 arithmetic is exact.
+
+A Poly is immutable once built, as every combination is (see
+:mod:`nsq.scalars`), and the unit cases share objects: ``Poly.var`` puts
+the shared :data:`~nsq.scalars.ONE` on its term, ``Poly.constant(1)`` and
+``p ** 0`` return the one :data:`ONE_POLY`, ``ONE_POLY * p`` and
+``p * ONE_POLY`` return ``p`` itself, and the power of a single term is
+raised directly.  Read a Poly's ``terms``; never mutate them.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .scalars import LinComb, Scalar, _coerce, mul_into, signed_sum, signed_term
+from .scalars import ONE, LinComb, Scalar, _coerce, mul_into, ring_power, signed_sum, signed_term
 
 Var = tuple
 Monomial = tuple
@@ -60,7 +67,8 @@ class Poly(LinComb):
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly({_EMPTY: c})
+        c = _coerce(c)
+        return ONE_POLY if c is ONE else Poly({_EMPTY: c})
 
     @staticmethod
     def from_numerators(num: Mapping[Monomial, int], denominator) -> "Poly":
@@ -72,8 +80,8 @@ class Poly(LinComb):
         if power < 0:
             raise ValueError("negative power")
         if power == 0:
-            return Poly.constant(1)
-        return Poly({((v, power),): Scalar.one()})
+            return ONE_POLY
+        return _poly({((v, power),): ONE})
 
     # -- queries -----------------------------------------------------------
 
@@ -99,17 +107,16 @@ class Poly(LinComb):
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if self is ONE_POLY:
+            return other
+        if other is ONE_POLY:
+            return self
         out: dict[Monomial, Scalar] = {}
         mul_into(out, self, other)
         return self._like(out)
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = self if k else Poly.constant(1)
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        return ring_power(self, k, ONE_POLY)
 
     # -- calculus -----------------------------------------------------------
 
@@ -184,6 +191,13 @@ class Poly(LinComb):
         ])
 
 
+def _poly(terms: dict) -> Poly:
+    """A Poly over a zero-free map of monomials to Scalars (trusted)."""
+    out = object.__new__(Poly)
+    out.terms = terms
+    return out
+
+
 def default_var_name(v: Var) -> str:
     kind = v[0]
     if kind == "q":
@@ -196,3 +210,5 @@ def default_var_name(v: Var) -> str:
 
 
 ZERO_POLY = Poly.zero()
+ONE_POLY = _poly({_EMPTY: ONE})
+"""The constant 1, shared: ``Poly.constant(1)`` and ``p ** 0`` return it."""

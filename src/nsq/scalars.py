@@ -24,11 +24,19 @@ in practice:
 
 A Scalar with no symbols degenerates to a plain rational.  No floating
 point is ever produced.
+
+Every combination is immutable once built: operations return new objects
+and never write into an operand's ``terms``.  The unit cases rely on it and
+share objects.  ``Scalar.of(1)``, ``Scalar.one()`` and the coercion of 1
+all return the one :data:`ONE`, ``ONE * s`` and ``s * ONE`` return ``s``
+itself, and :func:`ring_power` raises a single term directly.  Read a
+combination's ``terms``; never mutate them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Mapping, Union
 
 from .errors import DimensionMismatch
@@ -168,6 +176,8 @@ class Scalar(LinComb):
 
     @staticmethod
     def of(value: RationalLike) -> "Scalar":
+        if value == 1 and isinstance(value, (int, Fraction)):
+            return ONE
         return Scalar({_ONE_MONO: value})
 
     @staticmethod
@@ -184,7 +194,7 @@ class Scalar(LinComb):
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar.of(1)
+        return ONE
 
     # -- queries -----------------------------------------------------------
 
@@ -217,6 +227,10 @@ class Scalar(LinComb):
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         a, b = self.terms, other.terms
         if len(a) == 1 == len(b) and _ONE_MONO in a and _ONE_MONO in b:
             # rational times rational: two nonzero Fractions, a nonzero product
@@ -230,6 +244,9 @@ class Scalar(LinComb):
     __rmul__ = __mul__
     # scale(c) multiplies by a scalar in every exact combination type
     scale = __mul__
+
+    def __pow__(self, k: int) -> "Scalar":
+        return ring_power(self, k, ONE)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -326,6 +343,27 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     return tuple(sorted(powers.items()))
 
 
+def ring_power(x: LinComb, k: int, unit: LinComb):
+    """x ** k for a Scalar or a Poly x, where unit is the 1 of x's ring.
+
+    A single term c*m is raised directly: the exponents of m scale by k and
+    the coefficient is raised once, to c ** k.  Any other x is the
+    repeated product.  k must be a nonnegative int.
+    """
+    if k < 0:
+        raise ValueError("negative power")
+    k = index(k)
+    if k == 0 or x is unit:
+        return unit
+    if k == 1 or len(x.terms) != 1:
+        out = x
+        for _ in range(k - 1):
+            out = out * x
+        return out
+    ((mono, c),) = x.terms.items()
+    return x._like({tuple((v, pw * k) for v, pw in mono): c ** k})
+
+
 def _mono_lower(mono: SymMonomial, name: str) -> SymMonomial | None:
     powers = dict(mono)
     pw = powers.pop(name, 0)
@@ -336,4 +374,5 @@ def _mono_lower(mono: SymMonomial, name: str) -> SymMonomial | None:
     return tuple(sorted(powers.items()))
 
 
-ONE = Scalar.one()
+ONE = Scalar({_ONE_MONO: Fraction(1)})
+"""The rational 1, shared: ``Scalar.of(1)`` and ``Scalar.one()`` return it."""

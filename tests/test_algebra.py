@@ -1,15 +1,19 @@
 """Index machinery, generators, symmetric products and evaluation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nsq import algebra
 from nsq.algebra import (
     FramePoint,
     Observable,
     canonicalize,
     evaluate,
+    full_tags,
     make_pihat,
     make_qhat,
     make_rhat,
@@ -20,7 +24,7 @@ from nsq.algebra import (
 )
 from nsq.errors import EngineError, IndexRangeError
 from nsq.polynomials import Poly, pivar, qvar
-from nsq.scalars import Scalar
+from nsq.scalars import Scalar, _coerce, accumulate
 
 
 def test_canonicalize():
@@ -143,6 +147,71 @@ def test_empty_monomial_is_rejected():
     # a monomial without factors has no rank and no expansion
     with pytest.raises(EngineError, match="at least one factor"):
         Observable(2, {(): 1})
+
+
+def check_then_sort(n, terms):
+    """Observable terms built without the monomial memo: every factor
+    checked, then the monomial sorted."""
+    out = {}
+    for mono, c in terms.items():
+        if not mono:
+            raise EngineError("a generator monomial has at least one factor")
+        for tag in mono:
+            algebra._check_tag(tag, n)
+        accumulate(out, tuple(sorted(mono)), _coerce(c))
+    return out
+
+
+def outcome(build):
+    """The terms of what build() returns, or the type of what it raises."""
+    try:
+        out = build()
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+    return out.terms if isinstance(out, Observable) else out
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+def test_memoized_monomials_match_check_then_sort(c):
+    # every full-set monomial of degree <= 3 at n 1..3, in both factor
+    # orders, from a cold memo and then a warm one; the degree <= 2
+    # monomials over the next dimension's tags hold refused indices
+    algebra._sorted_monomial.cache_clear()
+    for _warm in range(2):
+        for n in (1, 2, 3):
+            monos = [m for d in (1, 2, 3) for m in itertools.combinations_with_replacement(full_tags(n), d)]
+            monos += [m for d in (1, 2) for m in itertools.combinations_with_replacement(full_tags(n + 1), d)]
+            for mono in monos:
+                for order in (mono, mono[::-1]):
+                    terms = {order: c}
+                    assert outcome(lambda: Observable(n, terms)) == outcome(lambda: check_then_sort(n, terms))
+
+
+# (dimension and monomial that warm the memo, dimension and input refused after them, error)
+REFUSED_AFTER_WARMING = [
+    (2, (qtag(1, 1),), 2, (("q", 1.0, 1),), IndexRangeError),
+    (2, (qtag(1, 1),), 2, (("q", Fraction(1), 1),), IndexRangeError),
+    (2, (qtag(1, 1), pitag(2)), 2, (("q", 1, 1.0), pitag(2)), IndexRangeError),
+    (3, (qtag(3, 1),), 2, (qtag(3, 1),), IndexRangeError),
+    (2, (qtag(1, 1),), 2, (), EngineError),
+    (2, (qtag(1, 1),), 2, (qtag(1, 1), ("x", 1)), EngineError),
+    (2, (rtag(1),), 2, (rtag(1), 1), EngineError),
+]
+
+
+@pytest.mark.parametrize("warm_n, warm, n, refused, error", REFUSED_AFTER_WARMING)
+def test_memo_keeps_every_refusal(warm_n, warm, n, refused, error):
+    Observable(warm_n, {warm: 1})
+    with pytest.raises(error):
+        Observable(n, {refused: 1})
+
+
+def test_non_int_dimension_is_refused_after_warming():
+    Observable(2, {(qtag(1, 1),): 1})
+    for n in (2.0, Fraction(2), "2"):
+        with pytest.raises(IndexRangeError, match="dimension"):
+            Observable(n, {(qtag(1, 1),): 1})
 
 
 def test_component_lookup_is_permutation_invariant():

@@ -8,16 +8,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nsq import cli
 from nsq.algebra import Observable, full_tags
 from nsq.errors import DimensionMismatch
 from nsq.forms import HamVF, OneForm, TwoForm, VectorField
-from nsq.polynomials import Poly, pivar, pvar, qvar
+from nsq.polynomials import ONE_POLY, ZERO_POLY, Poly, pivar, pvar, qvar
 from nsq.quantization import DiffOperator, format_operator
-from nsq.scalars import IHBAR, LinComb, Scalar
+from nsq.scalars import IHBAR, ONE, LinComb, Scalar, _coerce
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
+nonzero_rationals = rationals.filter(lambda c: c != 0)
 
 
 @st.composite
@@ -53,24 +55,47 @@ def test_scalar_ring_laws(a, b, c):
     assert (a - a).is_zero()
 
 
+def merged(m1, m2):
+    """The product of two sorted (key, power) monomials."""
+    powers = dict(m1)
+    for key, pw in m2:
+        powers[key] = powers.get(key, 0) + pw
+    return tuple(sorted(powers.items()))
+
+
 def general_product(a, b):
     """Term-by-term product of two Scalars' term maps, zero sums dropped."""
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            powers = dict(m1)
-            for sym, pw in m2:
-                powers[sym] = powers.get(sym, 0) + pw
-            mono = tuple(sorted(powers.items()))
+            mono = merged(m1, m2)
             out[mono] = out.get(mono, 0) + c1 * c2
     return {m: c for m, c in out.items() if c != 0}
 
 
-operands = st.one_of(scalars(), rationals.map(Scalar.of), rationals, st.integers(-5, 5))
+def general_poly_product(a, b):
+    """Term-by-term product of two Polys' term maps, each coefficient product
+    formed by general_product, zero sums dropped."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            mono = merged(m1, m2)
+            out[mono] = out.get(mono, Scalar.zero()) + Scalar(general_product(c1, c2))
+    return {m: c for m, c in out.items() if c}
+
+
+# one symbol power times a rational: the shape the rational fast path must not take
+symbol_terms = st.builds(
+    lambda sym, pw, c: Scalar({((sym, pw),): c}),
+    st.sampled_from([IHBAR, "A1"]),
+    st.integers(1, 3),
+    nonzero_rationals,
+)
+operands = st.one_of(scalars(), symbol_terms, rationals.map(Scalar.of), rationals, st.integers(-5, 5))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(scalars(), rationals.map(Scalar.of)), operands)
+@given(st.one_of(scalars(), symbol_terms, rationals.map(Scalar.of)), operands)
 def test_scalar_product_matches_general_path(a, b):
     expected = general_product(a, b if isinstance(b, Scalar) else Scalar.of(b))
     for prod in (a * b, b * a):
@@ -109,6 +134,87 @@ def test_poly_power_is_the_repeated_product(p, k):
     assert p**k == product
     with pytest.raises(ValueError):
         p ** -1
+
+
+@st.composite
+def single_terms(draw):
+    """A one-term Poly or Scalar: powers of up to three keys, some of them
+    above 1, times a nonzero rational or symbolic coefficient."""
+    if draw(st.booleans()):
+        keys, coeff = [IHBAR, "A1", "A2"], draw(nonzero_rationals)
+    else:
+        keys, coeff = [qvar(1), qvar(2), pivar(1, 1), pvar(1)], draw(scalars().filter(bool))
+    powers = draw(st.dictionaries(st.sampled_from(keys), st.integers(1, 3), max_size=3))
+    mono = tuple(sorted(powers.items()))
+    return Scalar({mono: coeff}) if isinstance(coeff, Fraction) else Poly({mono: coeff})
+
+
+def repeated_product(x, k):
+    """The term map of x ** k as k general products, from the term map of 1."""
+    if isinstance(x, Scalar):
+        terms = {(): Fraction(1)}
+        for _ in range(k):
+            terms = general_product(Scalar(terms), x)
+    else:
+        terms = {(): Scalar.of(1)}
+        for _ in range(k):
+            terms = general_poly_product(Poly(terms), x)
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_terms(), st.integers(0, 5))
+def test_single_term_power_is_the_repeated_product(x, k):
+    power = x**k
+    assert type(power) is type(x)
+    assert power.terms == repeated_product(x, k)
+    assert zero_free(power)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(scalars(), polys()))
+def test_unit_products_return_the_other_operand(x):
+    unit = ONE if isinstance(x, Scalar) else ONE_POLY
+    expected = general_product(x, unit) if isinstance(x, Scalar) else general_poly_product(x, unit)
+    for prod in (unit * x, x * unit):
+        assert prod is x
+        assert prod.terms == expected
+
+
+def test_units_are_shared():
+    assert Scalar.of(1) is Scalar.one() is _coerce(1) is Scalar.symbol(IHBAR, 0) is ONE
+    assert Scalar.of(Fraction(1)) is ONE and Scalar.of(True) is ONE
+    assert Poly.constant(1) is Poly.constant(ONE) is Poly.var(qvar(1), 0) is ONE_POLY
+    assert Poly.var(qvar(1)) ** 0 is ONE_POLY and ONE_POLY**3 is ONE_POLY
+    assert Poly.var(qvar(1)).terms[((qvar(1), 1),)] is ONE
+    # refusals of the unit constructors are those of the general ones
+    for bad in (1.0, "1"):
+        with pytest.raises(TypeError):
+            Scalar.of(bad)
+        with pytest.raises(TypeError):
+            Poly.constant(bad)
+    for bad in (2.0, 1.0, 0.0, Fraction(2)):
+        for x in (Scalar.symbol("A1"), Poly.var(qvar(1)), ONE_POLY):
+            with pytest.raises(TypeError):
+                x**bad
+
+
+SHARED = [
+    (ONE, {(): Fraction(1)}),
+    (ONE_POLY, {(): ONE}),
+    (ZERO_POLY, {}),
+]
+
+
+def test_shared_units_survive_a_full_verify(capsys):
+    # every layer may hold the shared units; none may write into them
+    assert cli.main(["verify", "--suite", "all", "-n", "2", "--gauge-seed", "5"]) == 0
+    capsys.readouterr()
+    for value, terms in SHARED:
+        assert value.terms == terms
+        assert all(type(c) is type(t) for c, t in zip(value.terms.values(), terms.values()))
+    assert ONE_POLY.terms[()] is ONE
+    assert Scalar.of(1) is ONE and Scalar.of(1).terms == {(): 1}
 
 
 def test_scalar_symbol_bookkeeping():
@@ -194,9 +300,6 @@ def combination_pairs(draw):
 def zero_free(x) -> bool:
     """No stored value is zero, at any level of nesting."""
     return all(bool(v) and (not isinstance(v, LinComb) or zero_free(v)) for v in x.terms.values())
-
-
-nonzero_rationals = rationals.filter(lambda c: c != 0)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,11 @@
 """Mutation check: every mutant of the engine must be killed by its named tests.
 
     python3 tools/mutants.py
+    python3 tools/mutants.py --shard 1/2
+
+``--shard i/k`` runs only the mutants at positions i, i+k, i+2k, ... of
+the list (counting from 1), so k processes, e.g. parallel CI jobs, run
+each mutant once between them.
 
 A mutant is a list of exact source replacements under ``src/nsq``, each
 of whose anchors must occur exactly once, and the tests that must kill it.
@@ -16,6 +21,7 @@ never edited.  Needs only the standard library, pytest and hypothesis.
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -33,6 +39,7 @@ LAWS = "tests/test_scalars_polynomials.py"
 WEYL = "tests/test_symplectic_ref.py"
 CLI = "tests/test_parsing_cli.py"
 GOLDEN = "tests/test_verify_golden.py"
+ALGEBRA = "tests/test_algebra.py"
 
 
 @dataclass
@@ -282,6 +289,54 @@ MUTANTS = [
         [("scalars.py", "        return bool(self.terms)\n", "        return True\n")],
         [f"{LAWS}::test_poly_canonical_form_drops_zeros", f"{LAWS}::test_sparse_combination_laws"],
     ),
+    Mutant(
+        "Scalar rational fast path taken for a symbol",
+        [
+            ("scalars.py", "if len(a) == 1 == len(b) and _ONE_MONO in a and _ONE_MONO in b:", "if len(a) == 1 == len(b):"),
+            ("scalars.py", "{_ONE_MONO: a[_ONE_MONO] * b[_ONE_MONO]}", "{_ONE_MONO: next(iter(a.values())) * next(iter(b.values()))}"),
+        ],
+        [f"{LAWS}::test_scalar_product_matches_general_path"],
+    ),
+    # -- the shared units and the single-term power (scalars, polynomials) --
+    Mutant(
+        "ONE * s returns ONE",
+        [("scalars.py", "        if self is ONE:\n            return other\n", "        if self is ONE:\n            return self\n")],
+        [f"{LAWS}::test_unit_products_return_the_other_operand"],
+    ),
+    Mutant(
+        "ONE_POLY * p returns ONE_POLY",
+        [(
+            "polynomials.py",
+            "        if self is ONE_POLY:\n            return other\n",
+            "        if self is ONE_POLY:\n            return self\n",
+        )],
+        [f"{LAWS}::test_unit_products_return_the_other_operand"],
+    ),
+    Mutant(
+        "single-term power scales the exponents by k - 1",
+        [("scalars.py", "tuple((v, pw * k) for v, pw in mono)", "tuple((v, pw * (k - 1)) for v, pw in mono)")],
+        [f"{LAWS}::test_single_term_power_is_the_repeated_product"],
+    ),
+    Mutant(
+        "single-term power keeps the coefficient unraised",
+        [("scalars.py", "for v, pw in mono): c ** k}", "for v, pw in mono): c}")],
+        [f"{LAWS}::test_single_term_power_is_the_repeated_product"],
+    ),
+    # -- the generator-monomial memo (algebra) --
+    Mutant(
+        "monomial memo keyed without the dimension",
+        [("algebra.py", *keyed_without("@lru_cache(maxsize=1024)", "_sorted_monomial", "mono, n", "mono"))],
+        [f"{ALGEBRA}::test_memo_keeps_every_refusal"],
+    ),
+    Mutant(
+        "monomial memo serves indices that equal an int but are not one",
+        [(
+            "algebra.py",
+            "key = _sorted_monomial(mono, n) if _int_indices(mono) else _check_and_sort(mono, n)",
+            "key = _sorted_monomial(mono, n)",
+        )],
+        [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_memoized_monomials_match_check_then_sort"],
+    ),
 ]
 
 
@@ -328,18 +383,33 @@ def judge(work: Path, m: Mutant) -> tuple[str, str]:
     return "ERROR", f"pytest exit code {proc.returncode}\n{tail(proc)}"
 
 
-def main() -> int:
+def shard(spec: str) -> tuple[int, int]:
+    """(i, k) from "i/k", with 1 <= i <= k."""
+    try:
+        i, k = (int(part) for part in spec.split("/"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected i/k, got {spec!r}") from None
+    if not 1 <= i <= k:
+        raise argparse.ArgumentTypeError(f"shard {spec} is not in 1/k .. k/k")
+    return i, k
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Run every mutant against its named tests.")
+    ap.add_argument("--shard", type=shard, default=(1, 1), metavar="i/k", help="run the i-th of k interleaved parts")
+    i, k = ap.parse_args(argv).shard
+    mutants = MUTANTS[i - 1 :: k]
     with tempfile.TemporaryDirectory(prefix="nsq-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
-        tests = sorted({t for m in MUTANTS for t in m.tests})
+        tests = sorted({t for m in mutants for t in m.tests})
         proc = run_tests(clean, tests)
         if proc.returncode != 0:
             print(f"the named tests fail on the unmutated tree:\n{tail(proc)}")
             return 1
         failed = []
-        for i, m in enumerate(MUTANTS):
-            work = Path(tmp) / f"mutant{i}"
+        for j, m in enumerate(mutants):
+            work = Path(tmp) / f"mutant{j}"
             copy_tree(work)
             verdict, detail = judge(work, m)
             shutil.rmtree(work)
@@ -348,7 +418,7 @@ def main() -> int:
                 failed.append(m.name)
                 if detail:
                     print(detail)
-    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(mutants) - len(failed)} of {len(mutants)} mutants killed")
     return 1 if failed else 0
 
 
