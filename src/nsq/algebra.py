@@ -161,15 +161,30 @@ def basic_tags(n: int, slot: int = 1) -> list[GenTag]:
     return [qtag(i, slot) for i in range(1, n + 1)] + [pitag(k) for k in range(1, n + 1)] + [rtag(slot)]
 
 
+B1_MEMO_BOUND = 1024  # (monomial, slot) pairs memoized as members
+
+
 def in_b1_algebra(f: Observable, slot: int = 1) -> bool:
     """Membership in the polynomial algebra over the slot's basic set.
 
     Every pihat(k) is in it; qhat(i,j) and rhat(j) are when j is the slot.
+    Every monomial of f is checked, once per (monomial, slot): a member is
+    memoized process-wide (at most B1_MEMO_BOUND, the oldest dropped
+    first), a non-member never is.
     """
-    for tag in f.generator_tags():
-        if tag[0] != "pi" and tag[-1] != slot:
-            return False
+    for mono in f.terms:
+        key = (mono, slot)
+        if key not in _B1_MEMBERS:
+            for tag in mono:
+                if tag[0] != "pi" and tag[-1] != slot:
+                    return False
+            if len(_B1_MEMBERS) >= B1_MEMO_BOUND:
+                del _B1_MEMBERS[next(iter(_B1_MEMBERS))]
+            _B1_MEMBERS[key] = True
     return True
+
+
+_B1_MEMBERS: dict = {}
 
 
 def tag_str(tag: GenTag, slot: int | None = None) -> str:
@@ -430,12 +445,6 @@ class Observable(LinComb):
         )
 
     __hash__ = None
-
-    def generator_tags(self) -> set:
-        out = set()
-        for mono in self.terms:
-            out.update(mono)
-        return out
 
     def __repr__(self):
         if not self.terms:

@@ -1,72 +1,336 @@
 """Forms, vector fields, the soldering structure and Hamiltonian fields.
 
 Vector fields, one-forms and two-forms map coordinate variables (or pairs
-of them) to polynomial coefficients, and a graded Hamiltonian field maps
-multi-indices to vector fields; all four are
-:class:`~nsq.scalars.LinComb` subclasses and share its linear
-structure and zero-free term maps.  Coordinates print through
-:func:`~nsq.polynomials.default_var_name`, as in polynomials.
-
-The vector-valued soldering one-form has components theta^i = pi^i_j dq^j,
-so its differential is d(theta^i) = d(pi^i_j) ^ dq^j.  A rank-p observable
-f determines an equivalence class of graded vector fields X through the
-structure equation
+of them) to polynomial coefficients, as :class:`~nsq.scalars.LinComb`
+subclasses.  The soldering one-form has components theta^i = pi^i_j dq^j,
+so d(theta^i) = d(pi^i_j) ^ dq^j.  A rank-p observable f determines a class
+of graded vector fields X through the structure equation
 
     d f^{I_p}  =  -p! * Sym_{I_p} [ X^{I_{p-1}} _| dtheta^{i_p} ]
 
-with normalized symmetrization over all p upper indices.  Representatives
-differ by "gauge": vertical terms whose symmetrization over the upper
-indices vanishes.  Gauge terms never change any derived bracket.
-
-A gauge term is itself a :class:`HamVF` whose fields have only d/dpi legs:
-a vertical representative of the zero observable.  One sweep,
-:func:`_contraction_sums`, forms the contraction sum at every K one rank
-above a grade of a field; the zero branch of :func:`structure_eq_check`,
-:func:`lie_preserves_form`, :func:`gauge_condition_holds` and the
-projection :func:`make_valid_gauge` all read it.
-
-The canonical representative built here uses the factor rule: for a
-monomial u_1 sym ... sym u_r of rank-1 generators,
+(normalized symmetrization over the p upper indices), checked by
+:func:`structure_eq_check`; on a slice observable (``slot`` set) dtheta is
+the slice's two-form, :func:`soldering_dtheta` with only the slot
+component.  Representatives differ by gauge terms: vertical fields whose
+symmetrization vanishes, which change no bracket.  The canonical
+representative is the factor rule: for u_1 sym ... sym u_r,
 
     X^{I_{r-1}} = (1/r!) * sum_m  Sym(prod_{l != m} u_l)^{I_{r-1}} X_{u_m}
 
-with generator fields X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k),
-X_rhat(k) = 0.  The structure equation is the arbiter of correctness and
-is exposed as :func:`structure_eq_check`.  It reads dtheta from the
-observable's space: on a slice observable (``slot`` set) that is the
-slice's two-form, :func:`soldering_dtheta` with only the slot component,
-built once per (n, slot) and shared read-only.
+with X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k), X_rhat(k) = 0.
 
-The factor-rule grades of each generator monomial with coefficient 1 are
-memoized process-wide by :func:`_monomial_ham_vf`, keyed on (mono, n, slot)
-and bounded at 256 entries; :func:`ham_vf` sums them times the
-coefficients, and a coefficient of 1 reuses the memoized fields unscaled.
-Those fields are shared by every representative built from them: every
-operation here returns new fields, and no caller may mutate one.  The
-checked bracket reads neither this memo nor the expansion memo: it applies
-the same factor rule to integer tables (see :mod:`nsq.poisson`).
+*The packed layout.*  This module owns the packed monomials that the forms
+layer and the checked bracket (:mod:`nsq.poisson`) run on: at dimension n
+one int holds a field of ``FIELD_BITS`` bits per variable, q^1..q^n and
+then pi^a_b row by row (:func:`packed_units`; the packed exponent vectors
+of Monagan and Pearce, CASC 2007, and of FLINT's ``fmpz_mpoly``), one
+layout for the full bundle and every slice.  Formal symbols (IHBAR, A_i),
+and any variable outside the frame bundle that a field's coefficients
+hold, get the fields above those n + n^2 from one append-only registry, in
+the order first met.  A product of monomials is the sum of their ints, so
+long as no power passes ``POWER_BOUND``.
+
+*The tables*, built straight from the generators in ints and memoized on
+(mono, n, slot), shared read-only: N_r (:func:`_packed_numerators`, 512
+entries), r! times the components of a unit monomial of degree r, is
+N_{r-1}(mono[:-1]) joined with the last generator's components {(j,): x_j}
+(x_j a variable or 1), each I and j landing on K = sorted(I + (j,)) with
+weight K.count(j) = split_count(K, I); their term-by-term partials
+(:func:`_monomial_partials`, 512); and the factor-rule field
+(:func:`_monomial_field_table`, 512), the sum over the factors u_m of
+N_{r-1}(rest_m)^I X_{u_m}, over r!(r-1)! and reduced as below.  The field
+table serves both the bracket and :func:`ham_vf`; its bound is measured on
+the benchmark's ``laws-mixed-n3`` workload, where 512 entries hit 86% of
+lookups and 1,024, which holds all 934 keys met there, ran no faster and
+took more memory.
+
+*A field's canonical form.*  A :class:`HamVF` holds (variable, grade I,
+packed key) -> nonzero int, the d/d(variable) coefficient of grade I, over
+one positive denominator reduced by the gcd, so equal fields have equal
+forms.  ``terms``, the view I -> :class:`VectorField`, is unpacked the first
+time it is read; the constructor packs a view once.  :func:`ham_vf` reads
+the field tables: one monomial with coefficient 1 shares its table as is,
+anything else scales the numerators.  ``+``, ``-``, :meth:`HamVF.scale`,
+``==``, ``is_zero`` and :func:`vf_bracket` (the split-pair weight times the
+packed Lie bracket, d/d(var) read from var's field) run on the forms.  A
+form records the largest power a field could hold; past ``POWER_BOUND`` it
+is refused with EngineError before any work.  One integer sweep,
+:func:`_contraction_sums`, serves :func:`structure_eq_check` (against the
+differential of f's components, from :func:`_packed_numerators` times f's
+coefficients), its zero branch, :func:`gauge_condition_holds`,
+:func:`make_valid_gauge` and :func:`lie_preserves_form`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .algebra import (
     GenMonomial,
     GenTag,
     MultiIndex,
     Observable,
-    all_multi_indices,
-    split_pair_sum,
+    _generator_variables,
     _monomial_components,
+    all_multi_indices,
+    split_count,
 )
-from .errors import GaugeConditionError, RankMismatch
-from .polynomials import ZERO_POLY, Poly, Var, default_var_name, pivar, qvar
-from .scalars import ONE, LinComb, Scalar, accumulate, mul_into
+from .errors import EngineError, GaugeConditionError, RankMismatch
+from .polynomials import ZERO_POLY, Monomial, Poly, Var, default_var_name, pivar, qvar
+from .scalars import LinComb, Scalar, _coerce, accumulate
+
+POWER_BOUND = 255  # the largest power a packed field holds
+FIELD_BITS = POWER_BOUND.bit_length()
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+# -- the packed layout -----------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def packed_units(n: int) -> dict[Var, int]:
+    """var -> the packed monomial of var^1, over the frame-bundle variables at dimension n.
+
+    Memoized and shared: read it, never mutate it.
+    """
+    variables = [qvar(i) for i in range(1, n + 1)]
+    variables += [pivar(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    return {v: 1 << (FIELD_BITS * k) for k, v in enumerate(variables)}
+
+
+_EXTRA: list = []  # registry index -> ("sym", symbol name) or ("var", variable)
+_EXTRA_INDEX: dict = {}  # the inverse of _EXTRA
+
+
+def _extra_unit(kind: str, name, n: int) -> int:
+    """The unit at dimension n of a symbol or a non-frame-bundle variable, handing out the next field on first use."""
+    k = _EXTRA_INDEX.get((kind, name))
+    if k is None:
+        k = _EXTRA_INDEX[(kind, name)] = len(_EXTRA)
+        _EXTRA.append((kind, name))
+    return 1 << (FIELD_BITS * (n + n * n + k))
+
+
+def pack_monomial(mono: Monomial, units: Mapping[Var, int]) -> int:
+    """The packed form, over ``packed_units(n)``, of a monomial whose powers are at most POWER_BOUND."""
+    key = 0
+    for v, pw in mono:
+        key += pw * units[v]
+    return key
+
+
+def unpack_monomial(key: int, n: int) -> Monomial:
+    """The sorted (variable, power) monomial of the frame-bundle fields of a packed one."""
+    powers = ((v, (key // unit) & _FIELD_MASK) for v, unit in packed_units(n).items())
+    return tuple(sorted((v, pw) for v, pw in powers if pw))
+
+
+def unpack_numerators(num: Mapping[int, int], n: int) -> dict[Monomial, int]:
+    return {unpack_monomial(key, n): c for key, c in num.items()}
+
+
+def _pack_term(mono: Monomial, sym: tuple, n: int) -> tuple[int, int]:
+    """(key, largest power) of a variable monomial times a symbol monomial."""
+    units = packed_units(n)
+    key = top = 0
+    for v, pw in mono:
+        unit = units.get(v)
+        key += pw * (_extra_unit("var", v, n) if unit is None else unit)
+        top = max(top, pw)
+    for name, pw in sym:
+        key += pw * _extra_unit("sym", name, n)
+        top = max(top, pw)
+    return key, top
+
+
+def _unpack_term(key: int, n: int) -> tuple[Monomial, tuple]:
+    """(variable monomial, symbol monomial) of a packed key."""
+    mono, sym = list(unpack_monomial(key, n)), []
+    key >>= FIELD_BITS * (n + n * n)
+    for kind, name in _EXTRA:
+        if not key:
+            break
+        if key & _FIELD_MASK:
+            (mono if kind == "var" else sym).append((name, key & _FIELD_MASK))
+        key >>= FIELD_BITS
+    return tuple(sorted(mono)), tuple(sorted(sym))
+
+
+def _partials(entries: dict, n: int):
+    """Term-by-term partial derivatives of a flat integer map whose keys end in a packed key.
+
+    Yields (v, the key's other items, the packed key lowered once in v,
+    pw * c) for each entry c and each variable v of power pw >= 1 in it.
+    """
+    seen = 0
+    for key in entries:
+        seen |= key[-1]
+    units = list(packed_units(n).items())
+    units += [(name, _extra_unit(kind, name, n)) for kind, name in _EXTRA if kind == "var"]
+    for v, unit in units:
+        if seen & unit * _FIELD_MASK:
+            shift = unit.bit_length() - 1
+            for key, c in entries.items():
+                pw = key[-1] >> shift & _FIELD_MASK
+                if pw:
+                    yield v, key[:-1], key[-1] - unit, pw * c
+
+
+def _checked(top: int) -> int:
+    """top, when a packed field holds it; else EngineError."""
+    if top > POWER_BOUND:
+        raise EngineError(f"a field power could reach {top}, past the {POWER_BOUND} that a packed field holds")
+    return top
+
+
+_ONE_TERMS = {(): 1}  # the terms of the Scalar 1
+_UNIT_NUMERATORS = ({0: 1}, 1, 0)  # _scalar_numerators of 1
+
+
+def _scalar_numerators(c: Scalar, n: int) -> tuple[dict, int, int]:
+    """(packed symbol monomial -> numerator, denominator, largest symbol power) of a nonzero Scalar."""
+    if c.terms == _ONE_TERMS:
+        return _UNIT_NUMERATORS
+    den = lcm(*(v.denominator for v in c.terms.values()))
+    nums, top = {}, 0
+    for sym, v in c.terms.items():
+        key, pw = _pack_term((), sym, n)
+        nums[key] = v.numerator * (den // v.denominator)
+        top = max(top, pw)
+    return nums, den, top
+
+
+# -- the integer tables ----------------------------------------------------------
+
+
+_EMPTY_REST = {(): {0: 1}}  # the components of the empty product, over 0! = 1
+
+
+@lru_cache(maxsize=512)
+def _packed_numerators(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[MultiIndex, dict[int, int]]:
+    """r! times :func:`nsq.algebra._monomial_components` of a degree-r monomial, packed.
+
+    The numerators of mono[:-1] joined with the last generator's components:
+    each I and each component j of the generator land on K = sorted(I +
+    (j,)) with weight K.count(j), times the generator's packed unit (0 for
+    a constant).
+    """
+    units = packed_units(n)
+    head = _packed_numerators(mono[:-1], n, slot) if len(mono) > 1 else _EMPTY_REST
+    tail = [(j, 0 if var is None else units[var]) for j, var in _generator_variables(mono[-1], n, slot)]
+    out: dict = {}
+    for I, num in head.items():
+        for j, unit in tail:
+            K = tuple(sorted(I + (j,)))
+            weight = K.count(j)
+            acc = out.get(K)
+            if acc is None:
+                acc = out[K] = {}
+            for m, c in num.items():
+                m += unit
+                acc[m] = acc.get(m, 0) + weight * c
+    return out
+
+
+@lru_cache(maxsize=512)
+def _monomial_partials(
+    mono: GenMonomial, n: int, slot: int | None
+) -> dict[Var, tuple[tuple[MultiIndex, int, int], ...]]:
+    """The partial derivatives of :func:`_packed_numerators`, term by term.
+
+    var -> ((J, packed m lowered once in var, pw * c), ...) for every term c * m
+    of every component J in which var has power pw >= 1, in the order of
+    the components and their terms.  Each power is read from its field of
+    the packed monomial, over the variables of mono's generators.  Only an
+    operand of degree POWER_BOUND + 1 can hold a power one past the bound
+    (see :mod:`nsq.poisson`): its packed keys are still the exact sums of
+    their units, and its terms' variables are read from the exact expansion.
+    """
+    units = packed_units(n)
+    numerators = _packed_numerators(mono, n, slot)
+    out: dict[Var, list] = {}
+    if len(mono) > POWER_BOUND:
+        # a power may fill more than its field and carry into the next one, so
+        # read each term's variables from the exact expansion, in the same order
+        for J, poly in _monomial_components(mono, n, slot).items():
+            for m, (packed, c) in zip(poly.terms, numerators[J].items()):
+                for var, pw in m:
+                    out.setdefault(var, []).append((J, packed - units[var], pw * c))
+        return _frozen(out)
+    variables = dict.fromkeys(
+        var for tag in dict.fromkeys(mono) for _, var in _generator_variables(tag, n, slot) if var is not None
+    )
+    fields = [(var, units[var], units[var].bit_length() - 1) for var in variables]
+    for J, num in numerators.items():
+        for packed, c in num.items():
+            for var, unit, shift in fields:
+                pw = packed >> shift & _FIELD_MASK
+                if pw:
+                    out.setdefault(var, []).append((J, packed - unit, pw * c))
+    return _frozen(out)
+
+
+def _frozen(table: dict[Var, list]) -> dict[Var, tuple]:
+    """The lists of a memoized table as tuples, which the garbage collector stops tracking."""
+    return {var: tuple(entries) for var, entries in table.items()}
+
+
+def _generator_direction(tag: GenTag) -> tuple[Var, int] | None:
+    """(var, sign) of a generator's field sign * d/d(var); None for the zero field of rhat."""
+    if tag[0] == "q":
+        return pivar(tag[2], tag[1]), -1
+    if tag[0] == "pi":
+        return qvar(tag[1]), 1
+    return None
+
+
+@lru_cache(maxsize=512)
+def _monomial_field_table(mono: GenMonomial, n: int, slot: int | None) -> tuple[dict, int]:
+    """The factor-rule field of a degree-r monomial with coefficient 1, as a canonical form (numerators, den).
+
+    r!(r-1)! times the field is the sum over the factors u_m of the
+    numerators of the rest, :func:`_packed_numerators` over (r-1)!, times
+    the field of u_m; a factor that occurs c times is visited once, with
+    weight c.  That sum is then reduced by its gcd with r!(r-1)!.
+    """
+    table: dict = {}
+    for tag in dict.fromkeys(mono):
+        direction = _generator_direction(tag)
+        if direction is None:
+            continue
+        var, sign = direction
+        i = mono.index(tag)
+        rest = mono[:i] + mono[i + 1 :]
+        weight = sign * mono.count(tag)
+        for I, num in (_packed_numerators(rest, n, slot) if rest else _EMPTY_REST).items():
+            for m, c in num.items():
+                table[var, I, m] = weight * c
+    return _normal(table, factorial(len(mono)) * factorial(len(mono) - 1))
+
+
+def _normal(acc: dict, den: int) -> tuple[dict, int]:
+    """The canonical form of (var, I, key) -> int over den: zeros dropped, reduced by the gcd."""
+    nums = {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        return {key: c // g for key, c in nums.items()}, den // g
+    return nums, den
+
+
+def _add_into(acc: dict, nums: dict, factor: int, shift: int = 0) -> None:
+    """acc += factor * nums, every packed key moved by shift."""
+    for (var, I, k), c in nums.items():
+        key = (var, I, k + shift)
+        acc[key] = acc.get(key, 0) + c * factor
+
+
+# -- fields and forms ----------------------------------------------------------------
 
 
 class VectorField(LinComb):
@@ -91,30 +355,9 @@ class VectorField(LinComb):
     def zero() -> "VectorField":
         return VectorField()
 
-    def mul_poly(self, poly: Poly) -> "VectorField":
-        if poly.is_zero():
-            return VectorField()
-        return self._like({var: p * poly for var, p in self.terms.items()})
-
     def coefficient(self, var: Var) -> Poly:
         """Coefficient of the coordinate direction d/d(var)."""
         return self.terms.get(var, ZERO_POLY)
-
-    def apply(self, poly: Poly) -> Poly:
-        """Directional derivative of a polynomial along this field."""
-        out: dict = {}
-        for var, coeff in self.terms.items():
-            mul_into(out, coeff, poly.diff(var))
-        return poly._like(out)
-
-    def lie_bracket(self, other: "VectorField") -> "VectorField":
-        """Coordinate Lie bracket [self, other]."""
-        out = {}
-        for var in self.terms.keys() | other.terms.keys():
-            p = self.apply(other.coefficient(var)) - other.apply(self.coefficient(var))
-            if not p.is_zero():
-                out[var] = p
-        return self._like(out)
 
     def __repr__(self):
         if not self.terms:
@@ -174,29 +417,6 @@ class TwoForm(LinComb):
         )
 
 
-def d_poly(poly: Poly) -> OneForm:
-    """Exterior differential of a polynomial function."""
-    return OneForm({var: poly.diff(var) for var in poly.variables()})
-
-
-def d_oneform(form: OneForm) -> TwoForm:
-    """Exterior differential of a one-form."""
-    out = TwoForm()
-    for var, coeff in form.terms.items():
-        dc = d_poly(coeff)
-        out = out + TwoForm({(w, var): p for w, p in dc.terms.items()})
-    return out
-
-
-def contract(x: VectorField, omega: TwoForm) -> OneForm:
-    """Interior product X _| omega."""
-    out: dict[Var, Poly] = {}
-    for (v1, v2), c in omega.terms.items():
-        accumulate(out, v2, c * x.coefficient(v1))
-        accumulate(out, v1, -(c * x.coefficient(v2)))
-    return OneForm(out)
-
-
 @lru_cache(maxsize=32)
 def soldering_dtheta(n: int, slot: int | None = None) -> Mapping[int, TwoForm]:
     """Differential of the soldering form: component i is dpi^i_j ^ dq^j.
@@ -216,46 +436,113 @@ def soldering_dtheta(n: int, slot: int | None = None) -> Mapping[int, TwoForm]:
     })
 
 
-def _generator_direction(tag: GenTag) -> tuple[Var, int] | None:
-    """(var, sign) of a generator's field sign * d/d(var); None for the zero field of rhat."""
-    if tag[0] == "q":
-        return pivar(tag[2], tag[1]), -1
-    if tag[0] == "pi":
-        return qvar(tag[1]), 1
-    return None
-
-
-def generator_field(tag: GenTag) -> VectorField:
-    """Hamiltonian field of a single generator."""
-    direction = _generator_direction(tag)
-    if direction is None:
-        return VectorField.zero()
-    var, sign = direction
-    return VectorField()._like({var: Poly.constant(sign)})
-
-
 class HamVF(LinComb):
     """Graded tensor-valued vector field: one representative of a class.
 
-    ``terms`` maps a canonical multi-index of rank p-1 to a VectorField.
+    The form is (variable, grade I, packed key) -> nonzero int over one
+    denominator (see the module docstring); ``terms`` is the view that maps
+    a canonical multi-index of rank p-1 to a VectorField.  Equality is
+    structural on the integer form.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_nums", "_den", "_top", "_view")
     _space = ("n",)
 
     def __init__(self, n: int, grades: Mapping[MultiIndex, VectorField] | None = None):
-        self.n = n
-        LinComb.__init__(self, grades)
+        view = {I: vf for I, vf in (grades or {}).items() if vf}
+        terms = [
+            (var, I, mono, sym, c)
+            for I, vf in view.items()
+            for var, poly in vf.terms.items()
+            for mono, s in poly.terms.items()
+            for sym, c in s.terms.items()
+        ]
+        # the lcm of the denominators shares no prime with every numerator
+        den = lcm(*(term[-1].denominator for term in terms))
+        nums, top = {}, 0
+        for var, I, mono, sym, c in terms:
+            key, pw = _pack_term(mono, sym, n)
+            nums[var, I, key] = c.numerator * (den // c.denominator)
+            top = max(top, pw)
+        self.n, self._nums, self._den, self._top, self._view = n, nums, den, _checked(top), view
+
+    @staticmethod
+    def _of(n: int, nums: dict, den: int, top: int) -> "HamVF":
+        """The field of a canonical integer form (trusted)."""
+        out = object.__new__(HamVF)
+        out.n, out._nums, out._den, out._top, out._view = n, nums, den, _checked(top), None
+        return out
+
+    def _like(self, terms: dict) -> "HamVF":
+        """The field of a view in the same space as self."""
+        return HamVF(self.n, terms)
+
+    @property
+    def terms(self) -> dict:
+        if self._view is None:
+            grades: dict = {}
+            for (var, I, key), c in self._nums.items():
+                mono, sym = _unpack_term(key, self.n)
+                grades.setdefault(I, {}).setdefault(var, {}).setdefault(mono, {})[sym] = Fraction(c, self._den)
+            self._view = {
+                I: VectorField()._like({var: Poly({m: Scalar(s) for m, s in poly.items()}) for var, poly in fields.items()})
+                for I, fields in grades.items()
+            }
+        return self._view
 
     @staticmethod
     def zero(n: int) -> "HamVF":
-        return HamVF(n)
+        return HamVF._of(n, {}, 1, 0)
 
     def grade_ranks(self) -> list[int]:
-        return sorted({len(idx) for idx in self.terms})
+        return sorted({len(I) for _, I, _ in self._nums})
 
     def field(self, idx: MultiIndex) -> VectorField:
         return self.terms.get(tuple(sorted(idx)), VectorField.zero())
+
+    # -- the linear structure, on the integer form ----------------------------
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not HamVF:
+            return NotImplemented
+        return self.n == other.n and self._den == other._den and self._nums == other._nums
+
+    __hash__ = LinComb.__hash__
+
+    def __add__(self, other: "HamVF") -> "HamVF":
+        """self + other over the lcm of the denominators."""
+        self._require_same(other)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        den = lcm(self._den, other._den)
+        acc: dict = {}
+        _add_into(acc, self._nums, den // self._den)
+        _add_into(acc, other._nums, den // other._den)
+        return HamVF._of(self.n, *_normal(acc, den), max(self._top, other._top))
+
+    def __neg__(self) -> "HamVF":
+        return HamVF._of(self.n, {key: -c for key, c in self._nums.items()}, self._den, self._top)
+
+    def scale(self, c) -> "HamVF":
+        """c * self for a Scalar, int or Fraction c."""
+        c = _coerce(c)
+        if not c or not self._nums:
+            return HamVF.zero(self.n)
+        cnums, cden, ctop = _scalar_numerators(c, self.n)
+        if cnums is _UNIT_NUMERATORS[0]:
+            return self
+        acc: dict = {}
+        for shift, factor in cnums.items():
+            _add_into(acc, self._nums, factor, shift)
+        return HamVF._of(self.n, *_normal(acc, self._den * cden), self._top + ctop)
 
     def __repr__(self):
         if not self.terms:
@@ -267,48 +554,171 @@ class HamVF(LinComb):
         return "; ".join(lines)
 
 
-@lru_cache(maxsize=256)
-def _monomial_ham_vf(
-    mono: GenMonomial, n: int, slot: int | None
-) -> dict[MultiIndex, VectorField]:
-    """Factor-rule grades of one generator monomial with coefficient 1.
-
-    For u_1 ... u_r the grade-I field collects (1/r!) * Sym(all factors but
-    u_m)^I * X_{u_m} over the factor positions m.  Memoized process-wide on
-    (mono, n, slot) like :func:`nsq.algebra._monomial_components`, with a
-    small fixed bound (the 119 basic monomials of degree <= 3 at n=3 fit).
-    The returned map and its fields are shared: read them, never mutate them.
-    """
-    r = len(mono)
-    weight = Scalar.of(Fraction(1, factorial(r)))
-    out: dict[MultiIndex, VectorField] = {}
-    for m in range(r):
-        base = generator_field(mono[m])
-        if base.is_zero():
-            continue
-        rest = mono[:m] + mono[m + 1 :]
-        if rest:
-            rest_comps = _monomial_components(rest, n, slot)
-        else:
-            rest_comps = {(): Poly.constant(1)}
-        for idx, poly in rest_comps.items():
-            accumulate(out, idx, base.mul_poly(poly.scale(weight)))
-    return out
-
-
 def ham_vf(f: Observable) -> HamVF:
     """Canonical Hamiltonian representative of an observable, by the factor rule.
 
-    Each generator monomial contributes its memoized unit grades
-    (:func:`_monomial_ham_vf`) times its coefficient; a coefficient of 1
-    contributes the shared fields themselves, unscaled.
+    Each generator monomial contributes its memoized field table
+    (:func:`_monomial_field_table`) times its coefficient; one monomial with
+    coefficient 1 is its table itself, shared and unscaled.  A monomial of
+    degree past POWER_BOUND + 1 is refused before any table is built.
     """
-    out: dict[MultiIndex, VectorField] = {}
+    n, slot = f.n, f.slot
+    parts, top = [], 0
     for mono, coeff in f.terms.items():
-        unit = coeff == ONE
-        for idx, vf in _monomial_ham_vf(mono, f.n, f.slot).items():
-            accumulate(out, idx, vf if unit else vf.scale(coeff))
-    return HamVF(f.n, out)
+        top = _checked(max(top, len(mono) - 1))
+        cnums, cden, ctop = _scalar_numerators(coeff, n)
+        top = _checked(max(top, ctop))
+        nums, den = _monomial_field_table(mono, n, slot)
+        parts.append((nums, den * cden, cnums))
+    if len(parts) == 1 and parts[0][2] is _UNIT_NUMERATORS[0]:
+        return HamVF._of(n, parts[0][0], parts[0][1], top)
+    den = lcm(*(d for _, d, _ in parts))
+    acc: dict = {}
+    for nums, d, cnums in parts:
+        for shift, c in cnums.items():
+            _add_into(acc, nums, c * (den // d), shift)
+    return HamVF._of(n, *_normal(acc, den), top)
+
+
+# -- the packed Lie bracket -----------------------------------------------------------
+
+
+def _field_partials(nums: dict, n: int) -> dict[Var, list]:
+    """v -> [(I, w, the key lowered once in v, pw * c)] for every term of every d/dw coefficient holding v."""
+    out: dict = {}
+    for v, (w, I), lowered, d in _partials(nums, n):
+        out.setdefault(v, []).append((I, w, lowered, d))
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _split_weight(I: MultiIndex, J: MultiIndex, scale: int) -> tuple[MultiIndex, int]:
+    """(K, split_count(K, I) * scale / comb(|K|, |I|)) for K = sorted(I + J): the split-pair weight, times scale."""
+    K = tuple(sorted(I + J))
+    return K, split_count(K, I) * scale // comb(len(K), len(I))
+
+
+def _lie_into(acc: dict, fields: dict, partials: dict, scale: int, sign: int, x_first: bool) -> None:
+    """acc[w, K, key] += sign * weight * A^I_v d_v B^J_w over A's form and B's partials.
+
+    The weight is the split-pair weight of x's grade in K, times scale:
+    x's grade is I when x_first, else J.
+    """
+    for (v, I, k), c in fields.items():
+        entries = partials.get(v)
+        if entries is None:
+            continue
+        c *= sign
+        for J, w, lowered, d in entries:
+            K, weight = _split_weight(I, J, scale) if x_first else _split_weight(J, I, scale)
+            key = (w, K, k + lowered)
+            acc[key] = acc.get(key, 0) + c * weight * d
+
+
+def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
+    """Bracket of graded fields: componentwise Lie bracket, then normalized
+    symmetrization over the combined upper indices.
+
+    Every pair (I, J) of the supports lands on K = sorted(I + J) with weight
+    split_count(K, I) / comb(|K|, |I|), as in :func:`nsq.algebra.split_pair_sum`;
+    [X^I, Y^J]_w = X^I_v d_v Y^J_w - Y^J_v d_v X^I_w is formed on the packed
+    forms, over den(x) * den(y) times the lcm of the combs.  Both fields must
+    have the same n.
+    """
+    x._require_same(y)
+    n = x.n
+    if not x._nums or not y._nums:
+        return HamVF.zero(n)
+    top = _checked(x._top + y._top)
+    scale = lcm(*(comb(a + b, a) for a in x.grade_ranks() for b in y.grade_ranks()))
+    acc: dict = {}
+    _lie_into(acc, x._nums, _field_partials(y._nums, n), scale, 1, True)
+    _lie_into(acc, y._nums, _field_partials(x._nums, n), scale, -1, False)
+    return HamVF._of(n, *_normal(acc, x._den * y._den * scale), top)
+
+
+# -- the contraction sweep and the structure equation ---------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _raised(I: MultiIndex, a: int) -> tuple[MultiIndex, int]:
+    """(K, K.count(a)) for K = sorted(I + (a,))."""
+    K = tuple(sorted(I + (a,)))
+    return K, K.count(a)
+
+
+def _contraction_sums(x: HamVF, slot: int | None = None) -> dict[tuple, int]:
+    """The zero-class sweep: (K, leg, packed key) -> numerator over x's denominator, zeros dropped.
+
+    The sum over the positions t of K of X^{K without K_t} _| dtheta^{K_t},
+    with dtheta^i = sum_j dpi^i_j ^ dq^j (:func:`soldering_dtheta`, only
+    i = slot on a slice), at every K one rank above a grade of x.  Grade I's
+    d/dpi^a_b coefficient feeds the dq^b leg of K = sorted(I + (a,)), and its
+    d/dq^j coefficient the dpi^a_j leg of that K for every row a, each once
+    per position of a in K, the second with a minus sign.
+    """
+    n = x.n
+    units = packed_units(n)
+    rows = range(1, n + 1) if slot is None else (slot,)
+    out: dict = {}
+    for (var, I, k), c in x._nums.items():
+        if var not in units:
+            continue
+        if var[0] == "pi":
+            if var[1] not in rows:
+                continue
+            legs = ((var[1], qvar(var[2]), c),)
+        else:
+            legs = [(a, pivar(a, var[1]), -c) for a in rows]
+        for a, leg, signed in legs:
+            K, count = _raised(I, a)
+            key = (K, leg, k)
+            out[key] = out.get(key, 0) + count * signed
+    return {key: c for key, c in out.items() if c}
+
+
+def _observable_numerators(f: Observable) -> tuple[dict[int, dict], int]:
+    """(rank -> (K, packed key) -> int, denominator): f's components, zeros dropped.
+
+    Read from :func:`_packed_numerators` times f's coefficients, with no Poly
+    expansion.  A monomial or a symbol power past POWER_BOUND is refused.
+    """
+    n, slot = f.n, f.slot
+    parts, den = [], 1
+    for mono, coeff in f.terms.items():
+        _checked(len(mono))
+        cnums, cden, ctop = _scalar_numerators(coeff, n)
+        _checked(ctop)
+        d = factorial(len(mono)) * cden
+        den = lcm(den, d)
+        parts.append((mono, cnums, d))
+    out: dict = {}
+    for mono, cnums, d in parts:
+        grade = out.setdefault(len(mono), {})
+        for K, num in _packed_numerators(mono, n, slot).items():
+            for shift, c in cnums.items():
+                w = c * (den // d)
+                for k, v in num.items():
+                    key = (K, k + shift)
+                    grade[key] = grade.get(key, 0) + w * v
+    comps = {}
+    for rank, grade in out.items():
+        if 0 in grade.values():
+            grade = {key: c for key, c in grade.items() if c}
+        if grade:
+            comps[rank] = grade
+    return comps, den
+
+
+def _observable_rank(f: Observable) -> int:
+    """``f.rank()``, read from the integer components without expanding f into Polys."""
+    if len(f.terms) == 1:
+        # one generator monomial has nonzero components of its own degree
+        return len(next(iter(f.terms)))
+    comps = _observable_numerators(f)[0]
+    if len(comps) != 1:
+        f.rank()  # raises the ValueError that names the ranks
+    return next(iter(comps))
 
 
 def structure_eq_check(f: Observable, x: HamVF) -> bool:
@@ -318,40 +728,27 @@ def structure_eq_check(f: Observable, x: HamVF) -> bool:
     ``f.slot``.  f must be homogeneous of rank p and x graded of rank p-1.
     With x symmetric in its grade indices the symmetrized right side
     collapses to -(p-1)! times the sum over positions of the index fed to
-    dtheta.
+    dtheta, :func:`_contraction_sums`.  Both sides are compared as integer
+    forms at the K of their supports.
     """
-    if f.is_zero():
+    comps, den = _observable_numerators(f)
+    sums = _contraction_sums(x, f.slot)
+    if not comps:
         # x must represent the zero class: every contraction sum vanishes
-        # (true of pure gauge terms).
-        return all(s.is_zero() for _, s in _contraction_sums(x, soldering_dtheta(x.n, f.slot)))
-    p = f.rank()
+        # (true of pure gauge terms)
+        return not sums
+    if len(comps) != 1:
+        f.rank()  # raises the ValueError that names the ranks
+    (p,) = comps
     ranks = x.grade_ranks()
     if ranks and ranks != [p - 1]:
         raise RankMismatch(f"field grades {ranks} do not match observable rank {p}")
-    dtheta = soldering_dtheta(f.n, f.slot)
-    prefactor = Scalar.of(-factorial(p - 1))
-    return all(
-        d_poly(f.component(K)) == _contraction_sum(x, K, dtheta).scale(prefactor)
-        for K in all_multi_indices(f.n, p)
-    )
-
-
-def _contraction_sum(x: HamVF, K: MultiIndex, dtheta: Mapping[int, TwoForm]) -> OneForm:
-    """Sum over the positions t of a sorted K of X^{K without K_t} _| dtheta^{K_t}."""
-    out = OneForm()
-    for t in range(len(K)):
-        xf = x.terms.get(K[:t] + K[t + 1 :])
-        omega = dtheta.get(K[t])
-        if xf is not None and omega is not None:
-            out = out + contract(xf, omega)
-    return out
-
-
-def _contraction_sums(x: HamVF, dtheta: Mapping[int, TwoForm]) -> Iterator[tuple]:
-    """The zero-class sweep: (K, contraction sum at K) for every K one rank above a grade of x."""
-    for g in x.grade_ranks():
-        for K in all_multi_indices(x.n, g + 1):
-            yield K, _contraction_sum(x, K, dtheta)
+    # d f / den == -(p-1)! * sums / den(x), both sides scaled to integers
+    lhs_scale, rhs_scale = x._den, -factorial(p - 1) * den
+    g = gcd(lhs_scale, rhs_scale)
+    lhs_scale, rhs_scale = lhs_scale // g, rhs_scale // g
+    lhs = {(K, var, lowered): d * lhs_scale for var, (K,), lowered, d in _partials(comps[p], f.n)}
+    return lhs == {key: c * rhs_scale for key, c in sums.items()}
 
 
 def gauge_condition_holds(t: HamVF) -> bool:
@@ -363,7 +760,7 @@ def gauge_condition_holds(t: HamVF) -> bool:
     the sum over the positions of K of the d/dpi^{K_t}_b coefficient of
     t's grade K without K_t.
     """
-    return all(s.is_zero() for _, s in _contraction_sums(t, soldering_dtheta(t.n)))
+    return not _contraction_sums(t)
 
 
 def require_gauge(t: HamVF) -> HamVF:
@@ -391,16 +788,19 @@ def make_valid_gauge(u: HamVF) -> HamVF:
     every dq^b term s is subtracted, as s/p, from the d/dpi^a_b leg of
     grade K minus one a, for each distinct a in K.
     """
-    if any(var[0] != "pi" for vf in u.terms.values() for var in vf.terms):
+    if any(var[0] != "pi" for var, _, _ in u._nums):
         raise GaugeConditionError("gauge terms are vertical: a field has a d/dq leg")
-    out = dict(u.terms)
-    for K, s in _contraction_sums(u, soldering_dtheta(u.n)):
-        weight = Fraction(-1, len(K))
-        for (_, b), poly in s.terms.items():
-            for a in set(K):
-                t = K.index(a)
-                accumulate(out, K[:t] + K[t + 1 :], VectorField(v={(a, b): poly.scale(weight)}))
-    return u._like(out)
+    sums = _contraction_sums(u)
+    scale = lcm(*(len(K) for K, _, _ in sums))
+    acc: dict = {}
+    _add_into(acc, u._nums, scale)
+    for (K, (_, b), k), c in sums.items():
+        c *= -(scale // len(K))
+        for a in set(K):
+            t = K.index(a)
+            key = (pivar(a, b), K[:t] + K[t + 1 :], k)
+            acc[key] = acc.get(key, 0) + c
+    return HamVF._of(u.n, *_normal(acc, u._den * scale), u._top)
 
 
 def random_valid_gauge(n: int, grade_rank: int, rng, max_terms: int = 3) -> HamVF:
@@ -429,22 +829,16 @@ def random_valid_gauge(n: int, grade_rank: int, rng, max_terms: int = 3) -> HamV
     return make_valid_gauge(HamVF(n, grades))
 
 
-def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
-    """Bracket of graded fields: componentwise Lie bracket, then normalized
-    symmetrization over the combined upper indices.
-
-    The support pairs (I, J) go through the one split-pair loop,
-    :func:`nsq.algebra.split_pair_sum`, as in
-    :func:`nsq.algebra.sym_components`.  Both fields must have the same n.
-    """
-    x._require_same(y)
-    return HamVF(x.n, split_pair_sum(x.terms, y.terms, VectorField.lie_bracket))
-
-
 def lie_preserves_form(x: HamVF) -> bool:
     """Check the symmetrized Lie derivative of dtheta along x vanishes.
 
     Via Cartan's identity this reduces to d(Sym[X _| dtheta]) = 0 for every
-    index combination; dtheta itself is closed.
+    index combination; dtheta itself is closed.  d of a contraction sum
+    s = s_v dv is the sum of d_w s_v dw ^ dv, each pair (w, v) oriented.
     """
-    return all(d_oneform(s).is_zero() for _, s in _contraction_sums(x, soldering_dtheta(x.n)))
+    acc: dict = {}
+    for w, (K, v), lowered, d in _partials(_contraction_sums(x), x.n):
+        if w != v:
+            key = (K, w, v, lowered) if w < v else (K, v, w, lowered)
+            acc[key] = acc.get(key, 0) + (d if w < v else -d)
+    return not any(acc.values())

@@ -1,15 +1,18 @@
 """The sparse split-count kernels against brute-force split enumeration,
-the process-wide expansion and field memos against fresh builds, and the
-integer bracket kernel against both.
+the process-wide expansion memo and the integer tables against fresh
+builds, the integer forms layer against a Poly oracle, and the integer
+bracket kernel against all of them.
 
 The reference visits every multi-index K of the target rank and every
 position split of it; the engine visits only the pairs of the two supports
 and weighs each by split_count.  The field reference applies the factor
-rule to fresh expansions, with no memo.  The integer forms must equal the
-Poly memos times their denominators, the packed memos must unpack to the
-integer forms (the partials table to their term-by-term derivatives), and
-the checked bracket must be the sum over unit pairs and name the unit pair
-whose routes disagree.
+rule to fresh expansions, with no memo.  The Poly oracle of the forms layer
+(the factor rule on the expansion memo, the coordinate Lie bracket, the
+contraction with dtheta) is kept here, beside the integer path it checks.
+The integer tables must equal the Poly path times their denominators, the
+packed memos must unpack to the integer forms (the partials table to their
+term-by-term derivatives), and the checked bracket must be the sum over
+unit pairs and name the unit pair whose routes disagree.
 """
 
 import copy
@@ -17,6 +20,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -39,33 +43,29 @@ from nsq.algebra import (
 )
 from nsq.errors import EngineError
 from nsq.forms import (
+    POWER_BOUND,
     HamVF,
+    OneForm,
     VectorField,
     _contraction_sums,
-    _monomial_ham_vf,
-    add_gauge,
-    generator_field,
-    ham_vf,
-    random_valid_gauge,
-    soldering_dtheta,
-    vf_bracket,
-)
-from nsq.poisson import (
-    POWER_BOUND,
-    _gauge_numerators,
     _monomial_field_table,
     _monomial_partials,
     _packed_numerators,
-    _packed_poly,
-    _route1_numerators,
-    bracket,
+    _generator_direction,
+    add_gauge,
+    ham_vf,
     pack_monomial,
     packed_units,
+    random_valid_gauge,
+    soldering_dtheta,
+    structure_eq_check,
     unpack_monomial,
     unpack_numerators,
+    vf_bracket,
 )
+from nsq.poisson import _gauge_terms, _route1_numerators, bracket, theorem1_check, theorem1_constant
 from nsq.polynomials import Poly, pivar, qvar
-from nsq.scalars import IHBAR, Scalar
+from nsq.scalars import IHBAR, Scalar, accumulate, mul_into
 from nsq.subbundle import substituted_components
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -99,13 +99,110 @@ def split_average(n, rank, p, left, right, product, zero):
     return out
 
 
+# -- the Poly oracle of the forms layer -------------------------------------------------
+
+
+def poly_apply(vf, poly):
+    """Directional derivative of a polynomial along a vector field."""
+    out = {}
+    for var, coeff in vf.terms.items():
+        mul_into(out, coeff, poly.diff(var))
+    return Poly(out)
+
+
+def generator_field(tag):
+    """The Hamiltonian field of one generator, on Polys."""
+    direction = _generator_direction(tag)
+    if direction is None:
+        return VectorField.zero()
+    var, sign = direction
+    return VectorField()._like({var: Poly.constant(sign)})
+
+
+def poly_mul_field(vf, poly):
+    """The vector field poly * vf."""
+    return VectorField()._like({var: p * poly for var, p in vf.terms.items()} if poly else {})
+
+
+def poly_lie_bracket(a, b):
+    """Coordinate Lie bracket [a, b] of two vector fields."""
+    out = {}
+    for var in a.terms.keys() | b.terms.keys():
+        p = poly_apply(a, b.coefficient(var)) - poly_apply(b, a.coefficient(var))
+        if not p.is_zero():
+            out[var] = p
+    return VectorField()._like(out)
+
+
+def poly_monomial_ham_vf(mono, n, slot):
+    """Factor-rule grades of one generator monomial with coefficient 1, on the expansion memo.
+
+    For u_1 ... u_r the grade-I field collects (1/r!) * Sym(all factors but
+    u_m)^I * X_{u_m} over the factor positions m.
+    """
+    weight = Fraction(1, factorial(len(mono)))
+    out = {}
+    for m in range(len(mono)):
+        base = generator_field(mono[m])
+        rest = mono[:m] + mono[m + 1 :]
+        rest_comps = _monomial_components(rest, n, slot) if rest else {(): Poly.constant(1)}
+        for idx, poly in rest_comps.items():
+            accumulate(out, idx, poly_mul_field(base, poly.scale(weight)))
+    return out
+
+
+def poly_ham_vf(f):
+    """I -> VectorField: the unit grades of each monomial times its coefficient."""
+    out = {}
+    for mono, coeff in f.terms.items():
+        for idx, vf in poly_monomial_ham_vf(mono, f.n, f.slot).items():
+            accumulate(out, idx, vf.scale(coeff))
+    return out
+
+
+def poly_contract(x, omega):
+    """Interior product X _| omega of a vector field with a two-form."""
+    out = {}
+    for (v1, v2), c in omega.terms.items():
+        accumulate(out, v2, c * x.coefficient(v1))
+        accumulate(out, v1, -(c * x.coefficient(v2)))
+    return OneForm(out)
+
+
+def poly_contraction_sum(grades, K, dtheta):
+    """Sum over the positions t of a sorted K of X^{K without K_t} _| dtheta^{K_t}."""
+    out = OneForm()
+    for t in range(len(K)):
+        xf = grades.get(K[:t] + K[t + 1 :])
+        if xf is not None and K[t] in dtheta:
+            out = out + poly_contract(xf, dtheta[K[t]])
+    return out
+
+
+def poly_structure_eq_check(f, grades):
+    """The structure equation on Polys: d f^K = -(p-1)! * the contraction sum at every K of rank p."""
+    dtheta = soldering_dtheta(f.n, f.slot)
+    if f.is_zero():
+        ranks = {len(I) for I in grades}
+        return all(
+            poly_contraction_sum(grades, K, dtheta).is_zero() for g in ranks for K in all_multi_indices(f.n, g + 1)
+        )
+    p = f.rank()
+    prefactor = Scalar.of(-factorial(p - 1))
+    return all(
+        OneForm({var: f.component(K).diff(var) for var in f.component(K).variables()})
+        == poly_contraction_sum(grades, K, dtheta).scale(prefactor)
+        for K in all_multi_indices(f.n, p)
+    )
+
+
 def ref_sym_components(n, f, p, g, q):
     return split_average(n, p + q, p, f, g, lambda a, b: a * b, Poly.zero())
 
 
 def ref_bracket_components(x, p, g, q):
     comps = g.components.get(q, {})
-    avg = split_average(g.n, p + q - 1, p - 1, x.terms, comps, lambda xf, gc: xf.apply(gc), Poly.zero())
+    avg = split_average(g.n, p + q - 1, p - 1, x.terms, comps, poly_apply, Poly.zero())
     return {K: poly.scale(-factorial(p)) for K, poly in avg.items()}
 
 
@@ -113,7 +210,7 @@ def ref_vf_bracket(x, y):
     out = {}
     for gx, gy in {(len(ix), len(iy)) for ix in x.terms for iy in y.terms}:
         part = split_average(
-            x.n, gx + gy, gx, x.terms, y.terms, lambda a, b: a.lie_bracket(b), VectorField.zero()
+            x.n, gx + gy, gx, x.terms, y.terms, poly_lie_bracket, VectorField.zero()
         )
         for K, vf in part.items():
             out[K] = vf if K not in out else out[K] + vf
@@ -131,12 +228,12 @@ def ref_ham_vf(f):
     """The factor rule on fresh expansions: (1/r!) Sym(rest)^I X_{u_m} per position m."""
     out = {}
     for mono, coeff in f.terms.items():
-        weight = coeff.as_fraction() / factorial(len(mono))
+        weight = Fraction(1, factorial(len(mono)))
         for m in range(len(mono)):
             rest = mono[:m] + mono[m + 1 :]
             comps = fresh_expansion(rest, f.n, f.slot) if rest else {(): Poly.constant(1)}
             for idx, poly in comps.items():
-                vf = generator_field(mono[m]).mul_poly(poly.scale(weight))
+                vf = poly_mul_field(generator_field(mono[m]), poly.scale(weight)).scale(coeff)
                 out[idx] = vf if idx not in out else out[idx] + vf
     return HamVF(f.n, out)
 
@@ -265,12 +362,14 @@ def test_route1_matches_split_enumeration(case):
     p, q = len(mf), len(mg)
     denominator = factorial(p + q - 1)
     dg = _monomial_partials(mg, n, slot)
-    got = as_polys(unpacked(_route1_numerators(_monomial_field_table(mf, n, slot), dg), n), denominator)
-    gauge = {} if gauge_seed is None else _gauge_numerators(f, gauge_seed)
+    table, den = _monomial_field_table(mf, n, slot)
+    route1 = _route1_numerators(table, dg, factorial(p) * factorial(p - 1) // den)
+    got = as_polys(unpacked(route1, n), denominator)
+    gauge = {} if gauge_seed is None else _gauge_terms(f, gauge_seed)
     if p in gauge:
-        t, scale = gauge[p]
-        shift_denominator = Fraction(scale * denominator, factorial(p) * factorial(p - 1))
-        shift = as_polys(unpacked(_route1_numerators(t, dg), n), shift_denominator)
+        t = gauge[p]
+        shift_denominator = Fraction(t._den * denominator, factorial(p) * factorial(p - 1))
+        shift = as_polys(unpacked(_route1_numerators(t._nums, dg), n), shift_denominator)
         for K, poly in shift.items():
             got[K] = got[K] + poly if K in got else poly
         got = {K: poly for K, poly in got.items() if not poly.is_zero()}
@@ -328,17 +427,13 @@ def test_memo_key_separates_slice_and_full():
         expected = {slot: ref_ham_vf(Observable(n, {square: 1}, slot=slot)) for slot in (None, 1)}
         assert expected[None] != expected[1]
         for first in (None, 1):
-            _monomial_ham_vf.cache_clear()
+            _monomial_field_table.cache_clear()
             for slot in (first, 1 if first is None else None):
-                assert HamVF(n, _monomial_ham_vf(square, n, slot)) == expected[slot]
+                assert ham_vf(Observable(n, {square: 1}, slot=slot)) == expected[slot]
 
 
 def _snapshot(comps):
     return {K: {m: dict(c.terms) for m, c in poly.terms.items()} for K, poly in comps.items()}
-
-
-def _field_snapshot(grades):
-    return {idx: _snapshot(vf.terms) for idx, vf in grades.items()}
 
 
 @SETTINGS
@@ -349,10 +444,8 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     keys |= {mono[:m] + mono[m + 1 :] for mono in (mf, mg) for m in range(len(mono))} - {()}
     cached = {key: _monomial_components(key, n, None) for key in keys}
     before = {key: _snapshot(comps) for key, comps in cached.items()}
-    fields = {mono: _monomial_ham_vf(mono, n, None) for mono in (mf, mg, tuple(sorted(mf + mg)))}
-    fields_before = {mono: _field_snapshot(grades) for mono, grades in fields.items()}
     integer_memos = (_packed_numerators, _monomial_partials, _monomial_field_table)
-    integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in (mf, mg)}
+    integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in (mf, mg, tuple(sorted(mf + mg)))}
     integer_before = copy.deepcopy(integer)
     f, g = observable(n, mf), observable(n, mg)
     assert f.components and g.components
@@ -366,18 +459,18 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
         add_gauge(x, random_valid_gauge(n, len(mf) - 1, random.Random(gauge_seed or 0)))
     vf_bracket(x, ham_vf(g))
     x.scale(Fraction(-2, 3))
+    x - ham_vf(g) + x.scale(Scalar.symbol(IHBAR))
+    x.terms
     ham_vf(f + g)
     ham_vf(f.scale(Fraction(-2, 3)) + sym_mul(f, g))
     for key, comps in cached.items():
         assert _snapshot(comps) == before[key]
         again = _monomial_components(key, n, None)
         assert again is comps or _snapshot(again) == before[key]
-    for mono, grades in fields.items():
-        assert _field_snapshot(grades) == fields_before[mono]
     assert integer == integer_before
 
 
-# -- the field memo -----------------------------------------------------------------
+# -- the field tables and the integer forms layer ------------------------------------
 
 
 coefficients = st.one_of(st.just(Fraction(1)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -397,8 +490,8 @@ def observable_in_some_algebra(draw):
 @given(observable_in_some_algebra(), st.sampled_from([None, 4, 29]))
 def test_memoized_field_equals_factor_rule(f, gauge_seed):
     expected = ref_ham_vf(f)
-    assert ham_vf(f) == expected  # grades left by earlier examples
-    _monomial_ham_vf.cache_clear()
+    assert ham_vf(f) == expected  # tables left by earlier examples
+    _monomial_field_table.cache_clear()
     assert ham_vf(f) == expected  # miss
     assert ham_vf(f) == expected  # hit
     if gauge_seed is not None and f.terms:
@@ -444,7 +537,6 @@ def test_unit_monomial_shares_memoized_expansion():
 def clear_memos():
     for memo in (
         _monomial_components,
-        _monomial_ham_vf,
         _packed_numerators,
         _monomial_partials,
         _monomial_field_table,
@@ -462,25 +554,37 @@ def tuple_numerators(mono, n, slot):
 
 
 def tuple_field_numerators(mono, n, slot):
-    """I -> var -> tuple-keyed integer numerators: the field memo times r!(r-1)!."""
+    """(var, I) -> tuple-keyed integer numerators: the Poly factor rule times r!(r-1)!."""
     r = len(mono)
     scale = factorial(r) * factorial(r - 1)
     return {
-        I: {var: {m: c.as_fraction() * scale for m, c in poly.terms.items()} for var, poly in vf.terms.items()}
-        for I, vf in _monomial_ham_vf(mono, n, slot).items()
+        (var, I): {m: c.as_fraction() * scale for m, c in poly.terms.items()}
+        for I, vf in poly_monomial_ham_vf(mono, n, slot).items()
+        for var, poly in vf.terms.items()
     }
+
+
+def unpacked_field_table(mono, n, slot):
+    """(var, I) -> tuple-keyed numerators of the field table, brought back to r!(r-1)!."""
+    r = len(mono)
+    table, den = _monomial_field_table(mono, n, slot)
+    scale = factorial(r) * factorial(r - 1) // den
+    out = {}
+    for (var, I, m), c in table.items():
+        out.setdefault((var, I), {})[unpack_monomial(m, n)] = c * scale
+    return out
 
 
 def assert_integer_memos_match(mono, n, slot):
     r = len(mono)
     comps = _monomial_components(mono, n, slot)
     assert as_polys(unpacked(_packed_numerators(mono, n, slot), n), factorial(r)) == comps
-    scale = factorial(r) * factorial(r - 1)
+    table, den = _monomial_field_table(mono, n, slot)
     fields = {}
-    for var, grades in _monomial_field_table(mono, n, slot).items():
-        for I, coeff in grades:
-            fields.setdefault(I, {})[var] = Poly.from_numerators(unpack_numerators(dict(coeff), n), scale)
-    assert fields == {I: vf.terms for I, vf in _monomial_ham_vf(mono, n, slot).items()}
+    for (var, I, m), c in table.items():
+        fields.setdefault(I, {}).setdefault(var, {})[unpack_monomial(m, n)] = c
+    fields = {I: {var: Poly.from_numerators(num, den) for var, num in vf.items()} for I, vf in fields.items()}
+    assert fields == {I: vf.terms for I, vf in poly_monomial_ham_vf(mono, n, slot).items()}
 
 
 @SETTINGS
@@ -521,15 +625,7 @@ def assert_packed_tables_match(mono, n, slot):
         var: [(J, unpack_monomial(lowered, n), c) for J, lowered, c in entries]
         for var, entries in partials.items()
     } == expected
-    by_var = {}
-    for I, field in tuple_field_numerators(mono, n, slot).items():
-        for var, num in field.items():
-            by_var.setdefault(var, []).append((I, num))
-    table = _monomial_field_table(mono, n, slot)
-    assert {
-        var: [(I, unpack_numerators(dict(coeff), n)) for I, coeff in grades]
-        for var, grades in table.items()
-    } == by_var
+    assert unpacked_field_table(mono, n, slot) == tuple_field_numerators(mono, n, slot)
 
 
 @SETTINGS
@@ -574,7 +670,6 @@ def test_bracket_leaves_the_poly_memos_empty():
     bracket(on_slice, on_slice)
     assert _monomial_field_table.cache_info().currsize > 0
     assert _monomial_components.cache_info().currsize == 0
-    assert _monomial_ham_vf.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -612,13 +707,31 @@ def test_bracket_at_the_power_bound_and_one_past_it():
     assert _monomial_partials.cache_info().misses == misses  # refused before any table is built
 
 
-def test_numerators_reject_non_integer_coefficients():
-    units = packed_units(1)
-    half = Poly.var(qvar(1)).scale(Fraction(1, 2)) + Poly.constant(3)
-    assert unpack_numerators(_packed_poly(half, 2, units), 1) == {((qvar(1), 1),): 1, (): 6}
-    for poly, scale in ((half, 1), (half, 3), (Poly.constant(Scalar.symbol(IHBAR)), 1)):
-        with pytest.raises(EngineError, match="not an integer polynomial"):
-            _packed_poly(poly, scale, units)
+def test_field_powers_at_the_power_bound_and_past_it():
+    # a factor-rule field of degree r holds powers up to r - 1, and a field
+    # product adds the largest powers of its operands: past POWER_BOUND the
+    # work is refused before it starts
+    n = 1
+    q, pi = (qtag(1, 1),), (pitag(1),)
+    at_bound = ham_vf(Observable(n, {q * POWER_BOUND + pi: 1}))
+    # d f = -p! X _| dtheta for f = q^255 pi at n=1, of rank p = 256
+    weight = Fraction(1, factorial(POWER_BOUND + 1))
+    assert at_bound.terms == {
+        (1,) * POWER_BOUND: VectorField(
+            h={1: Poly.var(qvar(1), POWER_BOUND).scale(weight)},
+            v={(1, 1): (Poly.var(qvar(1), POWER_BOUND - 1) * Poly.var(pivar(1, 1))).scale(-POWER_BOUND * weight)},
+        )
+    }
+    with pytest.raises(EngineError, match="a field power could reach 256, past the 255"):
+        ham_vf(Observable(n, {q * (POWER_BOUND + 1) + pi: 1}))
+    x, y = ham_vf(Observable(n, {q * 200 + pi: 1})), ham_vf(Observable(n, {q * 56 + pi: 1}))
+    assert vf_bracket(x, ham_vf(Observable(n, {q * 55 + pi: 1})))  # powers up to 200 + 55
+    with pytest.raises(EngineError, match="could reach 256"):
+        vf_bracket(x, y)
+    with pytest.raises(EngineError, match="could reach 256"):
+        HamVF(n, {(): VectorField(h={1: Poly.var(qvar(1), POWER_BOUND + 1)})})
+    with pytest.raises(EngineError, match="could reach 256"):
+        structure_eq_check(Observable(n, {q * POWER_BOUND + pi: 1}), at_bound)
 
 
 # -- the checked bracket over unit pairs ---------------------------------------------
@@ -680,17 +793,12 @@ def test_a_slice_has_no_nonzero_gauge_term(n):
     # (K, form leg) that no other leg reaches, so the contraction is
     # injective and only the zero field satisfies the gauge condition there
     for slot in range(1, n + 1):
-        dtheta = soldering_dtheta(n, slot)
         reached = set()
         for rank in (0, 1, 2):
             for I in all_multi_indices(n, rank):
                 for j in range(1, n + 1):
                     for leg in (VectorField(h={j: Poly.constant(1)}), VectorField(v={(slot, j): Poly.constant(1)})):
-                        hits = {
-                            (K, var)
-                            for K, form in _contraction_sums(HamVF(n, {I: leg}), dtheta)
-                            for var in form.terms
-                        }
+                        hits = {(K, var) for K, var, _ in _contraction_sums(HamVF(n, {I: leg}), slot)}
                         assert hits and not hits & reached
                         reached |= hits
 
@@ -707,8 +815,8 @@ def test_route_disagreement_names_the_unit_pair(pair, data):
     real = poisson._route1_numerators
     calls = []
 
-    def corrupted(x, dg):
-        out = real(x, dg)
+    def corrupted(*args):
+        out = real(*args)
         if len(calls) == bad:
             # the constant monomial packs to 0
             out[K] = dict(out.get(K, {}))
@@ -740,3 +848,115 @@ def test_gauge_term_with_nonzero_route1_is_refused(monkeypatch):
     K = min(ref_bracket_components(fake, 2, g, 2))
     route1 = ref_bracket_components(ham_vf(f) + fake, 2, g, 2)[K]
     assert f"multi-index {K}: route 1 (structure equation) gives {route1}," in str(err.value)
+
+
+# -- the integer forms layer against the Poly oracle ----------------------------------
+
+
+def views(grades):
+    """A view with its zero fields dropped, as a HamVF's ``terms`` holds it."""
+    return {I: vf for I, vf in grades.items() if vf}
+
+
+def sum_views(a, b, sign=1):
+    out = dict(a)
+    for I, vf in b.items():
+        accumulate(out, I, vf if sign == 1 else -vf)
+    return out
+
+
+def test_ham_vf_views_equal_factor_rule_on_every_small_monomial():
+    # every monomial of degree <= 3 at n 1..3, on the full bundle and on
+    # every slice, from cold memos: the view unpacked from the shared integer
+    # table is the Poly factor rule, and so is its integer form
+    clear_memos()
+    for n in (1, 2, 3):
+        for slot in [None, *range(1, n + 1)]:
+            tags = full_tags(n) if slot is None else slice_tags(n, slot)
+            for r in (1, 2, 3):
+                for mono in itertools.combinations_with_replacement(sorted(tags), r):
+                    expected = views(poly_monomial_ham_vf(mono, n, slot))
+                    x = ham_vf(Observable(n, {mono: 1}, slot=slot))
+                    assert x.terms == expected, (n, slot, mono)
+                    assert x == HamVF(n, expected)
+
+
+@SETTINGS
+@given(observable_pair(), symbolic_coefficients)
+def test_integer_field_operations_match_the_poly_oracle(pair, c):
+    # ham_vf, vf_bracket, +, -, scale, == and is_zero on the integer forms,
+    # against the Poly factor rule, the split-pair coordinate Lie bracket
+    # and the LinComb operations on the views
+    f, g = pair
+    x, y = ham_vf(f), ham_vf(g)
+    xv, yv = views(poly_ham_vf(f)), views(poly_ham_vf(g))
+    assert x.terms == xv and y.terms == yv
+    assert x == HamVF(f.n, xv) and y == HamVF(g.n, yv)
+
+    expected = ref_vf_bracket(SimpleNamespace(n=f.n, terms=xv), SimpleNamespace(n=f.n, terms=yv))
+    got = vf_bracket(x, y)
+    assert got.terms == views(expected.terms) and got == expected
+    assert got.is_zero() == (not views(expected.terms))
+    assert (x + y).terms == sum_views(xv, yv)
+    assert (x - y).terms == sum_views(xv, yv, -1)
+    assert (x - y).is_zero() == (not sum_views(xv, yv, -1))
+    assert (x - x).is_zero() and x - x == HamVF.zero(f.n)
+    assert x.scale(c).terms == views({I: vf.scale(c) for I, vf in xv.items()})
+    if not isinstance(c, Scalar):
+        assert x.scale(c).scale(1 / c) == x  # both forms reduced by their gcd
+    assert (x == y) == (xv == yv)
+    assert x.scale(0).is_zero() and HamVF(f.n).is_zero()
+
+
+@st.composite
+def structure_cases(draw):
+    """(f, candidate) with a candidate that is correct, gauge-shifted, corrupted or of the zero class."""
+    n = draw(st.integers(1, 3))
+    slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
+    tags = full_tags(n) if slot is None else slice_tags(n, slot)
+    degree = draw(st.integers(1, 3))
+    monos = st.lists(st.sampled_from(tags), min_size=degree, max_size=degree).map(lambda t: tuple(sorted(t)))
+    terms = draw(st.dictionaries(monos, symbolic_coefficients, min_size=1, max_size=3))
+    f = Observable(n, terms, slot=slot)
+    kind = draw(st.sampled_from(["correct", "gauge", "corrupted", "zero-gauge", "zero-corrupted"]))
+    if kind.startswith("zero"):
+        f = f - f
+    x = HamVF(n) if kind.startswith("zero") else ham_vf(f)
+    rank = degree - 1
+    if kind in ("gauge", "zero-gauge") and slot is None and rank >= 1:
+        x = add_gauge(x, random_valid_gauge(n, rank, random.Random(draw(st.integers(0, 99)))))
+    if kind.endswith("corrupted"):
+        I = tuple(sorted(draw(st.lists(st.integers(1, n), min_size=rank, max_size=rank))))
+        var = draw(st.sampled_from([qvar(draw(st.integers(1, n))), pivar(slot or draw(st.integers(1, n)), draw(st.integers(1, n)))]))
+        poly = draw(st.sampled_from([Poly.constant(Fraction(1, 3)), Poly.var(qvar(1)), Poly.var(pivar(1, 1)).scale(Scalar.symbol("A1"))]))
+        x = x + HamVF(n, {I: VectorField()._like({var: poly})})
+    return f, x, kind
+
+
+@SETTINGS
+@given(structure_cases())
+def test_structure_eq_check_verdicts_match_the_poly_oracle(case):
+    f, x, kind = case
+    verdict = structure_eq_check(f, x)
+    assert verdict == poly_structure_eq_check(f, x.terms)
+    if kind in ("correct", "gauge", "zero-gauge"):
+        assert verdict
+
+
+def test_a_thm1_case_leaves_the_poly_memos_unfilled():
+    # theorem 1 and the benchmark's thm1 steps (ham_vf, vf_bracket, scale,
+    # structure_eq_check) run on the integer forms and tables alone
+    clear_memos()
+    n = 3
+    f = Observable(n, {(qtag(1, 2), pitag(1), pitag(3)): 2, (qtag(2, 1), rtag(1), pitag(2)): Scalar.symbol(IHBAR)})
+    g = Observable(n, {(pitag(1), pitag(2)): 1, (qtag(3, 3), qtag(1, 1)): Fraction(-1, 2)})
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert theorem1_check(a, b)
+        assert theorem1_check(a, b, gauge_seed=8)
+    for mf, mg in itertools.product(((qtag(1, 1), qtag(2, 1), pitag(1)), (pitag(2),)), repeat=2):
+        a, b = observable(n, mf), observable(n, mg)
+        c = theorem1_constant(len(mf), len(mg))
+        candidate = vf_bracket(ham_vf(a), ham_vf(b)).scale(Fraction(-1) / c)
+        assert structure_eq_check(bracket(a, b), candidate)
+    assert _monomial_field_table.cache_info().currsize > 0
+    assert _monomial_components.cache_info().currsize == 0

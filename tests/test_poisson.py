@@ -219,8 +219,8 @@ def _double_first_component(monkeypatch):
 
     real = poisson._route1_numerators
 
-    def corrupted(x, dg):
-        out = real(x, dg)
+    def corrupted(*args):
+        out = real(*args)
         K = min(out)
         out[K] = {m: 2 * c for m, c in out[K].items()}
         return out

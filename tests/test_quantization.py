@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsq.algebra import Observable, make_pihat, make_qhat, make_rhat, pitag, qtag, rtag, sym_mul, sym_pow
+from nsq.algebra import Observable, in_b1_algebra, make_pihat, make_qhat, make_rhat, pitag, qtag, rtag, sym_mul, sym_pow
 from nsq.errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from nsq.quantization import (
     POWER_BOUND,
@@ -532,6 +532,28 @@ def test_a_corrupted_map_never_sees_a_clean_maps_images():
     assert bad.image_of_monomial(mono) == bad.build_image(mono) == DiffOperator.identity(n)
     with pytest.raises(TypeError):
         bad.overrides[mono] = DiffOperator.zero(n)
+
+
+@pytest.mark.parametrize("mono", [(qtag(1, 2),), (qtag(1, 2), qtag(1, 2)), (pitag(1), rtag(2))])
+def test_membership_memo_keeps_refusing_outside_the_basic_algebra(mono):
+    # the membership memo holds (monomial, slot) pairs of members only: after
+    # mono is memoized as a member of the slot-2 algebra, and after a warm
+    # quantize of every basic monomial, quantize on the full bundle (slot 1)
+    # still refuses it on every call, also when q1 kills it by rank
+    n = 2
+    q1 = make_q1(n)
+    for m in b1_monomials(n, 3):
+        quantize(q1, Observable(n, {m: 1}))
+    Observable(n, {mono: 1}, slot=2)
+    assert in_b1_algebra(Observable(n, {mono: 1}), 2)
+    outside = Observable(n, {mono: 1})
+    for _ in range(3):
+        assert not in_b1_algebra(outside)
+        with pytest.raises(NotInGeneratorAlgebra):
+            quantize(q1, outside)
+    # a monomial outside the algebra refuses a sum whose other terms are members
+    with pytest.raises(NotInGeneratorAlgebra):
+        quantize(q1, Observable(n, {(pitag(1),): 1, mono: 3}))
 
 
 def test_passing_dirac_cases_form_no_label(monkeypatch):

@@ -3,9 +3,12 @@
     python3 tools/mutants.py
     python3 tools/mutants.py --shard 1/2
 
-``--shard i/k`` runs only the mutants at positions i, i+k, i+2k, ... of
-the list (counting from 1), so k processes, e.g. parallel CI jobs, run
-each mutant once between them.
+``--shard i/k`` runs only the i-th of k parts of the list, so k
+processes, e.g. parallel CI jobs, run each mutant once between them.  The
+parts are balanced on the seconds each mutant took in one full run
+(``SECONDS``): longest first, each mutant goes to the part with the least
+time so far.  Every run prints each mutant's seconds, from which the table
+is refreshed; a mutant missing from it counts as the median.
 
 A mutant is a list of exact source replacements under ``src/nsq``, each
 of whose anchors must occur exactly once, and the tests that must kill it.
@@ -24,9 +27,11 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,23 +141,81 @@ MUTANTS = [
         [("symplectic_ref.py", "del stack[common:]", "del stack[common + 1 :]")],
         [f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2", f"{WEYL}::test_prefix_oracle_matches_word_average"],
     ),
-    # -- the integer bracket kernel (poisson) --
+    # -- the packed layout and the integer tables (forms) --
     Mutant(
         "component numerator memo keyed without the slot",
         [(
-            "poisson.py",
+            "forms.py",
             *keyed_without("@lru_cache(maxsize=512)", "_packed_numerators", "mono, n, slot", "(mono, n)"),
         )],
         [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
     Mutant(
-        "field numerator memo keyed without the slot",
+        "field memo keyed without the slot",
         [(
-            "poisson.py",
-            *keyed_without("@lru_cache(maxsize=256)", "_monomial_field_table", "mono, n, slot", "(mono, n)"),
+            "forms.py",
+            *keyed_without("@lru_cache(maxsize=512)", "_monomial_field_table", "mono, n, slot", "(mono, n)"),
         )],
-        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
+        [f"{KERNELS}::test_memo_key_separates_slice_and_full", f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
+    Mutant(
+        "packed field width one bit too small",
+        [("forms.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
+        [f"{KERNELS}::test_packed_monomials_round_trip_at_the_power_bound"],
+    ),
+    Mutant(
+        "partials table keyed without the slot",
+        [(
+            "forms.py",
+            *keyed_without("@lru_cache(maxsize=512)", "_monomial_partials", "mono, n, slot", "(mono, n)"),
+        )],
+        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
+    ),
+    Mutant(
+        "partials table skips the last variable of the monomial",
+        [("forms.py", "            for var, unit, shift in fields:\n", "            for var, unit, shift in fields[:-1]:\n")],
+        [
+            f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators",
+            f"{KERNELS}::test_route1_matches_split_enumeration",
+        ],
+    ),
+    Mutant(
+        "integer component builder weighs by 1 instead of K.count(j)",
+        [("forms.py", "            weight = K.count(j)\n", "            weight = 1\n")],
+        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
+    ),
+    Mutant(
+        "field table drops the -1 sign of a qhat generator",
+        [("forms.py", "weight = sign * mono.count(tag)", "weight = abs(sign) * mono.count(tag)")],
+        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
+    ),
+    # -- the integer forms layer (forms) --
+    Mutant(
+        "ham_vf treats every coefficient as 1",
+        [("forms.py", "        cnums, cden, ctop = _scalar_numerators(coeff, n)\n        top = ", "        cnums, cden, ctop = _UNIT_NUMERATORS\n        top = ")],
+        [f"{KERNELS}::test_memoized_field_equals_factor_rule"],
+    ),
+    Mutant(
+        "packed Lie bracket adds the second term instead of subtracting it",
+        [("forms.py", "_field_partials(x._nums, n), scale, -1, False)", "_field_partials(x._nums, n), scale, 1, False)")],
+        [f"{KERNELS}::test_vf_bracket_matches_split_enumeration", f"{KERNELS}::test_integer_field_operations_match_the_poly_oracle"],
+    ),
+    Mutant(
+        "integer vf_bracket weighs by 1/comb without split_count",
+        [("forms.py", "return K, split_count(K, I) * scale // comb(len(K), len(I))", "return K, scale // comb(len(K), len(I))")],
+        [f"{KERNELS}::test_vf_bracket_matches_split_enumeration", f"{KERNELS}::test_integer_field_operations_match_the_poly_oracle"],
+    ),
+    Mutant(
+        "the sweep drops the (p-1)! prefactor",
+        [("forms.py", "lhs_scale, rhs_scale = x._den, -factorial(p - 1) * den", "lhs_scale, rhs_scale = x._den, -den")],
+        [f"{KERNELS}::test_structure_eq_check_verdicts_match_the_poly_oracle"],
+    ),
+    Mutant(
+        "the zero-class branch is skipped",
+        [("forms.py", "        return not sums\n", "        return True\n")],
+        [f"{KERNELS}::test_structure_eq_check_verdicts_match_the_poly_oracle"],
+    ),
+    # -- the integer bracket kernel (poisson) --
     Mutant(
         "route 1 weight -1 instead of -split_count",
         [("poisson.py", "return K, -split_count(K, I)", "return K, -1")],
@@ -173,49 +236,6 @@ MUTANTS = [
         [f"{KERNELS}::test_route_disagreement_names_the_unit_pair"],
     ),
     Mutant(
-        "_packed_poly truncates with int() and no check",
-        [(
-            "poisson.py",
-            "        value = c.as_fraction() * scale if c.is_rational() else None\n"
-            "        if value is None or value.denominator != 1:\n"
-            '            raise EngineError(f"{scale} * ({poly}) is not an integer polynomial")\n'
-            "        out[pack_monomial(mono, units)] = value.numerator\n",
-            "        out[pack_monomial(mono, units)] = int(c.as_fraction() * scale)\n",
-        )],
-        [f"{KERNELS}::test_numerators_reject_non_integer_coefficients"],
-    ),
-    Mutant(
-        "packed field width one bit too small",
-        [("poisson.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
-        [f"{KERNELS}::test_packed_monomials_round_trip_at_the_power_bound"],
-    ),
-    Mutant(
-        "partials table keyed without the slot",
-        [(
-            "poisson.py",
-            *keyed_without("@lru_cache(maxsize=512)", "_monomial_partials", "mono, n, slot", "(mono, n)"),
-        )],
-        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
-    ),
-    Mutant(
-        "partials table skips the last variable of the monomial",
-        [("poisson.py", "            for var, unit, shift in fields:\n", "            for var, unit, shift in fields[:-1]:\n")],
-        [
-            f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators",
-            f"{KERNELS}::test_route1_matches_split_enumeration",
-        ],
-    ),
-    Mutant(
-        "integer component builder weighs by 1 instead of K.count(j)",
-        [("poisson.py", "            weight = K.count(j)\n", "            weight = 1\n")],
-        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
-    ),
-    Mutant(
-        "field table drops the -1 sign of a qhat generator",
-        [("poisson.py", "weight = sign * mono.count(tag)", "weight = abs(sign) * mono.count(tag)")],
-        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
-    ),
-    Mutant(
         "bracket drops the cf * cg coefficient product",
         [("poisson.py", "base = cg if unit_f else cf * cg", "base = cg")],
         [f"{KERNELS}::test_bracket_is_the_sum_over_unit_pairs"],
@@ -225,7 +245,7 @@ MUTANTS = [
         [("poisson.py", "    if gauge_seed is not None and slot is not None:\n", "    if False:\n")],
         [f"{KERNELS}::test_slice_bracket_refuses_gauge_seed"],
     ),
-    # -- the expansion and field memos and the split-pair loop (algebra, forms) --
+    # -- the expansion memo and the split-pair loop (algebra) --
     Mutant(
         "expansion memo keyed without the slot",
         [(
@@ -235,23 +255,13 @@ MUTANTS = [
         [f"{KERNELS}::test_memo_key_separates_slice_and_full"],
     ),
     Mutant(
-        "field memo keyed without the slot",
-        [("forms.py", *keyed_without("@lru_cache(maxsize=256)", "_monomial_ham_vf", "mono, n, slot", "(mono, n)"))],
-        [f"{KERNELS}::test_memo_key_separates_slice_and_full"],
-    ),
-    Mutant(
-        "ham_vf treats every coefficient as 1",
-        [("forms.py", "        unit = coeff == ONE\n", "        unit = True\n")],
-        [f"{KERNELS}::test_memoized_field_equals_factor_rule"],
-    ),
-    Mutant(
         "split_pair_sum weighs by 1/comb without split_count",
         [(
             "algebra.py",
             "weight = Fraction(split_count(K, I), comb(len(K), len(I)))",
             "weight = Fraction(1, comb(len(K), len(I)))",
         )],
-        [f"{KERNELS}::test_sym_components_matches_split_enumeration", f"{KERNELS}::test_vf_bracket_matches_split_enumeration"],
+        [f"{KERNELS}::test_sym_components_matches_split_enumeration"],
     ),
     # -- the suite driver (suites) --
     Mutant(
@@ -329,6 +339,11 @@ MUTANTS = [
         [f"{ALGEBRA}::test_memo_keeps_every_refusal"],
     ),
     Mutant(
+        "membership memo keyed without the slot",
+        [("algebra.py", "        key = (mono, slot)\n", "        key = mono\n")],
+        [f"{QUANT}::test_membership_memo_keeps_refusing_outside_the_basic_algebra"],
+    ),
+    Mutant(
         "monomial memo serves indices that equal an int but are not one",
         [(
             "algebra.py",
@@ -338,6 +353,69 @@ MUTANTS = [
         [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_memoized_monomials_match_check_then_sort"],
     ),
 ]
+
+
+# Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
+SECONDS = {
+    "leibniz weight without comb": 2.0,
+    "leibniz falling factorial set to 1": 2.1,
+    "leibniz memo keyed on the q powers without the degree": 1.8,
+    "leibniz memo keyed on the degree without the q powers": 1.7,
+    "composition drops the right operand's denominator": 55.7,
+    "commutator adds b o a instead of subtracting it": 43.3,
+    "packed operator field one bit narrower than the bound": 2.1,
+    "IHBAR field dropped from the packed key": 51.4,
+    "image memo keyed without the map instance (module-level)": 2.1,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.1,
+    "closed form without j!": 2.1,
+    "prefix stack keeps a stale letter past the common prefix": 2.0,
+    "component numerator memo keyed without the slot": 3.5,
+    "field memo keyed without the slot": 2.1,
+    "packed field width one bit too small": 2.0,
+    "partials table keyed without the slot": 4.6,
+    "partials table skips the last variable of the monomial": 14.5,
+    "integer component builder weighs by 1 instead of K.count(j)": 1.7,
+    "field table drops the -1 sign of a qhat generator": 2.1,
+    "ham_vf treats every coefficient as 1": 4.9,
+    "packed Lie bracket adds the second term instead of subtracting it": 5.1,
+    "integer vf_bracket weighs by 1/comb without split_count": 5.4,
+    "the sweep drops the (p-1)! prefactor": 14.0,
+    "the zero-class branch is skipped": 4.6,
+    "route 1 weight -1 instead of -split_count": 4.4,
+    "gauge term's route 1 not checked": 2.0,
+    "routes compared on the first unit pair only": 51.8,
+    "bracket drops the cf * cg coefficient product": 19.7,
+    "gauge seed accepted on a slice": 1.7,
+    "expansion memo keyed without the slot": 1.9,
+    "split_pair_sum weighs by 1/comb without split_count": 12.5,
+    "dirac pair loop builds g from m1": 2.2,
+    "record_dirac records \"fail\" instead of the residual": 2.3,
+    "suite decorator stamps one fixed suite name": 2.0,
+    "accumulate keeps a zero sum": 2.1,
+    "LinComb._like drops the space (n, slot)": 35.2,
+    "LinComb.__bool__ always true": 1.5,
+    "Scalar rational fast path taken for a symbol": 6.7,
+    "ONE * s returns ONE": 2.1,
+    "ONE_POLY * p returns ONE_POLY": 2.2,
+    "single-term power scales the exponents by k - 1": 5.4,
+    "single-term power keeps the coefficient unraised": 4.0,
+    "monomial memo keyed without the dimension": 1.3,
+    "membership memo keyed without the slot": 1.3,
+    "monomial memo serves indices that equal an int but are not one": 1.7,
+}
+
+
+def shard_of(mutants: list, i: int, k: int) -> list:
+    """The i-th of k parts of mutants, balanced on SECONDS: longest first, onto the least loaded part."""
+    default = statistics.median(SECONDS.values()) if SECONDS else 1.0
+    cost = {m.name: SECONDS.get(m.name, default) for m in mutants}
+    parts: list[list] = [[] for _ in range(k)]
+    loads = [0.0] * k
+    for m in sorted(mutants, key=lambda m: -cost[m.name]):
+        j = loads.index(min(loads))
+        parts[j].append(m)
+        loads[j] += cost[m.name]
+    return sorted(parts[i - 1], key=mutants.index)
 
 
 def copy_tree(dest: Path) -> None:
@@ -396,9 +474,9 @@ def shard(spec: str) -> tuple[int, int]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Run every mutant against its named tests.")
-    ap.add_argument("--shard", type=shard, default=(1, 1), metavar="i/k", help="run the i-th of k interleaved parts")
+    ap.add_argument("--shard", type=shard, default=(1, 1), metavar="i/k", help="run the i-th of k cost-balanced parts")
     i, k = ap.parse_args(argv).shard
-    mutants = MUTANTS[i - 1 :: k]
+    mutants = shard_of(MUTANTS, i, k)
     with tempfile.TemporaryDirectory(prefix="nsq-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
@@ -410,10 +488,11 @@ def main(argv: list[str] | None = None) -> int:
         failed = []
         for j, m in enumerate(mutants):
             work = Path(tmp) / f"mutant{j}"
+            start = time.monotonic()
             copy_tree(work)
             verdict, detail = judge(work, m)
             shutil.rmtree(work)
-            print(f"{verdict:<9} {m.name}")
+            print(f"{verdict:<9} {m.name} ({time.monotonic() - start:.1f} s)", flush=True)
             if verdict != "killed":
                 failed.append(m.name)
                 if detail:
