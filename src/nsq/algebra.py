@@ -45,7 +45,7 @@ memoized map itself as its only grade, uncopied; any other observable
 builds its own scaled sum.  The cached component maps and their
 polynomials are shared by every caller: read them, never mutate them.
 The checked bracket does not read this memo: it builds its integer
-tables straight from the generators (see :mod:`nsq.poisson`).
+tables straight from the generators (see :mod:`nsq.forms`).
 
 The Observable constructor checks and sorts each generator monomial once
 per (mono, n) through :func:`_sorted_monomial`, bounded at 1024 entries,

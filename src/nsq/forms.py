@@ -19,16 +19,8 @@ representative is the factor rule: for u_1 sym ... sym u_r,
 
 with X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k), X_rhat(k) = 0.
 
-*The packed layout.*  This module owns the packed monomials that the forms
-layer and the checked bracket (:mod:`nsq.poisson`) run on: at dimension n
-one int holds a field of ``FIELD_BITS`` bits per variable, q^1..q^n and
-then pi^a_b row by row (:func:`packed_units`; the packed exponent vectors
-of Monagan and Pearce, CASC 2007, and of FLINT's ``fmpz_mpoly``), one
-layout for the full bundle and every slice.  Formal symbols (IHBAR, A_i),
-and any variable outside the frame bundle that a field's coefficients
-hold, get the fields above those n + n^2 from one append-only registry, in
-the order first met.  A product of monomials is the sum of their ints, so
-long as no power passes ``POWER_BOUND``.
+The forms layer and the checked bracket (:mod:`nsq.poisson`) run on the
+packed monomials of :mod:`nsq.packed`, which owns the layout.
 
 *The tables*, built straight from the generators in ints and memoized on
 (mono, n, slot), shared read-only: N_r (:func:`_packed_numerators`, 512
@@ -44,20 +36,16 @@ the benchmark's ``laws-mixed-n3`` workload, where 512 entries hit 86% of
 lookups and 1,024, which holds all 934 keys met there, ran no faster and
 took more memory.
 
-*A field's canonical form.*  A :class:`HamVF` holds (variable, grade I,
-packed key) -> nonzero int, the d/d(variable) coefficient of grade I, over
-one positive denominator reduced by the gcd, so equal fields have equal
-forms.  ``terms``, the view I -> :class:`VectorField`, is unpacked the first
-time it is read; the constructor packs a view once.  :func:`ham_vf` reads
-the field tables: one monomial with coefficient 1 shares its table as is,
-anything else scales the numerators.  ``+``, ``-``, :meth:`HamVF.scale`,
-``==``, ``is_zero`` and :func:`vf_bracket` (the split-pair weight times the
-packed Lie bracket, d/d(var) read from var's field) run on the forms.  A
-form records the largest power a field could hold; past ``POWER_BOUND`` it
-is refused with EngineError before any work.  One integer sweep,
-:func:`_contraction_sums`, serves :func:`structure_eq_check` (against the
-differential of f's components, from :func:`_packed_numerators` times f's
-coefficients), its zero branch, :func:`gauge_condition_holds`,
+*A field's canonical form.*  A :class:`HamVF` is a
+:class:`~nsq.packed.PackedLinComb` over (variable, grade I, packed key),
+the d/d(variable) coefficient of grade I, whose view maps I to a
+:class:`VectorField`.  :func:`ham_vf` reads the field tables: one monomial
+with coefficient 1 shares its table as is, anything else scales the
+numerators.  :func:`vf_bracket` (the split-pair weight times the packed Lie
+bracket, d/d(var) read from var's field) runs on the forms.  One integer
+sweep, :func:`_contraction_sums`, serves :func:`structure_eq_check`
+(against the differential of f's components, from :func:`_packed_numerators`
+times f's coefficients), its zero branch, :func:`gauge_condition_holds`,
 :func:`make_valid_gauge` and :func:`lie_preserves_form`.
 """
 
@@ -79,85 +67,24 @@ from .algebra import (
     all_multi_indices,
     split_count,
 )
-from .errors import EngineError, GaugeConditionError, RankMismatch
-from .polynomials import ZERO_POLY, Monomial, Poly, Var, default_var_name, pivar, qvar
-from .scalars import LinComb, Scalar, _coerce, accumulate
-
-POWER_BOUND = 255  # the largest power a packed field holds
-FIELD_BITS = POWER_BOUND.bit_length()
-_FIELD_MASK = (1 << FIELD_BITS) - 1
-
-
-# -- the packed layout -----------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def packed_units(n: int) -> dict[Var, int]:
-    """var -> the packed monomial of var^1, over the frame-bundle variables at dimension n.
-
-    Memoized and shared: read it, never mutate it.
-    """
-    variables = [qvar(i) for i in range(1, n + 1)]
-    variables += [pivar(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    return {v: 1 << (FIELD_BITS * k) for k, v in enumerate(variables)}
+from .errors import GaugeConditionError, RankMismatch
+from .packed import (
+    _FIELD_MASK,
+    _UNIT_NUMERATORS,
+    POWER_BOUND,
+    PackedLinComb,
+    _normal,
+    _scalar_numerators,
+    pack_term,
+    packed_units,
+    unpack_term,
+    variable_units,
+)
+from .polynomials import ZERO_POLY, Poly, Var, default_var_name, pivar, qvar
+from .scalars import LinComb, Scalar, accumulate
 
 
-_EXTRA: list = []  # registry index -> ("sym", symbol name) or ("var", variable)
-_EXTRA_INDEX: dict = {}  # the inverse of _EXTRA
-
-
-def _extra_unit(kind: str, name, n: int) -> int:
-    """The unit at dimension n of a symbol or a non-frame-bundle variable, handing out the next field on first use."""
-    k = _EXTRA_INDEX.get((kind, name))
-    if k is None:
-        k = _EXTRA_INDEX[(kind, name)] = len(_EXTRA)
-        _EXTRA.append((kind, name))
-    return 1 << (FIELD_BITS * (n + n * n + k))
-
-
-def pack_monomial(mono: Monomial, units: Mapping[Var, int]) -> int:
-    """The packed form, over ``packed_units(n)``, of a monomial whose powers are at most POWER_BOUND."""
-    key = 0
-    for v, pw in mono:
-        key += pw * units[v]
-    return key
-
-
-def unpack_monomial(key: int, n: int) -> Monomial:
-    """The sorted (variable, power) monomial of the frame-bundle fields of a packed one."""
-    powers = ((v, (key // unit) & _FIELD_MASK) for v, unit in packed_units(n).items())
-    return tuple(sorted((v, pw) for v, pw in powers if pw))
-
-
-def unpack_numerators(num: Mapping[int, int], n: int) -> dict[Monomial, int]:
-    return {unpack_monomial(key, n): c for key, c in num.items()}
-
-
-def _pack_term(mono: Monomial, sym: tuple, n: int) -> tuple[int, int]:
-    """(key, largest power) of a variable monomial times a symbol monomial."""
-    units = packed_units(n)
-    key = top = 0
-    for v, pw in mono:
-        unit = units.get(v)
-        key += pw * (_extra_unit("var", v, n) if unit is None else unit)
-        top = max(top, pw)
-    for name, pw in sym:
-        key += pw * _extra_unit("sym", name, n)
-        top = max(top, pw)
-    return key, top
-
-
-def _unpack_term(key: int, n: int) -> tuple[Monomial, tuple]:
-    """(variable monomial, symbol monomial) of a packed key."""
-    mono, sym = list(unpack_monomial(key, n)), []
-    key >>= FIELD_BITS * (n + n * n)
-    for kind, name in _EXTRA:
-        if not key:
-            break
-        if key & _FIELD_MASK:
-            (mono if kind == "var" else sym).append((name, key & _FIELD_MASK))
-        key >>= FIELD_BITS
-    return tuple(sorted(mono)), tuple(sorted(sym))
+# -- the integer tables ----------------------------------------------------------
 
 
 def _partials(entries: dict, n: int):
@@ -169,42 +96,13 @@ def _partials(entries: dict, n: int):
     seen = 0
     for key in entries:
         seen |= key[-1]
-    units = list(packed_units(n).items())
-    units += [(name, _extra_unit(kind, name, n)) for kind, name in _EXTRA if kind == "var"]
-    for v, unit in units:
+    for v, unit in variable_units(n):
         if seen & unit * _FIELD_MASK:
             shift = unit.bit_length() - 1
             for key, c in entries.items():
                 pw = key[-1] >> shift & _FIELD_MASK
                 if pw:
                     yield v, key[:-1], key[-1] - unit, pw * c
-
-
-def _checked(top: int) -> int:
-    """top, when a packed field holds it; else EngineError."""
-    if top > POWER_BOUND:
-        raise EngineError(f"a field power could reach {top}, past the {POWER_BOUND} that a packed field holds")
-    return top
-
-
-_ONE_TERMS = {(): 1}  # the terms of the Scalar 1
-_UNIT_NUMERATORS = ({0: 1}, 1, 0)  # _scalar_numerators of 1
-
-
-def _scalar_numerators(c: Scalar, n: int) -> tuple[dict, int, int]:
-    """(packed symbol monomial -> numerator, denominator, largest symbol power) of a nonzero Scalar."""
-    if c.terms == _ONE_TERMS:
-        return _UNIT_NUMERATORS
-    den = lcm(*(v.denominator for v in c.terms.values()))
-    nums, top = {}, 0
-    for sym, v in c.terms.items():
-        key, pw = _pack_term((), sym, n)
-        nums[key] = v.numerator * (den // v.denominator)
-        top = max(top, pw)
-    return nums, den, top
-
-
-# -- the integer tables ----------------------------------------------------------
 
 
 _EMPTY_REST = {(): {0: 1}}  # the components of the empty product, over 0! = 1
@@ -314,20 +212,18 @@ def _monomial_field_table(mono: GenMonomial, n: int, slot: int | None) -> tuple[
     return _normal(table, factorial(len(mono)) * factorial(len(mono) - 1))
 
 
-def _normal(acc: dict, den: int) -> tuple[dict, int]:
-    """The canonical form of (var, I, key) -> int over den: zeros dropped, reduced by the gcd."""
-    nums = {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
-    g = gcd(den, *nums.values()) if den != 1 else 1
-    if g != 1:
-        return {key: c // g for key, c in nums.items()}, den // g
-    return nums, den
+def _nonzero(graded: dict) -> dict:
+    """Drop zero coefficients, then empty components, from K -> {key: int}.
 
-
-def _add_into(acc: dict, nums: dict, factor: int, shift: int = 0) -> None:
-    """acc += factor * nums, every packed key moved by shift."""
-    for (var, I, k), c in nums.items():
-        key = (var, I, k + shift)
-        acc[key] = acc.get(key, 0) + c * factor
+    Most components have no zero sum, so only those that do are rebuilt.
+    """
+    out = {}
+    for K, acc in graded.items():
+        if 0 in acc.values():
+            acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            out[K] = acc
+    return out
 
 
 # -- fields and forms ----------------------------------------------------------------
@@ -436,113 +332,54 @@ def soldering_dtheta(n: int, slot: int | None = None) -> Mapping[int, TwoForm]:
     })
 
 
-class HamVF(LinComb):
+class HamVF(PackedLinComb):
     """Graded tensor-valued vector field: one representative of a class.
 
     The form is (variable, grade I, packed key) -> nonzero int over one
-    denominator (see the module docstring); ``terms`` is the view that maps
-    a canonical multi-index of rank p-1 to a VectorField.  Equality is
+    denominator (see :mod:`nsq.packed`); ``terms`` is the view that maps a
+    canonical multi-index of rank p-1 to a VectorField.  Equality is
     structural on the integer form.
     """
 
-    __slots__ = ("n", "_nums", "_den", "_top", "_view")
-    _space = ("n",)
+    __slots__ = ()
+    _power = "a field"
 
     def __init__(self, n: int, grades: Mapping[MultiIndex, VectorField] | None = None):
-        view = {I: vf for I, vf in (grades or {}).items() if vf}
-        terms = [
-            (var, I, mono, sym, c)
-            for I, vf in view.items()
-            for var, poly in vf.terms.items()
-            for mono, s in poly.terms.items()
-            for sym, c in s.terms.items()
-        ]
-        # the lcm of the denominators shares no prime with every numerator
-        den = lcm(*(term[-1].denominator for term in terms))
-        nums, top = {}, 0
-        for var, I, mono, sym, c in terms:
-            key, pw = _pack_term(mono, sym, n)
-            nums[var, I, key] = c.numerator * (den // c.denominator)
-            top = max(top, pw)
-        self.n, self._nums, self._den, self._top, self._view = n, nums, den, _checked(top), view
+        super().__init__(n, {I: vf for I, vf in (grades or {}).items() if vf})
 
     @staticmethod
-    def _of(n: int, nums: dict, den: int, top: int) -> "HamVF":
-        """The field of a canonical integer form (trusted)."""
-        out = object.__new__(HamVF)
-        out.n, out._nums, out._den, out._top, out._view = n, nums, den, _checked(top), None
-        return out
+    def _packed_view(n: int, view: dict) -> tuple[list, int]:
+        terms, top = [], 0
+        for I, vf in view.items():
+            for var, poly in vf.terms.items():
+                for mono, s in poly.terms.items():
+                    for sym, c in s.terms.items():
+                        key, pw = pack_term(mono, sym, n)
+                        terms.append(((var, I, key), c))
+                        top = max(top, pw)
+        return terms, top
 
-    def _like(self, terms: dict) -> "HamVF":
-        """The field of a view in the same space as self."""
-        return HamVF(self.n, terms)
-
-    @property
-    def terms(self) -> dict:
-        if self._view is None:
-            grades: dict = {}
-            for (var, I, key), c in self._nums.items():
-                mono, sym = _unpack_term(key, self.n)
-                grades.setdefault(I, {}).setdefault(var, {}).setdefault(mono, {})[sym] = Fraction(c, self._den)
-            self._view = {
-                I: VectorField()._like({var: Poly({m: Scalar(s) for m, s in poly.items()}) for var, poly in fields.items()})
-                for I, fields in grades.items()
-            }
-        return self._view
+    def _unpacked(self) -> dict:
+        grades: dict = {}
+        for (var, I, key), c in self._nums.items():
+            mono, sym, _ = unpack_term(key, self.n)
+            grades.setdefault(I, {}).setdefault(var, {}).setdefault(mono, {})[sym] = Fraction(c, self._den)
+        return {
+            I: VectorField()._like({var: Poly({m: Scalar(s) for m, s in poly.items()}) for var, poly in fields.items()})
+            for I, fields in grades.items()
+        }
 
     @staticmethod
-    def zero(n: int) -> "HamVF":
-        return HamVF._of(n, {}, 1, 0)
+    def _add_into(acc: dict, nums: dict, factor: int, shift: int = 0) -> None:
+        for (var, I, k), c in nums.items():
+            key = (var, I, k + shift)
+            acc[key] = acc.get(key, 0) + c * factor
 
     def grade_ranks(self) -> list[int]:
         return sorted({len(I) for _, I, _ in self._nums})
 
     def field(self, idx: MultiIndex) -> VectorField:
         return self.terms.get(tuple(sorted(idx)), VectorField.zero())
-
-    # -- the linear structure, on the integer form ----------------------------
-
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not HamVF:
-            return NotImplemented
-        return self.n == other.n and self._den == other._den and self._nums == other._nums
-
-    __hash__ = LinComb.__hash__
-
-    def __add__(self, other: "HamVF") -> "HamVF":
-        """self + other over the lcm of the denominators."""
-        self._require_same(other)
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        den = lcm(self._den, other._den)
-        acc: dict = {}
-        _add_into(acc, self._nums, den // self._den)
-        _add_into(acc, other._nums, den // other._den)
-        return HamVF._of(self.n, *_normal(acc, den), max(self._top, other._top))
-
-    def __neg__(self) -> "HamVF":
-        return HamVF._of(self.n, {key: -c for key, c in self._nums.items()}, self._den, self._top)
-
-    def scale(self, c) -> "HamVF":
-        """c * self for a Scalar, int or Fraction c."""
-        c = _coerce(c)
-        if not c or not self._nums:
-            return HamVF.zero(self.n)
-        cnums, cden, ctop = _scalar_numerators(c, self.n)
-        if cnums is _UNIT_NUMERATORS[0]:
-            return self
-        acc: dict = {}
-        for shift, factor in cnums.items():
-            _add_into(acc, self._nums, factor, shift)
-        return HamVF._of(self.n, *_normal(acc, self._den * cden), self._top + ctop)
 
     def __repr__(self):
         if not self.terms:
@@ -565,9 +402,9 @@ def ham_vf(f: Observable) -> HamVF:
     n, slot = f.n, f.slot
     parts, top = [], 0
     for mono, coeff in f.terms.items():
-        top = _checked(max(top, len(mono) - 1))
+        top = HamVF._checked(max(top, len(mono) - 1))
         cnums, cden, ctop = _scalar_numerators(coeff, n)
-        top = _checked(max(top, ctop))
+        top = HamVF._checked(max(top, ctop))
         nums, den = _monomial_field_table(mono, n, slot)
         parts.append((nums, den * cden, cnums))
     if len(parts) == 1 and parts[0][2] is _UNIT_NUMERATORS[0]:
@@ -576,7 +413,7 @@ def ham_vf(f: Observable) -> HamVF:
     acc: dict = {}
     for nums, d, cnums in parts:
         for shift, c in cnums.items():
-            _add_into(acc, nums, c * (den // d), shift)
+            HamVF._add_into(acc, nums, c * (den // d), shift)
     return HamVF._of(n, *_normal(acc, den), top)
 
 
@@ -629,7 +466,7 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     n = x.n
     if not x._nums or not y._nums:
         return HamVF.zero(n)
-    top = _checked(x._top + y._top)
+    top = HamVF._checked(x._top + y._top)
     scale = lcm(*(comb(a + b, a) for a in x.grade_ranks() for b in y.grade_ranks()))
     acc: dict = {}
     _lie_into(acc, x._nums, _field_partials(y._nums, n), scale, 1, True)
@@ -686,9 +523,9 @@ def _observable_numerators(f: Observable) -> tuple[dict[int, dict], int]:
     n, slot = f.n, f.slot
     parts, den = [], 1
     for mono, coeff in f.terms.items():
-        _checked(len(mono))
+        HamVF._checked(len(mono))
         cnums, cden, ctop = _scalar_numerators(coeff, n)
-        _checked(ctop)
+        HamVF._checked(ctop)
         d = factorial(len(mono)) * cden
         den = lcm(den, d)
         parts.append((mono, cnums, d))
@@ -701,13 +538,7 @@ def _observable_numerators(f: Observable) -> tuple[dict[int, dict], int]:
                 for k, v in num.items():
                     key = (K, k + shift)
                     grade[key] = grade.get(key, 0) + w * v
-    comps = {}
-    for rank, grade in out.items():
-        if 0 in grade.values():
-            grade = {key: c for key, c in grade.items() if c}
-        if grade:
-            comps[rank] = grade
-    return comps, den
+    return _nonzero(out), den
 
 
 def _observable_rank(f: Observable) -> int:
@@ -793,7 +624,7 @@ def make_valid_gauge(u: HamVF) -> HamVF:
     sums = _contraction_sums(u)
     scale = lcm(*(len(K) for K, _, _ in sums))
     acc: dict = {}
-    _add_into(acc, u._nums, scale)
+    HamVF._add_into(acc, u._nums, scale)
     for (K, (_, b), k), c in sums.items():
         c *= -(scale // len(K))
         for a in set(K):

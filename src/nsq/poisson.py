@@ -19,9 +19,9 @@ coefficient 1, by two independent routes:
    symmetric product with {qhat(i,j), pihat(k)} = delta(i,k) rhat(j) the
    only nonzero generator pair.
 
-Both routes run in integer arithmetic on the packed monomials and the
-integer tables of :mod:`nsq.forms`, which owns the layout and the tables;
-this module keeps the two routes.  For a (p, q) pair route 1 is
+Both routes run in integer arithmetic on the packed monomials of
+:mod:`nsq.packed` and the integer tables of :mod:`nsq.forms`; this module
+keeps the two routes.  For a (p, q) pair route 1 is
 
     -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
 
@@ -64,9 +64,9 @@ from math import factorial
 from .algebra import GenMonomial, MultiIndex, Observable, in_b1_algebra, rtag, split_count
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
-    POWER_BOUND,
     _monomial_field_table,
     _monomial_partials,
+    _nonzero,
     _observable_rank,
     _packed_numerators,
     add_gauge,
@@ -74,9 +74,9 @@ from .forms import (
     random_valid_gauge,
     require_gauge,
     structure_eq_check,
-    unpack_numerators,
     vf_bracket,
 )
+from .packed import POWER_BOUND, unpack_numerators
 from .polynomials import Poly
 from .scalars import ONE, Scalar, accumulate
 
@@ -127,20 +127,6 @@ def _route2_numerators(hits: dict, n: int, slot: int | None) -> dict:
                 for m, v in num.items():
                     acc[m] = acc.get(m, 0) + c * v
     return _nonzero(out)
-
-
-def _nonzero(graded: dict) -> dict:
-    """Drop zero coefficients, then empty components, from K -> {monomial: int}.
-
-    Most components have no zero sum, so only those that do are rebuilt.
-    """
-    out = {}
-    for K, acc in graded.items():
-        if 0 in acc.values():
-            acc = {m: c for m, c in acc.items() if c}
-        if acc:
-            out[K] = acc
-    return out
 
 
 def _pair_bracket_tag(s, t):

@@ -9,32 +9,15 @@ and commute with everything).  The combination i*hbar is carried as the
 single formal symbol IHBAR so that all identities stay in exact rational
 arithmetic; its formal adjoint is -IHBAR.
 
-*The canonical form.*  A :class:`DiffOperator` holds integer numerators
-over one positive denominator, in the layout of FLINT's ``fmpq_poly``:
-a map from packed keys to nonzero ints, over a denominator that shares no
-factor with all the numerators at once, so that equal operators have
-equal forms.  A packed key is one int holding a field of ``FIELD_BITS``
-bits per variable (the packed exponent vectors of Monagan and Pearce,
-CASC 2007, and of FLINT's ``fmpz_mpoly``, as in :mod:`nsq.poisson`): the
-derivative degree along each q^i, the power of each coefficient variable
-(q^i, P_k or any other) and the power of each symbol (IHBAR, A_i or any
-other).  Fields are handed out by one append-only, process-wide registry
-the first time a variable or symbol is met, so every input is accepted and
-a key is the same int in every operator of the process.  The product of
-two coefficient or symbol monomials, and the shift of a derivative
-degree, is then one int add.  Each form also records the largest power
-any field could hold, and a composition, sum or scaling whose result
-could pass ``POWER_BOUND`` is refused with EngineError before any work,
-so that no field carries.
-
-*The view.*  ``terms`` maps each derivative multi-degree to its
-coefficient :class:`~nsq.polynomials.Poly` of Scalars, as the rest of the
-engine reads operators.  An operator built from such a map (the
-constructor) packs it once; an operator built by the kernel holds only its
-integer form and unpacks the view the first time ``terms`` is read.
-``+``, ``-``, :meth:`DiffOperator.scale`, ``==`` and ``is_zero`` work on
-the integer forms.  Both are shared once built: read them, never mutate
-them.
+*The canonical form.*  A :class:`DiffOperator` is a
+:class:`~nsq.packed.PackedLinComb` whose keys are whole packed ints, in the
+layout of :mod:`nsq.packed`: the derivative degree along each q^i, the
+power of each coefficient variable (q^i, P_k or any other) and the power
+of each symbol (IHBAR, A_i or any other).  Its view, ``terms``, maps each
+derivative multi-degree to its coefficient :class:`~nsq.polynomials.Poly`
+of Scalars, as the rest of the engine reads operators.  A composition whose
+result could pass ``POWER_BOUND`` is refused with EngineError before any
+work.
 
 *Composition.*  A term c1 d^alpha o c2 d^beta expands by the Leibniz rule
 into sum_gamma w * c1 (d^gamma c2) d^(alpha-gamma+beta), where the integer
@@ -79,47 +62,25 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import comb, perm
 from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import Observable, basic_tags, check_index, in_b1_algebra
 from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
 from .linalg import exact_rank
+from .packed import _FIELD_MASK, PackedLinComb, _normal, field_unit, pack_term, unpack_term
 from .poisson import bracket
-from .polynomials import Monomial, Poly, Var, pivar, qvar
-from .scalars import IHBAR, LinComb, Scalar, _coerce, signed_sum, signed_term
+from .polynomials import Poly, Var, pivar, qvar
+from .scalars import IHBAR, Scalar, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
-
-POWER_BOUND = 255  # the largest power a packed field holds
-FIELD_BITS = POWER_BOUND.bit_length()
-_FIELD_MASK = (1 << FIELD_BITS) - 1
-
-# -- the packed layout -----------------------------------------------------------
-
-_FIELDS: list = []  # field index -> (kind, name); kind "d" (name i), "var" or "sym"
-_UNITS: dict = {}  # (kind, name) -> the packed key of that field's power 1
-_ONE_TERMS = {(): 1}  # the terms of the Scalar 1
-
-
-def _field_unit(kind: str, name) -> int:
-    """The key of power 1 in the field of (kind, name), handing out the next field on first use."""
-    key = (kind, name)
-    unit = _UNITS.get(key)
-    if unit is None:
-        unit = _UNITS[key] = 1 << (FIELD_BITS * len(_FIELDS))
-        _FIELDS.append(key)
-    return unit
-
-
-IHBAR_UNIT = _field_unit("sym", IHBAR)
 
 
 @lru_cache(maxsize=16)
 def _layout(n: int) -> tuple[tuple, int, int]:
     """((d/dq^i unit, q^i unit) for i = 1..n, the derivative fields' mask, the q fields' mask)."""
-    units = tuple((_field_unit("d", i), _field_unit("var", qvar(i))) for i in range(1, n + 1))
+    units = tuple((field_unit("d", i, n), field_unit("var", qvar(i), n)) for i in range(1, n + 1))
     return (
         units,
         sum(du * _FIELD_MASK for du, _ in units),
@@ -127,70 +88,20 @@ def _layout(n: int) -> tuple[tuple, int, int]:
     )
 
 
-def _pack(kind: str, mono: tuple) -> tuple[int, int]:
-    """(key, largest power) of a sorted (name, power) monomial of variables or symbols."""
-    key = top = 0
-    for name, pw in mono:
-        key += _field_unit(kind, name) * pw
-        top = max(top, pw)
-    return key, top
-
-
-def _unpack(key: int, n: int) -> tuple[DerivDegree, Monomial, tuple]:
-    """(derivative degree, coefficient monomial, symbol monomial) of a packed key."""
-    alpha = [0] * n
-    mono, sym = [], []
-    for kind, name in _FIELDS:
-        if not key:
-            break
-        pw = key & _FIELD_MASK
-        if pw:
-            if kind == "d":
-                alpha[name - 1] = pw
-            elif kind == "var":
-                mono.append((name, pw))
-            else:
-                sym.append((name, pw))
-        key >>= FIELD_BITS
-    return tuple(alpha), tuple(sorted(mono)), tuple(sorted(sym))
-
-
-def _checked(top: int) -> int:
-    """top, when a packed field holds it; else EngineError."""
-    if top > POWER_BOUND:
-        raise EngineError(
-            f"an operator power could reach {top}, past the {POWER_BOUND} that a packed field holds"
-        )
-    return top
-
-
-def _scalar_numerators(c: Scalar) -> tuple[dict, int, int]:
-    """(packed symbol monomial -> numerator, denominator, largest symbol power) of a nonzero Scalar."""
-    den = 1
-    for v in c.terms.values():
-        den = lcm(den, v.denominator)
-    nums, top = {}, 0
-    for sym, v in c.terms.items():
-        key, pw = _pack("sym", sym)
-        nums[key] = v.numerator * (den // v.denominator)
-        top = max(top, pw)
-    return nums, den, top
-
-
 # -- operators ---------------------------------------------------------------------
 
 
-class DiffOperator(LinComb):
+class DiffOperator(PackedLinComb):
     """Differential operator in canonical form: coefficients left, derivatives right.
 
     The form is packed key -> nonzero int numerator over one denominator
-    (see the module docstring); ``terms`` is the view that maps a
-    derivative multi-degree over q^1..q^n to its coefficient polynomial.
-    Equality is structural on the integer form.
+    (see :mod:`nsq.packed`); ``terms`` is the view that maps a derivative
+    multi-degree over q^1..q^n to its coefficient polynomial.  Equality is
+    structural on the integer form.
     """
 
-    __slots__ = ("n", "_nums", "_den", "_top", "_view")
-    _space = ("n",)
+    __slots__ = ()
+    _power = "an operator"
 
     def __init__(self, n: int, terms: Mapping[DerivDegree, Poly] | None = None):
         view: dict = {}
@@ -201,35 +112,42 @@ class DiffOperator(LinComb):
                 raise EngineError(f"derivative degree {alpha!r} must hold natural numbers")
             if poly:
                 view[alpha] = poly
-        self._set(n, *_flatten(n, view))
-        self._view = view
-
-    def _set(self, n: int, nums: dict, den: int, top: int) -> None:
-        self.n, self._nums, self._den, self._top = n, nums, den, top
-        self._view = None
+        super().__init__(n, view)
 
     @staticmethod
-    def _of(n: int, nums: dict, den: int, top: int) -> "DiffOperator":
-        """The operator of a canonical integer form (trusted)."""
-        out = object.__new__(DiffOperator)
-        out._set(n, nums, den, top)
-        return out
+    def _packed_view(n: int, view: dict) -> tuple[list, int]:
+        units = _layout(n)[0]
+        terms, top = [], 0
+        for alpha, poly in view.items():
+            key_alpha = 0
+            for (du, _), d in zip(units, alpha):
+                key_alpha += du * d
+                top = max(top, d)
+            for mono, s in poly.terms.items():
+                for sym, c in s.terms.items():
+                    key, pw = pack_term(mono, sym, n)
+                    terms.append((key_alpha + key, c))
+                    top = max(top, pw)
+        return terms, top
 
-    def _like(self, terms: dict) -> "DiffOperator":
-        """The operator of a view in the same space as self."""
-        return DiffOperator(self.n, terms)
+    def _unpacked(self) -> dict:
+        """The derivative degree -> coefficient Poly map of the integer form."""
+        terms: dict = {}
+        for key, num in self._nums.items():
+            mono, sym, derivs = unpack_term(key, self.n)
+            alpha = [0] * self.n
+            for i, d in derivs:
+                alpha[i - 1] = d
+            terms.setdefault(tuple(alpha), {}).setdefault(mono, {})[sym] = Fraction(num, self._den)
+        return {alpha: Poly({mono: Scalar(c) for mono, c in poly.items()}) for alpha, poly in terms.items()}
 
-    @property
-    def terms(self) -> dict:
-        if self._view is None:
-            self._view = _view_of(self.n, self._nums, self._den)
-        return self._view
+    @staticmethod
+    def _add_into(acc: dict, nums: dict, factor: int, shift: int = 0) -> None:
+        for k, v in nums.items():
+            k += shift
+            acc[k] = acc.get(k, 0) + v * factor
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(n: int) -> "DiffOperator":
-        return DiffOperator._of(n, {}, 1, 0)
 
     @staticmethod
     def identity(n: int) -> "DiffOperator":
@@ -246,118 +164,21 @@ class DiffOperator(LinComb):
         c = Poly.constant(coeff if coeff is not None else 1)
         return DiffOperator(n, {alpha: c})
 
-    # -- the linear structure, on the integer form ----------------------------
-
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not DiffOperator:
-            return NotImplemented
-        return self.n == other.n and self._den == other._den and self._nums == other._nums
-
-    def __hash__(self):
-        return hash((self.n, self._den, frozenset(self._nums.items())))
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        """self + other over the lcm of the denominators."""
-        self._require_same(other)
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        den = lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        nums = {k: v * fa for k, v in self._nums.items()}
-        for k, v in other._nums.items():
-            nums[k] = nums.get(k, 0) + v * fb
-        return _from_numerators(self.n, nums, den, max(self._top, other._top))
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator._of(self.n, {k: -v for k, v in self._nums.items()}, self._den, self._top)
-
-    def scale(self, c) -> "DiffOperator":
-        """c * self for a Scalar, int or Fraction c."""
-        c = _coerce(c)
-        if not c or not self._nums:
-            return DiffOperator.zero(self.n)
-        if c.terms == _ONE_TERMS:
-            return self
-        cnums, cden, ctop = _scalar_numerators(c)
-        top = _checked(self._top + ctop)
-        nums: dict = {}
-        for shift, factor in cnums.items():
-            for k, v in self._nums.items():
-                nums[k + shift] = nums.get(k + shift, 0) + v * factor
-        return _from_numerators(self.n, nums, self._den * cden, top)
-
     # -- symbol bookkeeping ----------------------------------------------------
 
     def divide_by_ihbar(self) -> "DiffOperator":
         """Exact division by the IHBAR symbol; raises if not divisible."""
-        field_mask = IHBAR_UNIT * _FIELD_MASK
-        if not all(k & field_mask for k in self._nums):
+        unit = field_unit("sym", IHBAR, self.n)
+        if not all(k & unit * _FIELD_MASK for k in self._nums):
             raise ValueError(f"operator {self} is not divisible by {IHBAR}")
-        return DiffOperator._of(self.n, {k - IHBAR_UNIT: v for k, v in self._nums.items()}, self._den, self._top)
+        return DiffOperator._of(self.n, {k - unit: v for k, v in self._nums.items()}, self._den, self._top)
 
     def ihbar_degree(self) -> int:
-        return max(((k // IHBAR_UNIT) & _FIELD_MASK for k in self._nums), default=0)
+        unit = field_unit("sym", IHBAR, self.n)
+        return max(((k // unit) & _FIELD_MASK for k in self._nums), default=0)
 
     def __repr__(self):
         return format_operator(self)
-
-
-def _flatten(n: int, view: Mapping[DerivDegree, Poly]) -> tuple[dict, int, int]:
-    """The canonical integer form (numerators, denominator, largest power) of a view.
-
-    The denominator is the lcm of every coefficient's denominator, so no
-    prime divides it and every numerator.
-    """
-    den = 1
-    for poly in view.values():
-        for s in poly.terms.values():
-            for c in s.terms.values():
-                den = lcm(den, c.denominator)
-    units = _layout(n)[0]
-    nums, top = {}, 0
-    for alpha, poly in view.items():
-        key_alpha = 0
-        for (du, _), d in zip(units, alpha):
-            key_alpha += du * d
-            top = max(top, d)
-        for mono, s in poly.terms.items():
-            key_mono, pw = _pack("var", mono)
-            top = max(top, pw)
-            for sym, c in s.terms.items():
-                key_sym, pw = _pack("sym", sym)
-                top = max(top, pw)
-                nums[key_alpha + key_mono + key_sym] = c.numerator * (den // c.denominator)
-    return nums, den, _checked(top)
-
-
-def _view_of(n: int, nums: Mapping[int, int], den: int) -> dict:
-    """The derivative degree -> coefficient Poly map of an integer form."""
-    terms: dict = {}
-    for key, num in nums.items():
-        alpha, mono, sym = _unpack(key, n)
-        terms.setdefault(alpha, {}).setdefault(mono, {})[sym] = Fraction(num, den)
-    return {alpha: Poly({mono: Scalar(c) for mono, c in poly.items()}) for alpha, poly in terms.items()}
-
-
-def _from_numerators(n: int, acc: dict, den: int, top: int) -> DiffOperator:
-    """The operator sum of num/den over acc's packed keys, zeros dropped and reduced by the gcd."""
-    nums = {k: v for k, v in acc.items() if v}
-    if not nums:
-        return DiffOperator.zero(n)
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {k: v // g for k, v in nums.items()}
-    return DiffOperator._of(n, nums, den, _checked(top))
 
 
 def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -370,10 +191,10 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     a._require_same(b)
     if not a._nums or not b._nums:
         return DiffOperator.zero(a.n)
-    top = _checked(a._top + b._top)
+    top = DiffOperator._checked(a._top + b._top)
     acc: dict = {}
     _compose_into(acc, a, b, 1)
-    return _from_numerators(a.n, acc, a._den * b._den, top)
+    return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -381,11 +202,11 @@ def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     a._require_same(b)
     if not a._nums or not b._nums:
         return DiffOperator.zero(a.n)
-    top = _checked(a._top + b._top)
+    top = DiffOperator._checked(a._top + b._top)
     acc: dict = {}
     _compose_into(acc, a, b, 1)
     _compose_into(acc, b, a, -1)
-    return _from_numerators(a.n, acc, a._den * b._den, top)
+    return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)
 
 
 @lru_cache(maxsize=4096)
@@ -553,8 +374,9 @@ def _dirac_residual(qmap, f, g, gauge_seed) -> DiffOperator | None:
     """
     lhs = commutator(quantize(qmap, f), quantize(qmap, g))
     image = quantize(qmap, bracket(f, g, gauge_seed=gauge_seed))
-    top = _checked(image._top + 1)
-    rhs = {k + IHBAR_UNIT: v for k, v in image._nums.items()}
+    top = DiffOperator._checked(image._top + 1)
+    unit = field_unit("sym", IHBAR, qmap.n)
+    rhs = {k + unit: v for k, v in image._nums.items()}
     if lhs._den == image._den and lhs._nums == rhs:
         return None
     return lhs - DiffOperator._of(qmap.n, rhs, image._den, top)

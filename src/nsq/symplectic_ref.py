@@ -15,7 +15,7 @@ ordering is computed twice, by two independent routes:
   W(q^m p^k) = sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
   (McCoy, PNAS 18 (1932) 674; Agarwal and Wolf, Phys. Rev. D 2 (1970)
   2161), and composes no operators.  It writes each term straight into
-  the operators' integer form (see :mod:`nsq.quantization`): one integer
+  the operators' integer form (see :mod:`nsq.packed`): one integer
   numerator on the packed key of IHBAR^k q^(m-j) d^(k-j), over 2 to the
   sum of the modes' min(m, k), with no Poly, Scalar or Fraction;
 * :func:`weyl_quantize_brute` averages over every distinct operator word,
@@ -38,7 +38,8 @@ from math import comb, factorial
 from .algebra import Observable, check_index, make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
 from .errors import EngineError
 from .polynomials import Poly, pvar, qvar
-from .quantization import IHBAR_UNIT, DiffOperator, _from_numerators, _layout, commutator, op_compose
+from .packed import _normal, field_unit
+from .quantization import DiffOperator, _layout, commutator, op_compose
 from .scalars import IHBAR, Scalar
 
 
@@ -108,13 +109,13 @@ def weyl_quantize(f: Poly, n: int) -> DiffOperator:
     its packed key, over 2 to the sum of the modes' min(m, k), and the
     monomial's operator is scaled by its coefficient; nothing is composed.
     """
-    units = _layout(n)[0]
+    units, ihbar = _layout(n)[0], field_unit("sym", IHBAR, n)
     out = DiffOperator.zero(n)
     for modes, coeff in _monomial_modes(f, n):
         momenta = sum(k for _, _, k in modes)
         nums = {}
         for choice in itertools.product(*(enumerate(_mode_terms(m, k)) for _, m, k in modes)):
-            key, num = momenta * IHBAR_UNIT, 1
+            key, num = momenta * ihbar, 1
             for (mode, m, k), (j, w) in zip(modes, choice):
                 du, qu = units[mode - 1]
                 key += (k - j) * du + (m - j) * qu
@@ -122,7 +123,7 @@ def weyl_quantize(f: Poly, n: int) -> DiffOperator:
             nums[key] = num
         den = 1 << sum(min(m, k) for _, m, k in modes)
         top = max([momenta] + [m for _, m, _ in modes])
-        out = out + _from_numerators(n, nums, den, top).scale(coeff)
+        out = out + DiffOperator._of(n, *_normal(nums, den), top).scale(coeff)
     return out
 
 

@@ -43,7 +43,6 @@ from nsq.algebra import (
 )
 from nsq.errors import EngineError
 from nsq.forms import (
-    POWER_BOUND,
     HamVF,
     OneForm,
     VectorField,
@@ -54,15 +53,12 @@ from nsq.forms import (
     _generator_direction,
     add_gauge,
     ham_vf,
-    pack_monomial,
-    packed_units,
     random_valid_gauge,
     soldering_dtheta,
     structure_eq_check,
-    unpack_monomial,
-    unpack_numerators,
     vf_bracket,
 )
+from nsq.packed import POWER_BOUND, pack_term, packed_units, unpack_monomial, unpack_numerators, unpack_term
 from nsq.poisson import _gauge_terms, _route1_numerators, bracket, theorem1_check, theorem1_constant
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.scalars import IHBAR, Scalar, accumulate, mul_into
@@ -674,21 +670,27 @@ def test_bracket_leaves_the_poly_memos_empty():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_monomials_round_trip_at_the_power_bound(n):
-    units = packed_units(n)
-    variables = sorted(units)
+    def pack(mono, sym=()):
+        return pack_term(mono, sym, n)[0]
+
+    variables = sorted(packed_units(n))
     assert len(variables) == n + n * n
     top = tuple((v, POWER_BOUND) for v in variables)
-    assert POWER_BOUND == 255 and unpack_monomial(pack_monomial(top, units), n) == top
+    assert POWER_BOUND == 255 and unpack_monomial(pack(top), n) == top
     for v in variables:
         for other in variables:
             if other != v:
                 mono = tuple(sorted([(v, POWER_BOUND), (other, 1)]))
-                assert unpack_monomial(pack_monomial(mono, units), n) == mono
+                assert unpack_monomial(pack(mono), n) == mono
     # a product is the sum of the packed monomials, up to the bound
     low = tuple((v, 1 + k % 7) for k, v in enumerate(variables))
     high = tuple((v, POWER_BOUND - 1 - k % 7) for k, v in enumerate(variables))
-    assert pack_monomial(low, units) + pack_monomial(high, units) == pack_monomial(top, units)
+    assert pack(low) + pack(high) == pack(top)
     assert unpack_monomial(0, n) == ()
+    # the registry's fields above the frame bundle's hold the bound too
+    outside = tuple(sorted([(qvar(n + 1), POWER_BOUND), (variables[-1], POWER_BOUND)]))
+    sym = (("A1", 1), (IHBAR, POWER_BOUND))
+    assert unpack_term(pack(outside, sym), n) == (outside, sym, ())
 
 
 def test_bracket_at_the_power_bound_and_one_past_it():

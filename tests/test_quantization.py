@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 
 from nsq.algebra import Observable, in_b1_algebra, make_pihat, make_qhat, make_rhat, pitag, qtag, rtag, sym_mul, sym_pow
 from nsq.errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
+from nsq.packed import POWER_BOUND, pack_term, unpack_term
 from nsq.quantization import (
-    POWER_BOUND,
     DiffOperator,
     QuantizationMap,
     _dirac_residual,
     _layout,
     _leibniz,
-    _pack,
-    _unpack,
     b1_monomials,
     commutator,
     dirac_check,
@@ -392,11 +390,12 @@ def test_leibniz_memo_matches_poly_diff():
             for y in inner:
                 alpha, mono = (x, y) if outer is degrees else (y, x)
                 alpha_key = sum(du * d for (du, _), d in zip(units, alpha))
-                mono_key = _pack("var", mono)[0]
+                mono_key = pack_term(mono, (), n)[0]
                 got = {}
                 for delta, weight in _leibniz(n, alpha_key, mono_key & q_mask):
-                    rest, lowered, sym = _unpack(alpha_key + mono_key - delta, n)
+                    lowered, sym, derivs = unpack_term(alpha_key + mono_key - delta, n)
                     assert sym == ()
+                    rest = tuple(dict(derivs).get(i, 0) for i in range(1, n + 1))
                     got[(rest, lowered)] = weight
                 assert got == ref_leibniz(alpha, mono)
 

@@ -320,9 +320,14 @@ def lincomb_classes(cls=LinComb):
         yield from lincomb_classes(sub)
 
 
-# the classes that declare the attributes fixing their space
-SPACED = sorted({c.__name__ for c in lincomb_classes() if c.__dict__.get("_space")})
+# every concrete class whose space is fixed by attributes, declared or inherited;
+# a class with subclasses of its own is a shared base, not a combination
+SPACED = sorted({c.__name__ for c in lincomb_classes() if c._space and not c.__subclasses__()})
 ELSEWHERE = {"n": 3, "slot": 1}
+
+
+def test_the_packed_forms_are_checked_across_spaces():
+    assert {"HamVF", "DiffOperator", "Observable"} <= set(SPACED)
 
 
 @pytest.mark.parametrize("kind", SPACED)

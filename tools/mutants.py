@@ -45,6 +45,7 @@ WEYL = "tests/test_symplectic_ref.py"
 CLI = "tests/test_parsing_cli.py"
 GOLDEN = "tests/test_verify_golden.py"
 ALGEBRA = "tests/test_algebra.py"
+FORMS = "tests/test_forms.py"
 
 
 @dataclass
@@ -100,8 +101,8 @@ MUTANTS = [
         "composition drops the right operand's denominator",
         [(
             "quantization.py",
-            "    _compose_into(acc, a, b, 1)\n    return _from_numerators(a.n, acc, a._den * b._den, top)",
-            "    _compose_into(acc, a, b, 1)\n    return _from_numerators(a.n, acc, a._den, top)",
+            "    _compose_into(acc, a, b, 1)\n    return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)",
+            "    _compose_into(acc, a, b, 1)\n    return DiffOperator._of(a.n, *_normal(acc, a._den), top)",
         )],
         [f"{QUANT}::test_op_compose_matches_leibniz_reference"],
     ),
@@ -109,16 +110,6 @@ MUTANTS = [
         "commutator adds b o a instead of subtracting it",
         [("quantization.py", "_compose_into(acc, b, a, -1)", "_compose_into(acc, b, a, 1)")],
         [f"{QUANT}::test_commutator_matches_leibniz_reference"],
-    ),
-    Mutant(
-        "packed operator field one bit narrower than the bound",
-        [("quantization.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
-        [f"{QUANT}::test_operator_powers_at_the_field_bound"],
-    ),
-    Mutant(
-        "IHBAR field dropped from the packed key",
-        [("quantization.py", "    unit = _UNITS.get(key)\n", "    unit = 0 if name == IHBAR else _UNITS.get(key)\n")],
-        [f"{QUANT}::test_lazy_views_equal_eager_operators", f"{WEYL}::test_weyl_numerators_match_the_poly_closed_form"],
     ),
     Mutant(
         "image memo keyed without the map instance (module-level)",
@@ -141,7 +132,27 @@ MUTANTS = [
         [("symplectic_ref.py", "del stack[common:]", "del stack[common + 1 :]")],
         [f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2", f"{WEYL}::test_prefix_oracle_matches_word_average"],
     ),
-    # -- the packed layout and the integer tables (forms) --
+    # -- the packed layout and the shared linear structure (packed) --
+    Mutant(
+        "packed field one bit narrower than the bound",
+        [("packed.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
+        [f"{QUANT}::test_operator_powers_at_the_field_bound", f"{KERNELS}::test_packed_monomials_round_trip_at_the_power_bound"],
+    ),
+    Mutant(
+        "IHBAR field dropped from the packed key",
+        [(
+            "packed.py",
+            "    return 1 << (FIELD_BITS * (n + n * n + k))\n",
+            '    return 0 if name == "ih" else 1 << (FIELD_BITS * (n + n * n + k))\n',
+        )],
+        [f"{QUANT}::test_lazy_views_equal_eager_operators", f"{WEYL}::test_weyl_numerators_match_the_poly_closed_form"],
+    ),
+    Mutant(
+        "the shared + skips the space check",
+        [("packed.py", "        self._require_same(other)\n        if not other._nums:\n", "        if not other._nums:\n")],
+        [f"{QUANT}::test_operators_refuse_other_dimensions", f"{FORMS}::test_field_operations_refuse_other_dimensions"],
+    ),
+    # -- the integer tables (forms) --
     Mutant(
         "component numerator memo keyed without the slot",
         [(
@@ -157,11 +168,6 @@ MUTANTS = [
             *keyed_without("@lru_cache(maxsize=512)", "_monomial_field_table", "mono, n, slot", "(mono, n)"),
         )],
         [f"{KERNELS}::test_memo_key_separates_slice_and_full", f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
-    ),
-    Mutant(
-        "packed field width one bit too small",
-        [("forms.py", "FIELD_BITS = POWER_BOUND.bit_length()\n", "FIELD_BITS = POWER_BOUND.bit_length() - 1\n")],
-        [f"{KERNELS}::test_packed_monomials_round_trip_at_the_power_bound"],
     ),
     Mutant(
         "partials table keyed without the slot",
@@ -357,51 +363,51 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 2.0,
-    "leibniz falling factorial set to 1": 2.1,
-    "leibniz memo keyed on the q powers without the degree": 1.8,
-    "leibniz memo keyed on the degree without the q powers": 1.7,
-    "composition drops the right operand's denominator": 55.7,
-    "commutator adds b o a instead of subtracting it": 43.3,
-    "packed operator field one bit narrower than the bound": 2.1,
-    "IHBAR field dropped from the packed key": 51.4,
-    "image memo keyed without the map instance (module-level)": 2.1,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.1,
-    "closed form without j!": 2.1,
-    "prefix stack keeps a stale letter past the common prefix": 2.0,
+    "leibniz weight without comb": 1.5,
+    "leibniz falling factorial set to 1": 1.4,
+    "leibniz memo keyed on the q powers without the degree": 1.7,
+    "leibniz memo keyed on the degree without the q powers": 2.0,
+    "composition drops the right operand's denominator": 48.3,
+    "commutator adds b o a instead of subtracting it": 87.2,
+    "image memo keyed without the map instance (module-level)": 1.6,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.9,
+    "closed form without j!": 1.6,
+    "prefix stack keeps a stale letter past the common prefix": 2.1,
+    "packed field one bit narrower than the bound": 2.2,
+    "IHBAR field dropped from the packed key": 48.5,
+    "the shared + skips the space check": 1.5,
     "component numerator memo keyed without the slot": 3.5,
-    "field memo keyed without the slot": 2.1,
-    "packed field width one bit too small": 2.0,
-    "partials table keyed without the slot": 4.6,
-    "partials table skips the last variable of the monomial": 14.5,
-    "integer component builder weighs by 1 instead of K.count(j)": 1.7,
-    "field table drops the -1 sign of a qhat generator": 2.1,
-    "ham_vf treats every coefficient as 1": 4.9,
-    "packed Lie bracket adds the second term instead of subtracting it": 5.1,
-    "integer vf_bracket weighs by 1/comb without split_count": 5.4,
-    "the sweep drops the (p-1)! prefactor": 14.0,
-    "the zero-class branch is skipped": 4.6,
-    "route 1 weight -1 instead of -split_count": 4.4,
-    "gauge term's route 1 not checked": 2.0,
-    "routes compared on the first unit pair only": 51.8,
-    "bracket drops the cf * cg coefficient product": 19.7,
+    "field memo keyed without the slot": 1.4,
+    "partials table keyed without the slot": 4.4,
+    "partials table skips the last variable of the monomial": 16.1,
+    "integer component builder weighs by 1 instead of K.count(j)": 1.8,
+    "field table drops the -1 sign of a qhat generator": 1.8,
+    "ham_vf treats every coefficient as 1": 5.1,
+    "packed Lie bracket adds the second term instead of subtracting it": 4.3,
+    "integer vf_bracket weighs by 1/comb without split_count": 3.3,
+    "the sweep drops the (p-1)! prefactor": 9.0,
+    "the zero-class branch is skipped": 6.5,
+    "route 1 weight -1 instead of -split_count": 4.0,
+    "gauge term's route 1 not checked": 1.9,
+    "routes compared on the first unit pair only": 38.4,
+    "bracket drops the cf * cg coefficient product": 21.7,
     "gauge seed accepted on a slice": 1.7,
-    "expansion memo keyed without the slot": 1.9,
-    "split_pair_sum weighs by 1/comb without split_count": 12.5,
-    "dirac pair loop builds g from m1": 2.2,
-    "record_dirac records \"fail\" instead of the residual": 2.3,
-    "suite decorator stamps one fixed suite name": 2.0,
+    "expansion memo keyed without the slot": 1.5,
+    "split_pair_sum weighs by 1/comb without split_count": 14.6,
+    "dirac pair loop builds g from m1": 2.0,
+    "record_dirac records \"fail\" instead of the residual": 1.9,
+    "suite decorator stamps one fixed suite name": 1.9,
     "accumulate keeps a zero sum": 2.1,
-    "LinComb._like drops the space (n, slot)": 35.2,
-    "LinComb.__bool__ always true": 1.5,
-    "Scalar rational fast path taken for a symbol": 6.7,
-    "ONE * s returns ONE": 2.1,
-    "ONE_POLY * p returns ONE_POLY": 2.2,
-    "single-term power scales the exponents by k - 1": 5.4,
+    "LinComb._like drops the space (n, slot)": 39.0,
+    "LinComb.__bool__ always true": 2.1,
+    "Scalar rational fast path taken for a symbol": 9.6,
+    "ONE * s returns ONE": 2.9,
+    "ONE_POLY * p returns ONE_POLY": 3.8,
+    "single-term power scales the exponents by k - 1": 4.6,
     "single-term power keeps the coefficient unraised": 4.0,
-    "monomial memo keyed without the dimension": 1.3,
-    "membership memo keyed without the slot": 1.3,
-    "monomial memo serves indices that equal an int but are not one": 1.7,
+    "monomial memo keyed without the dimension": 1.8,
+    "membership memo keyed without the slot": 1.9,
+    "monomial memo serves indices that equal an int but are not one": 1.6,
 }
 
 
@@ -429,7 +435,7 @@ def apply(dest: Path, edits: list) -> list[str]:
     errors = []
     for path, anchor, replacement in edits:
         target = dest / "src" / "nsq" / path
-        text = target.read_text()
+        text = target.read_text() if target.exists() else ""
         count = text.count(anchor)
         if count != 1:
             errors.append(f"anchor found {count} times in {path}: {anchor.splitlines()[0].strip()!r}")
