@@ -21,8 +21,7 @@ generators.  The component data alone does not determine that
 decomposition -- e.g. qhat(i,j) sym rhat(k) and qhat(i,k) sym rhat(j)
 expand to identical components -- but all derived quantities (brackets,
 structure-equation checks) are independent of the choice, so any faithful
-decomposition serves.  Equality and ``is_zero`` therefore stay on the
-expanded components, not on the terms.
+decomposition serves.  Equality and the zero test are on the components.
 
 A slice observable (see :mod:`nsq.subbundle`) is ``Observable(n, terms,
 slot=s)``.  It uses the same generator tags, restricted to the slot's
@@ -30,22 +29,22 @@ basic set qhat(i,s), pihat(k), rhat(s) (:func:`in_b1_algebra`), prints
 them as Qh(i), Pih(k), rh, and expands pihat(k) with the frozen coframe
 rows pi^A_j = delta^A_j substituted.  On the full bundle ``slot`` is None.
 
-The symmetric product and the field bracket each average a pairwise
-product over the position splits of a sorted K.  They share one split-pair
-loop, :func:`split_pair_sum`: every pair (I, J) of the two supports is
-formed once and lands on K = sorted(I + J), weighted by the share of K's
-splits that put I on the subset (:func:`split_count`).  Route 1 of the
-bracket visits the pairs the same way in integer arithmetic, with weight
-split_count alone (see :mod:`nsq.poisson`).
-
-Generator-monomial expansions are memoized process-wide by
-:func:`_monomial_components`, keyed on (mono, n, slot) and bounded at 1024
-entries.  An observable that is one monomial with coefficient 1 takes the
-memoized map itself as its only grade, uncopied; any other observable
-builds its own scaled sum.  The cached component maps and their
-polynomials are shared by every caller: read them, never mutate them.
-The checked bracket does not read this memo: it builds its integer
-tables straight from the generators (see :mod:`nsq.forms`).
+*The one expansion.*  :func:`_monomial_components` builds r! times the
+components of a degree-r generator monomial straight from the generators,
+as K -> {packed monomial: int} in the layout of :mod:`nsq.packed`,
+memoized on (mono, n, slot) and bounded at 1,024 entries.  The forms
+layer and both routes of the bracket read the same tables.  An
+observable's integer form is rank -> K -> {packed key: int} over one
+denominator, zeros dropped: the tables times its coefficients' numerators,
+over the lcm of r! times their denominators, or, for one monomial with
+coefficient 1, its shared table itself over r!.  ``==`` compares two forms
+directly when their denominators are equal and cross-multiplied when they
+differ; ``is_zero``, ``ranks``, ``rank`` and ``min_rank`` read the form,
+and ``components`` is the Poly view unpacked from it on first read.  The
+tables, forms and views are shared: read them, never mutate them.  A
+monomial of degree past ``POWER_BOUND``, or a coefficient with a symbol
+power past it, could carry out of its packed field, so it has no form and
+is refused with EngineError.
 
 The Observable constructor checks and sorts each generator monomial once
 per (mono, n) through :func:`_sorted_monomial`, bounded at 1024 entries,
@@ -58,11 +57,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Callable, Iterable, Mapping
+from math import comb, factorial, lcm
+from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
+from .packed import _scalar_numerators, checked_power, packed_units, unpack_poly
 from .polynomials import Poly, Var, pivar, qvar
 from .scalars import ONE, LinComb, Scalar, _coerce, accumulate, signed_sum, signed_term
 
@@ -260,13 +260,6 @@ def _generator_variables(tag: GenTag, n: int, slot: int | None) -> tuple[tuple[i
     return ((tag[1], None),)
 
 
-def _generator_components(tag: GenTag, n: int, slot: int | None) -> dict[MultiIndex, Poly]:
-    return {
-        (j,): Poly.constant(1) if var is None else Poly.var(var)
-        for j, var in _generator_variables(tag, n, slot)
-    }
-
-
 def split_count(K: MultiIndex, I: MultiIndex) -> int:
     """How many position splits of the sorted multi-index K put I on the subset.
 
@@ -281,52 +274,80 @@ def split_count(K: MultiIndex, I: MultiIndex) -> int:
     return out
 
 
-def split_pair_sum(
-    f: Mapping[MultiIndex, object],
-    g: Mapping[MultiIndex, object],
-    product: Callable,
-) -> dict:
-    """The one split-pair loop: average product(a, b) over index splits.
+def sym_components(f: Mapping[MultiIndex, Poly], g: Mapping[MultiIndex, Poly]) -> dict[MultiIndex, Poly]:
+    """Components of the normalized symmetric product of homogeneous maps of ranks p and q.
 
-    For every pair (I, a) of f and (J, b) of g, product(a, b) lands on
-    K = sorted(I + J) with weight split_count(K, I) / comb(|K|, |I|),
-    the share of K's position splits that feed I to f.  Only the support
-    pairs are visited, and each product is formed once.
+    The component at a sorted multi-index K of rank p+q is the average over
+    all splits of K's positions into a p-subset fed to f and the complement
+    fed to g: every pair (I, a) of f and (J, b) of g lands on K = sorted(I +
+    J) with weight split_count(K, I) / comb(|K|, |I|).  Nothing in nsq calls
+    it: only the benchmark tracer (``bench/nsqtrace.py``) binds it, and the
+    benchmark refresh (ROADMAP item 1) deletes it.
     """
     out: dict = {}
     for I, a in f.items():
         for J, b in g.items():
             K = tuple(sorted(I + J))
             weight = Fraction(split_count(K, I), comb(len(K), len(I)))
-            accumulate(out, K, product(a, b).scale(weight))
+            accumulate(out, K, (a * b).scale(weight))
     return out
 
 
-def sym_components(f: Mapping[MultiIndex, Poly], g: Mapping[MultiIndex, Poly]) -> dict[MultiIndex, Poly]:
-    """Components of the normalized symmetric product of homogeneous maps of ranks p and q.
-
-    The component at a sorted multi-index K of rank p+q is the average over
-    all splits of K's positions into a p-subset fed to f and the complement
-    fed to g (:func:`split_pair_sum` of the products).
-    """
-    return split_pair_sum(f, g, Poly.__mul__)
+_EMPTY_REST = {(): {0: 1}}  # the components of the empty product, over 0! = 1
 
 
 @lru_cache(maxsize=1024)
 def _monomial_components(
     mono: GenMonomial, n: int, slot: int | None
-) -> dict[MultiIndex, Poly]:
-    """Expand one generator monomial into its symmetric-tensor components.
+) -> dict[MultiIndex, dict[int, int]]:
+    """r! times the components of a degree-r generator monomial, packed: K -> {key: int}.
 
-    Memoized process-wide on (mono, n, slot), with a fixed bound so that
-    memory stays flat on long runs.  The returned map is shared between
-    callers: read it, never mutate it.
+    The table of mono[:-1] joined with the last generator's components
+    {(j,): x_j} (x_j a variable or 1): each I and each j land on K =
+    sorted(I + (j,)) with weight K.count(j) = split_count(K, I), times x_j's
+    packed unit (0 for the constant 1).  A degree past POWER_BOUND is
+    refused with EngineError.  Memoized process-wide on (mono, n, slot),
+    with a fixed bound so that memory stays flat on long runs; the returned
+    map is shared between callers: read it, never mutate it.
     """
-    if len(mono) == 1:
-        return _generator_components(mono[0], n, slot)
-    head = _monomial_components(mono[:-1], n, slot)
-    tail = _generator_components(mono[-1], n, slot)
-    return sym_components(head, tail)
+    checked_power(len(mono), "an observable")
+    units = packed_units(n)
+    head = _monomial_components(mono[:-1], n, slot) if len(mono) > 1 else _EMPTY_REST
+    tail = [(j, 0 if var is None else units[var]) for j, var in _generator_variables(mono[-1], n, slot)]
+    out: dict = {}
+    for I, num in head.items():
+        for j, unit in tail:
+            K = tuple(sorted(I + (j,)))
+            weight = K.count(j)
+            acc = out.get(K)
+            if acc is None:
+                acc = out[K] = {}
+            for m, c in num.items():
+                m += unit
+                acc[m] = acc.get(m, 0) + weight * c
+    return out
+
+
+def _nonzero(graded: dict) -> dict:
+    """Drop zero coefficients, then empty components, from K -> {key: int}.
+
+    Most components have no zero sum, so only those that do are rebuilt.
+    """
+    out = {}
+    for K, acc in graded.items():
+        if 0 in acc.values():
+            acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            out[K] = acc
+    return out
+
+
+def _scaled(graded: dict, factor: int) -> dict:
+    """factor times an integer form rank -> K -> {key: int}."""
+    return {
+        rank: {K: {k: c * factor for k, c in num.items()} for K, num in grade.items()}
+        for rank, grade in graded.items()
+    }
 
 
 class Observable(LinComb):
@@ -336,14 +357,15 @@ class Observable(LinComb):
     :func:`make_rhat` with ``+``, ``-``, :meth:`scale` and
     :func:`sym_mul`.  ``terms`` maps sorted generator monomials to nonzero
     Scalars; the constructor sorts each monomial, so monomials that differ
-    only in factor order sum.  Equality is structural equality of the
-    expanded component maps, within one algebra: ``slot`` is None on the
-    full bundle and the slice index for a slice observable, whose
-    generators must lie in the slot's basic set.
+    only in factor order sum.  Equality is equality of the components'
+    integer forms (see the module docstring), within one algebra: ``slot``
+    is None on the full bundle and the slice index for a slice observable,
+    whose generators must lie in the slot's basic set.
     """
 
     _space = ("n", "slot")
     slot: int | None = None
+    _form: tuple[dict[int, dict[MultiIndex, dict[int, int]]], int] | None = None
     _components: dict[int, dict[MultiIndex, Poly]] | None = None
 
     def __init__(
@@ -383,30 +405,55 @@ class Observable(LinComb):
 
     # -- structure ----------------------------------------------------------
 
+    def _numerators(self) -> tuple[dict[int, dict[MultiIndex, dict[int, int]]], int]:
+        """(rank -> K -> {packed key: int}, denominator): the components' integer form, zeros dropped."""
+        if self._form is None:
+            n, slot = self.n, self.slot
+            if len(self.terms) == 1 and ONE in self.terms.values():
+                # a unit monomial is its shared table, uncopied
+                (mono,) = self.terms
+                self._form = {len(mono): _monomial_components(mono, n, slot)}, factorial(len(mono))
+                return self._form
+            parts, den = [], 1
+            for mono, coeff in self.terms.items():
+                cnums, cden, ctop = _scalar_numerators(coeff, n)
+                checked_power(ctop, "an observable")
+                d = factorial(len(mono)) * cden
+                den = lcm(den, d)
+                parts.append((mono, cnums, d))
+            by_rank: dict = {}
+            for mono, cnums, d in parts:
+                grade = by_rank.setdefault(len(mono), {})
+                for K, num in _monomial_components(mono, n, slot).items():
+                    acc = grade.setdefault(K, {})
+                    for shift, c in cnums.items():
+                        w = c * (den // d)
+                        for k, v in num.items():
+                            k += shift
+                            acc[k] = acc.get(k, 0) + w * v
+            graded = ((rank, _nonzero(grade)) for rank, grade in by_rank.items())
+            self._form = {rank: grade for rank, grade in graded if grade}, den
+        return self._form
+
     @property
     def components(self) -> dict[int, dict[MultiIndex, Poly]]:
-        """Graded component maps: rank -> canonical multi-index -> polynomial."""
+        """Graded component maps: rank -> canonical multi-index -> polynomial.
+
+        The Poly view of the integer form, unpacked on first read.
+        """
         if self._components is None:
-            if len(self.terms) == 1 and ONE in self.terms.values():
-                # a unit monomial reads the shared memoized map, uncopied
-                (mono,) = self.terms
-                self._components = {len(mono): _monomial_components(mono, self.n, self.slot)}
-                return self._components
-            by_rank: dict[int, dict[MultiIndex, Poly]] = {}
-            for mono, coeff in self.terms.items():
-                rank = len(mono)
-                comps = _monomial_components(mono, self.n, self.slot)
-                grade = by_rank.setdefault(rank, {})
-                for K, poly in comps.items():
-                    accumulate(grade, K, poly.scale(coeff))
-            self._components = {r: g for r, g in by_rank.items() if g}
+            graded, den = self._numerators()
+            self._components = {
+                rank: {K: unpack_poly(num, den, self.n) for K, num in grade.items()}
+                for rank, grade in graded.items()
+            }
         return self._components
 
     def ranks(self) -> list[int]:
-        return sorted(self.components)
+        return sorted(self._numerators()[0])
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self._numerators()[0]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -438,11 +485,12 @@ class Observable(LinComb):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Observable):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.slot == other.slot
-            and self.components == other.components
-        )
+        if self.n != other.n or self.slot != other.slot:
+            return False
+        a, da = self._numerators()
+        b, db = other._numerators()
+        # a / da == b / db, cross-multiplied when the denominators differ
+        return a == b if da == db else _scaled(a, db) == _scaled(b, da)
 
     __hash__ = None
 

@@ -22,19 +22,16 @@ with X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k), X_rhat(k) = 0.
 The forms layer and the checked bracket (:mod:`nsq.poisson`) run on the
 packed monomials of :mod:`nsq.packed`, which owns the layout.
 
-*The tables*, built straight from the generators in ints and memoized on
-(mono, n, slot), shared read-only: N_r (:func:`_packed_numerators`, 512
-entries), r! times the components of a unit monomial of degree r, is
-N_{r-1}(mono[:-1]) joined with the last generator's components {(j,): x_j}
-(x_j a variable or 1), each I and j landing on K = sorted(I + (j,)) with
-weight K.count(j) = split_count(K, I); their term-by-term partials
-(:func:`_monomial_partials`, 512); and the factor-rule field
-(:func:`_monomial_field_table`, 512), the sum over the factors u_m of
-N_{r-1}(rest_m)^I X_{u_m}, over r!(r-1)! and reduced as below.  The field
-table serves both the bracket and :func:`ham_vf`; its bound is measured on
-the benchmark's ``laws-mixed-n3`` workload, where 512 entries hit 86% of
-lookups and 1,024, which holds all 934 keys met there, ran no faster and
-took more memory.
+*The tables*, built in ints and memoized on (mono, n, slot), shared
+read-only, all from N_r, r! times the components of a unit monomial of
+degree r (:func:`nsq.algebra._monomial_components`, the one expansion):
+their term-by-term partials (:func:`_monomial_partials`, 512 entries); and
+the factor-rule field (:func:`_monomial_field_table`, 512), the sum over
+the factors u_m of N_{r-1}(rest_m)^I X_{u_m}, over r!(r-1)! and reduced as
+below.  The field table serves both the bracket and :func:`ham_vf`; its
+bound is measured on the benchmark's ``laws-mixed-n3`` workload, where 512
+entries hit 86% of lookups and 1,024, which holds all 934 keys met there,
+ran no faster and took more memory.
 
 *A field's canonical form.*  A :class:`HamVF` is a
 :class:`~nsq.packed.PackedLinComb` over (variable, grade I, packed key),
@@ -44,8 +41,8 @@ with coefficient 1 shares its table as is, anything else scales the
 numerators.  :func:`vf_bracket` (the split-pair weight times the packed Lie
 bracket, d/d(var) read from var's field) runs on the forms.  One integer
 sweep, :func:`_contraction_sums`, serves :func:`structure_eq_check`
-(against the differential of f's components, from :func:`_packed_numerators`
-times f's coefficients), its zero branch, :func:`gauge_condition_holds`,
+(against the differential of f's integer form, see :mod:`nsq.algebra`),
+its zero branch, :func:`gauge_condition_holds`,
 :func:`make_valid_gauge` and :func:`lie_preserves_form`.
 """
 
@@ -62,6 +59,7 @@ from .algebra import (
     GenTag,
     MultiIndex,
     Observable,
+    _EMPTY_REST,
     _generator_variables,
     _monomial_components,
     all_multi_indices,
@@ -71,17 +69,16 @@ from .errors import GaugeConditionError, RankMismatch
 from .packed import (
     _FIELD_MASK,
     _UNIT_NUMERATORS,
-    POWER_BOUND,
     PackedLinComb,
     _normal,
     _scalar_numerators,
     pack_term,
     packed_units,
-    unpack_term,
+    unpack_poly,
     variable_units,
 )
 from .polynomials import ZERO_POLY, Poly, Var, default_var_name, pivar, qvar
-from .scalars import LinComb, Scalar, accumulate
+from .scalars import LinComb, accumulate
 
 
 # -- the integer tables ----------------------------------------------------------
@@ -105,67 +102,24 @@ def _partials(entries: dict, n: int):
                     yield v, key[:-1], key[-1] - unit, pw * c
 
 
-_EMPTY_REST = {(): {0: 1}}  # the components of the empty product, over 0! = 1
-
-
-@lru_cache(maxsize=512)
-def _packed_numerators(
-    mono: GenMonomial, n: int, slot: int | None
-) -> dict[MultiIndex, dict[int, int]]:
-    """r! times :func:`nsq.algebra._monomial_components` of a degree-r monomial, packed.
-
-    The numerators of mono[:-1] joined with the last generator's components:
-    each I and each component j of the generator land on K = sorted(I +
-    (j,)) with weight K.count(j), times the generator's packed unit (0 for
-    a constant).
-    """
-    units = packed_units(n)
-    head = _packed_numerators(mono[:-1], n, slot) if len(mono) > 1 else _EMPTY_REST
-    tail = [(j, 0 if var is None else units[var]) for j, var in _generator_variables(mono[-1], n, slot)]
-    out: dict = {}
-    for I, num in head.items():
-        for j, unit in tail:
-            K = tuple(sorted(I + (j,)))
-            weight = K.count(j)
-            acc = out.get(K)
-            if acc is None:
-                acc = out[K] = {}
-            for m, c in num.items():
-                m += unit
-                acc[m] = acc.get(m, 0) + weight * c
-    return out
-
-
 @lru_cache(maxsize=512)
 def _monomial_partials(
     mono: GenMonomial, n: int, slot: int | None
 ) -> dict[Var, tuple[tuple[MultiIndex, int, int], ...]]:
-    """The partial derivatives of :func:`_packed_numerators`, term by term.
+    """The partial derivatives of :func:`~nsq.algebra._monomial_components`, term by term.
 
     var -> ((J, packed m lowered once in var, pw * c), ...) for every term c * m
     of every component J in which var has power pw >= 1, in the order of
     the components and their terms.  Each power is read from its field of
-    the packed monomial, over the variables of mono's generators.  Only an
-    operand of degree POWER_BOUND + 1 can hold a power one past the bound
-    (see :mod:`nsq.poisson`): its packed keys are still the exact sums of
-    their units, and its terms' variables are read from the exact expansion.
+    the packed monomial, over the variables of mono's generators.
     """
     units = packed_units(n)
-    numerators = _packed_numerators(mono, n, slot)
     out: dict[Var, list] = {}
-    if len(mono) > POWER_BOUND:
-        # a power may fill more than its field and carry into the next one, so
-        # read each term's variables from the exact expansion, in the same order
-        for J, poly in _monomial_components(mono, n, slot).items():
-            for m, (packed, c) in zip(poly.terms, numerators[J].items()):
-                for var, pw in m:
-                    out.setdefault(var, []).append((J, packed - units[var], pw * c))
-        return _frozen(out)
     variables = dict.fromkeys(
         var for tag in dict.fromkeys(mono) for _, var in _generator_variables(tag, n, slot) if var is not None
     )
     fields = [(var, units[var], units[var].bit_length() - 1) for var in variables]
-    for J, num in numerators.items():
+    for J, num in _monomial_components(mono, n, slot).items():
         for packed, c in num.items():
             for var, unit, shift in fields:
                 pw = packed >> shift & _FIELD_MASK
@@ -193,7 +147,7 @@ def _monomial_field_table(mono: GenMonomial, n: int, slot: int | None) -> tuple[
     """The factor-rule field of a degree-r monomial with coefficient 1, as a canonical form (numerators, den).
 
     r!(r-1)! times the field is the sum over the factors u_m of the
-    numerators of the rest, :func:`_packed_numerators` over (r-1)!, times
+    numerators of the rest, :func:`~nsq.algebra._monomial_components` over (r-1)!, times
     the field of u_m; a factor that occurs c times is visited once, with
     weight c.  That sum is then reduced by its gcd with r!(r-1)!.
     """
@@ -206,24 +160,10 @@ def _monomial_field_table(mono: GenMonomial, n: int, slot: int | None) -> tuple[
         i = mono.index(tag)
         rest = mono[:i] + mono[i + 1 :]
         weight = sign * mono.count(tag)
-        for I, num in (_packed_numerators(rest, n, slot) if rest else _EMPTY_REST).items():
+        for I, num in (_monomial_components(rest, n, slot) if rest else _EMPTY_REST).items():
             for m, c in num.items():
                 table[var, I, m] = weight * c
     return _normal(table, factorial(len(mono)) * factorial(len(mono) - 1))
-
-
-def _nonzero(graded: dict) -> dict:
-    """Drop zero coefficients, then empty components, from K -> {key: int}.
-
-    Most components have no zero sum, so only those that do are rebuilt.
-    """
-    out = {}
-    for K, acc in graded.items():
-        if 0 in acc.values():
-            acc = {m: c for m, c in acc.items() if c}
-        if acc:
-            out[K] = acc
-    return out
 
 
 # -- fields and forms ----------------------------------------------------------------
@@ -362,10 +302,9 @@ class HamVF(PackedLinComb):
     def _unpacked(self) -> dict:
         grades: dict = {}
         for (var, I, key), c in self._nums.items():
-            mono, sym, _ = unpack_term(key, self.n)
-            grades.setdefault(I, {}).setdefault(var, {}).setdefault(mono, {})[sym] = Fraction(c, self._den)
+            grades.setdefault(I, {}).setdefault(var, {})[key] = c
         return {
-            I: VectorField()._like({var: Poly({m: Scalar(s) for m, s in poly.items()}) for var, poly in fields.items()})
+            I: VectorField()._like({var: unpack_poly(num, self._den, self.n) for var, num in fields.items()})
             for I, fields in grades.items()
         }
 
@@ -457,7 +396,8 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     symmetrization over the combined upper indices.
 
     Every pair (I, J) of the supports lands on K = sorted(I + J) with weight
-    split_count(K, I) / comb(|K|, |I|), as in :func:`nsq.algebra.split_pair_sum`;
+    split_count(K, I) / comb(|K|, |I|), the share of K's position splits
+    that feed I to x;
     [X^I, Y^J]_w = X^I_v d_v Y^J_w - Y^J_v d_v X^I_w is formed on the packed
     forms, over den(x) * den(y) times the lcm of the combs.  Both fields must
     have the same n.
@@ -514,44 +454,6 @@ def _contraction_sums(x: HamVF, slot: int | None = None) -> dict[tuple, int]:
     return {key: c for key, c in out.items() if c}
 
 
-def _observable_numerators(f: Observable) -> tuple[dict[int, dict], int]:
-    """(rank -> (K, packed key) -> int, denominator): f's components, zeros dropped.
-
-    Read from :func:`_packed_numerators` times f's coefficients, with no Poly
-    expansion.  A monomial or a symbol power past POWER_BOUND is refused.
-    """
-    n, slot = f.n, f.slot
-    parts, den = [], 1
-    for mono, coeff in f.terms.items():
-        HamVF._checked(len(mono))
-        cnums, cden, ctop = _scalar_numerators(coeff, n)
-        HamVF._checked(ctop)
-        d = factorial(len(mono)) * cden
-        den = lcm(den, d)
-        parts.append((mono, cnums, d))
-    out: dict = {}
-    for mono, cnums, d in parts:
-        grade = out.setdefault(len(mono), {})
-        for K, num in _packed_numerators(mono, n, slot).items():
-            for shift, c in cnums.items():
-                w = c * (den // d)
-                for k, v in num.items():
-                    key = (K, k + shift)
-                    grade[key] = grade.get(key, 0) + w * v
-    return _nonzero(out), den
-
-
-def _observable_rank(f: Observable) -> int:
-    """``f.rank()``, read from the integer components without expanding f into Polys."""
-    if len(f.terms) == 1:
-        # one generator monomial has nonzero components of its own degree
-        return len(next(iter(f.terms)))
-    comps = _observable_numerators(f)[0]
-    if len(comps) != 1:
-        f.rank()  # raises the ValueError that names the ranks
-    return next(iter(comps))
-
-
 def structure_eq_check(f: Observable, x: HamVF) -> bool:
     """Verify d f^{I_p} = -p! Sym[X _| dtheta] for every rank-p multi-index.
 
@@ -562,15 +464,13 @@ def structure_eq_check(f: Observable, x: HamVF) -> bool:
     dtheta, :func:`_contraction_sums`.  Both sides are compared as integer
     forms at the K of their supports.
     """
-    comps, den = _observable_numerators(f)
+    comps, den = f._numerators()
     sums = _contraction_sums(x, f.slot)
     if not comps:
         # x must represent the zero class: every contraction sum vanishes
         # (true of pure gauge terms)
         return not sums
-    if len(comps) != 1:
-        f.rank()  # raises the ValueError that names the ranks
-    (p,) = comps
+    p = f.rank()
     ranks = x.grade_ranks()
     if ranks and ranks != [p - 1]:
         raise RankMismatch(f"field grades {ranks} do not match observable rank {p}")
@@ -578,7 +478,8 @@ def structure_eq_check(f: Observable, x: HamVF) -> bool:
     lhs_scale, rhs_scale = x._den, -factorial(p - 1) * den
     g = gcd(lhs_scale, rhs_scale)
     lhs_scale, rhs_scale = lhs_scale // g, rhs_scale // g
-    lhs = {(K, var, lowered): d * lhs_scale for var, (K,), lowered, d in _partials(comps[p], f.n)}
+    flat = {(K, k): c for K, num in comps[p].items() for k, c in num.items()}
+    lhs = {(K, var, lowered): d * lhs_scale for var, (K,), lowered, d in _partials(flat, f.n)}
     return lhs == {key: c * rhs_scale for key, c in sums.items()}
 
 

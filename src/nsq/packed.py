@@ -33,12 +33,13 @@ refusal names its powers.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Mapping
 
 from .errors import EngineError
-from .polynomials import Monomial, Var, pivar, qvar
+from .polynomials import Monomial, Poly, Var, pivar, qvar
 from .scalars import LinComb, Scalar, _coerce
 
 POWER_BOUND = 255  # the largest power a packed field holds
@@ -86,6 +87,13 @@ def variable_units(n: int) -> list[tuple[Var, int]]:
     return list(frame.items()) + registry
 
 
+def checked_power(top: int, what: str) -> int:
+    """top, when a packed field holds it; else EngineError saying that what's power could pass the bound."""
+    if top > POWER_BOUND:
+        raise EngineError(f"{what} power could reach {top}, past the {POWER_BOUND} that a packed field holds")
+    return top
+
+
 def pack_term(mono: Monomial, sym: tuple, n: int) -> tuple[int, int]:
     """(key, largest power) of a variable monomial times a symbol monomial."""
     key = top = 0
@@ -119,6 +127,15 @@ def unpack_term(key: int, n: int) -> tuple[Monomial, tuple, tuple]:
             out[kind].append((name, key & _FIELD_MASK))
         key >>= FIELD_BITS
     return tuple(sorted(out["var"])), tuple(sorted(out["sym"])), tuple(sorted(out["d"]))
+
+
+def unpack_poly(num: Mapping[int, int], den: int, n: int) -> Poly:
+    """The polynomial num / den, with Scalar coefficients, of a map from packed keys to ints."""
+    terms: dict = {}
+    for key, c in num.items():
+        mono, sym, _ = unpack_term(key, n)
+        terms.setdefault(mono, {})[sym] = Fraction(c, den)
+    return Poly({mono: Scalar(s) for mono, s in terms.items()})
 
 
 _ONE_TERMS = {(): 1}  # the terms of the Scalar 1
@@ -174,9 +191,7 @@ class PackedLinComb(LinComb):
     @classmethod
     def _checked(cls, top: int) -> int:
         """top, when a packed field holds it; else EngineError."""
-        if top > POWER_BOUND:
-            raise EngineError(f"{cls._power} power could reach {top}, past the {POWER_BOUND} that a packed field holds")
-        return top
+        return checked_power(top, cls._power)
 
     @classmethod
     def _of(cls, n: int, nums: dict, den: int, top: int):

@@ -20,8 +20,9 @@ coefficient 1, by two independent routes:
    only nonzero generator pair.
 
 Both routes run in integer arithmetic on the packed monomials of
-:mod:`nsq.packed` and the integer tables of :mod:`nsq.forms`; this module
-keeps the two routes.  For a (p, q) pair route 1 is
+:mod:`nsq.packed`, the component tables of :mod:`nsq.algebra` and the
+field and partials tables of :mod:`nsq.forms`; this module keeps the two
+routes.  For a (p, q) pair route 1 is
 
     -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
 
@@ -31,9 +32,10 @@ c; both are numerators over (p+q-1)!.  Route 1 is a join on the variable
 that X^I moves along: the field form is read by variable and g by its
 partial derivatives, var -> [(J, lowered monomial, integer coefficient)],
 and each (I, J) lands on K = sorted(I + J) with weight -split_count(K, I),
-memoized on (I, J).  The powers in a (p, q) pair are at most p+q-2, and a
-bracket whose ranks could pass ``POWER_BOUND`` is refused with EngineError
-before any work.
+memoized on (I, J).  Route 2 reads the component tables of degree p+q-1,
+which hold powers up to p+q-1, and a monomial of degree past
+``POWER_BOUND`` has no table, so a bracket of ranks with p+q-1 past it is
+refused with EngineError before any table is built.
 
 The two numerator maps, K -> {packed monomial: int}, are compared exactly
 on every pair of every call, and a disagreement raises EngineError naming
@@ -61,14 +63,21 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GenMonomial, MultiIndex, Observable, in_b1_algebra, rtag, split_count
+from .algebra import (
+    GenMonomial,
+    MultiIndex,
+    Observable,
+    _monomial_components,
+    _nonzero,
+    check_index,
+    in_b1_algebra,
+    rtag,
+    split_count,
+)
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
     _monomial_field_table,
     _monomial_partials,
-    _nonzero,
-    _observable_rank,
-    _packed_numerators,
     add_gauge,
     ham_vf,
     random_valid_gauge,
@@ -122,7 +131,7 @@ def _route2_numerators(hits: dict, n: int, slot: int | None) -> dict:
     out: dict = {}
     for mono, c in hits.items():
         if c:
-            for K, num in _packed_numerators(mono, n, slot).items():
+            for K, num in _monomial_components(mono, n, slot).items():
                 acc = out.setdefault(K, {})
                 for m, v in num.items():
                     acc[m] = acc.get(m, 0) + c * v
@@ -184,7 +193,7 @@ def bracket(
     verified to be) unchanged.  It is refused on a slice, which has no
     gauge freedom.  Both arguments must live in one algebra:
     the same dimension and the same slice (see :mod:`nsq.subbundle`).
-    Ranks p and q with p+q-2 past ``POWER_BOUND`` are refused up front.
+    Ranks p and q with p+q-1 past ``POWER_BOUND`` are refused up front.
     """
     f._require_same(g)
     n, slot = f.n, f.slot
@@ -195,10 +204,10 @@ def bracket(
         )
     if f.terms and g.terms:
         top_f, top_g = max(map(len, f.terms)), max(map(len, g.terms))
-        if top_f + top_g - 2 > POWER_BOUND:
+        if top_f + top_g - 1 > POWER_BOUND:
             raise EngineError(
-                f"a bracket of ranks {top_f} and {top_g} is refused: its powers reach "
-                f"{top_f + top_g - 2}, past the {POWER_BOUND} that a packed monomial holds"
+                f"a bracket of ranks {top_f} and {top_g} is refused: its result has degree "
+                f"{top_f + top_g - 1}, past the {POWER_BOUND} that a packed monomial holds"
             )
     gauges = {} if gauge_seed is None else _gauge_terms(f, gauge_seed)
     gauge_checked: set = set()
@@ -299,7 +308,7 @@ def theorem1_check(f: Observable, g: Observable, gauge_seed: int | None = None) 
     ``gauge_seed`` shifts X_f and X_g by seeded random valid gauge terms
     (zero at rank 1) and is passed to the bracket; the verdict must not change.
     """
-    p, q = _observable_rank(f), _observable_rank(g)
+    p, q = f.rank(), g.rank()
     c = theorem1_constant(p, q)
     xf, xg = ham_vf(f), ham_vf(g)
     if gauge_seed is not None:
@@ -340,6 +349,7 @@ def min_rank(f: Observable) -> int | None:
 
 def is_in_Pk(f: Observable, k: int, slot: int = 1) -> bool:
     """Membership in the ideal of elements of minimum rank >= k."""
+    check_index(slot, f.n)
     if not in_b1_algebra(f, slot):
         raise NotInGeneratorAlgebra(
             "observable is outside the polynomial algebra of the basic set"

@@ -118,6 +118,7 @@ def g1_inv(g: G1Element) -> G1Element:
 
 def g1_embed(g: G1Element, n: int, slot: int = 1) -> list[list[Fraction]]:
     """GL(n) matrix differing from the identity only in the chosen row."""
+    check_index(slot, n)
     if len(g.b) != n - 1:
         raise DimensionMismatch("group element size does not match dimension")
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -146,6 +147,7 @@ def right_action(u: FramePoint, g: list[list[Fraction]]) -> FramePoint:
 
 def slice_substitution(n: int, slot: int = 1) -> dict:
     """Variable map realizing the slice: frozen coframe rows become constants."""
+    check_index(slot, n)
     sub = {}
     for a in range(1, n + 1):
         if a == slot:
@@ -161,7 +163,6 @@ def pullback_two_form(n: int, slot: int = 1) -> dict[int, TwoForm]:
     Differentials of frozen variables vanish, so only the slot component
     survives: sum_j dP_j ^ dQ^j with P_j = pi^slot_j.
     """
-    check_index(slot, n)
     sub = slice_substitution(n, slot)
     frozen = set(sub)
     out: dict[int, TwoForm] = {}
@@ -176,6 +177,7 @@ def pullback_two_form(n: int, slot: int = 1) -> dict[int, TwoForm]:
 
 def two_form_rank(omega: TwoForm, n: int, slot: int = 1) -> int:
     """Exact rank of a constant-coefficient two-form on the slice tangent space."""
+    check_index(slot, n)
     basis = [qvar(j) for j in range(1, n + 1)] + [pivar(slot, j) for j in range(1, n + 1)]
     dim = len(basis)
     matrix = [[Fraction(0)] * dim for _ in range(dim)]
@@ -196,7 +198,8 @@ def tangency_check(x: HamVF, slot: int = 1) -> bool:
     """True iff no vertical component leaves the slice.
 
     Every coefficient on d/dpi^A_b with A != slot must vanish identically
-    once the slice relations are substituted.
+    once the slice relations are substituted; a slot outside 1..n raises
+    IndexRangeError.
     """
     sub = slice_substitution(x.n, slot)
     for vf in x.terms.values():
@@ -217,6 +220,7 @@ def gauge_fix_for_B1(f: Observable, slot: int = 1) -> HamVF:
     its lower index; the gauge correction is therefore zero, and tangency
     is asserted rather than repaired.
     """
+    check_index(slot, f.n)
     if not in_b1_algebra(f, slot):
         raise NotInGeneratorAlgebra(
             f"observable uses generators outside the slot-{slot} basic algebra"

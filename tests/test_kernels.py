@@ -1,24 +1,28 @@
 """The sparse split-count kernels against brute-force split enumeration,
-the process-wide expansion memo and the integer tables against fresh
-builds, the integer forms layer against a Poly oracle, and the integer
+the one expansion (the integer component tables and each observable's
+integer form) and the tables built on it against a Poly expansion kept
+here, the integer forms layer against a Poly oracle, and the integer
 bracket kernel against all of them.
 
 The reference visits every multi-index K of the target rank and every
 position split of it; the engine visits only the pairs of the two supports
-and weighs each by split_count.  The field reference applies the factor
-rule to fresh expansions, with no memo.  The Poly oracle of the forms layer
-(the factor rule on the expansion memo, the coordinate Lie bracket, the
-contraction with dtheta) is kept here, beside the integer path it checks.
-The integer tables must equal the Poly path times their denominators, the
-packed memos must unpack to the integer forms (the partials table to their
-term-by-term derivatives), and the checked bracket must be the sum over
-unit pairs and name the unit pair whose routes disagree.
+and weighs each by split_count.  The Poly expansion builds each
+generator's components from its definition and multiplies them by split
+enumeration, with nothing read from nsq's tables.  The Poly oracle of the
+forms layer (the factor rule on that expansion, the coordinate Lie
+bracket, the contraction with dtheta) is kept here, beside the integer
+path it checks.  The integer tables must equal the Poly expansion times
+their denominators, the packed memos must unpack to the integer forms (the
+partials table to their term-by-term derivatives), ``==``, ``is_zero`` and
+``ranks`` must agree with the Poly expansion, and the checked bracket must
+be the sum over unit pairs and name the unit pair whose routes disagree.
 """
 
 import copy
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from types import SimpleNamespace
 
@@ -26,11 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsq import poisson
+from nsq import algebra, poisson
 from nsq.algebra import (
     FramePoint,
     Observable,
-    _generator_components,
     _monomial_components,
     all_multi_indices,
     evaluate,
@@ -49,7 +52,6 @@ from nsq.forms import (
     _contraction_sums,
     _monomial_field_table,
     _monomial_partials,
-    _packed_numerators,
     _generator_direction,
     add_gauge,
     ham_vf,
@@ -131,7 +133,7 @@ def poly_lie_bracket(a, b):
 
 
 def poly_monomial_ham_vf(mono, n, slot):
-    """Factor-rule grades of one generator monomial with coefficient 1, on the expansion memo.
+    """Factor-rule grades of one generator monomial with coefficient 1, on the Poly expansion.
 
     For u_1 ... u_r the grade-I field collects (1/r!) * Sym(all factors but
     u_m)^I * X_{u_m} over the factor positions m.
@@ -141,7 +143,7 @@ def poly_monomial_ham_vf(mono, n, slot):
     for m in range(len(mono)):
         base = generator_field(mono[m])
         rest = mono[:m] + mono[m + 1 :]
-        rest_comps = _monomial_components(rest, n, slot) if rest else {(): Poly.constant(1)}
+        rest_comps = fresh_expansion(rest, n, slot) if rest else {(): Poly.constant(1)}
         for idx, poly in rest_comps.items():
             accumulate(out, idx, poly_mul_field(base, poly.scale(weight)))
     return out
@@ -178,15 +180,17 @@ def poly_contraction_sum(grades, K, dtheta):
 def poly_structure_eq_check(f, grades):
     """The structure equation on Polys: d f^K = -(p-1)! * the contraction sum at every K of rank p."""
     dtheta = soldering_dtheta(f.n, f.slot)
-    if f.is_zero():
+    comps = poly_components(f)
+    if not comps:
         ranks = {len(I) for I in grades}
         return all(
             poly_contraction_sum(grades, K, dtheta).is_zero() for g in ranks for K in all_multi_indices(f.n, g + 1)
         )
-    p = f.rank()
+    ((p, grade),) = comps.items()
     prefactor = Scalar.of(-factorial(p - 1))
+    zero = Poly.zero()
     return all(
-        OneForm({var: f.component(K).diff(var) for var in f.component(K).variables()})
+        OneForm({var: grade.get(K, zero).diff(var) for var in grade.get(K, zero).variables()})
         == poly_contraction_sum(grades, K, dtheta).scale(prefactor)
         for K in all_multi_indices(f.n, p)
     )
@@ -197,7 +201,7 @@ def ref_sym_components(n, f, p, g, q):
 
 
 def ref_bracket_components(x, p, g, q):
-    comps = g.components.get(q, {})
+    comps = poly_components(g).get(q, {})
     avg = split_average(g.n, p + q - 1, p - 1, x.terms, comps, poly_apply, Poly.zero())
     return {K: poly.scale(-factorial(p)) for K, poly in avg.items()}
 
@@ -213,11 +217,46 @@ def ref_vf_bracket(x, y):
     return HamVF(x.n, out)
 
 
-def fresh_expansion(mono, n, slot):
-    comps = _generator_components(mono[0], n, slot)
-    for k, tag in enumerate(mono[1:], start=1):
-        comps = ref_sym_components(n, comps, k, _generator_components(tag, n, slot), 1)
+def generator_components(tag, n, slot):
+    """{(l,): component l} of one generator, from its definition.
+
+    qhat(i,j) is q^i at j, rhat(k) is 1 at k and pihat(k) is pi^l_k at every
+    l; on a slice the frozen rows pi^A_j = delta^A_j (A != slot) are
+    substituted.
+    """
+    if tag[0] == "q":
+        return {(tag[2],): Poly.var(qvar(tag[1]))}
+    if tag[0] == "r":
+        return {(tag[1],): Poly.constant(1)}
+    k = tag[1]
+    if slot is None:
+        return {(l,): Poly.var(pivar(l, k)) for l in range(1, n + 1)}
+    comps = {(slot,): Poly.var(pivar(slot, k))}
+    if k != slot:
+        comps[(k,)] = Poly.constant(1)
     return comps
+
+
+@lru_cache(maxsize=None)
+def fresh_expansion(mono, n, slot):
+    """K -> Poly: the components of a unit monomial, its generators multiplied by split enumeration.
+
+    Memoized here for speed only; the maps are never written to.
+    """
+    comps = generator_components(mono[0], n, slot)
+    for k, tag in enumerate(mono[1:], start=1):
+        comps = ref_sym_components(n, comps, k, generator_components(tag, n, slot), 1)
+    return comps
+
+
+def poly_components(f):
+    """rank -> K -> Poly: the components of an observable, from the Poly expansion, zeros dropped."""
+    out = {}
+    for mono, c in f.terms.items():
+        grade = out.setdefault(len(mono), {})
+        for K, poly in fresh_expansion(mono, f.n, f.slot).items():
+            accumulate(grade, K, poly.scale(c))
+    return {rank: grade for rank, grade in out.items() if grade}
 
 
 def ref_ham_vf(f):
@@ -381,7 +420,7 @@ def test_vf_bracket_matches_split_enumeration(pair, gauge_seed):
     assert vf_bracket(x, y) == ref_vf_bracket(x, y)
 
 
-# -- the expansion memo -------------------------------------------------------------
+# -- the component table memo ---------------------------------------------------------
 
 
 @st.composite
@@ -398,8 +437,9 @@ def test_memoized_expansion_equals_fresh(cases):
     _monomial_components.cache_clear()
     for n, slot, mono in cases:
         fresh = fresh_expansion(mono, n, slot)
-        assert _monomial_components(mono, n, slot) == fresh  # miss
-        assert _monomial_components(mono, n, slot) == fresh  # hit
+        scale = factorial(len(mono))
+        assert as_polys(unpacked(_monomial_components(mono, n, slot), n), scale) == fresh  # miss
+        assert as_polys(unpacked(_monomial_components(mono, n, slot), n), scale) == fresh  # hit
     assert _monomial_components.cache_info().hits >= len(cases)
 
 
@@ -414,7 +454,7 @@ def test_memo_key_separates_slice_and_full():
         for first in (None, 1):
             _monomial_components.cache_clear()
             order = (first, 1 if first is None else None)
-            got = {slot: _monomial_components(mono, n, slot) for slot in order}
+            got = {slot: as_polys(unpacked(_monomial_components(mono, n, slot), n), 1) for slot in order}
             assert got[None] == full and got[1] == on_slice
         assert Observable(n, {mono: 1}).components == {1: full}
         assert Observable(n, {mono: 1}, slot=1).components == {1: on_slice}
@@ -428,10 +468,6 @@ def test_memo_key_separates_slice_and_full():
                 assert ham_vf(Observable(n, {square: 1}, slot=slot)) == expected[slot]
 
 
-def _snapshot(comps):
-    return {K: {m: dict(c.terms) for m, c in poly.terms.items()} for K, poly in comps.items()}
-
-
 @SETTINGS
 @given(monomial_pair(max_rank=3), st.sampled_from([None, 3]))
 def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
@@ -439,8 +475,8 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     keys = {mono[:k] for mono in (mf, mg) for k in range(1, len(mono) + 1)}
     keys |= {mono[:m] + mono[m + 1 :] for mono in (mf, mg) for m in range(len(mono))} - {()}
     cached = {key: _monomial_components(key, n, None) for key in keys}
-    before = {key: _snapshot(comps) for key, comps in cached.items()}
-    integer_memos = (_packed_numerators, _monomial_partials, _monomial_field_table)
+    before = copy.deepcopy(cached)
+    integer_memos = (_monomial_components, _monomial_partials, _monomial_field_table)
     integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in (mf, mg, tuple(sorted(mf + mg)))}
     integer_before = copy.deepcopy(integer)
     f, g = observable(n, mf), observable(n, mg)
@@ -448,6 +484,8 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     bracket(f, g, gauge_seed=gauge_seed)
     sym_mul(f, g).components
     f.scale(Fraction(-2, 3)).components
+    assert (f + g == g + f) and not (f - f) and f.ranks() == [len(mf)]
+    assert f.scale(Scalar.symbol(IHBAR)) + sym_mul(f, g) != f
     ham_vf(sym_mul(f, g))
     bracket(sym_mul(f, g), f + g, gauge_seed=gauge_seed)
     x = ham_vf(f)
@@ -459,10 +497,10 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     x.terms
     ham_vf(f + g)
     ham_vf(f.scale(Fraction(-2, 3)) + sym_mul(f, g))
+    assert cached == before
     for key, comps in cached.items():
-        assert _snapshot(comps) == before[key]
         again = _monomial_components(key, n, None)
-        assert again is comps or _snapshot(again) == before[key]
+        assert again is comps or again == before[key]
     assert integer == integer_before
 
 
@@ -496,35 +534,40 @@ def test_memoized_field_equals_factor_rule(f, gauge_seed):
         assert ham_vf(f) == expected
 
 
-# -- the shared unit expansion ------------------------------------------------------
+# -- the shared unit table ------------------------------------------------------------
 
 
 def test_unit_monomial_shares_memoized_expansion():
+    # a unit monomial's integer form is the shared table over r!, uncopied;
+    # any other observable builds its own, and nothing writes into the table
     n = 3
     mono = (pitag(2), qtag(1, 1), rtag(1))
     shared = _monomial_components(mono, n, None)
-    before = _snapshot(shared)
+    before = copy.deepcopy(shared)
+    fresh = fresh_expansion(mono, n, None)
     unit = Observable(n, {mono: 1})
-    assert unit.components == {3: shared} and unit.components[3] is shared
-    assert Observable(n, {mono: 1}, slot=1).components[3] is _monomial_components(mono, n, 1)
+    assert unit._numerators() == ({3: shared}, 6) and unit._numerators()[0][3] is shared
+    assert Observable(n, {mono: 1}, slot=1)._numerators()[0][3] is _monomial_components(mono, n, 1)
+    assert unit.components == {3: fresh}
 
     doubled = Observable(n, {mono: 2})
     symbolic = Observable(n, {mono: Scalar.symbol(IHBAR)})
     multi_term = Observable(n, {mono: 1, (rtag(2),): 1})
     for obs in (doubled, symbolic, multi_term):
-        assert obs.components[3] is not shared
-    assert doubled.components == {3: {K: poly.scale(2) for K, poly in shared.items()}}
-    assert symbolic.components == {3: {K: poly.scale(Scalar.symbol(IHBAR)) for K, poly in shared.items()}}
-    assert multi_term.components[3] == shared
+        assert obs._numerators()[0][3] is not shared
+    assert doubled.components == {3: {K: poly.scale(2) for K, poly in fresh.items()}}
+    assert symbolic.components == {3: {K: poly.scale(Scalar.symbol(IHBAR)) for K, poly in fresh.items()}}
+    assert multi_term.components[3] == fresh
 
     g = Observable(n, {(pitag(1), qtag(2, 3)): 1})
     assert unit != doubled and unit == Observable(n, {mono: 1})
+    assert unit == doubled.scale(Fraction(1, 2)) and unit != Observable(n, {mono: Fraction(1, 2)})
     evaluate(unit, FramePoint([1, 2, 3], [[2, 1, 0], [0, 1, 0], [1, 0, 1]]))
     substituted_components(unit, 1)
     bracket(unit, g)
     bracket(g, unit, gauge_seed=5)
-    assert _snapshot(shared) == before
-    assert unit.components[3] is shared
+    assert shared == before
+    assert unit._numerators()[0][3] is shared
 
 
 # -- the integer memos --------------------------------------------------------------
@@ -533,7 +576,6 @@ def test_unit_monomial_shares_memoized_expansion():
 def clear_memos():
     for memo in (
         _monomial_components,
-        _packed_numerators,
         _monomial_partials,
         _monomial_field_table,
     ):
@@ -541,11 +583,11 @@ def clear_memos():
 
 
 def tuple_numerators(mono, n, slot):
-    """K -> tuple-keyed integer numerators: the expansion memo times r!."""
+    """K -> tuple-keyed integer numerators: the Poly expansion times r!."""
     scale = factorial(len(mono))
     return {
         K: {m: c.as_fraction() * scale for m, c in poly.terms.items()}
-        for K, poly in _monomial_components(mono, n, slot).items()
+        for K, poly in fresh_expansion(mono, n, slot).items()
     }
 
 
@@ -573,8 +615,8 @@ def unpacked_field_table(mono, n, slot):
 
 def assert_integer_memos_match(mono, n, slot):
     r = len(mono)
-    comps = _monomial_components(mono, n, slot)
-    assert as_polys(unpacked(_packed_numerators(mono, n, slot), n), factorial(r)) == comps
+    comps = fresh_expansion(mono, n, slot)
+    assert as_polys(unpacked(_monomial_components(mono, n, slot), n), factorial(r)) == comps
     table, den = _monomial_field_table(mono, n, slot)
     fields = {}
     for (var, I, m), c in table.items():
@@ -586,8 +628,8 @@ def assert_integer_memos_match(mono, n, slot):
 @SETTINGS
 @given(st.lists(monomial_in_some_algebra(max_n=4), min_size=1, max_size=4), st.booleans())
 def test_integer_memos_equal_poly_memos_times_denominators(cases, slice_first):
-    # the packed components are r! times the expansion memo and the field
-    # table r!(r-1)! times the field memo; each monomial is looked up on its
+    # the packed components are r! times the Poly expansion and the field
+    # table r!(r-1)! times the Poly factor rule; each monomial is looked up on its
     # slice and on the full bundle, in either order from empty memos, so a
     # key without the slot would show
     for clear in (False, True):
@@ -611,16 +653,16 @@ def term_partials(num):
 
 def assert_packed_tables_match(mono, n, slot):
     numerators = tuple_numerators(mono, n, slot)
-    assert unpacked(_packed_numerators(mono, n, slot), n) == numerators
+    assert unpacked(_monomial_components(mono, n, slot), n) == numerators
     expected = {}
     for J, num in numerators.items():
         for var, terms in term_partials(num).items():
             expected.setdefault(var, []).extend((J, lowered, c) for lowered, c in terms)
     partials = _monomial_partials(mono, n, slot)
     assert {
-        var: [(J, unpack_monomial(lowered, n), c) for J, lowered, c in entries]
+        var: sorted((J, unpack_monomial(lowered, n), c) for J, lowered, c in entries)
         for var, entries in partials.items()
-    } == expected
+    } == {var: sorted(entries) for var, entries in expected.items()}
     assert unpacked_field_table(mono, n, slot) == tuple_field_numerators(mono, n, slot)
 
 
@@ -643,7 +685,7 @@ def test_packed_tables_unpack_to_tuple_numerators(cases, slice_first):
 def test_integer_builders_equal_poly_path_on_every_small_monomial():
     # every monomial of degree <= 3 at n 1..3, on the full bundle and on
     # every slice: the integer builders, which never form a Poly, against
-    # the Poly memos times r! and r!(r-1)!
+    # the Poly expansion and factor rule times r! and r!(r-1)!
     clear_memos()
     for n in (1, 2, 3):
         for slot in [None, *range(1, n + 1)]:
@@ -653,19 +695,29 @@ def test_integer_builders_equal_poly_path_on_every_small_monomial():
                     assert_packed_tables_match(mono, n, slot)
 
 
-def test_bracket_leaves_the_poly_memos_empty():
-    # the checked bracket reads only the integer tables, so it expands no
-    # monomial into Polys, with or without gauge terms, on a slice or not
+def no_poly_views(monkeypatch):
+    """Make reading any observable's Poly view (``components``, memoized per observable) fail."""
+
+    def refused(*args):
+        raise AssertionError("an observable's Poly view was unpacked")
+
+    monkeypatch.setattr(algebra, "unpack_poly", refused)
+
+
+def test_bracket_leaves_the_poly_memos_empty(monkeypatch):
+    # the checked bracket reads only the integer tables, so it unpacks no
+    # observable's Poly view, with or without gauge terms, on a slice or not
     clear_memos()
+    no_poly_views(monkeypatch)
     n = 3
     f = Observable(n, {(qtag(1, 2), pitag(1), pitag(3)): 2, (qtag(2, 1),): 1, (rtag(3), pitag(2)): -1})
     g = Observable(n, {(pitag(1), pitag(2)): 1, (qtag(3, 3), qtag(1, 1)): Scalar.symbol(IHBAR)})
-    bracket(f, g)
-    bracket(g, f, gauge_seed=4)
+    fg = bracket(f, g)
+    assert fg == -bracket(g, f, gauge_seed=4) and fg.ranks() == [2, 4]
     on_slice = Observable(n, {(qtag(1, 1), pitag(2)): 1, (pitag(1), rtag(1)): 3}, slot=1)
-    bracket(on_slice, on_slice)
+    assert not bracket(on_slice, on_slice)
     assert _monomial_field_table.cache_info().currsize > 0
-    assert _monomial_components.cache_info().currsize == 0
+    assert all(obs._components is None for obs in (f, g, fg, on_slice))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -693,20 +745,52 @@ def test_packed_monomials_round_trip_at_the_power_bound(n):
     assert unpack_term(pack(outside, sym), n) == (outside, sym, ())
 
 
+def memo_misses():
+    return [memo.cache_info().misses for memo in (_monomial_components, _monomial_partials, _monomial_field_table)]
+
+
 def test_bracket_at_the_power_bound_and_one_past_it():
-    # powers in a (p, q) pair reach p+q-2: pihat(1) against qhat(1,1)^q
+    # a (p, q) pair reads the component tables of degree p+q-1, which hold
+    # powers up to p+q-1: pihat(1) against qhat(1,1)^q
     n = 1
     f = Observable(n, {(pitag(1),): 1})
-    at_bound = Observable(n, {(qtag(1, 1),) * (POWER_BOUND + 1): 1})
+    at_bound = Observable(n, {(qtag(1, 1),) * POWER_BOUND: 1})
     got = bracket(f, at_bound)
-    assert got.terms == {(qtag(1, 1),) * POWER_BOUND + (rtag(1),): -(POWER_BOUND + 1)}
-    past = Observable(n, {(qtag(1, 1),) * (POWER_BOUND + 2): 1})
-    misses = _monomial_partials.cache_info().misses
-    with pytest.raises(EngineError, match="ranks 1 and 257 is refused: its powers reach 256"):
+    assert got.terms == {(qtag(1, 1),) * (POWER_BOUND - 1) + (rtag(1),): -POWER_BOUND}
+    assert got.ranks() == [POWER_BOUND]
+    past = Observable(n, {(qtag(1, 1),) * (POWER_BOUND + 1): 1})
+    misses = memo_misses()
+    with pytest.raises(EngineError, match="ranks 1 and 256 is refused: its result has degree 256, past the 255"):
         bracket(f, past)
-    with pytest.raises(EngineError, match="ranks 257 and 1 is refused"):
+    with pytest.raises(EngineError, match="ranks 256 and 1 is refused"):
         bracket(past, f)
-    assert _monomial_partials.cache_info().misses == misses  # refused before any table is built
+    assert memo_misses() == misses  # refused before any table is built
+
+
+def test_observable_forms_refuse_powers_past_the_bound():
+    # a monomial of degree 256, or a coefficient with a symbol power of 256,
+    # could carry out of a packed field: it has no integer form, so ==, the
+    # zero test and the ranks refuse it before building any table
+    clear_memos()
+    n = 1
+    q = (qtag(1, 1),)
+    at_bound = Observable(n, {q * POWER_BOUND: 1})
+    assert at_bound.rank() == POWER_BOUND and at_bound == Observable(n, {q * POWER_BOUND: 2}).scale(Fraction(1, 2))
+    past = Observable(n, {q * (POWER_BOUND + 1): 1})
+    tables = _monomial_components.cache_info().currsize
+    assert tables == POWER_BOUND
+    for query in (lambda: past == past, past.rank, past.ranks, past.is_zero, past.min_rank):
+        with pytest.raises(EngineError, match="an observable power could reach 256, past the 255"):
+            query()
+    assert _monomial_components.cache_info().currsize == tables
+    ihbar = Scalar.symbol(IHBAR)
+    symbol_at_bound = Observable(n, {q: ihbar ** POWER_BOUND})
+    assert symbol_at_bound == symbol_at_bound.scale(2).scale(Fraction(1, 2)) and symbol_at_bound.rank() == 1
+    symbol_past = Observable(n, {q: ihbar ** (POWER_BOUND + 1)})
+    with pytest.raises(EngineError, match="an observable power could reach 256"):
+        symbol_past == Observable(n, {q: 1})
+    with pytest.raises(EngineError, match="could reach 256"):
+        Observable(n, {q: 1}) == symbol_past
 
 
 def test_field_powers_at_the_power_bound_and_past_it():
@@ -945,10 +1029,12 @@ def test_structure_eq_check_verdicts_match_the_poly_oracle(case):
         assert verdict
 
 
-def test_a_thm1_case_leaves_the_poly_memos_unfilled():
+def test_a_thm1_case_leaves_the_poly_memos_unfilled(monkeypatch):
     # theorem 1 and the benchmark's thm1 steps (ham_vf, vf_bracket, scale,
-    # structure_eq_check) run on the integer forms and tables alone
+    # structure_eq_check) run on the integer forms and tables alone, and
+    # unpack no observable's Poly view
     clear_memos()
+    no_poly_views(monkeypatch)
     n = 3
     f = Observable(n, {(qtag(1, 2), pitag(1), pitag(3)): 2, (qtag(2, 1), rtag(1), pitag(2)): Scalar.symbol(IHBAR)})
     g = Observable(n, {(pitag(1), pitag(2)): 1, (qtag(3, 3), qtag(1, 1)): Fraction(-1, 2)})
@@ -961,4 +1047,82 @@ def test_a_thm1_case_leaves_the_poly_memos_unfilled():
         candidate = vf_bracket(ham_vf(a), ham_vf(b)).scale(Fraction(-1) / c)
         assert structure_eq_check(bracket(a, b), candidate)
     assert _monomial_field_table.cache_info().currsize > 0
-    assert _monomial_components.cache_info().currsize == 0
+
+
+# -- equality, the zero test and the ranks on the integer form -------------------------
+
+
+def test_equality_across_decompositions_and_denominators():
+    n = 2
+    a = Observable(n, {(qtag(1, 2), rtag(1)): 1})
+    b = Observable(n, {(qtag(1, 1), rtag(2)): 1})
+    assert a == b and a.terms != b.terms
+    half = Observable(n, {(qtag(1, 2), rtag(1)): Fraction(1, 2), (qtag(1, 1), rtag(2)): Fraction(1, 2)})
+    assert a._numerators()[1] != half._numerators()[1]
+    assert a == half and half == a  # cross-multiplied
+    # the same numerators over another denominator
+    other = Observable(n, {(qtag(1, 2), rtag(1)): Fraction(1, 2)})
+    assert a._numerators()[0] == other._numerators()[0] and a != other and other != a
+    # a sum that cancels only in its components
+    assert (a - b).terms and (a - b).is_zero() and not (a - b)
+    assert (a - b).ranks() == [] and (a - b).min_rank() is None
+    assert a + (a - b) == b and a + (a - b) != a.scale(2)
+
+
+def rewritten(mono, draw):
+    """mono with the lower indices of its qhat and rhat factors permuted: the same components."""
+    slots = iter(draw(st.permutations([tag[-1] for tag in mono if tag[0] != "pi"])))
+    return tuple(sorted(tag if tag[0] == "pi" else tag[:-1] + (next(slots),) for tag in mono))
+
+
+@st.composite
+def observables_to_compare(draw):
+    """(f, g, kind) in one algebra: g independent of f, f rewritten in other
+    decompositions, f plus a sum that cancels only in components, or f scaled."""
+    n = draw(st.integers(1, 3))
+    slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
+    tags = full_tags(n) if slot is None else slice_tags(n, slot)
+    terms = st.dictionaries(monomials(tags, 3), symbolic_coefficients, min_size=1, max_size=3)
+
+    def rewrite(obs):
+        out = Observable(n, {}, slot=slot)
+        for mono, c in obs.terms.items():
+            out = out + Observable(n, {rewritten(mono, draw): c}, slot=slot)
+        return out
+
+    f = Observable(n, draw(terms), slot=slot)
+    kind = draw(st.sampled_from(["independent", "rewritten", "cancelling", "scaled"]))
+    if kind == "independent":
+        g = Observable(n, draw(terms), slot=slot)
+    elif kind == "rewritten":
+        g = rewrite(f)
+    elif kind == "cancelling":
+        h = Observable(n, draw(terms), slot=slot)
+        g = f + (h - rewrite(h)).scale(Fraction(1, 3))
+    else:
+        g = f.scale(draw(symbolic_coefficients))
+    return f, g, kind
+
+
+@SETTINGS
+@given(observables_to_compare())
+def test_equality_zero_test_and_ranks_match_a_poly_expansion(case):
+    # ==, is_zero, ranks, rank and min_rank read the integer form, and the
+    # Poly view unpacks it: all must agree with the Poly expansion
+    f, g, kind = case
+    for obs in (f, g, f - g, f + g, sym_mul(f, g)):
+        comps = poly_components(obs)
+        assert obs.components == comps
+        assert obs.is_zero() == (not comps) and bool(obs) == bool(comps)
+        assert obs.ranks() == sorted(comps)
+        assert obs.min_rank() == (min(comps) if comps else None)
+        if len(comps) == 1:
+            assert obs.rank() == min(comps)
+        else:
+            with pytest.raises(ValueError, match="not homogeneous"):
+                obs.rank()
+    equal = poly_components(f) == poly_components(g)
+    assert (f == g) == equal and (g == f) == equal and (f != g) == (not equal)
+    assert (f - g).is_zero() == equal
+    if kind in ("rewritten", "cancelling"):
+        assert f == g

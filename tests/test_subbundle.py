@@ -17,8 +17,8 @@ from nsq.algebra import (
     sym_mul,
     sym_pow,
 )
-from nsq.errors import DimensionMismatch, NotInGeneratorAlgebra
-from nsq.poisson import bracket
+from nsq.errors import DimensionMismatch, IndexRangeError, NotInGeneratorAlgebra
+from nsq.poisson import bracket, is_in_Pk
 from nsq.forms import TwoForm, ham_vf, soldering_dtheta, structure_eq_check
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.subbundle import (
@@ -36,6 +36,7 @@ from nsq.subbundle import (
     reduction_homomorphism_check,
     right_action,
     slice_check,
+    slice_substitution,
     substituted_components,
     tangency_check,
     two_form_rank,
@@ -255,3 +256,22 @@ def test_other_slots():
         {(pivar(slot, j), qvar(j)): Poly.constant(1) for j in range(1, n + 1)}
     )
     assert pulled[1].is_zero() and pulled[3].is_zero()
+
+
+@pytest.mark.parametrize("slot", [0, 3])
+def test_slice_helpers_refuse_a_slot_out_of_range(slot):
+    # at n=2 slot 0 used to read row -1 (slot 2) and slot 3 to freeze every row
+    n = 2
+    x = ham_vf(make_pihat(n, 1))
+    with pytest.raises(IndexRangeError):
+        g1_embed(g1_identity(n), n, slot=slot)
+    with pytest.raises(IndexRangeError):
+        slice_substitution(n, slot)
+    with pytest.raises(IndexRangeError):
+        tangency_check(x, slot)
+    with pytest.raises(IndexRangeError):
+        two_form_rank(pullback_two_form(n)[1], n, slot)
+    with pytest.raises(IndexRangeError):
+        gauge_fix_for_B1(make_pihat(n, 1), slot=slot)
+    with pytest.raises(IndexRangeError):
+        is_in_Pk(make_pihat(n, 1), 1, slot=slot)

@@ -152,15 +152,7 @@ MUTANTS = [
         [("packed.py", "        self._require_same(other)\n        if not other._nums:\n", "        if not other._nums:\n")],
         [f"{QUANT}::test_operators_refuse_other_dimensions", f"{FORMS}::test_field_operations_refuse_other_dimensions"],
     ),
-    # -- the integer tables (forms) --
-    Mutant(
-        "component numerator memo keyed without the slot",
-        [(
-            "forms.py",
-            *keyed_without("@lru_cache(maxsize=512)", "_packed_numerators", "mono, n, slot", "(mono, n)"),
-        )],
-        [f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
-    ),
+    # -- the field and partials tables (forms) --
     Mutant(
         "field memo keyed without the slot",
         [(
@@ -184,11 +176,6 @@ MUTANTS = [
             f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators",
             f"{KERNELS}::test_route1_matches_split_enumeration",
         ],
-    ),
-    Mutant(
-        "integer component builder weighs by 1 instead of K.count(j)",
-        [("forms.py", "            weight = K.count(j)\n", "            weight = 1\n")],
-        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
     ),
     Mutant(
         "field table drops the -1 sign of a qhat generator",
@@ -251,17 +238,41 @@ MUTANTS = [
         [("poisson.py", "    if gauge_seed is not None and slot is not None:\n", "    if False:\n")],
         [f"{KERNELS}::test_slice_bracket_refuses_gauge_seed"],
     ),
-    # -- the expansion memo and the split-pair loop (algebra) --
+    # -- the one expansion and the observable's integer form (algebra) --
     Mutant(
-        "expansion memo keyed without the slot",
+        "component table memo keyed without the slot",
         [(
             "algebra.py",
             *keyed_without("@lru_cache(maxsize=1024)", "_monomial_components", "mono, n, slot", "(mono, n)"),
         )],
-        [f"{KERNELS}::test_memo_key_separates_slice_and_full"],
+        [f"{KERNELS}::test_memo_key_separates_slice_and_full", f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
     Mutant(
-        "split_pair_sum weighs by 1/comb without split_count",
+        "integer component builder weighs by 1 instead of K.count(j)",
+        [("algebra.py", "            weight = K.count(j)\n", "            weight = 1\n")],
+        [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
+    ),
+    Mutant(
+        "a unit monomial's form over (r-1)! instead of r!",
+        [(
+            "algebra.py",
+            "self._form = {len(mono): _monomial_components(mono, n, slot)}, factorial(len(mono))",
+            "self._form = {len(mono): _monomial_components(mono, n, slot)}, factorial(len(mono) - 1)",
+        )],
+        [f"{KERNELS}::test_unit_monomial_shares_memoized_expansion", f"{KERNELS}::test_equality_zero_test_and_ranks_match_a_poly_expansion"],
+    ),
+    Mutant(
+        "a single monomial with a non-unit coefficient shares the unit table",
+        [("algebra.py", "if len(self.terms) == 1 and ONE in self.terms.values():", "if len(self.terms) == 1:")],
+        [f"{KERNELS}::test_unit_monomial_shares_memoized_expansion", f"{KERNELS}::test_equality_zero_test_and_ranks_match_a_poly_expansion"],
+    ),
+    Mutant(
+        "== compares unscaled forms when the denominators differ",
+        [("algebra.py", "_scaled(a, db) == _scaled(b, da)", "a == b")],
+        [f"{KERNELS}::test_equality_across_decompositions_and_denominators", f"{KERNELS}::test_equality_zero_test_and_ranks_match_a_poly_expansion"],
+    ),
+    Mutant(
+        "sym_components weighs by 1/comb without split_count",
         [(
             "algebra.py",
             "weight = Fraction(split_count(K, I), comb(len(K), len(I)))",
@@ -363,51 +374,53 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 1.5,
-    "leibniz falling factorial set to 1": 1.4,
-    "leibniz memo keyed on the q powers without the degree": 1.7,
+    "leibniz weight without comb": 2.0,
+    "leibniz falling factorial set to 1": 1.9,
+    "leibniz memo keyed on the q powers without the degree": 1.6,
     "leibniz memo keyed on the degree without the q powers": 2.0,
-    "composition drops the right operand's denominator": 48.3,
-    "commutator adds b o a instead of subtracting it": 87.2,
+    "composition drops the right operand's denominator": 42.2,
+    "commutator adds b o a instead of subtracting it": 69.8,
     "image memo keyed without the map instance (module-level)": 1.6,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.9,
-    "closed form without j!": 1.6,
-    "prefix stack keeps a stale letter past the common prefix": 2.1,
-    "packed field one bit narrower than the bound": 2.2,
-    "IHBAR field dropped from the packed key": 48.5,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.0,
+    "closed form without j!": 2.0,
+    "prefix stack keeps a stale letter past the common prefix": 2.0,
+    "packed field one bit narrower than the bound": 2.3,
+    "IHBAR field dropped from the packed key": 51.0,
     "the shared + skips the space check": 1.5,
-    "component numerator memo keyed without the slot": 3.5,
-    "field memo keyed without the slot": 1.4,
-    "partials table keyed without the slot": 4.4,
-    "partials table skips the last variable of the monomial": 16.1,
-    "integer component builder weighs by 1 instead of K.count(j)": 1.8,
-    "field table drops the -1 sign of a qhat generator": 1.8,
-    "ham_vf treats every coefficient as 1": 5.1,
-    "packed Lie bracket adds the second term instead of subtracting it": 4.3,
-    "integer vf_bracket weighs by 1/comb without split_count": 3.3,
-    "the sweep drops the (p-1)! prefactor": 9.0,
-    "the zero-class branch is skipped": 6.5,
-    "route 1 weight -1 instead of -split_count": 4.0,
-    "gauge term's route 1 not checked": 1.9,
-    "routes compared on the first unit pair only": 38.4,
-    "bracket drops the cf * cg coefficient product": 21.7,
-    "gauge seed accepted on a slice": 1.7,
-    "expansion memo keyed without the slot": 1.5,
-    "split_pair_sum weighs by 1/comb without split_count": 14.6,
-    "dirac pair loop builds g from m1": 2.0,
-    "record_dirac records \"fail\" instead of the residual": 1.9,
-    "suite decorator stamps one fixed suite name": 1.9,
-    "accumulate keeps a zero sum": 2.1,
-    "LinComb._like drops the space (n, slot)": 39.0,
-    "LinComb.__bool__ always true": 2.1,
-    "Scalar rational fast path taken for a symbol": 9.6,
-    "ONE * s returns ONE": 2.9,
-    "ONE_POLY * p returns ONE_POLY": 3.8,
-    "single-term power scales the exponents by k - 1": 4.6,
-    "single-term power keeps the coefficient unraised": 4.0,
-    "monomial memo keyed without the dimension": 1.8,
-    "membership memo keyed without the slot": 1.9,
-    "monomial memo serves indices that equal an int but are not one": 1.6,
+    "field memo keyed without the slot": 1.6,
+    "partials table keyed without the slot": 8.1,
+    "partials table skips the last variable of the monomial": 16.3,
+    "field table drops the -1 sign of a qhat generator": 2.1,
+    "ham_vf treats every coefficient as 1": 5.5,
+    "packed Lie bracket adds the second term instead of subtracting it": 7.2,
+    "integer vf_bracket weighs by 1/comb without split_count": 4.7,
+    "the sweep drops the (p-1)! prefactor": 10.1,
+    "the zero-class branch is skipped": 6.6,
+    "route 1 weight -1 instead of -split_count": 3.9,
+    "gauge term's route 1 not checked": 1.5,
+    "routes compared on the first unit pair only": 50.1,
+    "bracket drops the cf * cg coefficient product": 20.1,
+    "gauge seed accepted on a slice": 2.1,
+    "component table memo keyed without the slot": 1.9,
+    "integer component builder weighs by 1 instead of K.count(j)": 1.9,
+    "a unit monomial's form over (r-1)! instead of r!": 2.0,
+    "a single monomial with a non-unit coefficient shares the unit table": 1.9,
+    "== compares unscaled forms when the denominators differ": 1.8,
+    "sym_components weighs by 1/comb without split_count": 11.5,
+    "dirac pair loop builds g from m1": 1.8,
+    "record_dirac records \"fail\" instead of the residual": 2.0,
+    "suite decorator stamps one fixed suite name": 1.6,
+    "accumulate keeps a zero sum": 1.8,
+    "LinComb._like drops the space (n, slot)": 35.7,
+    "LinComb.__bool__ always true": 1.7,
+    "Scalar rational fast path taken for a symbol": 6.9,
+    "ONE * s returns ONE": 3.0,
+    "ONE_POLY * p returns ONE_POLY": 2.8,
+    "single-term power scales the exponents by k - 1": 4.3,
+    "single-term power keeps the coefficient unraised": 3.1,
+    "monomial memo keyed without the dimension": 1.9,
+    "membership memo keyed without the slot": 1.7,
+    "monomial memo serves indices that equal an int but are not one": 1.7,
 }
 
 
