@@ -31,20 +31,24 @@ rows pi^A_j = delta^A_j substituted.  On the full bundle ``slot`` is None.
 
 *The one expansion.*  :func:`_monomial_components` builds r! times the
 components of a degree-r generator monomial straight from the generators,
-as K -> {packed monomial: int} in the layout of :mod:`nsq.packed`,
+as one flat map {key: int}: each key packs a multi-index K and a monomial
+m as ``(m << FIELD_BITS * n) + K counts``, K's count of each index value
+1..n in the low n fields (the layout of :mod:`nsq.packed`).  It is
 memoized on (mono, n, slot) and bounded at 1,024 entries.  The forms
 layer and both routes of the bracket read the same tables.  An
-observable's integer form is rank -> K -> {packed key: int} over one
-denominator, zeros dropped: the tables times its coefficients' numerators,
-over the lcm of r! times their denominators, or, for one monomial with
-coefficient 1, its shared table itself over r!.  ``==`` compares two forms
-directly when their denominators are equal and cross-multiplied when they
-differ; ``is_zero``, ``ranks``, ``rank`` and ``min_rank`` read the form,
-and ``components`` is the Poly view unpacked from it on first read.  The
-tables, forms and views are shared: read them, never mutate them.  A
-monomial of degree past ``POWER_BOUND``, or a coefficient with a symbol
-power past it, could carry out of its packed field, so it has no form and
-is refused with EngineError.
+observable's integer form is rank -> {flat key: int} over one
+denominator, zeros dropped: the tables times its coefficients' numerators
+(a symbol monomial shifted above the index fields), over the lcm of r!
+times their denominators, or, for one monomial with coefficient 1, its
+shared table itself over r!.  ``==`` compares two forms directly when
+their denominators are equal and cross-multiplied when they differ;
+``is_zero``, ``ranks``, ``rank`` and ``min_rank`` read the form, and
+``components`` is the Poly view unpacked from it on first read
+(:func:`_unflattened` gives K back as a sorted tuple).  The tables, forms
+and views are shared: read them, never mutate them.  A monomial of degree
+past ``POWER_BOUND``, or a coefficient with a symbol power past it, could
+carry out of its packed field, so it has no form and is refused with
+EngineError.
 
 The Observable constructor checks and sorts each generator monomial once
 per (mono, n) through :func:`_sorted_monomial`, bounded at 1024 entries,
@@ -62,7 +66,7 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
-from .packed import _scalar_numerators, checked_power, packed_units, unpack_poly
+from .packed import FIELD_BITS, _FIELD_MASK, _nonzero, _scalar_numerators, checked_power, packed_units, unpack_poly
 from .polynomials import Poly, Var, pivar, qvar
 from .scalars import ONE, LinComb, Scalar, _coerce, accumulate, signed_sum, signed_term
 
@@ -161,20 +165,24 @@ def basic_tags(n: int, slot: int = 1) -> list[GenTag]:
     return [qtag(i, slot) for i in range(1, n + 1)] + [pitag(k) for k in range(1, n + 1)] + [rtag(slot)]
 
 
-B1_MEMO_BOUND = 1024  # (monomial, slot) pairs memoized as members
+B1_MEMO_BOUND = 1024  # (monomial, n, slot) triples memoized as members
 
 
 def in_b1_algebra(f: Observable, slot: int = 1) -> bool:
     """Membership in the polynomial algebra over the slot's basic set.
 
     Every pihat(k) is in it; qhat(i,j) and rhat(j) are when j is the slot.
-    Every monomial of f is checked, once per (monomial, slot): a member is
-    memoized process-wide (at most B1_MEMO_BOUND, the oldest dropped
-    first), a non-member never is.
+    Every monomial of f is checked, once per (monomial, n, slot): a member
+    is memoized process-wide (at most B1_MEMO_BOUND, the oldest dropped
+    first), a non-member never is.  A slot outside 1..n is refused with
+    IndexRangeError before anything is stored; n is in the key because a
+    monomial is the same tuple at every n where its indices fit.
     """
+    n = f.n
     for mono in f.terms:
-        key = (mono, slot)
+        key = (mono, n, slot)
         if key not in _B1_MEMBERS:
+            check_index(slot, n)
             for tag in mono:
                 if tag[0] != "pi" and tag[-1] != slot:
                     return False
@@ -293,61 +301,68 @@ def sym_components(f: Mapping[MultiIndex, Poly], g: Mapping[MultiIndex, Poly]) -
     return out
 
 
-_EMPTY_REST = {(): {0: 1}}  # the components of the empty product, over 0! = 1
+_EMPTY_REST = {0: 1}  # the components of the empty product, over 0! = 1
 
 
 @lru_cache(maxsize=1024)
-def _monomial_components(
-    mono: GenMonomial, n: int, slot: int | None
-) -> dict[MultiIndex, dict[int, int]]:
-    """r! times the components of a degree-r generator monomial, packed: K -> {key: int}.
+def _monomial_components(mono: GenMonomial, n: int, slot: int | None) -> dict[int, int]:
+    """r! times the components of a degree-r generator monomial, one flat map {key: int}.
 
-    The table of mono[:-1] joined with the last generator's components
-    {(j,): x_j} (x_j a variable or 1): each I and each j land on K =
-    sorted(I + (j,)) with weight K.count(j) = split_count(K, I), times x_j's
-    packed unit (0 for the constant 1).  A degree past POWER_BOUND is
-    refused with EngineError.  Memoized process-wide on (mono, n, slot),
-    with a fixed bound so that memory stays flat on long runs; the returned
-    map is shared between callers: read it, never mutate it.
+    A key is ``(m << FIELD_BITS * n) + K counts`` (see the module
+    docstring).  The table of mono[:-1] joined with the last generator's
+    components {(j,): x_j} (x_j a variable or 1): each entry and each j
+    land on the key plus x_j's packed unit (0 for the constant 1) above the
+    index fields and one count in field j - 1, with weight K.count(j) =
+    split_count(K, I), read from that field of the new key.  A degree past
+    POWER_BOUND is refused with EngineError.  Memoized process-wide on
+    (mono, n, slot), with a fixed bound so that memory stays flat on long
+    runs; the returned map is shared between callers: read it, never
+    mutate it.
     """
     checked_power(len(mono), "an observable")
-    units = packed_units(n)
+    units, shift = packed_units(n), FIELD_BITS * n
     head = _monomial_components(mono[:-1], n, slot) if len(mono) > 1 else _EMPTY_REST
-    tail = [(j, 0 if var is None else units[var]) for j, var in _generator_variables(mono[-1], n, slot)]
     out: dict = {}
-    for I, num in head.items():
-        for j, unit in tail:
-            K = tuple(sorted(I + (j,)))
-            weight = K.count(j)
-            acc = out.get(K)
-            if acc is None:
-                acc = out[K] = {}
-            for m, c in num.items():
-                m += unit
-                acc[m] = acc.get(m, 0) + weight * c
+    for j, var in _generator_variables(mono[-1], n, slot):
+        field = FIELD_BITS * (j - 1)
+        step = (0 if var is None else units[var] << shift) + (1 << field)
+        for key, c in head.items():
+            key += step
+            weight = key >> field & _FIELD_MASK
+            out[key] = out.get(key, 0) + weight * c
     return out
 
 
-def _nonzero(graded: dict) -> dict:
-    """Drop zero coefficients, then empty components, from K -> {key: int}.
+def _index_counts(I: MultiIndex) -> int:
+    """A multi-index as packed index counts, value j's count in field j - 1."""
+    return sum(1 << FIELD_BITS * (j - 1) for j in I)
 
-    Most components have no zero sum, so only those that do are rebuilt.
-    """
-    out = {}
-    for K, acc in graded.items():
-        if 0 in acc.values():
-            acc = {m: c for m, c in acc.items() if c}
-        if acc:
-            out[K] = acc
-    return out
+
+@lru_cache(maxsize=1024)
+def _index_of(counts: int) -> MultiIndex:
+    """The sorted multi-index of packed index counts: the inverse of :func:`_index_counts`."""
+    out: list = []
+    j = 1
+    while counts:
+        out += [j] * (counts & _FIELD_MASK)
+        counts >>= FIELD_BITS
+        j += 1
+    return tuple(out)
+
+
+def _unflattened(flat: dict, n: int) -> dict[MultiIndex, dict[int, int]]:
+    """K -> {packed monomial: int} of a flat map {key: int}, K a sorted tuple."""
+    shift = FIELD_BITS * n
+    mask = (1 << shift) - 1
+    out: dict = {}
+    for key, c in flat.items():
+        out.setdefault(key & mask, {})[key >> shift] = c
+    return {_index_of(counts): num for counts, num in out.items()}
 
 
 def _scaled(graded: dict, factor: int) -> dict:
-    """factor times an integer form rank -> K -> {key: int}."""
-    return {
-        rank: {K: {k: c * factor for k, c in num.items()} for K, num in grade.items()}
-        for rank, grade in graded.items()
-    }
+    """factor times an integer form rank -> {flat key: int}."""
+    return {rank: {k: c * factor for k, c in flat.items()} for rank, flat in graded.items()}
 
 
 class Observable(LinComb):
@@ -365,7 +380,7 @@ class Observable(LinComb):
 
     _space = ("n", "slot")
     slot: int | None = None
-    _form: tuple[dict[int, dict[MultiIndex, dict[int, int]]], int] | None = None
+    _form: tuple[dict[int, dict[int, int]], int] | None = None
     _components: dict[int, dict[MultiIndex, Poly]] | None = None
 
     def __init__(
@@ -405,8 +420,8 @@ class Observable(LinComb):
 
     # -- structure ----------------------------------------------------------
 
-    def _numerators(self) -> tuple[dict[int, dict[MultiIndex, dict[int, int]]], int]:
-        """(rank -> K -> {packed key: int}, denominator): the components' integer form, zeros dropped."""
+    def _numerators(self) -> tuple[dict[int, dict[int, int]], int]:
+        """(rank -> {flat key: int}, denominator): the components' integer form, zeros dropped."""
         if self._form is None:
             n, slot = self.n, self.slot
             if len(self.terms) == 1 and ONE in self.terms.values():
@@ -422,17 +437,17 @@ class Observable(LinComb):
                 den = lcm(den, d)
                 parts.append((mono, cnums, d))
             by_rank: dict = {}
+            above = FIELD_BITS * n  # a symbol monomial sits above the index fields
             for mono, cnums, d in parts:
-                grade = by_rank.setdefault(len(mono), {})
-                for K, num in _monomial_components(mono, n, slot).items():
-                    acc = grade.setdefault(K, {})
-                    for shift, c in cnums.items():
-                        w = c * (den // d)
-                        for k, v in num.items():
-                            k += shift
-                            acc[k] = acc.get(k, 0) + w * v
-            graded = ((rank, _nonzero(grade)) for rank, grade in by_rank.items())
-            self._form = {rank: grade for rank, grade in graded if grade}, den
+                acc = by_rank.setdefault(len(mono), {})
+                table = _monomial_components(mono, n, slot)
+                for sym, c in cnums.items():
+                    w, sym = c * (den // d), sym << above
+                    for k, v in table.items():
+                        k += sym
+                        acc[k] = acc.get(k, 0) + w * v
+            graded = ((rank, _nonzero(acc)) for rank, acc in by_rank.items())
+            self._form = {rank: flat for rank, flat in graded if flat}, den
         return self._form
 
     @property
@@ -444,8 +459,8 @@ class Observable(LinComb):
         if self._components is None:
             graded, den = self._numerators()
             self._components = {
-                rank: {K: unpack_poly(num, den, self.n) for K, num in grade.items()}
-                for rank, grade in graded.items()
+                rank: {K: unpack_poly(num, den, self.n) for K, num in _unflattened(flat, self.n).items()}
+                for rank, flat in graded.items()
             }
         return self._components
 

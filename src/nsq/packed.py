@@ -14,6 +14,14 @@ every field and operator of the process at one n, and the product of two
 monomials, or the shift of a derivative degree, is one int add, so long as
 no power passes ``POWER_BOUND``.
 
+*The flat component key.*  A component entry of an observable's tables
+(:mod:`nsq.algebra`) is one int of the same fields: the multi-index K sits
+in the low n fields, as the count of each index value 1..n (value j in
+field j - 1), and the packed monomial sits above them, so
+``key = (m << FIELD_BITS * n) + K counts``.  No count carries, since a rank
+past ``POWER_BOUND`` is refused; joining two multi-indices, or a
+multi-index and a monomial, is one int add.
+
 *The canonical form.*  A :class:`PackedLinComb` holds a map from keys to
 nonzero ints over one positive denominator reduced by the gcd
 (:func:`_normal`), as FLINT's ``fmpq_poly`` does, so equal elements have
@@ -155,9 +163,14 @@ def _scalar_numerators(c: Scalar, n: int) -> tuple[dict, int, int]:
     return nums, den, top
 
 
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero values; acc itself when it holds none."""
+    return {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
+
+
 def _normal(acc: dict, den: int) -> tuple[dict, int]:
     """The canonical form of key -> int over den: zeros dropped, reduced by the gcd."""
-    nums = {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
+    nums = _nonzero(acc)
     g = gcd(den, *nums.values()) if den != 1 else 1
     if g != 1:
         return {key: c // g for key, c in nums.items()}, den // g
@@ -203,7 +216,8 @@ class PackedLinComb(LinComb):
 
     @classmethod
     def zero(cls, n: int):
-        return cls._of(n, {}, 1, 0)
+        """The zero of the class at dimension n: one shared element, never mutate it."""
+        return _shared_zero(cls, n)
 
     def _like(self, terms: dict):
         """The element of a view in the same space as self."""
@@ -212,6 +226,8 @@ class PackedLinComb(LinComb):
     @property
     def terms(self) -> dict:
         if self._view is None:
+            if not self._nums:
+                return {}  # a zero may be the shared one, so it stores no view
             self._view = self._unpacked()
         return self._view
 
@@ -261,3 +277,8 @@ class PackedLinComb(LinComb):
         for shift, factor in cnums.items():
             self._add_into(acc, self._nums, factor, shift)
         return self._of(self.n, *_normal(acc, self._den * cden), top)
+
+
+@lru_cache(maxsize=64)
+def _shared_zero(cls: type, n: int) -> PackedLinComb:
+    return cls._of(n, {}, 1, 0)

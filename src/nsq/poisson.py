@@ -19,28 +19,32 @@ coefficient 1, by two independent routes:
    symmetric product with {qhat(i,j), pihat(k)} = delta(i,k) rhat(j) the
    only nonzero generator pair.
 
-Both routes run in integer arithmetic on the packed monomials of
-:mod:`nsq.packed`, the component tables of :mod:`nsq.algebra` and the
-field and partials tables of :mod:`nsq.forms`; this module keeps the two
-routes.  For a (p, q) pair route 1 is
+Both routes run in integer arithmetic on the flat maps of :mod:`nsq.algebra`:
+each component entry is one int key, ``(m << FIELD_BITS * n) + K counts``,
+the multi-index K as the count of each index value in the low n fields
+and the packed monomial m above them.  This module keeps the two routes,
+on the component tables of :mod:`nsq.algebra` and the field and partials
+tables of :mod:`nsq.forms`.  For a (p, q) pair route 1 is
 
     -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
 
-with X_num the field table of mf brought to p!(p-1)!, and route 2 is sum
+with X_num the field table of mf over p!(p-1)!, and route 2 is sum
 c * num(mono) over the generator monomials of the expansion, with integer
 c; both are numerators over (p+q-1)!.  Route 1 is a join on the variable
-that X^I moves along: the field form is read by variable and g by its
-partial derivatives, var -> [(J, lowered monomial, integer coefficient)],
-and each (I, J) lands on K = sorted(I + J) with weight -split_count(K, I),
-memoized on (I, J).  Route 2 reads the component tables of degree p+q-1,
-which hold powers up to p+q-1, and a monomial of degree past
-``POWER_BOUND`` has no table, so a bracket of ranks with p+q-1 past it is
-refused with EngineError before any table is built.
+that X^I moves along: the field table's by-variable view, var -> [(I
+counts, flat key, int)], against g's partial derivatives, var -> [(J
+counts, lowered flat key, int)].  Each pair lands on the sum of the two
+flat keys, K = I + J in the index fields, with weight -split_count(K, I),
+a product over the index fields memoized on (I, J) counts.  Route 2 reads
+the component tables of degree p+q-1, which hold powers up to p+q-1, and
+a monomial of degree past ``POWER_BOUND`` has no table, so a bracket of
+ranks with p+q-1 past it is refused with EngineError before any table is
+built.
 
-The two numerator maps, K -> {packed monomial: int}, are compared exactly
-on every pair of every call, and a disagreement raises EngineError naming
-the unit pair, the first differing rank and multi-index and both routes'
-values there (unpacked, as polynomials numerator / (p+q-1)!).  The result
+The two flat maps are compared exactly on every pair of every call, and a
+disagreement raises EngineError naming the unit pair, the first differing
+rank and multi-index (unpacked to a sorted tuple only then) and both
+routes' values there (as polynomials numerator / (p+q-1)!).  The result
 is the sum over the pairs of cf * cg times route 2's generator monomials,
 so symbolic coefficients never enter the integer kernel, brackets nest,
 and the result's components are expanded only when a caller reads them.
@@ -60,22 +64,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import (
     GenMonomial,
-    MultiIndex,
     Observable,
     _monomial_components,
-    _nonzero,
+    _unflattened,
     check_index,
     in_b1_algebra,
     rtag,
-    split_count,
 )
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
+    _by_variable,
     _monomial_field_table,
     _monomial_partials,
     add_gauge,
@@ -85,56 +87,62 @@ from .forms import (
     structure_eq_check,
     vf_bracket,
 )
-from .packed import POWER_BOUND, unpack_numerators
+from .packed import _FIELD_MASK, FIELD_BITS, POWER_BOUND, _nonzero, unpack_numerators
 from .polynomials import Poly
 from .scalars import ONE, Scalar, accumulate
 
 # -- the two routes --------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _joined_index(I: MultiIndex, J: MultiIndex) -> tuple[MultiIndex, int]:
-    """(K, -split_count(K, I)) for K = sorted(I + J): where route 1 puts X^I(g^J), and its weight."""
-    K = tuple(sorted(I + J))
-    return K, -split_count(K, I)
+JOIN_MEMO_BOUND = 4096  # (I, J) weights memoized for route 1
+_JOIN_WEIGHTS: dict = {}
 
 
-def _route1_numerators(x: dict, dg: dict, scale: int = 1) -> dict:
-    """Route 1 on packed integer operands: K -> -sum split_count(K, I) * scale * X^I(g^J).
+def _join_weight(I: int, J: int) -> int:
+    """-split_count(K, I) for K = I + J, multi-indices as packed index counts: a product over the fields.
 
-    x is a field's integer form, (var, I, packed m) -> int (see
-    :class:`~nsq.forms.HamVF`), and dg a partials table
-    (:func:`_monomial_partials`), keyed by variable; the join visits only
-    the variables on both sides.  Zero sums are dropped.
+    Stored in ``_JOIN_WEIGHTS``, which route 1 reads first; at most
+    JOIN_MEMO_BOUND weights, the oldest dropped first.  No weight is 0.
     """
+    K, i, out = I + J, I, 1
+    while K:
+        out *= comb(K & _FIELD_MASK, i & _FIELD_MASK)
+        K, i = K >> FIELD_BITS, i >> FIELD_BITS
+    if len(_JOIN_WEIGHTS) >= JOIN_MEMO_BOUND:
+        del _JOIN_WEIGHTS[next(iter(_JOIN_WEIGHTS))]
+    _JOIN_WEIGHTS[I, J] = -out
+    return -out
+
+
+def _route1_numerators(x: dict, dg: dict) -> dict:
+    """Route 1 on flat integer operands: {key: -sum split_count(K, I) * X^I(g^J)}.
+
+    x is route 1's view of a field, var -> ((I counts, flat key, int), ...)
+    (:func:`~nsq.forms._by_variable`), and dg a partials table
+    (:func:`~nsq.forms._monomial_partials`), keyed by variable; the join
+    visits only the variables on both sides, and each pair lands on the sum
+    of the two keys.  Zero sums are dropped.
+    """
+    weights = _JOIN_WEIGHTS
     out: dict = {}
-    last = None
-    for (var, I, m1), c1 in x.items():
-        if var is not last:
-            # a table lists each variable's entries together, under one object
-            last, partials = var, dg.get(var)
+    for var, entries in x.items():
+        partials = dg.get(var)
         if partials is None:
             continue
-        c1 *= scale
-        for J, lowered, c in partials:
-            K, weight = _joined_index(I, J)
-            acc = out.get(K)
-            if acc is None:
-                acc = out[K] = {}
-            m = m1 + lowered
-            acc[m] = acc.get(m, 0) + c1 * c * weight
+        for I, k1, c1 in entries:
+            for J, lowered, c in partials:
+                k = k1 + lowered
+                out[k] = out.get(k, 0) + c1 * c * (weights.get((I, J)) or _join_weight(I, J))
     return _nonzero(out)
 
 
 def _route2_numerators(hits: dict, n: int, slot: int | None) -> dict:
-    """Route 2 on packed integer operands: K -> sum c * num(mono) over hits {mono: c}."""
+    """Route 2 on flat integer operands: {key: sum c * num(mono)} over hits {mono: c}."""
     out: dict = {}
     for mono, c in hits.items():
         if c:
-            for K, num in _monomial_components(mono, n, slot).items():
-                acc = out.setdefault(K, {})
-                for m, v in num.items():
-                    acc[m] = acc.get(m, 0) + c * v
+            for k, v in _monomial_components(mono, n, slot).items():
+                out[k] = out.get(k, 0) + c * v
     return _nonzero(out)
 
 
@@ -167,6 +175,11 @@ def _gauge_terms(f: Observable, gauge_seed: int) -> dict:
     rng = random.Random(gauge_seed)
     terms = {p: require_gauge(random_valid_gauge(f.n, p - 1, rng)) for p in sorted({len(mono) for mono in f.terms})}
     return {p: t for p, t in terms.items() if t}
+
+
+def _poly(num: dict, denominator, n: int) -> Poly:
+    """The polynomial num / denominator of a map {packed monomial: int}."""
+    return Poly.from_numerators(unpack_numerators(num, n), denominator)
 
 
 def _disagreement(n, slot, mf, mg, K, route1: Poly, route2: Poly) -> EngineError:
@@ -214,8 +227,7 @@ def bracket(
     out: dict[GenMonomial, Scalar] = {}
     for mf, cf in f.terms.items():
         p = len(mf)
-        x, den = _monomial_field_table(mf, n, slot)
-        x_scale = factorial(p) * factorial(p - 1) // den  # route 1 reads X over p!(p-1)!
+        x = _monomial_field_table(mf, n, slot)[2]  # route 1's view, over p!(p-1)!
         unit_f = cf == ONE
         for mg, cg in g.terms.items():
             hits: dict[GenMonomial, int] = {}
@@ -227,31 +239,26 @@ def bracket(
                     if count:
                         accumulate(out, mono, base if count == 1 else base * count)
             dg = _monomial_partials(mg, n, slot)
-            route1 = _route1_numerators(x, dg, x_scale)
+            route1 = _route1_numerators(x, dg)
             route2 = _route2_numerators(hits, n, slot)
             if route1 != route2:
                 denominator = factorial(p + len(mg) - 1)
-                K = min(K for K in route1.keys() | route2.keys() if route1.get(K) != route2.get(K))
-                raise _disagreement(
-                    n, slot, mf, mg, K,
-                    Poly.from_numerators(unpack_numerators(route1.get(K, {}), n), denominator),
-                    Poly.from_numerators(unpack_numerators(route2.get(K, {}), n), denominator),
-                )
+                a, b = _unflattened(route1, n), _unflattened(route2, n)
+                K = min(K for K in a.keys() | b.keys() if a.get(K) != b.get(K))
+                one, two = (_poly(side.get(K, {}), denominator, n) for side in (a, b))
+                raise _disagreement(n, slot, mf, mg, K, one, two)
             if p in gauges and (p, mg) not in gauge_checked:
                 gauge_checked.add((p, mg))
                 t = gauges[p]
-                shift = _route1_numerators(t._nums, dg)
+                shift = _route1_numerators(_by_variable(t._nums, n), dg)
                 if shift:
                     # route 1 puts X over p!(p-1)! and t is over its own denominator instead
                     denominator = factorial(p + len(mg) - 1)
                     shift_denominator = Fraction(t._den * denominator, factorial(p) * factorial(p - 1))
-                    K = min(shift)
-                    route2_K = Poly.from_numerators(unpack_numerators(route2.get(K, {}), n), denominator)
-                    raise _disagreement(
-                        n, slot, mf, mg, K,
-                        route2_K + Poly.from_numerators(unpack_numerators(shift[K], n), shift_denominator),
-                        route2_K,
-                    )
+                    a = _unflattened(shift, n)
+                    K = min(a)
+                    route2_K = _poly(_unflattened(route2, n).get(K, {}), denominator, n)
+                    raise _disagreement(n, slot, mf, mg, K, route2_K + _poly(a[K], shift_denominator, n), route2_K)
     return f._like(out)
 
 

@@ -342,18 +342,22 @@ def make_q2(n: int) -> QuantizationMap:
 
 
 def quantize(qmap: QuantizationMap, f: Observable) -> DiffOperator:
-    """Apply a quantization map to an element of the basic polynomial algebra."""
+    """Apply a quantization map to an element of the basic polynomial algebra.
+
+    When the map kills every monomial of f, the result is the shared zero.
+    """
     if f.n != qmap.n:
         raise DimensionMismatch(f"n differs: {qmap.n} vs {f.n}")
     if not in_b1_algebra(f):
         raise NotInGeneratorAlgebra(
             "quantization is defined on the polynomial algebra of the basic set"
         )
-    out = DiffOperator.zero(qmap.n)
+    out = None
     for mono, coeff in f.terms.items():
         if not qmap.kills(mono):
-            out = out + qmap.image_of_monomial(mono).scale(coeff)
-    return out
+            image = qmap.image_of_monomial(mono).scale(coeff)
+            out = image if out is None else out + image
+    return DiffOperator.zero(qmap.n) if out is None else out
 
 
 def dirac_check(
@@ -371,9 +375,12 @@ def _dirac_residual(qmap, f, g, gauge_seed) -> DiffOperator | None:
 
     The sides are compared as integer forms: IHBAR * Q({f, g}) is Q({f, g})
     with one more in every key's IHBAR field, over the same denominator.
+    When Q({f, g}) is zero the residual is the commutator itself.
     """
     lhs = commutator(quantize(qmap, f), quantize(qmap, g))
     image = quantize(qmap, bracket(f, g, gauge_seed=gauge_seed))
+    if not image._nums:
+        return lhs if lhs._nums else None
     top = DiffOperator._checked(image._top + 1)
     unit = field_unit("sym", IHBAR, qmap.n)
     rhs = {k + unit: v for k, v in image._nums.items()}

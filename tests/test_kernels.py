@@ -50,6 +50,7 @@ from nsq.forms import (
     OneForm,
     VectorField,
     _contraction_sums,
+    _by_variable,
     _monomial_field_table,
     _monomial_partials,
     _generator_direction,
@@ -60,8 +61,23 @@ from nsq.forms import (
     structure_eq_check,
     vf_bracket,
 )
-from nsq.packed import POWER_BOUND, pack_term, packed_units, unpack_monomial, unpack_numerators, unpack_term
-from nsq.poisson import _gauge_terms, _route1_numerators, bracket, theorem1_check, theorem1_constant
+from nsq.packed import (
+    _FIELD_MASK,
+    FIELD_BITS,
+    POWER_BOUND,
+    pack_term,
+    packed_units,
+    unpack_monomial,
+    unpack_term,
+)
+from nsq.poisson import (
+    _gauge_terms,
+    _route1_numerators,
+    _route2_numerators,
+    bracket,
+    theorem1_check,
+    theorem1_constant,
+)
 from nsq.polynomials import Poly, pivar, qvar
 from nsq.scalars import IHBAR, Scalar, accumulate, mul_into
 from nsq.subbundle import substituted_components
@@ -375,8 +391,28 @@ def as_polys(numerators, denominator):
     return {K: Poly.from_numerators(num, denominator) for K, num in numerators.items()}
 
 
-def unpacked(graded, n):
-    return {K: unpack_numerators(num, n) for K, num in graded.items()}
+def index_counts(K):
+    """A multi-index as the engine packs it: the count of value j in field j - 1."""
+    return sum(1 << FIELD_BITS * (j - 1) for j in K)
+
+
+def index_from_counts(counts, n):
+    """The sorted multi-index of the low n fields of counts."""
+    return tuple(j for j in range(1, n + 1) for _ in range(counts >> FIELD_BITS * (j - 1) & _FIELD_MASK))
+
+
+def flat_parts(key, n):
+    """(K, packed monomial) of a flat key: K in the low n fields, the monomial above them."""
+    return index_from_counts(key, n), key >> FIELD_BITS * n
+
+
+def unpacked(flat, n):
+    """K -> tuple-keyed numerators of a flat map {key: int}."""
+    out = {}
+    for key, c in flat.items():
+        K, m = flat_parts(key, n)
+        out.setdefault(K, {})[unpack_monomial(m, n)] = c
+    return out
 
 
 @st.composite
@@ -397,14 +433,13 @@ def test_route1_matches_split_enumeration(case):
     p, q = len(mf), len(mg)
     denominator = factorial(p + q - 1)
     dg = _monomial_partials(mg, n, slot)
-    table, den = _monomial_field_table(mf, n, slot)
-    route1 = _route1_numerators(table, dg, factorial(p) * factorial(p - 1) // den)
+    route1 = _route1_numerators(_monomial_field_table(mf, n, slot)[2], dg)
     got = as_polys(unpacked(route1, n), denominator)
     gauge = {} if gauge_seed is None else _gauge_terms(f, gauge_seed)
     if p in gauge:
         t = gauge[p]
         shift_denominator = Fraction(t._den * denominator, factorial(p) * factorial(p - 1))
-        shift = as_polys(unpacked(_route1_numerators(t._nums, dg), n), shift_denominator)
+        shift = as_polys(unpacked(_route1_numerators(_by_variable(t._nums, n), dg), n), shift_denominator)
         for K, poly in shift.items():
             got[K] = got[K] + poly if K in got else poly
         got = {K: poly for K, poly in got.items() if not poly.is_zero()}
@@ -605,7 +640,7 @@ def tuple_field_numerators(mono, n, slot):
 def unpacked_field_table(mono, n, slot):
     """(var, I) -> tuple-keyed numerators of the field table, brought back to r!(r-1)!."""
     r = len(mono)
-    table, den = _monomial_field_table(mono, n, slot)
+    table, den, _ = _monomial_field_table(mono, n, slot)
     scale = factorial(r) * factorial(r - 1) // den
     out = {}
     for (var, I, m), c in table.items():
@@ -617,7 +652,7 @@ def assert_integer_memos_match(mono, n, slot):
     r = len(mono)
     comps = fresh_expansion(mono, n, slot)
     assert as_polys(unpacked(_monomial_components(mono, n, slot), n), factorial(r)) == comps
-    table, den = _monomial_field_table(mono, n, slot)
+    table, den, _ = _monomial_field_table(mono, n, slot)
     fields = {}
     for (var, I, m), c in table.items():
         fields.setdefault(I, {}).setdefault(var, {})[unpack_monomial(m, n)] = c
@@ -659,10 +694,15 @@ def assert_packed_tables_match(mono, n, slot):
         for var, terms in term_partials(num).items():
             expected.setdefault(var, []).extend((J, lowered, c) for lowered, c in terms)
     partials = _monomial_partials(mono, n, slot)
-    assert {
-        var: sorted((J, unpack_monomial(lowered, n), c) for J, lowered, c in entries)
-        for var, entries in partials.items()
-    } == {var: sorted(entries) for var, entries in expected.items()}
+    got = {}
+    for var, entries in partials.items():
+        for J, lowered, c in entries:
+            K, m = flat_parts(lowered, n)
+            assert J == index_counts(K)
+            got.setdefault(var, []).append((K, unpack_monomial(m, n), c))
+    assert {var: sorted(entries) for var, entries in got.items()} == {
+        var: sorted(entries) for var, entries in expected.items()
+    }
     assert unpacked_field_table(mono, n, slot) == tuple_field_numerators(mono, n, slot)
 
 
@@ -680,6 +720,75 @@ def test_packed_tables_unpack_to_tuple_numerators(cases, slice_first):
             slots = [slot, None] if slice_first else [None, slot]
             for s in slots:
                 assert_packed_tables_match(mono, n, s)
+
+
+def flat_key(K, mono, n):
+    """The engine's flat key of the tuple monomial mono at multi-index K, packed here from the layout."""
+    return (pack_term(mono, (), n)[0] << FIELD_BITS * n) + index_counts(K)
+
+
+def flattened(comps, n, scale):
+    """{flat key: int} of K -> Poly components, times scale."""
+    return {
+        flat_key(K, m, n): c.as_fraction() * scale for K, poly in comps.items() for m, c in poly.terms.items()
+    }
+
+
+def generator_hits(mf, mg):
+    """{monomial: integer coefficient} of the biderivation: {qhat(i,j), pihat(i)} = rhat(j) on each factor pair."""
+    hits = {}
+    for a, s in enumerate(mf):
+        for b, t in enumerate(mg):
+            if s[0] == "q" and t[0] == "pi" and s[1] == t[1]:
+                sign, slot = 1, s[2]
+            elif s[0] == "pi" and t[0] == "q" and t[1] == s[1]:
+                sign, slot = -1, t[2]
+            else:
+                continue
+            mono = tuple(sorted(mf[:a] + mf[a + 1 :] + mg[:b] + mg[b + 1 :] + (rtag(slot),)))
+            hits[mono] = hits.get(mono, 0) + sign
+    return hits
+
+
+@SETTINGS
+@given(monomial_pair_in_some_algebra(max_rank=3))
+def test_flat_tables_and_both_routes_equal_the_tuple_oracle(case):
+    # the component tables, the partials and both routes of the bracket, as
+    # flat maps, against the split-enumeration oracle packed key by key here:
+    # K's counts in the low n fields, the monomial above them
+    n, slot, mf, mg = case
+    for mono in (mf, mg):
+        comps = fresh_expansion(mono, n, slot)
+        assert _monomial_components(mono, n, slot) == flattened(comps, n, factorial(len(mono)))
+        expected = {}
+        for J, poly in comps.items():
+            for var, terms in term_partials(tuple_numerators(mono, n, slot)[J]).items():
+                expected.setdefault(var, []).extend((index_counts(J), flat_key(J, m, n), c) for m, c in terms)
+        got = _monomial_partials(mono, n, slot)
+        assert {var: sorted(entries) for var, entries in got.items()} == {
+            var: sorted(entries) for var, entries in expected.items()
+        }
+    p, q = len(mf), len(mg)
+    f, g = observable(n, mf, slot), observable(n, mg, slot)
+    routes = flattened(ref_bracket_components(ham_vf(f), p, g, q), n, factorial(p + q - 1))
+    assert _route1_numerators(_monomial_field_table(mf, n, slot)[2], _monomial_partials(mg, n, slot)) == routes
+    assert _route2_numerators(generator_hits(mf, mg), n, slot) == routes
+
+
+def test_one_index_field_holds_the_power_bound():
+    # qh(1,1)^255 at n=1: its one entry holds 255 in the index field and 255
+    # in the q^1 field just above it, with no carry between them
+    n, mono = 1, (qtag(1, 1),) * POWER_BOUND
+    key = (POWER_BOUND << FIELD_BITS) + POWER_BOUND
+    assert _monomial_components(mono, n, None) == {key: factorial(POWER_BOUND)}
+    assert flat_key((1,) * POWER_BOUND, ((qvar(1), POWER_BOUND),), n) == key
+    lowered = key - (1 << FIELD_BITS)
+    assert _monomial_partials(mono, n, None) == {qvar(1): ((POWER_BOUND, lowered, POWER_BOUND * factorial(POWER_BOUND)),)}
+    assert Observable(n, {mono: 1}).components == {POWER_BOUND: {(1,) * POWER_BOUND: Poly.var(qvar(1), POWER_BOUND)}}
+    # a neighbouring field at n=2: qh(2,2)^255 fills index field 2, below q^1's field
+    n, mono = 2, (qtag(2, 2),) * POWER_BOUND
+    q2 = pack_term(((qvar(2), POWER_BOUND),), (), n)[0]
+    assert _monomial_components(mono, n, None) == {(q2 << 2 * FIELD_BITS) + (POWER_BOUND << FIELD_BITS): factorial(POWER_BOUND)}
 
 
 def test_integer_builders_equal_poly_path_on_every_small_monomial():
@@ -904,9 +1013,9 @@ def test_route_disagreement_names_the_unit_pair(pair, data):
     def corrupted(*args):
         out = real(*args)
         if len(calls) == bad:
-            # the constant monomial packs to 0
-            out[K] = dict(out.get(K, {}))
-            out[K][0] = out[K].get(0, 0) + 1
+            # the constant monomial packs to 0, so its flat key at K is K's counts
+            out = dict(out)
+            out[index_counts(K)] = out.get(index_counts(K), 0) + 1
         calls.append(None)
         return out
 

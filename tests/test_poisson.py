@@ -213,17 +213,24 @@ def test_in_b1_algebra():
     assert in_b1_algebra(make_qhat(n, 1, 2), slot=2)
 
 
-def _double_first_component(monkeypatch):
-    """Corrupt route 1: double the component at its first multi-index."""
+def _double_first_component(monkeypatch, n):
+    """Corrupt route 1: double the component at its first multi-index.
+
+    Route 1 returns a flat map: each key holds its multi-index K in the low
+    n fields, as the count of each index value.
+    """
     from nsq import poisson
+    from nsq.packed import _FIELD_MASK, FIELD_BITS
 
     real = poisson._route1_numerators
 
+    def index(key):
+        return tuple(j for j in range(1, n + 1) for _ in range(key >> FIELD_BITS * (j - 1) & _FIELD_MASK))
+
     def corrupted(*args):
         out = real(*args)
-        K = min(out)
-        out[K] = {m: 2 * c for m, c in out[K].items()}
-        return out
+        K = min(map(index, out))
+        return {key: 2 * c if index(key) == K else c for key, c in out.items()}
 
     monkeypatch.setattr(poisson, "_route1_numerators", corrupted)
 
@@ -235,7 +242,7 @@ def _assert_disagreement_named(monkeypatch, f, g, bracket_fn):
     rank = good.rank()
     K = min(good.components[rank])
     route2 = good.components[rank][K]
-    _double_first_component(monkeypatch)
+    _double_first_component(monkeypatch, f.n)
     with pytest.raises(EngineError) as err:
         bracket_fn(f, g)
     message = str(err.value)

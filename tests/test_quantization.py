@@ -590,3 +590,58 @@ def test_negative_or_non_integer_degree_is_refused():
     with pytest.raises(EngineError, match="natural numbers"):
         DiffOperator(2, {(0, 0): q1, (-1, 0): Poly.zero()})
     assert DiffOperator(2, {(0, 0): q1, (1, 0): Poly.zero()}).terms == {(0, 0): q1}
+
+
+@pytest.mark.parametrize("slot", [0, 3, 9])
+def test_membership_refuses_a_slot_out_of_range(slot):
+    # the slot is checked on the memo's miss path, before anything is
+    # stored, and a member at one n is no member at another
+    from nsq import algebra
+
+    n = 2
+    f = make_pihat(n, 1)
+    for _ in range(2):
+        with pytest.raises(IndexRangeError, match=f"index {slot} out of range 1..{n}"):
+            in_b1_algebra(f, slot)
+    assert not any(key[1:] == (n, slot) for key in algebra._B1_MEMBERS)
+    assert in_b1_algebra(f, n)
+    # the same monomial at a dimension where slot 3 exists is another key
+    if slot == 3:
+        assert in_b1_algebra(make_pihat(3, 1), 3)
+        with pytest.raises(IndexRangeError):
+            in_b1_algebra(f, slot)
+
+
+def test_a_killed_bracket_still_checks_the_commutator():
+    # Q({f, g}) is zero whenever q1 kills the bracket's rank-2 monomials, and
+    # the residual is then the commutator itself: a nonzero override at rank 2
+    # must still fail, with that commutator as the residual
+    n = 2
+    f, g = make_pihat(n, 1), sym_pow(make_qhat(n, 1, 1), 2)
+    q1 = make_q1(n)
+    assert quantize(q1, bracket(f, g)) is DiffOperator.zero(n)
+    assert dirac_check(q1, f, g) and _dirac_residual(q1, f, g, None) is None
+    square = DiffOperator.multiplication(n, Poly.var(qvar(1), 2))
+    bad = QuantizationMap("q1-corrupt", n, kill_rank=2, overrides={(qtag(1, 1), qtag(1, 1)): square})
+    assert quantize(bad, bracket(f, g)).is_zero()
+    residual = _dirac_residual(bad, f, g, None)
+    assert residual == commutator(_pop(n, 1), square) and residual == _qop(n, 1).scale(Scalar.symbol(IHBAR) * -2)
+    assert not dirac_check(bad, f, g)
+
+
+def test_shared_zeros_stay_zero_after_a_full_verify(capsys):
+    # every killed image and every empty kernel result is the shared zero of
+    # its class; a full verify run must leave it unchanged
+    from nsq import cli
+    from nsq.forms import HamVF
+
+    zeros = [cls.zero(n) for cls in (DiffOperator, HamVF) for n in (1, 2, 3)]
+    assert all(cls.zero(n) is cls.zero(n) for cls in (DiffOperator, HamVF) for n in (1, 2, 3))
+    assert quantize(make_q1(2), sym_pow(make_pihat(2, 1), 2)) is DiffOperator.zero(2)
+    assert cli.main(["verify", "--suite", "all", "-n", "2"]) == 0
+    capsys.readouterr()
+    for zero in zeros:
+        assert zero.is_zero() and not zero.terms and zero._den == 1 and zero._top == 0
+        zero.terms[()] = "written"  # a zero's view is a fresh map each time it is read
+        assert zero._nums == {} and zero.terms == {} and zero._view is None
+    assert zeros == [cls.zero(n) for cls in (DiffOperator, HamVF) for n in (1, 2, 3)]

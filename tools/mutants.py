@@ -165,13 +165,13 @@ MUTANTS = [
         "partials table keyed without the slot",
         [(
             "forms.py",
-            *keyed_without("@lru_cache(maxsize=512)", "_monomial_partials", "mono, n, slot", "(mono, n)"),
+            *keyed_without("@lru_cache(maxsize=1024)", "_monomial_partials", "mono, n, slot", "(mono, n)"),
         )],
         [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
     ),
     Mutant(
         "partials table skips the last variable of the monomial",
-        [("forms.py", "            for var, unit, shift in fields:\n", "            for var, unit, shift in fields[:-1]:\n")],
+        [("forms.py", "        for var, unit, shift in fields:\n", "        for var, unit, shift in fields[:-1]:\n")],
         [
             f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators",
             f"{KERNELS}::test_route1_matches_split_enumeration",
@@ -211,8 +211,16 @@ MUTANTS = [
     # -- the integer bracket kernel (poisson) --
     Mutant(
         "route 1 weight -1 instead of -split_count",
-        [("poisson.py", "return K, -split_count(K, I)", "return K, -1")],
+        [("poisson.py", "        out *= comb(K & _FIELD_MASK, i & _FIELD_MASK)\n", "        out *= 1\n")],
         [f"{KERNELS}::test_route1_matches_split_enumeration"],
+    ),
+    Mutant(
+        "route 1's weight read by K in place of (I, J)",
+        [
+            ("poisson.py", "(weights.get((I, J)) or _join_weight(I, J))", "(weights.get(I + J) or _join_weight(I, J))"),
+            ("poisson.py", "    _JOIN_WEIGHTS[I, J] = -out\n", "    _JOIN_WEIGHTS[I + J] = -out\n"),
+        ],
+        [f"{KERNELS}::test_route1_matches_split_enumeration", f"{KERNELS}::test_flat_tables_and_both_routes_equal_the_tuple_oracle"],
     ),
     Mutant(
         "gauge term's route 1 not checked",
@@ -249,8 +257,16 @@ MUTANTS = [
     ),
     Mutant(
         "integer component builder weighs by 1 instead of K.count(j)",
-        [("algebra.py", "            weight = K.count(j)\n", "            weight = 1\n")],
+        [("algebra.py", "            weight = key >> field & _FIELD_MASK\n", "            weight = 1\n")],
         [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
+    ),
+    Mutant(
+        "K packed into the wrong index field",
+        [("algebra.py", "        field = FIELD_BITS * (j - 1)\n", "        field = FIELD_BITS * (j % n)\n")],
+        [
+            f"{KERNELS}::test_flat_tables_and_both_routes_equal_the_tuple_oracle",
+            f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial",
+        ],
     ),
     Mutant(
         "a unit monomial's form over (r-1)! instead of r!",
@@ -357,8 +373,13 @@ MUTANTS = [
     ),
     Mutant(
         "membership memo keyed without the slot",
-        [("algebra.py", "        key = (mono, slot)\n", "        key = mono\n")],
+        [("algebra.py", "        key = (mono, n, slot)\n", "        key = (mono, n)\n")],
         [f"{QUANT}::test_membership_memo_keeps_refusing_outside_the_basic_algebra"],
+    ),
+    Mutant(
+        "membership memo keyed without the dimension",
+        [("algebra.py", "        key = (mono, n, slot)\n", "        key = (mono, slot)\n")],
+        [f"{QUANT}::test_membership_refuses_a_slot_out_of_range"],
     ),
     Mutant(
         "monomial memo serves indices that equal an int but are not one",
@@ -374,53 +395,56 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 2.0,
-    "leibniz falling factorial set to 1": 1.9,
-    "leibniz memo keyed on the q powers without the degree": 1.6,
-    "leibniz memo keyed on the degree without the q powers": 2.0,
-    "composition drops the right operand's denominator": 42.2,
-    "commutator adds b o a instead of subtracting it": 69.8,
-    "image memo keyed without the map instance (module-level)": 1.6,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.0,
-    "closed form without j!": 2.0,
-    "prefix stack keeps a stale letter past the common prefix": 2.0,
-    "packed field one bit narrower than the bound": 2.3,
-    "IHBAR field dropped from the packed key": 51.0,
-    "the shared + skips the space check": 1.5,
-    "field memo keyed without the slot": 1.6,
-    "partials table keyed without the slot": 8.1,
-    "partials table skips the last variable of the monomial": 16.3,
-    "field table drops the -1 sign of a qhat generator": 2.1,
-    "ham_vf treats every coefficient as 1": 5.5,
-    "packed Lie bracket adds the second term instead of subtracting it": 7.2,
-    "integer vf_bracket weighs by 1/comb without split_count": 4.7,
-    "the sweep drops the (p-1)! prefactor": 10.1,
-    "the zero-class branch is skipped": 6.6,
+    "leibniz weight without comb": 1.9,
+    "leibniz falling factorial set to 1": 1.7,
+    "leibniz memo keyed on the q powers without the degree": 1.8,
+    "leibniz memo keyed on the degree without the q powers": 1.8,
+    "composition drops the right operand's denominator": 61.2,
+    "commutator adds b o a instead of subtracting it": 83.2,
+    "image memo keyed without the map instance (module-level)": 1.9,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.9,
+    "closed form without j!": 1.9,
+    "prefix stack keeps a stale letter past the common prefix": 1.8,
+    "packed field one bit narrower than the bound": 1.9,
+    "IHBAR field dropped from the packed key": 72.9,
+    "the shared + skips the space check": 1.6,
+    "field memo keyed without the slot": 1.7,
+    "partials table keyed without the slot": 4.3,
+    "partials table skips the last variable of the monomial": 7.0,
+    "field table drops the -1 sign of a qhat generator": 2.2,
+    "ham_vf treats every coefficient as 1": 3.6,
+    "packed Lie bracket adds the second term instead of subtracting it": 3.8,
+    "integer vf_bracket weighs by 1/comb without split_count": 4.3,
+    "the sweep drops the (p-1)! prefactor": 9.9,
+    "the zero-class branch is skipped": 10.2,
     "route 1 weight -1 instead of -split_count": 3.9,
+    "route 1's weight read by K in place of (I, J)": 5.3,
     "gauge term's route 1 not checked": 1.5,
-    "routes compared on the first unit pair only": 50.1,
-    "bracket drops the cf * cg coefficient product": 20.1,
-    "gauge seed accepted on a slice": 2.1,
-    "component table memo keyed without the slot": 1.9,
-    "integer component builder weighs by 1 instead of K.count(j)": 1.9,
-    "a unit monomial's form over (r-1)! instead of r!": 2.0,
-    "a single monomial with a non-unit coefficient shares the unit table": 1.9,
-    "== compares unscaled forms when the denominators differ": 1.8,
-    "sym_components weighs by 1/comb without split_count": 11.5,
-    "dirac pair loop builds g from m1": 1.8,
-    "record_dirac records \"fail\" instead of the residual": 2.0,
-    "suite decorator stamps one fixed suite name": 1.6,
-    "accumulate keeps a zero sum": 1.8,
-    "LinComb._like drops the space (n, slot)": 35.7,
-    "LinComb.__bool__ always true": 1.7,
-    "Scalar rational fast path taken for a symbol": 6.9,
-    "ONE * s returns ONE": 3.0,
-    "ONE_POLY * p returns ONE_POLY": 2.8,
-    "single-term power scales the exponents by k - 1": 4.3,
+    "routes compared on the first unit pair only": 57.1,
+    "bracket drops the cf * cg coefficient product": 24.6,
+    "gauge seed accepted on a slice": 1.9,
+    "component table memo keyed without the slot": 1.7,
+    "integer component builder weighs by 1 instead of K.count(j)": 1.7,
+    "K packed into the wrong index field": 4.0,
+    "a unit monomial's form over (r-1)! instead of r!": 2.4,
+    "a single monomial with a non-unit coefficient shares the unit table": 2.3,
+    "== compares unscaled forms when the denominators differ": 2.3,
+    "sym_components weighs by 1/comb without split_count": 16.4,
+    "dirac pair loop builds g from m1": 1.9,
+    "record_dirac records \"fail\" instead of the residual": 1.9,
+    "suite decorator stamps one fixed suite name": 1.5,
+    "accumulate keeps a zero sum": 1.6,
+    "LinComb._like drops the space (n, slot)": 31.0,
+    "LinComb.__bool__ always true": 1.4,
+    "Scalar rational fast path taken for a symbol": 5.8,
+    "ONE * s returns ONE": 1.9,
+    "ONE_POLY * p returns ONE_POLY": 2.5,
+    "single-term power scales the exponents by k - 1": 3.6,
     "single-term power keeps the coefficient unraised": 3.1,
-    "monomial memo keyed without the dimension": 1.9,
-    "membership memo keyed without the slot": 1.7,
-    "monomial memo serves indices that equal an int but are not one": 1.7,
+    "monomial memo keyed without the dimension": 1.6,
+    "membership memo keyed without the slot": 2.0,
+    "membership memo keyed without the dimension": 1.9,
+    "monomial memo serves indices that equal an int but are not one": 1.9,
 }
 
 
