@@ -29,7 +29,9 @@ bounded memo, :func:`_leibniz`, keyed on (n, alpha bits, q bits) and
 shared: read it, never mutate it.  :func:`op_compose` accumulates every
 product into one integer map over den(a)*den(b) and reduces it by the gcd;
 :func:`commutator` accumulates a o b and -(b o a) into the same map, so
-cancelling terms are never built.
+cancelling terms are never built.  Both go through one Leibniz loop on
+numerator maps, :func:`_compose_into`, which the Weyl word oracle of
+:mod:`nsq.symplectic_ref` also composes with.
 
 Two quantization maps are provided on the polynomial algebra of the
 Heisenberg basic set:
@@ -193,7 +195,7 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
         return DiffOperator.zero(a.n)
     top = DiffOperator._checked(a._top + b._top)
     acc: dict = {}
-    _compose_into(acc, a, b, 1)
+    _compose_into(acc, a._nums, b._nums, a.n, 1)
     return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)
 
 
@@ -204,8 +206,8 @@ def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
         return DiffOperator.zero(a.n)
     top = DiffOperator._checked(a._top + b._top)
     acc: dict = {}
-    _compose_into(acc, a, b, 1)
-    _compose_into(acc, b, a, -1)
+    _compose_into(acc, a._nums, b._nums, a.n, 1)
+    _compose_into(acc, b._nums, a._nums, a.n, -1)
     return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)
 
 
@@ -232,13 +234,12 @@ def _leibniz(n: int, alpha: int, qpow: int) -> tuple:
     return tuple(out)
 
 
-def _compose_into(acc: dict, a: DiffOperator, b: DiffOperator, sign: int) -> None:
-    """acc += sign * (a o b) on the numerators, by packed key."""
-    n = a.n
+def _compose_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
+    """acc += sign * (a o b), for a and b operator numerator maps at dimension n, by packed key."""
     _, alpha_mask, q_mask = _layout(n)
-    for ka, na in a._nums.items():
+    for ka, na in a.items():
         alpha, na = ka & alpha_mask, sign * na
-        for kb, nb in b._nums.items():
+        for kb, nb in b.items():
             key, w = ka + kb, na * nb
             for delta, weight in _leibniz(n, alpha, kb & q_mask):
                 acc[key - delta] = acc.get(key - delta, 0) + w * weight

@@ -18,10 +18,12 @@ ordering is computed twice, by two independent routes:
   the operators' integer form (see :mod:`nsq.packed`): one integer
   numerator on the packed key of IHBAR^k q^(m-j) d^(k-j), over 2 to the
   sum of the modes' min(m, k), with no Poly, Scalar or Fraction;
-* :func:`weyl_quantize_brute` averages over every distinct operator word,
-  composing the letters q^i and -i*hbar d/dq^i with
-  :func:`~nsq.quantization.op_compose` over the trie of the sorted words,
-  so that each shared prefix is composed once.
+* :func:`weyl_quantize_brute` averages over every distinct operator word
+  of the letters q^i and -i*hbar d/dq^i.  A depth-first walk over the
+  letters' remaining counts reaches each distinct word once, in sorted
+  order, and composes each node of the trie of words once, on integer
+  numerator maps, with the Leibniz kernel of :mod:`nsq.quantization`; it
+  refuses up front a monomial of more than ``WORD_BUDGET`` distinct words.
 
 The witness value is frozen against the brute-force oracle in the tests.
 Both routes accept only the cotangent variables ("q", i) and ("p", i) with
@@ -32,14 +34,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import Observable, check_index, make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
 from .errors import EngineError
 from .polynomials import Poly, pvar, qvar
 from .packed import _normal, field_unit
-from .quantization import DiffOperator, _layout, commutator, op_compose
+from .quantization import DiffOperator, _compose_into, _layout, commutator
 from .scalars import IHBAR, Scalar
 
 
@@ -77,16 +78,6 @@ def _mode_powers(mono, n: int) -> list[tuple[int, int, int]]:
 def _monomial_modes(f: Poly, n: int) -> list[tuple[list, Scalar]]:
     """(mode powers, coefficient) per monomial of f, every variable checked first."""
     return [(_mode_powers(mono, n), coeff) for mono, coeff in f.terms.items()]
-
-
-@lru_cache(maxsize=64)
-def _q_op(n: int, mode: int) -> DiffOperator:
-    return DiffOperator.multiplication(n, Poly.var(qvar(mode)))
-
-
-@lru_cache(maxsize=64)
-def _p_op(n: int, mode: int) -> DiffOperator:
-    return DiffOperator.derivative(n, mode, -Scalar.symbol(IHBAR))
 
 
 def _mode_terms(m: int, k: int) -> list[int]:
@@ -127,40 +118,81 @@ def weyl_quantize(f: Poly, n: int) -> DiffOperator:
     return out
 
 
-def weyl_quantize_brute(f: Poly, n: int) -> DiffOperator:
-    """Independent oracle: average over every distinct ordering of the operator word.
+WORD_BUDGET = 100_000  # the most distinct operator words weyl_quantize_brute composes for one monomial
 
-    The sorted words are the leaves of a trie of letters q^i, p^i.  A stack
-    holds the products of the current word's prefixes; each word keeps the
-    prefix it shares with the previous word and composes only its new
-    letters, so every trie node is composed once.
+
+def _word_count(modes: list[tuple[int, int, int]]) -> int:
+    """The number of distinct words of a monomial's letters: the multinomial of the letter counts."""
+    words, degree = 1, 0
+    for _, m, k in modes:
+        for count in (m, k):
+            degree += count
+            words *= comb(degree, count)
+    return words
+
+
+def weyl_quantize_brute(f: Poly, n: int) -> DiffOperator:
+    """Independent oracle: the average over every distinct ordering of the operator word.
+
+    The letters q^i and -i*hbar d/dq^i are integer numerator maps, each
+    held with its remaining count.  A depth-first walk takes a letter in
+    sorted order, composes the node's product with it by the operator
+    kernel (:func:`~nsq.quantization._compose_into`) and goes down, so that
+    it reaches each distinct word once and composes each node of the trie
+    of words once; a word's last letter is composed straight into the one
+    sum of all words.  That sum is divided by the number of words and
+    scaled by the monomial's coefficient.  Before anything is composed,
+    every monomial's degree is checked against the power bound and its
+    word count against ``WORD_BUDGET``, past which it is refused with
+    EngineError.
     """
-    out = DiffOperator.zero(n)
+    units, ihbar = _layout(n)[0], field_unit("sym", IHBAR, n)
+    plans = []
     for modes, coeff in _monomial_modes(f, n):
-        letters: list[tuple[int, int]] = []
-        ops = {}
+        degree = DiffOperator._checked(sum(m + k for _, m, k in modes))
+        words = _word_count(modes)
+        if words > WORD_BUDGET:
+            raise EngineError(f"a monomial of {words} distinct operator words, past the word budget of {WORD_BUDGET}")
+        letters = []
         for mode, m, k in modes:
-            letters += [(mode, 0)] * m + [(mode, 1)] * k
-            ops[mode, 0], ops[mode, 1] = _q_op(n, mode), _p_op(n, mode)
-        if not letters:
-            out = out + DiffOperator.multiplication(n, Poly.constant(coeff))
-            continue
-        words = sorted(set(itertools.permutations(letters)))
-        acc = DiffOperator.zero(n)
-        stack: list[DiffOperator] = []  # stack[i] is the product of word[:i + 1]
-        prev: tuple = ()
-        for word in words:
-            common = 0
-            while common < len(stack) and word[common] == prev[common]:
-                common += 1
-            del stack[common:]
-            for letter in word[len(stack):]:
-                op = ops[letter]
-                stack.append(op_compose(stack[-1], op) if stack else op)
-            acc = acc + stack[-1]
-            prev = word
-        out = out + acc.scale(coeff * Fraction(1, len(words)))
+            du, qu = units[mode - 1]
+            letters += [[count, num] for count, num in ((m, {qu: 1}), (k, {du + ihbar: -1})) if count]
+        plans.append((letters, degree, words, coeff))
+    out = DiffOperator.zero(n)
+    for letters, degree, words, coeff in plans:
+        total = _word_sum(letters, degree, n)
+        out = out + DiffOperator._of(n, *_normal(total, words), degree).scale(coeff)
     return out
+
+
+def _word_sum(letters: list[list], degree: int, n: int) -> dict:
+    """The sum of the products of every distinct word of the letters, as one numerator map.
+
+    letters holds [remaining count, numerator map] per letter, in sorted
+    order, and degree is the sum of the counts.  The walk starts at the
+    empty word, the identity {0: 1}; it takes one off a letter's count on
+    the way down and puts it back on the way up.
+    """
+    total: dict = {}
+
+    def extend(node: dict, left: int) -> None:
+        for letter in letters:
+            count, num = letter
+            if count:
+                letter[0] = count - 1
+                if left == 1:
+                    _compose_into(total, node, num, n, 1)
+                else:
+                    child: dict = {}
+                    _compose_into(child, node, num, n, 1)
+                    extend(child, left - 1)
+                letter[0] = count
+
+    if degree:
+        extend({0: 1}, degree)
+    else:
+        total[0] = 1
+    return total
 
 
 def groenewold_witness(n: int = 1, brute: bool = False) -> DiffOperator:

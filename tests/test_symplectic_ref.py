@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -131,7 +132,7 @@ def test_groenewold_witness_golden():
     assert groenewold_witness(2, brute=True) == w2
 
 
-# -- the closed form against the prefix-shared oracle ---------------------------
+# -- the closed form against the word-walk oracle --------------------------------
 
 
 def ref_weyl_brute(f, n):
@@ -243,18 +244,83 @@ def test_prefix_oracle_matches_word_average_at_n2():
         assert weyl_quantize_brute(poly, 2) == ref_weyl_brute(poly, 2), exponents
 
 
+def refuse_the_kernel(monkeypatch):
+    """Make every call of the operator kernel fail, under each name it is reached by."""
+
+    def refuse(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(quantization, "_compose_into", refuse)
+    monkeypatch.setattr(symplectic_ref, "_compose_into", refuse)
+
+
 def test_weyl_quantize_composes_nothing(monkeypatch):
     poly = sp_q(1) ** 2 * sp_p(1) * sp_q(2) * sp_p(2) ** 2
     expected = weyl_quantize_brute(poly, 2)
-
-    def refuse(a, b):
-        raise AssertionError("op_compose called")
-
-    monkeypatch.setattr(quantization, "op_compose", refuse)
-    monkeypatch.setattr(symplectic_ref, "op_compose", refuse)
-    with pytest.raises(AssertionError, match="op_compose called"):
+    refuse_the_kernel(monkeypatch)
+    with pytest.raises(AssertionError, match="kernel called"):
         weyl_quantize_brute(poly, 2)
     assert weyl_quantize(poly, 2) == expected
+
+
+def test_brute_oracle_cost_follows_the_distinct_words():
+    # 3,432 distinct words of q^7 p^7 among 14! = 8.7e10 orderings
+    start = time.process_time()
+    for k in (6, 7):
+        poly = sp_q(1) ** k * sp_p(1) ** k
+        assert weyl_quantize_brute(poly, 1) == weyl_quantize(poly, 1), k
+    assert time.process_time() - start < 5
+
+
+def test_brute_oracle_composes_each_trie_node_once(monkeypatch):
+    # one kernel call per distinct nonempty prefix: a node is its parent
+    # (a proper prefix, or the empty word) composed with one letter
+    poly = sp_q(1) ** 2 * sp_p(1) * sp_q(2) * sp_p(2)
+    letters = ["q1", "q1", "p1", "q2", "p2"]
+    words = set(itertools.permutations(letters))
+    nodes = {word[:k] for word in words for k in range(1, len(letters) + 1)}
+    assert (len(words), len(nodes)) == (60, 4 + 13 + 33 + 60 + 60)
+    kernel, calls = symplectic_ref._compose_into, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        kernel(*args)
+
+    monkeypatch.setattr(symplectic_ref, "_compose_into", counted)
+    assert weyl_quantize_brute(poly, 2) == weyl_quantize(poly, 2)
+    assert calls[0] == len(nodes)
+
+
+def test_word_budget_at_the_bound_and_one_past(monkeypatch):
+    poly = sp_q(1) ** 5 * sp_p(1) ** 5  # comb(10, 5) = 252 distinct words
+    monkeypatch.setattr(symplectic_ref, "WORD_BUDGET", 252)
+    assert weyl_quantize_brute(poly, 1) == weyl_quantize(poly, 1)
+    monkeypatch.setattr(symplectic_ref, "WORD_BUDGET", 251)
+    refuse_the_kernel(monkeypatch)
+    with pytest.raises(EngineError, match="252 distinct operator words, past the word budget of 251"):
+        weyl_quantize_brute(poly, 1)
+    # a monomial within the budget, met first, is not composed either
+    f = sp_q(1) * sp_p(1) + poly
+    assert next(iter(f.terms)) == ((pvar(1), 1), (qvar(1), 1))
+    with pytest.raises(EngineError, match="252 distinct operator words"):
+        weyl_quantize_brute(f, 1)
+
+
+def test_word_budget_refuses_before_any_work(monkeypatch):
+    refuse_the_kernel(monkeypatch)
+    for k, words in ((10, 184756), (20, 137846528820)):
+        with pytest.raises(EngineError, match=f"{words} distinct operator words, past the word budget of 100000"):
+            weyl_quantize_brute(sp_q(1) ** k * sp_p(1) ** k, 1)
+    # the power bound, checked on the degree before composing
+    with pytest.raises(EngineError, match="could reach 256, past the 255"):
+        weyl_quantize_brute(sp_q(1) ** 256, 1)
+    with pytest.raises(EngineError, match="could reach 256, past the 255"):
+        weyl_quantize_brute(sp_q(1) ** 200 * sp_q(2) ** 56, 2)
+
+
+def test_brute_oracle_at_the_power_bound():
+    for poly in (sp_q(1) ** 255, sp_p(1) ** 255, sp_q(1) ** 254 * sp_p(1)):
+        assert weyl_quantize_brute(poly, 1) == weyl_quantize(poly, 1)
 
 
 @pytest.mark.parametrize("route", [weyl_quantize, weyl_quantize_brute])

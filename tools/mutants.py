@@ -101,14 +101,14 @@ MUTANTS = [
         "composition drops the right operand's denominator",
         [(
             "quantization.py",
-            "    _compose_into(acc, a, b, 1)\n    return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)",
-            "    _compose_into(acc, a, b, 1)\n    return DiffOperator._of(a.n, *_normal(acc, a._den), top)",
+            "    _compose_into(acc, a._nums, b._nums, a.n, 1)\n    return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)",
+            "    _compose_into(acc, a._nums, b._nums, a.n, 1)\n    return DiffOperator._of(a.n, *_normal(acc, a._den), top)",
         )],
         [f"{QUANT}::test_op_compose_matches_leibniz_reference"],
     ),
     Mutant(
         "commutator adds b o a instead of subtracting it",
-        [("quantization.py", "_compose_into(acc, b, a, -1)", "_compose_into(acc, b, a, 1)")],
+        [("quantization.py", "_compose_into(acc, b._nums, a._nums, a.n, -1)", "_compose_into(acc, b._nums, a._nums, a.n, 1)")],
         [f"{QUANT}::test_commutator_matches_leibniz_reference"],
     ),
     Mutant(
@@ -116,7 +116,7 @@ MUTANTS = [
         [("quantization.py", "        memo = self._images\n", '        memo = globals().setdefault("_SHARED_IMAGES", {})\n')],
         [f"{QUANT}::test_memoized_images_equal_fresh_ones", f"{QUANT}::test_a_corrupted_map_never_sees_a_clean_maps_images"],
     ),
-    # -- Weyl ordering: the closed form and the prefix-shared oracle (symplectic_ref) --
+    # -- Weyl ordering: the closed form and the word-walk oracle (symplectic_ref) --
     Mutant(
         "closed form with +i*hbar/2 in place of -i*hbar/2",
         [("symplectic_ref.py", "((-1) ** k * factorial(j)", "((-1) ** (k - j) * factorial(j)")],
@@ -128,9 +128,19 @@ MUTANTS = [
         [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_weyl_closed_form_matches_prefix_oracle"],
     ),
     Mutant(
-        "prefix stack keeps a stale letter past the common prefix",
-        [("symplectic_ref.py", "del stack[common:]", "del stack[common + 1 :]")],
+        "the walk goes down from a stale prefix: the parent's product in place of the child's",
+        [("symplectic_ref.py", "extend(child, left - 1)", "extend(node, left - 1)")],
         [f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2", f"{WEYL}::test_prefix_oracle_matches_word_average"],
+    ),
+    Mutant(
+        "the walk does not restore a letter's count",
+        [("symplectic_ref.py", "                letter[0] = count\n", "")],
+        [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2"],
+    ),
+    Mutant(
+        "average over degree! instead of the distinct words",
+        [("symplectic_ref.py", "*_normal(total, words)", "*_normal(total, factorial(degree))")],
+        [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2"],
     ),
     # -- the packed layout and the shared linear structure (packed) --
     Mutant(
@@ -395,55 +405,57 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 1.9,
-    "leibniz falling factorial set to 1": 1.7,
-    "leibniz memo keyed on the q powers without the degree": 1.8,
+    "leibniz weight without comb": 1.8,
+    "leibniz falling factorial set to 1": 1.8,
+    "leibniz memo keyed on the q powers without the degree": 1.6,
     "leibniz memo keyed on the degree without the q powers": 1.8,
-    "composition drops the right operand's denominator": 61.2,
-    "commutator adds b o a instead of subtracting it": 83.2,
-    "image memo keyed without the map instance (module-level)": 1.9,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.9,
-    "closed form without j!": 1.9,
-    "prefix stack keeps a stale letter past the common prefix": 1.8,
-    "packed field one bit narrower than the bound": 1.9,
-    "IHBAR field dropped from the packed key": 72.9,
-    "the shared + skips the space check": 1.6,
-    "field memo keyed without the slot": 1.7,
-    "partials table keyed without the slot": 4.3,
-    "partials table skips the last variable of the monomial": 7.0,
-    "field table drops the -1 sign of a qhat generator": 2.2,
-    "ham_vf treats every coefficient as 1": 3.6,
-    "packed Lie bracket adds the second term instead of subtracting it": 3.8,
-    "integer vf_bracket weighs by 1/comb without split_count": 4.3,
-    "the sweep drops the (p-1)! prefactor": 9.9,
-    "the zero-class branch is skipped": 10.2,
-    "route 1 weight -1 instead of -split_count": 3.9,
-    "route 1's weight read by K in place of (I, J)": 5.3,
-    "gauge term's route 1 not checked": 1.5,
-    "routes compared on the first unit pair only": 57.1,
-    "bracket drops the cf * cg coefficient product": 24.6,
-    "gauge seed accepted on a slice": 1.9,
-    "component table memo keyed without the slot": 1.7,
+    "composition drops the right operand's denominator": 25.7,
+    "commutator adds b o a instead of subtracting it": 46.7,
+    "image memo keyed without the map instance (module-level)": 1.8,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.7,
+    "closed form without j!": 1.8,
+    "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.9,
+    "the walk does not restore a letter's count": 1.7,
+    "average over degree! instead of the distinct words": 1.6,
+    "packed field one bit narrower than the bound": 2.0,
+    "IHBAR field dropped from the packed key": 67.3,
+    "the shared + skips the space check": 1.7,
+    "field memo keyed without the slot": 1.9,
+    "partials table keyed without the slot": 3.6,
+    "partials table skips the last variable of the monomial": 16.8,
+    "field table drops the -1 sign of a qhat generator": 1.8,
+    "ham_vf treats every coefficient as 1": 4.4,
+    "packed Lie bracket adds the second term instead of subtracting it": 4.3,
+    "integer vf_bracket weighs by 1/comb without split_count": 4.4,
+    "the sweep drops the (p-1)! prefactor": 8.4,
+    "the zero-class branch is skipped": 4.6,
+    "route 1 weight -1 instead of -split_count": 4.0,
+    "route 1's weight read by K in place of (I, J)": 5.7,
+    "gauge term's route 1 not checked": 1.9,
+    "routes compared on the first unit pair only": 52.2,
+    "bracket drops the cf * cg coefficient product": 15.5,
+    "gauge seed accepted on a slice": 1.8,
+    "component table memo keyed without the slot": 2.0,
     "integer component builder weighs by 1 instead of K.count(j)": 1.7,
-    "K packed into the wrong index field": 4.0,
-    "a unit monomial's form over (r-1)! instead of r!": 2.4,
-    "a single monomial with a non-unit coefficient shares the unit table": 2.3,
-    "== compares unscaled forms when the denominators differ": 2.3,
-    "sym_components weighs by 1/comb without split_count": 16.4,
-    "dirac pair loop builds g from m1": 1.9,
-    "record_dirac records \"fail\" instead of the residual": 1.9,
-    "suite decorator stamps one fixed suite name": 1.5,
+    "K packed into the wrong index field": 4.1,
+    "a unit monomial's form over (r-1)! instead of r!": 2.1,
+    "a single monomial with a non-unit coefficient shares the unit table": 1.8,
+    "== compares unscaled forms when the denominators differ": 2.2,
+    "sym_components weighs by 1/comb without split_count": 17.3,
+    "dirac pair loop builds g from m1": 1.6,
+    "record_dirac records \"fail\" instead of the residual": 1.5,
+    "suite decorator stamps one fixed suite name": 1.7,
     "accumulate keeps a zero sum": 1.6,
-    "LinComb._like drops the space (n, slot)": 31.0,
-    "LinComb.__bool__ always true": 1.4,
-    "Scalar rational fast path taken for a symbol": 5.8,
-    "ONE * s returns ONE": 1.9,
-    "ONE_POLY * p returns ONE_POLY": 2.5,
-    "single-term power scales the exponents by k - 1": 3.6,
-    "single-term power keeps the coefficient unraised": 3.1,
-    "monomial memo keyed without the dimension": 1.6,
-    "membership memo keyed without the slot": 2.0,
-    "membership memo keyed without the dimension": 1.9,
+    "LinComb._like drops the space (n, slot)": 32.5,
+    "LinComb.__bool__ always true": 1.5,
+    "Scalar rational fast path taken for a symbol": 6.4,
+    "ONE * s returns ONE": 2.6,
+    "ONE_POLY * p returns ONE_POLY": 2.1,
+    "single-term power scales the exponents by k - 1": 4.9,
+    "single-term power keeps the coefficient unraised": 3.5,
+    "monomial memo keyed without the dimension": 1.4,
+    "membership memo keyed without the slot": 1.5,
+    "membership memo keyed without the dimension": 2.0,
     "monomial memo serves indices that equal an int but are not one": 1.9,
 }
 
