@@ -76,13 +76,15 @@ GenMonomial = tuple
 
 
 def check_dimension(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
+    """n itself when it is an exact int >= 1 (``True`` is not one); IndexRangeError otherwise."""
+    if type(n) is not int or n < 1:
         raise IndexRangeError(f"dimension must be a positive integer, got {n!r}")
     return n
 
 
 def check_index(i: int, n: int) -> int:
-    if not isinstance(i, int) or not 1 <= i <= n:
+    """i itself when it is an exact int in 1..n (``True`` is not one); IndexRangeError otherwise."""
+    if type(i) is not int or not 1 <= i <= n:
         raise IndexRangeError(f"index {i!r} out of range 1..{n}")
     return i
 
@@ -234,9 +236,11 @@ def _sorted_monomial(mono: GenMonomial, n: int) -> GenMonomial:
 
     A refusal raises and is not stored.  A hit trusts that the stored key
     was checked, and a key equal to it is the same input only if both
-    hold the same types: ``("q", 1.0, 1) == ("q", 1, 1)``, with equal
-    hashes, but only the second is a generator.  So only monomials whose
-    tags are plain tuples of exact ints after the kind come here.
+    hold the same types: ``("q", 1.0, 1)`` and ``("q", True, 1)`` equal
+    ``("q", 1, 1)``, with equal hashes, but only the last is a generator
+    (:func:`check_index` takes exact ints only and refuses the others).
+    So only monomials whose tags are plain tuples of exact ints after the
+    kind come here.
     """
     return _check_and_sort(mono, n)
 

@@ -27,14 +27,16 @@ read-only, all from N_r, r! times the components of a unit monomial of
 degree r (:func:`nsq.algebra._monomial_components`, the one expansion, a
 flat map whose keys hold K's index counts in the low n fields and the
 packed monomial above them): their term-by-term partials
-(:func:`_monomial_partials`, 1,024 entries), var -> (J counts, lowered
-flat key, int); and the factor-rule field (:func:`_monomial_field_table`,
-512), the sum over the factors u_m of N_{r-1}(rest_m)^I X_{u_m} over
-r!(r-1)!, held twice: reduced to the canonical form below, and as route
-1's view by variable, var -> (I counts, flat key, int), unreduced.  The
-bounds are measured on the benchmark's ``laws-mixed-n3`` workload (seed
-7, 20,000 cases): the partials memo hits 84.8% of lookups at 1,024
-entries against 67.4% at 512, and the field memo 85.6% at 512.
+(:func:`_monomial_partials`), var -> (J counts, lowered flat key, int),
+memoized in the bracket's operand records (:func:`nsq.poisson._operand`,
+1,024 entries), its only caller; and the factor-rule field
+(:func:`_monomial_field_table`, 512), the sum over the factors u_m of
+N_{r-1}(rest_m)^I X_{u_m} over r!(r-1)!, held twice: reduced to the
+canonical form below, and as route 1's view by variable, var -> (I
+counts, flat key, int), unreduced.  The bounds are measured on the
+benchmark's ``laws-mixed-n3`` workload (seed 7, 20,000 cases): the
+partials, when they had a memo of their own, hit 84.8% of lookups at
+1,024 entries against 67.4% at 512, and the field memo 85.6% at 512.
 
 *A field's canonical form.*  A :class:`HamVF` is a
 :class:`~nsq.packed.PackedLinComb` over (variable, grade I, packed key),
@@ -109,7 +111,6 @@ def _partials(entries: dict, n: int):
                     yield v, key[:-1], key[-1] - unit, pw * c
 
 
-@lru_cache(maxsize=1024)
 def _monomial_partials(mono: GenMonomial, n: int, slot: int | None) -> dict[Var, tuple[tuple[int, int, int], ...]]:
     """The partial derivatives of :func:`~nsq.algebra._monomial_components`, term by term.
 
@@ -117,7 +118,8 @@ def _monomial_partials(mono: GenMonomial, n: int, slot: int | None) -> dict[Var,
     every entry c of the flat table whose monomial holds var with power
     pw >= 1, in the order of the table.  J counts are the key's low n
     fields; each power is read from var's field above them, over the
-    variables of mono's generators.
+    variables of mono's generators.  Built fresh on every call: the
+    bracket's operand records (:func:`nsq.poisson._operand`) memoize it.
     """
     units, above = packed_units(n), FIELD_BITS * n
     index_mask = (1 << above) - 1

@@ -197,6 +197,9 @@ REFUSED_AFTER_WARMING = [
     (2, (qtag(1, 1),), 2, (), EngineError),
     (2, (qtag(1, 1),), 2, (qtag(1, 1), ("x", 1)), EngineError),
     (2, (rtag(1),), 2, (rtag(1), 1), EngineError),
+    (2, (qtag(1, 1),), 2, (("q", True, 1),), IndexRangeError),
+    (2, (qtag(1, 1), pitag(1)), 2, (("q", 1, True), pitag(1)), IndexRangeError),
+    (2, (pitag(1), rtag(1)), 2, (("pi", True), ("r", True)), IndexRangeError),
 ]
 
 
@@ -209,9 +212,36 @@ def test_memo_keeps_every_refusal(warm_n, warm, n, refused, error):
 
 def test_non_int_dimension_is_refused_after_warming():
     Observable(2, {(qtag(1, 1),): 1})
-    for n in (2.0, Fraction(2), "2"):
+    for n in (2.0, Fraction(2), "2", True):
         with pytest.raises(IndexRangeError, match="dimension"):
             Observable(n, {(qtag(1, 1),): 1})
+
+
+def test_bool_indices_and_dimensions_are_refused():
+    # True == 1 and hashes like it, so a bool index would print as
+    # qh(True,1), which does not parse, and could reach a memo keyed on the
+    # monomial of ints; every constructor takes exact ints only
+    from nsq.parsing import parse_observable, print_observable
+    from nsq.poisson import bracket
+    from nsq.quantization import DiffOperator
+
+    algebra._sorted_monomial.cache_clear()
+    for refused in ((("q", True, 1),), (("q", 1, True),), (("pi", True),), (("r", True),)):
+        with pytest.raises(IndexRangeError, match="index True out of range 1..2"):
+            Observable(2, {refused: 1})
+    for n in (True, False):
+        with pytest.raises(IndexRangeError, match=f"dimension must be a positive integer, got {n}"):
+            Observable(n, {})
+    with pytest.raises(IndexRangeError):
+        Observable(2, {(pitag(1),): 1}, slot=True)
+    with pytest.raises(IndexRangeError):
+        DiffOperator.derivative(2, True)
+    with pytest.raises(IndexRangeError):
+        canonicalize([True, 2], 2)
+    f = Observable(2, {(pitag(1), qtag(1, 1)): 1})
+    g = Observable(2, {(pitag(1), qtag(1, 2)): 1})
+    text = print_observable(bracket(f, g))
+    assert "True" not in text and parse_observable(text, 2) == bracket(f, g)
 
 
 def test_component_lookup_is_permutation_invariant():

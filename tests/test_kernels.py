@@ -27,7 +27,7 @@ from math import comb, factorial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsq import algebra, poisson
@@ -72,6 +72,8 @@ from nsq.packed import (
 )
 from nsq.poisson import (
     _gauge_terms,
+    _generator_join,
+    _operand,
     _route1_numerators,
     _route2_numerators,
     bracket,
@@ -503,17 +505,41 @@ def test_memo_key_separates_slice_and_full():
                 assert ham_vf(Observable(n, {square: 1}, slot=slot)) == expected[slot]
 
 
+def route1_plus_one_at(K):
+    """route 1 with 1 added at the constant monomial of multi-index K: a disagreement there."""
+    real = poisson._route1_numerators
+
+    def corrupted(*args):
+        out = dict(real(*args))
+        # the constant monomial packs to 0, so its flat key at K is K's counts
+        out[index_counts(K)] = out.get(index_counts(K), 0) + 1
+        return out
+
+    return corrupted
+
+
 @SETTINGS
 @given(monomial_pair(max_rank=3), st.sampled_from([None, 3]))
+@example((2, (qtag(1, 2),), (pitag(1),)), None)  # one hit of count 1: route 2 is the shared table
+@example((2, (pitag(2), qtag(1, 1)), (qtag(2, 2), rtag(1))), 3)  # one hit of count -1
+@example((1, (qtag(1, 1), qtag(1, 1)), (pitag(1),)), None)  # one hit of count 2
 def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     n, mf, mg = pair
+    monos = (mf, mg, tuple(sorted(mf + mg)))
     keys = {mono[:k] for mono in (mf, mg) for k in range(1, len(mono) + 1)}
     keys |= {mono[:m] + mono[m + 1 :] for mono in (mf, mg) for m in range(len(mono))} - {()}
+    # route 2 reads the tables of the hit monomials, and a single hit of
+    # count 1 hands its table on uncopied
+    hits = {(a, b): generator_hits(a, b) for a in monos for b in monos}
+    keys |= {mono for pair_hits in hits.values() for mono in pair_hits}
     cached = {key: _monomial_components(key, n, None) for key in keys}
     before = copy.deepcopy(cached)
-    integer_memos = (_monomial_components, _monomial_partials, _monomial_field_table)
-    integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in (mf, mg, tuple(sorted(mf + mg)))}
+    integer_memos = (_monomial_components, _operand, _monomial_field_table)
+    integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in monos}
     integer_before = copy.deepcopy(integer)
+    for pair_hits in hits.values():
+        if list(pair_hits.values()) == [1]:
+            assert _route2_numerators(pair_hits, n, None) is cached[next(iter(pair_hits))]
     f, g = observable(n, mf), observable(n, mg)
     assert f.components and g.components
     bracket(f, g, gauge_seed=gauge_seed)
@@ -532,11 +558,23 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     x.terms
     ham_vf(f + g)
     ham_vf(f.scale(Fraction(-2, 3)) + sym_mul(f, g))
-    assert cached == before
-    for key, comps in cached.items():
-        again = _monomial_components(key, n, None)
-        assert again is comps or again == before[key]
-    assert integer == integer_before
+
+    def unchanged():
+        assert cached == before
+        for key, comps in cached.items():
+            again = _monomial_components(key, n, None)
+            assert again is comps or again == before[key]
+        assert integer == integer_before
+
+    unchanged()
+    # the routes disagree on every unit pair: the error path reads route 2 too
+    for a, b in ((f, g), (g, f)):
+        K = (1,) * (a.rank() + b.rank() - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poisson, "_route1_numerators", route1_plus_one_at(K))
+            with pytest.raises(EngineError, match="bracket routes disagree"):
+                bracket(a, b, gauge_seed=gauge_seed)
+    unchanged()
 
 
 # -- the field tables and the integer forms layer ------------------------------------
@@ -611,7 +649,7 @@ def test_unit_monomial_shares_memoized_expansion():
 def clear_memos():
     for memo in (
         _monomial_components,
-        _monomial_partials,
+        _operand,
         _monomial_field_table,
     ):
         memo.cache_clear()
@@ -735,7 +773,12 @@ def flattened(comps, n, scale):
 
 
 def generator_hits(mf, mg):
-    """{monomial: integer coefficient} of the biderivation: {qhat(i,j), pihat(i)} = rhat(j) on each factor pair."""
+    """{monomial: integer coefficient} of the biderivation: {qhat(i,j), pihat(i)} = rhat(j) on each factor pair.
+
+    The pairwise enumeration, every factor of mf against every factor of
+    mg, position by position; a monomial reached with opposite signs keeps
+    its count of 0.
+    """
     hits = {}
     for a, s in enumerate(mf):
         for b, t in enumerate(mg):
@@ -773,6 +816,51 @@ def test_flat_tables_and_both_routes_equal_the_tuple_oracle(case):
     routes = flattened(ref_bracket_components(ham_vf(f), p, g, q), n, factorial(p + q - 1))
     assert _route1_numerators(_monomial_field_table(mf, n, slot)[2], _monomial_partials(mg, n, slot)) == routes
     assert _route2_numerators(generator_hits(mf, mg), n, slot) == routes
+
+
+@SETTINGS
+@given(monomial_pair_in_some_algebra())
+@example((1, None, (qtag(1, 1), qtag(1, 1), pitag(1)), (pitag(1), pitag(1), rtag(1))))
+@example((1, None, (pitag(1), qtag(1, 1)), (pitag(1), qtag(1, 1))))
+@example((3, 2, (qtag(3, 2), rtag(2), rtag(2)), (pitag(1), pitag(3), rtag(2))))
+def test_generator_join_equals_pairwise_enumeration(case):
+    # the join of the operand records' generator indices is the pairwise
+    # enumeration, counts of 0 included, on the full bundle and every slice
+    n, slot, mf, mg = case
+    a, b = _operand(mf, n, slot), _operand(mg, n, slot)
+    assert _generator_join(a, b) == generator_hits(mf, mg)
+    assert _generator_join(b, a) == generator_hits(mg, mf)
+
+
+def test_generator_join_on_repeats_cancellations_and_rhat():
+    def join(mf, mg, n=2, slot=None):
+        return _generator_join(_operand(mf, n, slot), _operand(mg, n, slot))
+
+    q11, q12, q21, pi1, pi2, r1 = qtag(1, 1), qtag(1, 2), qtag(2, 1), pitag(1), pitag(2), rtag(1)
+    # a repeated factor's hits count its multiplicity, on either side
+    assert join((pi1, q11, q11), (pi1, pi1)) == {(pi1, pi1, q11, r1): 4}
+    assert join((pi1, pi1), (pi1, q11, q11)) == {(pi1, pi1, q11, r1): -4}
+    # qh(1,1)*pih(1) against itself: the two hits cancel to a count of 0
+    assert join((pi1, q11), (pi1, q11)) == {(pi1, q11, r1): 0}
+    # rhat brackets to zero with every generator, and pih(k) meets only qh(k, .)
+    assert join((r1, r1), (pi1, q11, rtag(2))) == {}
+    assert join((q21, r1), (pi1, r1)) == {}
+    assert join((q12, r1), (pi1, pi2)) == {(pi2, r1, rtag(2)): 1}
+    assert join((q12,), (pi1,), slot=2) == {(rtag(2),): 1}
+
+
+def test_operand_records_are_keyed_by_dimension_and_slot():
+    # pihat(k) has n rows on the full bundle and one row on a slice, so its
+    # partials differ between n=2 and n=3 and between the full bundle and
+    # the slice; from an empty memo, in either order, each key gets its own
+    mono = (pitag(2), qtag(1, 1))
+    keys = [(2, None), (3, None), (3, 1), (2, 1)]
+    for order in (keys, keys[::-1]):
+        _operand.cache_clear()
+        records = {key: _operand(mono, *key) for key in order}
+        for (n, slot), record in records.items():
+            assert record[0] == _monomial_partials(mono, n, slot)
+        assert len({repr(record) for record in records.values()}) == len(keys)
 
 
 def test_one_index_field_holds_the_power_bound():
@@ -855,7 +943,7 @@ def test_packed_monomials_round_trip_at_the_power_bound(n):
 
 
 def memo_misses():
-    return [memo.cache_info().misses for memo in (_monomial_components, _monomial_partials, _monomial_field_table)]
+    return [memo.cache_info().misses for memo in (_monomial_components, _operand, _monomial_field_table)]
 
 
 def test_bracket_at_the_power_bound_and_one_past_it():

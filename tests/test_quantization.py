@@ -574,7 +574,7 @@ def test_passing_dirac_cases_form_no_label(monkeypatch):
 
 def test_derivative_index_is_checked():
     assert DiffOperator.derivative(2, 2) == DiffOperator(2, {(0, 1): Poly.constant(1)})
-    for k in (0, 3, -1, 1.0):
+    for k in (0, 3, -1, 1.0, True):
         with pytest.raises(IndexRangeError):
             DiffOperator.derivative(2, k)
 

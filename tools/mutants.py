@@ -14,8 +14,9 @@ A mutant is a list of exact source replacements under ``src/nsq``, each
 of whose anchors must occur exactly once, and the tests that must kill it.
 For each mutant the script copies ``src`` and ``tests`` into a temporary
 directory, applies the replacements there and runs pytest on the named
-tests; the mutant is killed when pytest reports a test failure (exit code
-1).  The named tests are first run once on an unmutated copy, where they
+tests with ``--hypothesis-seed=0``, so that whether a hypothesis test
+kills a mutant does not depend on the run; the mutant is killed when
+pytest reports a test failure (exit code 1).  The named tests are first run once on an unmutated copy, where they
 must pass.  A surviving mutant, an anchor that is missing or not unique,
 and any other pytest outcome (a collection error, no tests collected) are
 errors, and the script then exits with code 1.  The repository itself is
@@ -172,14 +173,6 @@ MUTANTS = [
         [f"{KERNELS}::test_memo_key_separates_slice_and_full", f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
     Mutant(
-        "partials table keyed without the slot",
-        [(
-            "forms.py",
-            *keyed_without("@lru_cache(maxsize=1024)", "_monomial_partials", "mono, n, slot", "(mono, n)"),
-        )],
-        [f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators"],
-    ),
-    Mutant(
         "partials table skips the last variable of the monomial",
         [("forms.py", "        for var, unit, shift in fields:\n", "        for var, unit, shift in fields[:-1]:\n")],
         [
@@ -231,6 +224,43 @@ MUTANTS = [
             ("poisson.py", "    _JOIN_WEIGHTS[I, J] = -out\n", "    _JOIN_WEIGHTS[I + J] = -out\n"),
         ],
         [f"{KERNELS}::test_route1_matches_split_enumeration", f"{KERNELS}::test_flat_tables_and_both_routes_equal_the_tuple_oracle"],
+    ),
+    Mutant(
+        "record memo keyed without the slot",
+        [("poisson.py", *keyed_without("@lru_cache(maxsize=1024)", "_operand", "mono, n, slot", "(mono, n)"))],
+        [f"{KERNELS}::test_operand_records_are_keyed_by_dimension_and_slot"],
+    ),
+    Mutant(
+        "record memo keyed without the dimension",
+        [("poisson.py", *keyed_without("@lru_cache(maxsize=1024)", "_operand", "mono, n, slot", "(mono, slot)"))],
+        [f"{KERNELS}::test_operand_records_are_keyed_by_dimension_and_slot"],
+    ),
+    Mutant(
+        "join drops a repeated factor's multiplicity",
+        [("poisson.py", "hits.get(mono, 0) + m * hit[1]", "hits.get(mono, 0) + hit[1]")],
+        [f"{KERNELS}::test_generator_join_equals_pairwise_enumeration"],
+    ),
+    Mutant(
+        "pi-in-f hits take sign +1",
+        [("poisson.py", "hits.get(mono, 0) - m * hit[1]", "hits.get(mono, 0) + m * hit[1]")],
+        [f"{KERNELS}::test_generator_join_equals_pairwise_enumeration"],
+    ),
+    Mutant(
+        "single-hit path taken for count != 1",
+        [("poisson.py", "        if c == 1:\n            return _monomial_components(mono, n, slot)\n", "        return _monomial_components(mono, n, slot)\n")],
+        [f"{KERNELS}::test_flat_tables_and_both_routes_equal_the_tuple_oracle"],
+    ),
+    Mutant(
+        "route 2 writes into the shared table",
+        [(
+            "poisson.py",
+            "        if c == 1:\n            return _monomial_components(mono, n, slot)\n",
+            "        table = _monomial_components(mono, n, slot)\n"
+            "        for k in table:\n"
+            "            table[k] *= c\n"
+            "        return table\n",
+        )],
+        [f"{KERNELS}::test_operations_leave_cached_maps_unchanged"],
     ),
     Mutant(
         "gauge term's route 1 not checked",
@@ -405,58 +435,63 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 1.8,
+    "leibniz weight without comb": 2.2,
     "leibniz falling factorial set to 1": 1.8,
-    "leibniz memo keyed on the q powers without the degree": 1.6,
+    "leibniz memo keyed on the q powers without the degree": 1.8,
     "leibniz memo keyed on the degree without the q powers": 1.8,
-    "composition drops the right operand's denominator": 25.7,
-    "commutator adds b o a instead of subtracting it": 46.7,
-    "image memo keyed without the map instance (module-level)": 1.8,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.7,
-    "closed form without j!": 1.8,
-    "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.9,
-    "the walk does not restore a letter's count": 1.7,
-    "average over degree! instead of the distinct words": 1.6,
-    "packed field one bit narrower than the bound": 2.0,
-    "IHBAR field dropped from the packed key": 67.3,
-    "the shared + skips the space check": 1.7,
-    "field memo keyed without the slot": 1.9,
-    "partials table keyed without the slot": 3.6,
-    "partials table skips the last variable of the monomial": 16.8,
-    "field table drops the -1 sign of a qhat generator": 1.8,
-    "ham_vf treats every coefficient as 1": 4.4,
-    "packed Lie bracket adds the second term instead of subtracting it": 4.3,
-    "integer vf_bracket weighs by 1/comb without split_count": 4.4,
-    "the sweep drops the (p-1)! prefactor": 8.4,
-    "the zero-class branch is skipped": 4.6,
-    "route 1 weight -1 instead of -split_count": 4.0,
-    "route 1's weight read by K in place of (I, J)": 5.7,
-    "gauge term's route 1 not checked": 1.9,
-    "routes compared on the first unit pair only": 52.2,
-    "bracket drops the cf * cg coefficient product": 15.5,
-    "gauge seed accepted on a slice": 1.8,
-    "component table memo keyed without the slot": 2.0,
-    "integer component builder weighs by 1 instead of K.count(j)": 1.7,
-    "K packed into the wrong index field": 4.1,
-    "a unit monomial's form over (r-1)! instead of r!": 2.1,
-    "a single monomial with a non-unit coefficient shares the unit table": 1.8,
+    "composition drops the right operand's denominator": 65.2,
+    "commutator adds b o a instead of subtracting it": 47.8,
+    "image memo keyed without the map instance (module-level)": 2.5,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.3,
+    "closed form without j!": 2.1,
+    "the walk goes down from a stale prefix: the parent's product in place of the child's": 2.1,
+    "the walk does not restore a letter's count": 2.0,
+    "average over degree! instead of the distinct words": 2.0,
+    "packed field one bit narrower than the bound": 2.5,
+    "IHBAR field dropped from the packed key": 53.2,
+    "the shared + skips the space check": 2.4,
+    "field memo keyed without the slot": 2.7,
+    "partials table skips the last variable of the monomial": 18.7,
+    "field table drops the -1 sign of a qhat generator": 2.1,
+    "ham_vf treats every coefficient as 1": 6.7,
+    "packed Lie bracket adds the second term instead of subtracting it": 6.8,
+    "integer vf_bracket weighs by 1/comb without split_count": 5.6,
+    "the sweep drops the (p-1)! prefactor": 15.5,
+    "the zero-class branch is skipped": 7.4,
+    "route 1 weight -1 instead of -split_count": 4.7,
+    "route 1's weight read by K in place of (I, J)": 4.5,
+    "record memo keyed without the slot": 2.3,
+    "record memo keyed without the dimension": 2.2,
+    "join drops a repeated factor's multiplicity": 2.3,
+    "pi-in-f hits take sign +1": 2.0,
+    "single-hit path taken for count != 1": 3.8,
+    "route 2 writes into the shared table": 2.4,
+    "gauge term's route 1 not checked": 2.1,
+    "routes compared on the first unit pair only": 65.1,
+    "bracket drops the cf * cg coefficient product": 28.6,
+    "gauge seed accepted on a slice": 2.1,
+    "component table memo keyed without the slot": 2.4,
+    "integer component builder weighs by 1 instead of K.count(j)": 2.4,
+    "K packed into the wrong index field": 4.5,
+    "a unit monomial's form over (r-1)! instead of r!": 2.4,
+    "a single monomial with a non-unit coefficient shares the unit table": 2.2,
     "== compares unscaled forms when the denominators differ": 2.2,
-    "sym_components weighs by 1/comb without split_count": 17.3,
-    "dirac pair loop builds g from m1": 1.6,
-    "record_dirac records \"fail\" instead of the residual": 1.5,
-    "suite decorator stamps one fixed suite name": 1.7,
-    "accumulate keeps a zero sum": 1.6,
-    "LinComb._like drops the space (n, slot)": 32.5,
-    "LinComb.__bool__ always true": 1.5,
-    "Scalar rational fast path taken for a symbol": 6.4,
-    "ONE * s returns ONE": 2.6,
-    "ONE_POLY * p returns ONE_POLY": 2.1,
-    "single-term power scales the exponents by k - 1": 4.9,
-    "single-term power keeps the coefficient unraised": 3.5,
-    "monomial memo keyed without the dimension": 1.4,
-    "membership memo keyed without the slot": 1.5,
-    "membership memo keyed without the dimension": 2.0,
-    "monomial memo serves indices that equal an int but are not one": 1.9,
+    "sym_components weighs by 1/comb without split_count": 15.3,
+    "dirac pair loop builds g from m1": 1.9,
+    "record_dirac records \"fail\" instead of the residual": 2.2,
+    "suite decorator stamps one fixed suite name": 2.1,
+    "accumulate keeps a zero sum": 2.2,
+    "LinComb._like drops the space (n, slot)": 37.8,
+    "LinComb.__bool__ always true": 2.2,
+    "Scalar rational fast path taken for a symbol": 9.1,
+    "ONE * s returns ONE": 3.6,
+    "ONE_POLY * p returns ONE_POLY": 3.9,
+    "single-term power scales the exponents by k - 1": 6.4,
+    "single-term power keeps the coefficient unraised": 4.5,
+    "monomial memo keyed without the dimension": 2.0,
+    "membership memo keyed without the slot": 1.9,
+    "membership memo keyed without the dimension": 1.9,
+    "monomial memo serves indices that equal an int but are not one": 2.1,
 }
 
 
@@ -495,7 +530,7 @@ def apply(dest: Path, edits: list) -> list[str]:
 
 def run_tests(dest: Path, tests: list) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
     return subprocess.run(cmd, cwd=dest, env=env, capture_output=True, text=True)
 
 
