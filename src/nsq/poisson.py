@@ -52,9 +52,9 @@ multiplicities.  Route 2's generator monomials are a join on the operand
 index (:func:`_generator_join`): the q-index of mf against the pi-index
 of mg on i with sign +1, the pi-index of mf against the q-index of mg
 with sign -1, each hit counted by the product of the two multiplicities.
-A bracket looks up each term's record once, and when a unit pair has a
-single hit of count 1, route 2 is that monomial's shared component table
-itself.
+A unit pair looks up one record, mg's; mf's record and route 1's field
+view are read once per term of f.  When a unit pair has a single hit of
+count 1, route 2 is that monomial's shared component table itself.
 
 The two flat maps are compared exactly on every pair of every call, and a
 disagreement raises EngineError naming the unit pair, the first differing
@@ -281,13 +281,13 @@ def bracket(
     gauges = {} if gauge_seed is None else _gauge_terms(f, gauge_seed)
     gauge_checked: set = set()
     out: dict[GenMonomial, Scalar] = {}
-    operands = [(mg, cg, _operand(mg, n, slot)) for mg, cg in g.terms.items()]
     for mf, cf in f.terms.items():
         p = len(mf)
         x = _monomial_field_table(mf, n, slot)[2]  # route 1's view, over p!(p-1)!
         record = _operand(mf, n, slot)
         unit_f = cf is ONE or cf == ONE
-        for mg, cg, operand in operands:
+        for mg, cg in g.terms.items():
+            operand = _operand(mg, n, slot)
             hits = _generator_join(record, operand)
             if hits:
                 base = cg if unit_f else cf * cg
@@ -296,7 +296,7 @@ def bracket(
                         accumulate(out, mono, base if count == 1 else base * count)
             dg = operand[0]
             route1 = _route1_numerators(x, dg)
-            route2 = _route2_numerators(hits, n, slot)
+            route2 = _route2_numerators(hits, n, slot) if hits else {}
             if route1 != route2:
                 denominator = factorial(p + len(mg) - 1)
                 a, b = _unflattened(route1, n), _unflattened(route2, n)

@@ -435,63 +435,63 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 2.2,
-    "leibniz falling factorial set to 1": 1.8,
-    "leibniz memo keyed on the q powers without the degree": 1.8,
-    "leibniz memo keyed on the degree without the q powers": 1.8,
-    "composition drops the right operand's denominator": 65.2,
-    "commutator adds b o a instead of subtracting it": 47.8,
-    "image memo keyed without the map instance (module-level)": 2.5,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.3,
-    "closed form without j!": 2.1,
-    "the walk goes down from a stale prefix: the parent's product in place of the child's": 2.1,
-    "the walk does not restore a letter's count": 2.0,
-    "average over degree! instead of the distinct words": 2.0,
-    "packed field one bit narrower than the bound": 2.5,
-    "IHBAR field dropped from the packed key": 53.2,
-    "the shared + skips the space check": 2.4,
-    "field memo keyed without the slot": 2.7,
-    "partials table skips the last variable of the monomial": 18.7,
-    "field table drops the -1 sign of a qhat generator": 2.1,
-    "ham_vf treats every coefficient as 1": 6.7,
-    "packed Lie bracket adds the second term instead of subtracting it": 6.8,
-    "integer vf_bracket weighs by 1/comb without split_count": 5.6,
-    "the sweep drops the (p-1)! prefactor": 15.5,
-    "the zero-class branch is skipped": 7.4,
-    "route 1 weight -1 instead of -split_count": 4.7,
-    "route 1's weight read by K in place of (I, J)": 4.5,
-    "record memo keyed without the slot": 2.3,
-    "record memo keyed without the dimension": 2.2,
-    "join drops a repeated factor's multiplicity": 2.3,
-    "pi-in-f hits take sign +1": 2.0,
-    "single-hit path taken for count != 1": 3.8,
-    "route 2 writes into the shared table": 2.4,
-    "gauge term's route 1 not checked": 2.1,
-    "routes compared on the first unit pair only": 65.1,
-    "bracket drops the cf * cg coefficient product": 28.6,
-    "gauge seed accepted on a slice": 2.1,
-    "component table memo keyed without the slot": 2.4,
-    "integer component builder weighs by 1 instead of K.count(j)": 2.4,
-    "K packed into the wrong index field": 4.5,
-    "a unit monomial's form over (r-1)! instead of r!": 2.4,
-    "a single monomial with a non-unit coefficient shares the unit table": 2.2,
-    "== compares unscaled forms when the denominators differ": 2.2,
-    "sym_components weighs by 1/comb without split_count": 15.3,
-    "dirac pair loop builds g from m1": 1.9,
-    "record_dirac records \"fail\" instead of the residual": 2.2,
-    "suite decorator stamps one fixed suite name": 2.1,
-    "accumulate keeps a zero sum": 2.2,
-    "LinComb._like drops the space (n, slot)": 37.8,
-    "LinComb.__bool__ always true": 2.2,
-    "Scalar rational fast path taken for a symbol": 9.1,
-    "ONE * s returns ONE": 3.6,
-    "ONE_POLY * p returns ONE_POLY": 3.9,
-    "single-term power scales the exponents by k - 1": 6.4,
-    "single-term power keeps the coefficient unraised": 4.5,
-    "monomial memo keyed without the dimension": 2.0,
-    "membership memo keyed without the slot": 1.9,
-    "membership memo keyed without the dimension": 1.9,
-    "monomial memo serves indices that equal an int but are not one": 2.1,
+    "leibniz weight without comb": 1.4,
+    "leibniz falling factorial set to 1": 1.4,
+    "leibniz memo keyed on the q powers without the degree": 2.2,
+    "leibniz memo keyed on the degree without the q powers": 2.2,
+    "composition drops the right operand's denominator": 48.2,
+    "commutator adds b o a instead of subtracting it": 36.5,
+    "image memo keyed without the map instance (module-level)": 1.9,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.8,
+    "closed form without j!": 1.9,
+    "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.8,
+    "the walk does not restore a letter's count": 1.5,
+    "average over degree! instead of the distinct words": 1.4,
+    "packed field one bit narrower than the bound": 1.5,
+    "IHBAR field dropped from the packed key": 32.2,
+    "the shared + skips the space check": 1.3,
+    "field memo keyed without the slot": 1.4,
+    "partials table skips the last variable of the monomial": 11.8,
+    "field table drops the -1 sign of a qhat generator": 1.7,
+    "ham_vf treats every coefficient as 1": 5.1,
+    "packed Lie bracket adds the second term instead of subtracting it": 6.5,
+    "integer vf_bracket weighs by 1/comb without split_count": 5.4,
+    "the sweep drops the (p-1)! prefactor": 12.9,
+    "the zero-class branch is skipped": 7.1,
+    "route 1 weight -1 instead of -split_count": 3.3,
+    "route 1's weight read by K in place of (I, J)": 3.1,
+    "record memo keyed without the slot": 1.3,
+    "record memo keyed without the dimension": 1.5,
+    "join drops a repeated factor's multiplicity": 1.7,
+    "pi-in-f hits take sign +1": 1.5,
+    "single-hit path taken for count != 1": 4.0,
+    "route 2 writes into the shared table": 1.8,
+    "gauge term's route 1 not checked": 1.4,
+    "routes compared on the first unit pair only": 51.5,
+    "bracket drops the cf * cg coefficient product": 18.1,
+    "gauge seed accepted on a slice": 1.6,
+    "component table memo keyed without the slot": 1.6,
+    "integer component builder weighs by 1 instead of K.count(j)": 1.4,
+    "K packed into the wrong index field": 2.9,
+    "a unit monomial's form over (r-1)! instead of r!": 1.7,
+    "a single monomial with a non-unit coefficient shares the unit table": 1.5,
+    "== compares unscaled forms when the denominators differ": 1.6,
+    "sym_components weighs by 1/comb without split_count": 9.9,
+    "dirac pair loop builds g from m1": 1.2,
+    "record_dirac records \"fail\" instead of the residual": 1.2,
+    "suite decorator stamps one fixed suite name": 1.0,
+    "accumulate keeps a zero sum": 1.1,
+    "LinComb._like drops the space (n, slot)": 21.3,
+    "LinComb.__bool__ always true": 1.1,
+    "Scalar rational fast path taken for a symbol": 4.7,
+    "ONE * s returns ONE": 1.9,
+    "ONE_POLY * p returns ONE_POLY": 2.3,
+    "single-term power scales the exponents by k - 1": 3.5,
+    "single-term power keeps the coefficient unraised": 2.5,
+    "monomial memo keyed without the dimension": 1.1,
+    "membership memo keyed without the slot": 1.2,
+    "membership memo keyed without the dimension": 1.3,
+    "monomial memo serves indices that equal an int but are not one": 1.3,
 }
 
 
