@@ -286,6 +286,28 @@ def split_count(K: MultiIndex, I: MultiIndex) -> int:
     return out
 
 
+SPLIT_MEMO_BOUND = 4096  # (I, J) split counts memoized for route 1 and vf_bracket
+_SPLIT_COUNTS: dict = {}
+
+
+def _split_count(I: int, J: int) -> int:
+    """split_count(K, I) for K = I + J, multi-indices as packed index counts: a product over the fields.
+
+    The count is symmetric in I and J, since comb(a + b, a) = comb(a + b,
+    b) in each field.  Stored in ``_SPLIT_COUNTS``, which route 1 and
+    :func:`~nsq.forms.vf_bracket` read first; at most SPLIT_MEMO_BOUND
+    counts, the oldest dropped first.  No count is 0.
+    """
+    K, i, out = I + J, I, 1
+    while K:
+        out *= comb(K & _FIELD_MASK, i & _FIELD_MASK)
+        K, i = K >> FIELD_BITS, i >> FIELD_BITS
+    if len(_SPLIT_COUNTS) >= SPLIT_MEMO_BOUND:
+        del _SPLIT_COUNTS[next(iter(_SPLIT_COUNTS))]
+    _SPLIT_COUNTS[I, J] = out
+    return out
+
+
 def sym_components(f: Mapping[MultiIndex, Poly], g: Mapping[MultiIndex, Poly]) -> dict[MultiIndex, Poly]:
     """Components of the normalized symmetric product of homogeneous maps of ranks p and q.
 
@@ -337,14 +359,9 @@ def _monomial_components(mono: GenMonomial, n: int, slot: int | None) -> dict[in
     return out
 
 
-def _index_counts(I: MultiIndex) -> int:
-    """A multi-index as packed index counts, value j's count in field j - 1."""
-    return sum(1 << FIELD_BITS * (j - 1) for j in I)
-
-
 @lru_cache(maxsize=1024)
 def _index_of(counts: int) -> MultiIndex:
-    """The sorted multi-index of packed index counts: the inverse of :func:`_index_counts`."""
+    """The sorted multi-index of packed index counts, value j's count in field j - 1."""
     out: list = []
     j = 1
     while counts:

@@ -20,34 +20,36 @@ representative is the factor rule: for u_1 sym ... sym u_r,
 with X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k), X_rhat(k) = 0.
 
 The forms layer and the checked bracket (:mod:`nsq.poisson`) run on the
-packed monomials of :mod:`nsq.packed`, which owns the layout.
+packed monomials of :mod:`nsq.packed`, which owns the layout, and on its
+one flat key: a field's grade I, like an observable's multi-index K, is
+held as index counts in the low n fields, below the packed monomial.
 
 *The tables*, built in ints and memoized on (mono, n, slot), shared
 read-only, all from N_r, r! times the components of a unit monomial of
 degree r (:func:`nsq.algebra._monomial_components`, the one expansion, a
-flat map whose keys hold K's index counts in the low n fields and the
-packed monomial above them): their term-by-term partials
+flat map {flat key: int}): their term-by-term partials
 (:func:`_monomial_partials`), var -> (J counts, lowered flat key, int),
 memoized in the bracket's operand records (:func:`nsq.poisson._operand`,
 1,024 entries), its only caller; and the factor-rule field
 (:func:`_monomial_field_table`, 512), the sum over the factors u_m of
-N_{r-1}(rest_m)^I X_{u_m} over r!(r-1)!, held twice: reduced to the
-canonical form below, and as route 1's view by variable, var -> (I
-counts, flat key, int), unreduced.  The bounds are measured on the
+N_{r-1}(rest_m)^I X_{u_m} over r!(r-1)!, keyed (var, flat key of
+rest_m's table), reduced to the canonical form below and, unreduced, as
+route 1's view (:func:`_by_variable`).  The bounds are measured on the
 benchmark's ``laws-mixed-n3`` workload (seed 7, 20,000 cases): the
 partials, when they had a memo of their own, hit 84.8% of lookups at
 1,024 entries against 67.4% at 512, and the field memo 85.6% at 512.
 
 *A field's canonical form.*  A :class:`HamVF` is a
-:class:`~nsq.packed.PackedLinComb` over (variable, grade I, packed key),
-the d/d(variable) coefficient of grade I, whose view maps I to a
-:class:`VectorField`.  :func:`ham_vf` reads the field tables: one monomial
-with coefficient 1 shares its table as is, anything else scales the
-numerators.  :func:`vf_bracket` (the split-pair weight times the packed Lie
-bracket, d/d(var) read from var's field) runs on the forms.  One integer
-sweep, :func:`_contraction_sums`, serves :func:`structure_eq_check`
-(against the differential of f's integer form, see :mod:`nsq.algebra`),
-its zero branch, :func:`gauge_condition_holds`,
+:class:`~nsq.packed.PackedLinComb` over (variable, flat key), the
+d/d(variable) coefficient of grade I, whose view maps I to a
+:class:`VectorField`; sorted tuples appear only in views.  :func:`ham_vf`
+reads the field tables: one monomial with coefficient 1 shares its table
+as is, anything else scales the numerators.  The kernels run on int adds
+and field reads: :func:`vf_bracket` (the packed split count of
+:mod:`nsq.algebra` over a comb, times the packed Lie bracket, d/d(var)
+read from var's field), and one sweep, :func:`_contraction_sums`, which
+serves :func:`structure_eq_check` (against the partials of f's flat
+form), its zero branch, :func:`gauge_condition_holds`,
 :func:`make_valid_gauge` and :func:`lie_preserves_form`.
 """
 
@@ -60,24 +62,24 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import (
+    _SPLIT_COUNTS,
     GenMonomial,
     GenTag,
     MultiIndex,
     Observable,
     _EMPTY_REST,
-    _generator_variables,
-    _index_counts,
     _index_of,
     _monomial_components,
-    _unflattened,
+    _split_count,
     all_multi_indices,
-    split_count,
+    canonicalize,
 )
 from .errors import GaugeConditionError, RankMismatch
 from .packed import (
     FIELD_BITS,
     _FIELD_MASK,
     _UNIT_NUMERATORS,
+    POWER_BOUND,
     PackedLinComb,
     _normal,
     _scalar_numerators,
@@ -94,21 +96,23 @@ from .scalars import LinComb, accumulate
 
 
 def _partials(entries: dict, n: int):
-    """Term-by-term partial derivatives of a flat integer map whose keys end in a packed key.
+    """Term-by-term partial derivatives of an integer map keyed (tag, flat key).
 
-    Yields (v, the key's other items, the packed key lowered once in v,
-    pw * c) for each entry c and each variable v of power pw >= 1 in it.
+    Yields (v, tag, the flat key lowered once in v, pw * c) for each entry
+    c and each variable v of power pw >= 1 in its monomial.
     """
+    above = FIELD_BITS * n
     seen = 0
-    for key in entries:
-        seen |= key[-1]
+    for _, key in entries:
+        seen |= key
     for v, unit in variable_units(n):
+        unit <<= above
         if seen & unit * _FIELD_MASK:
             shift = unit.bit_length() - 1
-            for key, c in entries.items():
-                pw = key[-1] >> shift & _FIELD_MASK
+            for (tag, key), c in entries.items():
+                pw = key >> shift & _FIELD_MASK
                 if pw:
-                    yield v, key[:-1], key[-1] - unit, pw * c
+                    yield v, tag, key - unit, pw * c
 
 
 def _monomial_partials(mono: GenMonomial, n: int, slot: int | None) -> dict[Var, tuple[tuple[int, int, int], ...]]:
@@ -116,24 +120,12 @@ def _monomial_partials(mono: GenMonomial, n: int, slot: int | None) -> dict[Var,
 
     var -> ((J counts, the flat key lowered once in var, pw * c), ...) for
     every entry c of the flat table whose monomial holds var with power
-    pw >= 1, in the order of the table.  J counts are the key's low n
-    fields; each power is read from var's field above them, over the
-    variables of mono's generators.  Built fresh on every call: the
-    bracket's operand records (:func:`nsq.poisson._operand`) memoize it.
+    pw >= 1, in the order of the table: :func:`_partials` grouped by
+    :func:`_by_variable`.  Built fresh on every call: the bracket's operand
+    records (:func:`nsq.poisson._operand`) memoize it.
     """
-    units, above = packed_units(n), FIELD_BITS * n
-    index_mask = (1 << above) - 1
-    out: dict[Var, list] = {}
-    variables = dict.fromkeys(
-        var for tag in dict.fromkeys(mono) for _, var in _generator_variables(tag, n, slot) if var is not None
-    )
-    fields = [(var, units[var] << above, units[var].bit_length() - 1 + above) for var in variables]
-    for key, c in _monomial_components(mono, n, slot).items():
-        for var, unit, shift in fields:
-            pw = key >> shift & _FIELD_MASK
-            if pw:
-                out.setdefault(var, []).append((key & index_mask, key - unit, pw * c))
-    return _frozen(out)
+    flat = {(None, key): c for key, c in _monomial_components(mono, n, slot).items()}
+    return _by_variable({(v, lowered): d for v, _, lowered, d in _partials(flat, n)}, n)
 
 
 def _frozen(table: dict[Var, list]) -> dict[Var, tuple]:
@@ -151,16 +143,11 @@ def _generator_direction(tag: GenTag) -> tuple[Var, int] | None:
 
 
 def _by_variable(nums: dict, n: int) -> dict[Var, tuple[tuple[int, int, int], ...]]:
-    """Route 1's view of a field form (var, I, packed key) -> int: var -> ((I counts, flat key, int), ...).
-
-    The flat key is the packed key above I's counts, as in
-    :func:`~nsq.algebra._monomial_components`.
-    """
-    above = FIELD_BITS * n
+    """A map (var, flat key) -> int grouped by variable: var -> ((I counts, flat key, int), ...), route 1's view."""
+    index_mask = (1 << FIELD_BITS * n) - 1
     out: dict[Var, list] = {}
-    for (var, I, key), c in nums.items():
-        counts = _index_counts(I)
-        out.setdefault(var, []).append((counts, (key << above) + counts, c))
+    for (var, key), c in nums.items():
+        out.setdefault(var, []).append((key & index_mask, key, c))
     return _frozen(out)
 
 
@@ -171,15 +158,12 @@ def _monomial_field_table(mono: GenMonomial, n: int, slot: int | None) -> tuple[
     r!(r-1)! times the field is the sum over the factors u_m of the
     numerators of the rest, :func:`~nsq.algebra._monomial_components` over
     (r-1)!, times the field of u_m; a factor that occurs c times is visited
-    once, with weight c.  The canonical form is that sum reduced by its gcd
-    with r!(r-1)!, keyed (var, I, packed key); route 1's view, var -> ((I
-    counts, flat key, int), ...), keeps the sum over r!(r-1)! and the flat
-    keys of the rest's table.
+    once, with weight c.  The sum is keyed (var, flat key) with the keys of
+    the rest's table.  The canonical form is that sum reduced by its gcd
+    with r!(r-1)!; route 1's view (:func:`_by_variable`) keeps it over
+    r!(r-1)!.
     """
-    above = FIELD_BITS * n
-    index_mask = (1 << above) - 1
     table: dict = {}
-    by_var: dict = {}
     for tag in dict.fromkeys(mono):
         direction = _generator_direction(tag)
         if direction is None:
@@ -188,12 +172,9 @@ def _monomial_field_table(mono: GenMonomial, n: int, slot: int | None) -> tuple[
         i = mono.index(tag)
         rest = mono[:i] + mono[i + 1 :]
         weight = sign * mono.count(tag)
-        entries = by_var[var] = []
         for key, c in (_monomial_components(rest, n, slot) if rest else _EMPTY_REST).items():
-            counts = key & index_mask
-            table[var, _index_of(counts), key >> above] = weight * c
-            entries.append((counts, key, weight * c))
-    return *_normal(table, factorial(len(mono)) * factorial(len(mono) - 1)), _frozen(by_var)
+            table[var, key] = weight * c
+    return *_normal(table, factorial(len(mono)) * factorial(len(mono) - 1)), _by_variable(table, n)
 
 
 # -- fields and forms ----------------------------------------------------------------
@@ -305,9 +286,11 @@ def soldering_dtheta(n: int, slot: int | None = None) -> Mapping[int, TwoForm]:
 class HamVF(PackedLinComb):
     """Graded tensor-valued vector field: one representative of a class.
 
-    The form is (variable, grade I, packed key) -> nonzero int over one
-    denominator (see :mod:`nsq.packed`); ``terms`` is the view that maps a
-    canonical multi-index of rank p-1 to a VectorField.  Equality is
+    The form is (variable, flat key) -> nonzero int over one denominator
+    (see :mod:`nsq.packed`), grade I's counts in the key's index fields;
+    ``terms`` is the view that maps a canonical multi-index of rank p-1 to
+    a VectorField.  The constructor canonicalizes each grade index, refusing
+    one outside 1..n, and counts a grade's rank as a power.  Equality is
     structural on the integer form.
     """
 
@@ -315,40 +298,50 @@ class HamVF(PackedLinComb):
     _power = "a field"
 
     def __init__(self, n: int, grades: Mapping[MultiIndex, VectorField] | None = None):
-        super().__init__(n, {I: vf for I, vf in (grades or {}).items() if vf})
+        view: dict = {}
+        for I, vf in (grades or {}).items():
+            accumulate(view, canonicalize(I, n), vf)
+        super().__init__(n, view)
 
     @staticmethod
     def _packed_view(n: int, view: dict) -> tuple[list, int]:
+        above = FIELD_BITS * n
         terms, top = [], 0
         for I, vf in view.items():
+            counts = sum(1 << FIELD_BITS * (j - 1) for j in I)
+            top = max(top, len(I))
             for var, poly in vf.terms.items():
                 for mono, s in poly.terms.items():
                     for sym, c in s.terms.items():
                         key, pw = pack_term(mono, sym, n)
-                        terms.append(((var, I, key), c))
+                        terms.append(((var, (key << above) + counts), c))
                         top = max(top, pw)
         return terms, top
 
     def _unpacked(self) -> dict:
+        n, above = self.n, FIELD_BITS * self.n
+        index_mask = (1 << above) - 1
         grades: dict = {}
-        for (var, I, key), c in self._nums.items():
-            grades.setdefault(I, {}).setdefault(var, {})[key] = c
+        for (var, key), c in self._nums.items():
+            grades.setdefault(key & index_mask, {}).setdefault(var, {})[key >> above] = c
         return {
-            I: VectorField()._like({var: unpack_poly(num, self._den, self.n) for var, num in fields.items()})
-            for I, fields in grades.items()
+            _index_of(counts): VectorField()._like({var: unpack_poly(num, self._den, n) for var, num in fields.items()})
+            for counts, fields in grades.items()
         }
 
     @staticmethod
-    def _add_into(acc: dict, nums: dict, factor: int, shift: int = 0) -> None:
-        for (var, I, k), c in nums.items():
-            key = (var, I, k + shift)
+    def _add_into(acc: dict, nums: dict, factor: int, shift: int, n: int) -> None:
+        shift <<= FIELD_BITS * n  # a symbol monomial sits above the index fields
+        for (var, k), c in nums.items():
+            key = (var, k + shift)
             acc[key] = acc.get(key, 0) + c * factor
 
     def grade_ranks(self) -> list[int]:
-        return sorted({len(I) for _, I, _ in self._nums})
+        index_mask = (1 << FIELD_BITS * self.n) - 1
+        return sorted({len(_index_of(counts)) for counts in {key & index_mask for _, key in self._nums}})
 
     def field(self, idx: MultiIndex) -> VectorField:
-        return self.terms.get(tuple(sorted(idx)), VectorField.zero())
+        return self.terms.get(canonicalize(idx, self.n), VectorField.zero())
 
     def __repr__(self):
         if not self.terms:
@@ -382,7 +375,7 @@ def ham_vf(f: Observable) -> HamVF:
     acc: dict = {}
     for nums, d, cnums in parts:
         for shift, c in cnums.items():
-            HamVF._add_into(acc, nums, c * (den // d), shift)
+            HamVF._add_into(acc, nums, c * (den // d), shift, n)
     return HamVF._of(n, *_normal(acc, den), top)
 
 
@@ -390,44 +383,44 @@ def ham_vf(f: Observable) -> HamVF:
 
 
 def _field_partials(nums: dict, n: int) -> dict[Var, list]:
-    """v -> [(I, w, the key lowered once in v, pw * c)] for every term of every d/dw coefficient holding v."""
+    """v -> [(w, J counts, |J|, the flat key lowered once in v, pw * c)] for every term of every d/dw coefficient holding v."""
+    index_mask = (1 << FIELD_BITS * n) - 1
     out: dict = {}
-    for v, (w, I), lowered, d in _partials(nums, n):
-        out.setdefault(v, []).append((I, w, lowered, d))
+    for v, w, lowered, d in _partials(nums, n):
+        J = lowered & index_mask
+        out.setdefault(v, []).append((w, J, len(_index_of(J)), lowered, d))
     return out
 
 
-@lru_cache(maxsize=4096)
-def _split_weight(I: MultiIndex, J: MultiIndex, scale: int) -> tuple[MultiIndex, int]:
-    """(K, split_count(K, I) * scale / comb(|K|, |I|)) for K = sorted(I + J): the split-pair weight, times scale."""
-    K = tuple(sorted(I + J))
-    return K, split_count(K, I) * scale // comb(len(K), len(I))
+def _lie_into(acc: dict, fields: dict, partials: dict, scale: int, n: int, sign: int) -> None:
+    """acc[w, key] += sign * weight * A^I_v d_v B^J_w over A's form and B's partials.
 
-
-def _lie_into(acc: dict, fields: dict, partials: dict, scale: int, sign: int, x_first: bool) -> None:
-    """acc[w, K, key] += sign * weight * A^I_v d_v B^J_w over A's form and B's partials.
-
-    The weight is the split-pair weight of x's grade in K, times scale:
-    x's grade is I when x_first, else J.
+    Each pair lands on the sum of its flat keys, with the split-pair weight
+    split_count(K, I) * scale / comb(|K|, |I|) for K = I + J, which is
+    symmetric in I and J.
     """
-    for (v, I, k), c in fields.items():
+    index_mask = (1 << FIELD_BITS * n) - 1
+    weights = _SPLIT_COUNTS
+    for (v, k), c in fields.items():
         entries = partials.get(v)
         if entries is None:
             continue
+        I = k & index_mask
+        p = len(_index_of(I))
         c *= sign
-        for J, w, lowered, d in entries:
-            K, weight = _split_weight(I, J, scale) if x_first else _split_weight(J, I, scale)
-            key = (w, K, k + lowered)
-            acc[key] = acc.get(key, 0) + c * weight * d
+        for w, J, q, lowered, d in entries:
+            key = (w, k + lowered)
+            weight = scale // comb(p + q, p) * (weights.get((I, J)) or _split_count(I, J))
+            acc[key] = acc.get(key, 0) + c * d * weight
 
 
 def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     """Bracket of graded fields: componentwise Lie bracket, then normalized
     symmetrization over the combined upper indices.
 
-    Every pair (I, J) of the supports lands on K = sorted(I + J) with weight
-    split_count(K, I) / comb(|K|, |I|), the share of K's position splits
-    that feed I to x;
+    Every pair (I, J) of the supports lands on K = I + J, the sum of the
+    flat keys, with weight split_count(K, I) / comb(|K|, |I|), the share of
+    K's position splits that feed I to x;
     [X^I, Y^J]_w = X^I_v d_v Y^J_w - Y^J_v d_v X^I_w is formed on the packed
     forms, over den(x) * den(y) times the lcm of the combs.  Both fields must
     have the same n.
@@ -439,36 +432,33 @@ def vf_bracket(x: HamVF, y: HamVF) -> HamVF:
     top = HamVF._checked(x._top + y._top)
     scale = lcm(*(comb(a + b, a) for a in x.grade_ranks() for b in y.grade_ranks()))
     acc: dict = {}
-    _lie_into(acc, x._nums, _field_partials(y._nums, n), scale, 1, True)
-    _lie_into(acc, y._nums, _field_partials(x._nums, n), scale, -1, False)
+    _lie_into(acc, x._nums, _field_partials(y._nums, n), scale, n, 1)
+    _lie_into(acc, y._nums, _field_partials(x._nums, n), scale, n, -1)
     return HamVF._of(n, *_normal(acc, x._den * y._den * scale), top)
 
 
 # -- the contraction sweep and the structure equation ---------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _raised(I: MultiIndex, a: int) -> tuple[MultiIndex, int]:
-    """(K, K.count(a)) for K = sorted(I + (a,))."""
-    K = tuple(sorted(I + (a,)))
-    return K, K.count(a)
-
-
 def _contraction_sums(x: HamVF, slot: int | None = None) -> dict[tuple, int]:
-    """The zero-class sweep: (K, leg, packed key) -> numerator over x's denominator, zeros dropped.
+    """The zero-class sweep: (leg, flat key of K) -> numerator over x's denominator, zeros dropped.
 
     The sum over the positions t of K of X^{K without K_t} _| dtheta^{K_t},
     with dtheta^i = sum_j dpi^i_j ^ dq^j (:func:`soldering_dtheta`, only
     i = slot on a slice), at every K one rank above a grade of x.  Grade I's
-    d/dpi^a_b coefficient feeds the dq^b leg of K = sorted(I + (a,)), and its
+    d/dpi^a_b coefficient feeds the dq^b leg of K = I + (a,), and its
     d/dq^j coefficient the dpi^a_j leg of that K for every row a, each once
-    per position of a in K, the second with a minus sign.
+    per position of a in K, the second with a minus sign: K's key is one
+    count more in field a - 1, read for K.count(a).  A K past POWER_BOUND,
+    whose counts would carry, is refused.
     """
     n = x.n
+    if x._top >= POWER_BOUND:
+        HamVF._checked(max(x.grade_ranks()) + 1)
     units = packed_units(n)
     rows = range(1, n + 1) if slot is None else (slot,)
     out: dict = {}
-    for (var, I, k), c in x._nums.items():
+    for (var, key), c in x._nums.items():
         if var not in units:
             continue
         if var[0] == "pi":
@@ -478,9 +468,9 @@ def _contraction_sums(x: HamVF, slot: int | None = None) -> dict[tuple, int]:
         else:
             legs = [(a, pivar(a, var[1]), -c) for a in rows]
         for a, leg, signed in legs:
-            K, count = _raised(I, a)
-            key = (K, leg, k)
-            out[key] = out.get(key, 0) + count * signed
+            field = FIELD_BITS * (a - 1)
+            K = key + (1 << field)
+            out[leg, K] = out.get((leg, K), 0) + (K >> field & _FIELD_MASK) * signed
     return {key: c for key, c in out.items() if c}
 
 
@@ -492,7 +482,8 @@ def structure_eq_check(f: Observable, x: HamVF) -> bool:
     With x symmetric in its grade indices the symmetrized right side
     collapses to -(p-1)! times the sum over positions of the index fed to
     dtheta, :func:`_contraction_sums`.  Both sides are compared as integer
-    forms at the K of their supports.
+    forms keyed (var, flat key): the partials of f's flat form of rank p
+    against the sweep's legs.
     """
     comps, den = f._numerators()
     sums = _contraction_sums(x, f.slot)
@@ -508,8 +499,8 @@ def structure_eq_check(f: Observable, x: HamVF) -> bool:
     lhs_scale, rhs_scale = x._den, -factorial(p - 1) * den
     g = gcd(lhs_scale, rhs_scale)
     lhs_scale, rhs_scale = lhs_scale // g, rhs_scale // g
-    flat = {(K, m): c for K, num in _unflattened(comps[p], f.n).items() for m, c in num.items()}
-    lhs = {(K, var, lowered): d * lhs_scale for var, (K,), lowered, d in _partials(flat, f.n)}
+    flat = {(None, key): c for key, c in comps[p].items()}
+    lhs = {(var, lowered): d * lhs_scale for var, _, lowered, d in _partials(flat, f.n)}
     return lhs == {key: c * rhs_scale for key, c in sums.items()}
 
 
@@ -546,23 +537,26 @@ def make_valid_gauge(u: HamVF) -> HamVF:
     """Project a vertical field onto the valid gauge directions: T = U - Sym(U).
 
     Sym(U) on the leg d/dpi^a_b of grade I is 1/p times the dq^b coefficient
-    of U's contraction sum at K = sorted(I + (a,)), of rank p.  So at each K
-    every dq^b term s is subtracted, as s/p, from the d/dpi^a_b leg of
-    grade K minus one a, for each distinct a in K.
+    of U's contraction sum at K = I + (a,), of rank p.  So at each K every
+    dq^b term s is subtracted, as s/p, from the d/dpi^a_b leg of grade K
+    minus one a, for each a counted in K.
     """
-    if any(var[0] != "pi" for var, _, _ in u._nums):
+    if any(var[0] != "pi" for var, _ in u._nums):
         raise GaugeConditionError("gauge terms are vertical: a field has a d/dq leg")
+    n = u.n
+    index_mask = (1 << FIELD_BITS * n) - 1
     sums = _contraction_sums(u)
-    scale = lcm(*(len(K) for K, _, _ in sums))
-    acc: dict = {}
-    HamVF._add_into(acc, u._nums, scale)
-    for (K, (_, b), k), c in sums.items():
-        c *= -(scale // len(K))
-        for a in set(K):
-            t = K.index(a)
-            key = (pivar(a, b), K[:t] + K[t + 1 :], k)
-            acc[key] = acc.get(key, 0) + c
-    return HamVF._of(u.n, *_normal(acc, u._den * scale), u._top)
+    ranks = {key: len(_index_of(key & index_mask)) for _, key in sums}
+    scale = lcm(*ranks.values())
+    acc = {key: c * scale for key, c in u._nums.items()}
+    for ((_, b), key), c in sums.items():
+        c *= -(scale // ranks[key])
+        for a in range(1, n + 1):
+            field = FIELD_BITS * (a - 1)
+            if key >> field & _FIELD_MASK:
+                lowered = (pivar(a, b), key - (1 << field))
+                acc[lowered] = acc.get(lowered, 0) + c
+    return HamVF._of(n, *_normal(acc, u._den * scale), u._top)
 
 
 def random_valid_gauge(n: int, grade_rank: int, rng, max_terms: int = 3) -> HamVF:
@@ -599,8 +593,8 @@ def lie_preserves_form(x: HamVF) -> bool:
     s = s_v dv is the sum of d_w s_v dw ^ dv, each pair (w, v) oriented.
     """
     acc: dict = {}
-    for w, (K, v), lowered, d in _partials(_contraction_sums(x), x.n):
+    for w, v, lowered, d in _partials(_contraction_sums(x), x.n):
         if w != v:
-            key = (K, w, v, lowered) if w < v else (K, v, w, lowered)
+            key = (w, v, lowered) if w < v else (v, w, lowered)
             acc[key] = acc.get(key, 0) + (d if w < v else -d)
     return not any(acc.values())

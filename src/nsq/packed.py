@@ -15,7 +15,9 @@ monomials, or the shift of a derivative degree, is one int add, so long as
 no power passes ``POWER_BOUND``.
 
 *The flat component key.*  A component entry of an observable's tables
-(:mod:`nsq.algebra`) is one int of the same fields: the multi-index K sits
+(:mod:`nsq.algebra`), and a term of a Hamiltonian field's form
+(:class:`nsq.forms.HamVF`, keyed (variable, flat key) with its grade as
+the multi-index), is one int of the same fields: the multi-index K sits
 in the low n fields, as the count of each index value 1..n (value j in
 field j - 1), and the packed monomial sits above them, so
 ``key = (m << FIELD_BITS * n) + K counts``.  No count carries, since a rank
@@ -185,8 +187,9 @@ class PackedLinComb(LinComb):
     * ``_packed_view(n, view)``: ([(key, Fraction)] for every term of a
       view, the largest power);
     * ``_unpacked()``: the view of the integer form;
-    * ``_add_into(acc, nums, factor, shift=0)``: acc += factor * nums, with
-      the packed part of every key moved by shift, over a whole map;
+    * ``_add_into(acc, nums, factor, shift, n)``: acc += factor * nums,
+      with the packed part of every key moved by shift, a packed monomial at
+      dimension n, over a whole map;
     * ``_power``: what a refusal says could pass the bound.
     """
 
@@ -275,7 +278,7 @@ class PackedLinComb(LinComb):
         top = self._checked(self._top + ctop)
         acc: dict = {}
         for shift, factor in cnums.items():
-            self._add_into(acc, self._nums, factor, shift)
+            self._add_into(acc, self._nums, factor, shift, self.n)
         return self._of(self.n, *_normal(acc, self._den * cden), top)
 
 

@@ -37,7 +37,8 @@ table's by-variable view, var -> [(I counts, flat key, int)], against g's
 partial derivatives, var -> [(J counts, lowered flat key, int)].  Each
 pair lands on the sum of the two flat keys, K = I + J in the index
 fields, with weight -split_count(K, I), a product over the index fields
-memoized on (I, J) counts.  Route 2 reads
+(:func:`nsq.algebra._split_count`, memoized on (I, J) counts and shared
+with :func:`~nsq.forms.vf_bracket`).  Route 2 reads
 the component tables of degree p+q-1, which hold powers up to p+q-1, and
 a monomial of degree past ``POWER_BOUND`` has no table, so a bracket of
 ranks with p+q-1 past it is refused with EngineError before any table is
@@ -80,12 +81,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .algebra import (
+    _SPLIT_COUNTS,
     GenMonomial,
     Observable,
     _monomial_components,
+    _split_count,
     _unflattened,
     check_index,
     in_b1_algebra,
@@ -103,31 +106,11 @@ from .forms import (
     structure_eq_check,
     vf_bracket,
 )
-from .packed import _FIELD_MASK, FIELD_BITS, POWER_BOUND, _nonzero, unpack_numerators
+from .packed import POWER_BOUND, _nonzero, unpack_numerators
 from .polynomials import Poly
 from .scalars import ONE, Scalar, accumulate
 
 # -- the two routes --------------------------------------------------------------
-
-
-JOIN_MEMO_BOUND = 4096  # (I, J) weights memoized for route 1
-_JOIN_WEIGHTS: dict = {}
-
-
-def _join_weight(I: int, J: int) -> int:
-    """-split_count(K, I) for K = I + J, multi-indices as packed index counts: a product over the fields.
-
-    Stored in ``_JOIN_WEIGHTS``, which route 1 reads first; at most
-    JOIN_MEMO_BOUND weights, the oldest dropped first.  No weight is 0.
-    """
-    K, i, out = I + J, I, 1
-    while K:
-        out *= comb(K & _FIELD_MASK, i & _FIELD_MASK)
-        K, i = K >> FIELD_BITS, i >> FIELD_BITS
-    if len(_JOIN_WEIGHTS) >= JOIN_MEMO_BOUND:
-        del _JOIN_WEIGHTS[next(iter(_JOIN_WEIGHTS))]
-    _JOIN_WEIGHTS[I, J] = -out
-    return -out
 
 
 def _route1_numerators(x: dict, dg: dict) -> dict:
@@ -139,7 +122,7 @@ def _route1_numerators(x: dict, dg: dict) -> dict:
     visits only the variables on both sides, and each pair lands on the sum
     of the two keys.  Zero sums are dropped.
     """
-    weights = _JOIN_WEIGHTS
+    weights = _SPLIT_COUNTS
     out: dict = {}
     for var, entries in x.items():
         partials = dg.get(var)
@@ -148,7 +131,7 @@ def _route1_numerators(x: dict, dg: dict) -> dict:
         for I, k1, c1 in entries:
             for J, lowered, c in partials:
                 k = k1 + lowered
-                out[k] = out.get(k, 0) + c1 * c * (weights.get((I, J)) or _join_weight(I, J))
+                out[k] = out.get(k, 0) - c1 * c * (weights.get((I, J)) or _split_count(I, J))
     return _nonzero(out)
 
 

@@ -144,7 +144,7 @@ class DiffOperator(PackedLinComb):
         return {alpha: Poly({mono: Scalar(c) for mono, c in poly.items()}) for alpha, poly in terms.items()}
 
     @staticmethod
-    def _add_into(acc: dict, nums: dict, factor: int, shift: int = 0) -> None:
+    def _add_into(acc: dict, nums: dict, factor: int, shift: int, n: int) -> None:
         for k, v in nums.items():
             k += shift
             acc[k] = acc.get(k, 0) + v * factor

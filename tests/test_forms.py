@@ -18,7 +18,7 @@ from nsq.algebra import (
     rtag,
     sym_mul,
 )
-from nsq.errors import DimensionMismatch, GaugeConditionError
+from nsq.errors import DimensionMismatch, GaugeConditionError, IndexRangeError
 from nsq.forms import (
     HamVF,
     TwoForm,
@@ -202,6 +202,25 @@ def test_vf_bracket_examples():
     g = sym_mul(make_qhat(n, 1, 1), make_pihat(n, 2))
     nonzero = vf_bracket(ham_vf(g), ham_vf(make_pihat(n, 1)))
     assert not nonzero.is_zero()
+
+
+def test_grade_indices_are_canonicalized_and_checked():
+    # a grade index is a multi-index: sorted on the way in, so orders that
+    # sort alike are one grade, and refused outside 1..n, where its count
+    # would have no index field
+    n = 2
+    vf = VectorField(h={1: Poly.var(qvar(2))})
+    x = HamVF(n, {(2, 1): vf})
+    assert x == HamVF(n, {(1, 2): vf}) and x.terms == {(1, 2): vf}
+    assert x.field((1, 2)) == vf and x.field((2, 1)) == vf and x.field((1, 1)).is_zero()
+    assert repr(x) == "X[1,2] = (q2) d/dq1"
+    assert HamVF(n, {(2, 1): vf, (1, 2): vf}) == HamVF(n, {(1, 2): vf + vf})
+    assert HamVF(n, {(2, 1): vf, (1, 2): -vf}).is_zero()
+    for bad in ((3,), (0,), (1, 3), (True,), (1.0,)):
+        with pytest.raises(IndexRangeError):
+            HamVF(n, {bad: vf})
+        with pytest.raises(IndexRangeError):
+            x.field(bad)
 
 
 def test_field_operations_refuse_other_dimensions():

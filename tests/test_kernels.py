@@ -44,10 +44,11 @@ from nsq.algebra import (
     sym_components,
     sym_mul,
 )
-from nsq.errors import EngineError
+from nsq.errors import EngineError, RankMismatch
 from nsq.forms import (
     HamVF,
     OneForm,
+    TwoForm,
     VectorField,
     _contraction_sums,
     _by_variable,
@@ -55,7 +56,9 @@ from nsq.forms import (
     _monomial_partials,
     _generator_direction,
     add_gauge,
+    gauge_condition_holds,
     ham_vf,
+    lie_preserves_form,
     random_valid_gauge,
     soldering_dtheta,
     structure_eq_check,
@@ -212,6 +215,24 @@ def poly_structure_eq_check(f, grades):
         == poly_contraction_sum(grades, K, dtheta).scale(prefactor)
         for K in all_multi_indices(f.n, p)
     )
+
+
+def poly_lie_preserves_form(grades, n):
+    """Cartan's check on Polys: d of the contraction sum with the full dtheta vanishes at every K one rank above a grade.
+
+    d(s_v dv) = sum d_w s_v dw ^ dv, summed as a TwoForm, which orients each
+    pair and drops dv ^ dv.
+    """
+    dtheta = soldering_dtheta(n)
+    for g in {len(I) for I in grades}:
+        for K in all_multi_indices(n, g + 1):
+            s = poly_contraction_sum(grades, K, dtheta)
+            d = TwoForm()
+            for v, c in s.terms.items():
+                d = d + TwoForm({(w, v): c.diff(w) for w in c.variables()})
+            if d:
+                return False
+    return True
 
 
 def ref_sym_components(n, f, p, g, q):
@@ -681,7 +702,8 @@ def unpacked_field_table(mono, n, slot):
     table, den, _ = _monomial_field_table(mono, n, slot)
     scale = factorial(r) * factorial(r - 1) // den
     out = {}
-    for (var, I, m), c in table.items():
+    for (var, key), c in table.items():
+        I, m = flat_parts(key, n)
         out.setdefault((var, I), {})[unpack_monomial(m, n)] = c * scale
     return out
 
@@ -692,7 +714,8 @@ def assert_integer_memos_match(mono, n, slot):
     assert as_polys(unpacked(_monomial_components(mono, n, slot), n), factorial(r)) == comps
     table, den, _ = _monomial_field_table(mono, n, slot)
     fields = {}
-    for (var, I, m), c in table.items():
+    for (var, key), c in table.items():
+        I, m = flat_parts(key, n)
         fields.setdefault(I, {}).setdefault(var, {})[unpack_monomial(m, n)] = c
     fields = {I: {var: Poly.from_numerators(num, den) for var, num in vf.items()} for I, vf in fields.items()}
     assert fields == {I: vf.terms for I, vf in poly_monomial_ham_vf(mono, n, slot).items()}
@@ -1015,6 +1038,15 @@ def test_field_powers_at_the_power_bound_and_past_it():
         HamVF(n, {(): VectorField(h={1: Poly.var(qvar(1), POWER_BOUND + 1)})})
     with pytest.raises(EngineError, match="could reach 256"):
         structure_eq_check(Observable(n, {q * POWER_BOUND + pi: 1}), at_bound)
+    # a grade's counts sit in the index fields: a rank past the bound is
+    # refused, and so is a sweep whose K one rank up could carry
+    with pytest.raises(EngineError, match="could reach 256"):
+        HamVF(n, {(1,) * (POWER_BOUND + 1): VectorField(h={1: Poly.constant(1)})})
+    for sweep in (gauge_condition_holds, lie_preserves_form):
+        with pytest.raises(EngineError, match="could reach 256"):
+            sweep(at_bound)
+    below = ham_vf(Observable(n, {q * (POWER_BOUND - 1) + pi: 1}))
+    assert not gauge_condition_holds(below) and lie_preserves_form(below)
 
 
 # -- the checked bracket over unit pairs ---------------------------------------------
@@ -1073,15 +1105,16 @@ def test_slice_bracket_refuses_gauge_seed(slot):
 def test_a_slice_has_no_nonzero_gauge_term(n):
     # a field tangent to the slice has legs d/dq^j and d/dpi^slot_b; each
     # leg of each grade I shows in the slice contraction sums at a
-    # (K, form leg) that no other leg reaches, so the contraction is
-    # injective and only the zero field satisfies the gauge condition there
+    # (form leg, K) that no other leg reaches, so the contraction is
+    # injective and only the zero field satisfies the gauge condition there;
+    # each leg is constant, so a sum's flat key is K's counts alone
     for slot in range(1, n + 1):
         reached = set()
         for rank in (0, 1, 2):
             for I in all_multi_indices(n, rank):
                 for j in range(1, n + 1):
                     for leg in (VectorField(h={j: Poly.constant(1)}), VectorField(v={(slot, j): Poly.constant(1)})):
-                        hits = {(K, var) for K, var, _ in _contraction_sums(HamVF(n, {I: leg}), slot)}
+                        hits = set(_contraction_sums(HamVF(n, {I: leg}), slot))
                         assert hits and not hits & reached
                         reached |= hits
 
@@ -1166,6 +1199,10 @@ def test_ham_vf_views_equal_factor_rule_on_every_small_monomial():
 
 @SETTINGS
 @given(observable_pair(), symbolic_coefficients)
+@example(  # a symbol's field sits above the index fields of a field's keys
+    (Observable(2, {(pitag(1), qtag(1, 2)): Scalar.symbol(IHBAR)}), Observable(2, {(pitag(2), pitag(2)): 1})),
+    Scalar.symbol(IHBAR),
+)
 def test_integer_field_operations_match_the_poly_oracle(pair, c):
     # ham_vf, vf_bracket, +, -, scale, == and is_zero on the integer forms,
     # against the Poly factor rule, the split-pair coordinate Lie bracket
@@ -1224,6 +1261,49 @@ def test_structure_eq_check_verdicts_match_the_poly_oracle(case):
     assert verdict == poly_structure_eq_check(f, x.terms)
     if kind in ("correct", "gauge", "zero-gauge"):
         assert verdict
+
+
+@st.composite
+def perturbed_fields(draw):
+    """(f, x): x = ham_vf(f) plus a random field, so rarely the canonical representative.
+
+    f is homogeneous of degree 1..3, or its zero class, with rational and
+    symbolic coefficients, on the full bundle or a slice; the perturbation
+    has horizontal and vertical legs of grade ranks p-1 and p, so the grades
+    are often mixed.
+    """
+    n = draw(st.integers(1, 3))
+    slot = draw(st.sampled_from([None] + list(range(1, n + 1))))
+    tags = full_tags(n) if slot is None else slice_tags(n, slot)
+    degree = draw(st.integers(1, 3))
+    monos = st.lists(st.sampled_from(tags), min_size=degree, max_size=degree).map(lambda t: tuple(sorted(t)))
+    f = Observable(n, draw(st.dictionaries(monos, symbolic_coefficients, min_size=1, max_size=3)), slot=slot)
+    if draw(st.booleans()):
+        f = f - f
+    index = st.integers(1, n)
+    variables = st.one_of(index.map(qvar), st.tuples(index, index).map(lambda ab: pivar(*ab)))
+    grades = {}
+    for _ in range(draw(st.integers(0, 3))):
+        rank = draw(st.sampled_from([degree - 1, degree]))
+        I = tuple(sorted(draw(st.lists(index, min_size=rank, max_size=rank))))
+        poly = draw(polys(n)).scale(draw(symbolic_coefficients))
+        accumulate(grades, I, VectorField()._like({draw(variables): poly} if poly else {}))
+    return f, ham_vf(f) + HamVF(n, grades)
+
+
+@SETTINGS
+@given(perturbed_fields())
+def test_sweep_verdicts_match_the_two_form_oracle(case):
+    # the integer sweep behind structure_eq_check and lie_preserves_form
+    # against the contraction with soldering_dtheta's TwoForms and Poly.diff
+    f, x = case
+    assert lie_preserves_form(x) == poly_lie_preserves_form(x.terms, x.n)
+    ranks = x.grade_ranks()
+    if f.is_zero() or ranks in ([], [f.rank() - 1]):
+        assert structure_eq_check(f, x) == poly_structure_eq_check(f, x.terms)
+    else:
+        with pytest.raises(RankMismatch):
+            structure_eq_check(f, x)
 
 
 def test_a_thm1_case_leaves_the_poly_memos_unfilled(monkeypatch):

@@ -173,8 +173,8 @@ MUTANTS = [
         [f"{KERNELS}::test_memo_key_separates_slice_and_full", f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
     ),
     Mutant(
-        "partials table skips the last variable of the monomial",
-        [("forms.py", "        for var, unit, shift in fields:\n", "        for var, unit, shift in fields[:-1]:\n")],
+        "partials read only the lowest bit of a variable's field",
+        [("forms.py", "        if seen & unit * _FIELD_MASK:\n", "        if seen & unit:\n")],
         [
             f"{KERNELS}::test_packed_tables_unpack_to_tuple_numerators",
             f"{KERNELS}::test_route1_matches_split_enumeration",
@@ -193,13 +193,23 @@ MUTANTS = [
     ),
     Mutant(
         "packed Lie bracket adds the second term instead of subtracting it",
-        [("forms.py", "_field_partials(x._nums, n), scale, -1, False)", "_field_partials(x._nums, n), scale, 1, False)")],
+        [("forms.py", "_field_partials(x._nums, n), scale, n, -1)", "_field_partials(x._nums, n), scale, n, 1)")],
         [f"{KERNELS}::test_vf_bracket_matches_split_enumeration", f"{KERNELS}::test_integer_field_operations_match_the_poly_oracle"],
     ),
     Mutant(
         "integer vf_bracket weighs by 1/comb without split_count",
-        [("forms.py", "return K, split_count(K, I) * scale // comb(len(K), len(I))", "return K, scale // comb(len(K), len(I))")],
+        [("forms.py", "weight = scale // comb(p + q, p) * (weights.get((I, J)) or _split_count(I, J))", "weight = scale // comb(p + q, p)")],
         [f"{KERNELS}::test_vf_bracket_matches_split_enumeration", f"{KERNELS}::test_integer_field_operations_match_the_poly_oracle"],
+    ),
+    Mutant(
+        "a field's symbol shift lands in the index fields",
+        [("forms.py", "        shift <<= FIELD_BITS * n  # a symbol monomial sits above the index fields\n", "")],
+        [f"{KERNELS}::test_integer_field_operations_match_the_poly_oracle"],
+    ),
+    Mutant(
+        "HamVF skips the index range check",
+        [("forms.py", "accumulate(view, canonicalize(I, n), vf)", "accumulate(view, tuple(sorted(I)), vf)")],
+        [f"{FORMS}::test_grade_indices_are_canonicalized_and_checked"],
     ),
     Mutant(
         "the sweep drops the (p-1)! prefactor",
@@ -211,17 +221,27 @@ MUTANTS = [
         [("forms.py", "        return not sums\n", "        return True\n")],
         [f"{KERNELS}::test_structure_eq_check_verdicts_match_the_poly_oracle"],
     ),
+    Mutant(
+        "the sweep raises a grade at the power bound unchecked",
+        [("forms.py", "        HamVF._checked(max(x.grade_ranks()) + 1)\n", "        pass\n")],
+        [f"{KERNELS}::test_field_powers_at_the_power_bound_and_past_it"],
+    ),
+    Mutant(
+        "the contraction count is 1 in place of K.count(a)",
+        [("forms.py", "(K >> field & _FIELD_MASK) * signed", "signed")],
+        [f"{KERNELS}::test_sweep_verdicts_match_the_two_form_oracle", f"{KERNELS}::test_structure_eq_check_verdicts_match_the_poly_oracle"],
+    ),
     # -- the integer bracket kernel (poisson) --
     Mutant(
-        "route 1 weight -1 instead of -split_count",
-        [("poisson.py", "        out *= comb(K & _FIELD_MASK, i & _FIELD_MASK)\n", "        out *= 1\n")],
-        [f"{KERNELS}::test_route1_matches_split_enumeration"],
+        "the packed split count is 1",
+        [("algebra.py", "        out *= comb(K & _FIELD_MASK, i & _FIELD_MASK)\n", "        out *= 1\n")],
+        [f"{KERNELS}::test_route1_matches_split_enumeration", f"{KERNELS}::test_vf_bracket_matches_split_enumeration"],
     ),
     Mutant(
         "route 1's weight read by K in place of (I, J)",
         [
-            ("poisson.py", "(weights.get((I, J)) or _join_weight(I, J))", "(weights.get(I + J) or _join_weight(I, J))"),
-            ("poisson.py", "    _JOIN_WEIGHTS[I, J] = -out\n", "    _JOIN_WEIGHTS[I + J] = -out\n"),
+            ("poisson.py", "(weights.get((I, J)) or _split_count(I, J))", "(weights.get(I + J) or _split_count(I, J))"),
+            ("algebra.py", "    _SPLIT_COUNTS[I, J] = out\n", "    _SPLIT_COUNTS[I + J] = out\n"),
         ],
         [f"{KERNELS}::test_route1_matches_split_enumeration", f"{KERNELS}::test_flat_tables_and_both_routes_equal_the_tuple_oracle"],
     ),
@@ -368,6 +388,11 @@ MUTANTS = [
         [f"{LAWS}::test_sparse_combination_laws"],
     ),
     Mutant(
+        "LinComb.__add__ accumulates into self.terms",
+        [("scalars.py", "        out = dict(self.terms)\n", "        out = self.terms\n")],
+        [f"{LAWS}::test_shared_units_survive_a_full_verify"],
+    ),
+    Mutant(
         "LinComb.__bool__ always true",
         [("scalars.py", "        return bool(self.terms)\n", "        return True\n")],
         [f"{LAWS}::test_poly_canonical_form_drops_zeros", f"{LAWS}::test_sparse_combination_laws"],
@@ -435,63 +460,68 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 1.4,
-    "leibniz falling factorial set to 1": 1.4,
-    "leibniz memo keyed on the q powers without the degree": 2.2,
-    "leibniz memo keyed on the degree without the q powers": 2.2,
-    "composition drops the right operand's denominator": 48.2,
-    "commutator adds b o a instead of subtracting it": 36.5,
-    "image memo keyed without the map instance (module-level)": 1.9,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.8,
-    "closed form without j!": 1.9,
-    "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.8,
-    "the walk does not restore a letter's count": 1.5,
-    "average over degree! instead of the distinct words": 1.4,
-    "packed field one bit narrower than the bound": 1.5,
-    "IHBAR field dropped from the packed key": 32.2,
-    "the shared + skips the space check": 1.3,
-    "field memo keyed without the slot": 1.4,
-    "partials table skips the last variable of the monomial": 11.8,
-    "field table drops the -1 sign of a qhat generator": 1.7,
-    "ham_vf treats every coefficient as 1": 5.1,
-    "packed Lie bracket adds the second term instead of subtracting it": 6.5,
-    "integer vf_bracket weighs by 1/comb without split_count": 5.4,
-    "the sweep drops the (p-1)! prefactor": 12.9,
-    "the zero-class branch is skipped": 7.1,
-    "route 1 weight -1 instead of -split_count": 3.3,
-    "route 1's weight read by K in place of (I, J)": 3.1,
-    "record memo keyed without the slot": 1.3,
-    "record memo keyed without the dimension": 1.5,
-    "join drops a repeated factor's multiplicity": 1.7,
-    "pi-in-f hits take sign +1": 1.5,
-    "single-hit path taken for count != 1": 4.0,
+    "leibniz weight without comb": 1.7,
+    "leibniz falling factorial set to 1": 2.1,
+    "leibniz memo keyed on the q powers without the degree": 1.7,
+    "leibniz memo keyed on the degree without the q powers": 1.9,
+    "composition drops the right operand's denominator": 63.0,
+    "commutator adds b o a instead of subtracting it": 44.0,
+    "image memo keyed without the map instance (module-level)": 2.1,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.0,
+    "closed form without j!": 2.0,
+    "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.7,
+    "the walk does not restore a letter's count": 1.8,
+    "average over degree! instead of the distinct words": 1.5,
+    "packed field one bit narrower than the bound": 2.0,
+    "IHBAR field dropped from the packed key": 38.7,
+    "the shared + skips the space check": 1.5,
+    "field memo keyed without the slot": 1.8,
+    "partials read only the lowest bit of a variable's field": 3.6,
+    "field table drops the -1 sign of a qhat generator": 1.6,
+    "ham_vf treats every coefficient as 1": 6.6,
+    "packed Lie bracket adds the second term instead of subtracting it": 5.8,
+    "integer vf_bracket weighs by 1/comb without split_count": 4.4,
+    "a field's symbol shift lands in the index fields": 2.3,
+    "HamVF skips the index range check": 2.2,
+    "the sweep drops the (p-1)! prefactor": 17.7,
+    "the zero-class branch is skipped": 8.8,
+    "the sweep raises a grade at the power bound unchecked": 2.3,
+    "the contraction count is 1 in place of K.count(a)": 23.3,
+    "the packed split count is 1": 5.5,
+    "route 1's weight read by K in place of (I, J)": 4.8,
+    "record memo keyed without the slot": 2.1,
+    "record memo keyed without the dimension": 2.1,
+    "join drops a repeated factor's multiplicity": 2.2,
+    "pi-in-f hits take sign +1": 1.8,
+    "single-hit path taken for count != 1": 3.7,
     "route 2 writes into the shared table": 1.8,
-    "gauge term's route 1 not checked": 1.4,
-    "routes compared on the first unit pair only": 51.5,
-    "bracket drops the cf * cg coefficient product": 18.1,
-    "gauge seed accepted on a slice": 1.6,
-    "component table memo keyed without the slot": 1.6,
-    "integer component builder weighs by 1 instead of K.count(j)": 1.4,
-    "K packed into the wrong index field": 2.9,
-    "a unit monomial's form over (r-1)! instead of r!": 1.7,
-    "a single monomial with a non-unit coefficient shares the unit table": 1.5,
-    "== compares unscaled forms when the denominators differ": 1.6,
-    "sym_components weighs by 1/comb without split_count": 9.9,
-    "dirac pair loop builds g from m1": 1.2,
-    "record_dirac records \"fail\" instead of the residual": 1.2,
-    "suite decorator stamps one fixed suite name": 1.0,
-    "accumulate keeps a zero sum": 1.1,
-    "LinComb._like drops the space (n, slot)": 21.3,
-    "LinComb.__bool__ always true": 1.1,
-    "Scalar rational fast path taken for a symbol": 4.7,
-    "ONE * s returns ONE": 1.9,
-    "ONE_POLY * p returns ONE_POLY": 2.3,
-    "single-term power scales the exponents by k - 1": 3.5,
-    "single-term power keeps the coefficient unraised": 2.5,
-    "monomial memo keyed without the dimension": 1.1,
-    "membership memo keyed without the slot": 1.2,
-    "membership memo keyed without the dimension": 1.3,
-    "monomial memo serves indices that equal an int but are not one": 1.3,
+    "gauge term's route 1 not checked": 1.8,
+    "routes compared on the first unit pair only": 58.2,
+    "bracket drops the cf * cg coefficient product": 27.3,
+    "gauge seed accepted on a slice": 2.2,
+    "component table memo keyed without the slot": 1.7,
+    "integer component builder weighs by 1 instead of K.count(j)": 1.5,
+    "K packed into the wrong index field": 3.0,
+    "a unit monomial's form over (r-1)! instead of r!": 1.6,
+    "a single monomial with a non-unit coefficient shares the unit table": 1.6,
+    "== compares unscaled forms when the denominators differ": 1.5,
+    "sym_components weighs by 1/comb without split_count": 13.9,
+    "dirac pair loop builds g from m1": 2.2,
+    "record_dirac records \"fail\" instead of the residual": 2.2,
+    "suite decorator stamps one fixed suite name": 1.9,
+    "accumulate keeps a zero sum": 2.1,
+    "LinComb._like drops the space (n, slot)": 32.7,
+    "LinComb.__add__ accumulates into self.terms": 2.1,
+    "LinComb.__bool__ always true": 1.7,
+    "Scalar rational fast path taken for a symbol": 8.4,
+    "ONE * s returns ONE": 3.5,
+    "ONE_POLY * p returns ONE_POLY": 3.8,
+    "single-term power scales the exponents by k - 1": 6.0,
+    "single-term power keeps the coefficient unraised": 4.5,
+    "monomial memo keyed without the dimension": 1.9,
+    "membership memo keyed without the slot": 2.1,
+    "membership memo keyed without the dimension": 2.1,
+    "monomial memo serves indices that equal an int but are not one": 2.2,
 }
 
 
