@@ -51,9 +51,14 @@ carry out of its packed field, so it has no form and is refused with
 EngineError.
 
 The Observable constructor checks and sorts each generator monomial once
-per (mono, n) through :func:`_sorted_monomial`, bounded at 1024 entries,
-for monomials whose indices are exact ints; any other input is checked
-every time, so every refusal stands whatever the memo holds.
+per (mono, n) in one memo, (mono, n) -> (the checked monomial object, its
+sorted form), bounded at 1024 entries (:func:`_sorted_monomial`).  An
+input that *is* the stored object is served with no walk over its tags:
+the memo keeps that object alive, so no other object can take its id,
+and a tuple of tuples of exact ints cannot change.  An equal input that
+is another object is served only when its indices are exact ints, and any
+other input is checked every time, so every refusal stands whatever the
+memo holds.  A coefficient that is the shared ``ONE`` is stored as is.
 """
 
 from __future__ import annotations
@@ -230,19 +235,34 @@ def _check_and_sort(mono: GenMonomial, n: int) -> GenMonomial:
     return tuple(sorted(mono))
 
 
-@lru_cache(maxsize=1024)
-def _sorted_monomial(mono: GenMonomial, n: int) -> GenMonomial:
-    """:func:`_check_and_sort`, memoized on (mono, n) for :func:`_int_indices` input.
+MONOMIAL_MEMO_BOUND = 1024  # (mono, n) pairs memoized by the Observable constructor
+_SORTED_MONOMIALS: dict = {}
 
-    A refusal raises and is not stored.  A hit trusts that the stored key
-    was checked, and a key equal to it is the same input only if both
-    hold the same types: ``("q", 1.0, 1)`` and ``("q", True, 1)`` equal
+
+def _sorted_monomial(mono: GenMonomial, n: int) -> GenMonomial:
+    """:func:`_check_and_sort` for a constructor input that is not an exact-object hit.
+
+    ``_SORTED_MONOMIALS`` maps (mono, n) to (the checked monomial object,
+    its sorted form), at most MONOMIAL_MEMO_BOUND entries, the oldest
+    dropped first; the constructor serves an entry whose stored object is
+    its input itself (see the module docstring).  An equal key alone does
+    not vouch for an input: ``("q", 1.0, 1)`` and ``("q", True, 1)`` equal
     ``("q", 1, 1)``, with equal hashes, but only the last is a generator
-    (:func:`check_index` takes exact ints only and refuses the others).
-    So only monomials whose tags are plain tuples of exact ints after the
-    kind come here.
+    (:func:`check_index` takes exact ints only and refuses the others).  So
+    an equal entry is served, and an input stored, only when its tags are
+    plain tuples of exact ints after the kind (:func:`_int_indices`); any
+    other input is checked every time.  A refusal raises and is not stored.
     """
-    return _check_and_sort(mono, n)
+    if not _int_indices(mono):
+        return _check_and_sort(mono, n)
+    hit = _SORTED_MONOMIALS.get((mono, n))
+    if hit is not None:
+        return hit[1]
+    out = _check_and_sort(mono, n)
+    if len(_SORTED_MONOMIALS) >= MONOMIAL_MEMO_BOUND:
+        del _SORTED_MONOMIALS[next(iter(_SORTED_MONOMIALS))]
+    _SORTED_MONOMIALS[mono, n] = (mono, out)
+    return out
 
 
 def _int_indices(mono) -> bool:
@@ -409,9 +429,11 @@ class Observable(LinComb):
     ):
         self.n = check_dimension(n)
         self.terms: dict[GenMonomial, Scalar] = {}
+        memo = _SORTED_MONOMIALS
         for mono, c in terms.items():
-            key = _sorted_monomial(mono, n) if _int_indices(mono) else _check_and_sort(mono, n)
-            accumulate(self.terms, key, _coerce(c))
+            hit = memo.get((mono, n))
+            key = hit[1] if hit is not None and hit[0] is mono else _sorted_monomial(mono, n)
+            accumulate(self.terms, key, c if c is ONE else _coerce(c))
         if slot is not None:
             self.slot = check_index(slot, n)
             if not in_b1_algebra(self, slot):
@@ -428,6 +450,12 @@ class Observable(LinComb):
         and deletes this alias.
         """
         return self.terms
+
+    def _like(self, terms: dict) -> "Observable":
+        """An observable in the same algebra as self over a zero-free term map (trusted)."""
+        out = object.__new__(Observable)
+        out.terms, out.n, out.slot = terms, self.n, self.slot
+        return out
 
     # -- constructors ------------------------------------------------------
 

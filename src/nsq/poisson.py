@@ -221,6 +221,14 @@ def _poly(num: dict, denominator, n: int) -> Poly:
     return Poly.from_numerators(unpack_numerators(num, n), denominator)
 
 
+def _top_degree(terms: dict) -> int:
+    """The highest degree of a nonempty term map's monomials; a single term's own, unscanned."""
+    if len(terms) == 1:
+        for mono in terms:
+            return len(mono)
+    return max(map(len, terms))
+
+
 def _disagreement(n, slot, mf, mg, K, route1: Poly, route2: Poly) -> EngineError:
     unit_f = Observable(n, {mf: 1}, slot=slot)
     unit_g = Observable(n, {mg: 1}, slot=slot)
@@ -247,15 +255,16 @@ def bracket(
     the same dimension and the same slice (see :mod:`nsq.subbundle`).
     Ranks p and q with p+q-1 past ``POWER_BOUND`` are refused up front.
     """
-    f._require_same(g)
     n, slot = f.n, f.slot
+    if g.n != n or g.slot != slot:
+        f._require_same(g)
     if gauge_seed is not None and slot is not None:
         raise EngineError(
             f"gauge_seed is refused on the slice of slot {slot}: "
             "the slice two-form leaves no gauge freedom"
         )
     if f.terms and g.terms:
-        top_f, top_g = max(map(len, f.terms)), max(map(len, g.terms))
+        top_f, top_g = _top_degree(f.terms), _top_degree(g.terms)
         if top_f + top_g - 1 > POWER_BOUND:
             raise EngineError(
                 f"a bracket of ranks {top_f} and {top_g} is refused: its result has degree "

@@ -68,13 +68,13 @@ from math import comb, perm
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import Observable, basic_tags, check_index, in_b1_algebra
+from .algebra import Observable, basic_tags, check_dimension, check_index, in_b1_algebra
 from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
 from .linalg import exact_rank
 from .packed import _FIELD_MASK, PackedLinComb, _normal, field_unit, pack_term, unpack_term
 from .poisson import bracket
 from .polynomials import Poly, Var, pivar, qvar
-from .scalars import IHBAR, Scalar, signed_sum, signed_term
+from .scalars import IHBAR, ONE, Scalar, signed_sum, signed_term
 
 DerivDegree = tuple  # length-n tuple of natural numbers
 
@@ -110,7 +110,7 @@ class DiffOperator(PackedLinComb):
         for alpha, poly in (terms or {}).items():
             if len(alpha) != n:
                 raise EngineError("derivative degree length must equal the dimension")
-            if not all(isinstance(d, int) and d >= 0 for d in alpha):
+            if not all(type(d) is int and d >= 0 for d in alpha):
                 raise EngineError(f"derivative degree {alpha!r} must hold natural numbers")
             if poly:
                 view[alpha] = poly
@@ -275,7 +275,8 @@ class QuantizationMap:
     ``kill_rank`` is the minimum rank from which everything maps to zero;
     the table covers the surviving generator monomials.  ``overrides``
     allows tests to inject deliberate corruptions; it is copied into a
-    read-only mapping when the map is built.  :meth:`image_of_monomial`
+    read-only mapping when the map is built.  ``n`` must be an exact int
+    >= 1, or the map is refused with IndexRangeError.  :meth:`image_of_monomial`
     memoizes on the map, at most ``IMAGE_MEMO_BOUND`` images, dropping the
     oldest first.
     """
@@ -287,10 +288,15 @@ class QuantizationMap:
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_dimension(self.n)
         self.overrides = MappingProxyType(dict(self.overrides))
 
     def kills(self, mono: tuple) -> bool:
-        """True when mono maps to zero by rank: at or above kill_rank, with no override."""
+        """True when mono maps to zero by rank: at or above kill_rank, with no override.
+
+        This is the rule's one statement; :func:`quantize` applies the same
+        test inline on its hot loop.
+        """
         return len(mono) >= self.kill_rank and mono not in self.overrides
 
     def image_of_monomial(self, mono: tuple) -> DiffOperator:
@@ -346,6 +352,8 @@ def quantize(qmap: QuantizationMap, f: Observable) -> DiffOperator:
     """Apply a quantization map to an element of the basic polynomial algebra.
 
     When the map kills every monomial of f, the result is the shared zero.
+    A unit coefficient leaves an image unscaled: for one term that is the
+    map's shared memoized image itself.
     """
     if f.n != qmap.n:
         raise DimensionMismatch(f"n differs: {qmap.n} vs {f.n}")
@@ -354,9 +362,12 @@ def quantize(qmap: QuantizationMap, f: Observable) -> DiffOperator:
             "quantization is defined on the polynomial algebra of the basic set"
         )
     out = None
+    kill_rank, overrides = qmap.kill_rank, qmap.overrides
     for mono, coeff in f.terms.items():
-        if not qmap.kills(mono):
-            image = qmap.image_of_monomial(mono).scale(coeff)
+        if len(mono) < kill_rank or mono in overrides:  # not qmap.kills(mono)
+            image = qmap.image_of_monomial(mono)
+            if coeff is not ONE:
+                image = image.scale(coeff)
             out = image if out is None else out + image
     return DiffOperator.zero(qmap.n) if out is None else out
 

@@ -72,8 +72,9 @@ class LinComb:
 
     Subclasses name in ``_space`` the attributes besides ``terms`` that fix
     the space the combination lives in (e.g. the dimension ``n``); those are
-    copied by :meth:`_like`, compared by ``==`` and required equal by
-    :meth:`_require_same` before ``+`` and ``-``.
+    compared by ``==`` and required equal by :meth:`_require_same` before
+    ``+`` and ``-``, and a subclass with a space overrides :meth:`_like` to
+    copy them.
     """
 
     __slots__ = ("terms",)
@@ -90,8 +91,6 @@ class LinComb:
         """A combination in the same space as self over a zero-free term map (trusted)."""
         out = object.__new__(type(self))
         out.terms = terms
-        for name in self._space:
-            setattr(out, name, getattr(self, name))
         return out
 
     def _require_same(self, other) -> None:

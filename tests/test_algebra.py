@@ -24,7 +24,7 @@ from nsq.algebra import (
 )
 from nsq.errors import EngineError, IndexRangeError
 from nsq.polynomials import Poly, pivar, qvar
-from nsq.scalars import Scalar, _coerce, accumulate
+from nsq.scalars import IHBAR, ONE, Scalar, _coerce, accumulate
 
 
 def test_canonicalize():
@@ -177,7 +177,7 @@ def test_memoized_monomials_match_check_then_sort(c):
     # every full-set monomial of degree <= 3 at n 1..3, in both factor
     # orders, from a cold memo and then a warm one; the degree <= 2
     # monomials over the next dimension's tags hold refused indices
-    algebra._sorted_monomial.cache_clear()
+    algebra._SORTED_MONOMIALS.clear()
     for _warm in range(2):
         for n in (1, 2, 3):
             monos = [m for d in (1, 2, 3) for m in itertools.combinations_with_replacement(full_tags(n), d)]
@@ -210,6 +210,74 @@ def test_memo_keeps_every_refusal(warm_n, warm, n, refused, error):
         Observable(n, {refused: 1})
 
 
+# ways to spoil one generator tag: each is refused by _check_and_sort
+SPOILERS = {
+    "bool": lambda tag, n: (tag[0], True, *tag[2:]),
+    "float": lambda tag, n: (tag[0], float(tag[1]), *tag[2:]),
+    "out of range": lambda tag, n: (tag[0], n + 1, *tag[2:]),
+    "zero": lambda tag, n: (*tag[:-1], 0),
+    "wrong arity": lambda tag, n: (*tag, 1),
+    "unknown kind": lambda tag, n: ("x", *tag[1:]),
+    "non-tuple tag": lambda tag, n: "".join(map(str, tag)),
+}
+
+
+@st.composite
+def monomial_inputs(draw):
+    """(n, a monomial of fresh tuples): a generator monomial at n, one with a spoiled tag, or ()."""
+    n = draw(st.integers(1, 3))
+    tags = [tuple([*t]) for t in draw(st.lists(st.sampled_from(full_tags(n)), max_size=3))]
+    if tags and draw(st.booleans()):
+        i = draw(st.integers(0, len(tags) - 1))
+        tags[i] = SPOILERS[draw(st.sampled_from(sorted(SPOILERS)))](tags[i], n)
+    return n, tuple(tags)
+
+
+def built(n, mono, c):
+    """Observable(n, {mono: c}).terms, or the type and message of its refusal."""
+    try:
+        return Observable(n, {mono: c}).terms
+    except Exception as exc:  # the refusal is the outcome
+        return type(exc), str(exc)
+
+
+def checked(n, mono, c):
+    """The same outcome from _check_and_sort, which reads no memo."""
+    try:
+        key = algebra._check_and_sort(mono, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+    out = {}
+    accumulate(out, key, _coerce(c))
+    return out
+
+
+def lookalike(mono, index):
+    """A separate monomial equal to mono, each int index i replaced by index(i)."""
+    return tuple(
+        tuple([t[0], *(index(i) if type(i) is int else i for i in t[1:])]) if type(t) is tuple else t
+        for t in mono
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_inputs(), st.sampled_from([ONE, 1, -2, Fraction(1, 3), Scalar.symbol(IHBAR)]))
+def test_constructor_memo_matches_check_and_sort(case, c):
+    n, mono = case
+    algebra._SORTED_MONOMIALS.clear()
+    expected = checked(n, mono, c)
+    assert built(n, mono, c) == expected  # cold: a generator monomial is stored
+    assert built(n, mono, c) == expected  # the same object: an exact-object hit
+    assert built(n, lookalike(mono, int), c) == expected  # an equal, separate tuple
+    for index in (lambda i: True if i == 1 else i, float):
+        # equal to the memoized int version, with the same hash, but refused
+        other = lookalike(mono, index)
+        assert built(n, other, c) == checked(n, other, c)
+    for m in (n - 1, n + 1):
+        if m >= 1:
+            assert built(m, mono, c) == checked(m, mono, c)  # the same object at another dimension
+
+
 def test_non_int_dimension_is_refused_after_warming():
     Observable(2, {(qtag(1, 1),): 1})
     for n in (2.0, Fraction(2), "2", True):
@@ -225,7 +293,7 @@ def test_bool_indices_and_dimensions_are_refused():
     from nsq.poisson import bracket
     from nsq.quantization import DiffOperator
 
-    algebra._sorted_monomial.cache_clear()
+    algebra._SORTED_MONOMIALS.clear()
     for refused in ((("q", True, 1),), (("q", 1, True),), (("pi", True),), (("r", True),)):
         with pytest.raises(IndexRangeError, match="index True out of range 1..2"):
             Observable(2, {refused: 1})

@@ -987,6 +987,20 @@ def test_bracket_at_the_power_bound_and_one_past_it():
     assert memo_misses() == misses  # refused before any table is built
 
 
+def test_bracket_refuses_a_multi_term_operand_by_its_highest_degree():
+    # the monomial past the bound is not the operand's first term
+    n = 1
+    f = Observable(n, {(pitag(1),): 1})
+    past = Observable(n, {(qtag(1, 1),): 1, (qtag(1, 1),) * (POWER_BOUND + 1): 1, (rtag(1),): 2})
+    assert len(next(iter(past.terms))) == 1
+    misses = memo_misses()
+    with pytest.raises(EngineError, match="ranks 1 and 256 is refused: its result has degree 256, past the 255"):
+        bracket(f, past)
+    with pytest.raises(EngineError, match="ranks 256 and 1 is refused"):
+        bracket(past, f)
+    assert memo_misses() == misses  # refused before any table is built
+
+
 def test_observable_forms_refuse_powers_past_the_bound():
     # a monomial of degree 256, or a coefficient with a symbol power of 256,
     # could carry out of a packed field: it has no integer form, so ==, the

@@ -102,6 +102,34 @@ def test_operators_refuse_other_dimensions():
         quantize(make_q1(2), make_qhat(3, 1, 1))
 
 
+def test_bracket_and_dirac_check_refuse_operands_of_two_algebras():
+    f, g = make_qhat(2, 1, 1), make_pihat(3, 1)
+    with pytest.raises(DimensionMismatch, match="^n differs: 2 vs 3$"):
+        bracket(f, g)
+    with pytest.raises(DimensionMismatch, match="^n differs: 2 vs 3$"):
+        dirac_check(make_q1(2), f, g)
+    sliced = Observable(2, {(pitag(1),): 1}, slot=2)
+    with pytest.raises(DimensionMismatch, match="^slot differs: None vs 2$"):
+        bracket(make_pihat(2, 1), sliced)
+
+
+def test_quantization_maps_refuse_a_bad_dimension():
+    for build in (lambda: make_q1(True), lambda: make_q2(0), lambda: make_q1(2.0), lambda: QuantizationMap("x", 0, 2)):
+        with pytest.raises(IndexRangeError, match="dimension must be a positive integer"):
+            build()
+
+
+def test_quantize_scales_every_coefficient_but_one():
+    n = 2
+    q1m = make_q1(n)
+    ih = Scalar.symbol(IHBAR)
+    assert quantize(q1m, make_qhat(n, 1, 1).scale(2)) == _qop(n, 1).scale(2)
+    assert quantize(q1m, Observable(n, {(pitag(1),): ih})) == _pop(n, 1).scale(ih)
+    assert quantize(q1m, make_qhat(n, 1, 1) + make_pihat(n, 1).scale(ih)) == _qop(n, 1) + _pop(n, 1).scale(ih)
+    # a unit coefficient leaves the image unscaled: one term is the map's memoized image
+    assert quantize(q1m, make_qhat(n, 1, 1)) is q1m.image_of_monomial((qtag(1, 1),))
+
+
 def test_formal_adjoint():
     n = 2
     q1 = _qop(n, 1)
@@ -581,7 +609,7 @@ def test_derivative_index_is_checked():
 
 def test_negative_or_non_integer_degree_is_refused():
     q1 = Poly.var(qvar(1))
-    for degree in ((-1, 0), (0, -2), (1.0, 0), (Fraction(1, 2), 0), ("1", 0)):
+    for degree in ((-1, 0), (0, -2), (1.0, 0), (Fraction(1, 2), 0), ("1", 0), (True, 0), (0, False)):
         with pytest.raises(EngineError, match="derivative degree"):
             DiffOperator(2, {degree: q1})
     with pytest.raises(EngineError, match="length"):

@@ -47,6 +47,7 @@ CLI = "tests/test_parsing_cli.py"
 GOLDEN = "tests/test_verify_golden.py"
 ALGEBRA = "tests/test_algebra.py"
 FORMS = "tests/test_forms.py"
+SUBBUNDLE = "tests/test_subbundle.py"
 
 
 @dataclass
@@ -116,6 +117,11 @@ MUTANTS = [
         "image memo keyed without the map instance (module-level)",
         [("quantization.py", "        memo = self._images\n", '        memo = globals().setdefault("_SHARED_IMAGES", {})\n')],
         [f"{QUANT}::test_memoized_images_equal_fresh_ones", f"{QUANT}::test_a_corrupted_map_never_sees_a_clean_maps_images"],
+    ),
+    Mutant(
+        "quantize skips the scale for every coefficient",
+        [("quantization.py", "            if coeff is not ONE:\n                image = image.scale(coeff)\n", "")],
+        [f"{QUANT}::test_quantize_scales_every_coefficient_but_one"],
     ),
     # -- Weyl ordering: the closed form and the word-walk oracle (symplectic_ref) --
     Mutant(
@@ -302,6 +308,16 @@ MUTANTS = [
         [f"{KERNELS}::test_bracket_is_the_sum_over_unit_pairs"],
     ),
     Mutant(
+        "bracket's space check reads the dimension only",
+        [("poisson.py", "    if g.n != n or g.slot != slot:\n", "    if g.n != n:\n")],
+        [f"{QUANT}::test_bracket_and_dirac_check_refuse_operands_of_two_algebras"],
+    ),
+    Mutant(
+        "power bound read from an operand's first term only",
+        [("poisson.py", "    if len(terms) == 1:\n", "    if True:\n")],
+        [f"{KERNELS}::test_bracket_refuses_a_multi_term_operand_by_its_highest_degree"],
+    ),
+    Mutant(
         "gauge seed accepted on a slice",
         [("poisson.py", "    if gauge_seed is not None and slot is not None:\n", "    if False:\n")],
         [f"{KERNELS}::test_slice_bracket_refuses_gauge_seed"],
@@ -383,9 +399,9 @@ MUTANTS = [
         ],
     ),
     Mutant(
-        "LinComb._like drops the space (n, slot)",
-        [("scalars.py", "        for name in self._space:\n            setattr(out, name, getattr(self, name))\n        return out\n", "        return out\n")],
-        [f"{LAWS}::test_sparse_combination_laws"],
+        "Observable._like drops the slot",
+        [("algebra.py", "out.terms, out.n, out.slot = terms, self.n, self.slot", "out.terms, out.n = terms, self.n")],
+        [f"{SUBBUNDLE}::test_reduction_homomorphism"],
     ),
     Mutant(
         "LinComb.__add__ accumulates into self.terms",
@@ -433,8 +449,12 @@ MUTANTS = [
     # -- the generator-monomial memo (algebra) --
     Mutant(
         "monomial memo keyed without the dimension",
-        [("algebra.py", *keyed_without("@lru_cache(maxsize=1024)", "_sorted_monomial", "mono, n", "mono"))],
-        [f"{ALGEBRA}::test_memo_keeps_every_refusal"],
+        [
+            ("algebra.py", "hit = memo.get((mono, n))", "hit = memo.get(mono)"),
+            ("algebra.py", "hit = _SORTED_MONOMIALS.get((mono, n))", "hit = _SORTED_MONOMIALS.get(mono)"),
+            ("algebra.py", "_SORTED_MONOMIALS[mono, n] = (mono, out)", "_SORTED_MONOMIALS[mono] = (mono, out)"),
+        ],
+        [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_constructor_memo_matches_check_and_sort"],
     ),
     Mutant(
         "membership memo keyed without the slot",
@@ -450,78 +470,87 @@ MUTANTS = [
         "monomial memo serves indices that equal an int but are not one",
         [(
             "algebra.py",
-            "key = _sorted_monomial(mono, n) if _int_indices(mono) else _check_and_sort(mono, n)",
-            "key = _sorted_monomial(mono, n)",
+            "key = hit[1] if hit is not None and hit[0] is mono else _sorted_monomial(mono, n)",
+            "key = hit[1] if hit is not None else _sorted_monomial(mono, n)",
         )],
-        [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_memoized_monomials_match_check_then_sort"],
+        [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_constructor_memo_matches_check_and_sort"],
+    ),
+    Mutant(
+        "monomial memo serves an equal entry without the exact-int walk",
+        [("algebra.py", "    if not _int_indices(mono):\n        return _check_and_sort(mono, n)\n", "")],
+        [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_constructor_memo_matches_check_and_sort"],
     ),
 ]
 
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 1.7,
-    "leibniz falling factorial set to 1": 2.1,
-    "leibniz memo keyed on the q powers without the degree": 1.7,
-    "leibniz memo keyed on the degree without the q powers": 1.9,
-    "composition drops the right operand's denominator": 63.0,
-    "commutator adds b o a instead of subtracting it": 44.0,
-    "image memo keyed without the map instance (module-level)": 2.1,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 2.0,
-    "closed form without j!": 2.0,
-    "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.7,
-    "the walk does not restore a letter's count": 1.8,
-    "average over degree! instead of the distinct words": 1.5,
-    "packed field one bit narrower than the bound": 2.0,
-    "IHBAR field dropped from the packed key": 38.7,
-    "the shared + skips the space check": 1.5,
-    "field memo keyed without the slot": 1.8,
-    "partials read only the lowest bit of a variable's field": 3.6,
-    "field table drops the -1 sign of a qhat generator": 1.6,
-    "ham_vf treats every coefficient as 1": 6.6,
-    "packed Lie bracket adds the second term instead of subtracting it": 5.8,
+    "leibniz weight without comb": 1.3,
+    "leibniz falling factorial set to 1": 1.2,
+    "leibniz memo keyed on the q powers without the degree": 1.2,
+    "leibniz memo keyed on the degree without the q powers": 1.3,
+    "composition drops the right operand's denominator": 41.6,
+    "commutator adds b o a instead of subtracting it": 28.0,
+    "image memo keyed without the map instance (module-level)": 1.3,
+    "quantize skips the scale for every coefficient": 1.2,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.2,
+    "closed form without j!": 1.2,
+    "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.2,
+    "the walk does not restore a letter's count": 1.6,
+    "average over degree! instead of the distinct words": 1.6,
+    "packed field one bit narrower than the bound": 1.6,
+    "IHBAR field dropped from the packed key": 30.0,
+    "the shared + skips the space check": 1.4,
+    "field memo keyed without the slot": 1.3,
+    "partials read only the lowest bit of a variable's field": 3.1,
+    "field table drops the -1 sign of a qhat generator": 1.4,
+    "ham_vf treats every coefficient as 1": 5.1,
+    "packed Lie bracket adds the second term instead of subtracting it": 4.3,
     "integer vf_bracket weighs by 1/comb without split_count": 4.4,
-    "a field's symbol shift lands in the index fields": 2.3,
-    "HamVF skips the index range check": 2.2,
-    "the sweep drops the (p-1)! prefactor": 17.7,
-    "the zero-class branch is skipped": 8.8,
-    "the sweep raises a grade at the power bound unchecked": 2.3,
-    "the contraction count is 1 in place of K.count(a)": 23.3,
-    "the packed split count is 1": 5.5,
-    "route 1's weight read by K in place of (I, J)": 4.8,
-    "record memo keyed without the slot": 2.1,
-    "record memo keyed without the dimension": 2.1,
-    "join drops a repeated factor's multiplicity": 2.2,
-    "pi-in-f hits take sign +1": 1.8,
-    "single-hit path taken for count != 1": 3.7,
-    "route 2 writes into the shared table": 1.8,
-    "gauge term's route 1 not checked": 1.8,
-    "routes compared on the first unit pair only": 58.2,
-    "bracket drops the cf * cg coefficient product": 27.3,
-    "gauge seed accepted on a slice": 2.2,
-    "component table memo keyed without the slot": 1.7,
-    "integer component builder weighs by 1 instead of K.count(j)": 1.5,
-    "K packed into the wrong index field": 3.0,
-    "a unit monomial's form over (r-1)! instead of r!": 1.6,
-    "a single monomial with a non-unit coefficient shares the unit table": 1.6,
-    "== compares unscaled forms when the denominators differ": 1.5,
-    "sym_components weighs by 1/comb without split_count": 13.9,
-    "dirac pair loop builds g from m1": 2.2,
-    "record_dirac records \"fail\" instead of the residual": 2.2,
-    "suite decorator stamps one fixed suite name": 1.9,
-    "accumulate keeps a zero sum": 2.1,
-    "LinComb._like drops the space (n, slot)": 32.7,
-    "LinComb.__add__ accumulates into self.terms": 2.1,
-    "LinComb.__bool__ always true": 1.7,
-    "Scalar rational fast path taken for a symbol": 8.4,
-    "ONE * s returns ONE": 3.5,
-    "ONE_POLY * p returns ONE_POLY": 3.8,
-    "single-term power scales the exponents by k - 1": 6.0,
-    "single-term power keeps the coefficient unraised": 4.5,
-    "monomial memo keyed without the dimension": 1.9,
-    "membership memo keyed without the slot": 2.1,
-    "membership memo keyed without the dimension": 2.1,
-    "monomial memo serves indices that equal an int but are not one": 2.2,
+    "a field's symbol shift lands in the index fields": 1.4,
+    "HamVF skips the index range check": 1.1,
+    "the sweep drops the (p-1)! prefactor": 10.2,
+    "the zero-class branch is skipped": 4.3,
+    "the sweep raises a grade at the power bound unchecked": 1.5,
+    "the contraction count is 1 in place of K.count(a)": 13.7,
+    "the packed split count is 1": 4.5,
+    "route 1's weight read by K in place of (I, J)": 4.3,
+    "record memo keyed without the slot": 1.6,
+    "record memo keyed without the dimension": 1.6,
+    "join drops a repeated factor's multiplicity": 1.8,
+    "pi-in-f hits take sign +1": 1.4,
+    "single-hit path taken for count != 1": 2.8,
+    "route 2 writes into the shared table": 1.5,
+    "gauge term's route 1 not checked": 1.3,
+    "routes compared on the first unit pair only": 42.3,
+    "bracket drops the cf * cg coefficient product": 18.2,
+    "bracket's space check reads the dimension only": 1.2,
+    "power bound read from an operand's first term only": 1.4,
+    "gauge seed accepted on a slice": 1.7,
+    "component table memo keyed without the slot": 1.6,
+    "integer component builder weighs by 1 instead of K.count(j)": 1.7,
+    "K packed into the wrong index field": 3.7,
+    "a unit monomial's form over (r-1)! instead of r!": 1.9,
+    "a single monomial with a non-unit coefficient shares the unit table": 1.5,
+    "== compares unscaled forms when the denominators differ": 1.7,
+    "sym_components weighs by 1/comb without split_count": 10.8,
+    "dirac pair loop builds g from m1": 1.6,
+    "record_dirac records \"fail\" instead of the residual": 1.6,
+    "suite decorator stamps one fixed suite name": 1.4,
+    "accumulate keeps a zero sum": 1.3,
+    "Observable._like drops the slot": 1.6,
+    "LinComb.__add__ accumulates into self.terms": 1.8,
+    "LinComb.__bool__ always true": 1.3,
+    "Scalar rational fast path taken for a symbol": 5.7,
+    "ONE * s returns ONE": 2.0,
+    "ONE_POLY * p returns ONE_POLY": 2.3,
+    "single-term power scales the exponents by k - 1": 4.3,
+    "single-term power keeps the coefficient unraised": 3.5,
+    "monomial memo keyed without the dimension": 1.5,
+    "membership memo keyed without the slot": 1.4,
+    "membership memo keyed without the dimension": 1.3,
+    "monomial memo serves indices that equal an int but are not one": 1.3,
+    "monomial memo serves an equal entry without the exact-int walk": 1.3,
 }
 
 
