@@ -172,34 +172,18 @@ def basic_tags(n: int, slot: int = 1) -> list[GenTag]:
     return [qtag(i, slot) for i in range(1, n + 1)] + [pitag(k) for k in range(1, n + 1)] + [rtag(slot)]
 
 
-B1_MEMO_BOUND = 1024  # (monomial, n, slot) triples memoized as members
-
-
 def in_b1_algebra(f: Observable, slot: int = 1) -> bool:
     """Membership in the polynomial algebra over the slot's basic set.
 
     Every pihat(k) is in it; qhat(i,j) and rhat(j) are when j is the slot.
-    Every monomial of f is checked, once per (monomial, n, slot): a member
-    is memoized process-wide (at most B1_MEMO_BOUND, the oldest dropped
-    first), a non-member never is.  A slot outside 1..n is refused with
-    IndexRangeError before anything is stored; n is in the key because a
-    monomial is the same tuple at every n where its indices fit.
+    A slot outside 1..n is refused with IndexRangeError, also when f is zero.
     """
-    n = f.n
+    check_index(slot, f.n)
     for mono in f.terms:
-        key = (mono, n, slot)
-        if key not in _B1_MEMBERS:
-            check_index(slot, n)
-            for tag in mono:
-                if tag[0] != "pi" and tag[-1] != slot:
-                    return False
-            if len(_B1_MEMBERS) >= B1_MEMO_BOUND:
-                del _B1_MEMBERS[next(iter(_B1_MEMBERS))]
-            _B1_MEMBERS[key] = True
+        for tag in mono:
+            if tag[0] != "pi" and tag[-1] != slot:
+                return False
     return True
-
-
-_B1_MEMBERS: dict = {}
 
 
 def tag_str(tag: GenTag, slot: int | None = None) -> str:

@@ -122,10 +122,6 @@ def unpack_monomial(key: int, n: int) -> Monomial:
     return tuple(sorted((v, pw) for v, pw in powers if pw))
 
 
-def unpack_numerators(num: Mapping[int, int], n: int) -> dict[Monomial, int]:
-    return {unpack_monomial(key, n): c for key, c in num.items()}
-
-
 def unpack_term(key: int, n: int) -> tuple[Monomial, tuple, tuple]:
     """(variable monomial, symbol monomial, derivative degrees (i, power)) of a packed key."""
     out: dict = {"var": list(unpack_monomial(key, n)), "sym": [], "d": []}
@@ -139,7 +135,7 @@ def unpack_term(key: int, n: int) -> tuple[Monomial, tuple, tuple]:
     return tuple(sorted(out["var"])), tuple(sorted(out["sym"])), tuple(sorted(out["d"]))
 
 
-def unpack_poly(num: Mapping[int, int], den: int, n: int) -> Poly:
+def unpack_poly(num: Mapping[int, int], den: int | Fraction, n: int) -> Poly:
     """The polynomial num / den, with Scalar coefficients, of a map from packed keys to ints."""
     terms: dict = {}
     for key, c in num.items():

@@ -7,10 +7,19 @@ Grammar (whitespace separates the optional rational prefix from factors):
     factor   := 'qh(' i ',' j ')' | 'pih(' k ')' | 'rh(' k ')' | '(' expr ')'
     rational := integer ['/' positive-integer]
 
-'*' is the symmetric product.  Parsing validates indices against the bound
-dimension; syntax errors carry the byte offset.  Parentheses nest at most
-``MAX_DEPTH`` deep; a deeper '(' is a syntax error.  Printing an
-observable's canonical form and reparsing it is the identity.
+'*' is the symmetric product.  The recursive-descent parser builds the
+observable as it reads: a factor is its generator or its parenthesized
+expression, a term the product of its factors times its coefficient, and
+an expression the sum of its terms.  Parsing validates indices against
+the bound dimension; syntax errors carry the byte offset.  A malformed
+text is refused at its first error, after the prefix before it has been
+evaluated.  Parentheses nest at most ``MAX_DEPTH`` deep; a deeper '(' is
+a syntax error.
+
+Printing an observable and reparsing the text is the identity on the full
+bundle with rational coefficients.  Outside that scope the printed form is
+not in the grammar: a slice observable prints as ``Pih(2)*Qh(1)`` and a
+symbolic coefficient as ``(1 + ih) qh(1,1)``, and both are refused.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .algebra import Observable, make_pihat, make_qhat, make_rhat, sym_mul
 from .errors import IndexRangeError, ParseError
@@ -47,38 +55,11 @@ def _tokenize(src: str) -> list[Token]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        if m.lastgroup is None:
-            break
         kind = m.lastgroup
         text = m.group(kind)
         tokens.append(Token(kind, text, m.start(kind)))
         pos = m.end()
     return tokens
-
-
-# -- AST -----------------------------------------------------------------------
-
-
-@dataclass
-class Gen:
-    kind: str  # "qh" | "pih" | "rh"
-    indices: tuple
-
-
-@dataclass
-class Prod:
-    factors: list
-
-
-@dataclass
-class Scaled:
-    coeff: Fraction
-    node: Union[Gen, Prod, "Sum"]
-
-
-@dataclass
-class Sum:
-    parts: list
 
 
 class _Parser:
@@ -105,37 +86,33 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.offset)
         return tok
 
-    def parse_expr(self) -> Sum:
-        parts = []
-        sign = Fraction(1)
+    def parse_expr(self) -> Observable:
+        sign = 1
         tok = self.peek()
         if tok is not None and tok.text in "+-":
             self.next()
-            sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-        parts.append(self.parse_term(sign))
+            sign = -1 if tok.text == "-" else 1
+        out = self.parse_term(sign)
         while True:
             tok = self.peek()
             if tok is None or tok.text not in "+-":
-                break
+                return out
             self.next()
-            sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-            parts.append(self.parse_term(sign))
-        return Sum(parts)
+            out = out + self.parse_term(-1 if tok.text == "-" else 1)
 
-    def parse_term(self, sign: Fraction) -> Scaled:
+    def parse_term(self, sign: int) -> Observable:
         coeff = sign
         tok = self.peek()
         if tok is not None and tok.kind == "int":
             coeff *= self.parse_rational()
-        factors = [self.parse_factor()]
+        out = self.parse_factor()
         while True:
             tok = self.peek()
             if tok is None or tok.text != "*":
                 break
             self.next()
-            factors.append(self.parse_factor())
-        node = factors[0] if len(factors) == 1 else Prod(factors)
-        return Scaled(coeff, node)
+            out = sym_mul(out, self.parse_factor())
+        return out if coeff == 1 else out.scale(coeff)
 
     def parse_rational(self) -> Fraction:
         tok = self.next()
@@ -149,7 +126,7 @@ class _Parser:
             value /= int(den_tok.text)
         return value
 
-    def parse_factor(self):
+    def parse_factor(self) -> Observable:
         tok = self.next()
         if tok.text == "(":
             if self.depth == MAX_DEPTH:
@@ -168,9 +145,9 @@ class _Parser:
             self.expect(",")
             second = self._index()
             self.expect(")")
-            return Gen("qh", (first, second))
+            return make_qhat(self.n, first, second)
         self.expect(")")
-        return Gen(name, (first,))
+        return make_pihat(self.n, first) if name == "pih" else make_rhat(self.n, first)
 
     def _index(self) -> int:
         tok = self.next()
@@ -184,48 +161,21 @@ class _Parser:
         return value
 
 
-def parse(src: str, n: int) -> Sum:
-    """Parse an expression into its AST, validating indices against n."""
+def parse_observable(src: str, n: int) -> Observable:
+    """The observable an expression denotes, its indices validated against n."""
     tokens = _tokenize(src)
     if not tokens:
         raise ParseError("empty expression", 0)
     if len(tokens) == 1 and tokens[0].text == "0":
-        return Sum([])  # the zero observable prints as bare 0
+        return Observable.zero(n)  # the zero observable prints as bare 0
     parser = _Parser(tokens, src, n)
-    ast = parser.parse_expr()
+    obs = parser.parse_expr()
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"unexpected trailing {trailing.text!r}", trailing.offset)
-    return ast
-
-
-def to_observable(ast, n: int) -> Observable:
-    """Evaluate an AST into an observable."""
-    if isinstance(ast, Sum):
-        out = Observable.zero(n)
-        for part in ast.parts:
-            out = out + to_observable(part, n)
-        return out
-    if isinstance(ast, Scaled):
-        return to_observable(ast.node, n).scale(ast.coeff)
-    if isinstance(ast, Prod):
-        out = to_observable(ast.factors[0], n)
-        for f in ast.factors[1:]:
-            out = sym_mul(out, to_observable(f, n))
-        return out
-    if isinstance(ast, Gen):
-        if ast.kind == "qh":
-            return make_qhat(n, *ast.indices)
-        if ast.kind == "pih":
-            return make_pihat(n, ast.indices[0])
-        return make_rhat(n, ast.indices[0])
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
-def parse_observable(src: str, n: int) -> Observable:
-    return to_observable(parse(src, n), n)
+    return obs
 
 
 def print_observable(obs: Observable) -> str:
-    """Canonical textual form; reparsing reproduces the observable."""
+    """Canonical textual form; on the full bundle with rational coefficients, reparsing reproduces it."""
     return repr(obs)

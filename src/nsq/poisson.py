@@ -106,7 +106,7 @@ from .forms import (
     structure_eq_check,
     vf_bracket,
 )
-from .packed import POWER_BOUND, _nonzero, unpack_numerators
+from .packed import POWER_BOUND, _nonzero, unpack_poly
 from .polynomials import Poly
 from .scalars import ONE, Scalar, accumulate
 
@@ -216,11 +216,6 @@ def _gauge_terms(f: Observable, gauge_seed: int) -> dict:
     return {p: t for p, t in terms.items() if t}
 
 
-def _poly(num: dict, denominator, n: int) -> Poly:
-    """The polynomial num / denominator of a map {packed monomial: int}."""
-    return Poly.from_numerators(unpack_numerators(num, n), denominator)
-
-
 def _top_degree(terms: dict) -> int:
     """The highest degree of a nonempty term map's monomials; a single term's own, unscanned."""
     if len(terms) == 1:
@@ -293,7 +288,7 @@ def bracket(
                 denominator = factorial(p + len(mg) - 1)
                 a, b = _unflattened(route1, n), _unflattened(route2, n)
                 K = min(K for K in a.keys() | b.keys() if a.get(K) != b.get(K))
-                one, two = (_poly(side.get(K, {}), denominator, n) for side in (a, b))
+                one, two = (unpack_poly(side.get(K, {}), denominator, n) for side in (a, b))
                 raise _disagreement(n, slot, mf, mg, K, one, two)
             if p in gauges and (p, mg) not in gauge_checked:
                 gauge_checked.add((p, mg))
@@ -305,8 +300,8 @@ def bracket(
                     shift_denominator = Fraction(t._den * denominator, factorial(p) * factorial(p - 1))
                     a = _unflattened(shift, n)
                     K = min(a)
-                    route2_K = _poly(_unflattened(route2, n).get(K, {}), denominator, n)
-                    raise _disagreement(n, slot, mf, mg, K, route2_K + _poly(a[K], shift_denominator, n), route2_K)
+                    route2_K = unpack_poly(_unflattened(route2, n).get(K, {}), denominator, n)
+                    raise _disagreement(n, slot, mf, mg, K, route2_K + unpack_poly(a[K], shift_denominator, n), route2_K)
     return f._like(out)
 
 

@@ -71,11 +71,6 @@ class Poly(LinComb):
         return ONE_POLY if c is ONE else Poly({_EMPTY: c})
 
     @staticmethod
-    def from_numerators(num: Mapping[Monomial, int], denominator) -> "Poly":
-        """The polynomial num / denominator, from an integer polynomial."""
-        return Poly({mono: Fraction(c) / denominator for mono, c in num.items()})
-
-    @staticmethod
     def var(v: Var, power: int = 1) -> "Poly":
         if power < 0:
             raise ValueError("negative power")

@@ -410,8 +410,13 @@ def test_sym_components_matches_split_enumeration(args):
     assert sym_components(f, g) == ref_sym_components(n, f, p, g, q)
 
 
+def as_poly(num, denominator):
+    """The polynomial num / denominator of an integer polynomial {monomial: int}."""
+    return Poly({mono: Fraction(c, denominator) for mono, c in num.items()})
+
+
 def as_polys(numerators, denominator):
-    return {K: Poly.from_numerators(num, denominator) for K, num in numerators.items()}
+    return {K: as_poly(num, denominator) for K, num in numerators.items()}
 
 
 def index_counts(K):
@@ -717,7 +722,7 @@ def assert_integer_memos_match(mono, n, slot):
     for (var, key), c in table.items():
         I, m = flat_parts(key, n)
         fields.setdefault(I, {}).setdefault(var, {})[unpack_monomial(m, n)] = c
-    fields = {I: {var: Poly.from_numerators(num, den) for var, num in vf.items()} for I, vf in fields.items()}
+    fields = {I: {var: as_poly(num, den) for var, num in vf.items()} for I, vf in fields.items()}
     assert fields == {I: vf.terms for I, vf in poly_monomial_ham_vf(mono, n, slot).items()}
 
 

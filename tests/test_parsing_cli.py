@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from nsq.algebra import Observable, make_pihat, make_qhat, make_rhat, sym_mul
 from nsq.cli import main
 from nsq.errors import EngineError, IndexRangeError, ParseError
-from nsq.parsing import MAX_DEPTH, parse, parse_observable, print_observable
+from nsq.parsing import MAX_DEPTH, parse_observable, print_observable
 from nsq.poisson import bracket
 from nsq.suites import SUITES, random_full_monomial, run_suite
 
@@ -26,26 +27,57 @@ def test_parse_examples():
     assert obs == sym_mul(make_qhat(n, 1, 1), make_pihat(n, 2))
 
     obs = parse_observable("3/2 qh(1,1) + rh(1)", n)
-    from fractions import Fraction
-
     assert obs == make_qhat(n, 1, 1).scale(Fraction(3, 2)) + make_rhat(n, 1)
 
     with pytest.raises(IndexRangeError):
         parse_observable("qh(3,1)", 2)
 
 
+# every refusal of the parser: (text at n=2, error type, exact message)
+PARSE_ERRORS = [
+    ("qh(1,1) $ pih(2)", ParseError, "unexpected character '$' (at offset 8)"),
+    ("qh(1,1) +", ParseError, "unexpected end of input (at offset 9)"),
+    ("qh(1,1", ParseError, "unexpected end of input (at offset 6)"),
+    ("qh(1 1)", ParseError, "expected ',', found '1' (at offset 5)"),
+    ("rh(1,2)", ParseError, "expected ')', found ',' (at offset 4)"),
+    ("qh(,1)", ParseError, "expected an index, found ',' (at offset 3)"),
+    ("qh(1,1) + + pih(2)", ParseError, "expected a generator or '(', found '+' (at offset 10)"),
+    ("qh(1,1)*)", ParseError, "expected a generator or '(', found ')' (at offset 8)"),
+    ("3/0 qh(1,1)", ParseError, "expected positive integer denominator (at offset 2)"),
+    ("3/ qh(1,1)", ParseError, "expected positive integer denominator (at offset 3)"),
+    ("qh(1,1) pih(2)", ParseError, "unexpected trailing 'pih' (at offset 8)"),   # missing '*'
+    ("qh(1,1))", ParseError, "unexpected trailing ')' (at offset 7)"),
+    ("", ParseError, "empty expression (at offset 0)"),
+    ("   ", ParseError, "empty expression (at offset 0)"),
+    ("(" * (MAX_DEPTH + 1) + "qh(1,1)" + ")" * (MAX_DEPTH + 1), ParseError,
+     f"parentheses nested deeper than {MAX_DEPTH} (at offset {MAX_DEPTH})"),
+    ("qh(3,1)", IndexRangeError, "index 3 out of range 1..2 (at offset 3)"),
+    ("pih(1) - 2 rh(0)", IndexRangeError, "index 0 out of range 1..2 (at offset 14)"),
+]
+
+
 def test_parse_errors_have_offsets():
-    with pytest.raises(ParseError) as err:
-        parse("qh(1,1) + + pih(2)", 2)
-    assert "offset" in str(err.value)
-    with pytest.raises(ParseError):
-        parse("", 2)
-    with pytest.raises(ParseError):
-        parse("qh(1,1", 2)
-    with pytest.raises(ParseError):
-        parse("qh(1,1) pih(2)", 2)   # missing '*'
-    with pytest.raises(ParseError):
-        parse("3/0 qh(1,1)", 2)
+    for src, error, message in PARSE_ERRORS:
+        with pytest.raises(error) as err:
+            parse_observable(src, 2)
+        assert type(err.value) is error and str(err.value) == message, src
+
+
+def test_printed_forms_outside_the_grammar_are_refused():
+    # the print -> parse identity holds on the full bundle with rational
+    # coefficients only: a slice prints its own names, a symbol its own letters
+    from nsq.scalars import IHBAR, Scalar
+
+    on_slice = Observable(2, {(("pi", 2), ("q", 1, 2)): 1}, slot=2)
+    symbolic = make_qhat(2, 1, 1).scale(Scalar.symbol(IHBAR) + 1)
+    for obs, text, message in [
+        (on_slice, "Pih(2)*Qh(1)", "unexpected character 'P' (at offset 0)"),
+        (symbolic, "(1 + ih) qh(1,1)", "unexpected character 'i' (at offset 5)"),
+    ]:
+        assert print_observable(obs) == text
+        with pytest.raises(ParseError) as err:
+            parse_observable(text, 2)
+        assert str(err.value) == message
 
 
 def test_parse_parenthesized_sums():
@@ -56,6 +88,76 @@ def test_parse_parenthesized_sums():
 
     neg = parse_observable("-2 qh(1,1) - rh(2)", n)
     assert neg == make_qhat(n, 1, 1).scale(-2) - make_rhat(n, 2)
+
+
+def _generator(draw, n):
+    """(text, observable) of one generator at dimension n."""
+    kind = draw(st.sampled_from(["qh", "pih", "rh"]))
+    i = draw(st.integers(1, n))
+    if kind == "qh":
+        j = draw(st.integers(1, n))
+        return f"qh({i},{j})", make_qhat(n, i, j)
+    return f"{kind}({i})", (make_pihat if kind == "pih" else make_rhat)(n, i)
+
+
+def _expression(draw, n, depth, leaves):
+    """(text, observable) of a signed sum of terms; leaves[0] is the soft budget of generators left."""
+    texts, total = [], Observable.zero(n)
+    for t in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["+", "-"] if t else ["", "+", "-"]))
+        num = draw(st.none() | st.integers(0, 12))
+        den = None if num is None else draw(st.none() | st.integers(1, 6))
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth and leaves[0] > 1 and draw(st.booleans()):
+                text, obs = _expression(draw, n, depth - 1, leaves)
+                factors.append((f"({text})", obs))
+            else:
+                leaves[0] -= 1
+                factors.append(_generator(draw, n))
+            if leaves[0] <= 0:
+                break
+        term = factors[0][1]
+        for _, obs in factors[1:]:
+            term = sym_mul(term, obs)
+        text = "*".join(text for text, _ in factors)
+        if num is not None:
+            term = term.scale(Fraction(num, den or 1))
+            text = f"{num}/{den} {text}" if den else f"{num} {text}"
+        if sign == "-":
+            term = term.scale(-1)
+        texts.append(f"{sign} {text}" if sign else text)
+        total = total + term
+        if leaves[0] <= 0:
+            break
+    return " ".join(texts), total
+
+
+@st.composite
+def expressions(draw):
+    """(n, text, observable): a random expression tree at n in 1..3, its
+    parentheses at most 4 deep, rendered as text and built with +, scale and
+    sym_mul."""
+    n = draw(st.integers(1, 3))
+    text, obs = _expression(draw, n, 4, [draw(st.integers(1, 12))])
+    return n, text, obs
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions())
+def test_parse_builds_the_tree_it_reads(case):
+    n, text, expected = case
+    assert parse_observable(text, n) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_print_then_parse_is_the_identity_on_the_full_bundle(n, rng):
+    obs = Observable.zero(n)
+    for _ in range(rng.randint(1, 4)):
+        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        obs = obs + random_full_monomial(n, rng).scale(coeff)
+    assert parse_observable(print_observable(obs), n) == obs
 
 
 def test_roundtrip_random():
@@ -238,7 +340,7 @@ def test_parenthesis_depth_is_bounded(capsys):
 
     assert parse_observable(nested(MAX_DEPTH), 2) == make_qhat(2, 1, 1)
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} \\(at offset {MAX_DEPTH}\\)"):
-        parse(nested(MAX_DEPTH + 1), 2)
+        parse_observable(nested(MAX_DEPTH + 1), 2)
     assert main(["bracket", nested(2000), "pih(1)"]) == 2
     assert "nested deeper than" in capsys.readouterr().err
 

@@ -563,10 +563,10 @@ def test_a_corrupted_map_never_sees_a_clean_maps_images():
 
 @pytest.mark.parametrize("mono", [(qtag(1, 2),), (qtag(1, 2), qtag(1, 2)), (pitag(1), rtag(2))])
 def test_membership_memo_keeps_refusing_outside_the_basic_algebra(mono):
-    # the membership memo holds (monomial, slot) pairs of members only: after
-    # mono is memoized as a member of the slot-2 algebra, and after a warm
-    # quantize of every basic monomial, quantize on the full bundle (slot 1)
-    # still refuses it on every call, also when q1 kills it by rank
+    # membership is per slot: after mono is accepted as a member of the
+    # slot-2 algebra, and after a warm quantize of every basic monomial,
+    # quantize on the full bundle (slot 1) still refuses it on every call,
+    # also when q1 kills it by rank
     n = 2
     q1 = make_q1(n)
     for m in b1_monomials(n, 3):
@@ -622,18 +622,20 @@ def test_negative_or_non_integer_degree_is_refused():
 
 @pytest.mark.parametrize("slot", [0, 3, 9])
 def test_membership_refuses_a_slot_out_of_range(slot):
-    # the slot is checked on the memo's miss path, before anything is
-    # stored, and a member at one n is no member at another
-    from nsq import algebra
-
+    # the slot is checked before any term, so neither a warm call nor an
+    # observable without terms answers for it, and True is no slot 1
     n = 2
     f = make_pihat(n, 1)
     for _ in range(2):
         with pytest.raises(IndexRangeError, match=f"index {slot} out of range 1..{n}"):
             in_b1_algebra(f, slot)
-    assert not any(key[1:] == (n, slot) for key in algebra._B1_MEMBERS)
+    with pytest.raises(IndexRangeError, match=f"index {slot} out of range 1..{n}"):
+        in_b1_algebra(Observable.zero(n), slot)
     assert in_b1_algebra(f, n)
-    # the same monomial at a dimension where slot 3 exists is another key
+    assert in_b1_algebra(make_qhat(n, 2, 1), 1)
+    with pytest.raises(IndexRangeError, match="index True out of range"):
+        in_b1_algebra(make_qhat(n, 2, 1), True)
+    # the same monomial at a dimension where slot 3 exists is a member there
     if slot == 3:
         assert in_b1_algebra(make_pihat(3, 1), 3)
         with pytest.raises(IndexRangeError):

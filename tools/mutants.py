@@ -457,13 +457,12 @@ MUTANTS = [
         [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_constructor_memo_matches_check_and_sort"],
     ),
     Mutant(
-        "membership memo keyed without the slot",
-        [("algebra.py", "        key = (mono, n, slot)\n", "        key = (mono, n)\n")],
-        [f"{QUANT}::test_membership_memo_keeps_refusing_outside_the_basic_algebra"],
-    ),
-    Mutant(
-        "membership memo keyed without the dimension",
-        [("algebra.py", "        key = (mono, n, slot)\n", "        key = (mono, slot)\n")],
+        "membership checks the slot only when f has terms",
+        [(
+            "algebra.py",
+            "    check_index(slot, f.n)\n    for mono in f.terms:\n",
+            "    for mono in f.terms:\n        check_index(slot, f.n)\n",
+        )],
         [f"{QUANT}::test_membership_refuses_a_slot_out_of_range"],
     ),
     Mutant(
@@ -479,6 +478,31 @@ MUTANTS = [
         "monomial memo serves an equal entry without the exact-int walk",
         [("algebra.py", "    if not _int_indices(mono):\n        return _check_and_sort(mono, n)\n", "")],
         [f"{ALGEBRA}::test_memo_keeps_every_refusal", f"{ALGEBRA}::test_constructor_memo_matches_check_and_sort"],
+    ),
+    # -- the parser (parsing) --
+    Mutant(
+        "a term's rational coefficient is dropped",
+        [("parsing.py", "            coeff *= self.parse_rational()\n", "            self.parse_rational()\n")],
+        [f"{CLI}::test_parse_examples", f"{CLI}::test_parse_builds_the_tree_it_reads"],
+    ),
+    Mutant(
+        "a - between terms adds the term",
+        [("parsing.py", "self.parse_term(-1 if tok.text == \"-\" else 1)", "self.parse_term(1)")],
+        [f"{CLI}::test_parse_parenthesized_sums", f"{CLI}::test_parse_builds_the_tree_it_reads"],
+    ),
+    Mutant(
+        "the depth guard admits MAX_DEPTH + 1",
+        [("parsing.py", "if self.depth == MAX_DEPTH:", "if self.depth == MAX_DEPTH + 1:")],
+        [f"{CLI}::test_parse_errors_have_offsets", f"{CLI}::test_parenthesis_depth_is_bounded"],
+    ),
+    Mutant(
+        "pih(k) parses as rh(k)",
+        [(
+            "parsing.py",
+            "make_pihat(self.n, first) if name == \"pih\" else make_rhat(self.n, first)",
+            "make_rhat(self.n, first)",
+        )],
+        [f"{CLI}::test_parse_examples", f"{CLI}::test_parse_builds_the_tree_it_reads"],
     ),
 ]
 
@@ -547,10 +571,13 @@ SECONDS = {
     "single-term power scales the exponents by k - 1": 4.3,
     "single-term power keeps the coefficient unraised": 3.5,
     "monomial memo keyed without the dimension": 1.5,
-    "membership memo keyed without the slot": 1.4,
-    "membership memo keyed without the dimension": 1.3,
+    "membership checks the slot only when f has terms": 1.2,
     "monomial memo serves indices that equal an int but are not one": 1.3,
     "monomial memo serves an equal entry without the exact-int walk": 1.3,
+    "a term's rational coefficient is dropped": 1.4,
+    "a - between terms adds the term": 1.2,
+    "the depth guard admits MAX_DEPTH + 1": 1.1,
+    "pih(k) parses as rh(k)": 1.3,
 }
 
 
