@@ -419,11 +419,11 @@ class Observable(LinComb):
             key = hit[1] if hit is not None and hit[0] is mono else _sorted_monomial(mono, n)
             accumulate(self.terms, key, c if c is ONE else _coerce(c))
         if slot is not None:
-            self.slot = check_index(slot, n)
             if not in_b1_algebra(self, slot):
                 raise NotInGeneratorAlgebra(
                     f"observable uses generators outside the slot-{slot} basic algebra"
                 )
+            self.slot = slot
 
     @property
     def genpoly(self) -> dict[GenMonomial, Scalar]:

@@ -90,7 +90,6 @@ from .algebra import (
     _monomial_components,
     _split_count,
     _unflattened,
-    check_index,
     in_b1_algebra,
     rtag,
 )
@@ -319,28 +318,6 @@ def jacobi_residual(
     return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
 
 
-class GradedBracketResult:
-    """Bracket value together with its rank law.
-
-    For homogeneous inputs of ranks p and q the value is zero or
-    homogeneous of rank exactly p+q-1; ``holds`` records the law.
-    """
-
-    __slots__ = ("value", "expected_rank", "holds")
-
-    def __init__(self, f: Observable, g: Observable):
-        p, q = f.rank(), g.rank()
-        self.value = bracket(f, g)
-        self.expected_rank = p + q - 1
-        self.holds = self.value.is_zero() or self.value.ranks() == [self.expected_rank]
-
-    def __repr__(self):
-        return (
-            f"GradedBracketResult(value={self.value!r}, "
-            f"expected_rank={self.expected_rank}, holds={self.holds})"
-        )
-
-
 def theorem1_constant(p: int, q: int) -> Fraction:
     """(p+q-1)! / (p! q!), the scaling between the two bracket notions."""
     return Fraction(factorial(p + q - 1), factorial(p) * factorial(q))
@@ -371,7 +348,8 @@ def theorem1_check(f: Observable, g: Observable, gauge_seed: int | None = None) 
 
 def grade_of_bracket(f: Observable, g: Observable) -> bool:
     """The rank law: the bracket is zero or homogeneous of rank p+q-1."""
-    return GradedBracketResult(f, g).holds
+    value = bracket(f, g)
+    return value.is_zero() or value.ranks() == [f.rank() + g.rank() - 1]
 
 
 def tensor_extension_identity_check(
@@ -399,7 +377,6 @@ def min_rank(f: Observable) -> int | None:
 
 def is_in_Pk(f: Observable, k: int, slot: int = 1) -> bool:
     """Membership in the ideal of elements of minimum rank >= k."""
-    check_index(slot, f.n)
     if not in_b1_algebra(f, slot):
         raise NotInGeneratorAlgebra(
             "observable is outside the polynomial algebra of the basic set"

@@ -158,9 +158,6 @@ class Poly(LinComb):
             out = out + c * val
         return out
 
-    def map_coefficients(self, fn: Callable[[Scalar], Scalar]) -> "Poly":
-        return Poly({m: fn(c) for m, c in self.terms.items()})
-
     # -- printing -------------------------------------------------------------
 
     def __repr__(self):

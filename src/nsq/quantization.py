@@ -13,9 +13,13 @@ arithmetic; its formal adjoint is -IHBAR.
 :class:`~nsq.packed.PackedLinComb` whose keys are whole packed ints, in the
 layout of :mod:`nsq.packed`: the derivative degree along each q^i, the
 power of each coefficient variable (q^i, P_k or any other) and the power
-of each symbol (IHBAR, A_i or any other).  Its view, ``terms``, maps each
-derivative multi-degree to its coefficient :class:`~nsq.polynomials.Poly`
-of Scalars, as the rest of the engine reads operators.  A composition whose
+of each symbol (IHBAR, A_i or any other).  Every operator operation runs
+on this integer form: the linear structure, ``divide_by_ihbar``,
+``ihbar_degree``, composition, the commutator and the formal adjoint.  Its
+view, ``terms``, maps each derivative multi-degree to its coefficient
+:class:`~nsq.polynomials.Poly` of Scalars; only the printers and the
+constructors that take a view (``DiffOperator(n, terms)``,
+``multiplication``, ``derivative``) read or build it.  A composition whose
 result could pass ``POWER_BOUND`` is refused with EngineError before any
 work.
 
@@ -31,7 +35,11 @@ product into one integer map over den(a)*den(b) and reduces it by the gcd;
 :func:`commutator` accumulates a o b and -(b o a) into the same map, so
 cancelling terms are never built.  Both go through one Leibniz loop on
 numerator maps, :func:`_compose_into`, which the Weyl word oracle of
-:mod:`nsq.symplectic_ref` also composes with.
+:mod:`nsq.symplectic_ref` also composes with, and so does
+:func:`formal_adjoint`: (c d^alpha)* = (-1)^|alpha| d^alpha o c*, one
+Leibniz expansion per term, with the sign (-1)^(|alpha| + the IHBAR
+power) since conjugation sends IHBAR to -IHBAR.  Nothing in the engine
+calls :func:`op_compose` itself; it stays as public API.
 
 Two quantization maps are provided on the polynomial algebra of the
 Heisenberg basic set:
@@ -248,19 +256,19 @@ def _compose_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
 def formal_adjoint(a: DiffOperator) -> DiffOperator:
     """Integration-by-parts adjoint with respect to the flat density.
 
-    (c d^alpha)* = (-1)^|alpha| d^alpha o c*, renormalized; coefficient
-    conjugation sends IHBAR to -IHBAR while q and P stay real.
+    (c d^alpha)* = (-1)^|alpha| d^alpha o c*, where coefficient conjugation
+    sends IHBAR to -IHBAR while q and P stay real.  Each term of the integer
+    form is one Leibniz expansion of d^alpha o c, signed by (-1)^(|alpha| +
+    its IHBAR power); the expansion only lowers fields, so a's bound holds.
     """
-    out = DiffOperator.zero(a.n)
-    for alpha, poly in a.terms.items():
-        conj = poly.map_coefficients(lambda s: s.conjugate_ihbar())
-        sign = Fraction(-1) ** sum(alpha)
-        piece = op_compose(
-            DiffOperator(a.n, {alpha: Poly.constant(sign)}),
-            DiffOperator.multiplication(a.n, conj),
-        )
-        out = out + piece
-    return out
+    units, alpha_mask, _ = _layout(a.n)
+    ih = field_unit("sym", IHBAR, a.n)
+    acc: dict = {}
+    for key, v in a._nums.items():
+        alpha = key & alpha_mask
+        flips = sum((alpha // du) & _FIELD_MASK for du, _ in units) + ((key // ih) & _FIELD_MASK)
+        _compose_into(acc, {alpha: (-1) ** flips}, {key - alpha: v}, a.n, 1)
+    return DiffOperator._of(a.n, *_normal(acc, a._den), a._top)
 
 
 # -- quantization maps ---------------------------------------------------------

@@ -208,15 +208,6 @@ class Scalar(LinComb):
             raise ValueError(f"scalar {self} carries formal symbols")
         return self.terms[_ONE_MONO]
 
-    def degree_in(self, name: str) -> int:
-        """Highest power of one symbol across all terms (0 if absent)."""
-        deg = 0
-        for mono in self.terms:
-            for sym, pw in mono:
-                if sym == name:
-                    deg = max(deg, pw)
-        return deg
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
@@ -255,26 +246,6 @@ class Scalar(LinComb):
         return self.terms == other.terms
 
     __hash__ = LinComb.__hash__
-
-    # -- symbol manipulation -------------------------------------------------
-
-    def divide_by_symbol(self, name: str) -> "Scalar":
-        """Exact division by one symbol; every term must contain it."""
-        out: dict[SymMonomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            lowered = _mono_lower(mono, name)
-            if lowered is None:
-                raise ValueError(f"scalar {self} is not divisible by {name}")
-            out[lowered] = c
-        return Scalar(out)
-
-    def conjugate_ihbar(self) -> "Scalar":
-        """Formal adjoint on coefficients: IHBAR -> -IHBAR."""
-        out: dict[SymMonomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            pw = dict(mono).get(IHBAR, 0)
-            out[mono] = -c if pw % 2 else c
-        return Scalar(out)
 
     # -- printing ------------------------------------------------------------
 
@@ -361,16 +332,6 @@ def ring_power(x: LinComb, k: int, unit: LinComb):
         return out
     ((mono, c),) = x.terms.items()
     return x._like({tuple((v, pw * k) for v, pw in mono): c ** k})
-
-
-def _mono_lower(mono: SymMonomial, name: str) -> SymMonomial | None:
-    powers = dict(mono)
-    pw = powers.pop(name, 0)
-    if pw < 1:
-        return None
-    if pw > 1:
-        powers[name] = pw - 1
-    return tuple(sorted(powers.items()))
 
 
 ONE = Scalar({_ONE_MONO: Fraction(1)})

@@ -220,7 +220,6 @@ def gauge_fix_for_B1(f: Observable, slot: int = 1) -> HamVF:
     its lower index; the gauge correction is therefore zero, and tangency
     is asserted rather than repaired.
     """
-    check_index(slot, f.n)
     if not in_b1_algebra(f, slot):
         raise NotInGeneratorAlgebra(
             f"observable uses generators outside the slot-{slot} basic algebra"

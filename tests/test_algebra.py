@@ -302,6 +302,9 @@ def test_bool_indices_and_dimensions_are_refused():
             Observable(n, {})
     with pytest.raises(IndexRangeError):
         Observable(2, {(pitag(1),): 1}, slot=True)
+    for slot in (5, 0):
+        with pytest.raises(IndexRangeError, match=f"index {slot} out of range 1..2"):
+            Observable(2, {}, slot=slot)
     with pytest.raises(IndexRangeError):
         DiffOperator.derivative(2, True)
     with pytest.raises(IndexRangeError):

@@ -143,6 +143,24 @@ def test_formal_adjoint():
     assert formal_adjoint(formal_adjoint(op)) == op
 
 
+def test_divide_by_ihbar_and_ihbar_degree():
+    n = 2
+    ih = Scalar.symbol(IHBAR)
+    q1, d1 = _qop(n, 1), DiffOperator.derivative(n, 1)
+    base = q1.scale(Fraction(2, 3)) + d1.scale(Scalar.symbol("A1"))
+    op = base.scale(ih) + op_compose(q1, d1).scale(ih * ih * ih)
+    assert op.ihbar_degree() == 3
+    assert op.divide_by_ihbar() == base + op_compose(q1, d1).scale(ih * ih)
+    assert op.divide_by_ihbar().ihbar_degree() == 2
+    assert _pop(n, 2).divide_by_ihbar() == DiffOperator.derivative(n, 2, -1)
+    assert DiffOperator.zero(n).ihbar_degree() == 0
+    assert base.ihbar_degree() == 0
+    # one IHBAR-free term is enough to refuse the division
+    for bad in (base, op + q1, DiffOperator.identity(n)):
+        with pytest.raises(ValueError, match="is not divisible by ih"):
+            bad.divide_by_ihbar()
+
+
 def test_dirac_examples():
     n = 2
     q1m, q2m = make_q1(n), make_q2(n)
@@ -382,6 +400,51 @@ def test_commutator_matches_leibniz_reference(ops):
 def test_op_compose_is_associative(ops):
     a, b, c = ops
     assert op_compose(op_compose(a, b), c) == op_compose(a, op_compose(b, c))
+
+
+def ref_formal_adjoint(a):
+    """(c d^alpha)* = (-1)^|alpha| d^alpha o c*, one view term at a time, IHBAR -> -IHBAR in c."""
+    out = DiffOperator.zero(a.n)
+    for alpha, poly in a.terms.items():
+        conj = {}
+        for mono, s in poly.terms.items():
+            conj[mono] = Scalar({sym: -c if dict(sym).get(IHBAR, 0) % 2 else c for sym, c in s.terms.items()})
+        derivative = DiffOperator(a.n, {alpha: Poly.constant((-1) ** sum(alpha))})
+        out = out + ref_op_compose(derivative, DiffOperator.multiplication(a.n, Poly(conj)))
+    return out
+
+
+@st.composite
+def adjoint_operators(draw):
+    """Operators at n in 1..3: derivative degrees 0..2, q^i powers 0..2, P_k, IHBAR^0..3, A_i, rationals."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(1, n)
+    degrees = st.tuples(*[st.integers(0, 2)] * n)
+
+    @st.composite
+    def term(draw):
+        c = Scalar.of(draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)))
+        c = c * Scalar.symbol(IHBAR, draw(st.integers(0, 3)))
+        for i in draw(st.lists(index, max_size=2)):
+            c = c * Scalar.symbol(f"A{i}")
+        out = Poly.constant(c)
+        for i in range(1, n + 1):
+            out = out * Poly.var(qvar(i)) ** draw(st.integers(0, 2))
+        for k in draw(st.lists(index, max_size=2)):
+            out = out * Poly.var(pivar(1, k))
+        return out
+
+    polys = st.lists(term(), min_size=1, max_size=3).map(lambda ts: sum(ts, Poly.zero()))
+    return DiffOperator(n, draw(st.dictionaries(degrees, polys, max_size=4)))
+
+
+@KERNEL_SETTINGS
+@given(adjoint_operators())
+def test_formal_adjoint_matches_the_view_reference(a):
+    got = formal_adjoint(a)
+    assert got == ref_formal_adjoint(a)
+    assert zero_free_operator(got)
+    assert formal_adjoint(got) == a
 
 
 def ref_leibniz(alpha, mono):

@@ -48,6 +48,7 @@ GOLDEN = "tests/test_verify_golden.py"
 ALGEBRA = "tests/test_algebra.py"
 FORMS = "tests/test_forms.py"
 SUBBUNDLE = "tests/test_subbundle.py"
+DEEP = "tests/test_deep_consistency.py"
 
 
 @dataclass
@@ -122,6 +123,25 @@ MUTANTS = [
         "quantize skips the scale for every coefficient",
         [("quantization.py", "            if coeff is not ONE:\n                image = image.scale(coeff)\n", "")],
         [f"{QUANT}::test_quantize_scales_every_coefficient_but_one"],
+    ),
+    Mutant(
+        "adjoint drops IHBAR's sign flip",
+        [("quantization.py", " + ((key // ih) & _FIELD_MASK)", "")],
+        [f"{QUANT}::test_formal_adjoint", f"{QUANT}::test_formal_adjoint_matches_the_view_reference"],
+    ),
+    Mutant(
+        "adjoint drops (-1)^|alpha|",
+        [("quantization.py", "flips = sum((alpha // du) & _FIELD_MASK for du, _ in units) + ", "flips = ")],
+        [f"{QUANT}::test_formal_adjoint", f"{QUANT}::test_formal_adjoint_matches_the_view_reference"],
+    ),
+    Mutant(
+        "adjoint composes c o d^alpha in place of d^alpha o c",
+        [(
+            "quantization.py",
+            "_compose_into(acc, {alpha: (-1) ** flips}, {key - alpha: v}, a.n, 1)",
+            "_compose_into(acc, {key - alpha: v}, {alpha: (-1) ** flips}, a.n, 1)",
+        )],
+        [f"{QUANT}::test_formal_adjoint_matches_the_view_reference", f"{DEEP}::test_adjoint_is_anti_homomorphism"],
     ),
     # -- Weyl ordering: the closed form and the word-walk oracle (symplectic_ref) --
     Mutant(
@@ -517,6 +537,9 @@ SECONDS = {
     "commutator adds b o a instead of subtracting it": 28.0,
     "image memo keyed without the map instance (module-level)": 1.3,
     "quantize skips the scale for every coefficient": 1.2,
+    "adjoint drops IHBAR's sign flip": 1.2,
+    "adjoint drops (-1)^|alpha|": 1.3,
+    "adjoint composes c o d^alpha in place of d^alpha o c": 7.2,
     "closed form with +i*hbar/2 in place of -i*hbar/2": 1.2,
     "closed form without j!": 1.2,
     "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.2,
