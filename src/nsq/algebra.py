@@ -71,20 +71,13 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, EngineError, IndexRangeError, NotInGeneratorAlgebra
 from .linalg import exact_det
-from .packed import FIELD_BITS, _FIELD_MASK, _nonzero, _scalar_numerators, checked_power, packed_units, unpack_poly
+from .packed import FIELD_BITS, _FIELD_MASK, _nonzero, _scalar_numerators, check_dimension, checked_power, packed_units, unpack_poly
 from .polynomials import Poly, Var, pivar, qvar
 from .scalars import ONE, LinComb, Scalar, _coerce, accumulate, signed_sum, signed_term
 
 MultiIndex = tuple
 GenTag = tuple
 GenMonomial = tuple
-
-
-def check_dimension(n: int) -> int:
-    """n itself when it is an exact int >= 1 (``True`` is not one); IndexRangeError otherwise."""
-    if type(n) is not int or n < 1:
-        raise IndexRangeError(f"dimension must be a positive integer, got {n!r}")
-    return n
 
 
 def check_index(i: int, n: int) -> int:

@@ -16,8 +16,8 @@ import argparse
 import os
 import sys
 
-from .algebra import check_dimension
 from .errors import EngineError, IndexRangeError
+from .packed import check_dimension
 from .parsing import parse_observable, print_observable
 from .quantization import format_operator, make_q1, make_q2, quantize
 from .reports import DEFAULT_N, DEFAULT_SEED

@@ -48,13 +48,20 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Mapping
 
-from .errors import EngineError
+from .errors import EngineError, IndexRangeError
 from .polynomials import Monomial, Poly, Var, pivar, qvar
 from .scalars import LinComb, Scalar, _coerce
 
 POWER_BOUND = 255  # the largest power a packed field holds
 FIELD_BITS = POWER_BOUND.bit_length()
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def check_dimension(n: int) -> int:
+    """n itself when it is an exact int >= 1 (``True`` is not one); IndexRangeError otherwise."""
+    if type(n) is not int or n < 1:
+        raise IndexRangeError(f"dimension must be a positive integer, got {n!r}")
+    return n
 
 
 @lru_cache(maxsize=16)
@@ -215,7 +222,12 @@ class PackedLinComb(LinComb):
 
     @classmethod
     def zero(cls, n: int):
-        """The zero of the class at dimension n: one shared element, never mutate it."""
+        """The zero of the class at dimension n: one shared element, never mutate it.
+
+        IndexRangeError when n is not a dimension (:func:`check_dimension`).
+        """
+        if type(n) is not int:  # True and 2.0 would hit the entries of 1 and 2
+            check_dimension(n)
         return _shared_zero(cls, n)
 
     def _like(self, terms: dict):
@@ -280,4 +292,4 @@ class PackedLinComb(LinComb):
 
 @lru_cache(maxsize=64)
 def _shared_zero(cls: type, n: int) -> PackedLinComb:
-    return cls._of(n, {}, 1, 0)
+    return cls._of(check_dimension(n), {}, 1, 0)

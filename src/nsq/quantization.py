@@ -76,10 +76,10 @@ from math import comb, perm
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import Observable, basic_tags, check_dimension, check_index, in_b1_algebra
+from .algebra import Observable, basic_tags, check_index, in_b1_algebra
 from .errors import DimensionMismatch, EngineError, NotInGeneratorAlgebra
 from .linalg import exact_rank
-from .packed import _FIELD_MASK, PackedLinComb, _normal, field_unit, pack_term, unpack_term
+from .packed import _FIELD_MASK, PackedLinComb, _normal, check_dimension, field_unit, pack_term, unpack_term
 from .poisson import bracket
 from .polynomials import Poly, Var, pivar, qvar
 from .scalars import IHBAR, ONE, Scalar, signed_sum, signed_term
@@ -107,13 +107,16 @@ class DiffOperator(PackedLinComb):
     The form is packed key -> nonzero int numerator over one denominator
     (see :mod:`nsq.packed`); ``terms`` is the view that maps a derivative
     multi-degree over q^1..q^n to its coefficient polynomial.  Equality is
-    structural on the integer form.
+    structural on the integer form.  Every public constructor, :meth:`zero`
+    included, refuses an n that is not an exact int >= 1 with
+    IndexRangeError.
     """
 
     __slots__ = ()
     _power = "an operator"
 
     def __init__(self, n: int, terms: Mapping[DerivDegree, Poly] | None = None):
+        check_dimension(n)
         view: dict = {}
         for alpha, poly in (terms or {}).items():
             if len(alpha) != n:
@@ -161,15 +164,15 @@ class DiffOperator(PackedLinComb):
 
     @staticmethod
     def identity(n: int) -> "DiffOperator":
-        return DiffOperator._of(n, {0: 1}, 1, 0)
+        return DiffOperator._of(check_dimension(n), {0: 1}, 1, 0)
 
     @staticmethod
     def multiplication(n: int, poly: Poly) -> "DiffOperator":
-        return DiffOperator(n, {(0,) * n: poly})
+        return DiffOperator(n, {(0,) * check_dimension(n): poly})
 
     @staticmethod
     def derivative(n: int, k: int, coeff=None) -> "DiffOperator":
-        check_index(k, n)
+        check_index(k, check_dimension(n))
         alpha = tuple(1 if i == k - 1 else 0 for i in range(n))
         c = Poly.constant(coeff if coeff is not None else 1)
         return DiffOperator(n, {alpha: c})

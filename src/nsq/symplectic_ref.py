@@ -14,10 +14,15 @@ ordering is computed twice, by two independent routes:
   their closed form, per mode
   W(q^m p^k) = sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
   (McCoy, PNAS 18 (1932) 674; Agarwal and Wolf, Phys. Rev. D 2 (1970)
-  2161), and composes no operators.  It writes each term straight into
-  the operators' integer form (see :mod:`nsq.packed`): one integer
-  numerator on the packed key of IHBAR^k q^(m-j) d^(k-j), over 2 to the
-  sum of the modes' min(m, k), with no Poly, Scalar or Fraction;
+  2161), and composes no operators.  Each mode's terms sit in one table
+  in the operators' integer form (see :mod:`nsq.packed`): an integer
+  numerator on the packed key of IHBAR^k q^(m-j) d^(k-j), over
+  2^min(m, k), reduced by the gcd once and memoized on (n, mode, m, k),
+  at most 1,024 tables.  A monomial's image is the product of its modes'
+  tables (keys added, numerators and denominators multiplied), which is
+  already reduced: each reduced table holds an odd numerator over a power
+  of two, and keys of different modes never meet.  No Poly, Scalar or
+  Fraction is built, and nothing is enumerated or reduced per call;
 * :func:`weyl_quantize_brute` averages over every distinct operator word
   of the letters q^i and -i*hbar d/dq^i.  A depth-first walk over the
   letters' remaining counts reaches each distinct word once, in sorted
@@ -32,16 +37,16 @@ Both routes accept only the cotangent variables ("q", i) and ("p", i) with
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import Observable, check_index, make_pihat, make_qhat, make_rhat, sym_mul, sym_pow
 from .errors import EngineError
 from .polynomials import Poly, pvar, qvar
-from .packed import _normal, field_unit
+from .packed import _normal, check_dimension, field_unit
 from .quantization import DiffOperator, _compose_into, _layout, commutator
-from .scalars import IHBAR, Scalar
+from .scalars import IHBAR, ONE, Scalar
 
 
 def sp_q(i: int) -> Poly:
@@ -90,32 +95,62 @@ def _mode_terms(m: int, k: int) -> list[int]:
     return [((-1) ** k * factorial(j) * comb(m, j) * comb(k, j)) << (top - j) for j in range(top + 1)]
 
 
+@lru_cache(maxsize=1024)
+def _mode_image(n: int, mode: int, m: int, k: int) -> tuple[dict, int]:
+    """W(q^m p^k) of one mode at dimension n, reduced: (packed key -> numerator, denominator).
+
+    The keys are those of IHBAR^k q^(m-j) d^(k-j) along the mode, and the
+    numerators those of :func:`_mode_terms` over 2^min(m,k), both taken
+    through the gcd once.  Shared: read it, never mutate it.
+    """
+    du, qu = _layout(n)[0][mode - 1]
+    shift = k * field_unit("sym", IHBAR, n)
+    terms = {(k - j) * du + (m - j) * qu + shift: w for j, w in enumerate(_mode_terms(m, k))}
+    return _normal(terms, 1 << min(m, k))
+
+
 def weyl_quantize(f: Poly, n: int) -> DiffOperator:
     """Weyl ordering by its closed form in q-left standard order, extended linearly.
 
     For one mode, W(q^m p^k) = sum_j j! C(m,j) C(k,j) (-i*hbar/2)^j q^(m-j) p^(k-j)
     (McCoy, PNAS 18 (1932) 674; Agarwal and Wolf, Phys. Rev. D 2 (1970)
     2161); different modes commute, so a monomial's image is the product
-    of its modes' terms.  Each term is written as one integer numerator on
-    its packed key, over 2 to the sum of the modes' min(m, k), and the
-    monomial's operator is scaled by its coefficient; nothing is composed.
+    of its modes' images, each one reduced table of :func:`_mode_image`,
+    memoized on (n, mode, m, k) up to 1,024 tables.  The product adds keys
+    and multiplies numerators and denominators, and is already canonical:
+
+    * a mode's j = 0 numerator is +-2^min(m,k), its denominator, so the
+      gcd a table is reduced by is a power of two, and the reduced table
+      holds an odd numerator (the j = 0 one when its denominator is 1);
+    * a product's denominator is a power of two and one of its numerators,
+      the product of an odd numerator of each mode, is odd, so the
+      product of reduced tables is reduced;
+    * keys of different modes sit in disjoint fields, so no two products
+      share a key, and no product is zero.
+
+    The monomial's operator is scaled by its coefficient unless that is
+    ``ONE``, and the monomials' operators are summed; nothing is composed.
+    n must be an exact int >= 1 (IndexRangeError), and every monomial
+    whose operator could pass the power bound is refused with EngineError
+    before any table is built or read.
     """
-    units, ihbar = _layout(n)[0], field_unit("sym", IHBAR, n)
-    out = DiffOperator.zero(n)
+    check_dimension(n)
+    plans = []
     for modes, coeff in _monomial_modes(f, n):
-        momenta = sum(k for _, _, k in modes)
-        nums = {}
-        for choice in itertools.product(*(enumerate(_mode_terms(m, k)) for _, m, k in modes)):
-            key, num = momenta * ihbar, 1
-            for (mode, m, k), (j, w) in zip(modes, choice):
-                du, qu = units[mode - 1]
-                key += (k - j) * du + (m - j) * qu
-                num *= w
-            nums[key] = num
-        den = 1 << sum(min(m, k) for _, m, k in modes)
-        top = max([momenta] + [m for _, m, _ in modes])
-        out = out + DiffOperator._of(n, *_normal(nums, den), top).scale(coeff)
-    return out
+        top = max([sum(k for _, _, k in modes)] + [m for _, m, _ in modes])
+        plans.append((modes, coeff, DiffOperator._checked(top)))
+    out = None
+    for modes, coeff, top in plans:
+        nums, den = {0: 1}, 1
+        for mode, m, k in modes:
+            table, d = _mode_image(n, mode, m, k)
+            nums = {key + tk: v * tv for key, v in nums.items() for tk, tv in table.items()}
+            den *= d
+        image = DiffOperator._of(n, nums, den, top)
+        if coeff is not ONE:
+            image = image.scale(coeff)
+        out = image if out is None else out + image
+    return DiffOperator.zero(n) if out is None else out
 
 
 WORD_BUDGET = 100_000  # the most distinct operator words weyl_quantize_brute composes for one monomial
@@ -144,8 +179,9 @@ def weyl_quantize_brute(f: Poly, n: int) -> DiffOperator:
     scaled by the monomial's coefficient.  Before anything is composed,
     every monomial's degree is checked against the power bound and its
     word count against ``WORD_BUDGET``, past which it is refused with
-    EngineError.
+    EngineError; n must be an exact int >= 1 (IndexRangeError).
     """
+    check_dimension(n)
     units, ihbar = _layout(n)[0], field_unit("sym", IHBAR, n)
     plans = []
     for modes, coeff in _monomial_modes(f, n):

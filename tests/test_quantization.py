@@ -119,6 +119,29 @@ def test_quantization_maps_refuse_a_bad_dimension():
             build()
 
 
+def test_operator_constructors_refuse_a_bad_dimension():
+    from nsq.forms import HamVF
+
+    builds = [
+        lambda n: DiffOperator(n, {}),
+        DiffOperator.identity,
+        DiffOperator.zero,
+        HamVF.zero,
+        lambda n: DiffOperator.multiplication(n, Poly.constant(2)),
+        lambda n: DiffOperator.derivative(n, 1),
+    ]
+    for build in builds:
+        for n in (True, False, 0, -3, 2.0):
+            with pytest.raises(IndexRangeError, match="dimension must be a positive integer"):
+                build(n)
+    # a refused True never reaches the shared zero of 1, nor 2.0 that of 2
+    assert type(DiffOperator.zero(1).n) is int and DiffOperator.zero(1).n == 1
+    assert type(DiffOperator.zero(2).n) is int and DiffOperator.zero(2) is DiffOperator.zero(2)
+    with pytest.raises(IndexRangeError, match="got True"):
+        DiffOperator.zero(True)
+    assert make_q1(DiffOperator.zero(1).n).n == 1
+
+
 def test_quantize_scales_every_coefficient_but_one():
     n = 2
     q1m = make_q1(n)

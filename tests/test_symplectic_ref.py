@@ -1,7 +1,10 @@
 """Cotangent-bundle reference algebra and the ordering obstruction witness."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -12,8 +15,9 @@ from hypothesis import strategies as st
 
 from nsq import quantization, symplectic_ref
 from nsq.errors import EngineError, IndexRangeError
+from nsq.packed import _normal, field_unit
 from nsq.polynomials import Poly, pivar, pvar, qvar
-from nsq.quantization import DiffOperator, commutator, op_compose
+from nsq.quantization import DiffOperator, _layout, commutator, op_compose
 from nsq.scalars import IHBAR, Scalar, accumulate
 from nsq.symplectic_ref import (
     classical_bracket,
@@ -334,6 +338,139 @@ def test_weyl_refuses_non_cotangent_variables(route):
     for f in (sp_q(3), sp_p(3), sp_p(1) * sp_q(3)):
         with pytest.raises(IndexRangeError, match="out of range 1..2"):
             route(f, n)
+
+
+# -- the per-mode tables against the enumerated closed form ----------------------
+
+
+def ref_weyl_enumerated(f, n):
+    """The closed form enumerated per monomial: every choice of one term per mode.
+
+    Each choice is written on its packed key, the monomial's map is reduced
+    by the gcd, and its operator is scaled and added to the zero operator.
+    """
+    units, ihbar = _layout(n)[0], field_unit("sym", IHBAR, n)
+    out = DiffOperator.zero(n)
+    for modes, coeff in symplectic_ref._monomial_modes(f, n):
+        momenta = sum(k for _, _, k in modes)
+        nums = {}
+        for choice in itertools.product(*(enumerate(symplectic_ref._mode_terms(m, k)) for _, m, k in modes)):
+            key, num = momenta * ihbar, 1
+            for (mode, m, k), (j, w) in zip(modes, choice):
+                du, qu = units[mode - 1]
+                key += (k - j) * du + (m - j) * qu
+                num *= w
+            nums[key] = num
+        den = 1 << sum(min(m, k) for _, m, k in modes)
+        top = max([momenta] + [m for _, m, _ in modes])
+        out = out + DiffOperator._of(n, *_normal(nums, den), top).scale(coeff)
+    return out
+
+
+# (q power of mode i, p power of mode j) of a monomial at the power bound;
+# each has at most 256 distinct words, so the word oracle stays cheap
+BOUND_SHAPES = [(255, 0), (0, 255), (254, 1), (1, 254)]
+
+
+@st.composite
+def weyl_inputs(draw):
+    """(f, n): n in 1..3 and zero to three monomials, each at the power bound one time in four."""
+    n = draw(st.integers(1, 3))
+    variables = [qvar(i) for i in range(1, n + 1)] + [pvar(i) for i in range(1, n + 1)]
+    f = Poly.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        term = Poly.constant(draw(COEFFICIENTS))
+        if draw(st.integers(0, 3)):
+            for v in draw(st.lists(st.sampled_from(variables), max_size=6)):
+                term = term * Poly.var(v)
+        else:
+            a, b = draw(st.sampled_from(BOUND_SHAPES))
+            term = term * sp_q(draw(st.integers(1, n))) ** a * sp_p(draw(st.integers(1, n))) ** b
+        f = f + term
+    return f, n
+
+
+def outcome(route, f, n):
+    """route(f, n), or the message it is refused with."""
+    try:
+        return route(f, n)
+    except EngineError as refusal:
+        return str(refusal)
+
+
+@WEYL_SETTINGS
+@given(weyl_inputs())
+def test_weyl_tables_match_the_enumeration_and_the_oracle(draw):
+    # an IHBAR coefficient on p^255 is refused by all three; the oracle
+    # bounds every power by the degree, so it alone also refuses a symbol
+    # coefficient on q^254 p, whose largest power the tables hold at 254
+    f, n = draw
+    got = outcome(weyl_quantize, f, n)
+    assert got == outcome(ref_weyl_enumerated, f, n)
+    oracle = outcome(weyl_quantize_brute, f, n)
+    if isinstance(oracle, str) and isinstance(got, DiffOperator):
+        assert oracle == "an operator power could reach 256, past the 255 that a packed field holds"
+    else:
+        assert got == oracle
+    if isinstance(got, DiffOperator):
+        assert _normal(got._nums, got._den) == (got._nums, got._den)
+
+
+def test_mode_tables_are_keyed_on_the_dimension():
+    symplectic_ref._mode_image.cache_clear()
+    for n in (1, 2, 3, 1):
+        poly = sp_q(1) ** 2 * sp_p(1) ** 2 * sp_q(n) * sp_p(n) ** 3
+        assert weyl_quantize(poly, n) == weyl_quantize_brute(poly, n), n
+    assert 0 < symplectic_ref._mode_image.cache_info().maxsize <= 4096
+
+
+def test_weyl_refuses_past_the_power_bound_before_any_table(monkeypatch):
+    polys = {p: sp_q(1) ** p * sp_p(1) ** p * sp_q(2) ** p * sp_p(2) ** p for p in (256, 600, 1200)}
+    start = time.process_time()
+    with pytest.raises(EngineError, match="an operator power could reach 2400, past the 255"):
+        weyl_quantize(polys[1200], 2)
+    assert time.process_time() - start < 0.1
+
+    def refuse(*args):
+        raise AssertionError("table read")
+
+    monkeypatch.setattr(symplectic_ref, "_mode_image", refuse)
+    for p, poly in polys.items():
+        # a monomial within the bound reads no table before the refusal either
+        for f in (poly, sp_q(1) * sp_p(2) + poly):
+            with pytest.raises(EngineError, match=f"an operator power could reach {2 * p}, past the 255"):
+                weyl_quantize(f, 2)
+
+
+BAD_DIMENSIONS = [(sp_q(1), True), (Poly.constant(2), 0), (Poly.zero(), -3), (sp_q(1), 2.0), (Poly.zero(), True)]
+
+ZERO_AFTER_A_REFUSAL = """
+from nsq.errors import IndexRangeError
+from nsq.polynomials import Poly
+from nsq.quantization import DiffOperator, make_q1
+from nsq.symplectic_ref import weyl_quantize
+try:
+    weyl_quantize(Poly.zero(), True)
+except IndexRangeError:
+    pass
+zero = DiffOperator.zero(1)
+print(type(zero.n).__name__, zero.n, make_q1(zero.n).n)
+"""
+
+
+@pytest.mark.parametrize("route", [weyl_quantize, weyl_quantize_brute])
+def test_weyl_routes_refuse_a_bad_dimension(route):
+    for f, n in BAD_DIMENSIONS:
+        with pytest.raises(IndexRangeError, match=f"dimension must be a positive integer, got {n!r}"):
+            route(f, n)
+    assert type(DiffOperator.zero(1).n) is int
+
+
+def test_a_refused_dimension_leaves_the_shared_zero_alone():
+    # in a fresh process, where the refused call would be the zero's first
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", ZERO_AFTER_A_REFUSAL], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["int", "1", "1"]
 
 
 def test_weyl_is_bracket_compatible_at_low_degree():

@@ -169,6 +169,16 @@ MUTANTS = [
         [("symplectic_ref.py", "*_normal(total, words)", "*_normal(total, factorial(degree))")],
         [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2"],
     ),
+    Mutant(
+        "mode table keyed without n",
+        [("symplectic_ref.py", *keyed_without("@lru_cache(maxsize=1024)", "_mode_image", "n, mode, m, k", "(mode, m, k)"))],
+        [f"{WEYL}::test_mode_tables_are_keyed_on_the_dimension", f"{WEYL}::test_weyl_tables_match_the_enumeration_and_the_oracle"],
+    ),
+    Mutant(
+        "a mode's numerators not reduced before the product",
+        [("symplectic_ref.py", "    return _normal(terms, 1 << min(m, k))\n", "    return terms, 1 << min(m, k)\n")],
+        [f"{WEYL}::test_weyl_tables_match_the_enumeration_and_the_oracle", f"{WEYL}::test_weyl_matches_brute_force"],
+    ),
     # -- the packed layout and the shared linear structure (packed) --
     Mutant(
         "packed field one bit narrower than the bound",
@@ -545,6 +555,8 @@ SECONDS = {
     "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.2,
     "the walk does not restore a letter's count": 1.6,
     "average over degree! instead of the distinct words": 1.6,
+    "mode table keyed without n": 1.3,
+    "a mode's numerators not reduced before the product": 2.9,
     "packed field one bit narrower than the bound": 1.6,
     "IHBAR field dropped from the packed key": 30.0,
     "the shared + skips the space check": 1.4,
