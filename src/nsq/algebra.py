@@ -169,9 +169,11 @@ def in_b1_algebra(f: Observable, slot: int = 1) -> bool:
     """Membership in the polynomial algebra over the slot's basic set.
 
     Every pihat(k) is in it; qhat(i,j) and rhat(j) are when j is the slot.
-    A slot outside 1..n is refused with IndexRangeError, also when f is zero.
+    A slot outside 1..n is refused with IndexRangeError, also when f is zero
+    (the exact int 1 is in range at every n).
     """
-    check_index(slot, f.n)
+    if type(slot) is not int or slot != 1:
+        check_index(slot, f.n)
     for mono in f.terms:
         for tag in mono:
             if tag[0] != "pi" and tag[-1] != slot:

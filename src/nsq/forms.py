@@ -24,20 +24,17 @@ packed monomials of :mod:`nsq.packed`, which owns the layout, and on its
 one flat key: a field's grade I, like an observable's multi-index K, is
 held as index counts in the low n fields, below the packed monomial.
 
-*The tables*, built in ints and memoized on (mono, n, slot), shared
-read-only, all from N_r, r! times the components of a unit monomial of
-degree r (:func:`nsq.algebra._monomial_components`, the one expansion, a
-flat map {flat key: int}): their term-by-term partials
-(:func:`_monomial_partials`), var -> (J counts, lowered flat key, int),
-memoized in the bracket's operand records (:func:`nsq.poisson._operand`,
-1,024 entries), its only caller; and the factor-rule field
-(:func:`_monomial_field_table`, 512), the sum over the factors u_m of
-N_{r-1}(rest_m)^I X_{u_m} over r!(r-1)!, keyed (var, flat key of
-rest_m's table), reduced to the canonical form below and, unreduced, as
-route 1's view (:func:`_by_variable`).  The bounds are measured on the
-benchmark's ``laws-mixed-n3`` workload (seed 7, 20,000 cases): the
-partials, when they had a memo of their own, hit 84.8% of lookups at
-1,024 entries against 67.4% at 512, and the field memo 85.6% at 512.
+*The records*, built in ints from N_r, r! times the components of a unit
+monomial of degree r (:func:`nsq.algebra._monomial_components`, the one
+expansion, a flat map {flat key: int}): one per (mono, n, slot),
+:func:`_monomial_record`, behind one memo of 1,024 entries, shared
+read-only.  One walk over the distinct factors u_m builds the factor-rule
+field, the sum over them of N_{r-1}(rest_m)^I X_{u_m} over r!(r-1)!,
+keyed (var, flat key of rest_m's table), reduced to the canonical form
+below and, unreduced, by variable (:func:`_by_variable`), and the
+bracket's operands: N_r's term-by-term partials and the generator index
+of :mod:`nsq.poisson`.  On the benchmark's ``laws-mixed-n3`` workload
+(seed 7, 20,000 cases) the memo hits 94.3% of its lookups.
 
 *A field's canonical form.*  A :class:`HamVF` is a
 :class:`~nsq.packed.PackedLinComb` over (variable, flat key), the
@@ -64,7 +61,6 @@ from typing import Mapping
 from .algebra import (
     _SPLIT_COUNTS,
     GenMonomial,
-    GenTag,
     MultiIndex,
     Observable,
     _EMPTY_REST,
@@ -73,6 +69,7 @@ from .algebra import (
     _split_count,
     all_multi_indices,
     canonicalize,
+    rtag,
 )
 from .errors import GaugeConditionError, RankMismatch
 from .packed import (
@@ -115,66 +112,60 @@ def _partials(entries: dict, n: int):
                     yield v, tag, key - unit, pw * c
 
 
-def _monomial_partials(mono: GenMonomial, n: int, slot: int | None) -> dict[Var, tuple[tuple[int, int, int], ...]]:
-    """The partial derivatives of :func:`~nsq.algebra._monomial_components`, term by term.
-
-    var -> ((J counts, the flat key lowered once in var, pw * c), ...) for
-    every entry c of the flat table whose monomial holds var with power
-    pw >= 1, in the order of the table: :func:`_partials` grouped by
-    :func:`_by_variable`.  Built fresh on every call: the bracket's operand
-    records (:func:`nsq.poisson._operand`) memoize it.
-    """
-    flat = {(None, key): c for key, c in _monomial_components(mono, n, slot).items()}
-    return _by_variable({(v, lowered): d for v, _, lowered, d in _partials(flat, n)}, n)
-
-
-def _frozen(table: dict[Var, list]) -> dict[Var, tuple]:
-    """The lists of a memoized table as tuples, which the garbage collector stops tracking."""
-    return {var: tuple(entries) for var, entries in table.items()}
-
-
-def _generator_direction(tag: GenTag) -> tuple[Var, int] | None:
-    """(var, sign) of a generator's field sign * d/d(var); None for the zero field of rhat."""
-    if tag[0] == "q":
-        return pivar(tag[2], tag[1]), -1
-    if tag[0] == "pi":
-        return qvar(tag[1]), 1
-    return None
-
-
 def _by_variable(nums: dict, n: int) -> dict[Var, tuple[tuple[int, int, int], ...]]:
-    """A map (var, flat key) -> int grouped by variable: var -> ((I counts, flat key, int), ...), route 1's view."""
+    """A map (var, flat key) -> int grouped by variable: var -> ((I counts, flat key, int), ...), route 1's view.
+
+    The lists become tuples, which the garbage collector stops tracking.
+    """
     index_mask = (1 << FIELD_BITS * n) - 1
     out: dict[Var, list] = {}
     for (var, key), c in nums.items():
         out.setdefault(var, []).append((key & index_mask, key, c))
-    return _frozen(out)
+    return {var: tuple(entries) for var, entries in out.items()}
 
 
-@lru_cache(maxsize=512)
-def _monomial_field_table(mono: GenMonomial, n: int, slot: int | None) -> tuple[dict, int, dict]:
-    """The factor-rule field of a degree-r monomial with coefficient 1: (numerators, den, route 1's view).
+@lru_cache(maxsize=1024)
+def _monomial_record(mono: GenMonomial, n: int, slot: int | None) -> tuple[dict, int, dict, dict, tuple, dict]:
+    """The record of a generator monomial: (field numerators, field den, field view, partials, q-index, pi-index).
 
-    r!(r-1)! times the field is the sum over the factors u_m of the
-    numerators of the rest, :func:`~nsq.algebra._monomial_components` over
-    (r-1)!, times the field of u_m; a factor that occurs c times is visited
-    once, with weight c.  The sum is keyed (var, flat key) with the keys of
-    the rest's table.  The canonical form is that sum reduced by its gcd
-    with r!(r-1)!; route 1's view (:func:`_by_variable`) keeps it over
-    r!(r-1)!.
+    One walk over the distinct factors u of mono, each with its rest (mono
+    without one u) and its multiplicity c, builds all six parts:
+
+    * the factor-rule field: the sum over the factors of c times the
+      rest's table times the field of u, keyed (var, flat key), reduced by
+      its gcd with r!(r-1)! into the numerators and den that :func:`ham_vf`
+      reads, and unreduced by variable, route 1's left operand;
+    * the partials, route 1's right operand: :func:`_partials` of mono's
+      own table by variable.  A monomial of degree POWER_BOUND + 1 has a
+      field but no table, so None: the bracket refuses it up front;
+    * route 2's generator index: the q-index holds (i, the rest with
+      rhat(j) in place of qhat(i,j), c) per distinct qhat(i,j), in the
+      order of mono, and the pi-index maps k to (the rest, c) per distinct
+      pihat(k).  The rests are sorted tuples of mono's own tags.
+
+    Memoized process-wide on (mono, n, slot), at most 1,024 records; a
+    record is shared: read it, never mutate it.
     """
-    table: dict = {}
+    field, qs, pis = {}, [], {}
     for tag in dict.fromkeys(mono):
-        direction = _generator_direction(tag)
-        if direction is None:
+        if tag[0] == "r":
             continue
-        var, sign = direction
         i = mono.index(tag)
-        rest = mono[:i] + mono[i + 1 :]
-        weight = sign * mono.count(tag)
+        rest, count = mono[:i] + mono[i + 1 :], mono.count(tag)
+        if tag[0] == "q":
+            var, sign = pivar(tag[2], tag[1]), -1
+            qs.append((tag[1], tuple(sorted(rest + (rtag(tag[2]),))), count))
+        else:
+            var, sign = qvar(tag[1]), 1
+            pis[tag[1]] = (rest, count)
         for key, c in (_monomial_components(rest, n, slot) if rest else _EMPTY_REST).items():
-            table[var, key] = weight * c
-    return *_normal(table, factorial(len(mono)) * factorial(len(mono) - 1)), _by_variable(table, n)
+            field[var, key] = sign * count * c
+    r, partials = len(mono), None
+    if r <= POWER_BOUND:
+        flat = {(None, key): c for key, c in _monomial_components(mono, n, slot).items()}
+        partials = _by_variable({(v, lowered): d for v, _, lowered, d in _partials(flat, n)}, n)
+    nums, den = _normal(field, factorial(r) * factorial(r - 1))
+    return nums, den, _by_variable(field, n), partials, tuple(qs), pis
 
 
 # -- fields and forms ----------------------------------------------------------------
@@ -356,9 +347,9 @@ class HamVF(PackedLinComb):
 def ham_vf(f: Observable) -> HamVF:
     """Canonical Hamiltonian representative of an observable, by the factor rule.
 
-    Each generator monomial contributes its memoized field table
-    (:func:`_monomial_field_table`) times its coefficient; one monomial with
-    coefficient 1 is its table itself, shared and unscaled.  A monomial of
+    Each generator monomial contributes the field of its memoized record
+    (:func:`_monomial_record`) times its coefficient; one monomial with
+    coefficient 1 is that field itself, shared and unscaled.  A monomial of
     degree past POWER_BOUND + 1 is refused before any table is built.
     """
     n, slot = f.n, f.slot
@@ -367,7 +358,7 @@ def ham_vf(f: Observable) -> HamVF:
         top = HamVF._checked(max(top, len(mono) - 1))
         cnums, cden, ctop = _scalar_numerators(coeff, n)
         top = HamVF._checked(max(top, ctop))
-        nums, den, _ = _monomial_field_table(mono, n, slot)
+        nums, den = _monomial_record(mono, n, slot)[:2]
         parts.append((nums, den * cden, cnums))
     if len(parts) == 1 and parts[0][2] is _UNIT_NUMERATORS[0]:
         return HamVF._of(n, parts[0][0], parts[0][1], top)

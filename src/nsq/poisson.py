@@ -23,17 +23,17 @@ Both routes run in integer arithmetic on the flat maps of :mod:`nsq.algebra`:
 each component entry is one int key, ``(m << FIELD_BITS * n) + K counts``,
 the multi-index K as the count of each index value in the low n fields
 and the packed monomial m above them.  This module keeps the two routes,
-on the component tables of :mod:`nsq.algebra`, the field tables of
-:mod:`nsq.forms` and its own operand records.  For a (p, q) pair route 1 is
+on the component tables of :mod:`nsq.algebra` and the monomial records of
+:mod:`nsq.forms`.  For a (p, q) pair route 1 is
 
     -sum over the supports (I, J) of split_count(K, I) * X_num^I(g_num^J)
 
-with X_num the field table of mf over p!(p-1)!, and route 2 is sum
+with X_num the factor-rule field of mf over p!(p-1)!, and route 2 is sum
 c * num(mono) over the generator monomials of the expansion, with integer
 c; both are numerators over (p+q-1)!.
 
-Route 1 is a join on the variable that X^I moves along: the field
-table's by-variable view, var -> [(I counts, flat key, int)], against g's
+Route 1 is a join on the variable that X^I moves along: the field's
+by-variable view, var -> [(I counts, flat key, int)], against g's
 partial derivatives, var -> [(J counts, lowered flat key, int)].  Each
 pair lands on the sum of the two flat keys, K = I + J in the index
 fields, with weight -split_count(K, I), a product over the index fields
@@ -44,18 +44,16 @@ a monomial of degree past ``POWER_BOUND`` has no table, so a bracket of
 ranks with p+q-1 past it is refused with EngineError before any table is
 built.
 
-*Operand records.*  Each generator monomial has one record
-(:func:`_operand`, memoized on (mono, n, slot), 1,024 entries): its
-partials table, route 1's right operand, and its generator index, each
-distinct qhat(i,j) with the rest of the monomial and rhat(j) in its
-place, and each distinct pihat(k) with its rest, both with their
-multiplicities.  Route 2's generator monomials are a join on the operand
-index (:func:`_generator_join`): the q-index of mf against the pi-index
-of mg on i with sign +1, the pi-index of mf against the q-index of mg
-with sign -1, each hit counted by the product of the two multiplicities.
-A unit pair looks up one record, mg's; mf's record and route 1's field
-view are read once per term of f.  When a unit pair has a single hit of
-count 1, route 2 is that monomial's shared component table itself.
+*Operand records.*  Both routes read one record per generator monomial,
+:func:`~nsq.forms._monomial_record` (memoized on (mono, n, slot), 1,024
+entries): the field's by-variable view and the partials, route 1's left
+and right operands, and the generator index, each distinct qhat(i,j) with
+the rest of the monomial and rhat(j) in its place, and each distinct
+pihat(k) with its rest, both with their multiplicities.  Route 2's
+generator monomials are a join on the index (:func:`_generator_join`).  A
+unit pair looks up one record, mg's; mf's is looked up once per term of f.
+When a unit pair has a single hit of count 1, route 2 is that monomial's
+shared component table itself.
 
 The two flat maps are compared exactly on every pair of every call, and a
 disagreement raises EngineError naming the unit pair, the first differing
@@ -80,7 +78,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .algebra import (
@@ -91,13 +88,11 @@ from .algebra import (
     _split_count,
     _unflattened,
     in_b1_algebra,
-    rtag,
 )
 from .errors import EngineError, NotInGeneratorAlgebra
 from .forms import (
     _by_variable,
-    _monomial_field_table,
-    _monomial_partials,
+    _monomial_record,
     add_gauge,
     ham_vf,
     random_valid_gauge,
@@ -116,10 +111,11 @@ def _route1_numerators(x: dict, dg: dict) -> dict:
     """Route 1 on flat integer operands: {key: -sum split_count(K, I) * X^I(g^J)}.
 
     x is route 1's view of a field, var -> ((I counts, flat key, int), ...)
-    (:func:`~nsq.forms._by_variable`), and dg a partials table
-    (:func:`~nsq.forms._monomial_partials`), keyed by variable; the join
-    visits only the variables on both sides, and each pair lands on the sum
-    of the two keys.  Zero sums are dropped.
+    (:func:`~nsq.forms._by_variable`: a record's field view, or a gauge
+    term's), and dg the partials of a record
+    (:func:`~nsq.forms._monomial_record`), var -> ((J counts, lowered flat
+    key, int), ...); the join visits only the variables on both sides, and
+    each pair lands on the sum of the two keys.  Zero sums are dropped.
     """
     weights = _SPLIT_COUNTS
     out: dict = {}
@@ -152,50 +148,25 @@ def _route2_numerators(hits: dict, n: int, slot: int | None) -> dict:
     return _nonzero(out)
 
 
-@lru_cache(maxsize=1024)
-def _operand(mono: GenMonomial, n: int, slot: int | None) -> tuple[dict, tuple, dict]:
-    """The operand record of a generator monomial: (partials, q-index, pi-index).
-
-    The partials are :func:`~nsq.forms._monomial_partials`, route 1's
-    right operand.  The generator index is route 2's: each distinct
-    qhat(i,j) gives (i, the rest of mono with rhat(j) in its place, its
-    multiplicity), in the order of mono, and each distinct pihat(k) maps k
-    to (the rest of mono, its multiplicity).  rhat brackets to zero with
-    every generator and has no entry.  The rests are sorted tuples of
-    mono's own tags.  Memoized process-wide on (mono, n, slot), at most
-    1,024 records; a record is shared: read it, never mutate it.
-    """
-    qs, pis = [], {}
-    for tag in dict.fromkeys(mono):
-        if tag[0] == "r":
-            continue
-        i = mono.index(tag)
-        rest, count = mono[:i] + mono[i + 1 :], mono.count(tag)
-        if tag[0] == "q":
-            qs.append((tag[1], tuple(sorted(rest + (rtag(tag[2]),))), count))
-        else:
-            pis[tag[1]] = (rest, count)
-    return _monomial_partials(mono, n, slot), tuple(qs), pis
-
-
 def _generator_join(a: tuple, b: tuple) -> dict:
-    """Route 2's generator monomials of a unit pair: {mono: count}, a and b the operand records of mf and mg.
+    """Route 2's generator monomials of a unit pair: {mono: count}, a and b the records of mf and mg.
 
     {qhat(i,j), pihat(k)} = delta(i,k) rhat(j) is the only nonzero
-    generator pair, so the hits are the q-index of one side joined with the
-    pi-index of the other on i: mf's q-index with mg's pi-index with sign
-    +1, mf's pi-index with mg's q-index with sign -1.  A hit's count is the
-    product of the two multiplicities; counts that cancel stay as 0.
+    generator pair, so the hits are the q-index of one record
+    (:func:`~nsq.forms._monomial_record`) joined with the pi-index of the
+    other on i: mf's q-index with mg's pi-index with sign +1, mf's pi-index
+    with mg's q-index with sign -1.  A hit's count is the product of the
+    two multiplicities; counts that cancel stay as 0.
     """
     hits: dict = {}
-    pis = b[2]
-    for i, rest, m in a[1]:
+    pis = b[5]
+    for i, rest, m in a[4]:
         hit = pis.get(i)
         if hit is not None:
             mono = tuple(sorted(rest + hit[0]))
             hits[mono] = hits.get(mono, 0) + m * hit[1]
-    pis = a[2]
-    for i, rest, m in b[1]:
+    pis = a[5]
+    for i, rest, m in b[4]:
         hit = pis.get(i)
         if hit is not None:
             mono = tuple(sorted(hit[0] + rest))
@@ -269,18 +240,18 @@ def bracket(
     out: dict[GenMonomial, Scalar] = {}
     for mf, cf in f.terms.items():
         p = len(mf)
-        x = _monomial_field_table(mf, n, slot)[2]  # route 1's view, over p!(p-1)!
-        record = _operand(mf, n, slot)
+        record = _monomial_record(mf, n, slot)
+        x = record[2]  # route 1's view of the field, over p!(p-1)!
         unit_f = cf is ONE or cf == ONE
         for mg, cg in g.terms.items():
-            operand = _operand(mg, n, slot)
+            operand = _monomial_record(mg, n, slot)
             hits = _generator_join(record, operand)
             if hits:
                 base = cg if unit_f else cf * cg
                 for mono, count in hits.items():
                     if count:
                         accumulate(out, mono, base if count == 1 else base * count)
-            dg = operand[0]
+            dg = operand[3]
             route1 = _route1_numerators(x, dg)
             route2 = _route2_numerators(hits, n, slot) if hits else {}
             if route1 != route2:

@@ -85,6 +85,15 @@ def _monomial_modes(f: Poly, n: int) -> list[tuple[list, Scalar]]:
     return [(_mode_powers(mono, n), coeff) for mono, coeff in f.terms.items()]
 
 
+def _operator_top(modes: list[tuple[int, int, int]]) -> int:
+    """The largest power of a monomial's Weyl image or of any node of its word trie; EngineError past the bound.
+
+    IHBAR's power is at most the summed p-powers, and a mode's q- and
+    d-powers its own m and k.
+    """
+    return DiffOperator._checked(max([sum(k for _, _, k in modes)] + [m for _, m, _ in modes]))
+
+
 def _mode_terms(m: int, k: int) -> list[int]:
     """W(q^m p^k) of one mode: entry j is the numerator over 2^min(m,k) of IHBAR^k q^(m-j) d^(k-j).
 
@@ -135,10 +144,7 @@ def weyl_quantize(f: Poly, n: int) -> DiffOperator:
     before any table is built or read.
     """
     check_dimension(n)
-    plans = []
-    for modes, coeff in _monomial_modes(f, n):
-        top = max([sum(k for _, _, k in modes)] + [m for _, m, _ in modes])
-        plans.append((modes, coeff, DiffOperator._checked(top)))
+    plans = [(modes, coeff, _operator_top(modes)) for modes, coeff in _monomial_modes(f, n)]
     out = None
     for modes, coeff, top in plans:
         nums, den = {0: 1}, 1
@@ -177,15 +183,16 @@ def weyl_quantize_brute(f: Poly, n: int) -> DiffOperator:
     of words once; a word's last letter is composed straight into the one
     sum of all words.  That sum is divided by the number of words and
     scaled by the monomial's coefficient.  Before anything is composed,
-    every monomial's degree is checked against the power bound and its
-    word count against ``WORD_BUDGET``, past which it is refused with
-    EngineError; n must be an exact int >= 1 (IndexRangeError).
+    every monomial's largest power (:func:`_operator_top`, the rule
+    :func:`weyl_quantize` checks too) is checked against the power bound
+    and its word count against ``WORD_BUDGET``, past which it is refused
+    with EngineError; n must be an exact int >= 1 (IndexRangeError).
     """
     check_dimension(n)
     units, ihbar = _layout(n)[0], field_unit("sym", IHBAR, n)
     plans = []
     for modes, coeff in _monomial_modes(f, n):
-        degree = DiffOperator._checked(sum(m + k for _, m, k in modes))
+        top = _operator_top(modes)
         words = _word_count(modes)
         if words > WORD_BUDGET:
             raise EngineError(f"a monomial of {words} distinct operator words, past the word budget of {WORD_BUDGET}")
@@ -193,21 +200,21 @@ def weyl_quantize_brute(f: Poly, n: int) -> DiffOperator:
         for mode, m, k in modes:
             du, qu = units[mode - 1]
             letters += [[count, num] for count, num in ((m, {qu: 1}), (k, {du + ihbar: -1})) if count]
-        plans.append((letters, degree, words, coeff))
+        plans.append((letters, top, words, coeff))
     out = DiffOperator.zero(n)
-    for letters, degree, words, coeff in plans:
-        total = _word_sum(letters, degree, n)
-        out = out + DiffOperator._of(n, *_normal(total, words), degree).scale(coeff)
+    for letters, top, words, coeff in plans:
+        total = _word_sum(letters, n)
+        out = out + DiffOperator._of(n, *_normal(total, words), top).scale(coeff)
     return out
 
 
-def _word_sum(letters: list[list], degree: int, n: int) -> dict:
+def _word_sum(letters: list[list], n: int) -> dict:
     """The sum of the products of every distinct word of the letters, as one numerator map.
 
     letters holds [remaining count, numerator map] per letter, in sorted
-    order, and degree is the sum of the counts.  The walk starts at the
-    empty word, the identity {0: 1}; it takes one off a letter's count on
-    the way down and puts it back on the way up.
+    order.  The walk starts at the empty word, the identity {0: 1}, with
+    the sum of the counts left to take; it takes one off a letter's count
+    on the way down and puts it back on the way up.
     """
     total: dict = {}
 
@@ -224,6 +231,7 @@ def _word_sum(letters: list[list], degree: int, n: int) -> dict:
                     extend(child, left - 1)
                 letter[0] = count
 
+    degree = sum(count for count, _ in letters)
     if degree:
         extend({0: 1}, degree)
     else:

@@ -50,11 +50,10 @@ from nsq.forms import (
     OneForm,
     TwoForm,
     VectorField,
-    _contraction_sums,
     _by_variable,
-    _monomial_field_table,
-    _monomial_partials,
-    _generator_direction,
+    _contraction_sums,
+    _monomial_record,
+    _partials,
     add_gauge,
     gauge_condition_holds,
     ham_vf,
@@ -68,6 +67,7 @@ from nsq.packed import (
     _FIELD_MASK,
     FIELD_BITS,
     POWER_BOUND,
+    _normal,
     pack_term,
     packed_units,
     unpack_monomial,
@@ -76,7 +76,6 @@ from nsq.packed import (
 from nsq.poisson import (
     _gauge_terms,
     _generator_join,
-    _operand,
     _route1_numerators,
     _route2_numerators,
     bracket,
@@ -130,12 +129,12 @@ def poly_apply(vf, poly):
 
 
 def generator_field(tag):
-    """The Hamiltonian field of one generator, on Polys."""
-    direction = _generator_direction(tag)
-    if direction is None:
-        return VectorField.zero()
-    var, sign = direction
-    return VectorField()._like({var: Poly.constant(sign)})
+    """The Hamiltonian field of one generator, on Polys: X_qhat(i,j) = -d/dpi(j,i), X_pihat(k) = d/dq(k), X_rhat = 0."""
+    if tag[0] == "q":
+        return VectorField(v={(tag[2], tag[1]): Poly.constant(-1)})
+    if tag[0] == "pi":
+        return VectorField(h={tag[1]: Poly.constant(1)})
+    return VectorField.zero()
 
 
 def poly_mul_field(vf, poly):
@@ -460,8 +459,8 @@ def test_route1_matches_split_enumeration(case):
     f, g = observable(n, mf, slot), observable(n, mg, slot)
     p, q = len(mf), len(mg)
     denominator = factorial(p + q - 1)
-    dg = _monomial_partials(mg, n, slot)
-    route1 = _route1_numerators(_monomial_field_table(mf, n, slot)[2], dg)
+    dg = _monomial_record(mg, n, slot)[3]
+    route1 = _route1_numerators(_monomial_record(mf, n, slot)[2], dg)
     got = as_polys(unpacked(route1, n), denominator)
     gauge = {} if gauge_seed is None else _gauge_terms(f, gauge_seed)
     if p in gauge:
@@ -526,7 +525,7 @@ def test_memo_key_separates_slice_and_full():
         expected = {slot: ref_ham_vf(Observable(n, {square: 1}, slot=slot)) for slot in (None, 1)}
         assert expected[None] != expected[1]
         for first in (None, 1):
-            _monomial_field_table.cache_clear()
+            _monomial_record.cache_clear()
             for slot in (first, 1 if first is None else None):
                 assert ham_vf(Observable(n, {square: 1}, slot=slot)) == expected[slot]
 
@@ -560,7 +559,7 @@ def test_operations_leave_cached_maps_unchanged(pair, gauge_seed):
     keys |= {mono for pair_hits in hits.values() for mono in pair_hits}
     cached = {key: _monomial_components(key, n, None) for key in keys}
     before = copy.deepcopy(cached)
-    integer_memos = (_monomial_components, _operand, _monomial_field_table)
+    integer_memos = (_monomial_components, _monomial_record)
     integer = {mono: tuple(memo(mono, n, None) for memo in integer_memos) for mono in monos}
     integer_before = copy.deepcopy(integer)
     for pair_hits in hits.values():
@@ -623,8 +622,8 @@ def observable_in_some_algebra(draw):
 @given(observable_in_some_algebra(), st.sampled_from([None, 4, 29]))
 def test_memoized_field_equals_factor_rule(f, gauge_seed):
     expected = ref_ham_vf(f)
-    assert ham_vf(f) == expected  # tables left by earlier examples
-    _monomial_field_table.cache_clear()
+    assert ham_vf(f) == expected  # records left by earlier examples
+    _monomial_record.cache_clear()
     assert ham_vf(f) == expected  # miss
     assert ham_vf(f) == expected  # hit
     if gauge_seed is not None and f.terms:
@@ -673,11 +672,7 @@ def test_unit_monomial_shares_memoized_expansion():
 
 
 def clear_memos():
-    for memo in (
-        _monomial_components,
-        _operand,
-        _monomial_field_table,
-    ):
+    for memo in (_monomial_components, _monomial_record):
         memo.cache_clear()
 
 
@@ -704,7 +699,7 @@ def tuple_field_numerators(mono, n, slot):
 def unpacked_field_table(mono, n, slot):
     """(var, I) -> tuple-keyed numerators of the field table, brought back to r!(r-1)!."""
     r = len(mono)
-    table, den, _ = _monomial_field_table(mono, n, slot)
+    table, den = _monomial_record(mono, n, slot)[:2]
     scale = factorial(r) * factorial(r - 1) // den
     out = {}
     for (var, key), c in table.items():
@@ -717,7 +712,7 @@ def assert_integer_memos_match(mono, n, slot):
     r = len(mono)
     comps = fresh_expansion(mono, n, slot)
     assert as_polys(unpacked(_monomial_components(mono, n, slot), n), factorial(r)) == comps
-    table, den, _ = _monomial_field_table(mono, n, slot)
+    table, den = _monomial_record(mono, n, slot)[:2]
     fields = {}
     for (var, key), c in table.items():
         I, m = flat_parts(key, n)
@@ -759,7 +754,7 @@ def assert_packed_tables_match(mono, n, slot):
     for J, num in numerators.items():
         for var, terms in term_partials(num).items():
             expected.setdefault(var, []).extend((J, lowered, c) for lowered, c in terms)
-    partials = _monomial_partials(mono, n, slot)
+    partials = _monomial_record(mono, n, slot)[3]
     got = {}
     for var, entries in partials.items():
         for J, lowered, c in entries:
@@ -835,14 +830,14 @@ def test_flat_tables_and_both_routes_equal_the_tuple_oracle(case):
         for J, poly in comps.items():
             for var, terms in term_partials(tuple_numerators(mono, n, slot)[J]).items():
                 expected.setdefault(var, []).extend((index_counts(J), flat_key(J, m, n), c) for m, c in terms)
-        got = _monomial_partials(mono, n, slot)
+        got = _monomial_record(mono, n, slot)[3]
         assert {var: sorted(entries) for var, entries in got.items()} == {
             var: sorted(entries) for var, entries in expected.items()
         }
     p, q = len(mf), len(mg)
     f, g = observable(n, mf, slot), observable(n, mg, slot)
     routes = flattened(ref_bracket_components(ham_vf(f), p, g, q), n, factorial(p + q - 1))
-    assert _route1_numerators(_monomial_field_table(mf, n, slot)[2], _monomial_partials(mg, n, slot)) == routes
+    assert _route1_numerators(_monomial_record(mf, n, slot)[2], _monomial_record(mg, n, slot)[3]) == routes
     assert _route2_numerators(generator_hits(mf, mg), n, slot) == routes
 
 
@@ -852,17 +847,17 @@ def test_flat_tables_and_both_routes_equal_the_tuple_oracle(case):
 @example((1, None, (pitag(1), qtag(1, 1)), (pitag(1), qtag(1, 1))))
 @example((3, 2, (qtag(3, 2), rtag(2), rtag(2)), (pitag(1), pitag(3), rtag(2))))
 def test_generator_join_equals_pairwise_enumeration(case):
-    # the join of the operand records' generator indices is the pairwise
+    # the join of the monomial records' generator indices is the pairwise
     # enumeration, counts of 0 included, on the full bundle and every slice
     n, slot, mf, mg = case
-    a, b = _operand(mf, n, slot), _operand(mg, n, slot)
+    a, b = _monomial_record(mf, n, slot), _monomial_record(mg, n, slot)
     assert _generator_join(a, b) == generator_hits(mf, mg)
     assert _generator_join(b, a) == generator_hits(mg, mf)
 
 
 def test_generator_join_on_repeats_cancellations_and_rhat():
     def join(mf, mg, n=2, slot=None):
-        return _generator_join(_operand(mf, n, slot), _operand(mg, n, slot))
+        return _generator_join(_monomial_record(mf, n, slot), _monomial_record(mg, n, slot))
 
     q11, q12, q21, pi1, pi2, r1 = qtag(1, 1), qtag(1, 2), qtag(2, 1), pitag(1), pitag(2), rtag(1)
     # a repeated factor's hits count its multiplicity, on either side
@@ -877,17 +872,88 @@ def test_generator_join_on_repeats_cancellations_and_rhat():
     assert join((q12,), (pi1,), slot=2) == {(rtag(2),): 1}
 
 
+# -- the monomial record against the separate builders it folds together -------------
+
+
+def reference_by_variable(nums, n):
+    """A map (var, flat key) -> int grouped by variable: var -> ((I counts, flat key, int), ...)."""
+    index_mask = (1 << FIELD_BITS * n) - 1
+    out = {}
+    for (var, key), c in nums.items():
+        out.setdefault(var, []).append((key & index_mask, key, c))
+    return {var: tuple(entries) for var, entries in out.items()}
+
+
+def reference_partials(mono, n, slot):
+    """The partials of the monomial's table, term by term, grouped by variable."""
+    flat = {(None, key): c for key, c in _monomial_components(mono, n, slot).items()}
+    return reference_by_variable({(v, lowered): d for v, _, lowered, d in _partials(flat, n)}, n)
+
+
+def reference_field_table(mono, n, slot):
+    """The factor-rule field with coefficient 1: (numerators, den, by-variable view over r!(r-1)!).
+
+    Each distinct factor is visited once with weight its multiplicity times
+    the sign of its generator field, d/dpi(j,i) for qhat(i,j) and d/dq(k)
+    for pihat(k), on the numerators of the rest of the monomial.
+    """
+    table = {}
+    for tag in dict.fromkeys(mono):
+        if tag[0] == "r":
+            continue
+        var, sign = (pivar(tag[2], tag[1]), -1) if tag[0] == "q" else (qvar(tag[1]), 1)
+        i = mono.index(tag)
+        rest = mono[:i] + mono[i + 1 :]
+        weight = sign * mono.count(tag)
+        for key, c in (_monomial_components(rest, n, slot) if rest else {0: 1}).items():
+            table[var, key] = weight * c
+    return *_normal(table, factorial(len(mono)) * factorial(len(mono) - 1)), reference_by_variable(table, n)
+
+
+def reference_generator_index(mono):
+    """(q-index, pi-index): (i, the rest with rhat(j) in place, multiplicity) per distinct qhat(i,j), k -> (rest, multiplicity) per pihat(k)."""
+    qs, pis = [], {}
+    for tag in dict.fromkeys(mono):
+        if tag[0] == "r":
+            continue
+        i = mono.index(tag)
+        rest, count = mono[:i] + mono[i + 1 :], mono.count(tag)
+        if tag[0] == "q":
+            qs.append((tag[1], tuple(sorted(rest + (rtag(tag[2]),))), count))
+        else:
+            pis[tag[1]] = (rest, count)
+    return tuple(qs), pis
+
+
+@SETTINGS
+@given(monomial_in_some_algebra())
+@example((1, None, (qtag(1, 1), qtag(1, 1), pitag(1), rtag(1))))
+@example((3, 2, (pitag(2), pitag(2), pitag(2), qtag(3, 2))))
+def test_monomial_record_equals_the_separate_builders(case):
+    # every part of the one-walk record, on the full bundle and on each
+    # slice, against the field, partials and generator index built apart;
+    # the record is served from a bounded memo
+    n, slot, mono = case
+    expected = (*reference_field_table(mono, n, slot), reference_partials(mono, n, slot), *reference_generator_index(mono))
+    record = _monomial_record(mono, n, slot)
+    assert record == expected
+    assert _monomial_record(mono, n, slot) is record
+    info = _monomial_record.cache_info()
+    assert 0 < info.maxsize <= 4096 and info.currsize <= info.maxsize
+
+
 def test_operand_records_are_keyed_by_dimension_and_slot():
-    # pihat(k) has n rows on the full bundle and one row on a slice, so its
-    # partials differ between n=2 and n=3 and between the full bundle and
-    # the slice; from an empty memo, in either order, each key gets its own
+    # pihat(k) has n rows on the full bundle and one row on a slice, so the
+    # field and partials of the bracket's operand record differ between n=2
+    # and n=3 and between the full bundle and the slice; from an empty memo,
+    # in either order, each key gets its own
     mono = (pitag(2), qtag(1, 1))
     keys = [(2, None), (3, None), (3, 1), (2, 1)]
     for order in (keys, keys[::-1]):
-        _operand.cache_clear()
-        records = {key: _operand(mono, *key) for key in order}
+        _monomial_record.cache_clear()
+        records = {key: _monomial_record(mono, *key) for key in order}
         for (n, slot), record in records.items():
-            assert record[0] == _monomial_partials(mono, n, slot)
+            assert record[:4] == (*reference_field_table(mono, n, slot), reference_partials(mono, n, slot))
         assert len({repr(record) for record in records.values()}) == len(keys)
 
 
@@ -899,7 +965,7 @@ def test_one_index_field_holds_the_power_bound():
     assert _monomial_components(mono, n, None) == {key: factorial(POWER_BOUND)}
     assert flat_key((1,) * POWER_BOUND, ((qvar(1), POWER_BOUND),), n) == key
     lowered = key - (1 << FIELD_BITS)
-    assert _monomial_partials(mono, n, None) == {qvar(1): ((POWER_BOUND, lowered, POWER_BOUND * factorial(POWER_BOUND)),)}
+    assert _monomial_record(mono, n, None)[3] == {qvar(1): ((POWER_BOUND, lowered, POWER_BOUND * factorial(POWER_BOUND)),)}
     assert Observable(n, {mono: 1}).components == {POWER_BOUND: {(1,) * POWER_BOUND: Poly.var(qvar(1), POWER_BOUND)}}
     # a neighbouring field at n=2: qh(2,2)^255 fills index field 2, below q^1's field
     n, mono = 2, (qtag(2, 2),) * POWER_BOUND
@@ -941,7 +1007,7 @@ def test_bracket_leaves_the_poly_memos_empty(monkeypatch):
     assert fg == -bracket(g, f, gauge_seed=4) and fg.ranks() == [2, 4]
     on_slice = Observable(n, {(qtag(1, 1), pitag(2)): 1, (pitag(1), rtag(1)): 3}, slot=1)
     assert not bracket(on_slice, on_slice)
-    assert _monomial_field_table.cache_info().currsize > 0
+    assert _monomial_record.cache_info().currsize > 0
     assert all(obs._components is None for obs in (f, g, fg, on_slice))
 
 
@@ -971,7 +1037,7 @@ def test_packed_monomials_round_trip_at_the_power_bound(n):
 
 
 def memo_misses():
-    return [memo.cache_info().misses for memo in (_monomial_components, _operand, _monomial_field_table)]
+    return [memo.cache_info().misses for memo in (_monomial_components, _monomial_record)]
 
 
 def test_bracket_at_the_power_bound_and_one_past_it():
@@ -1047,6 +1113,8 @@ def test_field_powers_at_the_power_bound_and_past_it():
             v={(1, 1): (Poly.var(qvar(1), POWER_BOUND - 1) * Poly.var(pivar(1, 1))).scale(-POWER_BOUND * weight)},
         )
     }
+    # the monomial of degree 256 has a field but no table, so its record holds no partials
+    assert _monomial_record(q * POWER_BOUND + pi, n, None)[3] is None
     with pytest.raises(EngineError, match="a field power could reach 256, past the 255"):
         ham_vf(Observable(n, {q * (POWER_BOUND + 1) + pi: 1}))
     x, y = ham_vf(Observable(n, {q * 200 + pi: 1})), ham_vf(Observable(n, {q * 56 + pi: 1}))
@@ -1342,7 +1410,7 @@ def test_a_thm1_case_leaves_the_poly_memos_unfilled(monkeypatch):
         c = theorem1_constant(len(mf), len(mg))
         candidate = vf_bracket(ham_vf(a), ham_vf(b)).scale(Fraction(-1) / c)
         assert structure_eq_check(bracket(a, b), candidate)
-    assert _monomial_field_table.cache_info().currsize > 0
+    assert _monomial_record.cache_info().currsize > 0
 
 
 # -- equality, the zero test and the ranks on the integer form -------------------------

@@ -315,16 +315,25 @@ def test_word_budget_refuses_before_any_work(monkeypatch):
     for k, words in ((10, 184756), (20, 137846528820)):
         with pytest.raises(EngineError, match=f"{words} distinct operator words, past the word budget of 100000"):
             weyl_quantize_brute(sp_q(1) ** k * sp_p(1) ** k, 1)
-    # the power bound, checked on the degree before composing
-    with pytest.raises(EngineError, match="could reach 256, past the 255"):
-        weyl_quantize_brute(sp_q(1) ** 256, 1)
-    with pytest.raises(EngineError, match="could reach 256, past the 255"):
+    # q powers of two modes sit in two fields, so q1^200 q2^56 holds no
+    # power past 200; its comb(256, 56) words are refused by the budget
+    with pytest.raises(EngineError, match=f"{comb(256, 56)} distinct operator words, past the word budget of 100000"):
         weyl_quantize_brute(sp_q(1) ** 200 * sp_q(2) ** 56, 2)
+    # the power bound, checked before composing: one mode's q power, and
+    # the IHBAR power that p1^128 p2^128 reaches, on both routes
+    for route in (weyl_quantize_brute, weyl_quantize):
+        with pytest.raises(EngineError, match="could reach 256, past the 255"):
+            route(sp_q(1) ** 256, 1)
+        with pytest.raises(EngineError, match="could reach 256, past the 255"):
+            route(sp_p(1) ** 128 * sp_p(2) ** 128, 2)
 
 
 def test_brute_oracle_at_the_power_bound():
     for poly in (sp_q(1) ** 255, sp_p(1) ** 255, sp_q(1) ** 254 * sp_p(1)):
         assert weyl_quantize_brute(poly, 1) == weyl_quantize(poly, 1)
+    # a symbol coefficient on q^254 p: its largest power is 254, 255 after the scale
+    poly = sp_q(1) ** 254 * sp_p(1) * Poly.constant(Scalar.symbol("A1"))
+    assert weyl_quantize_brute(poly, 1) == weyl_quantize(poly, 1)
 
 
 @pytest.mark.parametrize("route", [weyl_quantize, weyl_quantize_brute])
@@ -401,17 +410,12 @@ def outcome(route, f, n):
 @WEYL_SETTINGS
 @given(weyl_inputs())
 def test_weyl_tables_match_the_enumeration_and_the_oracle(draw):
-    # an IHBAR coefficient on p^255 is refused by all three; the oracle
-    # bounds every power by the degree, so it alone also refuses a symbol
-    # coefficient on q^254 p, whose largest power the tables hold at 254
+    # an IHBAR coefficient on p^255 is refused by all three, and a symbol
+    # coefficient on q^254 p, whose largest power is 254, by none
     f, n = draw
     got = outcome(weyl_quantize, f, n)
     assert got == outcome(ref_weyl_enumerated, f, n)
-    oracle = outcome(weyl_quantize_brute, f, n)
-    if isinstance(oracle, str) and isinstance(got, DiffOperator):
-        assert oracle == "an operator power could reach 256, past the 255 that a packed field holds"
-    else:
-        assert got == oracle
+    assert got == outcome(weyl_quantize_brute, f, n)
     if isinstance(got, DiffOperator):
         assert _normal(got._nums, got._den) == (got._nums, got._den)
 

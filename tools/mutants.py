@@ -166,13 +166,22 @@ MUTANTS = [
     ),
     Mutant(
         "average over degree! instead of the distinct words",
-        [("symplectic_ref.py", "*_normal(total, words)", "*_normal(total, factorial(degree))")],
+        [("symplectic_ref.py", "*_normal(total, words)", "*_normal(total, factorial(sum(count for count, _ in letters)))")],
         [f"{WEYL}::test_weyl_matches_brute_force", f"{WEYL}::test_prefix_oracle_matches_word_average_at_n2"],
     ),
     Mutant(
         "mode table keyed without n",
         [("symplectic_ref.py", *keyed_without("@lru_cache(maxsize=1024)", "_mode_image", "n, mode, m, k", "(mode, m, k)"))],
         [f"{WEYL}::test_mode_tables_are_keyed_on_the_dimension", f"{WEYL}::test_weyl_tables_match_the_enumeration_and_the_oracle"],
+    ),
+    Mutant(
+        "the oracle bounds a monomial's powers by its degree",
+        [(
+            "symplectic_ref.py",
+            "        top = _operator_top(modes)\n        words = _word_count(modes)\n",
+            "        top = DiffOperator._checked(sum(m + k for _, m, k in modes))\n        words = _word_count(modes)\n",
+        )],
+        [f"{WEYL}::test_brute_oracle_at_the_power_bound", f"{WEYL}::test_word_budget_refuses_before_any_work"],
     ),
     Mutant(
         "a mode's numerators not reduced before the product",
@@ -199,14 +208,20 @@ MUTANTS = [
         [("packed.py", "        self._require_same(other)\n        if not other._nums:\n", "        if not other._nums:\n")],
         [f"{QUANT}::test_operators_refuse_other_dimensions", f"{FORMS}::test_field_operations_refuse_other_dimensions"],
     ),
-    # -- the field and partials tables (forms) --
+    # -- the monomial records (forms) --
     Mutant(
-        "field memo keyed without the slot",
-        [(
-            "forms.py",
-            *keyed_without("@lru_cache(maxsize=512)", "_monomial_field_table", "mono, n, slot", "(mono, n)"),
-        )],
-        [f"{KERNELS}::test_memo_key_separates_slice_and_full", f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators"],
+        "record memo keyed without the slot",
+        [("forms.py", *keyed_without("@lru_cache(maxsize=1024)", "_monomial_record", "mono, n, slot", "(mono, n)"))],
+        [
+            f"{KERNELS}::test_memo_key_separates_slice_and_full",
+            f"{KERNELS}::test_integer_memos_equal_poly_memos_times_denominators",
+            f"{KERNELS}::test_operand_records_are_keyed_by_dimension_and_slot",
+        ],
+    ),
+    Mutant(
+        "record memo keyed without the dimension",
+        [("forms.py", *keyed_without("@lru_cache(maxsize=1024)", "_monomial_record", "mono, n, slot", "(mono, slot)"))],
+        [f"{KERNELS}::test_operand_records_are_keyed_by_dimension_and_slot"],
     ),
     Mutant(
         "partials read only the lowest bit of a variable's field",
@@ -218,8 +233,21 @@ MUTANTS = [
     ),
     Mutant(
         "field table drops the -1 sign of a qhat generator",
-        [("forms.py", "weight = sign * mono.count(tag)", "weight = abs(sign) * mono.count(tag)")],
+        [("forms.py", "var, sign = pivar(tag[2], tag[1]), -1", "var, sign = pivar(tag[2], tag[1]), 1")],
         [f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial"],
+    ),
+    Mutant(
+        "the field weight drops the factor's multiplicity",
+        [("forms.py", "field[var, key] = sign * count * c", "field[var, key] = sign * c")],
+        [
+            f"{KERNELS}::test_integer_builders_equal_poly_path_on_every_small_monomial",
+            f"{KERNELS}::test_monomial_record_equals_the_separate_builders",
+        ],
+    ),
+    Mutant(
+        "the q-index keeps qhat(i,j) in the rest in place of rhat(j)",
+        [("forms.py", "tuple(sorted(rest + (rtag(tag[2]),)))", "tuple(sorted(rest + (tag,)))")],
+        [f"{KERNELS}::test_generator_join_equals_pairwise_enumeration", f"{KERNELS}::test_monomial_record_equals_the_separate_builders"],
     ),
     # -- the integer forms layer (forms) --
     Mutant(
@@ -280,16 +308,6 @@ MUTANTS = [
             ("algebra.py", "    _SPLIT_COUNTS[I, J] = out\n", "    _SPLIT_COUNTS[I + J] = out\n"),
         ],
         [f"{KERNELS}::test_route1_matches_split_enumeration", f"{KERNELS}::test_flat_tables_and_both_routes_equal_the_tuple_oracle"],
-    ),
-    Mutant(
-        "record memo keyed without the slot",
-        [("poisson.py", *keyed_without("@lru_cache(maxsize=1024)", "_operand", "mono, n, slot", "(mono, n)"))],
-        [f"{KERNELS}::test_operand_records_are_keyed_by_dimension_and_slot"],
-    ),
-    Mutant(
-        "record memo keyed without the dimension",
-        [("poisson.py", *keyed_without("@lru_cache(maxsize=1024)", "_operand", "mono, n, slot", "(mono, slot)"))],
-        [f"{KERNELS}::test_operand_records_are_keyed_by_dimension_and_slot"],
     ),
     Mutant(
         "join drops a repeated factor's multiplicity",
@@ -490,9 +508,14 @@ MUTANTS = [
         "membership checks the slot only when f has terms",
         [(
             "algebra.py",
-            "    check_index(slot, f.n)\n    for mono in f.terms:\n",
-            "    for mono in f.terms:\n        check_index(slot, f.n)\n",
+            "    if type(slot) is not int or slot != 1:\n        check_index(slot, f.n)\n    for mono in f.terms:\n",
+            "    for mono in f.terms:\n        if type(slot) is not int or slot != 1:\n            check_index(slot, f.n)\n",
         )],
+        [f"{QUANT}::test_membership_refuses_a_slot_out_of_range"],
+    ),
+    Mutant(
+        "membership skips the check for any slot equal to 1",
+        [("algebra.py", "    if type(slot) is not int or slot != 1:\n", "    if slot != 1:\n")],
         [f"{QUANT}::test_membership_refuses_a_slot_out_of_range"],
     ),
     Mutant(
@@ -556,13 +579,17 @@ SECONDS = {
     "the walk does not restore a letter's count": 1.6,
     "average over degree! instead of the distinct words": 1.6,
     "mode table keyed without n": 1.3,
+    "the oracle bounds a monomial's powers by its degree": 1.3,
     "a mode's numerators not reduced before the product": 2.9,
     "packed field one bit narrower than the bound": 1.6,
     "IHBAR field dropped from the packed key": 30.0,
     "the shared + skips the space check": 1.4,
-    "field memo keyed without the slot": 1.3,
     "partials read only the lowest bit of a variable's field": 3.1,
-    "field table drops the -1 sign of a qhat generator": 1.4,
+    "record memo keyed without the slot": 1.9,
+    "record memo keyed without the dimension": 1.9,
+    "field table drops the -1 sign of a qhat generator": 1.6,
+    "the field weight drops the factor's multiplicity": 1.6,
+    "the q-index keeps qhat(i,j) in the rest in place of rhat(j)": 1.5,
     "ham_vf treats every coefficient as 1": 5.1,
     "packed Lie bracket adds the second term instead of subtracting it": 4.3,
     "integer vf_bracket weighs by 1/comb without split_count": 4.4,
@@ -574,8 +601,6 @@ SECONDS = {
     "the contraction count is 1 in place of K.count(a)": 13.7,
     "the packed split count is 1": 4.5,
     "route 1's weight read by K in place of (I, J)": 4.3,
-    "record memo keyed without the slot": 1.6,
-    "record memo keyed without the dimension": 1.6,
     "join drops a repeated factor's multiplicity": 1.8,
     "pi-in-f hits take sign +1": 1.4,
     "single-hit path taken for count != 1": 2.8,
@@ -606,7 +631,8 @@ SECONDS = {
     "single-term power scales the exponents by k - 1": 4.3,
     "single-term power keeps the coefficient unraised": 3.5,
     "monomial memo keyed without the dimension": 1.5,
-    "membership checks the slot only when f has terms": 1.2,
+    "membership checks the slot only when f has terms": 1.4,
+    "membership skips the check for any slot equal to 1": 1.4,
     "monomial memo serves indices that equal an int but are not one": 1.3,
     "monomial memo serves an equal entry without the exact-int walk": 1.3,
     "a term's rational coefficient is dropped": 1.4,
