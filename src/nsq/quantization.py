@@ -31,11 +31,17 @@ holding gamma in both the derivative and the q fields.  The (delta, w)
 list depends only on alpha and the q powers of c2, and comes from one
 bounded memo, :func:`_leibniz`, keyed on (n, alpha bits, q bits) and
 shared: read it, never mutate it.  :func:`op_compose` accumulates every
-product into one integer map over den(a)*den(b) and reduces it by the gcd;
-:func:`commutator` accumulates a o b and -(b o a) into the same map, so
-cancelling terms are never built.  Both go through one Leibniz loop on
-numerator maps, :func:`_compose_into`, which the Weyl word oracle of
-:mod:`nsq.symplectic_ref` also composes with, and so does
+product into one integer map over den(a)*den(b) and reduces it by the gcd.
+:func:`commutator` accumulates a o b and -(b o a) into the same map, and
+builds only their gamma != 0 terms: the gamma = 0 term of a pair is c1 c2
+d^(alpha+beta), which both orders put on the same key ka + kb with the
+same weight na * nb, since q, P and the symbols all commute, so the two
+cancel exactly.  It skips a term of its left operand with no derivative
+and a pair whose Leibniz list holds only gamma = 0.  All of them go
+through one Leibniz loop on numerator maps, :func:`_compose_into`, which
+takes the index of the first Leibniz entry to add (0 for the whole
+composition, 1 for the commutator); the Weyl word oracle of
+:mod:`nsq.symplectic_ref` also composes with it, and so does
 :func:`formal_adjoint`: (c d^alpha)* = (-1)^|alpha| d^alpha o c*, one
 Leibniz expansion per term, with the sign (-1)^(|alpha| + the IHBAR
 power) since conjugation sends IHBAR to -IHBAR.  Nothing in the engine
@@ -211,14 +217,18 @@ def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    """[a, b] = a o b - b o a, both compositions summed into one numerator map."""
+    """[a, b] = a o b - b o a, both compositions summed into one numerator map.
+
+    Only their gamma != 0 Leibniz terms are built; the gamma = 0 terms
+    cancel exactly (see the module docstring).
+    """
     a._require_same(b)
     if not a._nums or not b._nums:
         return DiffOperator.zero(a.n)
     top = DiffOperator._checked(a._top + b._top)
     acc: dict = {}
-    _compose_into(acc, a._nums, b._nums, a.n, 1)
-    _compose_into(acc, b._nums, a._nums, a.n, -1)
+    _compose_into(acc, a._nums, b._nums, a.n, 1, 1)
+    _compose_into(acc, b._nums, a._nums, a.n, -1, 1)
     return DiffOperator._of(a.n, *_normal(acc, a._den * b._den), top)
 
 
@@ -245,15 +255,29 @@ def _leibniz(n: int, alpha: int, qpow: int) -> tuple:
     return tuple(out)
 
 
-def _compose_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
-    """acc += sign * (a o b), for a and b operator numerator maps at dimension n, by packed key."""
+def _compose_into(acc: dict, a: dict, b: dict, n: int, sign: int, first: int = 0) -> None:
+    """acc += sign * (a o b), for a and b operator numerator maps at dimension n, by packed key.
+
+    Each pair of terms adds its :func:`_leibniz` entries from index first
+    on: 0 adds the whole composition, and 1 leaves out every gamma = 0
+    term, so it skips a term of a with no derivative and a pair with
+    nothing else.  Only first > 0 slices an entry list.
+    """
     _, alpha_mask, q_mask = _layout(n)
     for ka, na in a.items():
         alpha, na = ka & alpha_mask, sign * na
+        if first and not alpha:
+            continue
         for kb, nb in b.items():
+            entries = _leibniz(n, alpha, kb & q_mask)
+            if first:
+                entries = entries[first:]
+                if not entries:
+                    continue
             key, w = ka + kb, na * nb
-            for delta, weight in _leibniz(n, alpha, kb & q_mask):
-                acc[key - delta] = acc.get(key - delta, 0) + w * weight
+            for delta, weight in entries:
+                k = key - delta
+                acc[k] = acc.get(k, 0) + w * weight
 
 
 def formal_adjoint(a: DiffOperator) -> DiffOperator:

@@ -21,14 +21,19 @@ ordering is computed twice, by two independent routes:
   at most 1,024 tables.  A monomial's image is the product of its modes'
   tables (keys added, numerators and denominators multiplied), which is
   already reduced: each reduced table holds an odd numerator over a power
-  of two, and keys of different modes never meet.  No Poly, Scalar or
-  Fraction is built, and nothing is enumerated or reduced per call;
+  of two, and keys of different modes never meet.  That unscaled image is
+  memoized on (monomial, n), at most 1,024 images, and served only to a
+  monomial whose every index and power is an exact int, since ``True``
+  and ``1.0`` equal 1; a miss, or any other monomial, takes the checked
+  path.  No Poly, Scalar or Fraction is built, and on a memo hit nothing
+  is split into modes, enumerated or reduced;
 * :func:`weyl_quantize_brute` averages over every distinct operator word
   of the letters q^i and -i*hbar d/dq^i.  A depth-first walk over the
   letters' remaining counts reaches each distinct word once, in sorted
   order, and composes each node of the trie of words once, on integer
   numerator maps, with the Leibniz kernel of :mod:`nsq.quantization`; it
-  refuses up front a monomial of more than ``WORD_BUDGET`` distinct words.
+  refuses up front a monomial of more than ``WORD_BUDGET`` distinct words,
+  and memoizes no image, so that it stays independent of the memo.
 
 The witness value is frozen against the brute-force oracle in the tests.
 Both routes accept only the cotangent variables ("q", i) and ("p", i) with
@@ -104,18 +109,42 @@ def _mode_terms(m: int, k: int) -> list[int]:
     return [((-1) ** k * factorial(j) * comb(m, j) * comb(k, j)) << (top - j) for j in range(top + 1)]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def _mode_image(n: int, mode: int, m: int, k: int) -> tuple[dict, int]:
     """W(q^m p^k) of one mode at dimension n, reduced: (packed key -> numerator, denominator).
 
     The keys are those of IHBAR^k q^(m-j) d^(k-j) along the mode, and the
     numerators those of :func:`_mode_terms` over 2^min(m,k), both taken
-    through the gcd once.  Shared: read it, never mutate it.
+    through the gcd once.  Memoized by argument type as well as value, so
+    that a power of 1.0 is refused by :func:`_mode_terms` and never served
+    the table of 1.  Shared: read it, never mutate it.
     """
     du, qu = _layout(n)[0][mode - 1]
     shift = k * field_unit("sym", IHBAR, n)
     terms = {(k - j) * du + (m - j) * qu + shift: w for j, w in enumerate(_mode_terms(m, k))}
     return _normal(terms, 1 << min(m, k))
+
+
+WEYL_MEMO_BOUND = 1024  # (monomial, n) pairs whose Weyl image weyl_quantize memoizes
+_WEYL_IMAGES: dict = {}
+
+
+def _exact_modes(mono) -> bool:
+    """Whether every variable of mono is a pair whose index, and every power, is an exact int."""
+    for v, pw in mono:
+        if type(pw) is not int or len(v) != 2 or type(v[1]) is not int:
+            return False
+    return True
+
+
+def _monomial_image(modes: list[tuple[int, int, int]], n: int) -> tuple[dict, int]:
+    """A checked monomial's unscaled Weyl image (nums, den): the product of its modes' tables."""
+    nums, den = {0: 1}, 1
+    for mode, m, k in modes:
+        table, d = _mode_image(n, mode, m, k)
+        nums = {key + tk: v * tv for key, v in nums.items() for tk, tv in table.items()}
+        den *= d
+    return nums, den
 
 
 def weyl_quantize(f: Poly, n: int) -> DiffOperator:
@@ -137,25 +166,46 @@ def weyl_quantize(f: Poly, n: int) -> DiffOperator:
     * keys of different modes sit in disjoint fields, so no two products
       share a key, and no product is zero.
 
+    Each monomial's unscaled image (nums, den, top) is memoized in
+    ``_WEYL_IMAGES`` on (monomial, n), at most ``WEYL_MEMO_BOUND`` entries,
+    the oldest dropped first; its maps are shared: read them, never mutate
+    them.  An equal key does not vouch for an input: ``("q", True)`` and
+    ``("q", 1.0)`` equal ``("q", 1)``, and a power of 1.0 equals 1.  So an
+    entry is served, and an image stored, only when every index and power
+    of the monomial is an exact int (:func:`_exact_modes`); any other
+    monomial takes the checked path every time.  A refusal raises and is
+    not stored.
+
     The monomial's operator is scaled by its coefficient unless that is
     ``ONE``, and the monomials' operators are summed; nothing is composed.
-    n must be an exact int >= 1 (IndexRangeError), and every monomial
-    whose operator could pass the power bound is refused with EngineError
-    before any table is built or read.
+    n must be an exact int >= 1 (IndexRangeError).  Every monomial that
+    misses the memo is split into its modes (:func:`_mode_powers`) and its
+    largest power checked (:func:`_operator_top`) before any table is
+    built or read, so a monomial whose operator could pass the power bound
+    is refused with EngineError first.
     """
     check_dimension(n)
-    plans = [(modes, coeff, _operator_top(modes)) for modes, coeff in _monomial_modes(f, n)]
+    memo = _WEYL_IMAGES
+    images, misses = [], []
+    for mono in f.terms:
+        exact = _exact_modes(mono)
+        image = memo.get((mono, n)) if exact else None
+        if image is None:
+            modes = _mode_powers(mono, n)
+            misses.append((len(images), mono if exact else None, modes, _operator_top(modes)))
+        images.append(image)
+    for i, mono, modes, top in misses:
+        image = images[i] = (*_monomial_image(modes, n), top)
+        if mono is not None:
+            if len(memo) >= WEYL_MEMO_BOUND:
+                del memo[next(iter(memo))]
+            memo[mono, n] = image
     out = None
-    for modes, coeff, top in plans:
-        nums, den = {0: 1}, 1
-        for mode, m, k in modes:
-            table, d = _mode_image(n, mode, m, k)
-            nums = {key + tk: v * tv for key, v in nums.items() for tk, tv in table.items()}
-            den *= d
-        image = DiffOperator._of(n, nums, den, top)
+    for image, coeff in zip(images, f.terms.values()):
+        op = DiffOperator._of(n, *image)
         if coeff is not ONE:
-            image = image.scale(coeff)
-        out = image if out is None else out + image
+            op = op.scale(coeff)
+        out = op if out is None else out + op
     return DiffOperator.zero(n) if out is None else out
 
 

@@ -418,6 +418,76 @@ def test_commutator_matches_leibniz_reference(ops):
     assert commutator(b, a) == -got
 
 
+@st.composite
+def leading_only_pairs(draw):
+    """Two operators whose every Leibniz entry is gamma = 0: two multiplications, or two c d^alpha with c free of q."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return tuple(DiffOperator.multiplication(n, draw(coefficient_polys(n))) for _ in range(2))
+    degrees = st.tuples(*[st.integers(0, 3)] * n)
+    momenta = [pivar(1, k) for k in range(1, n + 1)]
+
+    def q_free():
+        out = Poly.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            term = Poly.constant(draw(COEFFICIENTS))
+            for v in draw(st.lists(st.sampled_from(momenta), max_size=2)):
+                term = term * Poly.var(v)
+            out = out + term
+        return out
+
+    return tuple(DiffOperator(n, {draw(degrees): q_free() for _ in range(draw(st.integers(1, 3)))}) for _ in range(2))
+
+
+@KERNEL_SETTINGS
+@given(leading_only_pairs())
+def test_commutator_of_leading_only_terms_is_zero(ops):
+    # a o b and b o a hold only their cancelling gamma = 0 terms
+    a, b = ops
+    assert ref_op_compose(a, b) == ref_op_compose(b, a)
+    got = commutator(a, b)
+    assert got.is_zero() and got == DiffOperator.zero(a.n)
+    assert zero_free_operator(got)
+
+
+@st.composite
+def cubic_pairs(draw):
+    """Two operators at n in 1..3 whose derivative degrees and q powers are 0 or 3 along each q^i."""
+    n = draw(st.integers(1, 3))
+    cubes = st.sampled_from([0, 3])
+
+    def operator():
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            term = Poly.constant(draw(COEFFICIENTS))
+            for i in range(1, n + 1):
+                term = term * Poly.var(qvar(i)) ** draw(cubes)
+            accumulate(terms, tuple(draw(cubes) for _ in range(n)), term)
+        return DiffOperator(n, terms)
+
+    return operator(), operator()
+
+
+@KERNEL_SETTINGS
+@given(cubic_pairs())
+def test_commutator_of_third_derivatives_and_cubes(ops):
+    a, b = ops
+    got = commutator(a, b)
+    assert got == ref_op_compose(a, b) - ref_op_compose(b, a)
+    assert zero_free_operator(got)
+    assert commutator(b, a) == -got
+
+
+def test_commutator_of_d_cubed_and_q_cubed():
+    # d^3 o q^3 = q^3 d^3 + 9 q^2 d^2 + 18 q d + 6
+    n = 1
+    d3 = DiffOperator(n, {(3,): Poly.constant(1)})
+    q3 = DiffOperator.multiplication(n, Poly.var(qvar(1), 3))
+    q = Poly.var(qvar(1))
+    expected = DiffOperator(n, {(2,): (q**2).scale(9), (1,): q.scale(18), (0,): Poly.constant(6)})
+    assert commutator(d3, q3) == expected == -commutator(q3, d3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(operator_tuples(3))
 def test_op_compose_is_associative(ops):

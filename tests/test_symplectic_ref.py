@@ -420,8 +420,14 @@ def test_weyl_tables_match_the_enumeration_and_the_oracle(draw):
         assert _normal(got._nums, got._den) == (got._nums, got._den)
 
 
-def test_mode_tables_are_keyed_on_the_dimension():
+def clear_weyl_memos():
+    """Empty the image memo and the mode tables, so the next call builds from the tables' builder."""
+    symplectic_ref._WEYL_IMAGES.clear()
     symplectic_ref._mode_image.cache_clear()
+
+
+def test_mode_tables_are_keyed_on_the_dimension():
+    clear_weyl_memos()
     for n in (1, 2, 3, 1):
         poly = sp_q(1) ** 2 * sp_p(1) ** 2 * sp_q(n) * sp_p(n) ** 3
         assert weyl_quantize(poly, n) == weyl_quantize_brute(poly, n), n
@@ -438,12 +444,117 @@ def test_weyl_refuses_past_the_power_bound_before_any_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("table read")
 
+    clear_weyl_memos()
     monkeypatch.setattr(symplectic_ref, "_mode_image", refuse)
     for p, poly in polys.items():
         # a monomial within the bound reads no table before the refusal either
         for f in (poly, sp_q(1) * sp_p(2) + poly):
             with pytest.raises(EngineError, match=f"an operator power could reach {2 * p}, past the 255"):
                 weyl_quantize(f, 2)
+
+
+# -- the per-monomial image memo ---------------------------------------------------
+
+
+def refusal(route, f, n):
+    """(exception type, message) of route(f, n), which must raise."""
+    try:
+        route(f, n)
+    except Exception as error:
+        return type(error), str(error)
+    raise AssertionError(f"{route.__name__} accepted {f.terms}")
+
+
+def inexact_variant(mono, position, kind):
+    """mono with one factor's index or power replaced by an equal value that is not an exact int."""
+    (var, i), pw = mono[position]
+    if kind == "power":
+        factor = ((var, i), float(pw))
+    else:
+        factor = ((var, True if kind == "index True" and i == 1 else float(i)), pw)
+    return mono[:position] + (factor,) + mono[position + 1 :]
+
+
+@st.composite
+def memo_inputs(draw):
+    """(f, n, a one-mode monomial, one of f's nonconstant monomials or None, a variant kind)."""
+    f, n = draw(weyl_inputs())
+    term = Poly.constant(draw(COEFFICIENTS))
+    for v in draw(st.lists(st.sampled_from([qvar(1), pvar(1)]), min_size=1, max_size=6)):
+        term = term * Poly.var(v)
+    monos = [mono for mono in f.terms if mono]
+    mono = draw(st.sampled_from(monos)) if monos else None
+    position = draw(st.integers(0, len(mono) - 1)) if mono else 0
+    return f, n, term, mono, position, draw(st.sampled_from(["index True", "index float", "power"]))
+
+
+@WEYL_SETTINGS
+@given(memo_inputs())
+def test_weyl_memo_matches_the_enumeration_and_the_oracle(draw):
+    f, n, one_mode, mono, position, kind = draw
+    memo = symplectic_ref._WEYL_IMAGES
+    # cold and warm, against the enumerated closed form and the word oracle
+    clear_weyl_memos()
+    expected = outcome(ref_weyl_enumerated, f, n)
+    assert outcome(weyl_quantize_brute, f, n) == expected
+    for _ in ("cold", "warm"):
+        assert outcome(weyl_quantize, f, n) == expected
+    # the same monomial at n=1, then at n=2 and back, each time its own image
+    for dim in (1, 2, 1):
+        got = weyl_quantize(one_mode, dim)
+        assert got == ref_weyl_enumerated(one_mode, dim) == weyl_quantize_brute(one_mode, dim)
+        assert got.n == dim
+    # an equal monomial whose index or power is not an exact int is refused
+    # as on an empty memo, once its exact-int version is memoized
+    if mono is not None:
+        bad = Poly({inexact_variant(mono, position, kind): f.terms[mono]})
+        clear_weyl_memos()
+        cold = refusal(weyl_quantize, bad, n)
+        assert cold[0] is (TypeError if kind == "power" else IndexRangeError)
+        assert refusal(weyl_quantize_brute, bad, n) == cold
+        weyl_quantize(Poly({mono: 1}), n)
+        assert (mono, n) in memo
+        assert refusal(weyl_quantize, bad, n) == cold
+        assert list(memo) == [(mono, n)]
+    assert len(memo) <= symplectic_ref.WEYL_MEMO_BOUND
+
+
+def test_weyl_images_are_keyed_on_the_dimension():
+    clear_weyl_memos()
+    poly = sp_q(1) ** 2 * sp_p(1)
+    for n in (1, 2, 3, 1):
+        got = weyl_quantize(poly, n)
+        assert got.n == n and got == weyl_quantize_brute(poly, n), n
+    assert len(symplectic_ref._WEYL_IMAGES) == 3
+
+
+def test_weyl_memo_refuses_an_inexact_monomial_after_its_int_version():
+    n, mono = 2, ((qvar(1), 2), (pvar(1), 1), (qvar(2), 1))
+    variants = {
+        "index True": (IndexRangeError, "index True out of range 1..2"),
+        "index float": (IndexRangeError, "index 1.0 out of range 1..2"),
+        "power": (TypeError, "'float' object cannot be interpreted as an integer"),
+    }
+    for kind, expected in variants.items():
+        bad = Poly({inexact_variant(mono, 0, kind): 1})
+        clear_weyl_memos()
+        assert refusal(weyl_quantize, bad, n) == refusal(weyl_quantize_brute, bad, n) == expected
+        weyl_quantize(Poly({mono: 1}), n)
+        assert refusal(weyl_quantize, bad, n) == expected, kind
+
+
+def test_weyl_memo_drops_the_oldest_image_at_its_bound():
+    clear_weyl_memos()
+    memo, bound = symplectic_ref._WEYL_IMAGES, symplectic_ref.WEYL_MEMO_BOUND
+    polys = [sp_q(1) ** (j % 40) * sp_p(1) ** (j // 40) for j in range(bound + 5)]
+    for poly in polys:
+        weyl_quantize(poly, 1)
+    assert len(memo) == bound
+    firsts = [(mono, 1) for poly in polys[:5] for mono in poly.terms]
+    assert not any(key in memo for key in firsts)
+    assert list(memo)[0] == (next(iter(polys[5].terms)), 1)
+    assert weyl_quantize(polys[0], 1) == ref_weyl_enumerated(polys[0], 1)
+    assert len(memo) == bound and next(reversed(memo)) == firsts[0]
 
 
 BAD_DIMENSIONS = [(sp_q(1), True), (Poly.constant(2), 0), (Poly.zero(), -3), (sp_q(1), 2.0), (Poly.zero(), True)]

@@ -111,8 +111,13 @@ MUTANTS = [
     ),
     Mutant(
         "commutator adds b o a instead of subtracting it",
-        [("quantization.py", "_compose_into(acc, b._nums, a._nums, a.n, -1)", "_compose_into(acc, b._nums, a._nums, a.n, 1)")],
-        [f"{QUANT}::test_commutator_matches_leibniz_reference"],
+        [("quantization.py", "_compose_into(acc, b._nums, a._nums, a.n, -1, 1)", "_compose_into(acc, b._nums, a._nums, a.n, 1, 1)")],
+        [f"{QUANT}::test_commutator_of_d_cubed_and_q_cubed", f"{QUANT}::test_commutator_matches_leibniz_reference"],
+    ),
+    Mutant(
+        "the commutator skips the leading term in one order only",
+        [("quantization.py", "_compose_into(acc, b._nums, a._nums, a.n, -1, 1)", "_compose_into(acc, b._nums, a._nums, a.n, -1)")],
+        [f"{QUANT}::test_commutator_of_d_cubed_and_q_cubed", f"{QUANT}::test_commutator_of_leading_only_terms_is_zero"],
     ),
     Mutant(
         "image memo keyed without the map instance (module-level)",
@@ -171,8 +176,26 @@ MUTANTS = [
     ),
     Mutant(
         "mode table keyed without n",
-        [("symplectic_ref.py", *keyed_without("@lru_cache(maxsize=1024)", "_mode_image", "n, mode, m, k", "(mode, m, k)"))],
+        [("symplectic_ref.py", *keyed_without("@lru_cache(maxsize=1024, typed=True)", "_mode_image", "n, mode, m, k", "(mode, m, k)"))],
         [f"{WEYL}::test_mode_tables_are_keyed_on_the_dimension", f"{WEYL}::test_weyl_tables_match_the_enumeration_and_the_oracle"],
+    ),
+    Mutant(
+        "mode table serves a float power the table of its int",
+        [("symplectic_ref.py", "@lru_cache(maxsize=1024, typed=True)", "@lru_cache(maxsize=1024)")],
+        [f"{WEYL}::test_weyl_memo_refuses_an_inexact_monomial_after_its_int_version", f"{WEYL}::test_weyl_memo_matches_the_enumeration_and_the_oracle"],
+    ),
+    Mutant(
+        "Weyl image memo keyed without n",
+        [
+            ("symplectic_ref.py", "image = memo.get((mono, n)) if exact else None", "image = memo.get(mono) if exact else None"),
+            ("symplectic_ref.py", "memo[mono, n] = image", "memo[mono] = image"),
+        ],
+        [f"{WEYL}::test_weyl_images_are_keyed_on_the_dimension", f"{WEYL}::test_weyl_memo_matches_the_enumeration_and_the_oracle"],
+    ),
+    Mutant(
+        "Weyl image memo serves an equal monomial whose index or power is not an exact int",
+        [("symplectic_ref.py", "image = memo.get((mono, n)) if exact else None", "image = memo.get((mono, n))")],
+        [f"{WEYL}::test_weyl_memo_refuses_an_inexact_monomial_after_its_int_version", f"{WEYL}::test_weyl_memo_matches_the_enumeration_and_the_oracle"],
     ),
     Mutant(
         "the oracle bounds a monomial's powers by its degree",
@@ -562,83 +585,87 @@ MUTANTS = [
 
 # Seconds per mutant in one full run (2-vCPU x86-64 VM, Python 3.11.7); --shard balances on them.
 SECONDS = {
-    "leibniz weight without comb": 1.3,
-    "leibniz falling factorial set to 1": 1.2,
-    "leibniz memo keyed on the q powers without the degree": 1.2,
-    "leibniz memo keyed on the degree without the q powers": 1.3,
-    "composition drops the right operand's denominator": 41.6,
-    "commutator adds b o a instead of subtracting it": 28.0,
-    "image memo keyed without the map instance (module-level)": 1.3,
-    "quantize skips the scale for every coefficient": 1.2,
-    "adjoint drops IHBAR's sign flip": 1.2,
-    "adjoint drops (-1)^|alpha|": 1.3,
-    "adjoint composes c o d^alpha in place of d^alpha o c": 7.2,
-    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.2,
+    "leibniz weight without comb": 1.2,
+    "leibniz falling factorial set to 1": 1.3,
+    "leibniz memo keyed on the q powers without the degree": 1.5,
+    "leibniz memo keyed on the degree without the q powers": 1.5,
+    "composition drops the right operand's denominator": 56.6,
+    "commutator adds b o a instead of subtracting it": 1.4,
+    "the commutator skips the leading term in one order only": 1.7,
+    "image memo keyed without the map instance (module-level)": 1.6,
+    "quantize skips the scale for every coefficient": 1.6,
+    "adjoint drops IHBAR's sign flip": 1.8,
+    "adjoint drops (-1)^|alpha|": 1.5,
+    "adjoint composes c o d^alpha in place of d^alpha o c": 6.7,
+    "closed form with +i*hbar/2 in place of -i*hbar/2": 1.3,
     "closed form without j!": 1.2,
     "the walk goes down from a stale prefix: the parent's product in place of the child's": 1.2,
-    "the walk does not restore a letter's count": 1.6,
-    "average over degree! instead of the distinct words": 1.6,
+    "the walk does not restore a letter's count": 1.1,
+    "average over degree! instead of the distinct words": 1.2,
     "mode table keyed without n": 1.3,
-    "the oracle bounds a monomial's powers by its degree": 1.3,
-    "a mode's numerators not reduced before the product": 2.9,
-    "packed field one bit narrower than the bound": 1.6,
-    "IHBAR field dropped from the packed key": 30.0,
-    "the shared + skips the space check": 1.4,
-    "partials read only the lowest bit of a variable's field": 3.1,
+    "mode table serves a float power the table of its int": 1.2,
+    "Weyl image memo keyed without n": 1.6,
+    "Weyl image memo serves an equal monomial whose index or power is not an exact int": 1.7,
+    "the oracle bounds a monomial's powers by its degree": 1.7,
+    "a mode's numerators not reduced before the product": 2.6,
+    "packed field one bit narrower than the bound": 1.3,
+    "IHBAR field dropped from the packed key": 35.2,
+    "the shared + skips the space check": 1.7,
     "record memo keyed without the slot": 1.9,
-    "record memo keyed without the dimension": 1.9,
-    "field table drops the -1 sign of a qhat generator": 1.6,
-    "the field weight drops the factor's multiplicity": 1.6,
-    "the q-index keeps qhat(i,j) in the rest in place of rhat(j)": 1.5,
-    "ham_vf treats every coefficient as 1": 5.1,
-    "packed Lie bracket adds the second term instead of subtracting it": 4.3,
-    "integer vf_bracket weighs by 1/comb without split_count": 4.4,
-    "a field's symbol shift lands in the index fields": 1.4,
+    "record memo keyed without the dimension": 1.8,
+    "partials read only the lowest bit of a variable's field": 3.1,
+    "field table drops the -1 sign of a qhat generator": 1.2,
+    "the field weight drops the factor's multiplicity": 1.3,
+    "the q-index keeps qhat(i,j) in the rest in place of rhat(j)": 1.4,
+    "ham_vf treats every coefficient as 1": 4.1,
+    "packed Lie bracket adds the second term instead of subtracting it": 3.9,
+    "integer vf_bracket weighs by 1/comb without split_count": 3.2,
+    "a field's symbol shift lands in the index fields": 1.3,
     "HamVF skips the index range check": 1.1,
     "the sweep drops the (p-1)! prefactor": 10.2,
-    "the zero-class branch is skipped": 4.3,
-    "the sweep raises a grade at the power bound unchecked": 1.5,
-    "the contraction count is 1 in place of K.count(a)": 13.7,
-    "the packed split count is 1": 4.5,
-    "route 1's weight read by K in place of (I, J)": 4.3,
-    "join drops a repeated factor's multiplicity": 1.8,
-    "pi-in-f hits take sign +1": 1.4,
-    "single-hit path taken for count != 1": 2.8,
-    "route 2 writes into the shared table": 1.5,
-    "gauge term's route 1 not checked": 1.3,
-    "routes compared on the first unit pair only": 42.3,
-    "bracket drops the cf * cg coefficient product": 18.2,
-    "bracket's space check reads the dimension only": 1.2,
-    "power bound read from an operand's first term only": 1.4,
-    "gauge seed accepted on a slice": 1.7,
+    "the zero-class branch is skipped": 4.1,
+    "the sweep raises a grade at the power bound unchecked": 1.7,
+    "the contraction count is 1 in place of K.count(a)": 12.7,
+    "the packed split count is 1": 4.1,
+    "route 1's weight read by K in place of (I, J)": 2.8,
+    "join drops a repeated factor's multiplicity": 1.4,
+    "pi-in-f hits take sign +1": 1.3,
+    "single-hit path taken for count != 1": 2.9,
+    "route 2 writes into the shared table": 1.3,
+    "gauge term's route 1 not checked": 1.2,
+    "routes compared on the first unit pair only": 44.3,
+    "bracket drops the cf * cg coefficient product": 18.6,
+    "bracket's space check reads the dimension only": 1.1,
+    "power bound read from an operand's first term only": 1.2,
+    "gauge seed accepted on a slice": 1.3,
     "component table memo keyed without the slot": 1.6,
     "integer component builder weighs by 1 instead of K.count(j)": 1.7,
-    "K packed into the wrong index field": 3.7,
+    "K packed into the wrong index field": 2.3,
     "a unit monomial's form over (r-1)! instead of r!": 1.9,
-    "a single monomial with a non-unit coefficient shares the unit table": 1.5,
+    "a single monomial with a non-unit coefficient shares the unit table": 1.6,
     "== compares unscaled forms when the denominators differ": 1.7,
-    "sym_components weighs by 1/comb without split_count": 10.8,
-    "dirac pair loop builds g from m1": 1.6,
-    "record_dirac records \"fail\" instead of the residual": 1.6,
-    "suite decorator stamps one fixed suite name": 1.4,
-    "accumulate keeps a zero sum": 1.3,
-    "Observable._like drops the slot": 1.6,
-    "LinComb.__add__ accumulates into self.terms": 1.8,
-    "LinComb.__bool__ always true": 1.3,
-    "Scalar rational fast path taken for a symbol": 5.7,
-    "ONE * s returns ONE": 2.0,
-    "ONE_POLY * p returns ONE_POLY": 2.3,
-    "single-term power scales the exponents by k - 1": 4.3,
-    "single-term power keeps the coefficient unraised": 3.5,
-    "monomial memo keyed without the dimension": 1.5,
-    "membership checks the slot only when f has terms": 1.4,
-    "membership skips the check for any slot equal to 1": 1.4,
+    "sym_components weighs by 1/comb without split_count": 8.8,
+    "dirac pair loop builds g from m1": 1.5,
+    "record_dirac records \"fail\" instead of the residual": 1.2,
+    "suite decorator stamps one fixed suite name": 1.0,
+    "accumulate keeps a zero sum": 1.1,
+    "Observable._like drops the slot": 1.0,
+    "LinComb.__add__ accumulates into self.terms": 1.9,
+    "LinComb.__bool__ always true": 1.4,
+    "Scalar rational fast path taken for a symbol": 5.3,
+    "ONE * s returns ONE": 2.1,
+    "ONE_POLY * p returns ONE_POLY": 2.0,
+    "single-term power scales the exponents by k - 1": 2.8,
+    "single-term power keeps the coefficient unraised": 2.3,
+    "monomial memo keyed without the dimension": 1.2,
+    "membership checks the slot only when f has terms": 1.2,
+    "membership skips the check for any slot equal to 1": 1.2,
     "monomial memo serves indices that equal an int but are not one": 1.3,
-    "monomial memo serves an equal entry without the exact-int walk": 1.3,
+    "monomial memo serves an equal entry without the exact-int walk": 1.5,
     "a term's rational coefficient is dropped": 1.4,
-    "a - between terms adds the term": 1.2,
+    "a - between terms adds the term": 1.1,
     "the depth guard admits MAX_DEPTH + 1": 1.1,
-    "pih(k) parses as rh(k)": 1.3,
+    "pih(k) parses as rh(k)": 1.1,
 }
 
 
